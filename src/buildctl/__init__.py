@@ -11,9 +11,7 @@ from .complexes import (MetricComplex, SimplexShape, ValidationReport,
                         ComplexError, InvalidComplexError, validate,
                         vertex_link, cell_link, orthogonal_join, suspension,
                         discrete_complex, s0, loads, load_path, parse_json_dict)
-from .metric_graph import (MetricGraph, GraphPoint, Circle, AntipodeSet,
-                           distance, diameter, systole, cat1_graph,
-                           antipode_set, suppress_degree2)
+from .metric_graph import MetricGraph, GraphPoint, Circle, AntipodeSet
 from .coxeter import (CoxeterMatrix, CoxeterClassification, cosine_form,
                       classify, irreducible_components,
                       generate_reflection_group, coxeter_complex,

@@ -62,6 +62,8 @@ class Angle:
 
     @staticmethod
     def exact(p: int, q: int = 1) -> "Angle":
+        if q == 0:
+            raise ValueError(f"angle pi*{p}/{q} has a zero denominator")
         return Angle(frac=Fraction(p, q))
 
     @staticmethod
@@ -108,7 +110,7 @@ class Angle:
     def from_json(obj: dict) -> "Angle":
         if "pi" in obj:
             p, q = obj["pi"]
-            return Angle(frac=Fraction(int(p), int(q)))
+            return Angle.exact(int(p), int(q))
         if "rad" in obj:
             return Angle(rad=float(obj["rad"]))
         raise ValueError(f"bad angle record {obj!r}")

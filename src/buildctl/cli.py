@@ -3,7 +3,7 @@
 Exit codes: 0 certified / success, 1 diagnosed failure, 2 undecided
 (unknown pi_1 or unverified global curvature), 3 input or usage error.
 Budgets can be overridden through the BUILDCTL_BUDGETS environment variable,
-a JSON object such as {"B_group": 100000, "B_apt": 10000}.
+a JSON object of positive integers such as {"B_group": 100000, "B_apt": 10000}.
 """
 
 from __future__ import annotations
@@ -40,9 +40,18 @@ def budgets() -> dict:
     raw = os.environ.get("BUILDCTL_BUDGETS")
     if raw:
         try:
-            out.update(json.loads(raw))
+            given = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ComplexError(f"bad BUILDCTL_BUDGETS: {exc}") from exc
+        if not isinstance(given, dict):
+            raise ComplexError("bad BUILDCTL_BUDGETS: expected a JSON object")
+        for key, value in given.items():
+            if key not in out:
+                raise ComplexError(f"bad BUILDCTL_BUDGETS: unknown budget {key!r}")
+            if type(value) is not int or value <= 0:
+                raise ComplexError(
+                    f"bad BUILDCTL_BUDGETS: {key} must be a positive integer, got {value!r}")
+        out.update(given)
     return out
 
 

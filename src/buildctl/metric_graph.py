@@ -6,6 +6,26 @@ exact equalities on the target corpus.  Point-to-point distances reduce to
 vertex Dijkstra plus the four endpoint routes; diameter is the maximum of the
 concave lower envelope of those route functions over each edge-pair square,
 evaluated exactly at corners and envelope-line crossings.
+
+Kernel units.  Each graph keeps one length table.  When every length is
+rational the table holds the lengths times 4L, L the lcm of their
+denominators, as ints.  Route constants are then multiples of 4, and every
+envelope candidate (a corner, or a crossing of envelope lines with a side or
+with each other) is an int, so the kernel is exact without Fraction.  Float
+and mixed graphs keep floats.  Dijkstra, all-pairs distances, systole and the
+diameter scan run on the table; Fraction values are restored only where they
+are returned.
+
+Pruned diameter scan.  LB is the largest vertex-to-vertex distance.  On edges
+(u,v) of length a and (x,y) of length b, the route via u..x plus the route via
+v..y sum to a + b + d(u,x) + d(v,y) at every point, so their minimum is at
+most half of that; likewise for the other opposing pair, and |t - s| <= a
+bounds a pair of an edge with itself.  A pair is evaluated only when this
+bound ub is at least LB and above the best value so far.  The first pair in
+scan order that attains the maximum has ub >= maximum >= LB and a best value
+below the maximum, so it is evaluated, and no later pair can exceed it: the
+value and the witness are those of the full scan.  Float bounds carry a slack
+of EPS_UNITS so that rounding never skips that pair.
 """
 
 from __future__ import annotations
@@ -16,6 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .angles import EPS_ANGLE, PiUnits
@@ -132,17 +153,40 @@ class MetricGraph:
 
     # -- shortest paths --------------------------------------------------------
 
-    def vertex_distances(self, source: int, skip_edge: int | None = None,
-                         with_paths: bool = False):
-        """Dijkstra with exact arithmetic; optionally excludes one edge id."""
-        dist: dict[int, PiUnits] = {source: Fraction(0)}
+    @cached_property
+    def _kernel(self):
+        """(scale, lengths, adjacency) in kernel units: ints in units of
+        pi/scale when every length is rational, else floats and scale None."""
+        lengths = [ln for _, _, ln in self.edges]
+        if all(isinstance(ln, Rational) for ln in lengths):
+            scale = 4 * math.lcm(*(ln.denominator for ln in lengths))
+            table = tuple(ln.numerator * (scale // ln.denominator) for ln in lengths)
+        else:
+            scale = None
+            table = tuple(float(ln) for ln in lengths)
+        adj = [tuple((w, eid, table[eid]) for w, eid, _ in self.adjacency[u])
+               for u in range(len(self.vertices))]
+        return scale, table, adj
+
+    def _restore(self, x):
+        """A kernel-unit value in pi units: a Fraction on exact graphs."""
+        scale = self._kernel[0]
+        if scale is None or x == INF:
+            return x
+        return Fraction(x, scale)
+
+    def _dijkstra(self, source: int, skip_edge: int | None = None):
+        """Distances (kernel units) and predecessor (vertex, edge) per vertex."""
+        scale, _, adj = self._kernel
+        zero = 0 if scale else 0.0
+        dist = {source: zero}
         prev: dict[int, tuple[int, int]] = {}
-        heap = [(Fraction(0), source)]
+        heap = [(zero, source)]
         while heap:
             d, u = heapq.heappop(heap)
-            if d > dist.get(u, INF):
+            if d > dist[u]:
                 continue
-            for w, eid, ln in self.adjacency[u]:
+            for w, eid, ln in adj[u]:
                 if eid == skip_edge:
                     continue
                 nd = d + ln
@@ -150,16 +194,25 @@ class MetricGraph:
                     dist[w] = nd
                     prev[w] = (u, eid)
                     heapq.heappush(heap, (nd, w))
+        return dist, prev
+
+    def vertex_distances(self, source: int, skip_edge: int | None = None,
+                         with_paths: bool = False):
+        """Dijkstra distances from one vertex, Fractions on exact graphs;
+        optionally excludes one edge id."""
+        dist, prev = self._dijkstra(source, skip_edge)
+        dist = {w: self._restore(x) for w, x in dist.items()}
         if with_paths:
             return dist, prev
         return dist
 
     @cached_property
-    def _all_pairs(self) -> list[dict[int, PiUnits]]:
-        return [self.vertex_distances(s) for s in range(len(self.vertices))]
+    def _all_pairs(self) -> list[dict[int, int | float]]:
+        """Vertex-to-vertex distances in kernel units."""
+        return [self._dijkstra(s)[0] for s in range(len(self.vertices))]
 
     def d(self, u: int, v: int) -> PiUnits:
-        return self._all_pairs[u].get(v, INF)
+        return self._restore(self._all_pairs[u].get(v, INF))
 
     def _point_sides(self, p: GraphPoint):
         """(vertex, offset) pairs describing p's distance to graph vertices."""
@@ -195,42 +248,68 @@ class MetricGraph:
         if not self.edges:
             self._diameter = (Fraction(0), None)
             return self._diameter
-        best: PiUnits = Fraction(-1)
+        scale, w, _ = self._kernel
+        ap = self._all_pairs
+        # bounds are compared doubled, which keeps them ints on exact graphs
+        slack = 0 if scale else 2 * EPS_UNITS
+        lb2 = 2 * max(max(row.values()) for row in ap)
+        best = -1
         witness = None
-        for i in range(len(self.edges)):
+        for i, (u, v, _) in enumerate(self.edges):
+            a, du, dv = w[i], ap[u], ap[v]
             for j in range(i, len(self.edges)):
+                if i == j:
+                    ub2 = 2 * a
+                else:
+                    x, y, _ = self.edges[j]
+                    ub2 = a + w[j] + min(du[x] + dv[y], du[y] + dv[x])
+                if ub2 + slack < lb2 or ub2 + slack <= 2 * best:
+                    continue
                 val, ts = self._edge_pair_max(i, j)
                 if val > best:
                     best = val
-                    witness = (self.point(i, ts[0]), self.point(j, ts[1]))
-        self._diameter = (best, witness)
+                    witness = (i, j, ts)
+        i, j, (t, s) = witness
+        self._diameter = (self._restore(best), (self._kernel_point(i, t), self._kernel_point(j, s)))
         return self._diameter
 
+    def _kernel_point(self, eid: int, t) -> GraphPoint:
+        """The point at kernel-unit offset t on edge eid.  On a mixed graph the
+        float far end stands for the exact length it rounds."""
+        if t == self._kernel[1][eid]:
+            return self.point(eid, self.edges[eid][2])
+        return self.point(eid, self._restore(t))
+
     def _route_functions(self, i: int, j: int):
-        """Linear route functions f(t,s) = al*t + be*s + ga for edges i, j."""
-        u, v, a = self.edges[i]
-        x, y, b = self.edges[j]
+        """Linear route functions f(t,s) = al*t + be*s + ga for edges i, j,
+        in kernel units."""
+        _, w, _ = self._kernel
+        ap = self._all_pairs
+        u, v, _ = self.edges[i]
+        x, y, _ = self.edges[j]
         fns = []
-        for (ep, al, t0) in ((u, 1, 0), (v, -1, a)):
-            for (eq, be, s0) in ((x, 1, 0), (y, -1, b)):
-                dd = self.d(ep, eq)
+        for (ep, al, t0) in ((u, 1, 0), (v, -1, w[i])):
+            for (eq, be, s0) in ((x, 1, 0), (y, -1, w[j])):
+                dd = ap[ep].get(eq, INF)
                 if dd is not INF:
                     fns.append((al, be, t0 + s0 + dd))
         return fns
 
     def _edge_pair_max(self, i: int, j: int):
-        a = self.edges[i][2]
-        b = self.edges[j][2]
+        """Max of the distance envelope over edges i, j and its (t, s)
+        offsets, in kernel units."""
+        _, w, _ = self._kernel
+        a, b = w[i], w[j]
+        zero = 0 * a
         fns = self._route_functions(i, j)
         if i == j:
             # direct |t-s| breaks concavity; restrict to the triangle t >= s
             # (the envelope is symmetric under swapping t and s).
-            poly = [(Fraction(0), Fraction(0)), (a, Fraction(0)), (a, a)]
-            fns = fns + [(1, -1, Fraction(0))]
+            poly = [(zero, zero), (a, zero), (a, a)]
+            fns = fns + [(1, -1, zero)]
         else:
-            poly = [(Fraction(0), Fraction(0)), (a, Fraction(0)), (a, b), (Fraction(0), b)]
-        val, pt = _envelope_max(fns, poly)
-        return val, pt
+            poly = [(zero, zero), (a, zero), (a, b), (zero, b)]
+        return _envelope_max(fns, poly)
 
     # -- systole -----------------------------------------------------------------
 
@@ -239,13 +318,14 @@ class MetricGraph:
         cached = getattr(self, "_systole", None)
         if cached is not None:
             return cached
-        best: PiUnits = INF
+        lengths = self._kernel[1]
+        best = INF
         cycle = None
-        for eid, (u, v, ln) in enumerate(self.edges):
-            dist, prev = self.vertex_distances(u, skip_edge=eid, with_paths=True)
+        for eid, (u, v, _) in enumerate(self.edges):
+            dist, prev = self._dijkstra(u, skip_edge=eid)
             if v not in dist:
                 continue
-            cand = dist[v] + ln
+            cand = dist[v] + lengths[eid]
             if cand < best:
                 best = cand
                 path = []
@@ -255,7 +335,7 @@ class MetricGraph:
                     path.append(peid)
                     w = pu
                 cycle = list(reversed(path)) + [eid]
-        self._systole = (best, cycle)
+        self._systole = (self._restore(best), cycle)
         return self._systole
 
     def cycle_vertices(self, cycle_edges: list[int]) -> list[int]:
@@ -289,8 +369,8 @@ class MetricGraph:
         sides = self._point_sides(p)
         verts_near: dict[int, PiUnits] = {}
         for a, ta in sides:
-            for w, dw in self.vertex_distances(a).items():
-                cand = ta + dw
+            for w, dw in self._all_pairs[a].items():
+                cand = ta + self._restore(dw)
                 if cand < verts_near.get(w, INF):
                     verts_near[w] = cand
         points: list[GraphPoint] = []
@@ -404,33 +484,6 @@ class MetricGraph:
 # -- interval and envelope helpers ------------------------------------------------
 
 
-# -- operation-style wrappers -------------------------------------------------
-
-
-def distance(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> PiUnits:
-    return g.distance(p, q)
-
-
-def diameter(g: MetricGraph):
-    return g.diameter()
-
-
-def systole(g: MetricGraph):
-    return g.systole()
-
-
-def cat1_graph(g: MetricGraph):
-    return g.cat1()
-
-
-def antipode_set(g: MetricGraph, p: GraphPoint) -> AntipodeSet:
-    return g.antipode_set(p)
-
-
-def suppress_degree2(g: MetricGraph):
-    return g.suppress_degree2()
-
-
 def _degenerate(lo: PiUnits, hi: PiUnits) -> bool:
     if isinstance(lo, Fraction) and isinstance(hi, Fraction):
         return lo == hi
@@ -516,6 +569,12 @@ def _line_segment_intersection(al, be, ga, p0, p1):
     f1 = al * t1 + be * s1 + ga
     if f0 == f1:
         return None
+    if type(f0) is int and type(f1) is int:
+        # kernel units: 0 <= lam <= 1 tested without dividing
+        den = f0 - f1
+        if not 0 <= f0 * den <= den * den:
+            return None
+        return (_div(f0 * t1 - f1 * t0, den), _div(f0 * s1 - f1 * s0, den))
     lam = f0 / (f0 - f1)
     if lam < 0 or lam > 1:
         return None
@@ -528,9 +587,16 @@ def _line_line_intersection(l1, l2):
     det = a1 * b2 - a2 * b1
     if det == 0:
         return None
-    t = (-g1 * b2 + g2 * b1) / det
-    s = (-a1 * g2 + a2 * g1) / det
-    return (t, s)
+    return (_div(-g1 * b2 + g2 * b1, det), _div(-a1 * g2 + a2 * g1, det))
+
+
+def _div(num, den):
+    """num / den, kept exact on ints: an int when it divides (always, in
+    kernel units), else a Fraction."""
+    if type(num) is int:
+        q, r = divmod(num, den)
+        return q if r == 0 else Fraction(num, den)
+    return num / den
 
 
 def _in_polygon(pt, poly) -> bool:

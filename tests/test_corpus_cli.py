@@ -120,6 +120,30 @@ def test_cli_usage_and_input_errors(tmp_path):
     assert run_cli("frobnicate").returncode == 3
 
 
+def test_cli_malformed_angle_and_budgets_exit3(tmp_path):
+    f = tmp_path / "k33.json"
+    assert run_cli("gen", "complete-bipartite", "-o", str(f)).returncode == 0
+    obj = json.loads(f.read_text())
+    obj["edge_lengths"][0]["pi"] = [1, 0]
+    bad = tmp_path / "bad-pi.json"
+    bad.write_text(json.dumps(obj))
+    for r in (run_cli("check", str(bad)),
+              run_cli("check", str(f), env_extra={"BUILDCTL_BUDGETS": "[1]"})):
+        lines = r.stderr.strip().splitlines()
+        assert r.returncode == 3, r.stderr
+        assert len(lines) == 1 and lines[0].startswith("buildctl: "), r.stderr
+
+
+@pytest.mark.parametrize("raw", ['{"B_apt": "x"}', '{"B_apt": 0}', '{"B_apt": true}',
+                                 '{"B_nope": 5}', '7'])
+def test_cli_budgets_rejected_in_process(tmp_path, monkeypatch, capsys, raw):
+    f = tmp_path / "k33.json"
+    assert main(["gen", "complete-bipartite", "-o", str(f)]) == 0
+    monkeypatch.setenv("BUILDCTL_BUDGETS", raw)
+    assert main(["check", str(f)]) == 3
+    assert capsys.readouterr().err.startswith("buildctl: bad BUILDCTL_BUDGETS")
+
+
 def test_cli_validate(tmp_path):
     f = tmp_path / "k33.json"
     run_cli("gen", "complete-bipartite", "--s", "3", "--t", "3",

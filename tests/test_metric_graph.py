@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -20,21 +21,67 @@ def graph_of(c: MetricComplex) -> MetricGraph:
     return MetricGraph.from_complex(c)
 
 
-def random_graph(rng: random.Random, max_v=10, max_e=14) -> MetricGraph:
+def random_graph(rng: random.Random, max_v=10, max_e=14, kind="exact") -> MetricGraph:
+    """Random multigraph; kind "float" or "mixed" turns all or about half of
+    the lengths into floats of the same value."""
     n = rng.randint(2, max_v)
     lengths = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]
+
+    def length():
+        ln = rng.choice(lengths)
+        if kind == "float" or (kind == "mixed" and rng.random() < 0.5):
+            return float(ln)
+        return ln
+
     edges = []
     for v in range(1, n):
         u = rng.randrange(v)
-        edges.append((u, v, rng.choice(lengths)))
+        edges.append((u, v, length()))
     extra = rng.randint(0, max_e - len(edges))
     for _ in range(extra):
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u == v:
             continue
-        edges.append((u, v, rng.choice(lengths)))
+        edges.append((u, v, length()))
     return MetricGraph([f"v{i}" for i in range(n)], edges)
+
+
+def lengthened(g: MetricGraph, eid: int, by=Fraction(1, 12)) -> MetricGraph:
+    edges = list(g.edges)
+    u, v, ln = edges[eid]
+    edges[eid] = (u, v, ln + by)
+    return MetricGraph(g.vertices, edges)
+
+
+def full_scan_diameter(g: MetricGraph):
+    """Unpruned reference: every edge pair through the exact evaluator."""
+    best, arg = -1, None
+    for i in range(len(g.edges)):
+        for j in range(i, len(g.edges)):
+            val, ts = g._edge_pair_max(i, j)
+            if val > best:
+                best, arg = val, (i, j, ts)
+    i, j, (t, s) = arg
+    return g._restore(best), (g._kernel_point(i, t), g._kernel_point(j, s))
+
+
+def fraction_dijkstra(g: MetricGraph, source: int, skip_edge=None):
+    """Plain Fraction Dijkstra over the original edge lengths."""
+    dist = {source: Fraction(0)}
+    heap = [(Fraction(0), source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for eid, (a, b, ln) in enumerate(g.edges):
+            if eid == skip_edge or u not in (a, b):
+                continue
+            w = b if u == a else a
+            if d + ln < dist.get(w, math.inf):
+                dist[w] = d + ln
+                heapq.heappush(heap, (d + ln, w))
+    return dist
 
 
 def test_c4_opposite_vertices():
@@ -276,3 +323,66 @@ def test_metric_properties_random_sweep():
         assert dab == g.distance(b, a)
         assert g.distance(a, c) <= dab + g.distance(b, c) + Fraction(1, 10 ** 12)
         checked += 1
+
+
+def test_pruned_diameter_matches_full_scan_random():
+    rng = random.Random(29)
+    for kind in ("exact", "float", "mixed"):
+        for _ in range(40):
+            g = random_graph(rng, kind=kind)
+            assert g.diameter() == full_scan_diameter(g), kind
+
+
+def test_pruned_diameter_matches_full_scan_buildings(heawood, tutte_coxeter, k33):
+    from buildctl.corpus import gen_rank2_building
+    k44 = gen_rank2_building("complete_bipartite", s=4, t=4)
+    for c in (heawood, tutte_coxeter, k33, k44):
+        g = graph_of(c)
+        long = lengthened(g, len(g.edges) // 2)
+        long_float = MetricGraph(long.vertices, [(u, v, float(ln)) for u, v, ln in long.edges])
+        for h in (g, long, long_float):
+            assert h.diameter() == full_scan_diameter(h)
+        d, wit = long.diameter()
+        assert 1 < d <= Fraction(13, 12) and long.distance(*wit) == d
+        assert g.diameter()[0] == 1
+        assert abs(long_float.diameter()[0] - float(d)) <= 1e-12
+
+
+def test_integer_kernel_matches_fraction_dijkstra():
+    rng = random.Random(31)
+    for _ in range(30):
+        shape = random_graph(rng)
+        g = MetricGraph(shape.vertices,
+                        [(u, v, Fraction(rng.randint(1, 7), rng.choice((1, 2, 3, 5, 12))))
+                         for u, v, _ in shape.edges])
+        n = len(g.vertices)
+        for u in range(n):
+            ref = fraction_dijkstra(g, u)
+            assert g.vertex_distances(u) == ref
+            for v in range(n):
+                assert g.d(u, v) == ref.get(v, math.inf)
+        want = math.inf
+        for eid, (u, v, ln) in enumerate(g.edges):
+            dist = fraction_dijkstra(g, u, skip_edge=eid)
+            if v in dist:
+                want = min(want, dist[v] + ln)
+        s, cyc = g.systole()
+        assert s == want
+        if cyc is not None:
+            assert sum(g.edges[e][2] for e in cyc) == s
+        # lengths scaled by 4L make every envelope candidate an int
+        for i in range(len(g.edges)):
+            for j in range(i, len(g.edges)):
+                val, (t, s) = g._edge_pair_max(i, j)
+                assert type(val) is type(t) is type(s) is int
+
+
+def test_exact_graphs_return_fractions(heawood):
+    g = lengthened(graph_of(heawood), 3)
+    d, wit = g.diameter()
+    s, _ = g.systole()
+    assert all(isinstance(x, Fraction) for x in
+               (d, s, g.d(0, 5), g.distance(*wit), *g.vertex_distances(2).values()))
+    assert all(isinstance(p.t, Fraction) for p in wit if not p.is_vertex)
+    f = MetricGraph(g.vertices, [(u, v, float(ln)) for u, v, ln in g.edges])
+    assert isinstance(f.diameter()[0], float) and isinstance(f.d(0, 5), float)
