@@ -140,6 +140,7 @@ class MetricComplex:
         self.provenance = provenance
         self.lengths: dict[Edge, Angle] = {}
         self.length_conflicts: list[tuple[Edge, Angle, Angle]] = []
+        self._corner_angles: dict[tuple[int, int, int], Angle] = {}   # _vertex_angle
         for i, j, a in lengths:
             if i == j:
                 raise ComplexError(f"self-edge length ({i},{i})")
@@ -314,7 +315,7 @@ def parse_json_dict(obj: dict) -> MetricComplex:
         try:
             i, j = (int(v) for v in rec["edge"])
             a = Angle.from_json(rec)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ComplexError(f"malformed edge length record {rec!r}: {exc}") from exc
         e = Edge((i, j))
         if e in seen:
@@ -327,7 +328,10 @@ def parse_json_dict(obj: dict) -> MetricComplex:
         if default is None:
             raise ComplexError(
                 f"ambiguous input: {len(missing)} edges lack lengths and no default_length given")
-        d = Angle.from_json(default)
+        try:
+            d = Angle.from_json(default)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ComplexError(f"malformed default_length {default!r}: {exc}") from exc
         lengths.extend((i, j, d) for i, j in missing)
         c = MetricComplex(geometry, vertices, top_cells, lengths, dimension=dimension)
     return c
@@ -352,7 +356,15 @@ def load_path(path) -> MetricComplex:
 
 
 def _vertex_angle(c: MetricComplex, v: int, u: int, w: int) -> Angle:
-    """Angle at v in the triangle (v,u,w), by the law of cosines."""
+    """Angle at v in the triangle (v,u,w), by the law of cosines.
+
+    Cached on ``c`` under (v, min(u, w), max(u, w)): the formula is symmetric
+    in u and w (bit for bit) and lengths never change after construction.
+    """
+    key = (v, u, w) if u < w else (v, w, u)
+    ang = c._corner_angles.get(key)
+    if ang is not None:
+        return ang
     a = c.edge_length(v, u).radians
     b = c.edge_length(v, w).radians
     opp = c.edge_length(u, w).radians
@@ -360,7 +372,9 @@ def _vertex_angle(c: MetricComplex, v: int, u: int, w: int) -> Angle:
         cosang = (math.cos(opp) - math.cos(a) * math.cos(b)) / (math.sin(a) * math.sin(b))
     else:
         cosang = (a * a + b * b - opp * opp) / (2.0 * a * b)
-    return Angle.from_radians(math.acos(max(-1.0, min(1.0, cosang))))
+    ang = Angle.from_radians(math.acos(max(-1.0, min(1.0, cosang))))
+    c._corner_angles[key] = ang
+    return ang
 
 
 def vertex_link(c: MetricComplex, v) -> MetricComplex:

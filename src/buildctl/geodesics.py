@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .angles import EPS_ANGLE, Angle, PiUnits
-from .complexes import MetricComplex, vertex_link
+from .complexes import MetricComplex, _vertex_angle, vertex_link
 from .metric_graph import GraphPoint, MetricGraph
 
 EPS_HIT = 1e-6
@@ -635,14 +635,8 @@ def _angle_sum(c: MetricComplex, v: int, cells) -> PiUnits:
     total: PiUnits = Fraction(0)
     for cell in cells:
         a, b = [w for w in cell if w != v]
-        ang = _corner_angle(c, v, a, b)
-        total = total + ang
+        total = total + _vertex_angle(c, v, a, b).pi_units
     return total
-
-
-def _corner_angle(c: MetricComplex, v: int, a: int, b: int) -> PiUnits:
-    from .complexes import _vertex_angle
-    return _vertex_angle(c, v, a, b).pi_units
 
 
 def _grow_surface(c: MetricComplex, fan, budget: int, all_closures: bool = False):
@@ -658,7 +652,7 @@ def _grow_surface(c: MetricComplex, fan, budget: int, all_closures: bool = False
 
     def angle(cell, v):
         a, b = [w for w in cell if w != v]
-        return _corner_angle(c, v, a, b)
+        return _vertex_angle(c, v, a, b).pi_units
 
     nodes = 0
     exhausted = False

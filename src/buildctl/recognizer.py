@@ -6,9 +6,14 @@ or a single 2*pi circuit, provided it passes the systole (CAT(1)), diameter,
 valence, and uniform-length gates; the first failed gate comes back as a
 Diagnosis with a concrete witness.  Higher dimensions recurse through cell
 links, assemble the Coxeter matrix from panel angles, and enumerate
-apartments by sector propagation.  Global CAT(1) in dimension 2 is never
-guessed: certificates carry an explicit unverified flag unless the complex
-was produced by a curvature-preserving construction.
+apartments by sector propagation.  Apartments are built only where a
+certificate keeps them: the link certificates inside a dimension >= 3
+complex and inside a Euclidean check carry none, because no caller reads
+them and growing surfaces in every vertex link would dominate the cost; the
+vertex links of a dimension-2 complex keep theirs, which seed its sector
+propagation.  Global CAT(1) in dimension 2 is never guessed: certificates
+carry an explicit unverified flag unless the complex was produced by a
+curvature-preserving construction.
 """
 
 from __future__ import annotations
@@ -130,10 +135,6 @@ class IntegrityError(RuntimeError):
     """A certified conclusion failed re-verification: internal inconsistency."""
 
 
-def _pi_units_value(x: PiUnits) -> float:
-    return float(x)
-
-
 def _is_one(x: PiUnits) -> bool:
     if isinstance(x, Fraction):
         return x == 1
@@ -143,13 +144,19 @@ def _is_one(x: PiUnits) -> bool:
 # -- dimension 1 ----------------------------------------------------------------
 
 
-def recognize_dim1(g, budget: int = B_APT_DEFAULT) -> BuildingCertificate | Diagnosis:
+def recognize_dim1(g, budget: int = B_APT_DEFAULT, *, apartments: bool = True
+                   ) -> BuildingCertificate | Diagnosis:
     """The 1-dimensional dichotomy: thick rank-2 building or suspension.
 
     Gates, in order: connectivity; valence >= 3 after valence-2 suppression;
     systole >= 2*pi; diameter = pi; uniform edge length pi/m.  m = 1 yields
     the suspension verdict, m >= 2 the thick verdict with its apartment
     system.  A single 2*pi circuit is the thin (Coxeter complex) case.
+
+    ``apartments=False`` skips the cycle search and its axiom check: the
+    verdict is the same, but the certificate carries no apartments, is not
+    exhaustive and is flagged ``apartments_sampled``.  A single circuit still
+    carries itself, which costs no search.
     """
     if isinstance(g, MetricComplex):
         graph = MetricGraph.from_complex(g)
@@ -169,30 +176,32 @@ def recognize_dim1(g, budget: int = B_APT_DEFAULT) -> BuildingCertificate | Diag
         names = [sup.vertices[v] for v in sup.cycle_vertices(cyc)]
         length = sum(sup.edges[e][2] for e in cyc)
         return Diagnosis(SYSTOLE, {"cycle": names,
-                                   "length_pi_units": _pi_units_value(length)})
+                                   "length_pi_units": float(length)})
     diam, wit = sup.diameter()
     if not _is_one(diam):
         return Diagnosis(DIAMETER, {
-            "diameter_pi_units": _pi_units_value(diam),
+            "diameter_pi_units": float(diam),
             "witness": [sup.point_name(wit[0]), sup.point_name(wit[1])] if wit else None})
     m = _uniform_m(sup)
     if isinstance(m, Diagnosis):
         return m
-    apartments, exhaustive = enumerate_apartments_dim1(graph, m, budget=budget)
-    axiom = _check_dim1_axioms(graph, apartments, exhaustive)
-    if axiom is not None:
-        raise IntegrityError(axiom)
+    found, exhaustive = (), False
+    if apartments:
+        found, exhaustive = enumerate_apartments_dim1(graph, m, budget=budget)
+        axiom = _check_dim1_axioms(graph, found, exhaustive)
+        if axiom is not None:
+            raise IntegrityError(axiom)
     flags = () if exhaustive else (FLAG_SAMPLED,)
     if m == 1:
         poles = tuple(sup.vertices)
         return BuildingCertificate(
             SPHERICAL, 1, SUSPENSION, coxeter_matrix=None, m=1,
-            apartments=apartments, apartments_exhaustive=exhaustive,
+            apartments=found, apartments_exhaustive=exhaustive,
             thickness=2, poles=poles, base_size=len(sup.edges), flags=flags,
             graph=graph)
     return BuildingCertificate(
         SPHERICAL, 1, THICK, coxeter_matrix=dihedral(m), m=m,
-        apartments=apartments, apartments_exhaustive=exhaustive,
+        apartments=found, apartments_exhaustive=exhaustive,
         thickness=min(sup.valence(v) for v in range(len(sup.vertices))),
         flags=flags, graph=graph)
 
@@ -204,9 +213,9 @@ def _recognize_circle(graph: MetricGraph, circ: Circle) -> BuildingCertificate |
     gt = (c > two) if isinstance(c, Fraction) else (float(c) > 2 + EPS_ANGLE / math.pi)
     if lt:
         return Diagnosis(SYSTOLE, {"cycle": list(circ.vertex_names),
-                                   "length_pi_units": _pi_units_value(c)})
+                                   "length_pi_units": float(c)})
     if gt:
-        return Diagnosis(DIAMETER, {"diameter_pi_units": _pi_units_value(c) / 2.0})
+        return Diagnosis(DIAMETER, {"diameter_pi_units": float(c) / 2.0})
     m = None
     lens = {ln if isinstance(ln, Fraction) else round(float(ln), 12)
             for _, _, ln in graph.edges}
@@ -264,7 +273,7 @@ def _uniform_m(sup: MetricGraph) -> int | Diagnosis:
             u1 = tuple(sup.vertices[v] for v in sup.edges[eid][:2])
             return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
                 "edges": [list(u0), list(u1)],
-                "lengths_pi_units": [_pi_units_value(l0), _pi_units_value(ln)]})
+                "lengths_pi_units": [float(l0), float(ln)]})
     m = _length_to_m(l0)
     if m is None:
         u0 = tuple(sup.vertices[v] for v in sup.edges[e0][:2])
@@ -463,8 +472,8 @@ def _cofaces(c: MetricComplex, face) -> list[tuple]:
 # -- spherical recognition, dimension >= 2 --------------------------------------------
 
 
-def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
-                    ) -> BuildingCertificate | Diagnosis:
+def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT, *,
+                    apartments: bool = True) -> BuildingCertificate | Diagnosis:
     """Certify a spherical complex as a building, or diagnose the failure.
 
     Dimension 1 delegates to recognize_dim1.  Dimension >= 2 verifies the
@@ -472,6 +481,14 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     Coxeter matrix from panel angles, and enumerates apartments by sector
     propagation.  Global CAT(1) is decided only for by-construction inputs
     or through the simple-connectivity pathway in dimension >= 3.
+
+    ``apartments=False`` skips apartment enumeration and the axiom (2)
+    check; the certificate then carries no apartments, is not exhaustive and
+    is flagged ``apartments_sampled``.  The links inside a dimension >= 3
+    complex and inside check_euclidean are checked this way: only the
+    dimension-2 sector propagation reads link apartments (the cycles in its
+    vertex links), so a dimension-2 complex hands its own setting to its
+    vertex links and every other link certificate is kept without them.
     """
     if c.geometry != SPHERICAL:
         raise ComplexError("check_spherical needs a spherical complex")
@@ -480,7 +497,7 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     if n <= 0:
         return _check_dim0(c)
     if n == 1:
-        return recognize_dim1(c, budget=budget)
+        return recognize_dim1(c, budget=budget, apartments=apartments)
     if not c._skeleton_connected():
         return Diagnosis(NOT_CONNECTED, {"detail": "complex is not connected"})
     # codimension-1 cell counts
@@ -495,14 +512,14 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     link_certs: dict = {}
     for cell in c.cells_by_dim.get(n - 2, ()):
         L = cell_link(c, [c.vertices[i] for i in cell])
-        res = recognize_dim1(L, budget=budget)
+        res = recognize_dim1(L, budget=budget, apartments=apartments and n == 2)
         if isinstance(res, Diagnosis):
             return Diagnosis(LINK_FAILURE, {
                 "cell": [c.vertices[i] for i in cell]}, inner=res)
         link_certs[cell] = (L, res)
     if n >= 3:
         for vi in range(len(c.vertices)):
-            res = check_spherical(vertex_link(c, vi), budget=budget)
+            res = check_spherical(vertex_link(c, vi), budget=budget, apartments=False)
             if isinstance(res, Diagnosis):
                 return Diagnosis(LINK_FAILURE, {"cell": [c.vertices[vi]]}, inner=res)
             link_certs[(vi,)] = (None, res)
@@ -520,15 +537,14 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
             "detail": f"assembled Coxeter matrix is {cls.verdict}, not spherical",
             "matrix": M.to_json_dict()})
     panel_counts_all = [len(_cofaces(c, p)) for p in c.cells_by_dim.get(n - 1, ())]
-    if n == 2:
-        apartments, exhaustive = _enumerate_apartments_dim2(c, link_certs, budget)
-    elif set(panel_counts_all) == {2}:
+    found, exhaustive = (), False
+    if apartments and n == 2:
+        found, exhaustive = _enumerate_apartments_dim2(c, link_certs, budget)
+    elif apartments and set(panel_counts_all) == {2}:
         # thin: the complex is its own single apartment
         whole = Apartment("sphere", cells=tuple(sorted(c.top_cells)),
                           vertices=tuple(range(len(c.vertices))))
-        apartments, exhaustive = (whole,), True
-    else:
-        apartments, exhaustive = (), False
+        found, exhaustive = (whole,), True
     flags = []
     panel_counts = set(panel_counts_all)
     from .decompose import find_suspension_poles   # local import to avoid a cycle
@@ -547,7 +563,7 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
         flags.append(FLAG_MIXED)
     cert = BuildingCertificate(
         SPHERICAL, n, verdict, coxeter_matrix=M,
-        apartments=apartments or (), apartments_exhaustive=exhaustive,
+        apartments=found, apartments_exhaustive=exhaustive,
         thickness=thickness, vertex_types=types,
         link_certificates=link_certs)
     if verdict == SUSPENSION:
@@ -556,7 +572,7 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
         cert.base_size = len(base)
     if not exhaustive:
         flags.append(FLAG_SAMPLED)
-    ax = _check_dim2_axiom2(c, cert.apartments, exhaustive, budget)
+    ax = _check_dim2_axiom2(c, found, exhaustive, budget) if apartments else None
     if ax is not None:
         flags.append(ax)
     # global curvature
@@ -681,7 +697,6 @@ def _enumerate_apartments_dim2(c: MetricComplex, link_certs, budget: int
         L, sub = entry
         if isinstance(sub, BuildingCertificate) and not sub.apartments_exhaustive:
             exhaustive = False
-        g = MetricGraph.from_complex(L)
         for apt in (sub.apartments if isinstance(sub, BuildingCertificate) else ()):
             cyc_names = [L.vertices[w] for w in apt.vertices]
             if len(cyc_names) < 3:
@@ -838,8 +853,8 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
     link_certs: dict = {}
     for vi in interior:
         L = vertex_link(c, vi)
-        res = (check_spherical(L, budget=budget) if L.dimension >= 2
-               else recognize_dim1(L, budget=budget))
+        check = check_spherical if L.dimension >= 2 else recognize_dim1
+        res = check(L, budget=budget, apartments=False)
         if isinstance(res, Diagnosis):
             return Diagnosis(LINK_FAILURE, {"cell": [c.vertices[vi]]}, inner=res)
         link_certs[(vi,)] = (L, res)

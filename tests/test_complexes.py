@@ -228,3 +228,30 @@ def test_euclidean_shape_check():
     assert validate(ok).ok
     bad = triangle("euclidean", Angle(rad=1.0), Angle(rad=1.0), Angle(rad=2.5))
     assert not validate(bad).ok
+
+
+def _law_of_cosines(c, v, u, w):
+    """Uncached corner angle at v in (v, u, w), evaluated in the given order."""
+    a = c.edge_length(v, u).radians
+    b = c.edge_length(v, w).radians
+    opp = c.edge_length(u, w).radians
+    cosang = (math.cos(opp) - math.cos(a) * math.cos(b)) / (math.sin(a) * math.sin(b))
+    return Angle.from_radians(math.acos(max(-1.0, min(1.0, cosang))))
+
+
+def test_cached_vertex_angle_equals_law_of_cosines(heawood):
+    from buildctl.complexes import _vertex_angle
+    exact = suspension(heawood)
+    floats = MetricComplex(exact.geometry, exact.vertices, exact.top_cells,
+                           [(i, j, Angle(rad=exact.edge_length(i, j).radians))
+                            for i, j in exact.edges])
+    assert any(not a.is_exact for a in floats.lengths.values())
+    for c in (exact, floats):
+        for cell in c.top_cells:
+            for v in cell:
+                u, w = [x for x in cell if x != v]
+                first = _vertex_angle(c, v, u, w)
+                second = _vertex_angle(c, v, w, u)
+                assert first == _law_of_cosines(c, v, u, w)
+                assert second == _law_of_cosines(c, v, w, u)
+                assert second is first          # served from the cache

@@ -127,7 +127,16 @@ def test_cli_malformed_angle_and_budgets_exit3(tmp_path):
     obj["edge_lengths"][0]["pi"] = [1, 0]
     bad = tmp_path / "bad-pi.json"
     bad.write_text(json.dumps(obj))
-    for r in (run_cli("check", str(bad)),
+    huge = tmp_path / "huge-pi.json"      # 1e400 parses as inf; int(inf) overflows
+    huge.write_text(json.dumps(obj).replace('"pi": [1, 0]', '"pi": [1e400, 1]'))
+    assert "1e400" in huge.read_text()
+    obj = json.loads(f.read_text())
+    obj["edge_lengths"] = obj["edge_lengths"][1:]
+    obj["default_length"] = 5
+    bad_default = tmp_path / "bad-default.json"
+    bad_default.write_text(json.dumps(obj))
+    for r in (run_cli("check", str(bad)), run_cli("check", str(huge)),
+              run_cli("check", str(bad_default)),
               run_cli("check", str(f), env_extra={"BUILDCTL_BUDGETS": "[1]"})):
         lines = r.stderr.strip().splitlines()
         assert r.returncode == 3, r.stderr

@@ -223,7 +223,7 @@ def test_octahedron_certificate(octahedron_cert):
     assert not cert.flags          # by construction: no unverified-global flag
 
 
-def test_s0_heawood_certificate(s0_heawood_cert):
+def test_s0_heawood_certificate(s0_heawood_cert, s0_heawood, heawood_cert):
     cert = s0_heawood_cert
     assert cert.verdict == "suspension"
     assert set(cert.poles) == {"N", "S"}
@@ -233,6 +233,15 @@ def test_s0_heawood_certificate(s0_heawood_cert):
     assert cert.thickness == 2
     for a in cert.apartments:
         assert len(a.cells) == 12
+    # the apartments are exactly S0 * (Heawood apartment), compared by names
+    g = heawood_cert.graph
+    want = set()
+    for a in heawood_cert.apartments:
+        ends = [(g.vertices[g.edges[e][0]], g.vertices[g.edges[e][1]]) for e in a.edges]
+        want.add(frozenset(frozenset((p, x, y)) for x, y in ends for p in ("N", "S")))
+    got = {frozenset(frozenset(s0_heawood.vertices[v] for v in cell) for cell in a.cells)
+           for a in cert.apartments}
+    assert got == want
 
 
 def test_punctured_octahedron_codim1():
@@ -462,3 +471,63 @@ def test_thick_iff_thickness_at_least_3(octahedron_cert, s0_heawood_cert):
         assert (cert.verdict == "thick_building") == (
             cert.thickness is not None and cert.thickness >= 3
             and cert.verdict not in ("suspension", "thin_building", "building"))
+
+
+# -- apartments only where a certificate keeps them ------------------------------------
+
+S0S0K33_REPORT = {
+    "schema": 1, "verdict": "suspension", "geometry": "spherical", "dimension": 3,
+    "coxeter": {"generators": ["s0", "s1", "s2", "s3"],
+                "m": [[1, 2, 2, 2], [2, 1, 2, 2], [2, 2, 1, 2], [2, 2, 2, 1]]},
+    "m": None, "thickness": 2, "apartments": {"count": 0, "exhaustive": False},
+    "flags": ["apartment_axiom2_unverified", "apartments_sampled"],
+    "suspension": {"poles": ["N0", "S0"], "base_size": 8}}
+
+A4_REPORT = {
+    "schema": 1, "verdict": "thin_building", "geometry": "spherical", "dimension": 3,
+    "coxeter": {"generators": ["s0", "s1", "s2", "s3"],
+                "m": [[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]]},
+    "m": None, "thickness": 2, "apartments": {"count": 1, "exhaustive": True},
+    "flags": []}
+
+
+def _a4_complex():
+    from buildctl.coxeter import CoxeterMatrix
+    m = ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1))
+    return coxeter_complex(CoxeterMatrix(("s0", "s1", "s2", "s3"), m)).complex
+
+
+def test_dim3_link_certificates_carry_no_apartments(k33):
+    cases = [(suspension(suspension(k33)), S0S0K33_REPORT),
+             (_a4_complex(), A4_REPORT)]
+    for c, report in cases:
+        cert = check_spherical(c)
+        assert cert.to_report() == report
+        links = [sub for _, sub in cert.link_certificates.values()
+                 if sub.dimension == 2]
+        assert len(links) == len(c.vertices)
+        for sub in links:
+            assert sub.apartments == ()
+            assert sub.apartments_exhaustive is False
+            assert "apartments_sampled" in sub.flags
+        # (n-2)-cell links run no cycle search either; a circuit carries itself
+        for _, sub in cert.link_certificates.values():
+            assert sub.apartments == () or sub.verdict == "thin_building"
+
+
+def test_no_surface_growth_inside_dim3_links(k33, monkeypatch):
+    import buildctl.geodesics as geodesics
+    calls = []
+    original = geodesics.propagate_all
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "propagate_all", counting)
+    cert = check_spherical(suspension(suspension(k33)))
+    assert cert.verdict == "suspension"
+    assert calls == []
+    # the guard is live: a dimension-2 complex grows its surfaces through it
+    assert len(check_spherical(suspension(k33)).apartments) == 9
+    assert calls
