@@ -108,11 +108,19 @@ class Angle:
 
     @staticmethod
     def from_json(obj: dict) -> "Angle":
+        """Read {"pi": [p, q]} (two JSON integers) or {"rad": x} (a finite
+        JSON number); anything else, bools included, raises ValueError."""
         if "pi" in obj:
-            p, q = obj["pi"]
-            return Angle.exact(int(p), int(q))
+            pq = obj["pi"]
+            if not (isinstance(pq, list) and len(pq) == 2
+                    and all(type(v) is int for v in pq)):
+                raise ValueError(f"angle record {obj!r}: pi must be two integers [p, q]")
+            return Angle.exact(*pq)
         if "rad" in obj:
-            return Angle(rad=float(obj["rad"]))
+            x = obj["rad"]
+            if type(x) not in (int, float) or not math.isfinite(x):
+                raise ValueError(f"angle record {obj!r}: rad must be a finite number")
+            return Angle(rad=float(x))
         raise ValueError(f"bad angle record {obj!r}")
 
     def __str__(self):

@@ -4,6 +4,9 @@ Exit codes: 0 certified / success, 1 diagnosed failure, 2 undecided
 (unknown pi_1 or unverified global curvature), 3 input or usage error.
 Budgets can be overridden through the BUILDCTL_BUDGETS environment variable,
 a JSON object of positive integers such as {"B_group": 100000, "B_apt": 10000}.
+Each command imports the modules it runs inside its function, after reading
+its input; numpy is loaded only by commands that do linear algebra (cells of
+dimension >= 2, geodesics, Coxeter groups).
 """
 
 from __future__ import annotations
@@ -13,17 +16,13 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import corpus
 from .angles import parse_length
-from .complexes import (ComplexError, InvalidComplexError, load_path,
-                        validate)
-from .coxeter import (B_GROUP_DEFAULT, CoxeterError, CoxeterMatrix, classify,
-                      coxeter_complex, named_matrix)
-from .geodesics import GeodesicError, propagate_apartment, shoot
-from .metric_graph import GraphPoint, MetricGraph
-from .recognizer import (B_APT_DEFAULT, BuildingCertificate, Diagnosis,
-                         check_euclidean, check_spherical, recognize_dim1)
+from .complexes import ComplexError, load_path, validate, vertex_link
+
+if TYPE_CHECKING:
+    from .metric_graph import GraphPoint, MetricGraph
 
 EXIT_OK = 0
 EXIT_DIAGNOSED = 1
@@ -35,8 +34,9 @@ UNDECIDED_MARKERS = ("global_cat1_unverified", "unknown_pi1",
 
 
 def budgets() -> dict:
-    out = {"B_group": B_GROUP_DEFAULT, "B_apt": B_APT_DEFAULT,
-           "branch_budget": 64, "shoot_grid": 720}
+    from .coxeter import B_GROUP_DEFAULT
+    from .recognizer import B_APT_DEFAULT
+    out = {"B_group": B_GROUP_DEFAULT, "B_apt": B_APT_DEFAULT, "branch_budget": 64}
     raw = os.environ.get("BUILDCTL_BUDGETS")
     if raw:
         try:
@@ -84,6 +84,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _parse_point(g: MetricGraph, spec: str) -> GraphPoint:
     """e:t syntax: edge id and offset in pi units ('3:1/4'), or a vertex name."""
+    from .metric_graph import GraphPoint
     if ":" in spec:
         e, t = spec.split(":", 1)
         tv = Fraction(t) if "/" in t or t.isdigit() else float(t)
@@ -92,6 +93,7 @@ def _parse_point(g: MetricGraph, spec: str) -> GraphPoint:
 
 
 def report_of(result, extra: dict | None = None) -> dict:
+    from .recognizer import Diagnosis
     if isinstance(result, Diagnosis):
         rep = {"schema": 1, "verdict": None, "diagnosis": result.to_json()}
     else:
@@ -102,6 +104,7 @@ def report_of(result, extra: dict | None = None) -> dict:
 
 
 def exit_code_of(result) -> int:
+    from .recognizer import Diagnosis
     if isinstance(result, Diagnosis):
         # an undecided fundamental group is not a diagnosed failure
         if result.condition == "unknown_pi1":
@@ -113,6 +116,8 @@ def exit_code_of(result) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import corpus
+    from .coxeter import CoxeterMatrix, coxeter_complex, named_matrix
     kind = args.kind
     if kind == "coxeter-complex":
         if args.matrix:
@@ -154,6 +159,7 @@ def cmd_validate(args) -> int:
 def cmd_check(args) -> int:
     cx = load_path(args.file)
     cx.require_valid()
+    from .recognizer import check_euclidean, check_spherical, recognize_dim1
     b = budgets()
     geometry = args.geometry
     if geometry == "auto":
@@ -170,6 +176,7 @@ def cmd_check(args) -> int:
 
 def cmd_graph(args) -> int:
     cx = load_path(args.file)
+    from .metric_graph import GraphPoint, MetricGraph
     g = MetricGraph.from_complex(cx)
     if args.op == "diameter":
         d, wit = g.diameter()
@@ -195,6 +202,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_coxeter(args) -> int:
+    from .coxeter import CoxeterMatrix, classify, coxeter_complex, named_matrix
     if args.type:
         M = named_matrix(args.type)
     else:
@@ -216,7 +224,8 @@ def cmd_coxeter(args) -> int:
 
 def cmd_geodesic(args) -> int:
     cx = load_path(args.file)
-    from .complexes import vertex_link
+    from .geodesics import shoot
+    from .metric_graph import GraphPoint, MetricGraph
     vi = cx.vertex_index(args.from_)
     lk = vertex_link(cx, vi)
     g = MetricGraph.from_complex(lk)
@@ -233,6 +242,7 @@ def cmd_geodesic(args) -> int:
 
 def cmd_apartment(args) -> int:
     cx = load_path(args.file)
+    from .geodesics import propagate_apartment
     res = propagate_apartment(cx, args.from_, args.cycle, y=args.to)
     if hasattr(res, "cells"):
         emit({"schema": 1, "ok": True, "cells":
@@ -249,6 +259,8 @@ def cmd_apartment(args) -> int:
 def cmd_decompose(args) -> int:
     cx = load_path(args.file)
     from .decompose import join_decompose, suspension_factor
+    from .recognizer import (BuildingCertificate, Diagnosis, check_spherical,
+                             recognize_dim1)
     if cx.geometry == "euclidean":
         raise ComplexError("decompose handles spherical complexes; "
                            "Euclidean factor hints are part of `check`")
@@ -361,8 +373,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ComplexError, InvalidComplexError, CoxeterError, GeodesicError,
-            FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
+        # every input error class (ComplexError, CoxeterError, GeodesicError,
+        # JSONDecodeError, ...) subclasses ValueError
         sys.stderr.write(f"buildctl: {exc}\n")
         return EXIT_INPUT
 

@@ -15,9 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .angles import Angle, EPS_ANGLE, EPS_GRAM, PiUnits
 
@@ -26,6 +24,9 @@ EUCLIDEAN = "euclidean"
 
 Edge = frozenset
 Cell = tuple
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ComplexError(ValueError):
@@ -68,6 +69,7 @@ class SimplexShape:
 
     def gram(self) -> np.ndarray:
         """Spherical Gram matrix G(i,j) = cos d(i,j), G(i,i) = 1."""
+        import numpy as np
         n = self.dimension + 1
         G = np.eye(n)
         for i in range(n):
@@ -77,6 +79,7 @@ class SimplexShape:
 
     def euclidean_gram(self) -> np.ndarray:
         """Gram matrix of edge vectors from vertex 0 (PD iff nondegenerate)."""
+        import numpy as np
         n = self.dimension
         d2 = lambda i, j: self.length(i, j).radians ** 2 if i != j else 0.0
         G = np.empty((n, n))
@@ -85,6 +88,18 @@ class SimplexShape:
                 G[i - 1, j - 1] = 0.5 * (d2(0, i) + d2(0, j) - d2(i, j))
         return G
 
+    def min_gram_eigenvalue(self) -> float:
+        """Least eigenvalue of the Gram matrix (spherical) or of the edge-vector
+        Gram matrix (Euclidean).  A 1-simplex of length l has the closed forms
+        1 - |cos l| (eigenvalues 1 +- cos l) and l**2 (a 1x1 matrix)."""
+        if self.dimension == 1:
+            (a,) = self.lengths.values()
+            r = a.radians
+            return 1.0 - abs(math.cos(r)) if self.geometry == SPHERICAL else r ** 2
+        import numpy as np
+        m = self.gram() if self.geometry == SPHERICAL else self.euclidean_gram()
+        return float(np.linalg.eigvalsh(m)[0])
+
     def realizable(self, eps: float = EPS_GRAM) -> tuple[bool, str]:
         if self.dimension == 0:
             return True, ""
@@ -92,13 +107,10 @@ class SimplexShape:
             for e, a in self.lengths.items():
                 if a.radians > math.pi + EPS_ANGLE:
                     return False, f"spherical edge length {a} exceeds pi"
-            m = self.gram()
-        else:
-            m = self.euclidean_gram()
-        w = np.linalg.eigvalsh(m)
-        if w[0] <= eps:
+        w0 = self.min_gram_eigenvalue()
+        if w0 <= eps:
             kind = "Gram" if self.geometry == SPHERICAL else "Cayley-Menger"
-            return False, f"{kind} matrix not positive definite (min eigenvalue {w[0]:.3e})"
+            return False, f"{kind} matrix not positive definite (min eigenvalue {w0:.3e})"
         return True, ""
 
 

@@ -33,6 +33,8 @@ def gen_rank2_building(kind: str, s: int = 3, t: int = 3, q: int = 2,
             f"{kind} requires edge length pi/{m}, got {length} "
             "(any other length fails recognition by construction)")
     if kind == "complete_bipartite":
+        if s < 1 or t < 1:
+            raise ComplexError(f"complete_bipartite needs s, t >= 1, got s={s}, t={t}")
         names = [f"a{i}" for i in range(s)] + [f"b{j}" for j in range(t)]
         cells = [(i, s + j) for i in range(s) for j in range(t)]
         prov = f"gen:complete_bipartite({s},{t})"

@@ -13,12 +13,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .angles import Angle, EPS_GRAM
 from .complexes import MetricComplex, SPHERICAL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INFINITE = 0          # JSON and internal encoding of m(s,t) = infinity
 B_GROUP_DEFAULT = 10 ** 6
@@ -117,6 +118,7 @@ def named_matrix(name: str) -> CoxeterMatrix:
 
 def cosine_form(M: CoxeterMatrix) -> np.ndarray:
     """B(s,t) = -cos(pi/m(s,t)); pi/infinity is 0."""
+    import numpy as np
     n = M.rank
     B = np.empty((n, n))
     for i in range(n):
@@ -167,6 +169,7 @@ class CoxeterClassification:
 
 def classify(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterClassification:
     """Spherical/Euclidean/other by eigenvalue signs of the cosine form."""
+    import numpy as np
     comps = irreducible_components(M)
     verdicts = []
     for comp in comps:
@@ -199,6 +202,7 @@ def classify(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterClassifi
 
 
 def _sqrt_form(B: np.ndarray) -> np.ndarray:
+    import numpy as np
     w, Q = np.linalg.eigh(B)
     if w[0] <= EPS_GRAM:
         raise CoxeterError("cosine form is not positive definite")
@@ -218,6 +222,7 @@ def generate_reflection_group(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT
     Breadth-first closure over right multiplication by the generating
     reflections; deterministic order (word length, then lexicographic word).
     """
+    import numpy as np
     B = cosine_form(M)
     C = _sqrt_form(B)
     n = M.rank
@@ -245,6 +250,7 @@ def generate_reflection_group(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT
 
 
 def _matrix_key(m: np.ndarray) -> tuple:
+    import numpy as np
     return tuple(np.round(m, 9).flatten().tolist())
 
 
@@ -265,6 +271,7 @@ def coxeter_complex(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterC
     normalized; the W-orbit gives the vertex set and each group element
     contributes one top cell.
     """
+    import numpy as np
     cls = classify(M, budget=budget)
     if cls.verdict != "spherical":
         raise CoxeterError(f"coxeter_complex needs a spherical system, got {cls.verdict}")

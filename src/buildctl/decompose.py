@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .angles import Angle
 from .complexes import (ComplexError, MetricComplex, orthogonal_join,
                         vertex_link)
 from .coxeter import irreducible_components
 from .metric_graph import MetricGraph
-from .recognizer import (SUSPENSION, THICK, BuildingCertificate, Diagnosis,
-                         IntegrityError, check_spherical, recognize_dim1)
+
+if TYPE_CHECKING:
+    from .recognizer import BuildingCertificate, Diagnosis
 
 RIGHT = Angle.exact(1, 2)
 
@@ -124,6 +126,8 @@ def join_decompose(c: MetricComplex, cert: BuildingCertificate) -> list[JoinFact
     pi/2 and the orthogonal join of the factors must reassemble the input
     cell-for-cell (checked; violation raises IntegrityError).
     """
+    # the recognizer imports this module, so its names are imported at use
+    from .recognizer import IntegrityError, check_spherical, recognize_dim1
     c.require_valid()
     if cert.coxeter_matrix is None:
         return [JoinFactor(c, cert, tuple(range(c.dimension + 1)))]
@@ -169,6 +173,7 @@ def _restrict(c: MetricComplex, verts: list[int], tops) -> MetricComplex:
 
 def _verify_reassembly(c: MetricComplex, parts: list[MetricComplex]):
     """The orthogonal join of the factors must equal the input isometrically."""
+    from .recognizer import IntegrityError
     joined = parts[0]
     for nxt in parts[1:]:
         joined = orthogonal_join(_strip(joined), _strip(nxt))
@@ -203,6 +208,7 @@ def euclidean_factor_hint(c: MetricComplex, x, link_cert) -> list[dict]:
     component is a flat direction (aggregated into a single R^l hint), and a
     rank >= 2 component is an irreducible building or cone factor.
     """
+    from .recognizer import SUSPENSION, THICK, Diagnosis
     if isinstance(link_cert, Diagnosis):
         raise ComplexError("link is not certified; run the recognizer first")
     xi = c.vertex_index(x)
@@ -252,6 +258,7 @@ def euclidean_factor_hint(c: MetricComplex, x, link_cert) -> list[dict]:
 def most_singular_vertex(c: MetricComplex, link_certs: dict) -> int:
     """Lexicographically-first vertex among those with the most non-flat
     link factors (the proof's 'most complicated point', made deterministic)."""
+    from .recognizer import Diagnosis
     best = None
     for (vi,), (L, cert) in sorted(link_certs.items(),
                                    key=lambda kv: c.vertices[kv[0][0]]):

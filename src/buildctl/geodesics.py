@@ -8,6 +8,9 @@ therefore exactly computable.  Apartments are grown combinatorially by
 closing vertex links to total angle 2*pi, which is the sector-by-sector
 propagation in exact arithmetic; the grown surface is verified to be a
 closed 2-sphere (Euler characteristic 2, all links full circles).
+
+The recognizer loads this module, so numpy is imported inside the functions
+that use it: a process that only recognizes metric graphs never loads numpy.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .angles import EPS_ANGLE, Angle, PiUnits
 from .complexes import MetricComplex, _vertex_angle, vertex_link
 from .metric_graph import GraphPoint, MetricGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EPS_HIT = 1e-6
 SHOOT_GRID = 720
@@ -39,6 +43,7 @@ class GeodesicError(ValueError):
 
 def cell_frame(c: MetricComplex, cell) -> dict[int, np.ndarray]:
     """Unit-vector positions of a spherical cell's vertices (own model copy)."""
+    import numpy as np
     t = tuple(sorted(cell))
     G = c.shape_of(t).gram()
     L = np.linalg.cholesky(G)      # rows are the vertex vectors
@@ -47,6 +52,7 @@ def cell_frame(c: MetricComplex, cell) -> dict[int, np.ndarray]:
 
 def _face_normals(frame: dict[int, np.ndarray], cell) -> dict[int, np.ndarray]:
     """Inward normal of the wall opposite each vertex of a 2-cell."""
+    import numpy as np
     a, b, c3 = sorted(cell)
     out = {}
     for opp, (p, q) in ((a, (b, c3)), (b, (a, c3)), (c3, (a, b))):
@@ -136,6 +142,7 @@ def _link_edge_id(g: MetricGraph, lk: MetricComplex, a_local: int, b_local: int)
 def _start_from_vertex(c: MetricComplex, v: int, link_point: GraphPoint,
                        g: MetricGraph, amb: dict[int, int]) -> _State:
     """Launch state for a geodesic leaving vertex v in a link direction."""
+    import numpy as np
     if link_point.is_vertex:
         return _State(kind="edge_launch", vertex=v,
                       incoming=None, cell=(v, amb[link_point.vertex]))
@@ -153,11 +160,13 @@ def _start_from_vertex(c: MetricComplex, v: int, link_point: GraphPoint,
 
 
 def _unit_tangent(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    import numpy as np
     t = q - np.dot(q, p) * p
     return t / np.linalg.norm(t)
 
 
 def _angle_between(u, v) -> float:
+    import numpy as np
     return math.acos(max(-1.0, min(1.0, float(np.dot(u, v)))))
 
 
@@ -167,6 +176,7 @@ def _march_face(c: MetricComplex, cell, p: np.ndarray, d: np.ndarray):
     Returns (arc_length, exit_point, exit_edge_or_vertex) where the exit is
     ('vertex', v) or ('edge', (a, b)).
     """
+    import numpy as np
     frame = cell_frame(c, cell)
     normals = _face_normals(frame, cell)
     best_t = None
@@ -193,6 +203,7 @@ def _march_face(c: MetricComplex, cell, p: np.ndarray, d: np.ndarray):
 def _transfer(c: MetricComplex, cell_from, cell_to, shared: tuple[int, int],
               p: np.ndarray, d: np.ndarray):
     """Re-express point/direction across a shared edge in the next cell's frame."""
+    import numpy as np
     fa = cell_frame(c, cell_from)
     fb = cell_frame(c, cell_to)
     a, b = shared
@@ -245,6 +256,7 @@ def extend_geodesic(c: MetricComplex, geo: LocalGeodesic, target_length: float,
     on that edge (unique when the edge is thin).  Dead ends (empty antipode
     set) are returned marked.
     """
+    import numpy as np
     if c.geometry != "spherical" or c.dimension > 2:
         raise GeodesicError("geodesic extension implemented for spherical n <= 2")
     c.require_valid()
@@ -313,6 +325,7 @@ def extend_geodesic(c: MetricComplex, geo: LocalGeodesic, target_length: float,
 
 
 def _resume_state(c, geo: LocalGeodesic) -> _State:
+    import numpy as np
     if not geo.segments:
         raise GeodesicError("cannot resume an empty geodesic; use shoot()")
     last = geo.segments[-1]
@@ -371,6 +384,7 @@ def _vertex_continuations(c, st: _State, remaining: float):
 def shoot(c: MetricComplex, v, link_point: GraphPoint, length: float,
           branch_budget: int = 64) -> list[LocalGeodesic]:
     """All geodesics of the given length leaving vertex v in one direction."""
+    import numpy as np
     vi = c.vertex_index(v)
     g, amb, lk = _link_graph(c, vi)
     st = _start_from_vertex(c, vi, link_point, g, amb)
@@ -458,6 +472,7 @@ def geodesic_between(c: MetricComplex, p, q, initial_direction: GraphPoint | Non
 
 def _extract_hit(c: MetricComplex, geo: LocalGeodesic, qi: int) -> LocalGeodesic | None:
     """The prefix of geo ending at the vertex qi, if the path passes it."""
+    import numpy as np
     if geo.start_vertex == qi:
         return None
     prefix: list = []
@@ -487,6 +502,7 @@ def _extract_hit(c: MetricComplex, geo: LocalGeodesic, qi: int) -> LocalGeodesic
 
 
 def _miss_distance(c, geo: LocalGeodesic, qi: int):
+    import numpy as np
     best = None
     for s in geo.segments:
         if isinstance(s, EdgeSegment):
@@ -747,6 +763,7 @@ def _gt_units(a: PiUnits, b: PiUnits) -> bool:
 
 def develop_apartment(c: MetricComplex, cells, base: int) -> dict[int, np.ndarray]:
     """Spherical coordinates of a thin closed surface, base at the north pole."""
+    import numpy as np
     cells = list(cells)
     by_edge: dict[tuple, list] = {}
     for cell in cells:
@@ -788,12 +805,14 @@ def develop_apartment(c: MetricComplex, cells, base: int) -> dict[int, np.ndarra
 
 
 def _side_sign(p, q, r) -> int:
+    import numpy as np
     n = np.cross(p, q)
     return 1 if float(np.dot(n, r)) >= 0 else -1
 
 
 def _third_position(p, q, dp, dq, sign: int) -> np.ndarray:
     """Unit vector at angular distances dp, dq from p, q, on the given side."""
+    import numpy as np
     n = np.cross(p, q)
     nn = float(np.dot(n, n))
     cpq = float(np.dot(p, q))
@@ -807,6 +826,7 @@ def _third_position(p, q, dp, dq, sign: int) -> np.ndarray:
 
 
 def _apartment_antipode(c: MetricComplex, cells, base: int) -> int | None:
+    import numpy as np
     pos = develop_apartment(c, cells, base)
     for v, p in pos.items():
         if v != base and np.linalg.norm(p + pos[base]) <= 1e-6:
@@ -815,6 +835,7 @@ def _apartment_antipode(c: MetricComplex, cells, base: int) -> int | None:
 
 
 def _developed_distance(c: MetricComplex, cells, base: int, v: int) -> float:
+    import numpy as np
     pos = develop_apartment(c, cells, base)
     if v not in pos:
         return float("nan")

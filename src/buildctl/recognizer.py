@@ -25,10 +25,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from . import geodesics   # propagate_all is looked up at call time
 from .angles import EPS_ANGLE, PiUnits, units_close
 from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, MetricComplex,
                         cell_link, vertex_link)
 from .coxeter import CoxeterMatrix, classify, coxeter_complex, dihedral
+from .decompose import (euclidean_factor_hint, find_suspension_poles,
+                        most_singular_vertex)
 from .homotopy import NONTRIVIAL, UNKNOWN, simple_connectivity
 from .metric_graph import Circle, GraphPoint, MetricGraph
 
@@ -547,7 +550,6 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT, *,
         found, exhaustive = (whole,), True
     flags = []
     panel_counts = set(panel_counts_all)
-    from .decompose import find_suspension_poles   # local import to avoid a cycle
     poles = find_suspension_poles(c)
     if panel_counts == {2}:
         verdict = THIN
@@ -686,7 +688,6 @@ def _enumerate_apartments_dim2(c: MetricComplex, link_certs, budget: int
                                ) -> tuple[tuple[Apartment, ...], bool]:
     """Union over vertices of all sector-propagated spheres through each
     link apartment; exhaustive when every propagation completed."""
-    from .geodesics import propagate_all
     seen: dict[tuple, Apartment] = {}
     exhaustive = True
     spent = 0
@@ -705,8 +706,8 @@ def _enumerate_apartments_dim2(c: MetricComplex, link_certs, budget: int
             if remaining == 0:
                 exhaustive = False
                 break
-            surfaces, exhausted = propagate_all(c, c.vertices[vi], cyc_names,
-                                                budget=remaining)
+            surfaces, exhausted = geodesics.propagate_all(
+                c, c.vertices[vi], cyc_names, budget=remaining)
             spent += 1 + len(surfaces)
             if exhausted:
                 exhaustive = False
@@ -876,7 +877,6 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
             continue
         k = len(_cofaces(c, p))
         thickness = k if thickness is None else min(thickness, k)
-    from .decompose import euclidean_factor_hint, most_singular_vertex
     factors = None
     if interior:
         vstar = most_singular_vertex(c, link_certs)

@@ -52,6 +52,21 @@ def test_angle_validation():
         Angle(frac=Fraction(1, 2), rad=1.0)
 
 
+@pytest.mark.parametrize("record", [{"pi": [1.5, 2]}, {"pi": [True, 3]}, {"pi": [1, 2.0]},
+                                    {"pi": [1, 2, 3]}, {"pi": "1/2"}, {"rad": float("inf")},
+                                    {"rad": float("nan")}, {"rad": True}, {"rad": "1.0"},
+                                    {"rad": None}])
+def test_angle_from_json_rejects_non_numbers(record):
+    with pytest.raises(ValueError):
+        Angle.from_json(record)
+
+
+def test_angle_from_json_reads_integers_and_finite_numbers():
+    assert Angle.from_json({"pi": [2, 6]}) == Angle.exact(1, 3)
+    assert Angle.from_json({"rad": 1}) == Angle(rad=1.0)
+    assert Angle.from_json({"rad": 0.5}) == Angle(rad=0.5)
+
+
 def test_units_close_exact_vs_float():
     assert units_close(Fraction(1, 3), Fraction(1, 3))
     assert not units_close(Fraction(1, 3), Fraction(1, 4))

@@ -230,6 +230,40 @@ def test_euclidean_shape_check():
     assert not validate(bad).ok
 
 
+def test_edge_gram_closed_form_matches_eigvalsh():
+    """A 1-simplex reads its least Gram eigenvalue in closed form; verdicts
+    and messages must equal those of eigvalsh on the 2x2 / 1x1 matrix."""
+    import random
+
+    import numpy as np
+
+    from buildctl.angles import EPS_GRAM
+    from buildctl.complexes import SimplexShape
+
+    def eigvalsh_realizable(shape, eps):
+        w0 = np.linalg.eigvalsh(
+            shape.gram() if shape.geometry == "spherical" else shape.euclidean_gram())[0]
+        if w0 <= eps:
+            kind = "Gram" if shape.geometry == "spherical" else "Cayley-Menger"
+            return w0, (False, f"{kind} matrix not positive definite (min eigenvalue {w0:.3e})")
+        return w0, (True, "")
+
+    rng = random.Random(20260)
+    angles = [Angle.exact(p, q) for q in range(1, 361) for p in range(1, q + 1)
+              if math.gcd(p, q) == 1]
+    angles += [Angle(rad=rng.uniform(1e-6, math.pi)) for _ in range(2000)]
+    angles += [Angle(rad=x) for x in (1e-12, 1e-5, 3.16e-5, math.pi - 1e-5, math.pi)]
+    for geometry in ("spherical", "euclidean"):
+        for a in angles:
+            shape = SimplexShape(1, geometry, {frozenset((0, 1)): a})
+            # default threshold: the verdict; infinite threshold: every shape
+            # fails, so the message carries the eigenvalue's .3e text
+            for eps in (EPS_GRAM, math.inf):
+                w0, want = eigvalsh_realizable(shape, eps)
+                assert shape.realizable(eps) == want, (geometry, a)
+            assert abs(shape.min_gram_eigenvalue() - w0) <= 1e-14, (geometry, a)
+
+
 def _law_of_cosines(c, v, u, w):
     """Uncached corner angle at v in (v, u, w), evaluated in the given order."""
     a = c.edge_length(v, u).radians

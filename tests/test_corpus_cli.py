@@ -135,8 +135,21 @@ def test_cli_malformed_angle_and_budgets_exit3(tmp_path):
     obj["default_length"] = 5
     bad_default = tmp_path / "bad-default.json"
     bad_default.write_text(json.dumps(obj))
+    # records that a lenient reader would truncate or accept: 1.5 -> 1, true -> 1
+    strict = []
+    for k, record in enumerate(({"pi": [1.5, 2]}, {"pi": [True, 3]},
+                                {"rad": float("inf")}, {"rad": "1.0"})):
+        obj = json.loads(f.read_text())
+        del obj["edge_lengths"][0]["pi"]
+        obj["edge_lengths"][0].update(record)
+        strict.append(tmp_path / f"strict-{k}.json")
+        strict[-1].write_text(json.dumps(obj))
+    assert "Infinity" in strict[2].read_text()
     for r in (run_cli("check", str(bad)), run_cli("check", str(huge)),
               run_cli("check", str(bad_default)),
+              *(run_cli("check", str(path)) for path in strict),
+              run_cli("check", str(tmp_path)),           # a directory, not a file
+              run_cli("gen", "complete-bipartite", "--s", "0", "--t", "3"),
               run_cli("check", str(f), env_extra={"BUILDCTL_BUDGETS": "[1]"})):
         lines = r.stderr.strip().splitlines()
         assert r.returncode == 3, r.stderr
@@ -151,6 +164,28 @@ def test_cli_budgets_rejected_in_process(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv("BUILDCTL_BUDGETS", raw)
     assert main(["check", str(f)]) == 3
     assert capsys.readouterr().err.startswith("buildctl: bad BUILDCTL_BUDGETS")
+
+
+def test_cli_metric_graph_commands_do_not_load_numpy(tmp_path):
+    """Graph, validate and dim-1 check commands, and a malformed input, run
+    in a fresh interpreter without importing numpy."""
+    f = tmp_path / "heawood.json"
+    assert main(["gen", "projective-plane", "-o", str(f)]) == 0
+    bad = tmp_path / "truncated.json"
+    bad.write_text(f.read_text()[:40])
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from buildctl.cli import main\n"
+        "codes = []\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(main(argv.split('|')))\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+    argvs = [f"graph|diameter|{f}", f"validate|{f}", f"check|{f}", f"check|{bad}"]
+    proc = subprocess.run([sys.executable, "-c", code, *argvs], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0, 3], False]
 
 
 def test_cli_validate(tmp_path):
