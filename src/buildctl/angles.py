@@ -5,7 +5,8 @@ value is an exact rational multiple of pi we keep the rational (a
 ``fractions.Fraction`` in units of pi), so that statements such as
 "diameter equals pi" or "systole equals 2*pi" are decidable equalities.
 Values that do not rationalize are carried as floats (radians) and compared
-with tolerance ``EPS_ANGLE``.
+with tolerance ``EPS_ANGLE``; ``cmp_units`` is the one place that rule is
+written.
 """
 
 from __future__ import annotations
@@ -27,22 +28,43 @@ PiUnits = Union[Fraction, float]
 PI = math.pi
 
 
-def rationalize(radians: float, q_max: int = Q_MAX, eps: float = EPS_ANGLE) -> Fraction | None:
-    """Recognize ``radians`` as pi*p/q with q <= q_max, or return None.
+def rationalize(radians: float) -> Fraction | None:
+    """Recognize ``radians`` as pi*p/q with q <= Q_MAX, or return None.
 
     Smallest q wins; distinct candidates with q <= 360 are separated by more
-    than pi/360^2 ~ 2.4e-5, so eps = 1e-9 is unambiguous.
+    than pi/360^2 ~ 2.4e-5, so EPS_ANGLE = 1e-9 is unambiguous.  The loop
+    returns after q steps on a promotion but runs all Q_MAX steps on a value
+    that does not rationalize.
     """
     if not math.isfinite(radians):
         return None
     x = radians / PI
-    for q in range(1, q_max + 1):
+    for q in range(1, Q_MAX + 1):
         p = round(x * q)
         if p == 0:
             continue
-        if abs(radians - PI * p / q) <= eps:
+        if abs(radians - PI * p / q) <= EPS_ANGLE:
             return Fraction(p, q)
     return None
+
+
+def cmp_units(a: PiUnits, b: PiUnits) -> int:
+    """Compare two pi-unit lengths: -1, 0 or 1 as a <, =, > b.
+
+    Exact when both are Fractions; when either is a float, values within
+    EPS_ANGLE radians of each other are equal.
+    """
+    if isinstance(a, float) or isinstance(b, float):
+        # numerator / denominator rounds as float(Fraction) does, at a third
+        # of its cost; the float tests come first because isinstance(x,
+        # Fraction) is an ABC check, slow when it fails
+        x = a if isinstance(a, float) else a.numerator / a.denominator
+        y = b if isinstance(b, float) else b.numerator / b.denominator
+        if x == y or abs(x - y) * PI <= EPS_ANGLE:
+            return 0
+        return 1 if x > y else -1
+    d = a.numerator * b.denominator - b.numerator * a.denominator
+    return (d > 0) - (d < 0)
 
 
 @dataclass(frozen=True)
@@ -73,9 +95,9 @@ class Angle:
         return Angle(rad=float(value) * PI)
 
     @staticmethod
-    def from_radians(radians: float, q_max: int = Q_MAX, eps: float = EPS_ANGLE) -> "Angle":
+    def from_radians(radians: float) -> "Angle":
         """Build an Angle, promoting to exact when the value rationalizes."""
-        f = rationalize(radians, q_max, eps)
+        f = rationalize(radians)
         if f is not None:
             return Angle(frac=f)
         return Angle(rad=radians)
@@ -96,10 +118,8 @@ class Angle:
             return self.frac
         return self.rad / PI  # type: ignore[operator]
 
-    def equals(self, other: "Angle", eps: float = EPS_ANGLE) -> bool:
-        if self.frac is not None and other.frac is not None:
-            return self.frac == other.frac
-        return abs(self.radians - other.radians) <= eps
+    def equals(self, other: "Angle") -> bool:
+        return cmp_units(self.pi_units, other.pi_units) == 0
 
     def to_json(self) -> dict:
         if self.frac is not None:
@@ -131,15 +151,9 @@ class Angle:
         return f"{self.rad!r}rad"
 
 
-def units_close(a: PiUnits, b: PiUnits, eps: float = EPS_ANGLE) -> bool:
-    """Equality of two pi-unit lengths: exact when both rational, eps in radians."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    return abs(float(a) - float(b)) * PI <= eps
-
-
-def units_radians(a: PiUnits) -> float:
-    return float(a) * PI
+def units_close(a: PiUnits, b: PiUnits) -> bool:
+    """Equality of two pi-unit lengths under ``cmp_units``."""
+    return cmp_units(a, b) == 0
 
 
 def parse_length(text: str) -> Angle:

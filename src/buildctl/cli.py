@@ -33,10 +33,13 @@ UNDECIDED_MARKERS = ("global_cat1_unverified", "unknown_pi1",
                      "apartment_axiom2_unverified", "apartments_sampled")
 
 
+BUDGET_KEYS = ("B_group", "B_apt", "branch_budget")
+
+
 def budgets() -> dict:
-    from .coxeter import B_GROUP_DEFAULT
-    from .recognizer import B_APT_DEFAULT
-    out = {"B_group": B_GROUP_DEFAULT, "B_apt": B_APT_DEFAULT, "branch_budget": 64}
+    """The budgets that BUILDCTL_BUDGETS overrides, validated; each command
+    falls back on the default of the module that spends the budget."""
+    out: dict = {}
     raw = os.environ.get("BUILDCTL_BUDGETS")
     if raw:
         try:
@@ -46,7 +49,7 @@ def budgets() -> dict:
         if not isinstance(given, dict):
             raise ComplexError("bad BUILDCTL_BUDGETS: expected a JSON object")
         for key, value in given.items():
-            if key not in out:
+            if key not in BUDGET_KEYS:
                 raise ComplexError(f"bad BUILDCTL_BUDGETS: unknown budget {key!r}")
             if type(value) is not int or value <= 0:
                 raise ComplexError(
@@ -117,7 +120,7 @@ def exit_code_of(result) -> int:
 
 def cmd_gen(args) -> int:
     from . import corpus
-    from .coxeter import CoxeterMatrix, coxeter_complex, named_matrix
+    from .coxeter import B_GROUP_DEFAULT, CoxeterMatrix, coxeter_complex, named_matrix
     kind = args.kind
     if kind == "coxeter-complex":
         if args.matrix:
@@ -125,7 +128,8 @@ def cmd_gen(args) -> int:
                 M = CoxeterMatrix.from_json_dict(json.load(fh))
         else:
             M = named_matrix(args.type or "A3")
-        cx = coxeter_complex(M, budget=budgets()["B_group"]).complex
+        budget = budgets().get("B_group", B_GROUP_DEFAULT)
+        cx = coxeter_complex(M, budget=budget).complex
     elif kind == "suspension":
         if not args.base:
             raise ComplexError("gen suspension needs --base FILE")
@@ -159,17 +163,19 @@ def cmd_validate(args) -> int:
 def cmd_check(args) -> int:
     cx = load_path(args.file)
     cx.require_valid()
-    from .recognizer import check_euclidean, check_spherical, recognize_dim1
     b = budgets()
+    from .recognizer import (B_APT_DEFAULT, check_euclidean, check_spherical,
+                             recognize_dim1)
+    budget = b.get("B_apt", B_APT_DEFAULT)
     geometry = args.geometry
     if geometry == "auto":
         geometry = cx.geometry
     if geometry == "euclidean":
-        result = check_euclidean(cx, args.boundary, budget=b["B_apt"])
+        result = check_euclidean(cx, args.boundary, budget=budget)
     elif cx.dimension == 1:
-        result = recognize_dim1(cx, budget=b["B_apt"])
+        result = recognize_dim1(cx, budget=budget)
     else:
-        result = check_spherical(cx, budget=b["B_apt"])
+        result = check_spherical(cx, budget=budget)
     emit(report_of(result), args.report)
     return exit_code_of(result)
 
@@ -202,17 +208,19 @@ def cmd_graph(args) -> int:
 
 
 def cmd_coxeter(args) -> int:
-    from .coxeter import CoxeterMatrix, classify, coxeter_complex, named_matrix
+    from .coxeter import (B_GROUP_DEFAULT, CoxeterMatrix, classify, coxeter_complex,
+                          named_matrix)
     if args.type:
         M = named_matrix(args.type)
     else:
         with open(args.file, encoding="utf-8") as fh:
             M = CoxeterMatrix.from_json_dict(json.load(fh))
+    budget = budgets().get("B_group", B_GROUP_DEFAULT)
     if args.op == "classify":
-        cls = classify(M, budget=budgets()["B_group"])
+        cls = classify(M, budget=budget)
         emit({"schema": 1, **cls.to_json()}, args.report)
         return EXIT_OK
-    model = coxeter_complex(M, budget=budgets()["B_group"])
+    model = coxeter_complex(M, budget=budget)
     if args.output:
         _write_output(model.complex.dumps(), args.output)
     else:
@@ -224,7 +232,7 @@ def cmd_coxeter(args) -> int:
 
 def cmd_geodesic(args) -> int:
     cx = load_path(args.file)
-    from .geodesics import shoot
+    from .geodesics import BRANCH_BUDGET, shoot
     from .metric_graph import GraphPoint, MetricGraph
     vi = cx.vertex_index(args.from_)
     lk = vertex_link(cx, vi)
@@ -234,7 +242,8 @@ def cmd_geodesic(args) -> int:
     else:
         dp = _parse_point(g, args.dir)
     length = parse_length(args.len).radians
-    geos = shoot(cx, vi, dp, length, branch_budget=budgets()["branch_budget"])
+    geos = shoot(cx, vi, dp, length,
+                 branch_budget=budgets().get("branch_budget", BRANCH_BUDGET))
     emit({"schema": 1, "count": len(geos),
           "geodesics": [geo.describe() for geo in geos]}, args.report)
     return EXIT_OK

@@ -14,10 +14,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .angles import Angle, EPS_ANGLE, EPS_GRAM, PiUnits
+from .angles import Angle, EPS_GRAM, PiUnits, cmp_units
 
 SPHERICAL = "spherical"
 EUCLIDEAN = "euclidean"
@@ -105,7 +106,7 @@ class SimplexShape:
             return True, ""
         if self.geometry == SPHERICAL:
             for e, a in self.lengths.items():
-                if a.radians > math.pi + EPS_ANGLE:
+                if cmp_units(a.pi_units, Fraction(1)) > 0:
                     return False, f"spherical edge length {a} exceeds pi"
         w0 = self.min_gram_eigenvalue()
         if w0 <= eps:
@@ -311,12 +312,19 @@ def validate(c: MetricComplex) -> ValidationReport:
     return c.validation
 
 
+def _json_int(v) -> int:
+    """A JSON integer (not a bool, not a float with an integral value)."""
+    if type(v) is not int:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
 def parse_json_dict(obj: dict) -> MetricComplex:
     try:
         geometry = obj["geometry"]
-        dimension = int(obj["dimension"])
+        dimension = _json_int(obj["dimension"])
         vertices = [str(v) for v in obj["vertices"]]
-        top_cells = [tuple(int(i) for i in c) for c in obj["top_cells"]]
+        top_cells = [tuple(_json_int(i) for i in c) for c in obj["top_cells"]]
         records = obj.get("edge_lengths", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise ComplexError(f"malformed complex record: {exc}") from exc
@@ -325,7 +333,7 @@ def parse_json_dict(obj: dict) -> MetricComplex:
     lengths: list[tuple[int, int, Angle]] = []
     for rec in records:
         try:
-            i, j = (int(v) for v in rec["edge"])
+            i, j = (_json_int(v) for v in rec["edge"])
             a = Angle.from_json(rec)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ComplexError(f"malformed edge length record {rec!r}: {exc}") from exc

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from .angles import Angle
 from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, MetricComplex,
                         orthogonal_join, s0, suspension)
-from .coxeter import CoxeterMatrix, coxeter_complex, named_matrix
 
 # required edge lengths per rank-2 kind: the dihedral parameter of the building
 RANK2_M = {"complete_bipartite": 2, "projective_plane": 3, "generalized_quadrangle": 4}
@@ -179,15 +178,6 @@ def gen_negative(kind: str) -> MetricComplex:
     if kind not in table:
         raise ComplexError(f"unknown negative-control kind {kind!r}")
     return table[kind]()
-
-
-def gen_coxeter(type_name: str | None = None,
-                matrix: CoxeterMatrix | None = None) -> MetricComplex:
-    if matrix is None:
-        if type_name is None:
-            raise ComplexError("need a Coxeter type name or matrix")
-        matrix = named_matrix(type_name)
-    return coxeter_complex(matrix).complex
 
 
 def gen_suspension(base: MetricComplex) -> MetricComplex:

@@ -17,7 +17,6 @@ from .angles import Angle
 from .complexes import (ComplexError, MetricComplex, orthogonal_join,
                         vertex_link)
 from .coxeter import irreducible_components
-from .metric_graph import MetricGraph
 
 if TYPE_CHECKING:
     from .recognizer import BuildingCertificate, Diagnosis
@@ -102,23 +101,6 @@ class JoinFactor:
     generator_component: tuple[int, ...]
 
 
-def _dim1_vertex_types(g: MetricGraph) -> list[int] | None:
-    """2-coloring of a connected bipartite graph, BFS from vertex 0."""
-    color = {0: 0}
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for w, _, _ in g.adjacency[u]:
-            if w not in color:
-                color[w] = 1 - color[u]
-                queue.append(w)
-            elif color[w] == color[u]:
-                return None
-    if len(color) != len(g.vertices):
-        return None
-    return [color[v] for v in range(len(g.vertices))]
-
-
 def join_decompose(c: MetricComplex, cert: BuildingCertificate) -> list[JoinFactor]:
     """Split a certified building along its Coxeter diagram components.
 
@@ -127,48 +109,25 @@ def join_decompose(c: MetricComplex, cert: BuildingCertificate) -> list[JoinFact
     cell-for-cell (checked; violation raises IntegrityError).
     """
     # the recognizer imports this module, so its names are imported at use
-    from .recognizer import IntegrityError, check_spherical, recognize_dim1
+    from .recognizer import (IntegrityError, _subcomplex, _vertex_types,
+                             check_spherical)
     c.require_valid()
     if cert.coxeter_matrix is None:
         return [JoinFactor(c, cert, tuple(range(c.dimension + 1)))]
     comps = irreducible_components(cert.coxeter_matrix)
     if len(comps) == 1:
         return [JoinFactor(c, cert, comps[0])]
-    if cert.dimension == 1:
-        g = cert.graph if cert.graph is not None else MetricGraph.from_complex(c)
-        types = _dim1_vertex_types(g)
-        if types is None:
-            raise IntegrityError("certified rank-2 building is not bipartite")
-    else:
-        types = list(cert.vertex_types)
+    types = cert.vertex_types if cert.dimension >= 2 else _vertex_types(c)
+    if types is None:
+        raise IntegrityError("certified rank-2 building is not bipartite")
     factors = []
     for comp in comps:
-        comp_set = set(comp)
-        verts = [v for v in range(len(c.vertices)) if types[v] in comp_set]
-        vset = set(verts)
+        vset = {v for v in range(len(c.vertices)) if types[v] in comp}
         tops = sorted({tuple(v for v in cell if v in vset) for cell in c.top_cells})
-        sub = _restrict(c, verts, tops)
-        res = check_spherical(sub) if sub.dimension >= 2 else (
-            recognize_dim1(sub) if sub.dimension == 1 else check_spherical(sub))
-        factors.append(JoinFactor(sub, res, comp))
+        sub = _subcomplex(c, tops)
+        factors.append(JoinFactor(sub, check_spherical(sub), comp))
     _verify_reassembly(c, [f.complex for f in factors])
     return factors
-
-
-def _restrict(c: MetricComplex, verts: list[int], tops) -> MetricComplex:
-    remap = {v: i for i, v in enumerate(verts)}
-    names = [c.vertices[v] for v in verts]
-    cells = [tuple(sorted(remap[v] for v in t)) for t in tops]
-    lengths = []
-    seen = set()
-    for t in tops:
-        for i, j in itertools.combinations(sorted(t), 2):
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
-            lengths.append((remap[i], remap[j], c.edge_length(i, j)))
-    return MetricComplex(c.geometry, names, cells, lengths, allow_disconnected=True,
-                         provenance=c.provenance)
 
 
 def _verify_reassembly(c: MetricComplex, parts: list[MetricComplex]):
@@ -176,7 +135,7 @@ def _verify_reassembly(c: MetricComplex, parts: list[MetricComplex]):
     from .recognizer import IntegrityError
     joined = parts[0]
     for nxt in parts[1:]:
-        joined = orthogonal_join(_strip(joined), _strip(nxt))
+        joined = orthogonal_join(joined, nxt)
     want_cells = {frozenset(c.vertices[v] for v in cell) for cell in c.top_cells}
     got_cells = {frozenset(joined.vertices[v] for v in cell) for cell in joined.top_cells}
     if want_cells != got_cells:
@@ -190,13 +149,6 @@ def _verify_reassembly(c: MetricComplex, parts: list[MetricComplex]):
             raise IntegrityError(f"factor join length mismatch on edge ({a},{b})")
 
 
-def _strip(c: MetricComplex) -> MetricComplex:
-    """Drop provenance/flags so joins do not claim by-construction curvature."""
-    return MetricComplex(c.geometry, c.vertices, c.top_cells,
-                         [(i, j, c.edge_length(i, j)) for i, j in c.edges],
-                         allow_disconnected=True)
-
-
 # -- Euclidean factor hints ---------------------------------------------------------
 
 
@@ -208,7 +160,7 @@ def euclidean_factor_hint(c: MetricComplex, x, link_cert) -> list[dict]:
     component is a flat direction (aggregated into a single R^l hint), and a
     rank >= 2 component is an irreducible building or cone factor.
     """
-    from .recognizer import SUSPENSION, THICK, Diagnosis
+    from .recognizer import SUSPENSION, THICK, Diagnosis, _vertex_types
     if isinstance(link_cert, Diagnosis):
         raise ComplexError("link is not certified; run the recognizer first")
     xi = c.vertex_index(x)
@@ -223,8 +175,7 @@ def euclidean_factor_hint(c: MetricComplex, x, link_cert) -> list[dict]:
             else:
                 flat_dims += 1
         elif link_cert.m == 2:
-            g = link_cert.graph
-            types = _dim1_vertex_types(g)
+            types = _vertex_types(vertex_link(c, xi))
             sides = [sum(1 for t in types if t == 0), sum(1 for t in types if t == 1)]
             for size in sorted(sides):
                 if size >= 3:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .angles import EPS_ANGLE, Angle, PiUnits
+from .angles import Angle, PiUnits, cmp_units
 from .complexes import MetricComplex, _vertex_angle, vertex_link
 from .metric_graph import GraphPoint, MetricGraph
 
@@ -32,6 +32,8 @@ EPS_HIT = 1e-6
 SHOOT_GRID = 720
 SHOOT_DEPTH = 40
 WEDGE_CAP = 10 ** 4
+BRANCH_BUDGET = 64
+TWO = Fraction(2)
 
 
 class GeodesicError(ValueError):
@@ -248,7 +250,7 @@ def _incoming_link_point(c: MetricComplex, v: int, cell, back_dir: np.ndarray,
 
 
 def extend_geodesic(c: MetricComplex, geo: LocalGeodesic, target_length: float,
-                    branch_budget: int = 64) -> list[LocalGeodesic]:
+                    branch_budget: int = BRANCH_BUDGET) -> list[LocalGeodesic]:
     """All continuations of a geodesic to target_length (<= pi).
 
     Branches at vertices over the antipode set of the incoming direction in
@@ -382,7 +384,7 @@ def _vertex_continuations(c, st: _State, remaining: float):
 
 
 def shoot(c: MetricComplex, v, link_point: GraphPoint, length: float,
-          branch_budget: int = 64) -> list[LocalGeodesic]:
+          branch_budget: int = BRANCH_BUDGET) -> list[LocalGeodesic]:
     """All geodesics of the given length leaving vertex v in one direction."""
     import numpy as np
     vi = c.vertex_index(v)
@@ -401,7 +403,7 @@ def shoot(c: MetricComplex, v, link_point: GraphPoint, length: float,
 
 
 def geodesic_between(c: MetricComplex, p, q, initial_direction: GraphPoint | None = None,
-                     grid: int = SHOOT_GRID, branch_budget: int = 64):
+                     grid: int = SHOOT_GRID, branch_budget: int = BRANCH_BUDGET):
     """A geodesic between two vertices of a spherical complex, n <= 2.
 
     Dimension 1 is exact (shortest path, or prescribed-direction continuation
@@ -552,7 +554,7 @@ def _graph_geodesic(c: MetricComplex, pi_: int, qi: int,
     if qi not in dw:
         return {"failure": "disconnected"}
     total = ln + dw[qi]
-    if not _close_units(total, dist.get(qi)):
+    if cmp_units(total, dist[qi]) != 0:
         return {"failure": "no geodesic from p through that direction reaches q",
                 "length_through_direction": float(total) * math.pi}
     path = [EdgeSegment(pi_, w, float(ln) * math.pi)]
@@ -563,14 +565,6 @@ def _graph_geodesic(c: MetricComplex, pi_: int, qi: int,
         rev.append(EdgeSegment(u, z, float(g.edges[k][2]) * math.pi))
         z = u
     return LocalGeodesic(c, path + list(reversed(rev)), pi_, end_vertex=qi)
-
-
-def _close_units(a, b) -> bool:
-    if a is None or b is None:
-        return False
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    return abs(float(a) - float(b)) * math.pi <= EPS_ANGLE
 
 
 # -- apartment propagation ------------------------------------------------------
@@ -600,9 +594,9 @@ def propagate_apartment(c: MetricComplex, x, link_cycle: Sequence, y=None,
     ``link_cycle`` is the vertex sequence (ambient names or indices) of a
     cycle of total length 2*pi in lk(x); consecutive entries span the wedge
     cells at x.  The wedges are completed to a closed surface by closing
-    every vertex link to angle exactly 2*pi; the result is verified to be a
-    2-sphere (Euler characteristic 2) and is exactly the union of the
-    geodesics from x in the directions of the cycle.
+    every vertex link to angle exactly 2*pi; the result is the first
+    2-sphere (Euler characteristic 2) that ``propagate_all`` finds, and is
+    exactly the union of the geodesics from x in the directions of the cycle.
     """
     if c.dimension != 2 or c.geometry != "spherical":
         raise GeodesicError("apartment propagation implemented for spherical n = 2")
@@ -619,32 +613,27 @@ def propagate_apartment(c: MetricComplex, x, link_cycle: Sequence, y=None,
                 f"({c.vertices[xi]},{c.vertices[a]},{c.vertices[b]}) is not a cell")
         fan.append(cell)
     total = _angle_sum(c, xi, fan)
-    if not _close_units(total, Fraction(2)):
+    if cmp_units(total, TWO) != 0:
         return PropagationFailure("link cycle does not have length 2*pi",
                                   {"length_pi_units": float(total)})
     yi = None if y is None else c.vertex_index(y)
-    surface, exhausted = _grow_surface(c, fan, budget)
-    if surface is None:
+    spheres, exhausted = propagate_all(c, xi, cyc, budget)
+    if not spheres:
         reason = ("wedge budget exceeded during propagation" if exhausted
                   else "no closed spherical surface extends the sector fan")
         return PropagationFailure(reason, {"base": c.vertices[xi]})
-    cells = surface
-    verts = sorted({v for cell in cells for v in cell})
-    edges = {e for cell in cells for e in itertools.combinations(cell, 2)}
-    euler = len(verts) - len(edges) + len(cells)
-    if euler != 2:
-        return PropagationFailure("closed surface is not a sphere",
-                                  {"euler_characteristic": euler})
-    anti = _apartment_antipode(c, cells, xi)
+    sphere = spheres[0]
+    anti = _apartment_antipode(c, sphere.cells, xi)
     if yi is not None:
-        if yi not in verts:
+        if yi not in sphere.vertices:
             return PropagationFailure("prescribed endpoint is not in the propagated sphere",
                                       {"y": c.vertices[yi]})
         if anti is not None and anti != yi:
-            dist = _developed_distance(c, cells, xi, yi)
+            dist = _developed_distance(c, sphere.cells, xi, yi)
             return PropagationFailure("prescribed endpoint is not antipodal to the base",
                                       {"y": c.vertices[yi], "distance": dist})
-    return ApartmentSurface(tuple(sorted(cells)), tuple(verts), euler, anti)
+    sphere.antipode_of_base = anti
+    return sphere
 
 
 def _angle_sum(c: MetricComplex, v: int, cells) -> PiUnits:
@@ -655,16 +644,12 @@ def _angle_sum(c: MetricComplex, v: int, cells) -> PiUnits:
     return total
 
 
-def _grow_surface(c: MetricComplex, fan, budget: int, all_closures: bool = False):
-    """DFS closure of a triangle set into closed 2-pi-links surfaces.
-
-    Returns (first_closure_or_None, budget_exhausted) by default, or
-    (list_of_all_closures, budget_exhausted) when all_closures is set.
-    """
-    target = Fraction(2)
+def _grow_surface(c: MetricComplex, fan, budget: int):
+    """DFS closure of a triangle set into closed surfaces whose vertex links
+    all have angle 2*pi.  Returns (closures, budget_exhausted)."""
     cells0 = tuple(sorted(set(fan)))
     if len(cells0) != len(fan):
-        return ([], False) if all_closures else (None, False)
+        return [], False
 
     def angle(cell, v):
         a, b = [w for w in cell if w != v]
@@ -679,14 +664,14 @@ def _grow_surface(c: MetricComplex, fan, budget: int, all_closures: bool = False
         nodes += 1
         if nodes > budget:
             exhausted = True
-            return None
+            return
         open_edges = sorted(e for e, k in edge_count.items() if k == 1)
         if not open_edges:
             for v, s in vertex_angle.items():
-                if not _close_units(s, target):
-                    return None
+                if cmp_units(s, TWO) != 0:
+                    return
             results.append(cells)
-            return None if all_closures else cells
+            return
         e = open_edges[0]
         for cand in c.top_cells_of_edge.get(e, ()):  # deterministic order
             if cand in cells:
@@ -700,7 +685,7 @@ def _grow_surface(c: MetricComplex, fan, budget: int, all_closures: bool = False
                 continue
             for v in cand:
                 s = vertex_angle.get(v, Fraction(0)) + angle(cand, v)
-                if _gt_units(s, target):
+                if cmp_units(s, TWO) > 0:
                     ok = False
                     break
             if not ok:
@@ -711,12 +696,9 @@ def _grow_surface(c: MetricComplex, fan, budget: int, all_closures: bool = False
                 ec[e2] = ec.get(e2, 0) + 1
             for v in cand:
                 va[v] = va.get(v, Fraction(0)) + angle(cand, v)
-            res = dfs(cells | {cand}, ec, va)
-            if res is not None:
-                return res
+            dfs(cells | {cand}, ec, va)
             if exhausted:
-                return None
-        return None
+                return
 
     edge_count: dict = {}
     vertex_angle: dict = {}
@@ -725,15 +707,14 @@ def _grow_surface(c: MetricComplex, fan, budget: int, all_closures: bool = False
             edge_count[e2] = edge_count.get(e2, 0) + 1
         for v in cell:
             vertex_angle[v] = vertex_angle.get(v, Fraction(0)) + angle(cell, v)
-    first = dfs(frozenset(cells0), edge_count, vertex_angle)
-    if all_closures:
-        return results, exhausted
-    return first, exhausted
+    dfs(frozenset(cells0), edge_count, vertex_angle)
+    return results, exhausted
 
 
 def propagate_all(c: MetricComplex, x, link_cycle: Sequence,
                   budget: int = WEDGE_CAP) -> tuple[list[ApartmentSurface], bool]:
-    """All closed spherical surfaces extending the sector fan of a link cycle.
+    """All closed spherical surfaces extending the sector fan of a link cycle,
+    in the order the closure search finds them.
 
     Used for exhaustive apartment enumeration: every apartment through x whose
     trace in lk(x) is the given cycle appears as one closure.
@@ -743,7 +724,7 @@ def propagate_all(c: MetricComplex, x, link_cycle: Sequence,
     xi = c.vertex_index(x)
     cyc = [c.vertex_index(v) for v in link_cycle]
     fan = [tuple(sorted((xi, a, b))) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
-    closures, exhausted = _grow_surface(c, fan, budget, all_closures=True)
+    closures, exhausted = _grow_surface(c, fan, budget)
     out = []
     for cells in closures:
         verts = sorted({v for cell in cells for v in cell})
@@ -753,12 +734,6 @@ def propagate_all(c: MetricComplex, x, link_cycle: Sequence,
             continue
         out.append(ApartmentSurface(tuple(sorted(cells)), tuple(verts), euler, None))
     return out, exhausted
-
-
-def _gt_units(a: PiUnits, b: PiUnits) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a > b
-    return float(a) > float(b) + EPS_ANGLE / math.pi
 
 
 def develop_apartment(c: MetricComplex, cells, base: int) -> dict[int, np.ndarray]:

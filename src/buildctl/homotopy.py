@@ -56,16 +56,6 @@ def _presentation(c: MetricComplex):
         if k not in tree:
             gen_of_edge[k] = len(gens)
             gens.append(k)
-    # generator word of the oriented edge u->v
-    def letter(u, v):
-        for w, k in adj[u]:
-            if w == v and k not in tree:
-                return (gen_of_edge[k], 1 if (edges[k][0], edges[k][1]) == (u, v) else -1)
-        return None
-
-    def tree_only(u, v):
-        return letter(u, v) is None
-
     relators = []
     for tri in c.cells_by_dim.get(2, ()):
         word = []
@@ -163,19 +153,22 @@ def _tietze_simplify(ngens: int, relators, max_steps: int = 10_000):
     return gens, rels
 
 
-def _betti_positive(ngens: int, relators) -> bool:
-    """First Betti number > 0: exponent-sum matrix has rank < ngens."""
-    if ngens == 0:
-        return False
+def _h1_free_generator(ngens: int, relators) -> int | None:
+    """A generator whose class survives in H1 with rational coefficients, or
+    None when the first Betti number is 0.
+
+    Row-reduces the exponent-sum matrix; the first non-pivot column is the
+    surviving generator.
+    """
     rows = []
     for r in relators:
-        v = [0] * ngens
+        v = [Fraction(0)] * ngens
         for g, s in r:
             v[g] += s
-        rows.append([Fraction(x) for x in v])
+        rows.append(v)
     rank = 0
-    cols = list(range(ngens))
-    for col in cols:
+    pivots = set()
+    for col in range(ngens):
         piv = None
         for i in range(rank, len(rows)):
             if rows[i][col] != 0:
@@ -191,8 +184,9 @@ def _betti_positive(ngens: int, relators) -> bool:
             if i != rank and rows[i][col] != 0:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        pivots.add(col)
         rank += 1
-    return rank < ngens
+    return next((g for g in range(ngens) if g not in pivots), None)
 
 
 def _nontrivial_quotient(gens, relators, budget: int = 100_000) -> bool:
@@ -260,9 +254,9 @@ def simple_connectivity(c: MetricComplex) -> Pi1Result:
     ngens, relators, loops = _presentation(c)
     if ngens == 0:
         return Pi1Result(TRIVIAL, None, "1-skeleton is a tree")
-    if _betti_positive(ngens, relators):
-        witness = _betti_witness(ngens, relators, loops)
-        return Pi1Result(NONTRIVIAL, witness, "positive first Betti number")
+    free = _h1_free_generator(ngens, relators)
+    if free is not None:
+        return Pi1Result(NONTRIVIAL, loops.get(free), "positive first Betti number")
     gens, rels = _tietze_simplify(ngens, relators)
     if not gens:
         return Pi1Result(TRIVIAL, None, "presentation collapses")
@@ -271,36 +265,3 @@ def simple_connectivity(c: MetricComplex) -> Pi1Result:
         return Pi1Result(NONTRIVIAL, loops.get(g), "nontrivial finite quotient")
     return Pi1Result(UNKNOWN, None,
                      f"simplification stuck with {len(gens)} generators, {len(rels)} relators")
-
-
-def _betti_witness(ngens, relators, loops):
-    """A generator whose class survives in H1 with rational coefficients."""
-    rows = []
-    for r in relators:
-        v = [Fraction(0)] * ngens
-        for g, s in r:
-            v[g] += s
-        rows.append(v)
-    # row-reduce; a non-pivot column is a surviving generator
-    rank = 0
-    pivots = []
-    for col in range(ngens):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        inv = 1 / pr[col]
-        rows[rank] = [x * inv for x in pr]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = next(g for g in range(ngens) if g not in pivots)
-    return loops.get(free)

@@ -39,7 +39,7 @@ from functools import cached_property
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .angles import EPS_ANGLE, PiUnits
+from .angles import EPS_ANGLE, PiUnits, cmp_units
 from .complexes import MetricComplex, as_graph_data
 
 INF = math.inf
@@ -356,10 +356,7 @@ class MetricGraph:
         sys, cyc = self.systole()
         if sys is INF:
             return True, None
-        if isinstance(sys, Fraction):
-            ok = sys >= 2
-        else:
-            ok = sys >= 2 - EPS_UNITS
+        ok = cmp_units(sys, Fraction(2)) >= 0
         return ok, (None if ok else cyc)
 
     # -- antipodes ------------------------------------------------------------------
@@ -393,7 +390,7 @@ class MetricGraph:
                     direct.append((p.t + one, ln))
                 intervals = _intersect_intervals(intervals, direct)
             for lo, hi in intervals:
-                if _degenerate(lo, hi):
+                if cmp_units(lo, hi) == 0:
                     pt = self.point(eid, lo)
                     if pt.is_vertex:
                         if pt.vertex in seen_vertices:
@@ -482,12 +479,6 @@ class MetricGraph:
 
 
 # -- interval and envelope helpers ------------------------------------------------
-
-
-def _degenerate(lo: PiUnits, hi: PiUnits) -> bool:
-    if isinstance(lo, Fraction) and isinstance(hi, Fraction):
-        return lo == hi
-    return float(hi) - float(lo) <= EPS_UNITS
 
 
 def _cut_lower(intervals, slope: int, off: PiUnits, level: PiUnits):

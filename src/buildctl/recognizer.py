@@ -19,14 +19,13 @@ curvature-preserving construction.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from . import geodesics   # propagate_all is looked up at call time
-from .angles import EPS_ANGLE, PiUnits, units_close
+from .angles import PiUnits, cmp_units, units_close
 from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, MetricComplex,
                         cell_link, vertex_link)
 from .coxeter import CoxeterMatrix, classify, coxeter_complex, dihedral
@@ -37,6 +36,7 @@ from .metric_graph import Circle, GraphPoint, MetricGraph
 
 B_APT_DEFAULT = 10 ** 5
 SAMPLE_PAIRS = 10 ** 3
+ONE, TWO = Fraction(1), Fraction(2)     # pi and 2*pi in pi units
 
 # diagnosis conditions
 NOT_CONNECTED = "not_connected"
@@ -138,12 +138,6 @@ class IntegrityError(RuntimeError):
     """A certified conclusion failed re-verification: internal inconsistency."""
 
 
-def _is_one(x: PiUnits) -> bool:
-    if isinstance(x, Fraction):
-        return x == 1
-    return abs(float(x) - 1.0) * math.pi <= EPS_ANGLE
-
-
 # -- dimension 1 ----------------------------------------------------------------
 
 
@@ -181,7 +175,7 @@ def recognize_dim1(g, budget: int = B_APT_DEFAULT, *, apartments: bool = True
         return Diagnosis(SYSTOLE, {"cycle": names,
                                    "length_pi_units": float(length)})
     diam, wit = sup.diameter()
-    if not _is_one(diam):
+    if cmp_units(diam, ONE) != 0:
         return Diagnosis(DIAMETER, {
             "diameter_pi_units": float(diam),
             "witness": [sup.point_name(wit[0]), sup.point_name(wit[1])] if wit else None})
@@ -211,13 +205,11 @@ def recognize_dim1(g, budget: int = B_APT_DEFAULT, *, apartments: bool = True
 
 def _recognize_circle(graph: MetricGraph, circ: Circle) -> BuildingCertificate | Diagnosis:
     c = circ.circumference
-    two = Fraction(2)
-    lt = (c < two) if isinstance(c, Fraction) else (float(c) < 2 - EPS_ANGLE / math.pi)
-    gt = (c > two) if isinstance(c, Fraction) else (float(c) > 2 + EPS_ANGLE / math.pi)
-    if lt:
+    side = cmp_units(c, TWO)
+    if side < 0:
         return Diagnosis(SYSTOLE, {"cycle": list(circ.vertex_names),
                                    "length_pi_units": float(c)})
-    if gt:
+    if side > 0:
         return Diagnosis(DIAMETER, {"diameter_pi_units": float(c) / 2.0})
     m = None
     lens = {ln if isinstance(ln, Fraction) else round(float(ln), 12)
@@ -261,10 +253,8 @@ def _walk_circle(graph: MetricGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _length_to_m(ln: PiUnits) -> int | None:
     if isinstance(ln, Fraction):
         return ln.denominator if ln.numerator == 1 else None
-    m = round(math.pi / (float(ln) * math.pi))
-    if m >= 1 and abs(float(ln) - 1.0 / m) * math.pi <= EPS_ANGLE:
-        return m
-    return None
+    m = round(1 / ln)
+    return m if m >= 1 and cmp_units(ln, 1 / m) == 0 else None
 
 
 def _uniform_m(sup: MetricGraph) -> int | Diagnosis:
@@ -294,21 +284,9 @@ def enumerate_apartments_dim1(g: MetricGraph, m: int | None = None,
     Works on the given (possibly subdivided) graph; with uniform lengths
     pi/m these are exactly the 2m-edge circuits.
     """
-    two = Fraction(2)
     found: dict[frozenset, Apartment] = {}
     nodes = 0
     exhausted = False
-
-    def length_gt(x):
-        if isinstance(x, Fraction):
-            return x > two
-        return float(x) > 2 + EPS_ANGLE / math.pi
-
-    def length_eq(x):
-        if isinstance(x, Fraction):
-            return x == two
-        return abs(float(x) - 2) * math.pi <= EPS_ANGLE
-
     for e0, (u0, v0, l0) in enumerate(g.edges):
         stack = [([e0], [u0, v0], l0)]
         while stack:
@@ -318,14 +296,15 @@ def enumerate_apartments_dim1(g: MetricGraph, m: int | None = None,
                 break
             eids, verts, ln = stack.pop()
             last = verts[-1]
+            side = cmp_units(ln, TWO)
             if last == u0 and len(eids) >= 2:
-                if length_eq(ln):
+                if side == 0:
                     key = frozenset(eids)
                     if key not in found:
                         found[key] = Apartment("cycle", edges=tuple(eids),
                                                vertices=tuple(verts[:-1]))
                 continue
-            if length_gt(ln):
+            if side > 0:
                 continue
             for w, eid, wl in g.adjacency[last]:
                 if eid <= e0 and eid != e0:
@@ -539,17 +518,20 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT, *,
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
             "detail": f"assembled Coxeter matrix is {cls.verdict}, not spherical",
             "matrix": M.to_json_dict()})
-    panel_counts_all = [len(_cofaces(c, p)) for p in c.cells_by_dim.get(n - 1, ())]
+    panel_counts = {len(_cofaces(c, p)) for p in c.cells_by_dim.get(n - 1, ())}
+    # thin: the complex is its own single apartment.  In dimension 2 its Euler
+    # characteristic must also be 2; a thin quotient such as RP^2 goes on to
+    # sector propagation instead of failing the apartment isometry check.
+    thin_sphere = panel_counts == {2} and (
+        n != 2 or len(c.vertices) - len(c.edges) + len(c.top_cells) == 2)
     found, exhaustive = (), False
-    if apartments and n == 2:
-        found, exhaustive = _enumerate_apartments_dim2(c, link_certs, budget)
-    elif apartments and set(panel_counts_all) == {2}:
-        # thin: the complex is its own single apartment
+    if apartments and thin_sphere:
         whole = Apartment("sphere", cells=tuple(sorted(c.top_cells)),
                           vertices=tuple(range(len(c.vertices))))
         found, exhaustive = (whole,), True
+    elif apartments and n == 2:
+        found, exhaustive = _enumerate_apartments_dim2(c, link_certs, budget)
     flags = []
-    panel_counts = set(panel_counts_all)
     poles = find_suspension_poles(c)
     if panel_counts == {2}:
         verdict = THIN

@@ -1,8 +1,17 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from buildctl.complexes import suspension
 from buildctl.corpus import (gen_a2_window, gen_octahedron, gen_rank2_building)
 from buildctl.recognizer import check_spherical, recognize_dim1
+
+# The CLI tests start `python -m buildctl.cli` in subprocesses; give them the
+# source tree that pytest's `pythonpath` setting gives this process.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,13 @@
 import math
+import tokenize
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from buildctl.angles import Angle, parse_length, rationalize, units_close
+from buildctl import angles
+from buildctl.angles import (EPS_ANGLE, Angle, cmp_units, parse_length, rationalize,
+                             units_close)
 
 
 def test_rationalize_recognizes_small_denominators():
@@ -68,9 +72,44 @@ def test_angle_from_json_reads_integers_and_finite_numbers():
 
 
 def test_units_close_exact_vs_float():
-    assert units_close(Fraction(1, 3), Fraction(1, 3))
-    assert not units_close(Fraction(1, 3), Fraction(1, 4))
-    assert units_close(Fraction(1, 3), 1 / 3 + 1e-12)
+    eps = EPS_ANGLE / math.pi     # the tolerance in pi units
+    third, quarter = Fraction(1, 3), Fraction(1, 4)
+    table = [
+        # Fraction / Fraction: exact, however close
+        (third, third, 0), (third, quarter, 1),
+        (Fraction(2), Fraction(2) + Fraction(1, 10 ** 12), -1),
+        # Fraction / float and float / float: equal within eps
+        (third, 1 / 3 + 1e-12, 0),
+        *((Fraction(k), k + 0.5 * eps, 0) for k in (1, 2)),
+        *((Fraction(k), k - 0.5 * eps, 0) for k in (1, 2)),
+        *((Fraction(k), k + 2 * eps, -1) for k in (1, 2)),
+        *((Fraction(k), k - 2 * eps, 1) for k in (1, 2)),
+        *((float(k) + 0.5 * eps, float(k), 0) for k in (1, 2)),
+        *((float(k) - 0.5 * eps, float(k), 0) for k in (1, 2)),
+        *((float(k) + 2 * eps, float(k), 1) for k in (1, 2)),
+        *((float(k) - 2 * eps, float(k), -1) for k in (1, 2)),
+        # an infinite length, as a systole of a tree reads
+        (math.inf, Fraction(2), 1), (math.inf, 2.0, 1), (math.inf, math.inf, 0),
+    ]
+    for a, b, want in table:
+        assert cmp_units(a, b) == want, (a, b)
+        assert cmp_units(b, a) == -want, (b, a)
+        assert units_close(a, b) == (want == 0), (a, b)
+
+
+def test_tolerance_rule_lives_in_angles():
+    """Only angles.py compares lengths with EPS_ANGLE; elsewhere it may only
+    be imported, and metric_graph derives its diameter-scan slack from it."""
+    used = []
+    for path in sorted(Path(angles.__file__).parent.glob("*.py")):
+        if path.name == "angles.py":
+            continue
+        with path.open("rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NAME and tok.string == "EPS_ANGLE":
+                    used.append((path.name, tok.line.strip()))
+    used = [u for u in used if not u[1].startswith("from .angles import")]
+    assert used == [("metric_graph.py", "EPS_UNITS = EPS_ANGLE / math.pi")]
 
 
 def test_parse_length():

@@ -145,6 +145,18 @@ def test_cli_malformed_angle_and_budgets_exit3(tmp_path):
         strict.append(tmp_path / f"strict-{k}.json")
         strict[-1].write_text(json.dumps(obj))
     assert "Infinity" in strict[2].read_text()
+    # fractional indices that int() would truncate to a valid K3,3
+    for k, (key, value) in enumerate((("dimension", 1.8), ("top_cells", [0, 3.9]),
+                                      ("edge_lengths", [0, 3.7]))):
+        obj = json.loads(f.read_text())
+        if key == "dimension":
+            obj[key] = value
+        elif key == "top_cells":
+            obj[key][0] = value
+        else:
+            obj[key][0]["edge"] = value
+        strict.append(tmp_path / f"strict-index-{k}.json")
+        strict[-1].write_text(json.dumps(obj))
     for r in (run_cli("check", str(bad)), run_cli("check", str(huge)),
               run_cli("check", str(bad_default)),
               *(run_cli("check", str(path)) for path in strict),
@@ -164,6 +176,30 @@ def test_cli_budgets_rejected_in_process(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv("BUILDCTL_BUDGETS", raw)
     assert main(["check", str(f)]) == 3
     assert capsys.readouterr().err.startswith("buildctl: bad BUILDCTL_BUDGETS")
+
+
+def test_cli_budgets_checked_before_library_imports(tmp_path):
+    """coxeter classify never loads the recognizer, and a malformed
+    BUILDCTL_BUDGETS exits 3 before check loads it."""
+    f = tmp_path / "k33.json"
+    assert main(["gen", "complete-bipartite", "-o", str(f)]) == 0
+    code = (
+        "import contextlib, io, json, os, sys\n"
+        "from buildctl.cli import main\n"
+        "out = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    out.append(main(['coxeter', 'classify', '--type', 'A3']))\n"
+        "out.append('buildctl.recognizer' in sys.modules)\n"
+        "os.environ['BUILDCTL_BUDGETS'] = '[1]'\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    out.append(main(['check', sys.argv[1]]))\n"
+        "out.append('buildctl.recognizer' in sys.modules)\n"
+        "print(json.dumps(out))\n")
+    env = {k: v for k, v in os.environ.items() if k != "BUILDCTL_BUDGETS"}
+    proc = subprocess.run([sys.executable, "-c", code, str(f)], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, False, 3, False]
 
 
 def test_cli_metric_graph_commands_do_not_load_numpy(tmp_path):

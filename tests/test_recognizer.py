@@ -531,3 +531,48 @@ def test_no_surface_growth_inside_dim3_links(k33, monkeypatch):
     # the guard is live: a dimension-2 complex grows its surfaces through it
     assert len(check_spherical(suspension(k33)).apartments) == 9
     assert calls
+
+
+def test_no_surface_growth_in_thin_complexes(monkeypatch):
+    """A thin complex with spherical Euler characteristic is its own single
+    apartment, so no sector propagation runs."""
+    import buildctl.geodesics as geodesics
+    calls = []
+    original = geodesics.propagate_all
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "propagate_all", counting)
+    from buildctl.coxeter import CoxeterMatrix
+    h3 = CoxeterMatrix(("s0", "s1", "s2"), ((1, 5, 2), (5, 1, 3), (2, 3, 1)))
+    for M in (named_matrix("A3"), named_matrix("B3"), h3):
+        c = coxeter_complex(M).complex
+        cert = check_spherical(c)
+        assert cert.verdict == "thin_building", M
+        assert len(cert.apartments) == 1 and cert.apartments_exhaustive, M
+        assert cert.apartments[0].cells == c.top_cells, M
+    assert calls == []
+    # the Euler guard is live: the antipodal quotient of B3 (an RP^2, thin,
+    # Euler characteristic 1) grows surfaces, finds no sphere, and is not
+    # taken for its own apartment (which would fail the isometry check)
+    res = check_spherical(_antipodal_quotient(coxeter_complex(named_matrix("B3")).complex))
+    assert getattr(res, "apartments", ()) == ()
+    assert calls
+
+
+def _antipodal_quotient(c):
+    from buildctl.geodesics import develop_apartment
+    pos = develop_apartment(c, c.top_cells, 0)
+    rep = {v: min(u for u in pos if abs(pos[u] + pos[v]).max() < 1e-6 or u == v)
+           for v in pos}
+    keep = sorted(set(rep.values()))
+    idx = {v: k for k, v in enumerate(keep)}
+    cells = {tuple(sorted(idx[rep[v]] for v in t)) for t in c.top_cells}
+    lengths = {tuple(sorted((idx[rep[i]], idx[rep[j]]))): c.edge_length(i, j)
+               for i, j in c.edges}
+    q = MetricComplex("spherical", [c.vertices[v] for v in keep], cells,
+                      [(a, b, ln) for (a, b), ln in lengths.items()])
+    assert q.validation.ok and len(q.vertices) - len(q.edges) + len(cells) == 1
+    return q
