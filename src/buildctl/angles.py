@@ -32,19 +32,22 @@ def rationalize(radians: float) -> Fraction | None:
     """Recognize ``radians`` as pi*p/q with q <= Q_MAX, or return None.
 
     Smallest q wins; distinct candidates with q <= 360 are separated by more
-    than pi/360^2 ~ 2.4e-5, so EPS_ANGLE = 1e-9 is unambiguous.  The loop
-    returns after q steps on a promotion but runs all Q_MAX steps on a value
-    that does not rationalize.
+    than pi/360^2 ~ 2.4e-5, so EPS_ANGLE = 1e-9 is unambiguous.  Small
+    denominators are tried directly (most promotions have q <= 12); after
+    that the one candidate left is the closest fraction with q <= Q_MAX,
+    which ``limit_denominator`` finds in a few steps, and it passes only the
+    same EPS_ANGLE test.
     """
     if not math.isfinite(radians):
         return None
     x = radians / PI
-    for q in range(1, Q_MAX + 1):
+    for q in range(1, 13):
         p = round(x * q)
-        if p == 0:
-            continue
-        if abs(radians - PI * p / q) <= EPS_ANGLE:
+        if p != 0 and abs(radians - PI * p / q) <= EPS_ANGLE:
             return Fraction(p, q)
+    f = Fraction(x).limit_denominator(Q_MAX)
+    if f != 0 and abs(radians - PI * f.numerator / f.denominator) <= EPS_ANGLE:
+        return f
     return None
 
 

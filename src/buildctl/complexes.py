@@ -5,7 +5,11 @@ single edge -> length map; faces are the subset closure.  Shared faces
 therefore inherit consistent lengths by construction, and conflicting length
 declarations are recorded and reported by validation.
 
-All operations treat complexes as immutable after construction.
+All operations treat complexes as immutable after construction, and the
+caches depend on it: ``cofaces`` (each face -> the top cells containing it),
+the corner-angle memo and the vertex-link memo are filled once per complex
+and never invalidated, so ``vertex_link(c, v)`` returns the same link object
+on every call and each distinct link is built and validated once.
 """
 
 from __future__ import annotations
@@ -154,6 +158,7 @@ class MetricComplex:
         self.lengths: dict[Edge, Angle] = {}
         self.length_conflicts: list[tuple[Edge, Angle, Angle]] = []
         self._corner_angles: dict[tuple[int, int, int], Angle] = {}   # _vertex_angle
+        self._vertex_links: dict[int, MetricComplex] = {}              # vertex_link
         for i, j, a in lengths:
             if i == j:
                 raise ComplexError(f"self-edge length ({i},{i})")
@@ -176,35 +181,25 @@ class MetricComplex:
         return tuple(sorted(es))
 
     @cached_property
-    def cells_by_dim(self) -> dict[int, tuple[Cell, ...]]:
-        out: dict[int, set] = {}
+    def cofaces(self) -> dict[Cell, tuple[Cell, ...]]:
+        """Every face (a sorted vertex tuple) -> the top cells containing it,
+        in ``top_cells`` order."""
+        out: dict[Cell, list] = {}
         for c in self.top_cells:
             for k in range(1, len(c) + 1):
-                out.setdefault(k - 1, set()).update(itertools.combinations(c, k))
+                for f in itertools.combinations(c, k):
+                    out.setdefault(f, []).append(c)
+        return {f: tuple(v) for f, v in out.items()}
+
+    @cached_property
+    def cells_by_dim(self) -> dict[int, tuple[Cell, ...]]:
+        out: dict[int, list] = {}
+        for f in self.cofaces:
+            out.setdefault(len(f) - 1, []).append(f)
         return {k: tuple(sorted(v)) for k, v in sorted(out.items())}
 
     def all_cells(self) -> list[Cell]:
         return [c for k in sorted(self.cells_by_dim) for c in self.cells_by_dim[k]]
-
-    @cached_property
-    def top_cells_of_edge(self) -> dict[Cell, tuple[Cell, ...]]:
-        out: dict[Cell, list] = {e: [] for e in self.edges}
-        for c in self.top_cells:
-            for e in itertools.combinations(c, 2):
-                out[e].append(c)
-        return {e: tuple(v) for e, v in out.items()}
-
-    @cached_property
-    def top_cells_of_vertex(self) -> dict[int, tuple[Cell, ...]]:
-        out: dict[int, list] = {i: [] for i in range(len(self.vertices))}
-        for c in self.top_cells:
-            for v in c:
-                out[v].append(c)
-        return {v: tuple(cs) for v, cs in out.items()}
-
-    def is_cell(self, cell: Sequence[int]) -> bool:
-        t = tuple(sorted(cell))
-        return t in set(self.cells_by_dim.get(len(t) - 1, ()))
 
     def edge_length(self, i: int, j: int) -> Angle:
         return self.lengths[Edge((i, j))]
@@ -399,25 +394,29 @@ def _vertex_angle(c: MetricComplex, v: int, u: int, w: int) -> Angle:
 
 def vertex_link(c: MetricComplex, v) -> MetricComplex:
     """The link of a vertex: unit tangent directions, a spherical complex of
-    dimension n-1 whose edge lengths are the vertex angles of incident cells."""
+    dimension n-1 whose edge lengths are the vertex angles of incident cells.
+
+    Memoized on ``c`` by vertex index: a later call returns the same object,
+    so the link's own caches (validation, faces, its vertex links) are shared.
+    """
     c.require_valid()
     vi = c.vertex_index(v)
-    stars = c.top_cells_of_vertex.get(vi, ())
+    link = c._vertex_links.get(vi)
+    if link is not None:
+        return link
+    stars = c.cofaces.get((vi,), ())
     neighbors = sorted({u for cell in stars for u in cell if u != vi})
     index = {u: k for k, u in enumerate(neighbors)}
     names = [c.vertices[u] for u in neighbors]
     cells = [tuple(sorted(index[u] for u in cell if u != vi)) for cell in stars]
-    lengths = []
-    seen = set()
+    lengths = {}
     for cell in stars:
-        rest = [u for u in cell if u != vi]
-        for u, w in itertools.combinations(rest, 2):
-            e = Edge((index[u], index[w]))
-            if e in seen:
-                continue
-            seen.add(e)
-            lengths.append((index[u], index[w], _vertex_angle(c, vi, u, w)))
-    return MetricComplex(SPHERICAL, names, cells, lengths, allow_disconnected=True)
+        for u, w in itertools.combinations([u for u in cell if u != vi], 2):
+            if (u, w) not in lengths:
+                lengths[u, w] = (index[u], index[w], _vertex_angle(c, vi, u, w))
+    link = MetricComplex(SPHERICAL, names, cells, lengths.values(), allow_disconnected=True)
+    c._vertex_links[vi] = link
+    return link
 
 
 def cell_link(c: MetricComplex, cell) -> MetricComplex:
@@ -425,7 +424,7 @@ def cell_link(c: MetricComplex, cell) -> MetricComplex:
     c.require_valid()
     idxs = [c.vertex_index(v) for v in cell]
     t = tuple(sorted(idxs))
-    if not c.is_cell(t):
+    if t not in c.cofaces:
         raise ComplexError(f"{cell!r} is not a cell of the complex")
     if len(t) - 1 >= c.dimension:
         raise ComplexError("cell is top-dimensional; its link is empty")

@@ -33,10 +33,9 @@ def find_suspension_poles(c: MetricComplex) -> tuple[int, int] | None:
     """
     if c.dimension < 1 or len(c.vertices) < 3:
         return None
-    edge_set = set(c.edges)
     nv = len(c.vertices)
     for p, q in itertools.combinations(range(nv), 2):
-        if (p, q) in edge_set:
+        if (p, q) in c.cofaces:
             continue
         ok = True
         for v in range(nv):
@@ -44,7 +43,7 @@ def find_suspension_poles(c: MetricComplex) -> tuple[int, int] | None:
                 continue
             for pole in (p, q):
                 e = (min(pole, v), max(pole, v))
-                if e not in edge_set or not c.edge_length(*e).equals(RIGHT):
+                if e not in c.cofaces or not c.edge_length(*e).equals(RIGHT):
                     ok = False
                     break
             if not ok:
@@ -58,8 +57,8 @@ def find_suspension_poles(c: MetricComplex) -> tuple[int, int] | None:
 
 
 def _reconstructs_as_suspension(c: MetricComplex, p: int, q: int) -> bool:
-    base_p = {tuple(v for v in cell if v != p) for cell in c.top_cells if p in cell}
-    base_q = {tuple(v for v in cell if v != q) for cell in c.top_cells if q in cell}
+    base_p = {tuple(v for v in cell if v != p) for cell in c.cofaces.get((p,), ())}
+    base_q = {tuple(v for v in cell if v != q) for cell in c.cofaces.get((q,), ())}
     if base_p != base_q:
         return False
     expected = {tuple(sorted(b + (pole,))) for b in base_p for pole in (p, q)}

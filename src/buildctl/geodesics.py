@@ -308,7 +308,7 @@ def extend_geodesic(c: MetricComplex, geo: LocalGeodesic, target_length: float,
         else:
             a, b = exit_kind[1]
             newd = p * (-math.sin(t)) + d * math.cos(t)
-            others = [cl for cl in c.top_cells_of_edge[(min(a, b), max(a, b))]
+            others = [cl for cl in c.cofaces[(min(a, b), max(a, b))]
                       if cl != st.cell]
             for cl in others:
                 if budget <= 0:
@@ -608,7 +608,7 @@ def propagate_apartment(c: MetricComplex, x, link_cycle: Sequence, y=None,
     fan = []
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         cell = tuple(sorted((xi, a, b)))
-        if cell not in set(c.top_cells):
+        if cell not in c.cofaces:     # pure and valid: a triangle is a top cell
             raise GeodesicError(
                 f"({c.vertices[xi]},{c.vertices[a]},{c.vertices[b]}) is not a cell")
         fan.append(cell)
@@ -673,7 +673,7 @@ def _grow_surface(c: MetricComplex, fan, budget: int):
             results.append(cells)
             return
         e = open_edges[0]
-        for cand in c.top_cells_of_edge.get(e, ()):  # deterministic order
+        for cand in c.cofaces.get(e, ()):  # deterministic order
             if cand in cells:
                 continue
             ok = True

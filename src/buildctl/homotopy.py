@@ -157,36 +157,38 @@ def _h1_free_generator(ngens: int, relators) -> int | None:
     """A generator whose class survives in H1 with rational coefficients, or
     None when the first Betti number is 0.
 
-    Row-reduces the exponent-sum matrix; the first non-pivot column is the
-    surviving generator.
+    Row-reduces the exponent-sum matrix in column order, rows kept sparse as
+    {generator: Fraction}; the first column without a pivot is the surviving
+    generator.  The pivot columns of such an elimination are unique (column
+    j is one iff it is independent of the columns before it), so the answer
+    does not depend on which row becomes each pivot.
     """
     rows = []
     for r in relators:
-        v = [Fraction(0)] * ngens
+        sums: dict[int, int] = {}
         for g, s in r:
-            v[g] += s
-        rows.append(v)
-    rank = 0
-    pivots = set()
+            sums[g] = sums.get(g, 0) + s
+        row = {g: Fraction(x) for g, x in sums.items() if x}
+        if row:
+            rows.append(row)
     for col in range(ngens):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i, v in enumerate(rows) if col in v), None)
         if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        inv = 1 / pr[col]
-        rows[rank] = [x * inv for x in pr]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.add(col)
-        rank += 1
-    return next((g for g in range(ngens) if g not in pivots), None)
+            return col
+        pr = rows.pop(piv)
+        for v in rows:
+            f = v.get(col)
+            if f is None:
+                continue
+            f /= pr[col]
+            for g, x in pr.items():
+                y = v.get(g, 0) - f * x
+                if y:
+                    v[g] = y
+                else:
+                    del v[g]
+        rows = [v for v in rows if v]
+    return None
 
 
 def _nontrivial_quotient(gens, relators, budget: int = 100_000) -> bool:

@@ -211,13 +211,9 @@ def _recognize_circle(graph: MetricGraph, circ: Circle) -> BuildingCertificate |
                                    "length_pi_units": float(c)})
     if side > 0:
         return Diagnosis(DIAMETER, {"diameter_pi_units": float(c) / 2.0})
-    m = None
-    lens = {ln if isinstance(ln, Fraction) else round(float(ln), 12)
-            for _, _, ln in graph.edges}
-    if len(lens) == 1:
-        mm = _length_to_m(next(iter(graph.edges))[2])
-        if mm is not None:
-            m = mm
+    l0 = graph.edges[0][2]
+    uniform = all(cmp_units(l0, ln) == 0 for _, _, ln in graph.edges)
+    m = _length_to_m(l0) if uniform else None
     cyc_edges, cyc_verts = _walk_circle(graph)
     whole = Apartment("cycle", edges=cyc_edges, vertices=cyc_verts)
     return BuildingCertificate(
@@ -414,8 +410,7 @@ def _try_propagate_iso(a, b, ca0, perm) -> bool:
         cur = queue.pop()
         img = mapped[cur]
         for panel in itertools.combinations(cur, len(cur) - 1):
-            nbrs = _cofaces(a, panel)
-            others = [t for t in nbrs if t != cur]
+            others = [t for t in a.cofaces[panel] if t != cur]
             if len(others) != 1:
                 continue
             nxt = others[0]
@@ -423,7 +418,7 @@ def _try_propagate_iso(a, b, ca0, perm) -> bool:
                 continue
             v_new = next(v for v in nxt if v not in panel)
             img_panel = tuple(sorted(vmap[v] for v in panel))
-            b_nbrs = [t for t in _cofaces(b, img_panel) if t != img]
+            b_nbrs = [t for t in b.cofaces.get(img_panel, ()) if t != img]
             if len(b_nbrs) != 1:
                 return False
             bimg = b_nbrs[0]
@@ -444,11 +439,6 @@ def _try_propagate_iso(a, b, ca0, perm) -> bool:
             queue.append(nxt)
     return len(mapped) == len(a.top_cells) and \
         len(set(mapped.values())) == len(b.top_cells)
-
-
-def _cofaces(c: MetricComplex, face) -> list[tuple]:
-    fs = set(face)
-    return [t for t in c.top_cells if fs <= set(t)]
 
 
 # -- spherical recognition, dimension >= 2 --------------------------------------------
@@ -483,13 +473,14 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT, *,
     if not c._skeleton_connected():
         return Diagnosis(NOT_CONNECTED, {"detail": "complex is not connected"})
     # codimension-1 cell counts
-    thickness = None
+    panel_counts = set()
     for panel in c.cells_by_dim.get(n - 1, ()):
-        k = len(_cofaces(c, panel))
+        k = len(c.cofaces[panel])
         if k < 2:
             return Diagnosis(CODIM1, {
                 "cell": [c.vertices[i] for i in panel], "top_cells": k})
-        thickness = k if thickness is None else min(thickness, k)
+        panel_counts.add(k)
+    thickness = min(panel_counts, default=None)
     # links: (n-2)-cells get graph recognition, deeper recursion via vertices
     link_certs: dict = {}
     for cell in c.cells_by_dim.get(n - 2, ()):
@@ -518,7 +509,6 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT, *,
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
             "detail": f"assembled Coxeter matrix is {cls.verdict}, not spherical",
             "matrix": M.to_json_dict()})
-    panel_counts = {len(_cofaces(c, p)) for p in c.cells_by_dim.get(n - 1, ())}
     # thin: the complex is its own single apartment.  In dimension 2 its Euler
     # characteristic must also be 2; a thin quotient such as RP^2 goes on to
     # sector propagation instead of failing the apartment isometry check.
@@ -611,7 +601,7 @@ def _vertex_types(c: MetricComplex) -> tuple[int, ...] | None:
         while queue:
             cur = queue.pop()
             for panel in itertools.combinations(cur, n):
-                for nb in _cofaces(c, panel):
+                for nb in c.cofaces[panel]:
                     if nb in assigned:
                         continue
                     w = next(v for v in nb if v not in panel)
@@ -796,7 +786,7 @@ def discrete_extension_check(c: MetricComplex) -> tuple[bool, dict | None]:
                                "direction": L.vertices[ui],
                                "interval": [float(lo), float(hi)]}
     for edge in c.cells_by_dim.get(1, ()):
-        k = len(_cofaces(c, edge))
+        k = len(c.cofaces[edge])
         if k < 2:
             return False, {"condition": DEP_EMPTY,
                            "edge": [c.vertices[i] for i in edge],
@@ -826,11 +816,11 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
     if not c._skeleton_connected():
         return Diagnosis(NOT_CONNECTED, {"detail": "complex is not connected"})
     boundary_panels = [p for p in c.cells_by_dim.get(n - 1, ())
-                       if len(_cofaces(c, p)) < 2]
+                       if len(c.cofaces[p]) < 2]
     if boundary_policy == "strict" and boundary_panels:
         p = boundary_panels[0]
         return Diagnosis(CODIM1, {"cell": [c.vertices[i] for i in p],
-                                  "top_cells": len(_cofaces(c, p))})
+                                  "top_cells": len(c.cofaces[p])})
     boundary_vertices = {v for p in boundary_panels for v in p}
     interior = [vi for vi in range(len(c.vertices)) if vi not in boundary_vertices]
     link_certs: dict = {}
@@ -853,12 +843,8 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
         if pi1.status == UNKNOWN:
             return Diagnosis(UNKNOWN_PI1, {"detail": pi1.detail})
         verdict = MEB
-    thickness = None
-    for p in c.cells_by_dim.get(n - 1, ()):
-        if p in boundary_panels:
-            continue
-        k = len(_cofaces(c, p))
-        thickness = k if thickness is None else min(thickness, k)
+    counts = [len(c.cofaces[p]) for p in c.cells_by_dim.get(n - 1, ())]
+    thickness = min((k for k in counts if k >= 2), default=None)
     factors = None
     if interior:
         vstar = most_singular_vertex(c, link_certs)

@@ -156,3 +156,49 @@ def point_distance_oracle(n: int, edges, p, q) -> float:
         for b, tb in ((qu, qt), (qv, ql - qt)):
             best = min(best, ta + D[a, b] + tb)
     return best
+
+
+def rationalize_loop(radians) -> list:
+    """The plain q <= 360 scan that ``angles.rationalize`` once was, run over
+    a sequence of finite radian values: for each, the first q whose nearest
+    p/q (p != 0) lies within EPS_ANGLE radians, as a Fraction, else None.
+    numpy's rint rounds half to even like ``round`` and its float64
+    arithmetic is Python's, so each entry is the scalar scan's answer."""
+    from buildctl.angles import EPS_ANGLE
+    r = np.asarray(radians, dtype=float)
+    x = r / math.pi
+    num = np.zeros(r.shape, dtype=np.int64)
+    den = np.zeros(r.shape, dtype=np.int64)
+    for q in range(1, 361):
+        p = np.rint(x * q)
+        hit = (den == 0) & (p != 0) & (np.abs(r - math.pi * p / q) <= EPS_ANGLE)
+        num[hit] = p[hit]
+        den[hit] = q
+    return [None if q == 0 else Fraction(int(p), int(q)) for p, q in zip(num, den)]
+
+
+def h1_free_generator_dense(ngens: int, relators):
+    """First generator outside the pivot columns of the exponent-sum matrix
+    (dense Fraction rows, column-order Gauss-Jordan elimination), or None."""
+    rows = []
+    for r in relators:
+        v = [Fraction(0)] * ngens
+        for g, s in r:
+            v[g] += s
+        rows.append(v)
+    rank = 0
+    pivots = set()
+    for col in range(ngens):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        pivots.add(col)
+        rank += 1
+    return next((g for g in range(ngens) if g not in pivots), None)

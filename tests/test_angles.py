@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from buildctl import angles
 from buildctl.angles import (EPS_ANGLE, Angle, cmp_units, parse_length, rationalize,
                              units_close)
@@ -24,6 +25,38 @@ def test_rationalize_rejects_generic_values():
 def test_rationalize_smallest_denominator_wins():
     assert rationalize(math.pi / 2) == Fraction(1, 2)
     assert rationalize(math.pi * 180 / 360) == Fraction(1, 2)
+
+
+def test_rationalize_matches_the_plain_scan():
+    fracs = sorted({Fraction(p, q) for q in range(1, angles.Q_MAX + 1)
+                    for p in range(1, 2 * q + 1)})
+    offsets = (-2, -0.5, 0.5, 2)
+    values = [math.pi * f.numerator / f.denominator + k * EPS_ANGLE
+              for f in fracs for k in offsets]
+    expected = oracles.rationalize_loop(values)
+    assert [rationalize(v) for v in values] == expected
+    # both branches are covered: half an EPS_ANGLE off promotes, two do not
+    for i, k in enumerate(offsets):
+        got = expected[i::len(offsets)]
+        assert got == (fracs if abs(k) < 1 else [None] * len(fracs))
+
+
+def test_rationalize_matches_the_plain_scan_on_coxeter_corner_angles(monkeypatch):
+    from buildctl.coxeter import CoxeterMatrix, coxeter_complex, named_matrix
+    from buildctl.recognizer import check_spherical
+    h3 = CoxeterMatrix(("s0", "s1", "s2"), ((1, 5, 2), (5, 1, 3), (2, 3, 1)))
+    seen = []
+
+    def recording(radians):
+        seen.append(radians)
+        return rationalize(radians)
+
+    monkeypatch.setattr(angles, "rationalize", recording)
+    for M in (named_matrix("A3"), named_matrix("B3"), h3):
+        check_spherical(coxeter_complex(M).complex)
+    values = sorted(set(seen))
+    assert any(rationalize(v) is None for v in values)
+    assert [rationalize(v) for v in values] == oracles.rationalize_loop(values)
 
 
 def test_angle_exact_roundtrip():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from buildctl.complexes import (ComplexError, InvalidComplexError,
                                 MetricComplex, cell_link, discrete_complex,
                                 loads, orthogonal_join, s0, suspension,
                                 validate, vertex_link)
-from buildctl.corpus import gen_octahedron, gen_rank2_building
+from buildctl.corpus import GENERATORS, gen_octahedron, gen_rank2_building
+from buildctl.coxeter import coxeter_complex, named_matrix
 
 
 def triangle(geometry, l01, l02, l12):
@@ -289,3 +291,45 @@ def test_cached_vertex_angle_equals_law_of_cosines(heawood):
                 assert first == _law_of_cosines(c, v, u, w)
                 assert second == _law_of_cosines(c, v, w, u)
                 assert second is first          # served from the cache
+
+
+def _incidence_corpus():
+    out = [gen() for gen in GENERATORS.values()]
+    out += [coxeter_complex(named_matrix(n)).complex for n in ("A3", "B3")]
+    out.append(suspension(suspension(gen_rank2_building("complete_bipartite"))))
+    return out
+
+
+def _relabelled(c, seed):
+    new = list(range(len(c.vertices)))
+    random.Random(seed).shuffle(new)
+    names = [None] * len(new)
+    for v, nv in enumerate(new):
+        names[nv] = c.vertices[v]
+    return MetricComplex(c.geometry, names,
+                         [[new[v] for v in t] for t in c.top_cells],
+                         [(new[i], new[j], c.edge_length(i, j)) for i, j in c.edges])
+
+
+def test_cofaces_equal_a_scan_of_the_top_cells():
+    for k, base in enumerate(_incidence_corpus()):
+        for c in (base, _relabelled(base, k)):
+            faces = c.all_cells()
+            assert sorted(c.cofaces) == sorted(faces)
+            for f in faces:
+                assert c.cofaces[f] == tuple(t for t in c.top_cells if set(f) <= set(t))
+
+
+def test_vertex_link_is_built_once_per_vertex(octahedron, s0_heawood):
+    a3 = coxeter_complex(named_matrix("A3")).complex
+    s0s0k33 = suspension(suspension(gen_rank2_building("complete_bipartite")))
+    for c in (octahedron, s0_heawood, a3, s0s0k33):
+        fresh = loads(c.dumps())
+        for v, name in enumerate(c.vertices):
+            lk = vertex_link(c, v)
+            assert vertex_link(c, v) is lk
+            assert vertex_link(c, name) is lk
+            assert lk.dumps() == vertex_link(fresh, v).dumps()
+        for a, b in c.edges[:20]:
+            pair = [c.vertices[a], c.vertices[b]]
+            assert cell_link(c, pair) is vertex_link(vertex_link(c, a), pair[1])

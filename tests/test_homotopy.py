@@ -1,10 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from buildctl.angles import Angle
-from buildctl.complexes import MetricComplex
-from buildctl.homotopy import NONTRIVIAL, TRIVIAL, UNKNOWN, simple_connectivity
+from buildctl.complexes import MetricComplex, loads
+from buildctl.coxeter import CoxeterMatrix, coxeter_complex
+from buildctl.homotopy import (NONTRIVIAL, TRIVIAL, UNKNOWN, _h1_free_generator,
+                               _presentation, simple_connectivity)
 
 
 def test_octahedron_sphere_trivial(octahedron):
@@ -60,3 +65,31 @@ def test_tree_skeleton_trivial():
     path = MetricComplex("spherical", ["a", "b", "c"], [(0, 1), (1, 2)],
                          [(0, 1, Angle.exact(1, 2)), (1, 2, Angle.exact(1, 2))])
     assert simple_connectivity(path).status == TRIVIAL
+
+
+@st.composite
+def _presentations(draw):
+    ngens = draw(st.integers(0, 7))
+    if ngens == 0:
+        return 0, []
+    letter = st.tuples(st.integers(0, ngens - 1), st.sampled_from((1, -1)))
+    relators = draw(st.lists(st.lists(letter, max_size=9), max_size=9))
+    return ngens, [tuple(r) for r in relators]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_presentations())
+def test_sparse_h1_elimination_matches_dense(pres):
+    ngens, relators = pres
+    assert _h1_free_generator(ngens, relators) == \
+        oracles.h1_free_generator_dense(ngens, relators)
+
+
+def test_sparse_h1_elimination_on_a4_presentation():
+    a4 = CoxeterMatrix(("s0", "s1", "s2", "s3"), ((1, 3, 2, 2), (3, 1, 3, 2),
+                                                  (2, 3, 1, 3), (2, 2, 3, 1)))
+    c = loads(coxeter_complex(a4).complex.dumps())
+    ngens, relators, _ = _presentation(c)
+    assert (ngens, len(relators)) == (121, 240)
+    assert _h1_free_generator(ngens, relators) is None
+    assert oracles.h1_free_generator_dense(ngens, relators) is None

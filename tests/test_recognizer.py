@@ -77,6 +77,16 @@ def test_circle_thin_single_apartment():
     assert len(cert.apartments) == 1
 
 
+def test_float_circle_uniform_within_tolerance():
+    # a 2*pi hexagon whose edges differ by 1e-11 pi, far inside EPS_ANGLE
+    lens = [1 / 3 + (1e-11 if i % 2 else 0.0) for i in range(6)]
+    g = MetricGraph([f"v{i}" for i in range(6)],
+                    [(i, (i + 1) % 6, lens[i]) for i in range(6)])
+    cert = recognize_dim1(g)
+    assert cert.verdict == "thin_building" and cert.m == 3
+    assert cert.coxeter_matrix is not None
+
+
 def test_short_circle_systole_diagnosis():
     g = MetricGraph([f"v{i}" for i in range(4)],
                     [(i, (i + 1) % 4, Fraction(1, 4)) for i in range(4)])
