@@ -1,7 +1,8 @@
 """buildctl: command-line recognition and generation of building complexes.
 
-Exit codes: 0 certified / success, 1 diagnosed failure, 2 undecided
-(unknown pi_1 or unverified global curvature), 3 input or usage error.
+Exit codes: 0 certified / success, 1 diagnosed failure, 2 undecided (a
+certificate flag starting with one of UNDECIDED_MARKERS), 3 input or usage
+error.
 Budgets can be overridden through the BUILDCTL_BUDGETS environment variable,
 a JSON object of positive integers such as {"B_group": 100000, "B_apt": 10000}.
 Each command imports the modules it runs inside its function, after reading
@@ -164,16 +165,11 @@ def cmd_check(args) -> int:
     cx = load_path(args.file)
     cx.require_valid()
     b = budgets()
-    from .recognizer import (B_APT_DEFAULT, check_euclidean, check_spherical,
-                             recognize_dim1)
+    from .recognizer import B_APT_DEFAULT, check_euclidean, check_spherical
     budget = b.get("B_apt", B_APT_DEFAULT)
-    geometry = args.geometry
-    if geometry == "auto":
-        geometry = cx.geometry
+    geometry = cx.geometry if args.geometry == "auto" else args.geometry
     if geometry == "euclidean":
         result = check_euclidean(cx, args.boundary, budget=budget)
-    elif cx.dimension == 1:
-        result = recognize_dim1(cx, budget=budget)
     else:
         result = check_spherical(cx, budget=budget)
     emit(report_of(result), args.report)
@@ -268,12 +264,11 @@ def cmd_apartment(args) -> int:
 def cmd_decompose(args) -> int:
     cx = load_path(args.file)
     from .decompose import join_decompose, suspension_factor
-    from .recognizer import (BuildingCertificate, Diagnosis, check_spherical,
-                             recognize_dim1)
+    from .recognizer import BuildingCertificate, Diagnosis, check_spherical
     if cx.geometry == "euclidean":
         raise ComplexError("decompose handles spherical complexes; "
                            "Euclidean factor hints are part of `check`")
-    result = recognize_dim1(cx) if cx.dimension <= 1 else check_spherical(cx)
+    result = check_spherical(cx)
     if isinstance(result, Diagnosis):
         emit(report_of(result), args.report)
         return EXIT_DIAGNOSED

@@ -323,6 +323,9 @@ def parse_json_dict(obj: dict) -> MetricComplex:
         records = obj.get("edge_lengths", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise ComplexError(f"malformed complex record: {exc}") from exc
+    if not isinstance(records, list):
+        raise ComplexError(f"malformed complex record: edge_lengths must be a list, "
+                           f"got {records!r}")
     default = obj.get("default_length")
     seen: set[Edge] = set()
     lengths: list[tuple[int, int, Angle]] = []

@@ -11,9 +11,12 @@ certificate keeps them: the link certificates inside a dimension >= 3
 complex and inside a Euclidean check carry none, because no caller reads
 them and growing surfaces in every vertex link would dominate the cost; the
 vertex links of a dimension-2 complex keep theirs, which seed its sector
-propagation.  Global CAT(1) in dimension 2 is never guessed: certificates
-carry an explicit unverified flag unless the complex was produced by a
-curvature-preserving construction.
+propagation.  The apartment axioms are checked exactly, never by sampling:
+axiom (2) over every pair of chambers (any two cells lie in chambers) with
+each apartment an int bitmask of its chambers, and in dimension 1 axiom (3)
+over every pair of cycles that share an edge.  Global CAT(1) in dimension 2
+is never guessed: certificates carry an explicit unverified flag unless the
+complex was produced by a curvature-preserving construction.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .homotopy import NONTRIVIAL, UNKNOWN, simple_connectivity
 from .metric_graph import Circle, GraphPoint, MetricGraph
 
 B_APT_DEFAULT = 10 ** 5
-SAMPLE_PAIRS = 10 ** 3
 ONE, TWO = Fraction(1), Fraction(2)     # pi and 2*pi in pi units
 
 # diagnosis conditions
@@ -50,6 +52,7 @@ DEP_EMPTY = "dep_empty"
 DEP_NOT_DISCRETE = "dep_not_discrete"
 NOT_SIMPLY_CONNECTED = "not_simply_connected"
 UNKNOWN_PI1 = "unknown_pi1"
+NO_COMMON_APARTMENT = "no_common_apartment"
 
 # verdicts
 THICK = "thick_building"
@@ -61,6 +64,7 @@ MEB_LOCAL = "metric_euclidean_building_local"
 
 FLAG_GLOBAL_UNVERIFIED = "global_cat1_unverified"
 FLAG_SAMPLED = "apartments_sampled"
+FLAG_AXIOM2_UNVERIFIED = "apartment_axiom2_unverified"
 FLAG_MIXED = "mixed_thickness"
 
 
@@ -150,7 +154,7 @@ def recognize_dim1(g, budget: int = B_APT_DEFAULT, *, apartments: bool = True
     the suspension verdict, m >= 2 the thick verdict with its apartment
     system.  A single 2*pi circuit is the thin (Coxeter complex) case.
 
-    ``apartments=False`` skips the cycle search and its axiom check: the
+    ``apartments=False`` skips the cycle search and its axiom checks: the
     verdict is the same, but the certificate carries no apartments, is not
     exhaustive and is flagged ``apartments_sampled``.  A single circuit still
     carries itself, which costs no search.
@@ -185,9 +189,14 @@ def recognize_dim1(g, budget: int = B_APT_DEFAULT, *, apartments: bool = True
     found, exhaustive = (), False
     if apartments:
         found, exhaustive = enumerate_apartments_dim1(graph, m, budget=budget)
-        axiom = _check_dim1_axioms(graph, found, exhaustive)
-        if axiom is not None:
-            raise IntegrityError(axiom)
+        # the gates prove a generalized m-gon, so a failed axiom is our fault
+        pair = _uncovered_chamber_pair(
+            range(len(graph.edges)), [a.edges for a in found]) if exhaustive else None
+        if pair is not None:
+            raise IntegrityError("edges %d and %d lie in no common apartment" % pair)
+        pair = _disconnected_apartment_pair(found)
+        if pair is not None:
+            raise IntegrityError("apartments %d and %d intersect disconnectedly" % pair)
     flags = () if exhaustive else (FLAG_SAMPLED,)
     if m == 1:
         poles = tuple(sup.vertices)
@@ -320,57 +329,48 @@ def enumerate_apartments_dim1(g: MetricGraph, m: int | None = None,
     return apartments, not exhausted
 
 
-def _check_dim1_axioms(g: MetricGraph, apartments: Sequence[Apartment],
-                       exhaustive: bool, seed: int = 0) -> str | None:
-    """Definition-of-building axioms (2) and (3) for cycle apartments.
+def _uncovered_chamber_pair(chambers: Sequence, apartments: Sequence[Sequence]
+                            ) -> tuple[int, int] | None:
+    """Axiom (2), exactly, on chambers: the first index pair (i, j), i <= j,
+    of chambers that no apartment contains both of, or None.
 
-    Returns an error description on violation, None when verified.  When the
-    apartment list is sampled, pairs are sampled too.
+    ``apartments`` lists the chambers of each apartment.  Any two cells lie
+    in chambers, and an apartment containing both chambers contains both
+    cells, so chamber pairs decide the axiom.  Each apartment is an int
+    bitmask of its chambers; a chamber's cover is the OR of the masks of the
+    apartments through it, and a bit missing from it names the witness.
     """
-    ne = len(g.edges)
-    apt_edges = [set(a.edges) for a in apartments]
-    by_edge: dict[int, set[int]] = {e: set() for e in range(ne)}
-    for ai, es in enumerate(apt_edges):
-        for e in es:
-            by_edge[e].add(ai)
-    pairs = list(itertools.combinations(range(ne), 2)) + [(e, e) for e in range(ne)]
-    if not exhaustive and len(pairs) > SAMPLE_PAIRS:
-        rng = random.Random(seed)
-        pairs = rng.sample(pairs, SAMPLE_PAIRS)
-    for e, f in pairs:
-        if not (by_edge[e] & by_edge[f]):
-            if exhaustive:
-                return f"edges {e} and {f} lie in no common apartment"
-    for ai, aj in itertools.combinations(range(len(apartments)), 2):
-        shared = apt_edges[ai] & apt_edges[aj]
-        if not shared:
-            continue
-        va = set(apartments[ai].vertices)
-        vb = set(apartments[aj].vertices)
-        common_v = va & vb
-        if not _shared_part_connected(g, common_v, shared):
-            return (f"apartments {ai} and {aj} intersect disconnectedly")
+    index = {ch: k for k, ch in enumerate(chambers)}
+    cover = [0] * len(chambers)
+    for apt in apartments:
+        mask = 0
+        for ch in apt:
+            mask |= 1 << index[ch]
+        for ch in apt:
+            cover[index[ch]] |= mask
+    full = (1 << len(chambers)) - 1
+    for i, got in enumerate(cover):
+        if got != full:
+            missing = full & ~got
+            return i, (missing & -missing).bit_length() - 1
     return None
 
 
-def _shared_part_connected(g: MetricGraph, verts: set[int], eids: set[int]) -> bool:
-    if not verts:
-        return True
-    adj = {v: set() for v in verts}
-    for e in eids:
-        u, v, _ = g.edges[e]
-        adj[u].add(v)
-        adj[v].add(u)
-    start = min(verts)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == verts
+def _disconnected_apartment_pair(apartments: Sequence[Apartment]
+                                 ) -> tuple[int, int] | None:
+    """Axiom (3) for cycle apartments: the first index pair of apartments
+    that share an edge and meet disconnectedly, or None.
+
+    Two distinct cycles meet in a linear forest, so their intersection is
+    connected exactly when |V_a & V_b| - |E_a & E_b| = 1.
+    """
+    vmask = [sum(1 << v for v in a.vertices) for a in apartments]
+    emask = [sum(1 << e for e in a.edges) for a in apartments]
+    for i, j in itertools.combinations(range(len(apartments)), 2):
+        shared = emask[i] & emask[j]
+        if shared and (vmask[i] & vmask[j]).bit_count() - shared.bit_count() != 1:
+            return i, j
+    return None
 
 
 # -- complex isomorphism (thin closed complexes) -----------------------------------
@@ -454,9 +454,12 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT, *,
     propagation.  Global CAT(1) is decided only for by-construction inputs
     or through the simple-connectivity pathway in dimension >= 3.
 
-    ``apartments=False`` skips apartment enumeration and the axiom (2)
-    check; the certificate then carries no apartments, is not exhaustive and
-    is flagged ``apartments_sampled``.  The links inside a dimension >= 3
+    When the apartment search is exhaustive and two chambers lie in no
+    common apartment, the result is a ``no_common_apartment`` diagnosis
+    naming them; an incomplete search flags ``apartment_axiom2_unverified``
+    instead.  ``apartments=False`` skips apartment enumeration and the axiom
+    (2) check; the certificate then carries no apartments, is not exhaustive
+    and is flagged ``apartments_sampled``.  The links inside a dimension >= 3
     complex and inside check_euclidean are checked this way: only the
     dimension-2 sector propagation reads link apartments (the cycles in its
     vertex links), so a dimension-2 complex hands its own setting to its
@@ -522,6 +525,13 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT, *,
     elif apartments and n == 2:
         found, exhaustive = _enumerate_apartments_dim2(c, link_certs, budget)
     flags = []
+    if apartments:
+        pair = _uncovered_chamber_pair(c.top_cells, [a.cells for a in found])
+        if pair is not None and exhaustive:
+            return Diagnosis(NO_COMMON_APARTMENT, {"chambers": [
+                [c.vertices[v] for v in c.top_cells[k]] for k in pair]})
+        if pair is not None:
+            flags.append(FLAG_AXIOM2_UNVERIFIED)
     poles = find_suspension_poles(c)
     if panel_counts == {2}:
         verdict = THIN
@@ -546,9 +556,6 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT, *,
         cert.base_size = len(base)
     if not exhaustive:
         flags.append(FLAG_SAMPLED)
-    ax = _check_dim2_axiom2(c, found, exhaustive, budget) if apartments else None
-    if ax is not None:
-        flags.append(ax)
     # global curvature
     if c.provenance is not None:
         pass   # by-construction CAT(1)
@@ -691,30 +698,6 @@ def _enumerate_apartments_dim2(c: MetricComplex, link_certs, budget: int
     return tuple(sorted(seen.values(), key=lambda a: a.key())), exhaustive
 
 
-def _check_dim2_axiom2(c: MetricComplex, apartments, exhaustive, budget,
-                       seed: int = 0) -> str | None:
-    """Axiom (2) coverage over cell pairs; returns a flag string on failure."""
-    all_cells = c.all_cells()
-    in_apt: dict[tuple, set[int]] = {cell: set() for cell in all_cells}
-    for ai, a in enumerate(apartments):
-        faces = set()
-        for cell in a.cells:
-            for k in range(1, len(cell) + 1):
-                faces.update(itertools.combinations(cell, k))
-        for f in faces:
-            if f in in_apt:
-                in_apt[f].add(ai)
-    pairs = list(itertools.combinations(range(len(all_cells)), 2))
-    if len(pairs) > 4 * SAMPLE_PAIRS:
-        rng = random.Random(seed)
-        pairs = rng.sample(pairs, 4 * SAMPLE_PAIRS)
-    for i, j in pairs:
-        if not (in_apt[all_cells[i]] & in_apt[all_cells[j]]):
-            return ("apartment_axiom2_failed" if exhaustive
-                    else "apartment_axiom2_unverified")
-    return None
-
-
 def _verify_apartment_isometry(c: MetricComplex, cert: BuildingCertificate):
     """Certificate soundness: every apartment matches the model Coxeter complex."""
     if cert.dimension < 2 or cert.coxeter_matrix is None or not cert.apartments:
@@ -826,8 +809,7 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
     link_certs: dict = {}
     for vi in interior:
         L = vertex_link(c, vi)
-        check = check_spherical if L.dimension >= 2 else recognize_dim1
-        res = check(L, budget=budget, apartments=False)
+        res = check_spherical(L, budget=budget, apartments=False)
         if isinstance(res, Diagnosis):
             return Diagnosis(LINK_FAILURE, {"cell": [c.vertices[vi]]}, inner=res)
         link_certs[(vi,)] = (L, res)

@@ -3,11 +3,13 @@
 Diameter: scipy Dijkstra vertex distances, dense numpy grids over edge-pair
 squares with zoom refinement (the envelope is concave on each zoom region).
 Systole: direct DFS enumeration of all injective cycles.  Cycle counts:
-networkx simple_cycles.
+networkx simple_cycles.  Apartment axioms: an unsampled scan over every pair
+of cells, faces included, and a graph search of each apartment intersection.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -202,3 +204,47 @@ def h1_free_generator_dense(ngens: int, relators):
         pivots.add(col)
         rank += 1
     return next((g for g in range(ngens) if g not in pivots), None)
+
+
+def faces_of(cells) -> set:
+    """Every nonempty face of the given simplices (sorted vertex tuples)."""
+    return {f for cell in cells for k in range(1, len(cell) + 1)
+            for f in itertools.combinations(cell, k)}
+
+
+def uncovered_cell_pair(cells, apartments):
+    """Building axiom (2) over every pair of cells, a cell with itself
+    included, in the given order: the first pair that no apartment contains
+    both of, or None.  Each apartment is given as the set of cells it
+    contains."""
+    holders = {cell: set() for cell in cells}
+    for k, apt in enumerate(apartments):
+        for cell in apt:
+            if cell in holders:
+                holders[cell].add(k)
+    for a, b in itertools.combinations_with_replacement(cells, 2):
+        if not holders[a] & holders[b]:
+            return a, b
+    return None
+
+
+def shared_part_connected(edges, verts: set, eids: set) -> bool:
+    """Whether the subgraph with vertex set ``verts`` and edge ids ``eids``
+    of the graph ``edges`` ((u, v, length) triples) is connected, by search."""
+    if not verts:
+        return True
+    adj = {v: set() for v in verts}
+    for e in eids:
+        u, v, _ = edges[e]
+        adj[u].add(v)
+        adj[v].add(u)
+    start = min(verts)
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == verts

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from buildctl.angles import Angle
 from buildctl.cli import main
 from buildctl.complexes import ComplexError, validate
-from buildctl.corpus import (gen_a2_window, gen_negative, gen_rank2_building)
+from buildctl.corpus import (gen_a2_window, gen_negative, gen_octahedron,
+                             gen_rank2_building)
 from buildctl.metric_graph import MetricGraph
 from buildctl.recognizer import Diagnosis, check_euclidean, check_spherical, recognize_dim1
 
@@ -157,6 +162,12 @@ def test_cli_malformed_angle_and_budgets_exit3(tmp_path):
             obj[key][0]["edge"] = value
         strict.append(tmp_path / f"strict-index-{k}.json")
         strict[-1].write_text(json.dumps(obj))
+    # an edge_lengths value that is not a list of records
+    for k, value in enumerate((3, None, True, 1.5)):
+        obj = json.loads(f.read_text())
+        obj["edge_lengths"] = value
+        strict.append(tmp_path / f"strict-records-{k}.json")
+        strict[-1].write_text(json.dumps(obj))
     for r in (run_cli("check", str(bad)), run_cli("check", str(huge)),
               run_cli("check", str(bad_default)),
               *(run_cli("check", str(path)) for path in strict),
@@ -222,6 +233,35 @@ def test_cli_metric_graph_commands_do_not_load_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, *argvs], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, 0, 0, 3], False]
+
+
+def test_cli_dim0_check_and_decompose_agree(tmp_path, capsys):
+    """Three points form a thick 0-dimensional building for both commands."""
+    f = tmp_path / "three-points.json"
+    f.write_text(json.dumps({"geometry": "spherical", "dimension": 0,
+                             "vertices": ["a", "b", "c"],
+                             "top_cells": [[0], [1], [2]]}))
+    capsys.readouterr()
+    assert main(["check", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "thick_building"
+    assert main(["decompose", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "thick_building"
+
+
+def test_cli_spherical_check_of_euclidean_complex_exit3(tmp_path, capsys):
+    """--geometry spherical on a Euclidean complex is a usage error in every
+    dimension, not a spherical report."""
+    for kind in ("complete-bipartite", "octahedron"):
+        f = tmp_path / f"{kind}.json"
+        assert main(["gen", kind, "-o", str(f)]) == 0
+        obj = json.loads(f.read_text())
+        obj["geometry"] = "euclidean"
+        f.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["check", "--geometry", "spherical", str(f)]) == 3, kind
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("buildctl: "), kind
 
 
 def test_cli_validate(tmp_path):
@@ -327,3 +367,67 @@ def test_cli_geodesic_on_graph(tmp_path):
     rep = json.loads(r.stdout)
     assert rep["count"] == 4
     assert sorted({g["end"] for g in rep["geodesics"]}) == ["l1", "l2", "l3", "l5"]
+
+
+# -- malformed JSON, property-based ----------------------------------------------------
+
+_KEYS = ("geometry", "dimension", "vertices", "top_cells", "edge_lengths",
+         "default_length", "edge", "pi", "rad")
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
+                     st.floats(allow_nan=True, allow_infinity=True),
+                     st.sampled_from(("", "a0", "spherical", "euclidean", "pi")))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3)), max_leaves=6)
+
+
+def _value_paths(obj, prefix=()):
+    """The path (keys and indices) of every value inside ``obj``, root included."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield from _value_paths(v, prefix + (k,))
+
+
+@st.composite
+def _mutated_complex(draw):
+    """A generator's JSON with one to three values, each at a depth drawn
+    first, replaced by a scalar, a list or a dict, or deleted."""
+    obj = json.loads(draw(st.sampled_from(_BASE_TEXTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_value_paths(obj))
+        depth = draw(st.sampled_from(sorted({len(p) for p in paths})))
+        path = draw(st.sampled_from([p for p in paths if len(p) == depth]))
+        if not path:
+            return draw(_VALUES)
+        parent = obj
+        for k in path[:-1]:
+            parent = parent[k]
+        if draw(st.integers(0, 3)) == 0:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.one_of(_SCALARS, _VALUES))
+    return obj
+
+
+_BASE_TEXTS = (gen_rank2_building("complete_bipartite").dumps(), gen_octahedron().dumps())
+
+
+@pytest.fixture(scope="module")
+def mutation_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "complex.json"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=_mutated_complex())
+def test_cli_mutated_json_keeps_exit_contract(mutation_file, obj):
+    """No mutation of a valid input makes a command raise: every run ends
+    with an exit code of the contract."""
+    mutation_file.write_text(json.dumps(obj))
+    for argv in (["check"], ["validate"], ["decompose"], ["graph", "diameter"]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, str(mutation_file)])
+        assert code in (0, 1, 2, 3), (argv, obj)

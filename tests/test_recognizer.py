@@ -14,10 +14,11 @@ from buildctl.corpus import (gen_a2_window, gen_k4, gen_petersen,
                              gen_punctured_octahedron, gen_rank2_building,
                              gen_short_lune)
 from buildctl.metric_graph import GraphPoint, MetricGraph
-from buildctl.recognizer import (Chart, Diagnosis, check_euclidean,
+from buildctl.recognizer import (Apartment, Chart, Diagnosis, check_euclidean,
                                  check_spherical, discrete_extension_check,
                                  enumerate_apartments_dim1, recognize_dim1,
                                  thin_isomorphic, verify_def52)
+from buildctl.recognizer import _disconnected_apartment_pair, _uncovered_chamber_pair
 
 THIRD = Fraction(1, 3)
 
@@ -586,3 +587,152 @@ def _antipodal_quotient(c):
                       [(a, b, ln) for (a, b), ln in lengths.items()])
     assert q.validation.ok and len(q.vertices) - len(q.edges) + len(cells) == 1
     return q
+
+
+def test_b3_quotient_has_no_common_apartment(tmp_path):
+    """The antipodal quotient of B3 is a thin RP^2: its exhaustive apartment
+    search finds no sphere, so axiom (2) fails and the result is a diagnosis
+    whose witness chambers no grown surface holds together."""
+    import buildctl.geodesics as geodesics
+    from buildctl.cli import main
+    q = _antipodal_quotient(coxeter_complex(named_matrix("B3")).complex)
+    res = check_spherical(q)
+    assert isinstance(res, Diagnosis) and res.condition == "no_common_apartment"
+    names = res.witness["chambers"]
+    assert len(names) == 2
+    pair = [tuple(sorted(q.vertex_index(v) for v in ch)) for ch in names]
+    assert all(ch in q.top_cells for ch in pair)
+    surfaces = []
+    for vi in range(len(q.vertices)):
+        L = vertex_link(q, vi)
+        for apt in recognize_dim1(L).apartments:
+            grown, exhausted = geodesics.propagate_all(
+                q, q.vertices[vi], [L.vertices[w] for w in apt.vertices])
+            assert not exhausted
+            surfaces += grown
+    assert not any(set(pair) <= set(s.cells) for s in surfaces)
+    f = tmp_path / "b3-quotient.json"
+    f.write_text(q.dumps())
+    assert main(["check", str(f)]) == 1
+
+
+# -- exact apartment axioms against the unsampled oracles ----------------------------
+
+
+def _floated(g):
+    return MetricGraph(g.vertices, [(u, v, float(ln)) for u, v, ln in g.edges])
+
+
+@pytest.fixture(scope="module")
+def dim1_apartment_lists():
+    """(label, graph, apartments) for the exact and float copy of K4,4,
+    Heawood, GQ(2,2) and K8,8."""
+    out = []
+    for name, kw in (("k44", dict(kind="complete_bipartite", s=4, t=4)),
+                     ("heawood", dict(kind="projective_plane")),
+                     ("gq22", dict(kind="generalized_quadrangle")),
+                     ("k88", dict(kind="complete_bipartite", s=8, t=8))):
+        g = MetricGraph.from_complex(gen_rank2_building(**kw))
+        for label, h in ((name, g), (name + "-float", _floated(g))):
+            cert = recognize_dim1(h)
+            assert cert.apartments_exhaustive
+            out.append((label, h, cert.apartments))
+    return out
+
+
+def _graph_cells(g):
+    return [("v", v) for v in range(len(g.vertices))] + \
+        [("e", e) for e in range(len(g.edges))]
+
+
+def _graph_apartment_cells(apartments):
+    return [{("v", v) for v in a.vertices} | {("e", e) for e in a.edges}
+            for a in apartments]
+
+
+def _deletions(apartments, chamber_sets):
+    """Apartment sublists that leave some chamber pair uncovered or not."""
+    yield "first dropped", apartments[1:]
+    yield "every other", apartments[::2]
+    yield "first only", apartments[:1]
+    yield "none through chamber 0", [a for a, chs in zip(apartments, chamber_sets)
+                                     if 0 not in chs]
+
+
+def _check_witness(pair, chamber_sets, nchambers):
+    """The witness is the lexicographically first uncovered pair."""
+    i, j = pair
+    assert i <= j
+    assert not any(i in chs and j in chs for chs in chamber_sets)
+    for a in range(i + 1):
+        for b in range(a, nchambers if a < i else j):
+            assert any(a in chs and b in chs for chs in chamber_sets), (a, b)
+
+
+def test_dim1_chamber_cover_matches_cell_pair_oracle(dim1_apartment_lists):
+    for label, g, apartments in dim1_apartment_lists:
+        ne = len(g.edges)
+        assert _uncovered_chamber_pair(range(ne), [a.edges for a in apartments]) is None
+        assert oracles.uncovered_cell_pair(
+            _graph_cells(g), _graph_apartment_cells(apartments)) is None, label
+        sets = [set(a.edges) for a in apartments]
+        for how, kept in _deletions(apartments, sets):
+            pair = _uncovered_chamber_pair(range(ne), [a.edges for a in kept])
+            oracle = oracles.uncovered_cell_pair(_graph_cells(g),
+                                                 _graph_apartment_cells(kept))
+            assert (pair is None) == (oracle is None), (label, how)
+            if pair is not None:
+                _check_witness(pair, [set(a.edges) for a in kept], ne)
+
+
+def test_dim1_intersection_identity_matches_search(dim1_apartment_lists):
+    for label, g, apartments in dim1_apartment_lists:
+        assert _disconnected_apartment_pair(apartments) is None, label
+        for a, b in itertools.combinations(apartments, 2):
+            shared = set(a.edges) & set(b.edges)
+            if shared:
+                assert oracles.shared_part_connected(
+                    g.edges, set(a.vertices) & set(b.vertices), shared), label
+
+
+def test_intersection_identity_finds_first_disconnected_pair():
+    """All injective cycles of K3,3 and K4,4, of every length: a 4-cycle and
+    a Hamiltonian cycle can share two opposite edges, so both outcomes occur,
+    and the identity must agree with the search on every pair."""
+    for s in (3, 4):
+        g = MetricGraph.from_complex(gen_rank2_building("complete_bipartite", s=s, t=s))
+        cycles = [Apartment("cycle", edges=tuple(sorted(cyc)),
+                            vertices=tuple(sorted({v for e in cyc for v in g.edges[e][:2]})))
+                  for cyc in sorted(oracles.all_injective_cycles(len(g.vertices),
+                                                                 list(g.edges)), key=sorted)]
+        bad = []
+        for (i, a), (j, b) in itertools.combinations(enumerate(cycles), 2):
+            shared = set(a.edges) & set(b.edges)
+            connected = not shared or oracles.shared_part_connected(
+                g.edges, set(a.vertices) & set(b.vertices), shared)
+            assert (_disconnected_apartment_pair([a, b]) is None) == connected
+            if not connected:
+                bad.append((i, j))
+        assert bad
+        assert _disconnected_apartment_pair(cycles) == bad[0]
+
+
+def test_dim2_chamber_cover_matches_cell_pair_oracle(k33, heawood, octahedron):
+    for c in (suspension(k33), suspension(heawood), octahedron):
+        cert = check_spherical(c)
+        assert cert.apartments_exhaustive and cert.apartments
+        cells = c.all_cells()
+        n = len(c.top_cells)
+        index = {ch: k for k, ch in enumerate(c.top_cells)}
+        sets = [{index[ch] for ch in a.cells} for a in cert.apartments]
+        assert _uncovered_chamber_pair(c.top_cells,
+                                       [a.cells for a in cert.apartments]) is None
+        assert oracles.uncovered_cell_pair(
+            cells, [oracles.faces_of(a.cells) for a in cert.apartments]) is None
+        for how, kept in _deletions(list(cert.apartments), sets):
+            pair = _uncovered_chamber_pair(c.top_cells, [a.cells for a in kept])
+            oracle = oracles.uncovered_cell_pair(
+                cells, [oracles.faces_of(a.cells) for a in kept])
+            assert (pair is None) == (oracle is None), how
+            if pair is not None:
+                _check_witness(pair, [{index[ch] for ch in a.cells} for a in kept], n)
