@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Union
 
 # Tolerances (radians) and the rationalization table bound.
@@ -68,6 +69,16 @@ def cmp_units(a: PiUnits, b: PiUnits) -> int:
         return 1 if x > y else -1
     d = a.numerator * b.denominator - b.numerator * a.denominator
     return (d > 0) - (d < 0)
+
+
+def kernel_units(values, factor: int = 1) -> tuple[int | None, tuple]:
+    """(scale, units): pi-unit values as ints in units of pi/scale, scale
+    ``factor`` times the lcm of their denominators, when all are rational;
+    else floats, to be compared with ``cmp_units``, and scale None."""
+    if all(isinstance(v, Rational) for v in values):
+        scale = factor * math.lcm(*(v.denominator for v in values))
+        return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
+    return None, tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ of the incoming direction in the vertex link, which is a metric graph and
 therefore exactly computable.  Apartments are grown combinatorially by
 closing vertex links to total angle 2*pi, which is the sector-by-sector
 propagation in exact arithmetic; the grown surface is verified to be a
-closed 2-sphere (Euler characteristic 2, all links full circles).
+closed 2-sphere (Euler characteristic 2, all links full circles).  Angles
+are summed in ``corner_kernel`` units, exact ints whenever every corner angle
+is exact; a growth budget counts DFS nodes, one per partial surface.
 
 The recognizer loads this module, so numpy is imported inside the functions
 that use it: a process that only recognizes metric graphs never loads numpy.
@@ -21,8 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .angles import Angle, PiUnits, cmp_units
-from .complexes import MetricComplex, _vertex_angle, vertex_link
+from .angles import Angle, cmp_units
+from .complexes import MetricComplex, corner_kernel, vertex_link
 from .metric_graph import GraphPoint, MetricGraph
 
 if TYPE_CHECKING:
@@ -33,7 +35,6 @@ SHOOT_GRID = 720
 SHOOT_DEPTH = 40
 WEDGE_CAP = 10 ** 4
 BRANCH_BUDGET = 64
-TWO = Fraction(2)
 
 
 class GeodesicError(ValueError):
@@ -126,15 +127,15 @@ class _State:
     incoming: GraphPoint | None = None  # direction of arrival inside lk(vertex)
 
 
-def _link_graph(c: MetricComplex, v: int) -> tuple[MetricGraph, dict[int, int], MetricComplex]:
-    lk = vertex_link(c, v)
-    g = MetricGraph.from_complex(lk)
-    # link vertex index -> ambient vertex index
-    amb = {k: c.vertex_index(lk.vertices[k]) for k in range(len(lk.vertices))}
-    return g, amb, lk
+def _link_graph(c: MetricComplex, v: int) -> tuple[MetricGraph, dict[int, int], dict[int, int]]:
+    """lk(v) as a metric graph, with its vertex index -> ambient index map
+    and the inverse map."""
+    g = MetricGraph.from_complex(vertex_link(c, v))
+    amb = {k: c.vertex_index(name) for k, name in enumerate(g.vertices)}
+    return g, amb, {a: k for k, a in amb.items()}
 
 
-def _link_edge_id(g: MetricGraph, lk: MetricComplex, a_local: int, b_local: int) -> int:
+def _link_edge_id(g: MetricGraph, a_local: int, b_local: int) -> int:
     for eid, (u, v, _) in enumerate(g.edges):
         if {u, v} == {a_local, b_local}:
             return eid
@@ -228,7 +229,7 @@ def _transfer(c: MetricComplex, cell_from, cell_to, shared: tuple[int, int],
 
 
 def _incoming_link_point(c: MetricComplex, v: int, cell, back_dir: np.ndarray,
-                         g: MetricGraph, amb: dict[int, int], lk: MetricComplex) -> GraphPoint:
+                         g: MetricGraph, loc: dict[int, int]) -> GraphPoint:
     """Locate the direction back_dir (a tangent at v inside cell) in lk(v)."""
     frame = cell_frame(c, cell)
     others = [w for w in cell if w != v]
@@ -237,12 +238,11 @@ def _incoming_link_point(c: MetricComplex, v: int, cell, back_dir: np.ndarray,
     tb = _unit_tangent(frame[v], frame[b])
     th_a = _angle_between(back_dir, ta)
     th_b = _angle_between(back_dir, tb)
-    loc = {c.vertex_index(nm): k for k, nm in enumerate(lk.vertices)}
     if th_a < 1e-9:
         return GraphPoint(vertex=loc[a])
     if th_b < 1e-9:
         return GraphPoint(vertex=loc[b])
-    eid = _link_edge_id(g, lk, loc[a], loc[b])
+    eid = _link_edge_id(g, loc[a], loc[b])
     u_loc = g.edges[eid][0]
     off = th_a if u_loc == loc[a] else th_b
     exact = Angle.from_radians(off)
@@ -300,9 +300,9 @@ def extend_geodesic(c: MetricComplex, geo: LocalGeodesic, target_length: float,
             continue
         if exit_kind[0] == "vertex":
             v = exit_kind[1]
-            g, amb, lk = _link_graph(c, v)
+            g, _, loc = _link_graph(c, v)
             back = -(p * (-math.sin(t)) + d * math.cos(t))
-            inc = _incoming_link_point(c, v, st.cell, back, g, amb, lk)
+            inc = _incoming_link_point(c, v, st.cell, back, g, loc)
             stack.append((segs + [seg], ln + t,
                           _State(kind="vertex", vertex=v, incoming=inc)))
         else:
@@ -332,8 +332,7 @@ def _resume_state(c, geo: LocalGeodesic) -> _State:
         raise GeodesicError("cannot resume an empty geodesic; use shoot()")
     last = geo.segments[-1]
     if isinstance(last, EdgeSegment):
-        g, amb, lk = _link_graph(c, last.v)
-        loc = {c.vertex_index(nm): k for k, nm in enumerate(lk.vertices)}
+        _, _, loc = _link_graph(c, last.v)
         return _State(kind="vertex", vertex=last.v,
                       incoming=GraphPoint(vertex=loc[last.u]))
     p = np.array(last.start)
@@ -352,12 +351,12 @@ def _vertex_continuations(c, st: _State, remaining: float):
     geodesic.
     """
     v = st.vertex
-    g, amb, lk = _link_graph(c, v)
+    g, amb, loc = _link_graph(c, v)
     if st.kind == "edge_launch":
-        targets = [GraphPoint(vertex=next(k for k, a in amb.items() if a == st.cell[1]))]
+        targets = [GraphPoint(vertex=loc[st.cell[1]])]
     elif c.dimension == 1:
         inc = st.incoming.vertex if st.incoming is not None else None
-        targets = [GraphPoint(vertex=k) for k in range(len(lk.vertices)) if k != inc]
+        targets = [GraphPoint(vertex=k) for k in amb if k != inc]
         if not targets:
             return []
     else:
@@ -372,8 +371,7 @@ def _vertex_continuations(c, st: _State, remaining: float):
             e = (min(v, w), max(v, w))
             ln = c.edge_length(*e).radians
             seg = EdgeSegment(v, w, ln)
-            gq, ambq, lkq = _link_graph(c, w)
-            locq = {c.vertex_index(nm): k for k, nm in enumerate(lkq.vertices)}
+            locq = _link_graph(c, w)[2]
             nst = _State(kind="vertex", vertex=w,
                          incoming=GraphPoint(vertex=locq[v]))
             out.append(([seg], nst))
@@ -388,7 +386,7 @@ def shoot(c: MetricComplex, v, link_point: GraphPoint, length: float,
     """All geodesics of the given length leaving vertex v in one direction."""
     import numpy as np
     vi = c.vertex_index(v)
-    g, amb, lk = _link_graph(c, vi)
+    g, amb, _ = _link_graph(c, vi)
     st = _start_from_vertex(c, vi, link_point, g, amb)
     base = LocalGeodesic(c, [], vi)
     if st.kind == "face":
@@ -415,8 +413,8 @@ def geodesic_between(c: MetricComplex, p, q, initial_direction: GraphPoint | Non
     qi = c.vertex_index(q)
     if c.dimension <= 1:
         return _graph_geodesic(c, pi_, qi, initial_direction)
-    g, amb, lk = _link_graph(c, pi_)
-    dirs: list[GraphPoint] = [GraphPoint(vertex=k) for k in range(len(lk.vertices))]
+    g, amb, _ = _link_graph(c, pi_)
+    dirs: list[GraphPoint] = [GraphPoint(vertex=k) for k in amb]
     if initial_direction is not None:
         dirs = [initial_direction]
     else:
@@ -612,10 +610,11 @@ def propagate_apartment(c: MetricComplex, x, link_cycle: Sequence, y=None,
             raise GeodesicError(
                 f"({c.vertices[xi]},{c.vertices[a]},{c.vertices[b]}) is not a cell")
         fan.append(cell)
-    total = _angle_sum(c, xi, fan)
-    if cmp_units(total, TWO) != 0:
-        return PropagationFailure("link cycle does not have length 2*pi",
-                                  {"length_pi_units": float(total)})
+    scale, corners = corner_kernel(c)
+    total = sum(corners[cell][cell.index(xi)] for cell in fan)
+    if total != 2 * scale if scale else cmp_units(total, 2.0) != 0:
+        return PropagationFailure("link cycle does not have length 2*pi", {
+            "length_pi_units": float(Fraction(total, scale)) if scale else total})
     yi = None if y is None else c.vertex_index(y)
     spheres, exhausted = propagate_all(c, xi, cyc, budget)
     if not spheres:
@@ -636,78 +635,66 @@ def propagate_apartment(c: MetricComplex, x, link_cycle: Sequence, y=None,
     return sphere
 
 
-def _angle_sum(c: MetricComplex, v: int, cells) -> PiUnits:
-    total: PiUnits = Fraction(0)
-    for cell in cells:
-        a, b = [w for w in cell if w != v]
-        total = total + _vertex_angle(c, v, a, b).pi_units
-    return total
-
-
 def _grow_surface(c: MetricComplex, fan, budget: int):
     """DFS closure of a triangle set into closed surfaces whose vertex links
-    all have angle 2*pi.  Returns (closures, budget_exhausted)."""
+    all have angle 2*pi.  Returns (closures, budget_exhausted); the budget
+    counts DFS nodes, the fan's own included.  Angle sums are ints in units
+    of pi/scale, 2*pi being 2 * scale, or pi-unit floats under ``cmp_units``
+    (``corner_kernel``).  The state changes in place and an undo restores
+    the saved sums rather than subtracting, so float sums keep their bits."""
     cells0 = tuple(sorted(set(fan)))
     if len(cells0) != len(fan):
         return [], False
-
-    def angle(cell, v):
-        a, b = [w for w in cell if w != v]
-        return _vertex_angle(c, v, a, b).pi_units
-
+    scale, corners = corner_kernel(c)
+    two = 2 * scale if scale else 2.0
+    over, full = (two.__lt__, two.__eq__) if scale else (
+        lambda s: cmp_units(s, two) > 0, lambda s: cmp_units(s, two) == 0)
+    cells: set = set()
+    edge_count: dict = {}
+    open_edges: set = set()
+    vertex_angle: dict = {}        # 0 for a vertex off the surface
     nodes = 0
     exhausted = False
     results: list[frozenset] = []
 
-    def dfs(cells: frozenset, edge_count: dict, vertex_angle: dict):
+    def count(edges, step):
+        for e in edges:
+            k = edge_count[e] = edge_count.get(e, 0) + step
+            (open_edges.add if k == 1 else open_edges.discard)(e)
+
+    def add(cell):
+        cells.add(cell)
+        count(itertools.combinations(cell, 2), 1)
+        for v, a in zip(cell, corners[cell]):
+            vertex_angle[v] = vertex_angle.get(v, 0) + a
+
+    def dfs():
         nonlocal nodes, exhausted
         nodes += 1
         if nodes > budget:
             exhausted = True
             return
-        open_edges = sorted(e for e, k in edge_count.items() if k == 1)
         if not open_edges:
-            for v, s in vertex_angle.items():
-                if cmp_units(s, TWO) != 0:
-                    return
-            results.append(cells)
+            if all(full(s) for s in vertex_angle.values() if s):
+                results.append(frozenset(cells))
             return
-        e = open_edges[0]
-        for cand in c.cofaces.get(e, ()):  # deterministic order
-            if cand in cells:
+        for cand in c.cofaces.get(min(open_edges), ()):  # deterministic order
+            edges = tuple(itertools.combinations(cand, 2))
+            if cand in cells or any(edge_count.get(e, 0) >= 2 for e in edges) or any(
+                    over(vertex_angle.get(v, 0) + a) for v, a in zip(cand, corners[cand])):
                 continue
-            ok = True
-            for e2 in itertools.combinations(cand, 2):
-                if edge_count.get(e2, 0) >= 2:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for v in cand:
-                s = vertex_angle.get(v, Fraction(0)) + angle(cand, v)
-                if cmp_units(s, TWO) > 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            ec = dict(edge_count)
-            va = dict(vertex_angle)
-            for e2 in itertools.combinations(cand, 2):
-                ec[e2] = ec.get(e2, 0) + 1
-            for v in cand:
-                va[v] = va.get(v, Fraction(0)) + angle(cand, v)
-            dfs(cells | {cand}, ec, va)
+            saved = {v: vertex_angle.get(v, 0) for v in cand}
+            add(cand)
+            dfs()
+            cells.discard(cand)
+            count(edges, -1)
+            vertex_angle.update(saved)
             if exhausted:
                 return
 
-    edge_count: dict = {}
-    vertex_angle: dict = {}
     for cell in cells0:
-        for e2 in itertools.combinations(cell, 2):
-            edge_count[e2] = edge_count.get(e2, 0) + 1
-        for v in cell:
-            vertex_angle[v] = vertex_angle.get(v, Fraction(0)) + angle(cell, v)
-    dfs(frozenset(cells0), edge_count, vertex_angle)
+        add(cell)
+    dfs()
     return results, exhausted
 
 
@@ -727,12 +714,10 @@ def propagate_all(c: MetricComplex, x, link_cycle: Sequence,
     closures, exhausted = _grow_surface(c, fan, budget)
     out = []
     for cells in closures:
-        verts = sorted({v for cell in cells for v in cell})
+        verts = tuple(sorted({v for cell in cells for v in cell}))
         edges = {e for cell in cells for e in itertools.combinations(cell, 2)}
-        euler = len(verts) - len(edges) + len(cells)
-        if euler != 2:
-            continue
-        out.append(ApartmentSurface(tuple(sorted(cells)), tuple(verts), euler, None))
+        if len(verts) - len(edges) + len(cells) == 2:
+            out.append(ApartmentSurface(tuple(sorted(cells)), verts, 2, None))
     return out, exhausted
 
 

@@ -36,10 +36,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from numbers import Rational
 from typing import Iterable, Sequence
 
-from .angles import EPS_ANGLE, PiUnits, cmp_units
+from .angles import EPS_ANGLE, PiUnits, cmp_units, kernel_units
 from .complexes import MetricComplex, as_graph_data
 
 INF = math.inf
@@ -157,13 +156,7 @@ class MetricGraph:
     def _kernel(self):
         """(scale, lengths, adjacency) in kernel units: ints in units of
         pi/scale when every length is rational, else floats and scale None."""
-        lengths = [ln for _, _, ln in self.edges]
-        if all(isinstance(ln, Rational) for ln in lengths):
-            scale = 4 * math.lcm(*(ln.denominator for ln in lengths))
-            table = tuple(ln.numerator * (scale // ln.denominator) for ln in lengths)
-        else:
-            scale = None
-            table = tuple(float(ln) for ln in lengths)
+        scale, table = kernel_units([ln for _, _, ln in self.edges], 4)
         adj = [tuple((w, eid, table[eid]) for w, eid, _ in self.adjacency[u])
                for u in range(len(self.vertices))]
         return scale, table, adj

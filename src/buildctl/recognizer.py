@@ -287,13 +287,17 @@ def enumerate_apartments_dim1(g: MetricGraph, m: int | None = None,
     """All injective cycles of total length exactly 2*pi, by bounded DFS.
 
     Works on the given (possibly subdivided) graph; with uniform lengths
-    pi/m these are exactly the 2m-edge circuits.
-    """
+    pi/m these are exactly the 2m-edge circuits.  Lengths are summed in
+    ``MetricGraph._kernel`` units: ints compared with 2*pi exactly on exact
+    graphs, floats under ``cmp_units`` otherwise.  The budget counts paths
+    popped."""
+    scale, table, adj = g._kernel
+    two = 2 * scale if scale else TWO
     found: dict[frozenset, Apartment] = {}
     nodes = 0
     exhausted = False
-    for e0, (u0, v0, l0) in enumerate(g.edges):
-        stack = [([e0], [u0, v0], l0)]
+    for e0, (u0, v0, _) in enumerate(g.edges):
+        stack = [([e0], [u0, v0], table[e0])]
         while stack:
             nodes += 1
             if nodes > budget:
@@ -301,7 +305,7 @@ def enumerate_apartments_dim1(g: MetricGraph, m: int | None = None,
                 break
             eids, verts, ln = stack.pop()
             last = verts[-1]
-            side = cmp_units(ln, TWO)
+            side = (ln > two) - (ln < two) if scale else cmp_units(ln, two)
             if last == u0 and len(eids) >= 2:
                 if side == 0:
                     key = frozenset(eids)
@@ -311,7 +315,7 @@ def enumerate_apartments_dim1(g: MetricGraph, m: int | None = None,
                 continue
             if side > 0:
                 continue
-            for w, eid, wl in g.adjacency[last]:
+            for w, eid, wl in adj[last]:
                 if eid <= e0 and eid != e0:
                     continue
                 if eid in eids:
@@ -488,7 +492,11 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT, *,
     link_certs: dict = {}
     for cell in c.cells_by_dim.get(n - 2, ()):
         L = cell_link(c, [c.vertices[i] for i in cell])
-        res = recognize_dim1(L, budget=budget, apartments=apartments and n == 2)
+        # in dimension >= 3 the vertex loop below meets these same link objects
+        key = (budget, apartments and n == 2)
+        res = L._dim1_results.get(key)
+        if res is None:
+            res = L._dim1_results[key] = recognize_dim1(L, budget=budget, apartments=key[1])
         if isinstance(res, Diagnosis):
             return Diagnosis(LINK_FAILURE, {
                 "cell": [c.vertices[i] for i in cell]}, inner=res)
@@ -666,18 +674,15 @@ def _assemble_coxeter(c: MetricComplex, types, link_certs) -> CoxeterMatrix | Di
 def _enumerate_apartments_dim2(c: MetricComplex, link_certs, budget: int
                                ) -> tuple[tuple[Apartment, ...], bool]:
     """Union over vertices of all sector-propagated spheres through each
-    link apartment; exhaustive when every propagation completed."""
+    link apartment; exhaustive when every propagation completed.  Every
+    vertex has a link certificate: check_spherical returns on a diagnosis."""
     seen: dict[tuple, Apartment] = {}
     exhaustive = True
     spent = 0
     for vi in range(len(c.vertices)):
-        entry = link_certs.get((vi,))
-        if entry is None or entry[0] is None:
-            continue
-        L, sub = entry
-        if isinstance(sub, BuildingCertificate) and not sub.apartments_exhaustive:
-            exhaustive = False
-        for apt in (sub.apartments if isinstance(sub, BuildingCertificate) else ()):
+        L, sub = link_certs[(vi,)]
+        exhaustive = exhaustive and sub.apartments_exhaustive
+        for apt in sub.apartments:
             cyc_names = [L.vertices[w] for w in apt.vertices]
             if len(cyc_names) < 3:
                 continue
@@ -691,10 +696,7 @@ def _enumerate_apartments_dim2(c: MetricComplex, link_certs, budget: int
             if exhausted:
                 exhaustive = False
             for s in surfaces:
-                key = s.cells
-                if key not in seen:
-                    verts = tuple(sorted({v for cell in s.cells for v in cell}))
-                    seen[key] = Apartment("sphere", cells=s.cells, vertices=verts)
+                seen.setdefault(s.cells, Apartment("sphere", cells=s.cells, vertices=s.vertices))
     return tuple(sorted(seen.values(), key=lambda a: a.key())), exhaustive
 
 

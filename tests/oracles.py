@@ -5,6 +5,8 @@ squares with zoom refinement (the envelope is concave on each zoom region).
 Systole: direct DFS enumeration of all injective cycles.  Cycle counts:
 networkx simple_cycles.  Apartment axioms: an unsampled scan over every pair
 of cells, faces included, and a graph search of each apartment intersection.
+Apartment searches: the earlier copying, Fraction-summing surface growth and
+dim-1 cycle DFS, which the kernel-unit searches must match node for node.
 """
 
 from __future__ import annotations
@@ -248,3 +250,121 @@ def shared_part_connected(edges, verts: set, eids: set) -> bool:
                 seen.add(w)
                 stack.append(w)
     return seen == verts
+
+
+def grow_surface_fractions(c, fan, budget: int):
+    """Surface growth with a fresh edge-count and angle-sum dict per DFS node
+    and corner angles summed as pi-unit Fractions (floats when inexact).
+    Returns (closures, budget_exhausted)."""
+    from buildctl.angles import cmp_units
+    from buildctl.complexes import _vertex_angle
+    two = Fraction(2)
+    cells0 = tuple(sorted(set(fan)))
+    if len(cells0) != len(fan):
+        return [], False
+
+    def angle(cell, v):
+        a, b = [w for w in cell if w != v]
+        return _vertex_angle(c, v, a, b).pi_units
+
+    nodes = 0
+    exhausted = False
+    results: list[frozenset] = []
+
+    def dfs(cells: frozenset, edge_count: dict, vertex_angle: dict):
+        nonlocal nodes, exhausted
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        open_edges = sorted(e for e, k in edge_count.items() if k == 1)
+        if not open_edges:
+            for v, s in vertex_angle.items():
+                if cmp_units(s, two) != 0:
+                    return
+            results.append(cells)
+            return
+        e = open_edges[0]
+        for cand in c.cofaces.get(e, ()):
+            if cand in cells:
+                continue
+            ok = True
+            for e2 in itertools.combinations(cand, 2):
+                if edge_count.get(e2, 0) >= 2:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            for v in cand:
+                s = vertex_angle.get(v, Fraction(0)) + angle(cand, v)
+                if cmp_units(s, two) > 0:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            ec = dict(edge_count)
+            va = dict(vertex_angle)
+            for e2 in itertools.combinations(cand, 2):
+                ec[e2] = ec.get(e2, 0) + 1
+            for v in cand:
+                va[v] = va.get(v, Fraction(0)) + angle(cand, v)
+            dfs(cells | {cand}, ec, va)
+            if exhausted:
+                return
+
+    edge_count: dict = {}
+    vertex_angle: dict = {}
+    for cell in cells0:
+        for e2 in itertools.combinations(cell, 2):
+            edge_count[e2] = edge_count.get(e2, 0) + 1
+        for v in cell:
+            vertex_angle[v] = vertex_angle.get(v, Fraction(0)) + angle(cell, v)
+    dfs(frozenset(cells0), edge_count, vertex_angle)
+    return results, exhausted
+
+
+def enumerate_cycles_fractions(g, m=None, budget: int = 10 ** 5):
+    """The 2*pi cycle DFS on the graph's own pi-unit lengths (Fractions,
+    floats when inexact), compared with ``cmp_units``.  Returns
+    (apartments, exhaustive) like ``recognizer.enumerate_apartments_dim1``."""
+    from buildctl.angles import cmp_units
+    from buildctl.recognizer import Apartment, IntegrityError
+    two = Fraction(2)
+    found: dict = {}
+    nodes = 0
+    exhausted = False
+    for e0, (u0, v0, l0) in enumerate(g.edges):
+        stack = [([e0], [u0, v0], l0)]
+        while stack:
+            nodes += 1
+            if nodes > budget:
+                exhausted = True
+                break
+            eids, verts, ln = stack.pop()
+            last = verts[-1]
+            side = cmp_units(ln, two)
+            if last == u0 and len(eids) >= 2:
+                if side == 0:
+                    key = frozenset(eids)
+                    if key not in found:
+                        found[key] = Apartment("cycle", edges=tuple(eids),
+                                               vertices=tuple(verts[:-1]))
+                continue
+            if side > 0:
+                continue
+            for w, eid, wl in g.adjacency[last]:
+                if eid <= e0 and eid != e0:
+                    continue
+                if eid in eids:
+                    continue
+                if w != u0 and w in verts:
+                    continue
+                stack.append((eids + [eid], verts + [w], ln + wl))
+        if exhausted:
+            break
+    apartments = tuple(sorted(found.values(), key=lambda a: a.key()))
+    if m is not None and not exhausted:
+        for a in apartments:
+            if len(a.edges) % 2 != 0:
+                raise IntegrityError(f"odd apartment cycle {a}")
+    return apartments, not exhausted

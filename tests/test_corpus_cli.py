@@ -424,10 +424,18 @@ def mutation_file(tmp_path_factory):
 @given(obj=_mutated_complex())
 def test_cli_mutated_json_keeps_exit_contract(mutation_file, obj):
     """No mutation of a valid input makes a command raise: every run ends
-    with an exit code of the contract."""
+    with an exit code of the contract, and an input error with one
+    ``buildctl: `` line."""
     mutation_file.write_text(json.dumps(obj))
-    for argv in (["check"], ["validate"], ["decompose"], ["graph", "diameter"]):
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main([*argv, str(mutation_file)])
+    f = str(mutation_file)
+    for argv in (["check", f], ["validate", f], ["decompose", f],
+                 ["graph", "diameter", f], ["graph", "systole", f],
+                 ["graph", "antipodes", f, "--point", "a0"],
+                 ["apartment", f, "--from", "a0", "--cycle", "b0", "c0", "b1", "c1"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
         assert code in (0, 1, 2, 3), (argv, obj)
+        if code == 3:
+            assert err.getvalue().startswith("buildctl: ") and \
+                err.getvalue().count("\n") == 1, (argv, obj, err.getvalue())

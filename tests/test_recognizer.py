@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from buildctl.angles import Angle
-from buildctl.complexes import (MetricComplex, discrete_complex, suspension,
-                                vertex_link)
+from buildctl.complexes import (MetricComplex, _vertex_angle, corner_kernel,
+                                discrete_complex, suspension, vertex_link)
 from buildctl.coxeter import coxeter_complex, named_matrix
-from buildctl.corpus import (gen_a2_window, gen_k4, gen_petersen,
+from buildctl.corpus import (gen_a2_window, gen_k4, gen_octahedron, gen_petersen,
                              gen_punctured_octahedron, gen_rank2_building,
                              gen_short_lune)
 from buildctl.metric_graph import GraphPoint, MetricGraph
@@ -736,3 +738,187 @@ def test_dim2_chamber_cover_matches_cell_pair_oracle(k33, heawood, octahedron):
             assert (pair is None) == (oracle is None), how
             if pair is not None:
                 _check_witness(pair, [{index[ch] for ch in a.cells} for a in kept], n)
+
+
+# -- kernel-unit apartment searches against the Fraction oracles ------------------
+
+
+def _mixed(g):
+    """Every other edge length as a float: the search sums in floats."""
+    return MetricGraph(g.vertices, [(u, v, float(ln) if k % 2 else ln)
+                                    for k, (u, v, ln) in enumerate(g.edges)])
+
+
+def _node_count(completes):
+    """The least budget for which ``completes(budget)`` holds: the node
+    count of a bounded search."""
+    hi = 1
+    while not completes(hi):
+        hi *= 2
+    lo = hi // 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if completes(mid) else (mid, hi)
+    return hi
+
+
+def _budgets(total, every):
+    """Every budget 1..total, or eight spread over it with total - 1 and
+    total; ``total`` is the node count, so the last one is exhaustive."""
+    if every:
+        return range(1, total + 1)
+    return sorted({*range(1, total, max(total // 8, 1)), total - 1, total})
+
+
+@pytest.mark.parametrize("name, kw, every", [
+    ("k33", dict(kind="complete_bipartite", s=3, t=3), True),
+    ("k44", dict(kind="complete_bipartite", s=4, t=4), True),
+    ("heawood", dict(kind="projective_plane"), True),
+    ("gq22", dict(kind="generalized_quadrangle"), False),
+    ("k88", dict(kind="complete_bipartite", s=8, t=8), False),
+])
+def test_cycle_dfs_matches_fraction_oracle(name, kw, every):
+    """Same apartments in the same order and the same exhaustion flag as the
+    Fraction-summing DFS, on exact, float and mixed copies, at every budget
+    up to the node count (eight budgets and the last two on the two large
+    graphs), so exhaustion trips at the same node."""
+    g = MetricGraph.from_complex(gen_rank2_building(**kw))
+    m = 2 if name.startswith("k") else None
+    for h in (g, _floated(g), _mixed(g)):
+        total = _node_count(lambda b: enumerate_apartments_dim1(h, m, b)[1])
+        for b in _budgets(total, every):
+            res = enumerate_apartments_dim1(h, m, b)
+            assert res == oracles.enumerate_cycles_fractions(h, m, b), (name, b)
+            assert res[1] == (b == total)
+
+
+def _float_corners(c, keep_exact=lambda key: False):
+    """A copy of ``c`` whose corner angles are radian floats, except those
+    ``keep_exact`` keeps.  Float edge lengths would not do: the corner angles
+    they give rationalize back to exact values."""
+    copy = MetricComplex(c.geometry, c.vertices, c.top_cells,
+                         [(*sorted(e), a) for e, a in c.lengths.items()])
+    for t in c.top_cells:
+        for v in t:
+            u, w = (x for x in t if x != v)
+            ang = _vertex_angle(c, v, u, w)
+            copy._corner_angles[v, u, w] = ang if keep_exact((v, u, w)) \
+                else Angle(rad=ang.radians)
+    return copy
+
+
+def _link_fans(c):
+    """(vertex, fan) for every 2*pi cycle of every vertex link, and for up to
+    two cycles of the next even length, which are longer than 2*pi."""
+    for v in range(len(c.vertices)):
+        L = vertex_link(c, v)
+        g = MetricGraph.from_complex(L)
+        cycles = [a.vertices for a in enumerate_apartments_dim1(g)[0]]
+        if cycles:
+            k = len(cycles[0]) + 2
+            longer = MetricGraph(g.vertices, [(a, b, Fraction(2, k)) for a, b, _ in g.edges])
+            cycles += [a.vertices for a in enumerate_apartments_dim1(longer)[0][:2]]
+        for cyc in cycles:
+            ring = [c.vertex_index(L.vertices[x]) for x in cyc]
+            yield v, [tuple(sorted((v, a, b))) for a, b in zip(ring, ring[1:] + ring[:1])]
+
+
+_DIM2 = {
+    "s0*k33": lambda: suspension(gen_rank2_building("complete_bipartite", s=3, t=3)),
+    "s0*heawood": lambda: suspension(gen_rank2_building("projective_plane")),
+    "octahedron": gen_octahedron,
+    "punctured-octahedron": gen_punctured_octahedron,
+    "b3-quotient": lambda: _antipodal_quotient(coxeter_complex(named_matrix("B3")).complex),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_DIM2))
+def test_surface_growth_matches_fraction_oracle(label):
+    """Same closures in the same order and the same exhaustion flag as the
+    copying, Fraction-summing growth, from every link fan, on the complex,
+    a copy with float corner angles and a copy with every other corner
+    exact; every budget up to the node count is tried on the first and the
+    last fan."""
+    from buildctl.geodesics import _grow_surface
+    c = _DIM2[label]()
+    copies = [c, _float_corners(c), _float_corners(c, lambda key: sum(key) % 2 == 0)]
+    assert corner_kernel(c)[0] is not None
+    assert [corner_kernel(k)[0] for k in copies[1:]] == [None, None]
+    fans = list(_link_fans(c))
+    assert fans
+    for k in copies:
+        for i, (v, fan) in enumerate(fans):
+            assert _grow_surface(k, fan, 10 ** 4) == \
+                oracles.grow_surface_fractions(k, fan, 10 ** 4), (label, v)
+            if i not in (0, len(fans) - 1):
+                continue
+            total = _node_count(lambda b: not _grow_surface(k, fan, b)[1])
+            for b in range(1, total + 1):
+                res = _grow_surface(k, fan, b)
+                assert res == oracles.grow_surface_fractions(k, fan, b), (label, v, b)
+                assert res[1] == (b < total)
+
+
+def test_propagation_failure_keeps_exact_length():
+    """The 2*pi test of propagate_apartment reads the corner kernel; its
+    failure witness is the exact sum of the fan's corner angles, as a float."""
+    from buildctl.geodesics import PropagationFailure, propagate_apartment
+    lune = gen_short_lune()
+    for c in (lune, _float_corners(lune)):
+        n = c.vertex_index("N")
+        ring = [c.vertex_index(f"y{k}") for k in range(4)]
+        res = propagate_apartment(c, "N", [f"y{k}" for k in range(4)])
+        assert isinstance(res, PropagationFailure)
+        total = Fraction(0)
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            total = total + _vertex_angle(c, n, min(a, b), max(a, b)).pi_units
+        assert res.witness["length_pi_units"] == float(total)
+
+
+# -- relabelling, property-based ---------------------------------------------------
+
+
+def _relabelled(c, order):
+    """``c`` with vertex ``order[i]`` renumbered i; names, lengths and
+    provenance travel with the vertices."""
+    new = {old: i for i, old in enumerate(order)}
+    return MetricComplex(c.geometry, [c.vertices[v] for v in order],
+                         [[new[v] for v in t] for t in c.top_cells],
+                         [(*(new[v] for v in e), a) for e, a in c.lengths.items()],
+                         provenance=c.provenance)
+
+
+def _same_up_to_generator_order(m1, m2):
+    n = len(m1.m)
+    return len(m2.m) == n and any(
+        all(m1.m[p[i]][p[j]] == m2.m[i][j] for i in range(n) for j in range(n))
+        for p in itertools.permutations(range(n)))
+
+
+def _apartment_names(c, cert):
+    return sorted(sorted(tuple(sorted(c.vertices[v] for v in t)) for t in a.cells)
+                  for a in cert.apartments)
+
+
+@pytest.fixture(scope="module")
+def relabel_cases(k33, heawood, octahedron):
+    cases = {"s0*k33": suspension(k33), "s0*heawood": suspension(heawood),
+             "octahedron": octahedron}
+    return {name: (c, check_spherical(c)) for name, c in cases.items()}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(("s0*k33", "s0*heawood", "octahedron")))
+def test_relabelling_keeps_certificate(relabel_cases, data, name):
+    """A relabelled copy walks both apartment searches in another order and
+    must still find the same verdict, thickness, apartments and flags, and
+    the same Coxeter matrix up to generator order."""
+    c, cert = relabel_cases[name]
+    r = _relabelled(c, data.draw(st.permutations(range(len(c.vertices)))))
+    other = check_spherical(r)
+    assert (other.verdict, other.thickness, len(other.apartments), other.flags,
+            other.apartments_exhaustive) == \
+        (cert.verdict, cert.thickness, len(cert.apartments), cert.flags,
+         cert.apartments_exhaustive)
+    assert _same_up_to_generator_order(cert.coxeter_matrix, other.coxeter_matrix)
+    assert _apartment_names(r, other) == _apartment_names(c, cert)
