@@ -1,8 +1,8 @@
 """buildctl: command-line recognition and generation of building complexes.
 
 Exit codes: 0 certified / success, 1 diagnosed failure, 2 undecided (a
-certificate flag starting with one of UNDECIDED_MARKERS), 3 input or usage
-error.
+certificate flag starting with one of UNDECIDED_MARKERS, or a budget that
+ran out), 3 input or usage error.
 Budgets can be overridden through the BUILDCTL_BUDGETS environment variable,
 a JSON object of positive integers such as {"B_group": 100000, "B_apt": 10000}.
 Each command imports the modules it runs inside its function, after reading
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -91,8 +92,16 @@ def _parse_point(g: MetricGraph, spec: str) -> GraphPoint:
     from .metric_graph import GraphPoint
     if ":" in spec:
         e, t = spec.split(":", 1)
-        tv = Fraction(t) if "/" in t or t.isdigit() else float(t)
-        return g.point(int(e), tv)
+        eid = int(e)
+        if not 0 <= eid < len(g.edges):
+            raise ComplexError(f"bad point {spec!r}: no edge {eid}")
+        try:
+            tv = Fraction(t) if "/" in t or t.isdigit() else float(t)
+        except ZeroDivisionError:
+            raise ComplexError(f"bad point {spec!r}: zero denominator") from None
+        if isinstance(tv, float) and not math.isfinite(tv):
+            raise ComplexError(f"bad point {spec!r}: offset is not finite")
+        return g.point(eid, tv)
     return GraphPoint(vertex=g.vertices.index(spec))
 
 
@@ -166,12 +175,11 @@ def cmd_check(args) -> int:
     cx.require_valid()
     b = budgets()
     from .recognizer import B_APT_DEFAULT, check_euclidean, check_spherical
-    budget = b.get("B_apt", B_APT_DEFAULT)
     geometry = cx.geometry if args.geometry == "auto" else args.geometry
     if geometry == "euclidean":
-        result = check_euclidean(cx, args.boundary, budget=budget)
+        result = check_euclidean(cx, args.boundary)
     else:
-        result = check_spherical(cx, budget=budget)
+        result = check_spherical(cx, budget=b.get("B_apt", B_APT_DEFAULT))
     emit(report_of(result), args.report)
     return exit_code_of(result)
 
@@ -208,6 +216,8 @@ def cmd_coxeter(args) -> int:
                           named_matrix)
     if args.type:
         M = named_matrix(args.type)
+    elif args.file is None:
+        raise ComplexError("coxeter needs a matrix FILE or --type")
     else:
         with open(args.file, encoding="utf-8") as fh:
             M = CoxeterMatrix.from_json_dict(json.load(fh))
@@ -238,11 +248,12 @@ def cmd_geodesic(args) -> int:
     else:
         dp = _parse_point(g, args.dir)
     length = parse_length(args.len).radians
-    geos = shoot(cx, vi, dp, length,
-                 branch_budget=budgets().get("branch_budget", BRANCH_BUDGET))
+    geos, exhausted = shoot(cx, vi, dp, length,
+                            branch_budget=budgets().get("branch_budget", BRANCH_BUDGET))
     emit({"schema": 1, "count": len(geos),
+          "flags": ["branch_budget_exceeded"] if exhausted else [],
           "geodesics": [geo.describe() for geo in geos]}, args.report)
-    return EXIT_OK
+    return EXIT_UNDECIDED if exhausted else EXIT_OK
 
 
 def cmd_apartment(args) -> int:
@@ -292,8 +303,16 @@ def cmd_decompose(args) -> int:
     return exit_code_of(result)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: one ``buildctl: `` line, exit 3."""
+
+    def error(self, message):
+        command = self.prog.removeprefix("buildctl").strip()
+        raise ComplexError(f"{command}: {message}" if command else message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="buildctl",
         description="Recognize, diagnose and generate metric building complexes.")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -370,18 +389,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:       # --help
+        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     except (OSError, ValueError) as exc:
         # every input error class (ComplexError, CoxeterError, GeodesicError,
         # JSONDecodeError, ...) subclasses ValueError
         sys.stderr.write(f"buildctl: {exc}\n")
         return EXIT_INPUT
+    except RuntimeError as exc:
+        # an exhausted budget leaves the answer open; IntegrityError is a bug
+        from .coxeter import BudgetExceeded
+        if not isinstance(exc, BudgetExceeded):
+            raise
+        sys.stderr.write(f"buildctl: {exc}\n")
+        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

@@ -7,10 +7,10 @@ declarations are recorded and reported by validation.
 
 All operations treat complexes as immutable after construction, and the
 caches depend on it: ``cofaces`` (each face -> the top cells containing it),
-the corner-angle memo and kernel, the vertex-link memo and the link's dim-1
-certificates are filled once and never invalidated, so ``vertex_link(c, v)``
+the corner-angle memo and kernel, the vertex-link memo and the local
+certificate are filled once and never invalidated, so ``vertex_link(c, v)``
 returns the same link object on every call and each distinct link is built,
-validated and recognized once per setting.
+validated and certified once.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class MetricComplex:
         self._corner_angles: dict[tuple[int, int, int], Angle] = {}   # _vertex_angle
         self._corner_kernel: tuple | None = None                       # corner_kernel
         self._vertex_links: dict[int, MetricComplex] = {}              # vertex_link
-        self._dim1_results: dict[tuple[int, bool], object] = {}        # check_spherical
+        self._certificate = None                                       # recognizer._certify
         for i, j, a in lengths:
             if i == j:
                 raise ComplexError(f"self-edge length ({i},{i})")

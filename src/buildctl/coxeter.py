@@ -58,9 +58,6 @@ class CoxeterMatrix:
     def rank(self) -> int:
         return len(self.generators)
 
-    def order_of(self, i: int, j: int) -> int:
-        return self.m[i][j]
-
     def submatrix(self, idxs: Sequence[int]) -> "CoxeterMatrix":
         idxs = list(idxs)
         return CoxeterMatrix(tuple(self.generators[i] for i in idxs),

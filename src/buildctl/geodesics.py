@@ -90,7 +90,6 @@ class LocalGeodesic:
     start_vertex: int | None
     end_vertex: int | None = None
     dead_end: bool = False
-    flags: tuple[str, ...] = ()
 
     @property
     def length(self) -> float:
@@ -250,8 +249,9 @@ def _incoming_link_point(c: MetricComplex, v: int, cell, back_dir: np.ndarray,
 
 
 def extend_geodesic(c: MetricComplex, geo: LocalGeodesic, target_length: float,
-                    branch_budget: int = BRANCH_BUDGET) -> list[LocalGeodesic]:
-    """All continuations of a geodesic to target_length (<= pi).
+                    branch_budget: int = BRANCH_BUDGET) -> tuple[list[LocalGeodesic], bool]:
+    """All continuations of a geodesic to target_length (<= pi), and whether
+    the branch budget ran out before every branch was followed.
 
     Branches at vertices over the antipode set of the incoming direction in
     the vertex link; crossing an edge interior branches over the other cells
@@ -319,11 +319,7 @@ def extend_geodesic(c: MetricComplex, geo: LocalGeodesic, target_length: float,
                 stack.append((segs + [seg], ln + t,
                               _State(kind="face", cell=cl, point=tuple(np_),
                                      direction=tuple(nd))))
-    if truncated:
-        done = [LocalGeodesic(g0.complex, g0.segments, g0.start_vertex, g0.end_vertex,
-                              g0.dead_end, g0.flags + ("branch_budget_exceeded",))
-                for g0 in done]
-    return done
+    return done, truncated
 
 
 def _resume_state(c, geo: LocalGeodesic) -> _State:
@@ -382,13 +378,13 @@ def _vertex_continuations(c, st: _State, remaining: float):
 
 
 def shoot(c: MetricComplex, v, link_point: GraphPoint, length: float,
-          branch_budget: int = BRANCH_BUDGET) -> list[LocalGeodesic]:
-    """All geodesics of the given length leaving vertex v in one direction."""
+          branch_budget: int = BRANCH_BUDGET) -> tuple[list[LocalGeodesic], bool]:
+    """All geodesics of the given length leaving vertex v in one direction,
+    and whether the branch budget ran out (see extend_geodesic)."""
     import numpy as np
     vi = c.vertex_index(v)
     g, amb, _ = _link_graph(c, vi)
     st = _start_from_vertex(c, vi, link_point, g, amb)
-    base = LocalGeodesic(c, [], vi)
     if st.kind == "face":
         stack_geo = LocalGeodesic(c, [FaceSegment(st.cell, np.array(st.point),
                                                   np.array(st.direction), 0.0)], vi)
@@ -427,7 +423,7 @@ def geodesic_between(c: MetricComplex, p, q, initial_direction: GraphPoint | Non
     def try_direction(dp):
         hit_geo = None
         miss_best = None
-        for geo in shoot(c, pi_, dp, math.pi, branch_budget):
+        for geo in shoot(c, pi_, dp, math.pi, branch_budget)[0]:
             hit = _extract_hit(c, geo, qi)
             if hit is not None:
                 return hit, 0.0
@@ -480,8 +476,7 @@ def _extract_hit(c: MetricComplex, geo: LocalGeodesic, qi: int) -> LocalGeodesic
         if isinstance(s, EdgeSegment):
             prefix.append(s)
             if s.v == qi:
-                return LocalGeodesic(c, prefix, geo.start_vertex, end_vertex=qi,
-                                     flags=geo.flags)
+                return LocalGeodesic(c, prefix, geo.start_vertex, end_vertex=qi)
             continue
         if qi in s.cell:
             frame = cell_frame(c, s.cell)
@@ -493,8 +488,7 @@ def _extract_hit(c: MetricComplex, geo: LocalGeodesic, qi: int) -> LocalGeodesic
                 val = math.acos(max(-1.0, min(1.0, f0 * math.cos(t) + f1 * math.sin(t))))
                 if val <= EPS_HIT:
                     prefix.append(FaceSegment(s.cell, s.start, s.direction, t))
-                    return LocalGeodesic(c, prefix, geo.start_vertex, end_vertex=qi,
-                                         flags=geo.flags)
+                    return LocalGeodesic(c, prefix, geo.start_vertex, end_vertex=qi)
         prefix.append(s)
     if geo.end_vertex == qi:
         return geo
@@ -574,9 +568,6 @@ class ApartmentSurface:
     vertices: tuple[int, ...]
     euler: int
     antipode_of_base: int | None
-
-    def key(self):
-        return self.cells
 
 
 @dataclass

@@ -5,17 +5,19 @@ connected graph is a thick rank-2 building, a suspension of a discrete set,
 or a single 2*pi circuit, provided it passes the systole (CAT(1)), diameter,
 valence, and uniform-length gates; the first failed gate comes back as a
 Diagnosis with a concrete witness.  Higher dimensions recurse through cell
-links, assemble the Coxeter matrix from panel angles, and enumerate
-apartments by sector propagation.  Apartments are built only where a
-certificate keeps them: the link certificates inside a dimension >= 3
-complex and inside a Euclidean check carry none, because no caller reads
-them and growing surfaces in every vertex link would dominate the cost; the
-vertex links of a dimension-2 complex keep theirs, which seed its sector
-propagation.  The apartment axioms are checked exactly, never by sampling:
-axiom (2) over every pair of chambers (any two cells lie in chambers) with
-each apartment an int bitmask of its chambers, and in dimension 1 axiom (3)
-over every pair of cycles that share an edge.  Global CAT(1) in dimension 2
-is never guessed: certificates carry an explicit unverified flag unless the
+links and assemble the Coxeter matrix from panel angles.
+
+Recognition has two layers.  The local certificate (``_certify``) runs the
+gates, the link recursion, the Coxeter matrix and the verdict; it is
+memoized on the complex and is what every link certificate holds.  The
+public functions add the apartment system on top: the 2*pi cycles in
+dimension 1, the whole complex when it is a thin sphere, and in dimension 2
+the spheres that sector propagation grows from each vertex link's cycles.
+The apartment axioms are checked exactly, never by sampling: axiom (2) over
+every pair of chambers (any two cells lie in chambers) with each apartment
+an int bitmask of its chambers, and in dimension 1 axiom (3) over every
+pair of cycles that share an edge.  Global CAT(1) in dimension 2 is never
+guessed: certificates carry an explicit unverified flag unless the
 complex was produced by a curvature-preserving construction.
 """
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -79,9 +81,6 @@ class Diagnosis:
         if self.inner is not None:
             out["inner"] = self.inner.to_json()
         return out
-
-    def innermost(self) -> "Diagnosis":
-        return self if self.inner is None else self.inner.innermost()
 
 
 @dataclass(frozen=True)
@@ -145,24 +144,21 @@ class IntegrityError(RuntimeError):
 # -- dimension 1 ----------------------------------------------------------------
 
 
-def recognize_dim1(g, budget: int = B_APT_DEFAULT, *, apartments: bool = True
-                   ) -> BuildingCertificate | Diagnosis:
+def recognize_dim1(g, budget: int = B_APT_DEFAULT) -> BuildingCertificate | Diagnosis:
     """The 1-dimensional dichotomy: thick rank-2 building or suspension.
 
     Gates, in order: connectivity; valence >= 3 after valence-2 suppression;
     systole >= 2*pi; diameter = pi; uniform edge length pi/m.  m = 1 yields
     the suspension verdict, m >= 2 the thick verdict with its apartment
     system.  A single 2*pi circuit is the thin (Coxeter complex) case.
-
-    ``apartments=False`` skips the cycle search and its axiom checks: the
-    verdict is the same, but the certificate carries no apartments, is not
-    exhaustive and is flagged ``apartments_sampled``.  A single circuit still
-    carries itself, which costs no search.
     """
-    if isinstance(g, MetricComplex):
-        graph = MetricGraph.from_complex(g)
-    else:
-        graph = g
+    dim1 = isinstance(g, MetricComplex) and g.dimension == 1
+    return _with_apartments(g, _certify(g) if dim1 else _certify_graph(g), budget)
+
+
+def _certify_graph(g) -> BuildingCertificate | Diagnosis:
+    """The gates of recognize_dim1, without the apartment system."""
+    graph = MetricGraph.from_complex(g) if isinstance(g, MetricComplex) else g
     if not graph.is_connected():
         return Diagnosis(NOT_CONNECTED, {"detail": "graph is not connected"})
     sup = graph.suppress_degree2()
@@ -186,30 +182,17 @@ def recognize_dim1(g, budget: int = B_APT_DEFAULT, *, apartments: bool = True
     m = _uniform_m(sup)
     if isinstance(m, Diagnosis):
         return m
-    found, exhaustive = (), False
-    if apartments:
-        found, exhaustive = enumerate_apartments_dim1(graph, m, budget=budget)
-        # the gates prove a generalized m-gon, so a failed axiom is our fault
-        pair = _uncovered_chamber_pair(
-            range(len(graph.edges)), [a.edges for a in found]) if exhaustive else None
-        if pair is not None:
-            raise IntegrityError("edges %d and %d lie in no common apartment" % pair)
-        pair = _disconnected_apartment_pair(found)
-        if pair is not None:
-            raise IntegrityError("apartments %d and %d intersect disconnectedly" % pair)
-    flags = () if exhaustive else (FLAG_SAMPLED,)
     if m == 1:
         poles = tuple(sup.vertices)
         return BuildingCertificate(
             SPHERICAL, 1, SUSPENSION, coxeter_matrix=None, m=1,
-            apartments=found, apartments_exhaustive=exhaustive,
-            thickness=2, poles=poles, base_size=len(sup.edges), flags=flags,
-            graph=graph)
+            apartments_exhaustive=False, thickness=2, poles=poles,
+            base_size=len(sup.edges), flags=(FLAG_SAMPLED,), graph=graph)
     return BuildingCertificate(
         SPHERICAL, 1, THICK, coxeter_matrix=dihedral(m), m=m,
-        apartments=found, apartments_exhaustive=exhaustive,
+        apartments_exhaustive=False,
         thickness=min(sup.valence(v) for v in range(len(sup.vertices))),
-        flags=flags, graph=graph)
+        flags=(FLAG_SAMPLED,), graph=graph)
 
 
 def _recognize_circle(graph: MetricGraph, circ: Circle) -> BuildingCertificate | Diagnosis:
@@ -233,26 +216,14 @@ def _recognize_circle(graph: MetricGraph, circ: Circle) -> BuildingCertificate |
 
 def _walk_circle(graph: MetricGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Cyclic edge/vertex order of an all-valence-2 connected graph."""
-    edges = []
-    verts = [0]
-    used: set[int] = set()
-    cur = 0
+    edges, verts = [], [0]
     while True:
-        nxt = None
-        for w, eid, _ in graph.adjacency[cur]:
-            if eid not in used:
-                nxt = (w, eid)
-                break
-        if nxt is None:
-            break
-        w, eid = nxt
-        used.add(eid)
+        w, eid = next((w, eid) for w, eid, _ in graph.adjacency[verts[-1]]
+                      if eid not in edges)
         edges.append(eid)
         if w == 0:
-            break
+            return tuple(edges), tuple(verts)
         verts.append(w)
-        cur = w
-    return tuple(edges), tuple(verts)
 
 
 def _length_to_m(ln: PiUnits) -> int | None:
@@ -263,20 +234,19 @@ def _length_to_m(ln: PiUnits) -> int | None:
 
 
 def _uniform_m(sup: MetricGraph) -> int | Diagnosis:
-    lens = [(eid, ln) for eid, (_, _, ln) in enumerate(sup.edges)]
-    e0, l0 = lens[0]
-    for eid, ln in lens[1:]:
+    def ends(eid):
+        return [sup.vertices[v] for v in sup.edges[eid][:2]]
+
+    l0 = sup.edges[0][2]
+    for eid, (_, _, ln) in enumerate(sup.edges):
         if not units_close(l0, ln):
-            u0 = tuple(sup.vertices[v] for v in sup.edges[e0][:2])
-            u1 = tuple(sup.vertices[v] for v in sup.edges[eid][:2])
             return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
-                "edges": [list(u0), list(u1)],
+                "edges": [ends(0), ends(eid)],
                 "lengths_pi_units": [float(l0), float(ln)]})
     m = _length_to_m(l0)
     if m is None:
-        u0 = tuple(sup.vertices[v] for v in sup.edges[e0][:2])
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
-            "edges": [list(u0)],
+            "edges": [ends(0)],
             "detail": f"uniform length {float(l0)}*pi is not pi/m for integer m"})
     return m
 
@@ -448,12 +418,12 @@ def _try_propagate_iso(a, b, ca0, perm) -> bool:
 # -- spherical recognition, dimension >= 2 --------------------------------------------
 
 
-def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT, *,
-                    apartments: bool = True) -> BuildingCertificate | Diagnosis:
+def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
+                    ) -> BuildingCertificate | Diagnosis:
     """Certify a spherical complex as a building, or diagnose the failure.
 
-    Dimension 1 delegates to recognize_dim1.  Dimension >= 2 verifies the
-    codimension-1 counts, recursively certifies cell links, assembles the
+    Dimension 1 runs the gates of recognize_dim1.  Dimension >= 2 verifies
+    the codimension-1 counts, recursively certifies cell links, assembles the
     Coxeter matrix from panel angles, and enumerates apartments by sector
     propagation.  Global CAT(1) is decided only for by-construction inputs
     or through the simple-connectivity pathway in dimension >= 3.
@@ -461,22 +431,30 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT, *,
     When the apartment search is exhaustive and two chambers lie in no
     common apartment, the result is a ``no_common_apartment`` diagnosis
     naming them; an incomplete search flags ``apartment_axiom2_unverified``
-    instead.  ``apartments=False`` skips apartment enumeration and the axiom
-    (2) check; the certificate then carries no apartments, is not exhaustive
-    and is flagged ``apartments_sampled``.  The links inside a dimension >= 3
-    complex and inside check_euclidean are checked this way: only the
-    dimension-2 sector propagation reads link apartments (the cycles in its
-    vertex links), so a dimension-2 complex hands its own setting to its
-    vertex links and every other link certificate is kept without them.
+    instead.
     """
     if c.geometry != SPHERICAL:
         raise ComplexError("check_spherical needs a spherical complex")
+    return _with_apartments(c, _certify(c), budget)
+
+
+def _certify(c: MetricComplex) -> BuildingCertificate | Diagnosis:
+    """The local certificate of c, memoized in one slot on c (it reads no
+    budget): everything but the apartment search, so it is flagged
+    ``apartments_sampled`` unless complete by construction (a discrete set,
+    a single 2*pi circuit)."""
+    if c._certificate is None:
+        c._certificate = _local_certificate(c)
+    return c._certificate
+
+
+def _local_certificate(c: MetricComplex) -> BuildingCertificate | Diagnosis:
     c.require_valid()
     n = c.dimension
     if n <= 0:
         return _check_dim0(c)
     if n == 1:
-        return recognize_dim1(c, budget=budget, apartments=apartments)
+        return _certify_graph(c)
     if not c._skeleton_connected():
         return Diagnosis(NOT_CONNECTED, {"detail": "complex is not connected"})
     # codimension-1 cell counts
@@ -488,59 +466,27 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT, *,
                 "cell": [c.vertices[i] for i in panel], "top_cells": k})
         panel_counts.add(k)
     thickness = min(panel_counts, default=None)
-    # links: (n-2)-cells get graph recognition, deeper recursion via vertices
-    link_certs: dict = {}
-    for cell in c.cells_by_dim.get(n - 2, ()):
-        L = cell_link(c, [c.vertices[i] for i in cell])
-        # in dimension >= 3 the vertex loop below meets these same link objects
-        key = (budget, apartments and n == 2)
-        res = L._dim1_results.get(key)
-        if res is None:
-            res = L._dim1_results[key] = recognize_dim1(L, budget=budget, apartments=key[1])
-        if isinstance(res, Diagnosis):
-            return Diagnosis(LINK_FAILURE, {
-                "cell": [c.vertices[i] for i in cell]}, inner=res)
-        link_certs[cell] = (L, res)
+    # (n-2)-cell links are graphs; deeper structure recurses through vertices
+    cells = c.cells_by_dim.get(n - 2, ())
     if n >= 3:
-        for vi in range(len(c.vertices)):
-            res = check_spherical(vertex_link(c, vi), budget=budget, apartments=False)
-            if isinstance(res, Diagnosis):
-                return Diagnosis(LINK_FAILURE, {"cell": [c.vertices[vi]]}, inner=res)
-            link_certs[(vi,)] = (None, res)
+        cells += c.cells_by_dim[0]
+    link_certs = _certify_links(c, cells)
+    if isinstance(link_certs, Diagnosis):
+        return link_certs
     types = _vertex_types(c)
     if types is None:
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
             "detail": "vertices admit no consistent type coloring"})
-    asm = _assemble_coxeter(c, types, link_certs)
-    if isinstance(asm, Diagnosis):
-        return asm
-    M = asm
+    M = _assemble_coxeter(c, types, link_certs)
+    if isinstance(M, Diagnosis):
+        return M
     cls = classify(M)
     if cls.verdict != "spherical":
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
             "detail": f"assembled Coxeter matrix is {cls.verdict}, not spherical",
             "matrix": M.to_json_dict()})
-    # thin: the complex is its own single apartment.  In dimension 2 its Euler
-    # characteristic must also be 2; a thin quotient such as RP^2 goes on to
-    # sector propagation instead of failing the apartment isometry check.
-    thin_sphere = panel_counts == {2} and (
-        n != 2 or len(c.vertices) - len(c.edges) + len(c.top_cells) == 2)
-    found, exhaustive = (), False
-    if apartments and thin_sphere:
-        whole = Apartment("sphere", cells=tuple(sorted(c.top_cells)),
-                          vertices=tuple(range(len(c.vertices))))
-        found, exhaustive = (whole,), True
-    elif apartments and n == 2:
-        found, exhaustive = _enumerate_apartments_dim2(c, link_certs, budget)
-    flags = []
-    if apartments:
-        pair = _uncovered_chamber_pair(c.top_cells, [a.cells for a in found])
-        if pair is not None and exhaustive:
-            return Diagnosis(NO_COMMON_APARTMENT, {"chambers": [
-                [c.vertices[v] for v in c.top_cells[k]] for k in pair]})
-        if pair is not None:
-            flags.append(FLAG_AXIOM2_UNVERIFIED)
     poles = find_suspension_poles(c)
+    flags = [FLAG_SAMPLED]
     if panel_counts == {2}:
         verdict = THIN
     elif poles is not None:
@@ -554,16 +500,11 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT, *,
         verdict = BUILDING
         flags.append(FLAG_MIXED)
     cert = BuildingCertificate(
-        SPHERICAL, n, verdict, coxeter_matrix=M,
-        apartments=found, apartments_exhaustive=exhaustive,
-        thickness=thickness, vertex_types=types,
-        link_certificates=link_certs)
+        SPHERICAL, n, verdict, coxeter_matrix=M, apartments_exhaustive=False,
+        thickness=thickness, vertex_types=types, link_certificates=link_certs)
     if verdict == SUSPENSION:
         cert.poles = (c.vertices[poles[0]], c.vertices[poles[1]])
-        base = [v for v in range(len(c.vertices)) if v not in poles]
-        cert.base_size = len(base)
-    if not exhaustive:
-        flags.append(FLAG_SAMPLED)
+        cert.base_size = len(c.vertices) - 2
     # global curvature
     if c.provenance is not None:
         pass   # by-construction CAT(1)
@@ -573,17 +514,74 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT, *,
             return Diagnosis(NOT_SIMPLY_CONNECTED, {"loop": pi1.witness_loop})
         if pi1.status == UNKNOWN:
             flags.append(FLAG_GLOBAL_UNVERIFIED + ":" + UNKNOWN_PI1)
-        else:
-            sub_flags = [f for (_, sub) in link_certs.values()
-                         if isinstance(sub, BuildingCertificate)
-                         for f in sub.flags if f.startswith(FLAG_GLOBAL_UNVERIFIED)]
-            if sub_flags:
-                flags.append(FLAG_GLOBAL_UNVERIFIED)
+        elif any(f.startswith(FLAG_GLOBAL_UNVERIFIED)
+                 for _, sub in link_certs.values() for f in sub.flags):
+            flags.append(FLAG_GLOBAL_UNVERIFIED)
     else:
         flags.append(FLAG_GLOBAL_UNVERIFIED)
     cert.flags = tuple(sorted(set(flags)))
-    _verify_apartment_isometry(c, cert)
     return cert
+
+
+def _certify_links(c: MetricComplex, cells) -> dict | Diagnosis:
+    """Every cell's link, certified locally: {cell: (link, certificate)}, or
+    a link_failure diagnosis at the first cell whose link fails."""
+    out = {}
+    for cell in cells:
+        names = [c.vertices[i] for i in cell]
+        L = cell_link(c, names)
+        res = _certify(L)
+        if isinstance(res, Diagnosis):
+            return Diagnosis(LINK_FAILURE, {"cell": names}, inner=res)
+        out[cell] = (L, res)
+    return out
+
+
+def _with_apartments(c, cert, budget: int) -> BuildingCertificate | Diagnosis:
+    """A copy of the local certificate with its apartment system: the 2*pi
+    cycles and both cycle axioms in dimension 1, else the whole thin sphere
+    or the dimension-2 sector propagation, then axiom (2) and the isometry
+    to the model.  The memoized certificate is never changed."""
+    if isinstance(cert, Diagnosis):
+        return cert
+    if cert.apartments_exhaustive:      # complete by construction
+        return replace(cert)
+    flags = set(cert.flags) - {FLAG_SAMPLED}
+    n = cert.dimension
+    if n == 1:
+        found, exhaustive = enumerate_apartments_dim1(cert.graph, cert.m, budget=budget)
+        # the gates prove a generalized m-gon, so a failed axiom is our fault
+        pair = _uncovered_chamber_pair(
+            range(len(cert.graph.edges)), [a.edges for a in found]) if exhaustive else None
+        if pair is not None:
+            raise IntegrityError("edges %d and %d lie in no common apartment" % pair)
+        pair = _disconnected_apartment_pair(found)
+        if pair is not None:
+            raise IntegrityError("apartments %d and %d intersect disconnectedly" % pair)
+    else:
+        # a thin quotient such as RP^2 (Euler characteristic 1) goes on to
+        # sector propagation instead of failing the isometry check
+        if cert.verdict == THIN and (
+                n != 2 or len(c.vertices) - len(c.edges) + len(c.top_cells) == 2):
+            whole = Apartment("sphere", cells=tuple(sorted(c.top_cells)),
+                              vertices=tuple(range(len(c.vertices))))
+            found, exhaustive = (whole,), True
+        elif n == 2:
+            found, exhaustive = _enumerate_apartments_dim2(c, cert.link_certificates, budget)
+        else:
+            found, exhaustive = (), False
+        pair = _uncovered_chamber_pair(c.top_cells, [a.cells for a in found])
+        if pair is not None and exhaustive:
+            return Diagnosis(NO_COMMON_APARTMENT, {"chambers": [
+                [c.vertices[v] for v in c.top_cells[k]] for k in pair]})
+        if pair is not None:
+            flags.add(FLAG_AXIOM2_UNVERIFIED)
+    if not exhaustive:
+        flags.add(FLAG_SAMPLED)
+    out = replace(cert, apartments=found, apartments_exhaustive=exhaustive,
+                  flags=tuple(sorted(flags)))
+    _verify_apartment_isometry(c, out)
+    return out
 
 
 def _check_dim0(c: MetricComplex) -> BuildingCertificate | Diagnosis:
@@ -643,7 +641,7 @@ def _assemble_coxeter(c: MetricComplex, types, link_certs) -> CoxeterMatrix | Di
     all_types = set(range(n + 1))
     mvals: dict[tuple[int, int], int] = {}
     for cell, (L, sub) in sorted(link_certs.items()):
-        if L is None or len(cell) != n - 1:
+        if len(cell) != n - 1:
             continue
         cotype = tuple(sorted(all_types - {types[v] for v in cell}))
         lens = [L.edge_length(i, j) for i, j in L.edges]
@@ -674,13 +672,14 @@ def _assemble_coxeter(c: MetricComplex, types, link_certs) -> CoxeterMatrix | Di
 def _enumerate_apartments_dim2(c: MetricComplex, link_certs, budget: int
                                ) -> tuple[tuple[Apartment, ...], bool]:
     """Union over vertices of all sector-propagated spheres through each
-    link apartment; exhaustive when every propagation completed.  Every
-    vertex has a link certificate: check_spherical returns on a diagnosis."""
+    link apartment; exhaustive when every propagation completed.  Each
+    vertex link's cycles come from its own apartment search, on the same
+    budget."""
     seen: dict[tuple, Apartment] = {}
     exhaustive = True
     spent = 0
-    for vi in range(len(c.vertices)):
-        L, sub = link_certs[(vi,)]
+    for (vi,), (L, sub) in link_certs.items():
+        sub = _with_apartments(L, sub, budget)
         exhaustive = exhaustive and sub.apartments_exhaustive
         for apt in sub.apartments:
             cyc_names = [L.vertices[w] for w in apt.vertices]
@@ -735,55 +734,46 @@ def _subcomplex(c: MetricComplex, cells) -> MetricComplex:
 def discrete_extension_check(c: MetricComplex) -> tuple[bool, dict | None]:
     """Nonempty discrete antipode sets for all link directions (n = 1 or 2).
 
-    For n = 2 the edge-interior directions have suspension links, where the
-    antipode condition reduces to the incident-cell count being >= 2.
+    For n = 1 the graph is its own space of directions at each vertex; for
+    n = 2 each vertex link is, and it must be connected.  The edge-interior
+    directions of n = 2 have suspension links, where the antipode condition
+    reduces to the incident-cell count being >= 2.
     """
     c.require_valid()
     if c.dimension == 1:
-        g = MetricGraph.from_complex(c)
-        for vi in range(len(c.vertices)):
-            ant = g.antipode_set(GraphPoint(vertex=vi))
-            if not ant.nonempty:
-                return False, {"condition": DEP_EMPTY, "vertex": c.vertices[vi]}
-            if not ant.discrete:
-                eid, lo, hi = ant.intervals[0]
-                return False, {"condition": DEP_NOT_DISCRETE,
-                               "vertex": c.vertices[vi],
-                               "interval": [float(lo), float(hi)]}
-        return True, None
-    if c.dimension != 2:
+        spaces = [({}, "vertex", MetricGraph.from_complex(c))]
+    elif c.dimension == 2:
+        spaces = (({"vertex": c.vertices[vi]}, "direction",
+                   MetricGraph.from_complex(vertex_link(c, vi)))
+                  for vi in range(len(c.vertices)))
+    else:
         raise ComplexError("discrete_extension_check handles dimensions 1 and 2")
-    for vi in range(len(c.vertices)):
-        L = vertex_link(c, vi)
-        g = MetricGraph.from_complex(L)
-        if not g.is_connected():
-            return False, {"condition": DEP_EMPTY, "vertex": c.vertices[vi],
+    for at, key, g in spaces:
+        if at and not g.is_connected():
+            return False, {"condition": DEP_EMPTY, **at,
                            "detail": "link disconnected: whole components are antipodal"}
-        for ui in range(len(L.vertices)):
+        for ui, name in enumerate(g.vertices):
             ant = g.antipode_set(GraphPoint(vertex=ui))
             if not ant.nonempty:
-                return False, {"condition": DEP_EMPTY, "vertex": c.vertices[vi],
-                               "direction": L.vertices[ui]}
+                return False, {"condition": DEP_EMPTY, **at, key: name}
             if not ant.discrete:
                 eid, lo, hi = ant.intervals[0]
-                return False, {"condition": DEP_NOT_DISCRETE,
-                               "vertex": c.vertices[vi],
-                               "direction": L.vertices[ui],
+                return False, {"condition": DEP_NOT_DISCRETE, **at, key: name,
                                "interval": [float(lo), float(hi)]}
-    for edge in c.cells_by_dim.get(1, ()):
-        k = len(c.cofaces[edge])
-        if k < 2:
-            return False, {"condition": DEP_EMPTY,
-                           "edge": [c.vertices[i] for i in edge],
-                           "detail": "edge-interior directions have empty antipode sets"}
+    if c.dimension == 2:
+        for edge in c.cells_by_dim[1]:
+            if len(c.cofaces[edge]) < 2:
+                return False, {"condition": DEP_EMPTY,
+                               "edge": [c.vertices[i] for i in edge],
+                               "detail": "edge-interior directions have empty antipode sets"}
     return True, None
 
 
 # -- Euclidean recognition ----------------------------------------------------------
 
 
-def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
-                    budget: int = B_APT_DEFAULT) -> BuildingCertificate | Diagnosis:
+def check_euclidean(c: MetricComplex, boundary_policy: str = "strict"
+                    ) -> BuildingCertificate | Diagnosis:
     """Metric Euclidean building verdict via certified vertex links.
 
     strict: all codimension-1 counts and all vertex links are checked and
@@ -808,13 +798,9 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
                                   "top_cells": len(c.cofaces[p])})
     boundary_vertices = {v for p in boundary_panels for v in p}
     interior = [vi for vi in range(len(c.vertices)) if vi not in boundary_vertices]
-    link_certs: dict = {}
-    for vi in interior:
-        L = vertex_link(c, vi)
-        res = check_spherical(L, budget=budget, apartments=False)
-        if isinstance(res, Diagnosis):
-            return Diagnosis(LINK_FAILURE, {"cell": [c.vertices[vi]]}, inner=res)
-        link_certs[(vi,)] = (L, res)
+    link_certs = _certify_links(c, [(vi,) for vi in interior])
+    if isinstance(link_certs, Diagnosis):
+        return link_certs
     flags = []
     if boundary_policy == "window":
         verdict = MEB_LOCAL
@@ -834,11 +820,10 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
         vstar = most_singular_vertex(c, link_certs)
         factors = euclidean_factor_hint(c, c.vertices[vstar],
                                         link_certs[(vstar,)][1])
-    cert = BuildingCertificate(
+    return BuildingCertificate(
         EUCLIDEAN, n, verdict, thickness=thickness,
         apartments=(), apartments_exhaustive=False,
         factors=factors, link_certificates=link_certs, flags=tuple(sorted(flags)))
-    return cert
 
 
 # -- Kleiner-Leeb axioms on generated atlases ------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -369,6 +370,70 @@ def test_cli_geodesic_on_graph(tmp_path):
     assert sorted({g["end"] for g in rep["geodesics"]}) == ["l1", "l2", "l3", "l5"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "antipodes", "K33", "--point", "0:1/0"],
+    ["graph", "antipodes", "K33", "--point", "0:nan"],
+    ["graph", "antipodes", "K33", "--point", "0:inf"],
+    ["graph", "antipodes", "K33", "--point", "9:1/4"],
+    ["graph", "antipodes", "K33", "--point", "-1:1/4"],
+    ["geodesic", "OCT", "--from", "a0", "--dir", "0:1/0"],
+    ["geodesic", "OCT", "--from", "a0", "--dir", "0:nan"],
+    ["geodesic", "OCT", "--from", "a0", "--len", "--dir", "0:1/4"],
+    ["coxeter", "complex"],
+])
+def test_cli_bad_arguments_exit3(tmp_path, capsys, argv):
+    files = {"K33": gen_rank2_building("complete_bipartite"), "OCT": gen_octahedron()}
+    for name, cx in files.items():
+        (tmp_path / name).write_text(cx.dumps())
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("buildctl: ") and err.count("\n") == 1, err
+
+
+def test_cli_group_budget_exhausted_exit2(monkeypatch, capsys):
+    """An exhausted group budget leaves the answer open: exit 2 and one
+    ``buildctl: `` line; classify reports the order as unknown instead."""
+    monkeypatch.setenv("BUILDCTL_BUDGETS", '{"B_group": 10}')
+    for argv in (["coxeter", "complex", "--type", "B3"],
+                 ["gen", "coxeter-complex", "--type", "B3"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "buildctl: group enumeration exceeded budget 10\n"
+    assert main(["coxeter", "classify", "--type", "B3"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["group_order"] is None
+
+
+def test_cli_integrity_error_is_not_an_exit_code(tmp_path, monkeypatch):
+    """Only an exhausted budget maps to exit 2: an internal inconsistency
+    still surfaces as an exception."""
+    import buildctl.recognizer as recognizer
+    f = tmp_path / "k33.json"
+    f.write_text(gen_rank2_building("complete_bipartite").dumps())
+
+    def broken(*args, **kwargs):
+        raise recognizer.IntegrityError("inconsistent")
+
+    monkeypatch.setattr(recognizer, "check_spherical", broken)
+    with pytest.raises(recognizer.IntegrityError):
+        main(["check", str(f)])
+
+
+def test_cli_geodesic_budget_exhausted_exit2(tmp_path, capsys):
+    from buildctl.complexes import suspension
+    f = tmp_path / "s0k33.json"
+    f.write_text(suspension(gen_rank2_building("complete_bipartite")).dumps())
+    argv = ["geodesic", str(f), "--from", "N", "--dir", "0:1/4"]
+    assert main(argv + ["--len", "1000000"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["count"] == 0 and rep["flags"] == ["branch_budget_exceeded"]
+    assert main(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["count"] == 1 and rep["flags"] == []
+
+
 # -- malformed JSON, property-based ----------------------------------------------------
 
 _KEYS = ("geometry", "dimension", "vertices", "top_cells", "edge_lengths",
@@ -439,3 +504,81 @@ def test_cli_mutated_json_keeps_exit_contract(mutation_file, obj):
         if code == 3:
             assert err.getvalue().startswith("buildctl: ") and \
                 err.getvalue().count("\n") == 1, (argv, obj, err.getvalue())
+
+
+# -- command arguments, property-based ---------------------------------------------------
+
+_OFFSETS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-2, 9), st.integers(-1, 9)),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(("nan", "inf", "-inf", "1e999", "0", "1", "10" * 20, "1/0", "x", "")),
+    st.text(max_size=4))
+_POINTS = st.one_of(
+    st.builds("{}:{}".format, st.one_of(st.integers(-2, 20), st.text(max_size=2)), _OFFSETS),
+    st.sampled_from(("a0", "b2", "N", "S", "zz", "")),
+    st.text(max_size=5))
+_LENGTHS = st.one_of(
+    st.sampled_from(("pi", "pi/2", "2pi/3", "3pi", "pi/0", "0pi", "-pi", "1/0", "nan",
+                     "inf", "1e6", "0", "-1", "0.5", "")),
+    st.builds("{}pi/{}".format, st.integers(-2, 9), st.integers(-1, 9)),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=4))
+# small systems only, so that no drawn name builds a large matrix
+_TYPES = st.one_of(
+    st.sampled_from(("A1", "A2", "B2", "G2", "A3", "B3", "A1xA1xA1", "A1xI2(3)", "~A2",
+                     "I2()", "I2(x)", "E8", "")),
+    st.builds("I2({})".format, st.integers(-3, 10 ** 9)),
+    st.text(max_size=4))
+_BUDGETS = st.fixed_dictionaries(
+    {"B_group": st.integers(1, 300), "branch_budget": st.integers(1, 64)},
+    optional={"B_apt": st.integers(1, 300)}).map(json.dumps)
+
+
+@pytest.fixture(scope="module")
+def argument_files(tmp_path_factory):
+    from buildctl.complexes import suspension
+    d = tmp_path_factory.mktemp("arguments")
+    k33 = gen_rank2_building("complete_bipartite")
+    out = {}
+    for name, cx in (("k33", k33), ("s0k33", suspension(k33)), ("oct", gen_octahedron())):
+        out[name] = str(d / f"{name}.json")
+        with open(out[name], "w", encoding="utf-8") as fh:
+            fh.write(cx.dumps())
+    return out
+
+
+@st.composite
+def _command(draw, files):
+    kind = draw(st.sampled_from(("antipodes", "geodesic", "coxeter", "gen")))
+    if kind == "antipodes":
+        return ["graph", "antipodes", files["k33"], "--point", draw(_POINTS)]
+    if kind == "geodesic":
+        f = draw(st.sampled_from(sorted(files)))
+        start = draw(st.sampled_from(("a0", "N", "b1", "zz")))
+        direction = draw(st.one_of(_POINTS, st.builds("v:{}".format, _POINTS)))
+        return ["geodesic", files[f], "--from", start, "--dir", direction,
+                "--len", draw(_LENGTHS)]
+    if kind == "coxeter":
+        op = draw(st.sampled_from(("classify", "complex")))
+        return ["coxeter", op] + draw(st.one_of(st.just([]), _TYPES.map(lambda t: ["--type", t])))
+    return ["gen", "coxeter-complex", "--type", draw(_TYPES)]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_arguments_keep_exit_contract(argument_files, data):
+    """No point, direction, length, Coxeter type or small budget makes
+    graph antipodes, geodesic, coxeter or gen coxeter-complex raise: every
+    run ends with an exit code of the contract, and an input error with one
+    ``buildctl: `` line."""
+    argv = data.draw(_command(argument_files))
+    budgets = data.draw(_BUDGETS)
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, {"BUILDCTL_BUDGETS": budgets}), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, budgets)
+    if code == 3:
+        assert err.getvalue().startswith("buildctl: ") and \
+            err.getvalue().count("\n") == 1, (argv, budgets, err.getvalue())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from buildctl.angles import Angle
-from buildctl.complexes import MetricComplex, vertex_link
+from buildctl.complexes import MetricComplex, suspension, vertex_link
 from buildctl.corpus import gen_short_lune
 from buildctl.geodesics import (ApartmentSurface, EdgeSegment, FaceSegment,
                                 GeodesicError, LocalGeodesic,
@@ -40,8 +40,8 @@ def test_cell_frame_is_isometric(octahedron):
 def test_octahedron_interior_shot_reaches_antipode(octahedron):
     lk, g = link_graph_of(octahedron, "a0")
     eid = link_edge(lk, g, "b0", "c0")
-    geos = shoot(octahedron, "a0", GraphPoint(edge=eid, t=Fraction(1, 4)), math.pi)
-    assert len(geos) == 1                      # a sampled direction is unique
+    geos, exhausted = shoot(octahedron, "a0", GraphPoint(edge=eid, t=Fraction(1, 4)), math.pi)
+    assert len(geos) == 1 and not exhausted    # a sampled direction is unique
     geo = geos[0]
     assert not geo.dead_end
     assert geo.end_vertex == octahedron.vertices.index("a1")
@@ -51,8 +51,8 @@ def test_octahedron_interior_shot_reaches_antipode(octahedron):
 def test_octahedron_edge_direction_runs_along_edges(octahedron):
     lk, g = link_graph_of(octahedron, "a0")
     b0 = lk.vertices.index("b0")
-    geos = shoot(octahedron, "a0", GraphPoint(vertex=b0), math.pi)
-    assert len(geos) == 1
+    geos, exhausted = shoot(octahedron, "a0", GraphPoint(vertex=b0), math.pi)
+    assert len(geos) == 1 and not exhausted
     geo = geos[0]
     assert all(isinstance(s, EdgeSegment) for s in geo.segments)
     assert geo.end_vertex == octahedron.vertices.index("a1")
@@ -95,8 +95,8 @@ def test_dead_end_arriving_at_cone_point():
     lune = gen_short_lune()
     lk, g = link_graph_of(lune, "y0")
     n_dir = lk.vertices.index("N")
-    geos = shoot(lune, "y0", GraphPoint(vertex=n_dir), math.pi)
-    assert geos
+    geos, exhausted = shoot(lune, "y0", GraphPoint(vertex=n_dir), math.pi)
+    assert geos and not exhausted
     assert all(geo.dead_end for geo in geos)
     assert all(abs(geo.length - math.pi / 2) <= 1e-9 for geo in geos)
 
@@ -104,12 +104,24 @@ def test_dead_end_arriving_at_cone_point():
 def test_extension_of_extension_consistent(octahedron):
     lk, g = link_graph_of(octahedron, "a0")
     eid = link_edge(lk, g, "b0", "c0")
-    part = shoot(octahedron, "a0", GraphPoint(edge=eid, t=Fraction(1, 4)), 1.0)
-    assert len(part) == 1
-    full = extend_geodesic(octahedron, part[0], math.pi)
-    assert len(full) == 1
+    part, exhausted = shoot(octahedron, "a0", GraphPoint(edge=eid, t=Fraction(1, 4)), 1.0)
+    assert len(part) == 1 and not exhausted
+    full, exhausted = extend_geodesic(octahedron, part[0], math.pi)
+    assert len(full) == 1 and not exhausted
     assert abs(full[0].length - math.pi) <= 1e-9
     assert full[0].end_vertex == octahedron.vertices.index("a1")
+
+
+def test_exhausted_branch_search_is_reported(k33):
+    """A search that runs out of branches says so, also when no branch
+    completed; one that suffices does not."""
+    c = suspension(k33)
+    start = GraphPoint(edge=0, t=Fraction(1, 4))
+    assert shoot(c, "N", start, 1e6) == ([], True)
+    geos, exhausted = shoot(c, "N", start, math.pi)
+    assert len(geos) == 1 and not exhausted
+    geos, exhausted = shoot(c, "N", start, math.pi, branch_budget=0)
+    assert geos == [] and exhausted
 
 
 def test_propagate_octahedron_whole(octahedron, octahedron_cert):
@@ -203,8 +215,8 @@ def test_dim1_extension_ends_at_antipodes(heawood):
     # geodesics in a thick rank-2 building; their endpoints are antipodes
     g = MetricGraph.from_complex(heawood)
     p0 = heawood.vertices.index("p0")
-    geos = shoot(heawood, "p0", GraphPoint(vertex=0), math.pi)
-    assert geos and not any(geo.dead_end for geo in geos)
+    geos, exhausted = shoot(heawood, "p0", GraphPoint(vertex=0), math.pi)
+    assert geos and not exhausted and not any(geo.dead_end for geo in geos)
     ends = {geo.end_vertex for geo in geos}
     ant = {pt.vertex for pt in g.antipode_set(GraphPoint(vertex=p0)).points}
     assert ends == ant
@@ -213,8 +225,8 @@ def test_dim1_extension_ends_at_antipodes(heawood):
 def test_dim1_dead_end_at_valence_one():
     path = MetricComplex("spherical", ["a", "b"], [(0, 1)],
                          [(0, 1, Angle.exact(1, 2))])
-    geos = shoot(path, "a", GraphPoint(vertex=0), math.pi)
-    assert len(geos) == 1
+    geos, exhausted = shoot(path, "a", GraphPoint(vertex=0), math.pi)
+    assert len(geos) == 1 and not exhausted
     assert geos[0].dead_end
     assert abs(geos[0].length - math.pi / 2) <= 1e-12
 
@@ -227,9 +239,9 @@ def test_no_dead_ends_in_certified_building(s0_heawood):
         for eid in range(min(k, len(g.edges))):
             ln = g.edges[eid][2]
             for frac in (Fraction(1, 3), Fraction(1, 2)):
-                geos = shoot(s0_heawood, start, GraphPoint(edge=eid, t=frac * ln),
-                             math.pi)
-                assert geos
+                geos, exhausted = shoot(s0_heawood, start,
+                                        GraphPoint(edge=eid, t=frac * ln), math.pi)
+                assert geos and not exhausted
                 for geo in geos:
                     assert not geo.dead_end
                     assert abs(geo.length - math.pi) <= 1e-9

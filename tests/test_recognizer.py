@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from buildctl.angles import Angle
-from buildctl.complexes import (MetricComplex, _vertex_angle, corner_kernel,
+from buildctl.complexes import (MetricComplex, _vertex_angle, cell_link, corner_kernel,
                                 discrete_complex, suspension, vertex_link)
 from buildctl.coxeter import coxeter_complex, named_matrix
 from buildctl.corpus import (gen_a2_window, gen_k4, gen_octahedron, gen_petersen,
@@ -317,19 +317,21 @@ def test_dep_octahedron_true(octahedron):
 def test_dep_short_lune_false():
     ok, wit = discrete_extension_check(gen_short_lune())
     assert not ok
-    assert wit["condition"] == "dep_empty"
+    assert wit == {"condition": "dep_empty", "vertex": "N", "direction": "y0"}
 
 
 def test_dep_heawood_as_graph(heawood):
     ok, wit = discrete_extension_check(heawood)
-    assert ok
+    assert ok and wit is None
 
 
 def test_dep_punctured_octahedron_not_discrete():
     # a boundary vertex link is a 3*pi/2 path: its distance-pi superlevel set
     # from an endpoint is a fat interval
     ok, wit = discrete_extension_check(gen_punctured_octahedron())
-    assert not ok and wit["condition"] == "dep_not_discrete"
+    assert not ok
+    assert wit == {"condition": "dep_not_discrete", "vertex": "a1", "direction": "b1",
+                   "interval": [0.0, 0.5]}
 
 
 def test_dep_single_triangle_empty():
@@ -337,7 +339,32 @@ def test_dep_single_triangle_empty():
                         [(0, 1, Angle.exact(1, 2)), (0, 2, Angle.exact(1, 2)),
                          (1, 2, Angle.exact(1, 2))])
     ok, wit = discrete_extension_check(tri)
-    assert not ok and wit["condition"] == "dep_empty"
+    assert not ok
+    assert wit == {"condition": "dep_empty", "vertex": "a", "direction": "b"}
+
+
+def test_dep_disconnected_link_empty():
+    half = Angle.exact(1, 2)
+    bowtie = MetricComplex("spherical", ["o", "a", "b", "c", "d"], [(0, 1, 2), (0, 3, 4)],
+                           [(i, j, half) for i, j in
+                            [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]])
+    ok, wit = discrete_extension_check(bowtie)
+    assert not ok
+    assert wit == {"condition": "dep_empty", "vertex": "o",
+                   "detail": "link disconnected: whole components are antipodal"}
+
+
+def test_dep_graph_witnesses_name_the_vertex():
+    """In dimension 1 the graph is its own space of directions: a witness
+    names the vertex and no direction."""
+    ok, wit = discrete_extension_check(gen_petersen())
+    assert not ok and wit == {"condition": "dep_empty", "vertex": "v0"}
+    half = Angle.exact(1, 2)
+    path = MetricComplex("spherical", list("abcd"), [(0, 1), (1, 2), (2, 3)],
+                         [(0, 1, half), (1, 2, half), (2, 3, half)])
+    ok, wit = discrete_extension_check(path)
+    assert not ok
+    assert wit == {"condition": "dep_not_discrete", "vertex": "a", "interval": [0.0, 0.5]}
 
 
 # -- Euclidean checks --------------------------------------------------------------------
@@ -526,6 +553,72 @@ def test_dim3_link_certificates_carry_no_apartments(k33):
         # (n-2)-cell links run no cycle search either; a circuit carries itself
         for _, sub in cert.link_certificates.values():
             assert sub.apartments == () or sub.verdict == "thin_building"
+
+
+def _counting_local_certificates(monkeypatch):
+    """Patch the uncached layer of recognition; the returned list receives
+    every complex whose local certificate is computed."""
+    import buildctl.recognizer as recognizer
+    seen = []
+    original = recognizer._local_certificate
+
+    def counting(c):
+        seen.append(c)
+        return original(c)
+
+    monkeypatch.setattr(recognizer, "_local_certificate", counting)
+    return seen
+
+
+def test_local_certificate_computed_once_per_complex(k33, monkeypatch):
+    """A second check of the same object recomputes no local certificate and
+    gives the same report; within one check every link object is certified
+    once, and the memoized certificate is never changed by the apartment
+    layer."""
+    seen = _counting_local_certificates(monkeypatch)
+    for c, report in ((suspension(suspension(k33)), S0S0K33_REPORT),
+                      (_a4_complex(), A4_REPORT)):
+        seen.clear()
+        first = check_spherical(c)
+        assert first.to_report() == report
+        assert seen[0] is c
+        assert len({id(x) for x in seen}) == len(seen) > len(c.vertices)
+        memo = c._certificate
+        assert first is not memo
+        assert memo.apartments == () and "apartments_sampled" in memo.flags
+        seen.clear()
+        second = check_spherical(c)
+        assert seen == []
+        assert second.to_report() == first.to_report()
+        assert c._certificate is memo
+        assert memo.apartments == () and "apartments_sampled" in memo.flags
+
+
+def test_memo_keeps_no_budget(k33):
+    """The local certificate reads no budget: a small budget on one call
+    leaves the next call on the same object exhaustive."""
+    c = suspension(k33)
+    small = check_spherical(c, budget=40)
+    assert not small.apartments_exhaustive and len(small.apartments) == 6
+    assert sorted(small.flags) == ["apartment_axiom2_unverified", "apartments_sampled"]
+    full = check_spherical(c)
+    assert full.apartments_exhaustive and len(full.apartments) == 9
+    assert full.flags == ()
+    # and the other way round on a fresh object
+    c = suspension(k33)
+    assert len(check_spherical(c).apartments) == 9
+    assert check_spherical(c, budget=40).to_report() == small.to_report()
+
+
+def test_link_certificates_hold_their_link(k33):
+    """Every link certificate entry is (link object, certificate), the vertex
+    links of a dimension >= 3 complex included."""
+    c = suspension(suspension(k33))
+    cert = check_spherical(c)
+    for cell, (L, sub) in cert.link_certificates.items():
+        assert L is cell_link(c, [c.vertices[i] for i in cell])
+        assert L._certificate is sub
+    assert {len(cell) for cell in cert.link_certificates} == {1, 2}
 
 
 def test_no_surface_growth_inside_dim3_links(k33, monkeypatch):
