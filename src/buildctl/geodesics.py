@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .angles import Angle, cmp_units
+from .angles import Angle, cmp_units, kernel_band
 from .complexes import MetricComplex, corner_kernel, vertex_link
 from .metric_graph import GraphPoint, MetricGraph
 
@@ -402,7 +402,8 @@ def geodesic_between(c: MetricComplex, p, q, initial_direction: GraphPoint | Non
 
     Dimension 1 is exact (shortest path, or prescribed-direction continuation
     between antipodal endpoints).  Dimension 2 shoots over a direction grid
-    and reports failure with best-miss data when nothing lands within EPS_HIT.
+    and reports failure with best-miss data when nothing lands within EPS_HIT,
+    flagged ``branch_budget_exceeded`` when a shot ran out of branches.
     """
     c.require_valid()
     pi_ = c.vertex_index(p)
@@ -420,10 +421,14 @@ def geodesic_between(c: MetricComplex, p, q, initial_direction: GraphPoint | Non
             for i in range(1, k + 1):
                 dirs.append(GraphPoint(edge=eid, t=float(ln) * i / (k + 1)))
 
+    exhausted = False
+
     def try_direction(dp):
-        hit_geo = None
+        nonlocal exhausted
         miss_best = None
-        for geo in shoot(c, pi_, dp, math.pi, branch_budget)[0]:
+        geos, ran_out = shoot(c, pi_, dp, math.pi, branch_budget)
+        exhausted = exhausted or ran_out
+        for geo in geos:
             hit = _extract_hit(c, geo, qi)
             if hit is not None:
                 return hit, 0.0
@@ -462,8 +467,11 @@ def geodesic_between(c: MetricComplex, p, q, initial_direction: GraphPoint | Non
             hi = (hi + mid) / 2
             if not improved and hi - lo < 1e-15:
                 break
-    return {"failure": "no geodesic found",
-            "best_miss": None if best is None else best[0]}
+    failure = {"failure": "no geodesic found",
+               "best_miss": None if best is None else best[0]}
+    if exhausted:
+        failure["branch_budget_exceeded"] = True
+    return failure
 
 
 def _extract_hit(c: MetricComplex, geo: LocalGeodesic, qi: int) -> LocalGeodesic | None:
@@ -603,7 +611,8 @@ def propagate_apartment(c: MetricComplex, x, link_cycle: Sequence, y=None,
         fan.append(cell)
     scale, corners = corner_kernel(c)
     total = sum(corners[cell][cell.index(xi)] for cell in fan)
-    if total != 2 * scale if scale else cmp_units(total, 2.0) != 0:
+    lo, hi = kernel_band(2, scale)
+    if not lo <= total <= hi:
         return PropagationFailure("link cycle does not have length 2*pi", {
             "length_pi_units": float(Fraction(total, scale)) if scale else total})
     yi = None if y is None else c.vertex_index(y)
@@ -630,16 +639,14 @@ def _grow_surface(c: MetricComplex, fan, budget: int):
     """DFS closure of a triangle set into closed surfaces whose vertex links
     all have angle 2*pi.  Returns (closures, budget_exhausted); the budget
     counts DFS nodes, the fan's own included.  Angle sums are ints in units
-    of pi/scale, 2*pi being 2 * scale, or pi-unit floats under ``cmp_units``
-    (``corner_kernel``).  The state changes in place and an undo restores
+    of pi/scale or pi-unit floats (``corner_kernel``), compared with the band
+    of 2*pi (``kernel_band``).  The state changes in place and an undo restores
     the saved sums rather than subtracting, so float sums keep their bits."""
     cells0 = tuple(sorted(set(fan)))
     if len(cells0) != len(fan):
         return [], False
     scale, corners = corner_kernel(c)
-    two = 2 * scale if scale else 2.0
-    over, full = (two.__lt__, two.__eq__) if scale else (
-        lambda s: cmp_units(s, two) > 0, lambda s: cmp_units(s, two) == 0)
+    lo, hi = kernel_band(2, scale)
     cells: set = set()
     edge_count: dict = {}
     open_edges: set = set()
@@ -666,13 +673,13 @@ def _grow_surface(c: MetricComplex, fan, budget: int):
             exhausted = True
             return
         if not open_edges:
-            if all(full(s) for s in vertex_angle.values() if s):
+            if all(lo <= s <= hi for s in vertex_angle.values() if s):
                 results.append(frozenset(cells))
             return
         for cand in c.cofaces.get(min(open_edges), ()):  # deterministic order
             edges = tuple(itertools.combinations(cand, 2))
             if cand in cells or any(edge_count.get(e, 0) >= 2 for e in edges) or any(
-                    over(vertex_angle.get(v, 0) + a) for v, a in zip(cand, corners[cand])):
+                    vertex_angle.get(v, 0) + a > hi for v, a in zip(cand, corners[cand])):
                 continue
             saved = {v: vertex_angle.get(v, 0) for v in cand}
             add(cand)

@@ -25,7 +25,20 @@ bound ub is at least LB and above the best value so far.  The first pair in
 scan order that attains the maximum has ub >= maximum >= LB and a best value
 below the maximum, so it is evaluated, and no later pair can exceed it: the
 value and the witness are those of the full scan.  Float bounds carry a slack
-of EPS_UNITS so that rounding never skips that pair.
+of EPS_UNITS so that rounding never skips that pair.  The scan has no tie
+rule: on a float graph a pair tied with the best value can compute one ulp
+above it and become the witness, so every tied pair is evaluated.
+
+The diameter = pi gate needs no witness.  ``diameter_cmp(target)`` answers
+``cmp_units(diameter, target)`` from the band [lo, hi] of the target
+(``kernel_band``: target*scale on both sides on exact graphs) and a rounding
+allowance r, the most a computed envelope value may exceed its computed
+bound: 0 on ints, EPS_UNITS/2 on floats (observed errors are about 1e-15).
+A pair is evaluated only when ub > hi - r, so no pair left out can reach
+above hi.  The answer is 0 when no evaluated value lies above hi and either
+LB >= lo + r or some evaluated value lies in [lo, hi]; otherwise it is the
+full scan's.  Pair values are memoized per graph, so that fallback evaluates
+no pair twice.
 """
 
 from __future__ import annotations
@@ -38,7 +51,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .angles import EPS_ANGLE, PiUnits, cmp_units, kernel_units
+from .angles import EPS_ANGLE, PiUnits, cmp_units, kernel_band, kernel_units
 from .complexes import MetricComplex, as_graph_data
 
 INF = math.inf
@@ -241,30 +254,68 @@ class MetricGraph:
         if not self.edges:
             self._diameter = (Fraction(0), None)
             return self._diameter
-        scale, w, _ = self._kernel
-        ap = self._all_pairs
         # bounds are compared doubled, which keeps them ints on exact graphs
-        slack = 0 if scale else 2 * EPS_UNITS
-        lb2 = 2 * max(max(row.values()) for row in ap)
+        slack = 0 if self._kernel[0] else 2 * EPS_UNITS
+        lb2 = self._lb2
         best = -1
         witness = None
-        for i, (u, v, _) in enumerate(self.edges):
-            a, du, dv = w[i], ap[u], ap[v]
-            for j in range(i, len(self.edges)):
-                if i == j:
-                    ub2 = 2 * a
-                else:
-                    x, y, _ = self.edges[j]
-                    ub2 = a + w[j] + min(du[x] + dv[y], du[y] + dv[x])
-                if ub2 + slack < lb2 or ub2 + slack <= 2 * best:
-                    continue
-                val, ts = self._edge_pair_max(i, j)
-                if val > best:
-                    best = val
-                    witness = (i, j, ts)
+        for i, j, ub2 in self._pair_bounds():
+            if ub2 + slack < lb2 or ub2 + slack <= 2 * best:
+                continue
+            val, ts = self._pair_max(i, j)
+            if val > best:
+                best = val
+                witness = (i, j, ts)
         i, j, (t, s) = witness
         self._diameter = (self._restore(best), (self._kernel_point(i, t), self._kernel_point(j, s)))
         return self._diameter
+
+    def diameter_cmp(self, target: Fraction) -> int:
+        """``cmp_units(self.diameter()[0], target)`` for an exact target,
+        evaluating an edge pair only while its bound leaves the answer open
+        (module docstring)."""
+        if self.edges and self.is_connected():
+            scale = self._kernel[0]
+            lo, hi = kernel_band(target, scale)
+            r = 0 if scale else EPS_UNITS / 2
+            cut2 = 2 * (hi - r)
+            settled = self._lb2 >= 2 * (lo + r)
+            for i, j, ub2 in self._pair_bounds():
+                if ub2 <= cut2:
+                    continue
+                val = self._pair_max(i, j)[0]
+                if val > hi:
+                    break
+                settled = settled or val >= lo
+            else:
+                if settled:
+                    return 0
+        return cmp_units(self.diameter()[0], target)
+
+    @cached_property
+    def _lb2(self):
+        """Twice the largest vertex-to-vertex distance, in kernel units."""
+        return 2 * max(max(row.values()) for row in self._all_pairs)
+
+    def _pair_bounds(self):
+        """(i, j, ub2) for every edge pair i <= j in scan order, ub2 twice the
+        pair's bound on the distance envelope, in kernel units."""
+        w = self._kernel[1]
+        ap = self._all_pairs
+        for i, (u, v, _) in enumerate(self.edges):
+            a, du, dv = w[i], ap[u], ap[v]
+            yield i, i, 2 * a
+            for j in range(i + 1, len(self.edges)):
+                x, y, _ = self.edges[j]
+                yield i, j, a + w[j] + min(du[x] + dv[y], du[y] + dv[x])
+
+    def _pair_max(self, i: int, j: int):
+        """``_edge_pair_max``, memoized per graph."""
+        memo = self.__dict__.setdefault("_pair_memo", {})
+        got = memo.get((i, j))
+        if got is None:
+            got = memo[i, j] = self._edge_pair_max(i, j)
+        return got
 
     def _kernel_point(self, eid: int, t) -> GraphPoint:
         """The point at kernel-unit offset t on edge eid.  On a mixed graph the

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import geodesics   # propagate_all is looked up at call time
-from .angles import PiUnits, cmp_units, units_close
+from .angles import PiUnits, cmp_units, kernel_band, units_close
 from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, MetricComplex,
                         cell_link, vertex_link)
 from .coxeter import CoxeterMatrix, classify, coxeter_complex, dihedral
@@ -174,8 +174,8 @@ def _certify_graph(g) -> BuildingCertificate | Diagnosis:
         length = sum(sup.edges[e][2] for e in cyc)
         return Diagnosis(SYSTOLE, {"cycle": names,
                                    "length_pi_units": float(length)})
-    diam, wit = sup.diameter()
-    if cmp_units(diam, ONE) != 0:
+    if sup.diameter_cmp(ONE) != 0:
+        diam, wit = sup.diameter()
         return Diagnosis(DIAMETER, {
             "diameter_pi_units": float(diam),
             "witness": [sup.point_name(wit[0]), sup.point_name(wit[1])] if wit else None})
@@ -258,11 +258,11 @@ def enumerate_apartments_dim1(g: MetricGraph, m: int | None = None,
 
     Works on the given (possibly subdivided) graph; with uniform lengths
     pi/m these are exactly the 2m-edge circuits.  Lengths are summed in
-    ``MetricGraph._kernel`` units: ints compared with 2*pi exactly on exact
-    graphs, floats under ``cmp_units`` otherwise.  The budget counts paths
-    popped."""
+    ``MetricGraph._kernel`` units and compared with the band of 2*pi
+    (``kernel_band``): exactly on exact graphs, under ``cmp_units`` on float
+    graphs.  The budget counts paths popped."""
     scale, table, adj = g._kernel
-    two = 2 * scale if scale else TWO
+    lo, hi = kernel_band(TWO, scale)
     found: dict[frozenset, Apartment] = {}
     nodes = 0
     exhausted = False
@@ -275,7 +275,7 @@ def enumerate_apartments_dim1(g: MetricGraph, m: int | None = None,
                 break
             eids, verts, ln = stack.pop()
             last = verts[-1]
-            side = (ln > two) - (ln < two) if scale else cmp_units(ln, two)
+            side = (ln > hi) - (ln < lo)
             if last == u0 and len(eids) >= 2:
                 if side == 0:
                     key = frozenset(eids)

@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 from buildctl import angles
-from buildctl.angles import (EPS_ANGLE, Angle, cmp_units, parse_length, rationalize,
-                             units_close)
+from buildctl.angles import (EPS_ANGLE, Angle, cmp_units, kernel_band, parse_length,
+                             rationalize, units_band, units_close)
 
 
 def test_rationalize_recognizes_small_denominators():
@@ -151,3 +151,31 @@ def test_parse_length():
     assert parse_length("pi") == Angle.exact(1)
     assert parse_length("1/4") == Angle.exact(1, 4)
     assert parse_length("1.0").rad == 1.0
+
+
+def test_parse_length_rejects_non_finite():
+    for text in ("inf", "-inf", "1e400", "nan", "0", "-1.0"):
+        with pytest.raises(ValueError):
+            parse_length(text)
+
+
+@pytest.mark.parametrize("b", [1, 2, Fraction(1, 3), 0.7])
+def test_units_band_agrees_with_cmp_units(b):
+    """The band's ends and their neighbours classify as cmp_units does, and
+    the ends are the last floats cmp_units calls equal to b."""
+    lo, hi = units_band(b)
+    assert lo < float(b) < hi
+    assert (cmp_units(lo, b), cmp_units(hi, b)) == (0, 0)
+    assert cmp_units(math.nextafter(lo, -math.inf), b) == -1
+    assert cmp_units(math.nextafter(hi, math.inf), b) == 1
+    for end in (lo, hi):
+        for x in (end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf)):
+            assert (x > hi) - (x < lo) == cmp_units(x, b), x
+    assert units_band(float(b)) == (lo, hi)
+
+
+def test_kernel_band_is_exact_on_int_kernels():
+    assert kernel_band(Fraction(2), 12) == (24, 24)
+    assert type(kernel_band(Fraction(2), 12)[0]) is int
+    assert kernel_band(Fraction(1, 3), 4) == (Fraction(4, 3),) * 2
+    assert kernel_band(2, None) == units_band(2)

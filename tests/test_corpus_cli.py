@@ -380,6 +380,10 @@ def test_cli_geodesic_on_graph(tmp_path):
     ["geodesic", "OCT", "--from", "a0", "--dir", "0:nan"],
     ["geodesic", "OCT", "--from", "a0", "--len", "--dir", "0:1/4"],
     ["coxeter", "complex"],
+    ["geodesic", "OCT", "--from", "a0", "--dir", "0:1/4", "--len", "inf"],
+    ["geodesic", "OCT", "--from", "a0", "--dir", "0:1/4", "--len", "1e400"],
+    ["gen", "complete-bipartite", "--length", "inf"],
+    ["gen", "petersen", "--length", "inf"],
 ])
 def test_cli_bad_arguments_exit3(tmp_path, capsys, argv):
     files = {"K33": gen_rank2_building("complete_bipartite"), "OCT": gen_octahedron()}

@@ -75,6 +75,15 @@ def test_geodesic_between_antipodal_with_direction(octahedron):
     assert len(cells) == 2                     # through two face interiors
 
 
+def test_geodesic_between_reports_exhausted_branches(octahedron):
+    """A search whose shots ran out of branches says so in its failure; a
+    search with enough branches finds the geodesic."""
+    res = geodesic_between(octahedron, "a0", "a1", branch_budget=0)
+    assert res == {"failure": "no geodesic found", "best_miss": None,
+                   "branch_budget_exceeded": True}
+    assert isinstance(geodesic_between(octahedron, "a0", "a1"), LocalGeodesic)
+
+
 def test_heawood_prescribed_direction_unique(heawood):
     # antipodal pair at combinatorial distance 3; the geodesic through a fixed
     # first edge is unique

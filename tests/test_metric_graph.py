@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from buildctl.angles import Angle
+from buildctl.angles import Angle, cmp_units, units_band
 from buildctl.complexes import MetricComplex
 from buildctl.corpus import gen_k4, gen_petersen
 from buildctl.metric_graph import Circle, GraphPoint, MetricGraph
@@ -21,15 +23,33 @@ def graph_of(c: MetricComplex) -> MetricGraph:
     return MetricGraph.from_complex(c)
 
 
+def _band_lengths() -> list[float]:
+    """Floats whose sums over one to four edges land on, or next to, the ends
+    of the bands of pi and 2*pi (``units_band``)."""
+    out = set()
+    for b, parts in ((1, (1, 2, 3)), (2, (2, 4, 6))):
+        for end in units_band(b):
+            for x in (end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf)):
+                out.update(x / k for k in parts)
+    return sorted(out)
+
+
+BAND_LENGTHS = _band_lengths()
+ONE = Fraction(1)
+
+
 def random_graph(rng: random.Random, max_v=10, max_e=14, kind="exact") -> MetricGraph:
     """Random multigraph; kind "float" or "mixed" turns all or about half of
-    the lengths into floats of the same value."""
+    the lengths into floats of the same value, and kind "band" draws about
+    half of them from ``BAND_LENGTHS`` and the rest as floats."""
     n = rng.randint(2, max_v)
     lengths = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]
 
     def length():
+        if kind == "band" and rng.random() < 0.5:
+            return rng.choice(BAND_LENGTHS)
         ln = rng.choice(lengths)
-        if kind == "float" or (kind == "mixed" and rng.random() < 0.5):
+        if kind in ("float", "band") or (kind == "mixed" and rng.random() < 0.5):
             return float(ln)
         return ln
 
@@ -326,11 +346,15 @@ def test_metric_properties_random_sweep():
 
 
 def test_pruned_diameter_matches_full_scan_random():
+    """The witness scan, and the diameter = pi gate run first on the same
+    graph, against the unpruned scan."""
     rng = random.Random(29)
-    for kind in ("exact", "float", "mixed"):
+    for kind in ("exact", "float", "mixed", "band"):
         for _ in range(40):
             g = random_graph(rng, kind=kind)
-            assert g.diameter() == full_scan_diameter(g), kind
+            full = full_scan_diameter(g)
+            assert g.diameter_cmp(ONE) == cmp_units(full[0], ONE), kind
+            assert g.diameter() == full, kind
 
 
 def test_pruned_diameter_matches_full_scan_buildings(heawood, tutte_coxeter, k33):
@@ -339,9 +363,13 @@ def test_pruned_diameter_matches_full_scan_buildings(heawood, tutte_coxeter, k33
     for c in (heawood, tutte_coxeter, k33, k44):
         g = graph_of(c)
         long = lengthened(g, len(g.edges) // 2)
+        short = lengthened(g, 1, -Fraction(1, 12))
+        for h in (g, long, short):
+            for k in (h, MetricGraph(h.vertices, [(u, v, float(ln)) for u, v, ln in h.edges])):
+                full = full_scan_diameter(k)
+                assert k.diameter_cmp(ONE) == cmp_units(full[0], ONE)
+                assert k.diameter() == full
         long_float = MetricGraph(long.vertices, [(u, v, float(ln)) for u, v, ln in long.edges])
-        for h in (g, long, long_float):
-            assert h.diameter() == full_scan_diameter(h)
         d, wit = long.diameter()
         assert 1 < d <= Fraction(13, 12) and long.distance(*wit) == d
         assert g.diameter()[0] == 1
@@ -386,3 +414,99 @@ def test_exact_graphs_return_fractions(heawood):
     assert all(isinstance(p.t, Fraction) for p in wit if not p.is_vertex)
     f = MetricGraph(g.vertices, [(u, v, float(ln)) for u, v, ln in g.edges])
     assert isinstance(f.diameter()[0], float) and isinstance(f.d(0, 5), float)
+
+
+# -- the diameter = pi gate from bounds ----------------------------------------------
+
+
+GATE_LENGTHS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), ONE]
+
+
+BAND_ENDS = [y for end, step in zip(units_band(1), (-math.inf, math.inf))
+             for y in (end, math.nextafter(end, -step), math.nextafter(end, step))]
+
+
+@st.composite
+def gate_graphs(draw):
+    """Connected multigraphs, half of them scaled to diameter exactly pi, with
+    exact, float (pi units, or radians read back as Angle does), mixed or
+    band-edge lengths: the latter scale by an end of the band of pi or a
+    neighbour of one, or draw lengths from ``BAND_LENGTHS``."""
+    n = draw(st.integers(2, 7))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    for _ in range(draw(st.integers(0, 8))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            pairs.append((u, v))
+    lengths = [draw(st.sampled_from(GATE_LENGTHS)) for _ in pairs]
+    names = [f"v{i}" for i in range(n)]
+    if draw(st.booleans()):
+        diam = MetricGraph(names, [(u, v, ln) for (u, v), ln in zip(pairs, lengths)]).diameter()[0]
+        lengths = [ln / diam for ln in lengths]
+    kind = draw(st.sampled_from(("exact", "float", "radians", "mixed", "band")))
+    factor = draw(st.sampled_from(BAND_ENDS))
+
+    def length(ln):
+        if kind == "radians":
+            return Angle(rad=float(ln) * math.pi).pi_units
+        if kind == "band" and draw(st.booleans()):
+            return draw(st.sampled_from(BAND_LENGTHS))
+        if kind == "band":
+            return float(ln) * factor
+        if kind == "float" or (kind == "mixed" and draw(st.booleans())):
+            return float(ln)
+        return ln
+
+    return MetricGraph(names, [(u, v, length(ln)) for (u, v), ln in zip(pairs, lengths)])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(gate_graphs())
+def test_diameter_cmp_matches_full_scan(g):
+    fresh = MetricGraph(g.vertices, g.edges)
+    want = cmp_units(fresh.diameter()[0], ONE)
+    assert g.diameter_cmp(ONE) == want
+    # the pair values it memoized leave the diameter and its witness as they were
+    assert g.diameter() == fresh.diameter()
+    assert g.diameter_cmp(ONE) == want
+
+
+def test_diameter_cmp_on_graphs_at_the_band_ends():
+    """Single edges, paths and circles whose diameter is an end of the band of
+    pi or its neighbour outside, in floats and in radians read back."""
+    for end, step in zip(units_band(1), (-math.inf, math.inf)):
+        for x in (end, math.nextafter(end, step)):
+            want = cmp_units(x, ONE)
+            for g in (MetricGraph(["a", "b"], [(0, 1, x)]),
+                      MetricGraph(["a", "b", "c"], [(0, 1, x / 2), (1, 2, x / 2)]),
+                      cycle_graph(4, x / 2), cycle_graph(6, x / 3)):
+                assert g.diameter_cmp(ONE) == cmp_units(g.diameter()[0], ONE)
+                if len(g.edges) == 1:
+                    assert g.diameter_cmp(ONE) == want
+
+
+def test_pair_values_within_their_bounds():
+    """Every computed pair value is at most its bound ub (ub2 / 2) plus 1e-12:
+    the rounding allowance EPS_UNITS / 2 of diameter_cmp is far above that.
+    Exact graphs meet the bound exactly."""
+    from buildctl.corpus import gen_rank2_building
+    rng = random.Random(53)
+    graphs = [random_graph(rng, kind=kind)
+              for kind in ("exact", "float", "mixed", "band") for _ in range(40)]
+    for kw in (dict(kind="projective_plane"), dict(kind="generalized_quadrangle"),
+               dict(kind="complete_bipartite", s=4, t=4)):
+        g = graph_of(gen_rank2_building(**kw))
+        for h in (g, lengthened(g, 5)):
+            graphs += [h, MetricGraph(h.vertices, [(u, v, float(ln)) for u, v, ln in h.edges]),
+                       MetricGraph(h.vertices, [(u, v, Angle(rad=float(ln) * math.pi).pi_units)
+                                                for u, v, ln in h.edges])]
+    checked = 0
+    for g in graphs:
+        if not g.is_connected():
+            continue
+        exact = g._kernel[0] is not None
+        for i, j, ub2 in g._pair_bounds():
+            val = g._edge_pair_max(i, j)[0]
+            assert 2 * val <= ub2 if exact else val <= ub2 / 2 + 1e-12, (i, j)
+            checked += 1
+    assert checked > 10000

@@ -968,6 +968,82 @@ def test_propagation_failure_keeps_exact_length():
         assert res.witness["length_pi_units"] == float(total)
 
 
+# -- the diameter gate from bounds -----------------------------------------------------
+
+
+def _radian_floated(g):
+    """Float lengths as a radian JSON file gives them: (ln * pi) / pi."""
+    return MetricGraph(g.vertices, [(u, v, Angle(rad=float(ln) * math.pi).pi_units)
+                                    for u, v, ln in g.edges])
+
+
+def _counting_pairs(monkeypatch):
+    """(graph, i, j) of every ``MetricGraph._edge_pair_max`` call."""
+    seen = []
+    pair_max = MetricGraph._edge_pair_max
+
+    def counting(self, i, j):
+        seen.append((id(self), i, j))
+        return pair_max(self, i, j)
+
+    monkeypatch.setattr(MetricGraph, "_edge_pair_max", counting)
+    return seen
+
+
+_GATE_BUILDINGS = [
+    ("heawood", dict(kind="projective_plane")),
+    ("gq22", dict(kind="generalized_quadrangle")),
+    ("k66", dict(kind="complete_bipartite", s=6, t=6)),
+    ("k88", dict(kind="complete_bipartite", s=8, t=8)),
+]
+
+
+@pytest.mark.parametrize("name, kw", _GATE_BUILDINGS)
+def test_diameter_gate_evaluates_no_pair_on_float_buildings(name, kw, monkeypatch):
+    """The diameter = pi gate settles from bounds: no edge pair evaluated on
+    the float copies, at most one (as the witness scan needs) on the exact
+    graph, and the certificate is the one the full scan gives."""
+    g = MetricGraph.from_complex(gen_rank2_building(**kw))
+    seen = _counting_pairs(monkeypatch)
+    reports = []
+    for h, most in ((g, 1), (_floated(g), 0), (_radian_floated(g), 0)):
+        seen.clear()
+        cert = recognize_dim1(h)
+        assert cert.verdict == "thick_building" and cert.apartments_exhaustive, name
+        assert len(seen) <= most, (name, len(seen))
+        reports.append(cert.to_report())
+    assert reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("name, kw", _GATE_BUILDINGS + [
+    ("k44", dict(kind="complete_bipartite", s=4, t=4))])
+def test_diameter_gate_on_seeded_negatives(name, kw, monkeypatch):
+    """One edge lengthened or shortened by pi/12, exact and float: the gate
+    evaluates each pair at most once, and at most one distinct pair more than
+    the witness scan alone, which is all that recognize_dim1 ran before the
+    gate read bounds."""
+    g = MetricGraph.from_complex(gen_rank2_building(**kw))
+    rng = random.Random(name)
+    seen = _counting_pairs(monkeypatch)
+    for eid in rng.sample(range(len(g.edges)), 3):
+        for by in (Fraction(1, 12), -Fraction(1, 12)):
+            edges = list(g.edges)
+            u, v, ln = edges[eid]
+            edges[eid] = (u, v, ln + by)
+            neg = MetricGraph(g.vertices, edges)
+            for h in (neg, _floated(neg), _radian_floated(neg)):
+                seen.clear()
+                res = recognize_dim1(h)
+                gate = len(seen)
+                assert gate == len(set(seen))
+                assert isinstance(res, Diagnosis)
+                assert res.condition == ("diameter" if by > 0 else "systole")
+                seen.clear()
+                if by > 0:
+                    MetricGraph(h.vertices, h.edges).diameter()
+                assert gate <= len(seen) + 1, (name, eid, by, gate, len(seen))
+
+
 # -- relabelling, property-based ---------------------------------------------------
 
 
