@@ -13,6 +13,7 @@ dimension >= 2, geodesics, Coxeter groups).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -36,6 +37,7 @@ UNDECIDED_MARKERS = ("global_cat1_unverified", "unknown_pi1",
 
 
 BUDGET_KEYS = ("B_group", "B_apt", "branch_budget")
+GEN_OPTIONS = ("length", "s", "t", "q", "radius")    # generator keyword arguments
 
 
 def budgets() -> dict:
@@ -132,6 +134,14 @@ def cmd_gen(args) -> int:
     from . import corpus
     from .coxeter import B_GROUP_DEFAULT, CoxeterMatrix, coxeter_complex, named_matrix
     kind = args.kind
+    make = corpus.GENERATORS.get(kind)
+    if make is None and kind not in ("coxeter-complex", "suspension"):
+        raise ComplexError(f"unknown generator {kind!r}")
+    options = {k: getattr(args, k) for k in GEN_OPTIONS if getattr(args, k) is not None}
+    takes = inspect.signature(make).parameters if make else {}
+    for k in options:
+        if k not in takes:
+            raise ComplexError(f"gen {kind} takes no --{k}")
     if kind == "coxeter-complex":
         if args.matrix:
             with open(args.matrix, encoding="utf-8") as fh:
@@ -144,21 +154,10 @@ def cmd_gen(args) -> int:
         if not args.base:
             raise ComplexError("gen suspension needs --base FILE")
         cx = corpus.gen_suspension(load_path(args.base))
-    elif kind in corpus.GENERATORS:
-        kwargs = {}
-        if args.length:
-            kwargs["length"] = parse_length(args.length)
-        if args.s is not None:
-            kwargs["s"] = args.s
-        if args.t is not None:
-            kwargs["t"] = args.t
-        if args.q is not None:
-            kwargs["q"] = args.q
-        if args.radius is not None:
-            kwargs["radius"] = args.radius
-        cx = corpus.GENERATORS[kind](**kwargs)
     else:
-        raise ComplexError(f"unknown generator {kind!r}")
+        if "length" in options:
+            options["length"] = parse_length(options["length"])
+        cx = make(**options)
     _write_output(cx.dumps(), args.output)
     return EXIT_OK
 

@@ -185,18 +185,17 @@ def gen_suspension(base: MetricComplex) -> MetricComplex:
 
 
 GENERATORS = {
-    "complete-bipartite": lambda s=3, t=3, length=None, **_:
+    "complete-bipartite": lambda s=3, t=3, length=None:
         gen_rank2_building("complete_bipartite", s=s, t=t, length=length),
-    "projective-plane": lambda q=2, length=None, **_:
+    "projective-plane": lambda q=2, length=None:
         gen_rank2_building("projective_plane", q=q, length=length),
-    "generalized-quadrangle": lambda q=2, length=None, **_:
+    "generalized-quadrangle": lambda q=2, length=None:
         gen_rank2_building("generalized_quadrangle", q=q, length=length),
-    "octahedron": lambda **_: gen_octahedron(),
-    "petersen": lambda **_: gen_petersen(),
-    "k4": lambda **_: gen_k4(),
-    "short-lune": lambda **_: gen_short_lune(),
-    "punctured-octahedron": lambda **_: gen_punctured_octahedron(),
-    "a2-window": lambda radius=3, **_: gen_a2_window(radius).complex,
-    "perturbed-a2-window": lambda radius=3, **_:
-        gen_a2_window(radius, perturb=1.01).complex,
+    "octahedron": gen_octahedron,
+    "petersen": gen_petersen,
+    "k4": gen_k4,
+    "short-lune": gen_short_lune,
+    "punctured-octahedron": gen_punctured_octahedron,
+    "a2-window": lambda radius=3: gen_a2_window(radius).complex,
+    "perturbed-a2-window": lambda radius=3: gen_a2_window(radius, perturb=1.01).complex,
 }

@@ -164,14 +164,16 @@ class CoxeterClassification:
         }
 
 
-def classify(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterClassification:
-    """Spherical/Euclidean/other by eigenvalue signs of the cosine form."""
+def cosine_verdicts(M: CoxeterMatrix) -> tuple[tuple[tuple[int, ...], ...],
+                                              tuple[str, ...], str]:
+    """The eigenvalue-sign test of the cosine form: (components, verdict per
+    component, verdict), each verdict spherical | euclidean | other.  It
+    enumerates no group."""
     import numpy as np
     comps = irreducible_components(M)
     verdicts = []
     for comp in comps:
-        B = cosine_form(M.submatrix(comp))
-        w = np.linalg.eigvalsh(B)
+        w = np.linalg.eigvalsh(cosine_form(M.submatrix(comp)))
         if w[0] > EPS_GRAM:
             verdicts.append("spherical")
         elif abs(w[0]) <= EPS_GRAM and (len(w) == 1 or w[1] > EPS_GRAM):
@@ -185,6 +187,13 @@ def classify(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterClassifi
         verdict = "euclidean"
     else:
         verdict = "other"
+    return comps, tuple(verdicts), verdict
+
+
+def classify(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterClassification:
+    """The sign test of ``cosine_verdicts``, with the group order of a
+    spherical system (unknown when enumeration exceeds the budget)."""
+    comps, verdicts, verdict = cosine_verdicts(M)
     order: int | None = None
     known = True
     if verdict == "spherical":
@@ -195,7 +204,7 @@ def classify(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterClassifi
         except BudgetExceeded:
             order = None
             known = False
-    return CoxeterClassification(verdict, comps, tuple(verdicts), order, known)
+    return CoxeterClassification(verdict, comps, verdicts, order, known)
 
 
 def _sqrt_form(B: np.ndarray) -> np.ndarray:
@@ -269,9 +278,9 @@ def coxeter_complex(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterC
     contributes one top cell.
     """
     import numpy as np
-    cls = classify(M, budget=budget)
-    if cls.verdict != "spherical":
-        raise CoxeterError(f"coxeter_complex needs a spherical system, got {cls.verdict}")
+    verdict = cosine_verdicts(M)[2]
+    if verdict != "spherical":
+        raise CoxeterError(f"coxeter_complex needs a spherical system, got {verdict}")
     B = cosine_form(M)
     C = _sqrt_form(B)
     n = M.rank

@@ -11,8 +11,9 @@ Recognition has two layers.  The local certificate (``_certify``) runs the
 gates, the link recursion, the Coxeter matrix and the verdict; it is
 memoized on the complex and is what every link certificate holds.  The
 public functions add the apartment system on top: the 2*pi cycles in
-dimension 1, the whole complex when it is a thin sphere, and in dimension 2
-the spheres that sector propagation grows from each vertex link's cycles.
+dimension 1, the whole complex when it is a thin sphere, and otherwise the
+convex hulls of opposite chambers (two chambers at gallery distance l(w0)
+lie in exactly one apartment, the chambers on their minimal galleries).
 The apartment axioms are checked exactly, never by sampling: axiom (2) over
 every pair of chambers (any two cells lie in chambers) with each apartment
 an int bitmask of its chambers, and in dimension 1 axiom (3) over every
@@ -29,11 +30,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from . import geodesics   # propagate_all is looked up at call time
+# loaded with the recognizer: perfbench/tracing.py patches it through sys.modules
+from . import geodesics  # noqa: F401
 from .angles import PiUnits, cmp_units, kernel_band, units_close
 from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, MetricComplex,
                         cell_link, vertex_link)
-from .coxeter import CoxeterMatrix, classify, coxeter_complex, dihedral
+from .coxeter import (CoxeterComplexModel, CoxeterMatrix, cosine_verdicts,
+                      coxeter_complex, dihedral)
 from .decompose import (euclidean_factor_hint, find_suspension_poles,
                         most_singular_vertex)
 from .homotopy import NONTRIVIAL, UNKNOWN, simple_connectivity
@@ -85,12 +88,12 @@ class Diagnosis:
 
 @dataclass(frozen=True)
 class Apartment:
-    """A recognized apartment: a 2*pi cycle (dim 1) or a 2-sphere subcomplex."""
+    """A recognized apartment: a 2*pi cycle (dim 1) or a sphere subcomplex."""
 
     kind: str                           # cycle | sphere
     edges: tuple[int, ...] = ()         # dim 1: edge ids of the graph
-    vertices: tuple[int, ...] = ()      # dim 1: vertex cycle / dim 2: vertex set
-    cells: tuple[tuple, ...] = ()       # dim 2: top cells
+    vertices: tuple[int, ...] = ()      # dim 1: vertex cycle / dim >= 2: vertex set
+    cells: tuple[tuple, ...] = ()       # dim >= 2: top cells
 
     def key(self):
         return (self.kind, self.edges, self.cells)
@@ -336,14 +339,21 @@ def _disconnected_apartment_pair(apartments: Sequence[Apartment]
     that share an edge and meet disconnectedly, or None.
 
     Two distinct cycles meet in a linear forest, so their intersection is
-    connected exactly when |V_a & V_b| - |E_a & E_b| = 1.
+    connected exactly when |V_a & V_b| - |E_a & E_b| = 1.  Only the pairs
+    that share an edge are tested: for each i, the j > i found through the
+    apartments of i's edges, in increasing order.
     """
     vmask = [sum(1 << v for v in a.vertices) for a in apartments]
     emask = [sum(1 << e for e in a.edges) for a in apartments]
-    for i, j in itertools.combinations(range(len(apartments)), 2):
-        shared = emask[i] & emask[j]
-        if shared and (vmask[i] & vmask[j]).bit_count() - shared.bit_count() != 1:
-            return i, j
+    through: dict[int, list[int]] = {}      # edge -> the apartments on it
+    for k, a in enumerate(apartments):
+        for e in a.edges:
+            through.setdefault(e, []).append(k)
+    for i, a in enumerate(apartments):
+        vi, ei = vmask[i], emask[i]
+        for j in sorted({j for e in a.edges for j in through[e] if j > i}):
+            if (vi & vmask[j]).bit_count() - (ei & emask[j]).bit_count() != 1:
+                return i, j
     return None
 
 
@@ -424,9 +434,11 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
 
     Dimension 1 runs the gates of recognize_dim1.  Dimension >= 2 verifies
     the codimension-1 counts, recursively certifies cell links, assembles the
-    Coxeter matrix from panel angles, and enumerates apartments by sector
-    propagation.  Global CAT(1) is decided only for by-construction inputs
-    or through the simple-connectivity pathway in dimension >= 3.
+    Coxeter matrix from panel angles, and enumerates apartments as the
+    convex hulls of opposite chambers in the chamber graph, with l(w0) and
+    |W| read off the model Coxeter complex.  Global CAT(1) is decided only
+    for by-construction inputs or through the simple-connectivity pathway
+    in dimension >= 3.
 
     When the apartment search is exhaustive and two chambers lie in no
     common apartment, the result is a ``no_common_apartment`` diagnosis
@@ -480,10 +492,10 @@ def _local_certificate(c: MetricComplex) -> BuildingCertificate | Diagnosis:
     M = _assemble_coxeter(c, types, link_certs)
     if isinstance(M, Diagnosis):
         return M
-    cls = classify(M)
-    if cls.verdict != "spherical":
+    form = cosine_verdicts(M)[2]
+    if form != "spherical":
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
-            "detail": f"assembled Coxeter matrix is {cls.verdict}, not spherical",
+            "detail": f"assembled Coxeter matrix is {form}, not spherical",
             "matrix": M.to_json_dict()})
     poles = find_suspension_poles(c)
     flags = [FLAG_SAMPLED]
@@ -540,14 +552,15 @@ def _certify_links(c: MetricComplex, cells) -> dict | Diagnosis:
 def _with_apartments(c, cert, budget: int) -> BuildingCertificate | Diagnosis:
     """A copy of the local certificate with its apartment system: the 2*pi
     cycles and both cycle axioms in dimension 1, else the whole thin sphere
-    or the dimension-2 sector propagation, then axiom (2) and the isometry
-    to the model.  The memoized certificate is never changed."""
+    or the convex hulls of opposite chambers, then axiom (2) and the
+    isometry to the model.  The memoized certificate is never changed."""
     if isinstance(cert, Diagnosis):
         return cert
     if cert.apartments_exhaustive:      # complete by construction
         return replace(cert)
     flags = set(cert.flags) - {FLAG_SAMPLED}
     n = cert.dimension
+    model = None
     if n == 1:
         found, exhaustive = enumerate_apartments_dim1(cert.graph, cert.m, budget=budget)
         # the gates prove a generalized m-gon, so a failed axiom is our fault
@@ -559,17 +572,16 @@ def _with_apartments(c, cert, budget: int) -> BuildingCertificate | Diagnosis:
         if pair is not None:
             raise IntegrityError("apartments %d and %d intersect disconnectedly" % pair)
     else:
+        model = coxeter_complex(cert.coxeter_matrix)
         # a thin quotient such as RP^2 (Euler characteristic 1) goes on to
-        # sector propagation instead of failing the isometry check
+        # the hull search instead of failing the isometry check
         if cert.verdict == THIN and (
                 n != 2 or len(c.vertices) - len(c.edges) + len(c.top_cells) == 2):
             whole = Apartment("sphere", cells=tuple(sorted(c.top_cells)),
                               vertices=tuple(range(len(c.vertices))))
             found, exhaustive = (whole,), True
-        elif n == 2:
-            found, exhaustive = _enumerate_apartments_dim2(c, cert.link_certificates, budget)
         else:
-            found, exhaustive = (), False
+            found, exhaustive = _hull_apartments(c, model, budget)
         pair = _uncovered_chamber_pair(c.top_cells, [a.cells for a in found])
         if pair is not None and exhaustive:
             return Diagnosis(NO_COMMON_APARTMENT, {"chambers": [
@@ -580,7 +592,7 @@ def _with_apartments(c, cert, budget: int) -> BuildingCertificate | Diagnosis:
         flags.add(FLAG_SAMPLED)
     out = replace(cert, apartments=found, apartments_exhaustive=exhaustive,
                   flags=tuple(sorted(flags)))
-    _verify_apartment_isometry(c, out)
+    _verify_apartment_isometry(c, out, model)
     return out
 
 
@@ -669,44 +681,98 @@ def _assemble_coxeter(c: MetricComplex, types, link_certs) -> CoxeterMatrix | Di
     return CoxeterMatrix(gens, tuple(tuple(r) for r in rows))
 
 
-def _enumerate_apartments_dim2(c: MetricComplex, link_certs, budget: int
-                               ) -> tuple[tuple[Apartment, ...], bool]:
-    """Union over vertices of all sector-propagated spheres through each
-    link apartment; exhaustive when every propagation completed.  Each
-    vertex link's cycles come from its own apartment search, on the same
-    budget."""
-    seen: dict[tuple, Apartment] = {}
+def _hull_apartments(c: MetricComplex, model: CoxeterComplexModel, budget: int
+                     ) -> tuple[tuple[Apartment, ...], bool]:
+    """The apartments of c as convex hulls of opposite chambers.
+
+    In a spherical building two chambers at gallery distance l(w0) lie in
+    exactly one apartment, the chambers on their minimal galleries
+    {E : d(C,E) + d(E,D) = l(w0)}, and every apartment through C holds a
+    chamber opposite C (Abramenko-Brown, Buildings, ch. 4), so the hulls of
+    opposite pairs are the whole apartment system.  l(w0) and |W| are read
+    off the model: its elements come in length order, the longest last.
+
+    The chamber graph joins the cofaces of each panel; one breadth-first
+    search per chamber, cut at depth l(w0), gives its distance layers as
+    chamber bitmasks.  A hull of other than |W| chambers is no apartment
+    and is not kept; a pair already inside a kept hull is not evaluated
+    again.  The budget counts hulls evaluated, and the search is
+    exhaustive when none was cut off."""
+    chambers = c.top_cells
+    index = {t: k for k, t in enumerate(chambers)}
+    nbrs = []
+    for t in chambers:
+        mask = 0
+        for panel in itertools.combinations(t, c.dimension):
+            for u in c.cofaces[panel]:
+                mask |= 1 << index[u]
+        nbrs.append(mask & ~(1 << index[t]))
+    top = len(model.elements[-1].word)
+    order = len(model.elements)
+    layers = [_distance_layers(nbrs, k, top) for k in range(len(chambers))]
+    cover = [0] * len(chambers)
+    hulls = []
+    evaluated = 0
     exhaustive = True
-    spent = 0
-    for (vi,), (L, sub) in link_certs.items():
-        sub = _with_apartments(L, sub, budget)
-        exhaustive = exhaustive and sub.apartments_exhaustive
-        for apt in sub.apartments:
-            cyc_names = [L.vertices[w] for w in apt.vertices]
-            if len(cyc_names) < 3:
-                continue
-            remaining = max(budget - spent, 0)
-            if remaining == 0:
+    for i, li in enumerate(layers):
+        todo = li[top] >> (i + 1) << (i + 1)
+        while todo := todo & ~cover[i]:
+            j = (todo & -todo).bit_length() - 1
+            todo ^= 1 << j
+            if evaluated == budget:
                 exhaustive = False
                 break
-            surfaces, exhausted = geodesics.propagate_all(
-                c, c.vertices[vi], cyc_names, budget=remaining)
-            spent += 1 + len(surfaces)
-            if exhausted:
-                exhaustive = False
-            for s in surfaces:
-                seen.setdefault(s.cells, Apartment("sphere", cells=s.cells, vertices=s.vertices))
-    return tuple(sorted(seen.values(), key=lambda a: a.key())), exhaustive
+            evaluated += 1
+            lj = layers[j]
+            hull = 0
+            for d in range(top + 1):
+                hull |= li[d] & lj[top - d]
+            if hull.bit_count() != order:
+                continue
+            hulls.append(hull)
+            for k in _bits(hull):
+                cover[k] |= hull
+        if not exhaustive:
+            break
+    found = []
+    for hull in hulls:
+        cells = tuple(sorted(chambers[k] for k in _bits(hull)))
+        found.append(Apartment("sphere", cells=cells,
+                               vertices=tuple(sorted({v for t in cells for v in t}))))
+    return tuple(sorted(found, key=lambda a: a.key())), exhaustive
 
 
-def _verify_apartment_isometry(c: MetricComplex, cert: BuildingCertificate):
+def _distance_layers(nbrs: Sequence[int], start: int, depth: int) -> list[int]:
+    """Bitmasks of the vertices at distance 0..depth from start, in the graph
+    whose vertex k has neighbour bitmask nbrs[k]."""
+    seen = frontier = 1 << start
+    layers = [frontier]
+    for _ in range(depth):
+        reach = 0
+        for k in _bits(frontier):
+            reach |= nbrs[k]
+        frontier = reach & ~seen
+        seen |= frontier
+        layers.append(frontier)
+    return layers
+
+
+def _bits(mask: int):
+    """The set bit positions of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _verify_apartment_isometry(c: MetricComplex, cert: BuildingCertificate,
+                               model: CoxeterComplexModel | None):
     """Certificate soundness: every apartment matches the model Coxeter complex."""
     if cert.dimension < 2 or cert.coxeter_matrix is None or not cert.apartments:
         return
-    model = coxeter_complex(cert.coxeter_matrix).complex
     for a in cert.apartments:
         sub = _subcomplex(c, a.cells)
-        if not thin_isomorphic(sub, model):
+        if not thin_isomorphic(sub, model.complex):
             raise IntegrityError(
                 "apartment is not isometric to the model Coxeter complex")
 

@@ -395,6 +395,32 @@ def test_cli_bad_arguments_exit3(tmp_path, capsys, argv):
     assert err.startswith("buildctl: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "petersen", "--length", "1.0"],
+    ["gen", "octahedron", "--radius", "2"],
+    ["gen", "projective-plane", "--s", "3"],
+    ["gen", "generalized-quadrangle", "--t", "2"],
+    ["gen", "complete-bipartite", "--q", "2"],
+    ["gen", "a2-window", "--length", "pi/3"],
+    ["gen", "coxeter-complex", "--type", "A2", "--q", "3"],
+    ["gen", "suspension", "--base", "K33", "--length", "pi/2"],
+])
+def test_cli_gen_rejects_options_its_kind_does_not_take(tmp_path, capsys, argv):
+    """An option the generator does not read exits 3 with one ``buildctl: ``
+    line and writes nothing; the options it does read still work."""
+    (tmp_path / "K33").write_text(gen_rank2_building("complete_bipartite").dumps())
+    out = tmp_path / "out.json"
+    argv = [str(tmp_path / a) if a == "K33" else a for a in argv]
+    assert main(argv + ["-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"buildctl: gen {argv[1]} takes no {argv[-2]}\n", err
+    assert not out.exists()
+    for ok in (["gen", "petersen"], ["gen", "a2-window", "--radius", "2"],
+               ["gen", "complete-bipartite", "--s", "2", "--t", "3", "--length", "pi/2"],
+               ["gen", "projective-plane", "--q", "2", "--length", "pi/3"]):
+        assert main(ok + ["-o", str(out)]) == 0, ok
+
+
 def test_cli_group_budget_exhausted_exit2(monkeypatch, capsys):
     """An exhausted group budget leaves the answer open: exit 2 and one
     ``buildctl: `` line; classify reports the order as unknown instead."""

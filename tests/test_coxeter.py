@@ -7,7 +7,7 @@ import pytest
 
 from buildctl.complexes import validate, vertex_link
 from buildctl.coxeter import (BudgetExceeded, CoxeterError, CoxeterMatrix,
-                              classify, cosine_form, coxeter_complex,
+                              classify, cosine_form, cosine_verdicts, coxeter_complex,
                               dihedral, generate_reflection_group,
                               irreducible_components, named_matrix)
 from buildctl.metric_graph import MetricGraph
@@ -183,3 +183,22 @@ def test_classify_budget_flag():
     cls = classify(named_matrix("B3"), budget=10)
     assert cls.verdict == "spherical"
     assert cls.group_order is None and not cls.order_known
+
+
+def test_cosine_verdicts_is_the_classify_sign_test(monkeypatch):
+    """classify reports the sign test's components and verdicts and adds the
+    order; the sign test alone enumerates no group, whatever the budget."""
+    hyperbolic = CoxeterMatrix(("a", "b", "c"), ((1, 2, 3), (2, 1, 7), (3, 7, 1)))
+    mixed = CoxeterMatrix(("x", "a", "b", "c"),
+                          ((1, 2, 2, 2), (2, 1, 3, 3), (2, 3, 1, 3), (2, 3, 3, 1)))
+    matrices = [named_matrix(n) for n in ("A1", "A2", "B3", "A1xA1xA1", "A1xI2(3)", "~A2")]
+    matrices += [dihedral(7), CoxeterMatrix(("s", "t"), ((1, 0), (0, 1))), hyperbolic, mixed]
+    expected = [classify(M) for M in matrices]
+
+    def no_group(*args, **kwargs):
+        raise AssertionError("the sign test enumerated a group")
+
+    monkeypatch.setattr("buildctl.coxeter.generate_reflection_group", no_group)
+    for M, cls in zip(matrices, expected):
+        assert cosine_verdicts(M) == (cls.components, cls.component_verdicts, cls.verdict)
+    assert [cls.verdict for cls in expected[-4:]] == ["spherical", "euclidean", "other", "other"]

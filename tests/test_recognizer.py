@@ -519,8 +519,8 @@ S0S0K33_REPORT = {
     "schema": 1, "verdict": "suspension", "geometry": "spherical", "dimension": 3,
     "coxeter": {"generators": ["s0", "s1", "s2", "s3"],
                 "m": [[1, 2, 2, 2], [2, 1, 2, 2], [2, 2, 1, 2], [2, 2, 2, 1]]},
-    "m": None, "thickness": 2, "apartments": {"count": 0, "exhaustive": False},
-    "flags": ["apartment_axiom2_unverified", "apartments_sampled"],
+    "m": None, "thickness": 2, "apartments": {"count": 9, "exhaustive": True},
+    "flags": [],
     "suspension": {"poles": ["N0", "S0"], "base_size": 8}}
 
 A4_REPORT = {
@@ -598,8 +598,8 @@ def test_memo_keeps_no_budget(k33):
     """The local certificate reads no budget: a small budget on one call
     leaves the next call on the same object exhaustive."""
     c = suspension(k33)
-    small = check_spherical(c, budget=40)
-    assert not small.apartments_exhaustive and len(small.apartments) == 6
+    small = check_spherical(c, budget=5)
+    assert not small.apartments_exhaustive and len(small.apartments) == 5
     assert sorted(small.flags) == ["apartment_axiom2_unverified", "apartments_sampled"]
     full = check_spherical(c)
     assert full.apartments_exhaustive and len(full.apartments) == 9
@@ -607,7 +607,31 @@ def test_memo_keeps_no_budget(k33):
     # and the other way round on a fresh object
     c = suspension(k33)
     assert len(check_spherical(c).apartments) == 9
-    assert check_spherical(c, budget=40).to_report() == small.to_report()
+    assert check_spherical(c, budget=5).to_report() == small.to_report()
+
+
+def test_one_group_per_check(heawood, monkeypatch):
+    """Local certificates read only the sign test of the cosine form: the
+    one group a check enumerates is that of the model its apartments are
+    compared with, and no classification runs."""
+    import buildctl.coxeter as coxeter
+    groups = []
+    original = coxeter.generate_reflection_group
+
+    def counting(M, *args, **kwargs):
+        groups.append(M)
+        return original(M, *args, **kwargs)
+
+    def no_classify(*args, **kwargs):
+        raise AssertionError("classify ran")
+
+    monkeypatch.setattr(coxeter, "generate_reflection_group", counting)
+    monkeypatch.setattr(coxeter, "classify", no_classify)
+    for c in (suspension(heawood), suspension(suspension(heawood)), gen_octahedron()):
+        groups.clear()
+        cert = check_spherical(c)
+        assert cert.apartments_exhaustive and not cert.flags
+        assert groups == [cert.coxeter_matrix]
 
 
 def test_link_certificates_hold_their_link(k33):
@@ -621,8 +645,11 @@ def test_link_certificates_hold_their_link(k33):
     assert {len(cell) for cell in cert.link_certificates} == {1, 2}
 
 
-def test_no_surface_growth_inside_dim3_links(k33, monkeypatch):
+def _counting_propagation(monkeypatch):
+    """Patch ``geodesics.propagate_all`` where the recognizer would look it
+    up; the returned list receives the base vertex of every call."""
     import buildctl.geodesics as geodesics
+    import buildctl.recognizer as recognizer
     calls = []
     original = geodesics.propagate_all
 
@@ -631,26 +658,28 @@ def test_no_surface_growth_inside_dim3_links(k33, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(geodesics, "propagate_all", counting)
+    assert recognizer.geodesics.propagate_all is counting
+    return calls
+
+
+def test_no_surface_growth_inside_dim3_links(k33, monkeypatch):
+    """Apartments are hulls of opposite chambers in every dimension: no
+    sector propagation runs, neither for a dimension-3 complex and its links
+    nor for a dimension-2 one, and both find all 9 apartments."""
+    calls = _counting_propagation(monkeypatch)
     cert = check_spherical(suspension(suspension(k33)))
     assert cert.verdict == "suspension"
+    assert len(cert.apartments) == 9 and cert.apartments_exhaustive
+    cert = check_spherical(suspension(k33))
+    assert len(cert.apartments) == 9 and cert.apartments_exhaustive
     assert calls == []
-    # the guard is live: a dimension-2 complex grows its surfaces through it
-    assert len(check_spherical(suspension(k33)).apartments) == 9
-    assert calls
 
 
 def test_no_surface_growth_in_thin_complexes(monkeypatch):
     """A thin complex with spherical Euler characteristic is its own single
-    apartment, so no sector propagation runs."""
-    import buildctl.geodesics as geodesics
-    calls = []
-    original = geodesics.propagate_all
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(geodesics, "propagate_all", counting)
+    apartment, and the thin quotient that is not runs the hull search: no
+    sector propagation runs for either."""
+    calls = _counting_propagation(monkeypatch)
     from buildctl.coxeter import CoxeterMatrix
     h3 = CoxeterMatrix(("s0", "s1", "s2"), ((1, 5, 2), (5, 1, 3), (2, 3, 1)))
     for M in (named_matrix("A3"), named_matrix("B3"), h3):
@@ -659,13 +688,13 @@ def test_no_surface_growth_in_thin_complexes(monkeypatch):
         assert cert.verdict == "thin_building", M
         assert len(cert.apartments) == 1 and cert.apartments_exhaustive, M
         assert cert.apartments[0].cells == c.top_cells, M
-    assert calls == []
     # the Euler guard is live: the antipodal quotient of B3 (an RP^2, thin,
-    # Euler characteristic 1) grows surfaces, finds no sphere, and is not
-    # taken for its own apartment (which would fail the isometry check)
+    # Euler characteristic 1) is not taken for its own apartment (which
+    # would fail the isometry check); no chamber of it has an opposite, so
+    # its hull family is empty and axiom (2) fails
     res = check_spherical(_antipodal_quotient(coxeter_complex(named_matrix("B3")).complex))
-    assert getattr(res, "apartments", ()) == ()
-    assert calls
+    assert isinstance(res, Diagnosis) and res.condition == "no_common_apartment"
+    assert calls == []
 
 
 def _antipodal_quotient(c):
@@ -685,9 +714,10 @@ def _antipodal_quotient(c):
 
 
 def test_b3_quotient_has_no_common_apartment(tmp_path):
-    """The antipodal quotient of B3 is a thin RP^2: its exhaustive apartment
-    search finds no sphere, so axiom (2) fails and the result is a diagnosis
-    whose witness chambers no grown surface holds together."""
+    """The antipodal quotient of B3 is a thin RP^2: no chamber of it has an
+    opposite, so its exhaustive hull search finds no apartment, axiom (2)
+    fails and the result is a diagnosis whose witness chambers no grown
+    surface holds together."""
     import buildctl.geodesics as geodesics
     from buildctl.cli import main
     q = _antipodal_quotient(coxeter_complex(named_matrix("B3")).complex)
@@ -950,6 +980,79 @@ def test_surface_growth_matches_fraction_oracle(label):
                 res = _grow_surface(k, fan, b)
                 assert res == oracles.grow_surface_fractions(k, fan, b), (label, v, b)
                 assert res[1] == (b < total)
+
+
+_DIM2_MODELS = {"s0*k33": "A1xA1xA1", "s0*heawood": "A1xI2(3)", "octahedron": "A1xA1xA1",
+                "punctured-octahedron": "A1xA1xA1", "b3-quotient": "B3"}
+_DIM2_HULLS = {"s0*k33": 9, "s0*heawood": 28, "octahedron": 1,
+               "punctured-octahedron": 0, "b3-quotient": 0}
+
+
+def _named_chambers(c, chamber_sets):
+    return {frozenset(frozenset(c.vertices[v] for v in t) for t in cells)
+            for cells in chamber_sets}
+
+
+def _grown_apartments(c):
+    """The union over every vertex and every 2*pi cycle of its link of the
+    closed spheres ``propagate_all`` grows, as chamber sets."""
+    from buildctl import geodesics
+    out = set()
+    for v in range(len(c.vertices)):
+        L = vertex_link(c, v)
+        for apt in enumerate_apartments_dim1(MetricGraph.from_complex(L))[0]:
+            if len(apt.vertices) < 3:
+                continue
+            surfaces, exhausted = geodesics.propagate_all(
+                c, c.vertices[v], [L.vertices[w] for w in apt.vertices])
+            assert not exhausted
+            out |= {s.cells for s in surfaces}
+    return _named_chambers(c, out)
+
+
+@pytest.mark.parametrize("label", sorted(_DIM2))
+def test_hull_family_matches_surface_growth(label):
+    """The convex hulls of opposite chambers are, as chamber sets, the
+    spheres that sector propagation grows from every link fan: on the
+    complex, a copy with float corner angles, a copy with every other corner
+    exact and a relabelled copy.  The hull family reads no angle, so it is
+    the same on every copy; a budget below the hull count cuts it off."""
+    from buildctl.recognizer import _hull_apartments
+    c = _DIM2[label]()
+    model = coxeter_complex(named_matrix(_DIM2_MODELS[label]))
+    order = list(range(len(c.vertices)))
+    random.Random(label).shuffle(order)
+    copies = [c, _float_corners(c), _float_corners(c, lambda key: sum(key) % 2 == 0),
+              _relabelled(c, order)]
+    hulls, exhaustive = _hull_apartments(c, model, 10 ** 5)
+    assert exhaustive and len(hulls) == _DIM2_HULLS[label]
+    expected = _named_chambers(c, [a.cells for a in hulls])
+    assert len(expected) == len(hulls)
+    for k in copies:
+        found, exhaustive = _hull_apartments(k, model, 10 ** 5)
+        assert exhaustive
+        assert _named_chambers(k, [a.cells for a in found]) == expected, label
+        assert _grown_apartments(k) == expected, label
+    for b in range(1, len(hulls)):
+        found, exhaustive = _hull_apartments(c, model, b)
+        assert not exhaustive and len(found) == b
+        assert _named_chambers(c, [a.cells for a in found]) < expected
+
+
+@pytest.mark.parametrize("label", ["s0*k33", "s0*heawood"])
+def test_dim3_hulls_are_suspended_dim2_hulls(label):
+    """The apartments of a suspension S0*X are the suspensions of the
+    apartments of X, so the hull family of S0*S0*K3,3 and S0*S0*Heawood is
+    the dimension-2 one (checked against surface growth above) joined with
+    the two new poles."""
+    inner = _DIM2[label]()
+    outer = suspension(inner)
+    poles = set(outer.vertices) - set(inner.vertices)
+    apartments = _named_chambers(inner, [a.cells for a in check_spherical(inner).apartments])
+    cert = check_spherical(outer)
+    assert cert.apartments_exhaustive and not cert.flags
+    assert _named_chambers(outer, [a.cells for a in cert.apartments]) == {
+        frozenset(t | {p} for t in apt for p in poles) for apt in apartments}
 
 
 def test_propagation_failure_keeps_exact_length():
