@@ -2,7 +2,7 @@
 
 Decides the 1-dimensional building dichotomy exactly on metric graphs,
 recursively certifies spherical and Euclidean complexes through their cell
-links, constructs apartments by sector propagation, and decomposes
+links, constructs apartments as convex hulls of opposite chambers, and decomposes
 recognized buildings into join factors.
 
 The package re-exports nothing: import from the submodules

@@ -258,7 +258,9 @@ def cmd_geodesic(args) -> int:
 def cmd_apartment(args) -> int:
     cx = load_path(args.file)
     from .geodesics import propagate_apartment
-    res = propagate_apartment(cx, args.from_, args.cycle, y=args.to)
+    from .recognizer import B_APT_DEFAULT
+    res = propagate_apartment(cx, args.from_, args.cycle, y=args.to,
+                              budget=budgets().get("B_apt", B_APT_DEFAULT))
     if hasattr(res, "cells"):
         emit({"schema": 1, "ok": True, "cells":
               [[cx.vertices[v] for v in cell] for cell in res.cells],
@@ -268,7 +270,7 @@ def cmd_apartment(args) -> int:
         return EXIT_OK
     emit({"schema": 1, "ok": False, "reason": res.reason, "witness": res.witness},
          args.report)
-    return EXIT_DIAGNOSED
+    return EXIT_UNDECIDED if res.exhausted else EXIT_DIAGNOSED
 
 
 def cmd_decompose(args) -> int:
@@ -371,12 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     ge.add_argument("--report", choices=("json", "text"), default="json")
     ge.set_defaults(func=cmd_geodesic)
 
-    apart = sub.add_parser("apartment", help="propagate an apartment from a vertex")
+    apart = sub.add_parser("apartment",
+                           help="an apartment through the sector fan of a link cycle")
     apart.add_argument("file")
     apart.add_argument("--from", dest="from_", required=True)
     apart.add_argument("--cycle", nargs="+", required=True,
                        help="link-cycle vertex names around the base vertex")
-    apart.add_argument("--to", help="expected antipodal vertex")
+    apart.add_argument("--to", help="a vertex the apartment must hold as the antipode "
+                                    "of --from")
     apart.add_argument("--report", choices=("json", "text"), default="json")
     apart.set_defaults(func=cmd_apartment)
 

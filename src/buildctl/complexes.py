@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .angles import Angle, EPS_GRAM, PiUnits, cmp_units, kernel_units
+from .angles import Angle, EPS_GRAM, PiUnits, cmp_units
 
 SPHERICAL = "spherical"
 EUCLIDEAN = "euclidean"
@@ -159,7 +159,6 @@ class MetricComplex:
         self.lengths: dict[Edge, Angle] = {}
         self.length_conflicts: list[tuple[Edge, Angle, Angle]] = []
         self._corner_angles: dict[tuple[int, int, int], Angle] = {}   # _vertex_angle
-        self._corner_kernel: tuple | None = None                       # corner_kernel
         self._vertex_links: dict[int, MetricComplex] = {}              # vertex_link
         self._certificate = None                                       # recognizer._certify
         for i, j, a in lengths:
@@ -396,17 +395,6 @@ def _vertex_angle(c: MetricComplex, v: int, u: int, w: int) -> Angle:
     ang = Angle.from_radians(math.acos(max(-1.0, min(1.0, cosang))))
     c._corner_angles[key] = ang
     return ang
-
-
-def corner_kernel(c: MetricComplex) -> tuple[int | None, dict[Cell, tuple]]:
-    """(scale, corners), memoized on ``c``: each top triangle's angles at its
-    three vertices, in vertex order, in ``kernel_units``."""
-    if c._corner_kernel is None:
-        scale, units = kernel_units([_vertex_angle(c, v, *(w for w in t if w != v)).pi_units
-                                     for t in c.top_cells for v in t])
-        c._corner_kernel = scale, {t: tuple(units[3 * k:3 * k + 3])
-                                   for k, t in enumerate(c.top_cells)}
-    return c._corner_kernel
 
 
 def vertex_link(c: MetricComplex, v) -> MetricComplex:

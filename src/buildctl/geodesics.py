@@ -1,15 +1,16 @@
-"""Local geodesics and apartment propagation in spherical complexes, n <= 2.
+"""Local geodesics and apartments through sector fans in spherical complexes, n <= 2.
 
 Within a 2-cell a geodesic is a great-circle arc of the cell's isometric
 model on the round sphere; crossing an edge interior develops the two
 incident cells flat; at a vertex the continuations are exactly the antipodes
 of the incoming direction in the vertex link, which is a metric graph and
-therefore exactly computable.  Apartments are grown combinatorially by
-closing vertex links to total angle 2*pi, which is the sector-by-sector
-propagation in exact arithmetic; the grown surface is verified to be a
-closed 2-sphere (Euler characteristic 2, all links full circles).  Angles
-are summed in ``corner_kernel`` units, exact ints whenever every corner angle
-is exact; a growth budget counts DFS nodes, one per partial surface.
+therefore exactly computable.  The apartments through the sector fan of a
+2*pi link cycle at x are those of the recognizer's apartment system, the
+convex hulls of opposite chambers (every apartment of a spherical building
+is one), that contain every wedge of the fan; they come in
+``Apartment.key`` order, and an antipode is read off the developed
+apartment.  The 2*pi test sums the fan's corner angles exactly, or within
+tolerance when one is a float (``cmp_units``).
 
 The recognizer loads this module, so numpy is imported inside the functions
 that use it: a process that only recognizes metric graphs never loads numpy.
@@ -20,12 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .angles import Angle, cmp_units, kernel_band
-from .complexes import MetricComplex, corner_kernel, vertex_link
+from .angles import Angle, cmp_units
+from .complexes import MetricComplex, _vertex_angle, vertex_link
 from .metric_graph import GraphPoint, MetricGraph
+from .recognizer import (B_APT_DEFAULT, Apartment, BuildingCertificate, Diagnosis,
+                         check_spherical)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,7 +35,6 @@ if TYPE_CHECKING:
 EPS_HIT = 1e-6
 SHOOT_GRID = 720
 SHOOT_DEPTH = 40
-WEDGE_CAP = 10 ** 4
 BRANCH_BUDGET = 64
 
 
@@ -567,7 +568,7 @@ def _graph_geodesic(c: MetricComplex, pi_: int, qi: int,
     return LocalGeodesic(c, path + list(reversed(rev)), pi_, end_vertex=qi)
 
 
-# -- apartment propagation ------------------------------------------------------
+# -- apartments through a sector fan --------------------------------------------
 
 
 @dataclass
@@ -582,141 +583,84 @@ class ApartmentSurface:
 class PropagationFailure:
     reason: str
     witness: dict
+    exhausted: bool = False     # the hull search was cut off: undecided
+
+
+def _sector_fan(c: MetricComplex, x, link_cycle: Sequence) -> tuple[int, list, list]:
+    """(x, cycle, fan): vertex indices and the wedge cells at x spanned by
+    consecutive cycle entries, in cycle order."""
+    if c.dimension != 2 or c.geometry != "spherical":
+        raise GeodesicError("apartment propagation implemented for spherical n = 2")
+    xi = c.vertex_index(x)
+    cyc = [c.vertex_index(v) for v in link_cycle]
+    return xi, cyc, [tuple(sorted((xi, a, b))) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+
+
+def _through_fan(cert: BuildingCertificate, fan) -> list[Apartment]:
+    return sorted((a for a in cert.apartments if set(fan) <= set(a.cells)),
+                  key=Apartment.key)
 
 
 def propagate_apartment(c: MetricComplex, x, link_cycle: Sequence, y=None,
-                        budget: int = WEDGE_CAP):
-    """Grow the apartment spanned by geodesics from x across a link circle.
+                        budget: int = B_APT_DEFAULT):
+    """The apartment spanned by the geodesics from x across a link circle.
 
     ``link_cycle`` is the vertex sequence (ambient names or indices) of a
     cycle of total length 2*pi in lk(x); consecutive entries span the wedge
-    cells at x.  The wedges are completed to a closed surface by closing
-    every vertex link to angle exactly 2*pi; the result is the first
-    2-sphere (Euler characteristic 2) that ``propagate_all`` finds, and is
-    exactly the union of the geodesics from x in the directions of the cycle.
+    cells at x.  The result is the first apartment of ``check_spherical``
+    (in ``Apartment.key`` order) that contains every wedge and, when y is
+    given, holds y as the antipode of x.  A complex that ``check_spherical``
+    diagnoses fails with that diagnosis; a failure after a hull search that
+    ran out of ``budget`` is marked ``exhausted``.
     """
-    if c.dimension != 2 or c.geometry != "spherical":
-        raise GeodesicError("apartment propagation implemented for spherical n = 2")
+    xi, cyc, fan = _sector_fan(c, x, link_cycle)
     c.require_valid()
-    xi = c.vertex_index(x)
-    cyc = [c.vertex_index(v) for v in link_cycle]
     if len(cyc) < 3 or len(set(cyc)) != len(cyc):
         raise GeodesicError("link cycle must be a simple cycle of length >= 3")
-    fan = []
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        cell = tuple(sorted((xi, a, b)))
+    for cell in fan:
         if cell not in c.cofaces:     # pure and valid: a triangle is a top cell
-            raise GeodesicError(
-                f"({c.vertices[xi]},{c.vertices[a]},{c.vertices[b]}) is not a cell")
-        fan.append(cell)
-    scale, corners = corner_kernel(c)
-    total = sum(corners[cell][cell.index(xi)] for cell in fan)
-    lo, hi = kernel_band(2, scale)
-    if not lo <= total <= hi:
-        return PropagationFailure("link cycle does not have length 2*pi", {
-            "length_pi_units": float(Fraction(total, scale)) if scale else total})
+            a, b = (c.vertices[v] for v in cell if v != xi)
+            raise GeodesicError(f"({c.vertices[xi]},{a},{b}) is not a cell")
+    total = sum(_vertex_angle(c, xi, *(v for v in cell if v != xi)).pi_units
+                for cell in fan)
+    if cmp_units(total, 2) != 0:
+        return PropagationFailure("link cycle does not have length 2*pi",
+                                  {"length_pi_units": float(total)})
+    cert = check_spherical(c, budget)
+    if isinstance(cert, Diagnosis):
+        return PropagationFailure("not a spherical building", {
+            "base": c.vertices[xi], "diagnosis": cert.to_json()})
+    through = _through_fan(cert, fan)
     yi = None if y is None else c.vertex_index(y)
-    spheres, exhausted = propagate_all(c, xi, cyc, budget)
-    if not spheres:
-        reason = ("wedge budget exceeded during propagation" if exhausted
-                  else "no closed spherical surface extends the sector fan")
-        return PropagationFailure(reason, {"base": c.vertices[xi]})
-    sphere = spheres[0]
-    anti = _apartment_antipode(c, sphere.cells, xi)
-    if yi is not None:
-        if yi not in sphere.vertices:
-            return PropagationFailure("prescribed endpoint is not in the propagated sphere",
-                                      {"y": c.vertices[yi]})
-        if anti is not None and anti != yi:
-            dist = _developed_distance(c, sphere.cells, xi, yi)
-            return PropagationFailure("prescribed endpoint is not antipodal to the base",
-                                      {"y": c.vertices[yi], "distance": dist})
-    sphere.antipode_of_base = anti
-    return sphere
-
-
-def _grow_surface(c: MetricComplex, fan, budget: int):
-    """DFS closure of a triangle set into closed surfaces whose vertex links
-    all have angle 2*pi.  Returns (closures, budget_exhausted); the budget
-    counts DFS nodes, the fan's own included.  Angle sums are ints in units
-    of pi/scale or pi-unit floats (``corner_kernel``), compared with the band
-    of 2*pi (``kernel_band``).  The state changes in place and an undo restores
-    the saved sums rather than subtracting, so float sums keep their bits."""
-    cells0 = tuple(sorted(set(fan)))
-    if len(cells0) != len(fan):
-        return [], False
-    scale, corners = corner_kernel(c)
-    lo, hi = kernel_band(2, scale)
-    cells: set = set()
-    edge_count: dict = {}
-    open_edges: set = set()
-    vertex_angle: dict = {}        # 0 for a vertex off the surface
-    nodes = 0
-    exhausted = False
-    results: list[frozenset] = []
-
-    def count(edges, step):
-        for e in edges:
-            k = edge_count[e] = edge_count.get(e, 0) + step
-            (open_edges.add if k == 1 else open_edges.discard)(e)
-
-    def add(cell):
-        cells.add(cell)
-        count(itertools.combinations(cell, 2), 1)
-        for v, a in zip(cell, corners[cell]):
-            vertex_angle[v] = vertex_angle.get(v, 0) + a
-
-    def dfs():
-        nonlocal nodes, exhausted
-        nodes += 1
-        if nodes > budget:
-            exhausted = True
-            return
-        if not open_edges:
-            if all(lo <= s <= hi for s in vertex_angle.values() if s):
-                results.append(frozenset(cells))
-            return
-        for cand in c.cofaces.get(min(open_edges), ()):  # deterministic order
-            edges = tuple(itertools.combinations(cand, 2))
-            if cand in cells or any(edge_count.get(e, 0) >= 2 for e in edges) or any(
-                    vertex_angle.get(v, 0) + a > hi for v, a in zip(cand, corners[cand])):
-                continue
-            saved = {v: vertex_angle.get(v, 0) for v in cand}
-            add(cand)
-            dfs()
-            cells.discard(cand)
-            count(edges, -1)
-            vertex_angle.update(saved)
-            if exhausted:
-                return
-
-    for cell in cells0:
-        add(cell)
-    dfs()
-    return results, exhausted
+    holding_y = [a for a in through if yi is None or yi in a.vertices]
+    for apt in holding_y:
+        anti = _apartment_antipode(c, apt.cells, xi)
+        if yi is None or anti == yi:
+            return ApartmentSurface(apt.cells, apt.vertices, 2, anti)
+    if not cert.apartments_exhaustive:
+        return PropagationFailure("apartment budget exceeded before an apartment qualified",
+                                  {"base": c.vertices[xi], "budget": budget}, exhausted=True)
+    if holding_y:
+        return PropagationFailure("prescribed endpoint is not antipodal to the base", {
+            "y": c.vertices[yi],
+            "distance": _developed_distance(c, holding_y[0].cells, xi, yi)})
+    if through:
+        return PropagationFailure("prescribed endpoint is in no apartment through the fan",
+                                  {"y": c.vertices[yi]})
+    return PropagationFailure("no apartment contains the sector fan", {"base": c.vertices[xi]})
 
 
 def propagate_all(c: MetricComplex, x, link_cycle: Sequence,
-                  budget: int = WEDGE_CAP) -> tuple[list[ApartmentSurface], bool]:
-    """All closed spherical surfaces extending the sector fan of a link cycle,
-    in the order the closure search finds them.
-
-    Used for exhaustive apartment enumeration: every apartment through x whose
-    trace in lk(x) is the given cycle appears as one closure.
-    """
-    if c.dimension != 2 or c.geometry != "spherical":
-        raise GeodesicError("apartment propagation implemented for spherical n = 2")
-    xi = c.vertex_index(x)
-    cyc = [c.vertex_index(v) for v in link_cycle]
-    fan = [tuple(sorted((xi, a, b))) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
-    closures, exhausted = _grow_surface(c, fan, budget)
-    out = []
-    for cells in closures:
-        verts = tuple(sorted({v for cell in cells for v in cell}))
-        edges = {e for cell in cells for e in itertools.combinations(cell, 2)}
-        if len(verts) - len(edges) + len(cells) == 2:
-            out.append(ApartmentSurface(tuple(sorted(cells)), verts, 2, None))
-    return out, exhausted
+                  budget: int = B_APT_DEFAULT) -> tuple[list[Apartment], bool]:
+    """The apartments of ``check_spherical(c, budget)`` that contain every
+    wedge cell of the link cycle's sector fan, in ``Apartment.key`` order,
+    and whether the hull search was cut off; ``([], False)`` when
+    ``check_spherical`` diagnoses c."""
+    _, _, fan = _sector_fan(c, x, link_cycle)
+    cert = check_spherical(c, budget)
+    if isinstance(cert, Diagnosis):
+        return [], False
+    return _through_fan(cert, fan), not cert.apartments_exhaustive
 
 
 def develop_apartment(c: MetricComplex, cells, base: int) -> dict[int, np.ndarray]:

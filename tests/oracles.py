@@ -5,8 +5,9 @@ squares with zoom refinement (the envelope is concave on each zoom region).
 Systole: direct DFS enumeration of all injective cycles.  Cycle counts:
 networkx simple_cycles.  Apartment axioms: an unsampled scan over every pair
 of cells, faces included, and a graph search of each apartment intersection.
-Apartment searches: the earlier copying, Fraction-summing surface growth and
-dim-1 cycle DFS, which the kernel-unit searches must match node for node.
+Apartment searches: the earlier copying, Fraction-summing surface growth,
+whose closed spheres the hull family of opposite chambers must equal, and
+the dim-1 cycle DFS, which the kernel-unit search must match node for node.
 """
 
 from __future__ import annotations

@@ -304,7 +304,7 @@ def test_cli_coxeter(tmp_path):
     assert json.loads(r.stdout)["verdict"] == "thin_building"
 
 
-def test_cli_geodesic_and_apartment(tmp_path):
+def test_cli_geodesic_and_apartment(tmp_path, s0_heawood):
     f = tmp_path / "oct.json"
     run_cli("gen", "octahedron", "-o", str(f))
     r = run_cli("geodesic", str(f), "--from", "a0", "--dir", "0:1/4",
@@ -320,6 +320,38 @@ def test_cli_geodesic_and_apartment(tmp_path):
     r = run_cli("apartment", str(f), "--from", "a0", "--cycle",
                 "b0", "c0", "b1", "c1", "--to", "b0")
     assert r.returncode == 1
+    # l5 is the antipode of p0 in one apartment through this fan, not in all
+    f = tmp_path / "s0heawood.json"
+    f.write_text(s0_heawood.dumps())
+    r = run_cli("apartment", str(f), "--from", "p0", "--cycle", "N", "l0", "S", "l4",
+                "--to", "l5")
+    assert r.returncode == 0, r.stdout
+    rep = json.loads(r.stdout)
+    assert rep["ok"] and rep["antipode"] == "l5"
+    cells = {frozenset(t) for t in rep["cells"]}
+    assert {frozenset(t) for t in (("N", "p0", "l0"), ("S", "p0", "l0"),
+                                   ("S", "p0", "l4"), ("N", "p0", "l4"))} <= cells
+
+
+def test_cli_apartment_exit_codes(tmp_path, s0_heawood):
+    """A hull search cut off by B_apt before an apartment qualified is
+    undecided (exit 2); a complex that check_spherical diagnoses exits 1
+    with that diagnosis."""
+    f = tmp_path / "s0heawood.json"
+    f.write_text(s0_heawood.dumps())
+    argv = ("apartment", str(f), "--from", "p0", "--cycle", "N", "l0", "S", "l4",
+            "--to", "l5")
+    r = run_cli(*argv, env_extra={"BUILDCTL_BUDGETS": '{"B_apt": 1}'})
+    assert r.returncode == 2, r.stdout
+    rep = json.loads(r.stdout)
+    assert not rep["ok"] and "budget" in rep["reason"]
+    assert run_cli(*argv, env_extra={"BUILDCTL_BUDGETS": '{"B_apt": 100}'}).returncode == 0
+    f = tmp_path / "punctured.json"
+    run_cli("gen", "punctured-octahedron", "-o", str(f))
+    r = run_cli("apartment", str(f), "--from", "a0", "--cycle", "b0", "c0", "b1", "c1")
+    assert r.returncode == 1, r.stdout
+    rep = json.loads(r.stdout)
+    assert rep["witness"]["diagnosis"]["condition"] == "codim1_cell_count"
 
 
 def test_cli_decompose(tmp_path):

@@ -191,6 +191,33 @@ def test_propagate_all_finds_every_closure(s0_heawood):
     assert len(total) == 12
 
 
+def test_every_apartment_through_a_fan_takes_its_antipode(s0_heawood, s0_heawood_cert):
+    """For every (link fan, apartment) pair of S0*Heawood, the antipode y of
+    the base in that apartment is a valid endpoint: propagate_apartment
+    returns an apartment holding the fan and y, with y as the antipode.  A
+    search that kept the first closed surface through the fan refused 126
+    of these 224 pairs."""
+    c = s0_heawood
+    pairs = 0
+    for x in c.vertices:
+        xi = c.vertex_index(x)
+        lk, g = link_graph_of(c, x)
+        for a in enumerate_apartments_dim1(g)[0]:
+            ring = [lk.vertices[v] for v in a.vertices]
+            fan = {tuple(sorted((xi, c.vertex_index(u), c.vertex_index(w))))
+                   for u, w in zip(ring, ring[1:] + ring[:1])}
+            for apt in s0_heawood_cert.apartments:
+                if not fan <= set(apt.cells):
+                    continue
+                pos = develop_apartment(c, apt.cells, xi)
+                y = next(v for v, p in pos.items() if np.linalg.norm(p + pos[xi]) <= 1e-6)
+                res = propagate_apartment(c, x, ring, y=c.vertices[y])
+                assert isinstance(res, ApartmentSurface), (x, ring, c.vertices[y])
+                assert fan <= set(res.cells) and res.antipode_of_base == y
+                pairs += 1
+    assert pairs == 224
+
+
 def test_develop_apartment_isometry(octahedron):
     pos = develop_apartment(octahedron, octahedron.top_cells,
                             octahedron.vertices.index("a0"))

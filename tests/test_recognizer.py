@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from buildctl.angles import Angle
-from buildctl.complexes import (MetricComplex, _vertex_angle, cell_link, corner_kernel,
-                                discrete_complex, suspension, vertex_link)
+from buildctl.complexes import (MetricComplex, _vertex_angle, cell_link, discrete_complex,
+                                suspension, vertex_link)
 from buildctl.coxeter import coxeter_complex, named_matrix
 from buildctl.corpus import (gen_a2_window, gen_k4, gen_octahedron, gen_petersen,
                              gen_punctured_octahedron, gen_rank2_building,
@@ -716,9 +716,8 @@ def _antipodal_quotient(c):
 def test_b3_quotient_has_no_common_apartment(tmp_path):
     """The antipodal quotient of B3 is a thin RP^2: no chamber of it has an
     opposite, so its exhaustive hull search finds no apartment, axiom (2)
-    fails and the result is a diagnosis whose witness chambers no grown
-    surface holds together."""
-    import buildctl.geodesics as geodesics
+    fails and the result is a diagnosis whose witness chambers no sphere
+    that the surface-growth oracle grows holds together."""
     from buildctl.cli import main
     q = _antipodal_quotient(coxeter_complex(named_matrix("B3")).complex)
     res = check_spherical(q)
@@ -727,15 +726,13 @@ def test_b3_quotient_has_no_common_apartment(tmp_path):
     assert len(names) == 2
     pair = [tuple(sorted(q.vertex_index(v) for v in ch)) for ch in names]
     assert all(ch in q.top_cells for ch in pair)
-    surfaces = []
+    surfaces = set()
     for vi in range(len(q.vertices)):
         L = vertex_link(q, vi)
         for apt in recognize_dim1(L).apartments:
-            grown, exhausted = geodesics.propagate_all(
-                q, q.vertices[vi], [L.vertices[w] for w in apt.vertices])
-            assert not exhausted
-            surfaces += grown
-    assert not any(set(pair) <= set(s.cells) for s in surfaces)
+            ring = [q.vertex_index(L.vertices[w]) for w in apt.vertices]
+            surfaces |= _grown_spheres(q, _fan(vi, ring))
+    assert not any(set(pair) <= set(cells) for cells in surfaces)
     f = tmp_path / "b3-quotient.json"
     f.write_text(q.dumps())
     assert main(["check", str(f)]) == 1
@@ -930,9 +927,15 @@ def _float_corners(c, keep_exact=lambda key: False):
     return copy
 
 
+def _fan(v, ring):
+    """The wedge cells at vertex v spanned by consecutive ring vertices."""
+    return [tuple(sorted((v, a, b))) for a, b in zip(ring, ring[1:] + ring[:1])]
+
+
 def _link_fans(c):
-    """(vertex, fan) for every 2*pi cycle of every vertex link, and for up to
-    two cycles of the next even length, which are longer than 2*pi."""
+    """(vertex, ring, fan) for every 2*pi cycle of every vertex link, and for
+    up to two cycles of the next even length, which are longer than 2*pi; the
+    ring is the cycle's ambient vertex indices, the fan its wedge cells."""
     for v in range(len(c.vertices)):
         L = vertex_link(c, v)
         g = MetricGraph.from_complex(L)
@@ -943,7 +946,7 @@ def _link_fans(c):
             cycles += [a.vertices for a in enumerate_apartments_dim1(longer)[0][:2]]
         for cyc in cycles:
             ring = [c.vertex_index(L.vertices[x]) for x in cyc]
-            yield v, [tuple(sorted((v, a, b))) for a, b in zip(ring, ring[1:] + ring[:1])]
+            yield v, ring, _fan(v, ring)
 
 
 _DIM2 = {
@@ -953,33 +956,6 @@ _DIM2 = {
     "punctured-octahedron": gen_punctured_octahedron,
     "b3-quotient": lambda: _antipodal_quotient(coxeter_complex(named_matrix("B3")).complex),
 }
-
-
-@pytest.mark.parametrize("label", sorted(_DIM2))
-def test_surface_growth_matches_fraction_oracle(label):
-    """Same closures in the same order and the same exhaustion flag as the
-    copying, Fraction-summing growth, from every link fan, on the complex,
-    a copy with float corner angles and a copy with every other corner
-    exact; every budget up to the node count is tried on the first and the
-    last fan."""
-    from buildctl.geodesics import _grow_surface
-    c = _DIM2[label]()
-    copies = [c, _float_corners(c), _float_corners(c, lambda key: sum(key) % 2 == 0)]
-    assert corner_kernel(c)[0] is not None
-    assert [corner_kernel(k)[0] for k in copies[1:]] == [None, None]
-    fans = list(_link_fans(c))
-    assert fans
-    for k in copies:
-        for i, (v, fan) in enumerate(fans):
-            assert _grow_surface(k, fan, 10 ** 4) == \
-                oracles.grow_surface_fractions(k, fan, 10 ** 4), (label, v)
-            if i not in (0, len(fans) - 1):
-                continue
-            total = _node_count(lambda b: not _grow_surface(k, fan, b)[1])
-            for b in range(1, total + 1):
-                res = _grow_surface(k, fan, b)
-                assert res == oracles.grow_surface_fractions(k, fan, b), (label, v, b)
-                assert res[1] == (b < total)
 
 
 _DIM2_MODELS = {"s0*k33": "A1xA1xA1", "s0*heawood": "A1xI2(3)", "octahedron": "A1xA1xA1",
@@ -993,37 +969,51 @@ def _named_chambers(c, chamber_sets):
             for cells in chamber_sets}
 
 
+def _grown_spheres(c, fan):
+    """The closed 2-spheres (Euler characteristic 2) into which the
+    Fraction-summing surface growth closes a fan, as chamber tuples."""
+    closures, exhausted = oracles.grow_surface_fractions(c, fan, 10 ** 4)
+    assert not exhausted
+    return {tuple(sorted(cells)) for cells in closures
+            if len({v for t in cells for v in t})
+            - len({e for t in cells for e in itertools.combinations(t, 2)})
+            + len(cells) == 2}
+
+
 def _grown_apartments(c):
     """The union over every vertex and every 2*pi cycle of its link of the
-    closed spheres ``propagate_all`` grows, as chamber sets."""
-    from buildctl import geodesics
+    closed spheres the surface-growth oracle grows, as chamber sets."""
     out = set()
     for v in range(len(c.vertices)):
         L = vertex_link(c, v)
         for apt in enumerate_apartments_dim1(MetricGraph.from_complex(L))[0]:
             if len(apt.vertices) < 3:
                 continue
-            surfaces, exhausted = geodesics.propagate_all(
-                c, c.vertices[v], [L.vertices[w] for w in apt.vertices])
-            assert not exhausted
-            out |= {s.cells for s in surfaces}
+            ring = [c.vertex_index(L.vertices[w]) for w in apt.vertices]
+            out |= _grown_spheres(c, _fan(v, ring))
     return _named_chambers(c, out)
+
+
+def _dim2_copies(label):
+    """The ``_DIM2`` input, a copy with float corner angles, a copy with
+    every other corner exact and a relabelled copy."""
+    c = _DIM2[label]()
+    order = list(range(len(c.vertices)))
+    random.Random(label).shuffle(order)
+    return [c, _float_corners(c), _float_corners(c, lambda key: sum(key) % 2 == 0),
+            _relabelled(c, order)]
 
 
 @pytest.mark.parametrize("label", sorted(_DIM2))
 def test_hull_family_matches_surface_growth(label):
     """The convex hulls of opposite chambers are, as chamber sets, the
-    spheres that sector propagation grows from every link fan: on the
-    complex, a copy with float corner angles, a copy with every other corner
-    exact and a relabelled copy.  The hull family reads no angle, so it is
+    spheres that the surface-growth oracle grows from every link fan, on
+    every ``_dim2_copies`` copy.  The hull family reads no angle, so it is
     the same on every copy; a budget below the hull count cuts it off."""
     from buildctl.recognizer import _hull_apartments
-    c = _DIM2[label]()
+    copies = _dim2_copies(label)
+    c = copies[0]
     model = coxeter_complex(named_matrix(_DIM2_MODELS[label]))
-    order = list(range(len(c.vertices)))
-    random.Random(label).shuffle(order)
-    copies = [c, _float_corners(c), _float_corners(c, lambda key: sum(key) % 2 == 0),
-              _relabelled(c, order)]
     hulls, exhaustive = _hull_apartments(c, model, 10 ** 5)
     assert exhaustive and len(hulls) == _DIM2_HULLS[label]
     expected = _named_chambers(c, [a.cells for a in hulls])
@@ -1037,6 +1027,26 @@ def test_hull_family_matches_surface_growth(label):
         found, exhaustive = _hull_apartments(c, model, b)
         assert not exhaustive and len(found) == b
         assert _named_chambers(c, [a.cells for a in found]) < expected
+
+
+@pytest.mark.parametrize("label", sorted(_DIM2))
+def test_propagate_all_matches_surface_growth_per_fan(label):
+    """From every link fan, of a 2*pi cycle or a longer one, the apartments
+    that ``propagate_all`` filters out of the hull family are the spheres
+    the surface-growth oracle grows, in ``Apartment.key`` order, on every
+    ``_dim2_copies`` copy; on the two non-buildings both are empty."""
+    from buildctl.geodesics import propagate_all
+    for k in _dim2_copies(label):
+        fans = list(_link_fans(k))
+        assert fans
+        found = 0
+        for v, ring, fan in fans:
+            apartments, exhausted = propagate_all(k, v, ring)
+            assert not exhausted
+            assert {a.cells for a in apartments} == _grown_spheres(k, fan), (label, v)
+            assert [a.key() for a in apartments] == sorted(a.key() for a in apartments)
+            found += len(apartments)
+        assert (found > 0) == (_DIM2_HULLS[label] > 0), label
 
 
 @pytest.mark.parametrize("label", ["s0*k33", "s0*heawood"])
@@ -1056,8 +1066,8 @@ def test_dim3_hulls_are_suspended_dim2_hulls(label):
 
 
 def test_propagation_failure_keeps_exact_length():
-    """The 2*pi test of propagate_apartment reads the corner kernel; its
-    failure witness is the exact sum of the fan's corner angles, as a float."""
+    """The 2*pi test of propagate_apartment sums the fan's corner angles in
+    cycle order; its failure witness is that exact sum, as a float."""
     from buildctl.geodesics import PropagationFailure, propagate_apartment
     lune = gen_short_lune()
     for c in (lune, _float_corners(lune)):
@@ -1194,3 +1204,53 @@ def test_relabelling_keeps_certificate(relabel_cases, data, name):
          cert.apartments_exhaustive)
     assert _same_up_to_generator_order(cert.coxeter_matrix, other.coxeter_matrix)
     assert _apartment_names(r, other) == _apartment_names(c, cert)
+
+
+_JOIN_FACTORS = {
+    "s0": lambda: discrete_complex(["0", "1"]),
+    "d3": lambda: discrete_complex(["0", "1", "2"]),
+    "k33": lambda: gen_rank2_building("complete_bipartite", s=3, t=3),
+    "heawood": lambda: gen_rank2_building("projective_plane"),
+    "petersen": gen_petersen,
+    "k4": gen_k4,
+}
+
+
+def _join_factor(name):
+    """A ``_JOIN_FACTORS`` complex whose vertex names carry the factor name,
+    so that any two factors can be joined."""
+    c = _JOIN_FACTORS[name]()
+    return MetricComplex(c.geometry, [f"{name}:{v}" for v in c.vertices], c.top_cells,
+                         [(*e, a) for e, a in c.lengths.items()],
+                         allow_disconnected=c.allow_disconnected, provenance=c.provenance)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(pair=st.lists(st.sampled_from(sorted(_JOIN_FACTORS)), min_size=2, max_size=2,
+                     unique=True))
+def test_join_commutes(pair):
+    """A * B and B * A get the same report but for the order of the Coxeter
+    generators: the same verdict or diagnosis, thickness, apartments and
+    flags, and Coxeter matrices equal up to a permutation of the generators.
+    The factor pairs cover buildings, a suspension, a discrete join and the
+    link failures of Petersen and K4.  When both factors fail, the first
+    failing link is that of a top cell of the first factor, which is the
+    second factor, so A * B carries B's diagnosis and B * A carries A's."""
+    from buildctl.cli import report_of
+    from buildctl.complexes import orthogonal_join
+    a, b = (_join_factor(name) for name in pair)
+    ab = check_spherical(orthogonal_join(a, b))
+    ba = check_spherical(orthogonal_join(b, a))
+    reports = [report_of(r) for r in (ab, ba)]
+    for rep in reports:
+        rep.pop("coxeter", None)
+    own = [report_of(check_spherical(f)).get("diagnosis") for f in (a, b)]
+    if all(own):
+        assert [rep["diagnosis"]["condition"] for rep in reports] == ["link_failure"] * 2
+        assert [rep["diagnosis"]["inner"] for rep in reports] == own[::-1], pair
+        return
+    assert reports[0] == reports[1], pair
+    if isinstance(ab, Diagnosis) or ab.coxeter_matrix is None:
+        assert isinstance(ba, Diagnosis) or ba.coxeter_matrix is None, pair
+        return
+    assert _same_up_to_generator_order(ab.coxeter_matrix, ba.coxeter_matrix), pair
