@@ -37,8 +37,10 @@ bound: 0 on ints, EPS_UNITS/2 on floats (observed errors are about 1e-15).
 A pair is evaluated only when ub > hi - r, so no pair left out can reach
 above hi.  The answer is 0 when no evaluated value lies above hi and either
 LB >= lo + r or some evaluated value lies in [lo, hi]; otherwise it is the
-full scan's.  Pair values are memoized per graph, so that fallback evaluates
-no pair twice.
+full scan's.  At the first value above hi the full scan resumes from that
+pair: every pair before it has a value of at most hi, below the diameter,
+so none of them is the witness.  Pair values are memoized per graph, so
+the fallback after a scan without such a value evaluates no pair twice.
 """
 
 from __future__ import annotations
@@ -243,8 +245,10 @@ class MetricGraph:
 
     # -- diameter via envelope analysis ----------------------------------------
 
-    def diameter(self) -> tuple[PiUnits, tuple[GraphPoint, GraphPoint] | None]:
-        """Exact sup of distance over all point pairs, with a witness pair."""
+    def diameter(self, resume=None) -> tuple[PiUnits, tuple[GraphPoint, GraphPoint] | None]:
+        """Exact sup of distance over all point pairs, with a witness pair.
+        ``resume`` continues a scan from ``diameter_cmp``: the rest of its
+        ``_pair_bounds`` and the best value and (i, j, (t, s)) witness so far."""
         cached = getattr(self, "_diameter", None)
         if cached is not None:
             return cached
@@ -254,12 +258,11 @@ class MetricGraph:
         if not self.edges:
             self._diameter = (Fraction(0), None)
             return self._diameter
+        bounds, best, witness = resume or (self._pair_bounds(), -1, None)
         # bounds are compared doubled, which keeps them ints on exact graphs
         slack = 0 if self._kernel[0] else 2 * EPS_UNITS
         lb2 = self._lb2
-        best = -1
-        witness = None
-        for i, j, ub2 in self._pair_bounds():
+        for i, j, ub2 in bounds:
             if ub2 + slack < lb2 or ub2 + slack <= 2 * best:
                 continue
             val, ts = self._pair_max(i, j)
@@ -280,16 +283,16 @@ class MetricGraph:
             r = 0 if scale else EPS_UNITS / 2
             cut2 = 2 * (hi - r)
             settled = self._lb2 >= 2 * (lo + r)
-            for i, j, ub2 in self._pair_bounds():
+            bounds = self._pair_bounds()
+            for i, j, ub2 in bounds:
                 if ub2 <= cut2:
                     continue
-                val = self._pair_max(i, j)[0]
+                val, ts = self._pair_max(i, j)
                 if val > hi:
-                    break
+                    return cmp_units(self.diameter((bounds, val, (i, j, ts)))[0], target)
                 settled = settled or val >= lo
-            else:
-                if settled:
-                    return 0
+            if settled:
+                return 0
         return cmp_units(self.diameter()[0], target)
 
     @cached_property

@@ -10,10 +10,11 @@ links and assemble the Coxeter matrix from panel angles.
 Recognition has two layers.  The local certificate (``_certify``) runs the
 gates, the link recursion, the Coxeter matrix and the verdict; it is
 memoized on the complex and is what every link certificate holds.  The
-public functions add the apartment system on top: the 2*pi cycles in
-dimension 1, the whole complex when it is a thin sphere, and otherwise the
-convex hulls of opposite chambers (two chambers at gallery distance l(w0)
-lie in exactly one apartment, the chambers on their minimal galleries).
+public functions add the apartment system on top: the whole complex when
+it is a single 2*pi circuit or a thin sphere, and otherwise the convex hulls
+of opposite chambers (two chambers at gallery distance l(w0) lie in exactly
+one apartment, the chambers on their minimal galleries), in dimension 1 with
+the chains between vertices of valence >= 3 as chambers.
 The apartment axioms are checked exactly, never by sampling: axiom (2) over
 every pair of chambers (any two cells lie in chambers) with each apartment
 an int bitmask of its chambers, and in dimension 1 axiom (3) over every
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .angles import PiUnits, cmp_units, kernel_band, units_close
+from .angles import PiUnits, cmp_units, units_close
 from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, MetricComplex,
                         cell_link, vertex_link)
 from .coxeter import (CoxeterComplexModel, CoxeterMatrix, cosine_verdicts,
@@ -207,24 +208,10 @@ def _recognize_circle(graph: MetricGraph, circ: Circle) -> BuildingCertificate |
     l0 = graph.edges[0][2]
     uniform = all(cmp_units(l0, ln) == 0 for _, _, ln in graph.edges)
     m = _length_to_m(l0) if uniform else None
-    cyc_edges, cyc_verts = _walk_circle(graph)
-    whole = Apartment("cycle", edges=cyc_edges, vertices=cyc_verts)
     return BuildingCertificate(
         SPHERICAL, 1, THIN, coxeter_matrix=None if m is None else dihedral(max(m, 2)),
-        m=m, apartments=(whole,), apartments_exhaustive=True, thickness=2,
-        graph=graph)
-
-
-def _walk_circle(graph: MetricGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Cyclic edge/vertex order of an all-valence-2 connected graph."""
-    edges, verts = [], [0]
-    while True:
-        w, eid = next((w, eid) for w, eid, _ in graph.adjacency[verts[-1]]
-                      if eid not in edges)
-        edges.append(eid)
-        if w == 0:
-            return tuple(edges), tuple(verts)
-        verts.append(w)
+        m=m, apartments=(_walk_cycle(graph, set(range(len(graph.edges)))),),
+        apartments_exhaustive=True, thickness=2, graph=graph)
 
 
 def _length_to_m(ln: PiUnits) -> int | None:
@@ -252,56 +239,55 @@ def _uniform_m(sup: MetricGraph) -> int | Diagnosis:
     return m
 
 
-def enumerate_apartments_dim1(g: MetricGraph, m: int | None = None,
-                              budget: int = B_APT_DEFAULT
+def enumerate_apartments_dim1(g: MetricGraph, m: int, budget: int = B_APT_DEFAULT
                               ) -> tuple[tuple[Apartment, ...], bool]:
-    """All injective cycles of total length exactly 2*pi, by bounded DFS.
+    """The apartments of g, a generalized m-gon, as convex hulls of opposite
+    chambers (``_opposite_hulls``), with l(w0) = m and |W| = 2m.
 
-    Works on the given (possibly subdivided) graph; with uniform lengths
-    pi/m these are exactly the 2m-edge circuits.  Lengths are summed in
-    ``MetricGraph._kernel`` units and compared with the band of 2*pi
-    (``kernel_band``): exactly on exact graphs, under ``cmp_units`` on float
-    graphs.  The budget counts paths popped."""
-    scale, table, adj = g._kernel
-    lo, hi = kernel_band(TWO, scale)
-    found: dict[frozenset, Apartment] = {}
-    nodes = 0
-    exhausted = False
-    for e0, (u0, v0, _) in enumerate(g.edges):
-        stack = [([e0], [u0, v0], table[e0])]
-        while stack:
-            nodes += 1
-            if nodes > budget:
-                exhausted = True
-                break
-            eids, verts, ln = stack.pop()
-            last = verts[-1]
-            side = (ln > hi) - (ln < lo)
-            if last == u0 and len(eids) >= 2:
-                if side == 0:
-                    key = frozenset(eids)
-                    if key not in found:
-                        found[key] = Apartment("cycle", edges=tuple(eids),
-                                               vertices=tuple(verts[:-1]))
-                continue
-            if side > 0:
-                continue
-            for w, eid, wl in adj[last]:
-                if eid <= e0 and eid != e0:
-                    continue
-                if eid in eids:
-                    continue
-                if w != u0 and w in verts:
-                    continue
-                stack.append((eids + [eid], verts + [w], ln + wl))
-        if exhausted:
+    A chamber is a chain of g: a maximal edge path whose inner vertices have
+    valence 2, one edge of the suppressed graph; two chains are adjacent when
+    they share a vertex of valence >= 3.  No length is read, so subdivided
+    and float graphs give the apartments of their suppressed graph.  Each
+    kept hull is walked as a cycle from its least edge id e0 = (u0, v0),
+    from u0 to v0.  The budget counts hulls evaluated."""
+    adj = g.adjacency
+    chain = [-1] * len(g.edges)             # edge -> its chain, by least edge id
+    chains: list[list[int]] = []
+    for e0 in range(len(g.edges)):
+        if chain[e0] < 0:
+            stack = [e0]
+            for e in stack:                 # the list grows as it is walked
+                chain[e] = len(chains)
+                stack += [f for x in g.edges[e][:2] if len(adj[x]) == 2
+                          for _, f, _ in adj[x] if chain[f] < 0 and f not in stack]
+            chains.append(stack)
+    nbrs = [0] * len(chains)
+    for around in adj.values():
+        if len(around) != 2:
+            mask = sum({1 << chain[e] for _, e, _ in around})
+            for k in _bits(mask):
+                nbrs[k] |= mask & ~(1 << k)
+    hulls, exhaustive = _opposite_hulls(nbrs, m, 2 * m, budget)
+    return tuple(sorted((_walk_cycle(g, {e for k in _bits(h) for e in chains[k]})
+                         for h in hulls), key=Apartment.key)), exhaustive
+
+
+def _walk_cycle(g: MetricGraph, edges: set[int]) -> Apartment:
+    """The edge set as one closed cycle from its least edge id e0 = (u0, v0),
+    from u0 to v0; IntegrityError when it is no single cycle."""
+    e0 = min(edges)
+    u0, x, _ = g.edges[e0]
+    eids, verts = [e0], [u0]
+    while x != u0:
+        out = [f for _, f, _ in g.adjacency[x] if f in edges and f != eids[-1]]
+        if len(out) != 1:
             break
-    apartments = tuple(sorted(found.values(), key=lambda a: a.key()))
-    if m is not None and not exhausted:
-        for a in apartments:
-            if len(a.edges) % 2 != 0:
-                raise IntegrityError(f"odd apartment cycle {a}")
-    return apartments, not exhausted
+        verts.append(x)
+        eids.append(out[0])
+        x = sum(g.edges[out[0]][:2]) - x        # the far end of that edge
+    if x != u0 or len(eids) != len(edges):
+        raise IntegrityError(f"apartment edges {sorted(edges)} are no cycle")
+    return Apartment("cycle", edges=tuple(eids), vertices=tuple(verts))
 
 
 def _uncovered_chamber_pair(chambers: Sequence, apartments: Sequence[Sequence]
@@ -548,10 +534,11 @@ def _certify_links(c: MetricComplex, cells) -> dict | Diagnosis:
 
 
 def _with_apartments(c, cert, budget: int) -> BuildingCertificate | Diagnosis:
-    """A copy of the local certificate with its apartment system: the 2*pi
-    cycles and both cycle axioms in dimension 1, else the whole thin sphere
-    or the convex hulls of opposite chambers, then axiom (2) and the
-    isometry to the model.  The memoized certificate is never changed."""
+    """A copy of the local certificate with its apartment system: the
+    convex hulls of opposite chambers, as cycles with both cycle axioms in
+    dimension 1, else the whole thin sphere or the hulls, then axiom (2)
+    and the isometry to the model.  The memoized certificate is never
+    changed."""
     if isinstance(cert, Diagnosis):
         return cert
     if cert.apartments_exhaustive:      # complete by construction
@@ -681,21 +668,10 @@ def _assemble_coxeter(c: MetricComplex, types, link_certs) -> CoxeterMatrix | Di
 
 def _hull_apartments(c: MetricComplex, model: CoxeterComplexModel, budget: int
                      ) -> tuple[tuple[Apartment, ...], bool]:
-    """The apartments of c as convex hulls of opposite chambers.
-
-    In a spherical building two chambers at gallery distance l(w0) lie in
-    exactly one apartment, the chambers on their minimal galleries
-    {E : d(C,E) + d(E,D) = l(w0)}, and every apartment through C holds a
-    chamber opposite C (Abramenko-Brown, Buildings, ch. 4), so the hulls of
-    opposite pairs are the whole apartment system.  l(w0) and |W| are read
-    off the model: its elements come in length order, the longest last.
-
-    The chamber graph joins the cofaces of each panel; one breadth-first
-    search per chamber, cut at depth l(w0), gives its distance layers as
-    chamber bitmasks.  A hull of other than |W| chambers is no apartment
-    and is not kept; a pair already inside a kept hull is not evaluated
-    again.  The budget counts hulls evaluated, and the search is
-    exhaustive when none was cut off."""
+    """The apartments of c as convex hulls of opposite chambers
+    (``_opposite_hulls``) in the chamber graph, which joins the cofaces of
+    each panel.  l(w0) and |W| are read off the model: its elements come in
+    length order, the longest last."""
     chambers = c.top_cells
     index = {t: k for k, t in enumerate(chambers)}
     nbrs = []
@@ -705,39 +681,53 @@ def _hull_apartments(c: MetricComplex, model: CoxeterComplexModel, budget: int
             for u in c.cofaces[panel]:
                 mask |= 1 << index[u]
         nbrs.append(mask & ~(1 << index[t]))
-    top = len(model.elements[-1].word)
-    order = len(model.elements)
-    layers = [_distance_layers(nbrs, k, top) for k in range(len(chambers))]
-    cover = [0] * len(chambers)
+    hulls, exhaustive = _opposite_hulls(nbrs, len(model.elements[-1].word),
+                                        len(model.elements), budget)
+    found = []
+    for hull in hulls:
+        cells = tuple(sorted(chambers[k] for k in _bits(hull)))
+        found.append(Apartment("sphere", cells=cells,
+                               vertices=tuple(sorted({v for t in cells for v in t}))))
+    return tuple(sorted(found, key=Apartment.key)), exhaustive
+
+
+def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int
+                    ) -> tuple[list[int], bool]:
+    """The convex hulls of opposite chambers that are apartments, as chamber
+    bitmasks, and whether the search was exhaustive.
+
+    In a spherical building two chambers at gallery distance l(w0) = top
+    lie in exactly one apartment, the chambers on their minimal galleries
+    {E : d(C,E) + d(E,D) = top}, and every apartment through C holds a
+    chamber opposite C (Abramenko-Brown, Buildings, ch. 4), so the hulls of
+    opposite pairs are the whole apartment system.  Chamber k has neighbour
+    bitmask nbrs[k]; one breadth-first search per chamber, cut at depth top,
+    gives its distance layers.  A hull of other than ``order`` = |W|
+    chambers is no apartment and is not kept; a pair already inside a kept
+    hull is not evaluated again, so a building costs one hull per
+    apartment.  The budget counts hulls evaluated, and the search is
+    exhaustive when none was cut off."""
+    layers = [_distance_layers(nbrs, k, top) for k in range(len(nbrs))]
+    cover = [0] * len(nbrs)
     hulls = []
     evaluated = 0
-    exhaustive = True
     for i, li in enumerate(layers):
         todo = li[top] >> (i + 1) << (i + 1)
         while todo := todo & ~cover[i]:
             j = (todo & -todo).bit_length() - 1
             todo ^= 1 << j
             if evaluated == budget:
-                exhaustive = False
-                break
+                return hulls, False
             evaluated += 1
             lj = layers[j]
             hull = 0
             for d in range(top + 1):
                 hull |= li[d] & lj[top - d]
-            if hull.bit_count() != order:
-                continue
-            hulls.append(hull)
-            for k in _bits(hull):
-                cover[k] |= hull
-        if not exhaustive:
-            break
-    found = []
-    for hull in hulls:
-        cells = tuple(sorted(chambers[k] for k in _bits(hull)))
-        found.append(Apartment("sphere", cells=cells,
-                               vertices=tuple(sorted({v for t in cells for v in t}))))
-    return tuple(sorted(found, key=lambda a: a.key())), exhaustive
+            if hull.bit_count() == order:
+                hulls.append(hull)
+                for k in _bits(hull):
+                    cover[k] |= hull
+    return hulls, True
 
 
 def _distance_layers(nbrs: Sequence[int], start: int, depth: int) -> list[int]:

@@ -366,11 +366,24 @@ def test_cli_decompose(tmp_path):
 def test_cli_budget_env(tmp_path):
     f = tmp_path / "heawood.json"
     run_cli("gen", "projective-plane", "-o", str(f))
-    r = run_cli("check", str(f), env_extra={"BUILDCTL_BUDGETS": '{"B_apt": 40}'})
+    # B_apt counts hulls evaluated: Heawood's search ends after 28
+    r = run_cli("check", str(f), env_extra={"BUILDCTL_BUDGETS": '{"B_apt": 10}'})
     assert r.returncode == 2
     rep = json.loads(r.stdout)
     assert not rep["apartments"]["exhaustive"]
     assert "apartments_sampled" in rep["flags"]
+
+
+def test_cli_float_drift_exit0(tmp_path, drifted_k33):
+    """K3,3 with three edges drifted by 0.9e-9 rad, inside EPS_ANGLE, is
+    certified with all 9 apartments; it used to end in a traceback, exit 1."""
+    f = tmp_path / "k33-drift.json"
+    f.write_text(drifted_k33.dumps())
+    r = run_cli("check", str(f))
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["verdict"] == "thick_building"
+    assert rep["apartments"] == {"count": 9, "exhaustive": True}
 
 
 def test_cli_text_report(tmp_path):

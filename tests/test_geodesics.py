@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from buildctl.angles import Angle
 from buildctl.complexes import MetricComplex, suspension, vertex_link
 from buildctl.corpus import gen_short_lune
@@ -15,7 +16,6 @@ from buildctl.geodesics import (ApartmentSurface, EdgeSegment, FaceSegment,
                                 geodesic_between, propagate_all,
                                 propagate_apartment, shoot)
 from buildctl.metric_graph import GraphPoint, MetricGraph
-from buildctl.recognizer import enumerate_apartments_dim1
 
 
 def link_graph_of(c, name):
@@ -177,7 +177,7 @@ def test_propagate_all_finds_every_closure(s0_heawood):
     # through a point vertex, the fan of a link apartment extends to several
     # suspended hexagons; propagate_all enumerates them
     lk, g = link_graph_of(s0_heawood, "p0")
-    apts, exhaustive = enumerate_apartments_dim1(g)
+    apts, exhaustive = oracles.enumerate_cycles_fractions(g)
     assert exhaustive
     total = set()
     for a in apts:
@@ -202,7 +202,7 @@ def test_every_apartment_through_a_fan_takes_its_antipode(s0_heawood, s0_heawood
     for x in c.vertices:
         xi = c.vertex_index(x)
         lk, g = link_graph_of(c, x)
-        for a in enumerate_apartments_dim1(g)[0]:
+        for a in oracles.enumerate_cycles_fractions(g)[0]:
             ring = [lk.vertices[v] for v in a.vertices]
             fan = {tuple(sorted((xi, c.vertex_index(u), c.vertex_index(w))))
                    for u, w in zip(ring, ring[1:] + ring[:1])}

@@ -485,6 +485,30 @@ def test_diameter_cmp_on_graphs_at_the_band_ends():
                     assert g.diameter_cmp(ONE) == want
 
 
+def test_failing_gate_resumes_the_diameter_scan():
+    """A gate that meets a pair value above the band resumes the diameter
+    scan from that pair, in one pass over the pair bounds, and leaves the
+    value and witness of a fresh graph's diameter(): on every edge of K4,4,
+    Heawood, GQ(2,2) and K6,6 lengthened by pi/12, exact and float, and on
+    Petersen and K4 (Petersen's diameter is pi, so its target lies below)."""
+    from buildctl.corpus import gen_rank2_building
+    graphs = [(graph_of(gen_petersen()), Fraction(5, 6)), (graph_of(gen_k4()), ONE)]
+    for kw in (dict(kind="complete_bipartite", s=4, t=4), dict(kind="projective_plane"),
+               dict(kind="generalized_quadrangle"), dict(kind="complete_bipartite", s=6, t=6)):
+        g = graph_of(gen_rank2_building(**kw))
+        graphs += [(lengthened(g, eid), ONE) for eid in range(len(g.edges))]
+    graphs += [(MetricGraph(g.vertices, [(u, v, float(ln)) for u, v, ln in g.edges]), target)
+               for g, target in graphs]
+    for g, target in graphs:
+        passes = []
+        scan = g._pair_bounds
+        g._pair_bounds = lambda: passes.append(1) or scan()
+        assert g.diameter_cmp(target) == 1
+        assert len(passes) == 1
+        assert g.diameter() == MetricGraph(g.vertices, g.edges).diameter()
+    assert len(graphs) == 2 * (2 + 16 + 21 + 45 + 36)
+
+
 def test_pair_values_within_their_bounds():
     """Every computed pair value is at most its bound ub (ub2 / 2) plus 1e-12:
     the rounding allowance EPS_UNITS / 2 of diameter_cmp is far above that.

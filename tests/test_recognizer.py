@@ -12,7 +12,7 @@ from buildctl.angles import Angle
 from buildctl.complexes import (MetricComplex, _vertex_angle, cell_link, discrete_complex,
                                 suspension, vertex_link)
 from buildctl.coxeter import coxeter_complex, named_matrix
-from buildctl.corpus import (gen_a2_window, gen_k4, gen_octahedron, gen_petersen,
+from buildctl.corpus import (RANK2_M, gen_a2_window, gen_k4, gen_octahedron, gen_petersen,
                              gen_punctured_octahedron, gen_rank2_building,
                              gen_short_lune)
 from buildctl.metric_graph import GraphPoint, MetricGraph
@@ -164,10 +164,100 @@ def test_subdivision_invariance(heawood):
     assert len(cert.apartments) == 28
 
 
+def _subdivided(g, cuts):
+    """``g`` with each edge k cut at the increasing fractions cuts[k] of its
+    length, in (0, 1); the new vertices come last, named after their edge."""
+    names = list(g.vertices)
+    edges = []
+    for k, (u, v, ln) in enumerate(g.edges):
+        prev, at = u, 0
+        for i, t in enumerate(cuts.get(k, ())):
+            names.append(f"e{k}.{i}")
+            edges.append((prev, len(names) - 1, (t - at) * ln))
+            prev, at = len(names) - 1, t
+        edges.append((prev, v, (1 - at) * ln))
+    return MetricGraph(names, edges)
+
+
+def _renumbered(g, order):
+    """``g`` with vertex ``order[i]`` renumbered i and its edges in reverse order."""
+    new = {old: i for i, old in enumerate(order)}
+    return MetricGraph([g.vertices[v] for v in order],
+                       [(new[u], new[v], ln) for u, v, ln in reversed(g.edges)])
+
+
+def test_single_edge_subdivision_keeps_k33(k33):
+    """K3,3 with (a0, b0) split into two pi/4 edges.  Summing lengths found a
+    2*pi cycle of five edges through the split edge, and the recognizer
+    raised on its odd length."""
+    g = MetricGraph.from_complex(k33)
+    e = next(k for k, (u, v, _) in enumerate(g.edges)
+             if {g.vertices[u], g.vertices[v]} == {"a0", "b0"})
+    cert = recognize_dim1(_subdivided(g, {e: [Fraction(1, 2)]}))
+    assert (cert.verdict, cert.m, cert.thickness) == ("thick_building", 2, 3)
+    assert len(cert.apartments) == 9 and cert.apartments_exhaustive
+    assert all(len(a.edges) in (4, 5) for a in cert.apartments)
+
+
+def test_walk_refuses_edge_sets_that_are_no_cycle():
+    """A kept hull is walked from its least edge; an edge set that is no
+    single closed cycle raises instead of becoming an apartment."""
+    from buildctl.recognizer import IntegrityError, _walk_cycle
+    # two triangles 0-1-2 and 3-4-5, and the bowtie 0-1-2, 0-6-7
+    g = MetricGraph([f"v{i}" for i in range(8)],
+                    [(u, v, THIRD) for u, v in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                                (0, 6), (6, 7), (0, 7))])
+    apt = _walk_cycle(g, {2, 0, 1})
+    assert (apt.edges, apt.vertices) == ((0, 1, 2), (0, 1, 2))
+    for edges in ({0, 1}, {0, 1, 2, 3, 4, 5}, {0, 1, 2, 6, 7, 8}):
+        with pytest.raises(IntegrityError):
+            _walk_cycle(g, edges)
+
+
+def test_float_drift_inside_tolerance_keeps_k33(drifted_k33):
+    """The gates accept edges pi/2 + 0.9e-9 rad at a0; a cycle through a0
+    sums to 2*pi + 1.8e-9 rad, outside the band of 2*pi, so summing lengths
+    lost every such cycle and the recognizer raised."""
+    cert = recognize_dim1(drifted_k33)
+    assert (cert.verdict, cert.m, cert.thickness) == ("thick_building", 2, 3)
+    assert len(cert.apartments) == 9 and cert.apartments_exhaustive
+
+
+_DIM1_CORPUS = {"k33": dict(kind="complete_bipartite"), "heawood": dict(kind="projective_plane"),
+                "gq22": dict(kind="generalized_quadrangle")}
+
+
+@pytest.fixture(scope="module")
+def dim1_corpus():
+    out = {}
+    for name, kw in _DIM1_CORPUS.items():
+        g = MetricGraph.from_complex(gen_rank2_building(**kw))
+        out[name] = g, recognize_dim1(g)
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(sorted(_DIM1_CORPUS)), floated=st.booleans())
+def test_subdivision_and_relabelling_keep_dim1_certificate(dim1_corpus, data, name, floated):
+    """Any edges of a dim-1 corpus building, exact or float, cut at rational
+    points, and the vertices renumbered: the verdict, m, thickness, apartment
+    count and exhaustiveness stay as they are, and nothing raises."""
+    g, cert = dim1_corpus[name]
+    cut = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda t: 0 < t < 1)
+    cuts = data.draw(st.dictionaries(st.integers(0, len(g.edges) - 1),
+                                     st.lists(cut, min_size=1, max_size=2, unique=True).map(sorted)))
+    h = _subdivided(_floated(g) if floated else g, cuts)
+    h = _renumbered(h, data.draw(st.permutations(range(len(h.vertices)))))
+    other = recognize_dim1(h)
+    assert (other.verdict, other.m, other.thickness, len(other.apartments),
+            other.apartments_exhaustive) == \
+        (cert.verdict, cert.m, cert.thickness, len(cert.apartments), True)
+
+
 def test_enumeration_matches_independent_oracle(heawood, k33, tutte_coxeter):
     for cx, k, expect in ((heawood, 6, 28), (k33, 4, 9), (tutte_coxeter, 8, 90)):
         g = MetricGraph.from_complex(cx)
-        apts, exhaustive = enumerate_apartments_dim1(g)
+        apts, exhaustive = enumerate_apartments_dim1(g, k // 2)
         assert exhaustive
         assert len(apts) == expect
         assert oracles.count_cycles_of_length(len(g.vertices), list(g.edges), k) == expect
@@ -869,22 +959,9 @@ def _mixed(g):
                                     for k, (u, v, ln) in enumerate(g.edges)])
 
 
-def _node_count(completes):
-    """The least budget for which ``completes(budget)`` holds: the node
-    count of a bounded search."""
-    hi = 1
-    while not completes(hi):
-        hi *= 2
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if completes(mid) else (mid, hi)
-    return hi
-
-
 def _budgets(total, every):
     """Every budget 1..total, or eight spread over it with total - 1 and
-    total; ``total`` is the node count, so the last one is exhaustive."""
+    total; ``total`` is the apartment count, so the last one is exhaustive."""
     if every:
         return range(1, total + 1)
     return sorted({*range(1, total, max(total // 8, 1)), total - 1, total})
@@ -898,18 +975,22 @@ def _budgets(total, every):
     ("k88", dict(kind="complete_bipartite", s=8, t=8), False),
 ])
 def test_cycle_dfs_matches_fraction_oracle(name, kw, every):
-    """Same apartments in the same order and the same exhaustion flag as the
-    Fraction-summing DFS, on exact, float and mixed copies, at every budget
-    up to the node count (eight budgets and the last two on the two large
-    graphs), so exhaustion trips at the same node."""
+    """The hull search returns the list of the Fraction-summing cycle DFS,
+    tuple for tuple and in the same order, and is exhaustive, on exact,
+    float, mixed and subdivided copies.  A budget b below the apartment
+    count N cuts it off with b apartments of that list (every b on the three
+    small graphs, eight spread budgets and N - 1 on the two large ones); at
+    b = N it is exhaustive."""
     g = MetricGraph.from_complex(gen_rank2_building(**kw))
-    m = 2 if name.startswith("k") else None
-    for h in (g, _floated(g), _mixed(g)):
-        total = _node_count(lambda b: enumerate_apartments_dim1(h, m, b)[1])
-        for b in _budgets(total, every):
-            res = enumerate_apartments_dim1(h, m, b)
-            assert res == oracles.enumerate_cycles_fractions(h, m, b), (name, b)
-            assert res[1] == (b == total)
+    m = RANK2_M[kw["kind"]]
+    cuts = {e: [Fraction(1, 3)] for e in range(0, len(g.edges), 3)}
+    for h in (g, _floated(g), _mixed(g), _subdivided(g, cuts)):
+        assert enumerate_apartments_dim1(h, m) == oracles.enumerate_cycles_fractions(h), name
+    full = set(enumerate_apartments_dim1(g, m)[0])
+    for b in _budgets(len(full), every):
+        found, exhaustive = enumerate_apartments_dim1(g, m, b)
+        assert exhaustive == (b == len(full)), (name, b)
+        assert len(found) == b and set(found) <= full, (name, b)
 
 
 def _float_corners(c, keep_exact=lambda key: False):
@@ -939,11 +1020,11 @@ def _link_fans(c):
     for v in range(len(c.vertices)):
         L = vertex_link(c, v)
         g = MetricGraph.from_complex(L)
-        cycles = [a.vertices for a in enumerate_apartments_dim1(g)[0]]
+        cycles = [a.vertices for a in oracles.enumerate_cycles_fractions(g)[0]]
         if cycles:
             k = len(cycles[0]) + 2
             longer = MetricGraph(g.vertices, [(a, b, Fraction(2, k)) for a, b, _ in g.edges])
-            cycles += [a.vertices for a in enumerate_apartments_dim1(longer)[0][:2]]
+            cycles += [a.vertices for a in oracles.enumerate_cycles_fractions(longer)[0][:2]]
         for cyc in cycles:
             ring = [c.vertex_index(L.vertices[x]) for x in cyc]
             yield v, ring, _fan(v, ring)
@@ -986,7 +1067,7 @@ def _grown_apartments(c):
     out = set()
     for v in range(len(c.vertices)):
         L = vertex_link(c, v)
-        for apt in enumerate_apartments_dim1(MetricGraph.from_complex(L))[0]:
+        for apt in oracles.enumerate_cycles_fractions(MetricGraph.from_complex(L))[0]:
             if len(apt.vertices) < 3:
                 continue
             ring = [c.vertex_index(L.vertices[w]) for w in apt.vertices]
