@@ -11,10 +11,10 @@ Recognition has two layers.  The local certificate (``_certify``) runs the
 gates, the link recursion, the Coxeter matrix and the verdict; it is
 memoized on the complex and is what every link certificate holds.  The
 public functions add the apartment system on top: the whole complex when
-it is a single 2*pi circuit or a thin sphere, and otherwise the convex hulls
-of opposite chambers (two chambers at gallery distance l(w0) lie in exactly
-one apartment, the chambers on their minimal galleries), in dimension 1 with
-the chains between vertices of valence >= 3 as chambers.
+it is a single 2*pi circuit, and otherwise the convex hulls of opposite
+chambers (two chambers at gallery distance l(w0) lie in exactly one
+apartment, the chambers on their minimal galleries; a thin sphere is one
+hull), with the chains between vertices of valence >= 3 as dim-1 chambers.
 The apartment axioms are checked exactly, never by sampling: axiom (2) over
 every pair of chambers (any two cells lie in chambers) with each apartment
 an int bitmask of its chambers, and in dimension 1 axiom (3) over every
@@ -420,9 +420,10 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     the codimension-1 counts, recursively certifies cell links, assembles the
     Coxeter matrix from panel angles, and enumerates apartments as the
     convex hulls of opposite chambers in the chamber graph, with l(w0) and
-    |W| read off the model Coxeter complex.  Global CAT(1) is decided only
-    for by-construction inputs or through the simple-connectivity pathway
-    in dimension >= 3.
+    |W| read off the model Coxeter complex (a thin sphere is its single
+    hull, found by evaluating one pair), each checked isometric to the
+    model.  Global CAT(1) is decided only for by-construction inputs or
+    through the simple-connectivity pathway in dimension >= 3.
 
     When the apartment search is exhaustive and two chambers lie in no
     common apartment, the result is a ``no_common_apartment`` diagnosis
@@ -534,45 +535,37 @@ def _certify_links(c: MetricComplex, cells) -> dict | Diagnosis:
 
 
 def _with_apartments(c, cert, budget: int) -> BuildingCertificate | Diagnosis:
-    """A copy of the local certificate with its apartment system: the
-    convex hulls of opposite chambers, as cycles with both cycle axioms in
-    dimension 1, else the whole thin sphere or the hulls, then axiom (2)
-    and the isometry to the model.  The memoized certificate is never
-    changed."""
+    """A copy of the local certificate with its apartment system, the
+    convex hulls of opposite chambers: cycles with axiom (3) in dimension 1,
+    spheres isometric to the model above.  Axiom (2) runs alike on edge ids
+    or top cells (see ``check_spherical``).  The memoized certificate is
+    never changed."""
     if isinstance(cert, Diagnosis):
         return cert
     if cert.apartments_exhaustive:      # complete by construction
         return replace(cert)
     flags = set(cert.flags) - {FLAG_SAMPLED}
-    n = cert.dimension
     model = None
-    if n == 1:
-        found, exhaustive = enumerate_apartments_dim1(cert.graph, cert.m, budget=budget)
-        # the gates prove a generalized m-gon, so a failed axiom is our fault
-        pair = _uncovered_chamber_pair(
-            range(len(cert.graph.edges)), [a.edges for a in found]) if exhaustive else None
-        if pair is not None:
-            raise IntegrityError("edges %d and %d lie in no common apartment" % pair)
+    if cert.dimension == 1:
+        g = cert.graph
+        found, exhaustive = enumerate_apartments_dim1(g, cert.m, budget=budget)
+        # the gates prove a generalized m-gon, so a failed axiom (3) is our fault
         pair = _disconnected_apartment_pair(found)
         if pair is not None:
             raise IntegrityError("apartments %d and %d intersect disconnectedly" % pair)
+        chambers, names = range(len(g.edges)), g.vertices
+        cells, members = [e[:2] for e in g.edges], [a.edges for a in found]
     else:
         model = coxeter_complex(cert.coxeter_matrix)
-        # a thin quotient such as RP^2 (Euler characteristic 1) goes on to
-        # the hull search instead of failing the isometry check
-        if cert.verdict == THIN and (
-                n != 2 or len(c.vertices) - len(c.edges) + len(c.top_cells) == 2):
-            whole = Apartment("sphere", cells=tuple(sorted(c.top_cells)),
-                              vertices=tuple(range(len(c.vertices))))
-            found, exhaustive = (whole,), True
-        else:
-            found, exhaustive = _hull_apartments(c, model, budget)
-        pair = _uncovered_chamber_pair(c.top_cells, [a.cells for a in found])
-        if pair is not None and exhaustive:
-            return Diagnosis(NO_COMMON_APARTMENT, {"chambers": [
-                [c.vertices[v] for v in c.top_cells[k]] for k in pair]})
-        if pair is not None:
-            flags.add(FLAG_AXIOM2_UNVERIFIED)
+        found, exhaustive = _hull_apartments(c, model, budget)
+        chambers = cells = c.top_cells
+        names, members = c.vertices, [a.cells for a in found]
+    pair = _uncovered_chamber_pair(chambers, members)
+    if pair is not None and exhaustive:
+        return Diagnosis(NO_COMMON_APARTMENT, {"chambers": [
+            [names[v] for v in cells[k]] for k in pair]})
+    if pair is not None:
+        flags.add(FLAG_AXIOM2_UNVERIFIED)
     if not exhaustive:
         flags.add(FLAG_SAMPLED)
     out = replace(cert, apartments=found, apartments_exhaustive=exhaustive,
@@ -701,17 +694,21 @@ def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int
     {E : d(C,E) + d(E,D) = top}, and every apartment through C holds a
     chamber opposite C (Abramenko-Brown, Buildings, ch. 4), so the hulls of
     opposite pairs are the whole apartment system.  Chamber k has neighbour
-    bitmask nbrs[k]; one breadth-first search per chamber, cut at depth top,
-    gives its distance layers.  A hull of other than ``order`` = |W|
-    chambers is no apartment and is not kept; a pair already inside a kept
-    hull is not evaluated again, so a building costs one hull per
-    apartment.  The budget counts hulls evaluated, and the search is
-    exhaustive when none was cut off."""
-    layers = [_distance_layers(nbrs, k, top) for k in range(len(nbrs))]
+    bitmask nbrs[k]; its distance layers (a breadth-first search cut at
+    depth top) are computed once, i's while a pair (i, j > i) is in no kept
+    hull and j's when (i, j) is evaluated, so a thin sphere costs two.  A
+    hull of other than ``order`` = |W| chambers is no apartment and is not
+    kept; a pair already inside a kept hull is not evaluated again, so a
+    building costs one hull per apartment.  The budget counts hulls
+    evaluated, and the search is exhaustive when none was cut off."""
+    layers = [None] * len(nbrs)
     cover = [0] * len(nbrs)
     hulls = []
     evaluated = 0
-    for i, li in enumerate(layers):
+    for i in range(len(nbrs)):
+        if (cover[i] >> (i + 1)).bit_count() == len(nbrs) - i - 1:
+            continue                    # every pair (i, j > i) is in a kept hull
+        li = layers[i] = layers[i] or _distance_layers(nbrs, i, top)
         todo = li[top] >> (i + 1) << (i + 1)
         while todo := todo & ~cover[i]:
             j = (todo & -todo).bit_length() - 1
@@ -719,7 +716,7 @@ def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int
             if evaluated == budget:
                 return hulls, False
             evaluated += 1
-            lj = layers[j]
+            lj = layers[j] = layers[j] or _distance_layers(nbrs, j, top)
             hull = 0
             for d in range(top + 1):
                 hull |= li[d] & lj[top - d]
@@ -756,7 +753,7 @@ def _bits(mask: int):
 def _verify_apartment_isometry(c: MetricComplex, cert: BuildingCertificate,
                                model: CoxeterComplexModel | None):
     """Certificate soundness: every apartment matches the model Coxeter complex."""
-    if cert.dimension < 2 or cert.coxeter_matrix is None or not cert.apartments:
+    if model is None:
         return
     for a in cert.apartments:
         sub = _subcomplex(c, a.cells)

@@ -371,7 +371,7 @@ def test_cli_budget_env(tmp_path):
     assert r.returncode == 2
     rep = json.loads(r.stdout)
     assert not rep["apartments"]["exhaustive"]
-    assert "apartments_sampled" in rep["flags"]
+    assert rep["flags"] == ["apartment_axiom2_unverified", "apartments_sampled"]
 
 
 def test_cli_float_drift_exit0(tmp_path, drifted_k33):
@@ -612,10 +612,14 @@ _BUDGETS = st.fixed_dictionaries(
 @pytest.fixture(scope="module")
 def argument_files(tmp_path_factory):
     from buildctl.complexes import suspension
+    from buildctl.coxeter import coxeter_complex, named_matrix
+    from test_recognizer import _antipodal_quotient
     d = tmp_path_factory.mktemp("arguments")
     k33 = gen_rank2_building("complete_bipartite")
+    rp2 = _antipodal_quotient(coxeter_complex(named_matrix("B3")).complex)
     out = {}
-    for name, cx in (("k33", k33), ("s0k33", suspension(k33)), ("oct", gen_octahedron())):
+    for name, cx in (("k33", k33), ("s0k33", suspension(k33)), ("oct", gen_octahedron()),
+                     ("rp2", rp2), ("s0rp2", suspension(rp2))):
         out[name] = str(d / f"{name}.json")
         with open(out[name], "w", encoding="utf-8") as fh:
             fh.write(cx.dumps())
@@ -624,7 +628,10 @@ def argument_files(tmp_path_factory):
 
 @st.composite
 def _command(draw, files):
-    kind = draw(st.sampled_from(("antipodes", "geodesic", "coxeter", "gen")))
+    kind = draw(st.sampled_from(("antipodes", "geodesic", "coxeter", "gen", "check",
+                                 "decompose")))
+    if kind in ("check", "decompose"):
+        return [kind, files[draw(st.sampled_from(sorted(files)))]]
     if kind == "antipodes":
         return ["graph", "antipodes", files["k33"], "--point", draw(_POINTS)]
     if kind == "geodesic":
@@ -643,10 +650,10 @@ def _command(draw, files):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_arguments_keep_exit_contract(argument_files, data):
-    """No point, direction, length, Coxeter type or small budget makes
-    graph antipodes, geodesic, coxeter or gen coxeter-complex raise: every
-    run ends with an exit code of the contract, and an input error with one
-    ``buildctl: `` line."""
+    """No point, direction, length, Coxeter type, input file or small budget
+    makes graph antipodes, geodesic, coxeter, gen coxeter-complex, check or
+    decompose raise: every run ends with an exit code of the contract, and
+    an input error with one ``buildctl: `` line."""
     argv = data.draw(_command(argument_files))
     budgets = data.draw(_BUDGETS)
     err = io.StringIO()

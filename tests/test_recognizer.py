@@ -273,6 +273,30 @@ def test_axiom2_all_edge_pairs(heawood_cert, heawood):
         assert by_edge[e] & by_edge[f]
 
 
+def test_dim1_uncovered_edge_pair_is_a_diagnosis(heawood, monkeypatch):
+    """Axiom (2) is one rule in every dimension: a dim-1 search reported
+    exhaustive that leaves an edge pair in no apartment is the
+    ``no_common_apartment`` diagnosis naming both edges by their ends (the
+    edges of the apartment dropped here, and of no other), not an error."""
+    import buildctl.recognizer as recognizer
+    original = recognizer.enumerate_apartments_dim1
+    g = MetricGraph.from_complex(heawood)
+    full, _ = original(g, 3)
+
+    def one_short(*args, **kwargs):
+        found, exhaustive = original(*args, **kwargs)
+        assert exhaustive and found == full
+        return found[1:], exhaustive
+
+    monkeypatch.setattr(recognizer, "enumerate_apartments_dim1", one_short)
+    res = recognize_dim1(heawood)
+    assert isinstance(res, Diagnosis) and res.condition == "no_common_apartment"
+    ends = {frozenset(g.vertices[v] for v in g.edges[e][:2]): e for e in range(len(g.edges))}
+    pair = {ends[frozenset(names)] for names in res.witness["chambers"]}
+    assert len(pair) == 2 and pair <= set(full[0].edges)
+    assert not any(pair <= set(a.edges) for a in full[1:])
+
+
 def test_certificate_soundness_recheck(heawood_cert, heawood):
     g = MetricGraph.from_complex(heawood)
     #each apartment is a 2m-cycle of uniform edges pi/m: the dihedral Coxeter circle
@@ -765,26 +789,43 @@ def test_no_surface_growth_inside_dim3_links(k33, monkeypatch):
     assert calls == []
 
 
-def test_no_surface_growth_in_thin_complexes(monkeypatch):
-    """A thin complex with spherical Euler characteristic is its own single
-    apartment, and the thin quotient that is not runs the hull search: no
-    sector propagation runs for either."""
-    calls = _counting_propagation(monkeypatch)
+def test_no_surface_growth_in_thin_complexes(heawood, monkeypatch):
+    """A thin sphere takes the hull search like any other complex and is its
+    own single hull: one pair is evaluated after two breadth-first searches,
+    so a budget of one hull is exhaustive, on a JSON copy too.  The thin
+    quotient RP^2 of B3 has no opposite chambers and no hull.  No sector
+    propagation runs for any of them, and S0*S0*Heawood searches from fewer
+    chambers than it has."""
+    import buildctl.recognizer as recognizer
+    from buildctl.complexes import loads
     from buildctl.coxeter import CoxeterMatrix
+    calls = _counting_propagation(monkeypatch)
+    searches = []
+    layers = recognizer._distance_layers
+    monkeypatch.setattr(recognizer, "_distance_layers",
+                        lambda nbrs, k, top: searches.append(k) or layers(nbrs, k, top))
     h3 = CoxeterMatrix(("s0", "s1", "s2"), ((1, 5, 2), (5, 1, 3), (2, 3, 1)))
-    for M in (named_matrix("A3"), named_matrix("B3"), h3):
-        c = coxeter_complex(M).complex
-        cert = check_spherical(c)
-        assert cert.verdict == "thin_building", M
-        assert len(cert.apartments) == 1 and cert.apartments_exhaustive, M
-        assert cert.apartments[0].cells == c.top_cells, M
-    # the Euler guard is live: the antipodal quotient of B3 (an RP^2, thin,
-    # Euler characteristic 1) is not taken for its own apartment (which
-    # would fail the isometry check); no chamber of it has an opposite, so
-    # its hull family is empty and axiom (2) fails
+    thin = [gen_octahedron(), _a4_complex(), loads(_a4_complex().dumps())] + \
+        [coxeter_complex(M).complex for M in (named_matrix("A3"), named_matrix("B3"), h3)]
+    for c in thin:
+        searches.clear()
+        cert = check_spherical(c, budget=1)
+        assert cert.verdict == "thin_building", c.vertices
+        assert len(cert.apartments) == 1 and cert.apartments_exhaustive, c.vertices
+        assert cert.apartments[0].cells == c.top_cells, c.vertices
+        assert len(searches) == 2, c.vertices
+    # the antipodal quotient of B3 (an RP^2, thin, Euler characteristic 1)
+    # is no sphere: no chamber of it has an opposite, so its hull family is
+    # empty and axiom (2) fails
     res = check_spherical(_antipodal_quotient(coxeter_complex(named_matrix("B3")).complex))
     assert isinstance(res, Diagnosis) and res.condition == "no_common_apartment"
     assert calls == []
+    c = suspension(suspension(heawood))
+    model = coxeter_complex(check_spherical(c).coxeter_matrix)
+    searches.clear()
+    hulls, exhaustive = recognizer._hull_apartments(c, model, 10 ** 5)
+    assert exhaustive and len(hulls) == 28
+    assert len(searches) == len(set(searches)) < len(c.top_cells)
 
 
 def _antipodal_quotient(c):
@@ -807,25 +848,29 @@ def test_b3_quotient_has_no_common_apartment(tmp_path):
     """The antipodal quotient of B3 is a thin RP^2: no chamber of it has an
     opposite, so its exhaustive hull search finds no apartment, axiom (2)
     fails and the result is a diagnosis whose witness chambers no sphere
-    that the surface-growth oracle grows holds together."""
+    that the surface-growth oracle grows holds together.  Its suspension
+    S0*RP^2 (thin, dimension 3) takes the same hull search and gets the same
+    diagnosis, from ``check`` and ``decompose`` alike."""
     from buildctl.cli import main
     q = _antipodal_quotient(coxeter_complex(named_matrix("B3")).complex)
-    res = check_spherical(q)
-    assert isinstance(res, Diagnosis) and res.condition == "no_common_apartment"
-    names = res.witness["chambers"]
-    assert len(names) == 2
-    pair = [tuple(sorted(q.vertex_index(v) for v in ch)) for ch in names]
-    assert all(ch in q.top_cells for ch in pair)
+    pairs = {}
+    for c in (q, suspension(q)):
+        res = check_spherical(c)
+        assert isinstance(res, Diagnosis) and res.condition == "no_common_apartment"
+        names = res.witness["chambers"]
+        assert len(names) == 2
+        pairs[c.dimension] = [tuple(sorted(c.vertex_index(v) for v in ch)) for ch in names]
+        assert all(ch in c.top_cells for ch in pairs[c.dimension]), c.dimension
+        f = tmp_path / f"b3-quotient-{c.dimension}.json"
+        f.write_text(c.dumps())
+        assert main(["check", str(f)]) == main(["decompose", str(f)]) == 1
     surfaces = set()
     for vi in range(len(q.vertices)):
         L = vertex_link(q, vi)
         for apt in recognize_dim1(L).apartments:
             ring = [q.vertex_index(L.vertices[w]) for w in apt.vertices]
             surfaces |= _grown_spheres(q, _fan(vi, ring))
-    assert not any(set(pair) <= set(cells) for cells in surfaces)
-    f = tmp_path / "b3-quotient.json"
-    f.write_text(q.dumps())
-    assert main(["check", str(f)]) == 1
+    assert not any(set(pairs[2]) <= set(cells) for cells in surfaces)
 
 
 # -- exact apartment axioms against the unsampled oracles ----------------------------
