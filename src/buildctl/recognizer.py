@@ -15,12 +15,14 @@ it is a single 2*pi circuit, and otherwise the convex hulls of opposite
 chambers (two chambers at gallery distance l(w0) lie in exactly one
 apartment, the chambers on their minimal galleries; a thin sphere is one
 hull), with the chains between vertices of valence >= 3 as dim-1 chambers.
-The apartment axioms are checked exactly, never by sampling: axiom (2) over
-every pair of chambers (any two cells lie in chambers) with each apartment
-an int bitmask of its chambers, and in dimension 1 axiom (3) over every
-pair of cycles that share an edge.  Global CAT(1) in dimension 2 is never
-guessed: certificates carry an explicit unverified flag unless the
-complex was produced by a curvature-preserving construction.
+Above dimension 1 each hull is walked onto the model Coxeter complex by
+panel cotype, typed by the vertex colouring.  The apartment axioms are
+checked exactly, never by sampling: axiom (2) over every pair of chambers
+(any two cells lie in chambers) with each apartment an int bitmask of its
+chambers, and in dimension 1 axiom (3) over every pair of cycles that
+share an edge.  Global CAT(1) in dimension 2 is never guessed:
+certificates carry an explicit unverified flag unless the complex was
+produced by a curvature-preserving construction.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ DEP_NOT_DISCRETE = "dep_not_discrete"
 NOT_SIMPLY_CONNECTED = "not_simply_connected"
 UNKNOWN_PI1 = "unknown_pi1"
 NO_COMMON_APARTMENT = "no_common_apartment"
+HULL_NOT_ISOMETRIC = "hull_not_isometric_to_model"
 
 # verdicts
 THICK = "thick_building"
@@ -341,74 +344,6 @@ def _disconnected_apartment_pair(apartments: Sequence[Apartment]
     return None
 
 
-# -- complex isomorphism (thin closed complexes) -----------------------------------
-
-
-def thin_isomorphic(a: MetricComplex, b: MetricComplex) -> bool:
-    """Isometric isomorphism test for thin, pure, panel-closed complexes.
-
-    Seeds a chamber-to-chamber map with a vertex bijection and propagates
-    across panels (each panel bounds exactly two chambers); edge lengths must
-    match within tolerance throughout.
-    """
-    if a.dimension != b.dimension:
-        return False
-    if len(a.top_cells) != len(b.top_cells) or len(a.vertices) != len(b.vertices):
-        return False
-    n = a.dimension
-    if n == 0:
-        return len(a.top_cells) == len(b.top_cells)
-    ca0 = a.top_cells[0]
-    for cb0 in b.top_cells:
-        for perm in itertools.permutations(cb0):
-            if _try_propagate_iso(a, b, ca0, perm):
-                return True
-    return False
-
-
-def _try_propagate_iso(a, b, ca0, perm) -> bool:
-    vmap = dict(zip(ca0, perm))
-    for i, j in itertools.combinations(ca0, 2):
-        if not a.edge_length(i, j).equals(b.edge_length(vmap[i], vmap[j])):
-            return False
-    b_cells = set(b.top_cells)
-    mapped = {ca0: tuple(sorted(perm))}
-    queue = [ca0]
-    while queue:
-        cur = queue.pop()
-        img = mapped[cur]
-        for panel in itertools.combinations(cur, len(cur) - 1):
-            others = [t for t in a.cofaces[panel] if t != cur]
-            if len(others) != 1:
-                continue
-            nxt = others[0]
-            if nxt in mapped:
-                continue
-            v_new = next(v for v in nxt if v not in panel)
-            img_panel = tuple(sorted(vmap[v] for v in panel))
-            b_nbrs = [t for t in b.cofaces.get(img_panel, ()) if t != img]
-            if len(b_nbrs) != 1:
-                return False
-            bimg = b_nbrs[0]
-            w_new = next(w for w in bimg if w not in img_panel)
-            if v_new in vmap:
-                if vmap[v_new] != w_new:
-                    return False
-            else:
-                vmap[v_new] = w_new
-            for u in nxt:
-                if u != v_new:
-                    if not a.edge_length(u, v_new).equals(
-                            b.edge_length(vmap[u], w_new)):
-                        return False
-            mapped[nxt] = tuple(sorted(vmap[v] for v in nxt))
-            if mapped[nxt] not in b_cells:
-                return False
-            queue.append(nxt)
-    return len(mapped) == len(a.top_cells) and \
-        len(set(mapped.values())) == len(b.top_cells)
-
-
 # -- spherical recognition, dimension >= 2 --------------------------------------------
 
 
@@ -421,9 +356,13 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     Coxeter matrix from panel angles, and enumerates apartments as the
     convex hulls of opposite chambers in the chamber graph, with l(w0) and
     |W| read off the model Coxeter complex (a thin sphere is its single
-    hull, found by evaluating one pair), each checked isometric to the
-    model.  Global CAT(1) is decided only for by-construction inputs or
-    through the simple-connectivity pathway in dimension >= 3.
+    hull, found by evaluating one pair).  Each hull is walked onto the model
+    by panel cotype (``_model_walk``): in a building it is a typed copy of
+    the model, so a hull that does not walk is a
+    ``hull_not_isometric_to_model`` diagnosis naming its first chamber and
+    the chamber where the walk failed.  Global CAT(1) is decided only for
+    by-construction inputs or through the simple-connectivity pathway in
+    dimension >= 3.
 
     When the apartment search is exhaustive and two chambers lie in no
     common apartment, the result is a ``no_common_apartment`` diagnosis
@@ -537,15 +476,15 @@ def _certify_links(c: MetricComplex, cells) -> dict | Diagnosis:
 def _with_apartments(c, cert, budget: int) -> BuildingCertificate | Diagnosis:
     """A copy of the local certificate with its apartment system, the
     convex hulls of opposite chambers: cycles with axiom (3) in dimension 1,
-    spheres isometric to the model above.  Axiom (2) runs alike on edge ids
-    or top cells (see ``check_spherical``).  The memoized certificate is
-    never changed."""
+    spheres walked onto the model above, in ``Apartment.key`` order and
+    before axiom (2), so a hull that is no apartment covers no pair.  Axiom
+    (2) runs alike on edge ids or top cells (see ``check_spherical``).  The
+    memoized certificate is never changed."""
     if isinstance(cert, Diagnosis):
         return cert
     if cert.apartments_exhaustive:      # complete by construction
         return replace(cert)
     flags = set(cert.flags) - {FLAG_SAMPLED}
-    model = None
     if cert.dimension == 1:
         g = cert.graph
         found, exhaustive = enumerate_apartments_dim1(g, cert.m, budget=budget)
@@ -558,6 +497,11 @@ def _with_apartments(c, cert, budget: int) -> BuildingCertificate | Diagnosis:
     else:
         model = coxeter_complex(cert.coxeter_matrix)
         found, exhaustive = _hull_apartments(c, model, budget)
+        for a in found:
+            bad = _model_walk(c, cert.vertex_types, a.cells, model)
+            if bad is not None:
+                return Diagnosis(HULL_NOT_ISOMETRIC, {"chambers": [
+                    [c.vertices[v] for v in t] for t in (a.cells[0], bad)]})
         chambers = cells = c.top_cells
         names, members = c.vertices, [a.cells for a in found]
     pair = _uncovered_chamber_pair(chambers, members)
@@ -568,10 +512,8 @@ def _with_apartments(c, cert, budget: int) -> BuildingCertificate | Diagnosis:
         flags.add(FLAG_AXIOM2_UNVERIFIED)
     if not exhaustive:
         flags.add(FLAG_SAMPLED)
-    out = replace(cert, apartments=found, apartments_exhaustive=exhaustive,
-                  flags=tuple(sorted(flags)))
-    _verify_apartment_isometry(c, out, model)
-    return out
+    return replace(cert, apartments=found, apartments_exhaustive=exhaustive,
+                   flags=tuple(sorted(flags)))
 
 
 def _check_dim0(c: MetricComplex) -> BuildingCertificate | Diagnosis:
@@ -750,16 +692,45 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _verify_apartment_isometry(c: MetricComplex, cert: BuildingCertificate,
-                               model: CoxeterComplexModel | None):
-    """Certificate soundness: every apartment matches the model Coxeter complex."""
-    if model is None:
-        return
-    for a in cert.apartments:
-        sub = _subcomplex(c, a.cells)
-        if not thin_isomorphic(sub, model.complex):
-            raise IntegrityError(
-                "apartment is not isometric to the model Coxeter complex")
+def _model_walk(c: MetricComplex, types: Sequence[int], cells: Sequence[tuple],
+                model: CoxeterComplexModel) -> tuple | None:
+    """The hull chamber where the hull ``cells`` fails to be a typed copy of
+    the model Coxeter complex, or None.
+
+    The walk maps the model's chambers by group word: () to cells[0], and
+    w*s to the other hull chamber on the panel of image[w] that omits its
+    type-s vertex; there must be exactly one.  The model's elements come in
+    length order, so w is mapped before w*s.  Each model vertex goes to the
+    hull vertex of its type in the image chamber, and this vertex map must
+    be consistent and injective.  The images must be all of the hull (else
+    the least chamber never reached is named), and every model edge must
+    keep its length."""
+    hull = set(cells)
+    image = {(): cells[0]}
+    vmap: dict[int, int] = {}
+    back: dict[int, int] = {}
+    for g in model.elements:
+        w = g.word
+        if w:
+            at, s = image[w[:-1]], w[-1]
+            panel = tuple(v for v in at if types[v] != s)
+            nxt = [t for t in c.cofaces[panel] if t != at and t in hull]
+            if len(nxt) != 1:
+                return at
+            image[w] = nxt[0]
+        at = image[w]
+        of_type = {types[v]: v for v in at}
+        for mv in model.chamber_of[w]:
+            v = of_type[model.vertex_types[mv]]
+            if vmap.setdefault(mv, v) != v or back.setdefault(v, mv) != mv:
+                return at
+    missed = hull.difference(image.values())
+    if missed:
+        return min(missed)
+    for (a, b), ln in model.complex.lengths.items():
+        if not ln.equals(c.edge_length(vmap[a], vmap[b])):
+            return next(t for t in cells if vmap[a] in t and vmap[b] in t)
+    return None
 
 
 def _subcomplex(c: MetricComplex, cells) -> MetricComplex:

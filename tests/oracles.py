@@ -8,6 +8,8 @@ of cells, faces included, and a graph search of each apartment intersection.
 Apartment searches: the earlier copying, Fraction-summing surface growth,
 whose closed spheres the hull family of opposite chambers must equal, and
 the dim-1 cycle DFS, which the kernel-unit search must match node for node.
+Hull isometry: an untyped search over every seed chamber and vertex
+bijection, propagated across panels, which the typed model walk must match.
 """
 
 from __future__ import annotations
@@ -369,3 +371,69 @@ def enumerate_cycles_fractions(g, m=None, budget: int = 10 ** 5):
             if len(a.edges) % 2 != 0:
                 raise IntegrityError(f"odd apartment cycle {a}")
     return apartments, not exhausted
+
+
+def thin_isomorphic(a, b) -> bool:
+    """Isometric isomorphism test for thin, pure, panel-closed complexes
+    (two MetricComplex objects).
+
+    Seeds a chamber-to-chamber map with a vertex bijection and propagates
+    across panels (each panel bounds exactly two chambers); edge lengths must
+    match within tolerance throughout.
+    """
+    if a.dimension != b.dimension:
+        return False
+    if len(a.top_cells) != len(b.top_cells) or len(a.vertices) != len(b.vertices):
+        return False
+    n = a.dimension
+    if n == 0:
+        return len(a.top_cells) == len(b.top_cells)
+    ca0 = a.top_cells[0]
+    for cb0 in b.top_cells:
+        for perm in itertools.permutations(cb0):
+            if _try_propagate_iso(a, b, ca0, perm):
+                return True
+    return False
+
+
+def _try_propagate_iso(a, b, ca0, perm) -> bool:
+    vmap = dict(zip(ca0, perm))
+    for i, j in itertools.combinations(ca0, 2):
+        if not a.edge_length(i, j).equals(b.edge_length(vmap[i], vmap[j])):
+            return False
+    b_cells = set(b.top_cells)
+    mapped = {ca0: tuple(sorted(perm))}
+    queue = [ca0]
+    while queue:
+        cur = queue.pop()
+        img = mapped[cur]
+        for panel in itertools.combinations(cur, len(cur) - 1):
+            others = [t for t in a.cofaces[panel] if t != cur]
+            if len(others) != 1:
+                continue
+            nxt = others[0]
+            if nxt in mapped:
+                continue
+            v_new = next(v for v in nxt if v not in panel)
+            img_panel = tuple(sorted(vmap[v] for v in panel))
+            b_nbrs = [t for t in b.cofaces.get(img_panel, ()) if t != img]
+            if len(b_nbrs) != 1:
+                return False
+            bimg = b_nbrs[0]
+            w_new = next(w for w in bimg if w not in img_panel)
+            if v_new in vmap:
+                if vmap[v_new] != w_new:
+                    return False
+            else:
+                vmap[v_new] = w_new
+            for u in nxt:
+                if u != v_new:
+                    if not a.edge_length(u, v_new).equals(
+                            b.edge_length(vmap[u], w_new)):
+                        return False
+            mapped[nxt] = tuple(sorted(vmap[v] for v in nxt))
+            if mapped[nxt] not in b_cells:
+                return False
+            queue.append(nxt)
+    return len(mapped) == len(a.top_cells) and \
+        len(set(mapped.values())) == len(b.top_cells)

@@ -19,7 +19,7 @@ from buildctl.metric_graph import GraphPoint, MetricGraph
 from buildctl.recognizer import (Apartment, Chart, Diagnosis, check_euclidean,
                                  check_spherical, discrete_extension_check,
                                  enumerate_apartments_dim1, recognize_dim1,
-                                 thin_isomorphic, verify_def52)
+                                 verify_def52)
 from buildctl.recognizer import _disconnected_apartment_pair, _uncovered_chamber_pair
 
 THIRD = Fraction(1, 3)
@@ -400,13 +400,57 @@ def test_file_loaded_complex_flags_unverified_global(octahedron):
 
 
 def test_apartments_isometric_to_model(s0_heawood, s0_heawood_cert):
-    from buildctl.recognizer import _subcomplex
-    model = coxeter_complex(s0_heawood_cert.coxeter_matrix).complex
-    a = s0_heawood_cert.apartments[0]
-    assert thin_isomorphic(_subcomplex(s0_heawood, a.cells), model)
-    # a different-shape sphere is rejected
-    other = coxeter_complex(named_matrix("A1xA1xA1")).complex
-    assert not thin_isomorphic(_subcomplex(s0_heawood, a.cells), other)
+    import buildctl.recognizer as recognizer
+    from buildctl.recognizer import _model_walk
+    cert = s0_heawood_cert
+    model = coxeter_complex(cert.coxeter_matrix)
+    for a in cert.apartments:
+        assert _model_walk(s0_heawood, cert.vertex_types, a.cells, model) is None
+    # a different-shape sphere is rejected, at a chamber of the hull
+    a = cert.apartments[0]
+    other = coxeter_complex(named_matrix("A1xA1xA1"))
+    assert _model_walk(s0_heawood, cert.vertex_types, a.cells, other) in a.cells
+    # so is a typed copy of the octahedron whose edges are pi/3, not pi/2
+    octa = gen_octahedron()
+    short = MetricComplex(octa.geometry, octa.vertices, octa.top_cells,
+                          [(i, j, Angle(frac=THIRD)) for i, j in octa.edges])
+    types = recognizer._vertex_types(short)
+    assert _model_walk(short, types, short.top_cells, other) in short.top_cells
+    assert _model_walk(octa, types, octa.top_cells, other) is None
+    assert not oracles.thin_isomorphic(short, other.complex)
+
+
+def test_hull_that_does_not_walk_is_a_diagnosis(s0_heawood, tmp_path, monkeypatch, capsys):
+    """A kept hull that is no typed copy of the model proves the complex is
+    no building: one chamber of S0*Heawood's first kept hull swapped for an
+    outside chamber is the ``hull_not_isometric_to_model`` diagnosis naming
+    the hull's first chamber and the chamber where the walk failed, in
+    process and through ``buildctl check`` (exit 1, no traceback)."""
+    import buildctl.recognizer as recognizer
+    from buildctl.cli import main
+    original = recognizer._opposite_hulls
+    mutants = []
+
+    def swapped(nbrs, *args):
+        hulls, exhaustive = original(nbrs, *args)
+        h = hulls[0]
+        outside = ~h & ((1 << len(nbrs)) - 1)
+        hulls[0] = (h ^ 1 << (h.bit_length() - 1)) | (outside & -outside)
+        mutants.append(hulls[0])
+        return hulls, exhaustive
+
+    monkeypatch.setattr(recognizer, "_opposite_hulls", swapped)
+    res = check_spherical(s0_heawood)
+    assert isinstance(res, Diagnosis) and res.condition == "hull_not_isometric_to_model"
+    cells = sorted(s0_heawood.top_cells[k] for k in recognizer._bits(mutants[0]))
+    first, bad = ([s0_heawood.vertex_index(v) for v in ch] for ch in res.witness["chambers"])
+    assert tuple(first) == cells[0] and tuple(bad) in cells
+    f = tmp_path / "s0-heawood.json"
+    f.write_text(s0_heawood.dumps())
+    capsys.readouterr()
+    assert main(["check", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and '"hull_not_isometric_to_model"' in out
 
 
 def test_disconnected_complex_diagnosed():
@@ -1189,6 +1233,69 @@ def test_dim3_hulls_are_suspended_dim2_hulls(label):
     assert cert.apartments_exhaustive and not cert.flags
     assert _named_chambers(outer, [a.cells for a in cert.apartments]) == {
         frozenset(t | {p} for t in apt for p in poles) for apt in apartments}
+
+
+def _mutants(c, cells):
+    """Copies of the hull ``cells`` with one chamber swapped for a chamber
+    outside it, the least one that shares a panel with it and one drawn at
+    random, for each of up to three drawn hull chambers; and the hull with
+    each of those outside chambers added."""
+    rng = random.Random(len(cells))
+    hull = set(cells)
+    outside = [t for t in c.top_cells if t not in hull]
+    out = []
+    for x in rng.sample(cells, min(3, len(cells))) if outside else ():
+        near = [t for p in itertools.combinations(x, c.dimension)
+                for t in c.cofaces[p] if t not in hull]
+        for y in {min(near, default=outside[0]), rng.choice(outside)}:
+            out += [tuple(sorted(hull - {x} | {y})), tuple(sorted(hull | {y}))]
+    return out
+
+
+def _reversed_copy(c):
+    """``c`` and a copy with its vertex order reversed."""
+    return [c, _relabelled(c, list(range(len(c.vertices)))[::-1])]
+
+
+_WALKED = {**{label: lambda label=label: _dim2_copies(label) for label in _DIM2},
+           **{name: lambda name=name: _reversed_copy(coxeter_complex(named_matrix(name)).complex)
+              for name in ("A3", "B3")},
+           "s0*s0*heawood": lambda: _reversed_copy(suspension(_DIM2["s0*heawood"]()))}
+
+
+@pytest.mark.parametrize("label", sorted(_WALKED))
+def test_model_walk_matches_isomorphism_oracle(label, monkeypatch):
+    """The typed model walk accepts a chamber set exactly when the untyped
+    permutation search of ``oracles.thin_isomorphic`` finds an isometry onto
+    the model: on every kept hull (each walks), on mutants with one chamber
+    swapped or added (none walks) and on the whole complex, for every ``_dim2_copies`` copy,
+    S0*S0*Heawood and the A3 and B3 complexes, each also with its vertex
+    order reversed.  ``check_spherical`` builds no subcomplex."""
+    import buildctl.recognizer as recognizer
+    sub = recognizer._subcomplex
+    built = []
+    monkeypatch.setattr(recognizer, "_subcomplex", lambda *a: built.append(a) or sub(*a))
+    for c in _WALKED[label]():
+        check_spherical(c)
+        assert built == []
+        local = recognizer._certify(c)
+        if isinstance(local, Diagnosis):        # the punctured octahedron
+            types, M = recognizer._vertex_types(c), named_matrix(_DIM2_MODELS[label])
+        else:
+            types, M = local.vertex_types, local.coxeter_matrix
+        model = coxeter_complex(M)
+        hulls, exhaustive = recognizer._hull_apartments(c, model, 10 ** 5)
+        assert exhaustive
+        for a in hulls:
+            assert recognizer._model_walk(c, types, a.cells, model) is None
+            assert oracles.thin_isomorphic(sub(c, a.cells), model.complex)
+        mutants = [cells for a in hulls for cells in _mutants(c, a.cells)]
+        assert bool(mutants) == (len(hulls) > 1), label
+        for cells in mutants:
+            assert recognizer._model_walk(c, types, cells, model) in cells
+            assert not oracles.thin_isomorphic(sub(c, cells), model.complex)
+        whole = recognizer._model_walk(c, types, c.top_cells, model) is None
+        assert whole == oracles.thin_isomorphic(c, model.complex), label
 
 
 def test_propagation_failure_keeps_exact_length():
