@@ -4,31 +4,34 @@ Dimension 1 is the decidable base: after suppressing valence-2 vertices a
 connected graph is a thick rank-2 building, a suspension of a discrete set,
 or a single 2*pi circuit, provided it passes the systole (CAT(1)), diameter,
 valence, and uniform-length gates; the first failed gate comes back as a
-Diagnosis with a concrete witness.  Higher dimensions recurse through cell
-links and assemble the Coxeter matrix from panel angles.
+Diagnosis with a concrete witness.  Its apartments are the hulls described
+below, with the chains between vertices of valence >= 3 as chambers.
 
-Recognition has two layers.  The local certificate (``_certify``) runs the
-gates, the link recursion, the Coxeter matrix and the verdict; it is
-memoized on the complex and is what every link certificate holds.  The
-public functions add the apartment system on top: the whole complex when
-it is a single 2*pi circuit, and otherwise the convex hulls of opposite
-chambers (two chambers at gallery distance l(w0) lie in exactly one
-apartment, the chambers on their minimal galleries; a thin sphere is one
-hull), with the chains between vertices of valence >= 3 as dim-1 chambers.
-Above dimension 1 each hull is walked onto the model Coxeter complex by
-panel cotype, typed by the vertex colouring.  The apartment axioms are
-checked exactly, never by sampling: axiom (2) over every pair of chambers
-(any two cells lie in chambers) with each apartment an int bitmask of its
-chambers, and in dimension 1 axiom (3) over every pair of cycles that
-share an edge.  Global CAT(1) in dimension 2 is never guessed:
-certificates carry an explicit unverified flag unless the complex was
-produced by a curvature-preserving construction.
+Above dimension 1 the building axioms decide first (Abramenko-Brown,
+Buildings, Def. 4.1).  After the connectivity and panel-count gates, the
+Coxeter matrix is read off one chamber, and the apartments are the convex
+hulls of opposite chambers (two chambers at gallery distance l(w0) lie in
+exactly one apartment, the chambers on their minimal galleries; a thin
+sphere is one hull).  (B0) each hull is walked onto the model Coxeter
+complex by panel cotype, typed by the vertex colouring; (B1) every pair of
+chambers lies in a hull, with each hull an int bitmask of its chambers;
+(B2) two hulls through a chamber agree on every vertex they share.  When
+all three hold on an exhaustive search the complex is a building, so its
+links are buildings and no link is certified.  The link recursion, the
+local certificate ``_certify``, runs only when something fails: it names
+the first failing local gate, and when every local gate passes the failed
+axiom is the diagnosis.  The axioms are checked exactly, never by sampling.
+Global CAT(1) in dimension 2 is never guessed: certificates carry an
+explicit unverified flag unless the complex was produced by a
+curvature-preserving construction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -36,14 +39,17 @@ from typing import Sequence
 from .angles import PiUnits, cmp_units, units_close
 from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, MetricComplex,
                         cell_link, vertex_link)
-from .coxeter import (CoxeterComplexModel, CoxeterMatrix, cosine_verdicts,
-                      coxeter_complex, dihedral)
+from .coxeter import (CoxeterComplexModel, CoxeterMatrix, cosine_form,
+                      cosine_verdicts, coxeter_complex, dihedral)
 from .decompose import (euclidean_factor_hint, find_suspension_poles,
                         most_singular_vertex)
 from .homotopy import NONTRIVIAL, UNKNOWN, simple_connectivity
 from .metric_graph import Circle, GraphPoint, MetricGraph
 
 B_APT_DEFAULT = 10 ** 5
+# Separates -cos(pi/m) from -cos(pi/(m+1)) up to m ~ 1000; the guess it
+# admits is checked edge by edge by the model walk.
+EPS_CHAMBER = 1e-6
 ONE, TWO = Fraction(1), Fraction(2)     # pi and 2*pi in pi units
 
 # diagnosis conditions
@@ -60,6 +66,8 @@ NOT_SIMPLY_CONNECTED = "not_simply_connected"
 UNKNOWN_PI1 = "unknown_pi1"
 NO_COMMON_APARTMENT = "no_common_apartment"
 HULL_NOT_ISOMETRIC = "hull_not_isometric_to_model"
+NO_OPPOSITE_CHAMBER = "no_opposite_chamber"
+APARTMENTS_INCOMPATIBLE = "apartments_incompatible"
 
 # verdicts
 THICK = "thick_building"
@@ -73,6 +81,8 @@ FLAG_GLOBAL_UNVERIFIED = "global_cat1_unverified"
 FLAG_SAMPLED = "apartments_sampled"
 FLAG_AXIOM2_UNVERIFIED = "apartment_axiom2_unverified"
 FLAG_MIXED = "mixed_thickness"
+# a link certificate flagged with one of these leaves a Euclidean verdict undecided
+LINK_UNDECIDED = (FLAG_GLOBAL_UNVERIFIED, FLAG_SAMPLED, FLAG_AXIOM2_UNVERIFIED)
 
 
 @dataclass(frozen=True)
@@ -270,7 +280,7 @@ def enumerate_apartments_dim1(g: MetricGraph, m: int, budget: int = B_APT_DEFAUL
             mask = sum({1 << chain[e] for _, e, _ in around})
             for k in _bits(mask):
                 nbrs[k] |= mask & ~(1 << k)
-    hulls, exhaustive = _opposite_hulls(nbrs, m, 2 * m, budget)
+    hulls, exhaustive, _ = _opposite_hulls(nbrs, m, 2 * m, budget)
     return tuple(sorted((_walk_cycle(g, {e for k in _bits(h) for e in chains[k]})
                          for h in hulls), key=Apartment.key)), exhaustive
 
@@ -320,30 +330,6 @@ def _uncovered_chamber_pair(chambers: Sequence, apartments: Sequence[Sequence]
     return None
 
 
-def _disconnected_apartment_pair(apartments: Sequence[Apartment]
-                                 ) -> tuple[int, int] | None:
-    """Axiom (3) for cycle apartments: the first index pair of apartments
-    that share an edge and meet disconnectedly, or None.
-
-    Two distinct cycles meet in a linear forest, so their intersection is
-    connected exactly when |V_a & V_b| - |E_a & E_b| = 1.  Only the pairs
-    that share an edge are tested: for each i, the j > i found through the
-    apartments of i's edges, in increasing order.
-    """
-    vmask = [sum(1 << v for v in a.vertices) for a in apartments]
-    emask = [sum(1 << e for e in a.edges) for a in apartments]
-    through: dict[int, list[int]] = {}      # edge -> the apartments on it
-    for k, a in enumerate(apartments):
-        for e in a.edges:
-            through.setdefault(e, []).append(k)
-    for i, a in enumerate(apartments):
-        vi, ei = vmask[i], emask[i]
-        for j in sorted({j for e in a.edges for j in through[e] if j > i}):
-            if (vi & vmask[j]).bit_count() - (ei & emask[j]).bit_count() != 1:
-                return i, j
-    return None
-
-
 # -- spherical recognition, dimension >= 2 --------------------------------------------
 
 
@@ -351,34 +337,71 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
                     ) -> BuildingCertificate | Diagnosis:
     """Certify a spherical complex as a building, or diagnose the failure.
 
-    Dimension 1 runs the gates of recognize_dim1.  Dimension >= 2 verifies
-    the codimension-1 counts, recursively certifies cell links, assembles the
-    Coxeter matrix from panel angles, and enumerates apartments as the
-    convex hulls of opposite chambers in the chamber graph, with l(w0) and
-    |W| read off the model Coxeter complex (a thin sphere is its single
-    hull, found by evaluating one pair).  Each hull is walked onto the model
-    by panel cotype (``_model_walk``): in a building it is a typed copy of
-    the model, so a hull that does not walk is a
-    ``hull_not_isometric_to_model`` diagnosis naming its first chamber and
-    the chamber where the walk failed.  Global CAT(1) is decided only for
-    by-construction inputs or through the simple-connectivity pathway in
-    dimension >= 3.
+    Dimension 1 runs the gates of recognize_dim1.  Dimension >= 2 decides a
+    positive from the building axioms (``_axiom_certificate``): after the
+    connectivity and codimension-1 gates, the vertex types and the Coxeter
+    matrix of one chamber give the model Coxeter complex; the apartments
+    are the convex hulls of opposite chambers in the chamber graph, with
+    l(w0) and |W| read off the model (a thin sphere is its single hull,
+    found by evaluating one pair); and (B0) every hull walks onto the model
+    by panel cotype (``_model_walk``), (B1) every chamber pair lies in a
+    hull and (B2) hulls through a common chamber agree on their shared
+    vertices.  Panel counts and the suspension poles give the verdict.
 
-    When the apartment search is exhaustive and two chambers lie in no
-    common apartment, the result is a ``no_common_apartment`` diagnosis
-    naming them; an incomplete search flags ``apartment_axiom2_unverified``
-    instead.
+    When any of that fails, or the search is cut off by the budget, the
+    link recursion runs (``_certify``): its first failing local gate is the
+    diagnosis.  When every local gate passes, the apartment layer on the
+    local certificate names the failed axiom: a hull that does not walk is
+    ``hull_not_isometric_to_model`` (its first chamber and the chamber where
+    the walk failed), a chamber with no chamber at gallery distance l(w0) is
+    ``no_opposite_chamber``, two chambers in no common hull after an
+    exhaustive search are ``no_common_apartment`` and two hulls that label a
+    shared vertex differently are ``apartments_incompatible``.  A search cut
+    off by the budget flags ``apartments_sampled``, and
+    ``apartment_axiom2_unverified`` if a chamber pair is still uncovered.
+
+    Global CAT(1) is decided only for by-construction inputs (provenance);
+    otherwise the certificate carries ``global_cat1_unverified``.
     """
     if c.geometry != SPHERICAL:
         raise ComplexError("check_spherical needs a spherical complex")
+    if c.dimension >= 2:
+        res = _axiom_certificate(c, budget)
+        if res is not None:
+            return res
     return _with_apartments(c, _certify(c), budget)
+
+
+def _axiom_certificate(c: MetricComplex, budget: int
+                       ) -> BuildingCertificate | Diagnosis | None:
+    """The certificate of a complex of dimension >= 2 from (B0)-(B2) on an
+    exhaustive hull search, the diagnosis of a failed first gate
+    (connectivity, codimension-1 counts), or None when anything else fails
+    or the search is cut off.  A building of dimension >= 2 is simply
+    connected (Solomon-Tits), so no fundamental group is computed."""
+    c.require_valid()
+    panel_counts = _panel_counts(c)
+    if isinstance(panel_counts, Diagnosis):
+        return panel_counts
+    types = _vertex_types(c)
+    M = None if types is None else _chamber_coxeter(c, types)
+    if M is None:
+        return None
+    cert = _spherical_certificate(c, M, types, panel_counts)
+    if c.provenance is None:
+        cert.flags = tuple(sorted({*cert.flags, FLAG_GLOBAL_UNVERIFIED}))
+    res = _with_apartments(c, cert, budget)
+    return res if isinstance(res, BuildingCertificate) and res.apartments_exhaustive else None
 
 
 def _certify(c: MetricComplex) -> BuildingCertificate | Diagnosis:
     """The local certificate of c, memoized in one slot on c (it reads no
-    budget): everything but the apartment search, so it is flagged
+    budget): the gates, the link recursion, the assembled Coxeter matrix and
+    the verdict, with no apartment search, so it is flagged
     ``apartments_sampled`` unless complete by construction (a discrete set,
-    a single 2*pi circuit)."""
+    a single 2*pi circuit).  Above dimension 1 ``check_spherical`` reads it
+    only when the axiom route fails or is cut off, and its links hold local
+    certificates."""
     if c._certificate is None:
         c._certificate = _local_certificate(c)
     return c._certificate
@@ -391,22 +414,14 @@ def _local_certificate(c: MetricComplex) -> BuildingCertificate | Diagnosis:
         return _check_dim0(c)
     if n == 1:
         return _certify_graph(c)
-    if not c._skeleton_connected():
-        return Diagnosis(NOT_CONNECTED, {"detail": "complex is not connected"})
-    # codimension-1 cell counts
-    panel_counts = set()
-    for panel in c.cells_by_dim.get(n - 1, ()):
-        k = len(c.cofaces[panel])
-        if k < 2:
-            return Diagnosis(CODIM1, {
-                "cell": [c.vertices[i] for i in panel], "top_cells": k})
-        panel_counts.add(k)
-    thickness = min(panel_counts, default=None)
+    panel_counts = _panel_counts(c)
+    if isinstance(panel_counts, Diagnosis):
+        return panel_counts
     # (n-2)-cell links are graphs; deeper structure recurses through vertices
     cells = c.cells_by_dim.get(n - 2, ())
     if n >= 3:
         cells += c.cells_by_dim[0]
-    link_certs = _certify_links(c, cells)
+    link_certs = _certify_links(c, cells, _certify)
     if isinstance(link_certs, Diagnosis):
         return link_certs
     types = _vertex_types(c)
@@ -421,26 +436,9 @@ def _local_certificate(c: MetricComplex) -> BuildingCertificate | Diagnosis:
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
             "detail": f"assembled Coxeter matrix is {form}, not spherical",
             "matrix": M.to_json_dict()})
-    poles = find_suspension_poles(c)
-    flags = [FLAG_SAMPLED]
-    if panel_counts == {2}:
-        verdict = THIN
-    elif poles is not None:
-        verdict = SUSPENSION
-    elif min(panel_counts) >= 3:
-        verdict = THICK
-    else:
-        # mixed thickness: the metric cell structure is a join with thin
-        # factors (non-simplicial suspension-shaped cells); the simplicial
-        # certificate reports the generic verdict and the factors carry it
-        verdict = BUILDING
-        flags.append(FLAG_MIXED)
-    cert = BuildingCertificate(
-        SPHERICAL, n, verdict, coxeter_matrix=M, apartments_exhaustive=False,
-        thickness=thickness, vertex_types=types, link_certificates=link_certs)
-    if verdict == SUSPENSION:
-        cert.poles = (c.vertices[poles[0]], c.vertices[poles[1]])
-        cert.base_size = len(c.vertices) - 2
+    cert = _spherical_certificate(c, M, types, panel_counts)
+    cert.link_certificates = link_certs
+    flags = list(cert.flags)
     # global curvature
     if c.provenance is not None:
         pass   # by-construction CAT(1)
@@ -459,14 +457,58 @@ def _local_certificate(c: MetricComplex) -> BuildingCertificate | Diagnosis:
     return cert
 
 
-def _certify_links(c: MetricComplex, cells) -> dict | Diagnosis:
-    """Every cell's link, certified locally: {cell: (link, certificate)}, or
-    a link_failure diagnosis at the first cell whose link fails."""
+def _panel_counts(c: MetricComplex) -> set[int] | Diagnosis:
+    """The first gates above dimension 1: the complex is connected and every
+    codimension-1 cell lies in two or more top cells.  The set of those
+    counts, or the diagnosis."""
+    if not c._skeleton_connected():
+        return Diagnosis(NOT_CONNECTED, {"detail": "complex is not connected"})
+    counts = set()
+    for panel in c.cells_by_dim.get(c.dimension - 1, ()):
+        k = len(c.cofaces[panel])
+        if k < 2:
+            return Diagnosis(CODIM1, {
+                "cell": [c.vertices[i] for i in panel], "top_cells": k})
+        counts.add(k)
+    return counts
+
+
+def _spherical_certificate(c: MetricComplex, M: CoxeterMatrix, types, panel_counts
+                           ) -> BuildingCertificate:
+    """The verdict from the panel counts and the suspension poles, flagged
+    ``apartments_sampled`` until the apartment layer runs."""
+    poles = find_suspension_poles(c)
+    flags = [FLAG_SAMPLED]
+    if panel_counts == {2}:
+        verdict = THIN
+    elif poles is not None:
+        verdict = SUSPENSION
+    elif min(panel_counts) >= 3:
+        verdict = THICK
+    else:
+        # mixed thickness: the metric cell structure is a join with thin
+        # factors (non-simplicial suspension-shaped cells); the simplicial
+        # certificate reports the generic verdict and the factors carry it
+        verdict = BUILDING
+        flags.append(FLAG_MIXED)
+    cert = BuildingCertificate(
+        SPHERICAL, c.dimension, verdict, coxeter_matrix=M, apartments_exhaustive=False,
+        thickness=min(panel_counts), vertex_types=types, flags=tuple(sorted(flags)))
+    if verdict == SUSPENSION:
+        cert.poles = (c.vertices[poles[0]], c.vertices[poles[1]])
+        cert.base_size = len(c.vertices) - 2
+    return cert
+
+
+def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
+    """Every cell's link with ``certify``'s answer for it: {cell: (link,
+    certificate)}, or a link_failure diagnosis at the first cell whose link
+    fails."""
     out = {}
     for cell in cells:
         names = [c.vertices[i] for i in cell]
         L = cell_link(c, names)
-        res = _certify(L)
+        res = certify(L)
         if isinstance(res, Diagnosis):
             return Diagnosis(LINK_FAILURE, {"cell": names}, inner=res)
         out[cell] = (L, res)
@@ -474,12 +516,12 @@ def _certify_links(c: MetricComplex, cells) -> dict | Diagnosis:
 
 
 def _with_apartments(c, cert, budget: int) -> BuildingCertificate | Diagnosis:
-    """A copy of the local certificate with its apartment system, the
-    convex hulls of opposite chambers: cycles with axiom (3) in dimension 1,
-    spheres walked onto the model above, in ``Apartment.key`` order and
-    before axiom (2), so a hull that is no apartment covers no pair.  Axiom
-    (2) runs alike on edge ids or top cells (see ``check_spherical``).  The
-    memoized certificate is never changed."""
+    """A copy of the certificate with its apartment system, the convex
+    hulls of opposite chambers: cycles in dimension 1, spheres walked onto
+    the model above (B0), in ``Apartment.key`` order and before (B1), so a
+    hull that is no apartment covers no pair.  (B1) runs alike on edge ids
+    or top cells, and (B2) on the walks of an exhaustive search (see
+    ``check_spherical``).  The memoized certificate is never changed."""
     if isinstance(cert, Diagnosis):
         return cert
     if cert.apartments_exhaustive:      # complete by construction
@@ -488,20 +530,22 @@ def _with_apartments(c, cert, budget: int) -> BuildingCertificate | Diagnosis:
     if cert.dimension == 1:
         g = cert.graph
         found, exhaustive = enumerate_apartments_dim1(g, cert.m, budget=budget)
-        # the gates prove a generalized m-gon, so a failed axiom (3) is our fault
-        pair = _disconnected_apartment_pair(found)
-        if pair is not None:
-            raise IntegrityError("apartments %d and %d intersect disconnectedly" % pair)
         chambers, names = range(len(g.edges)), g.vertices
         cells, members = [e[:2] for e in g.edges], [a.edges for a in found]
     else:
         model = coxeter_complex(cert.coxeter_matrix)
-        found, exhaustive = _hull_apartments(c, model, budget)
+        found, exhaustive, lonely = _hull_apartments(c, model, budget)
+        walks = []
         for a in found:
-            bad = _model_walk(c, cert.vertex_types, a.cells, model)
+            bad, image, back = _model_walk(c, cert.vertex_types, a.cells, model)
             if bad is not None:
                 return Diagnosis(HULL_NOT_ISOMETRIC, {"chambers": [
                     [c.vertices[v] for v in t] for t in (a.cells[0], bad)]})
+            walks.append((image, back))
+        if lonely is not None:
+            return Diagnosis(NO_OPPOSITE_CHAMBER, {
+                "chamber": [c.vertices[v] for v in lonely],
+                "gallery_distance": len(model.elements[-1].word)})
         chambers = cells = c.top_cells
         names, members = c.vertices, [a.cells for a in found]
     pair = _uncovered_chamber_pair(chambers, members)
@@ -512,6 +556,14 @@ def _with_apartments(c, cert, budget: int) -> BuildingCertificate | Diagnosis:
         flags.add(FLAG_AXIOM2_UNVERIFIED)
     if not exhaustive:
         flags.add(FLAG_SAMPLED)
+    elif cert.dimension >= 2:
+        clash = _incompatible_hulls(walks, model)
+        if clash is not None:
+            C, j, k, x = clash
+            return Diagnosis(APARTMENTS_INCOMPATIBLE, {
+                "chamber": [names[v] for v in C],
+                "apartments": [[names[v] for v in found[i].cells[0]] for i in (j, k)],
+                "vertex": names[x]})
     return replace(cert, apartments=found, apartments_exhaustive=exhaustive,
                    flags=tuple(sorted(flags)))
 
@@ -601,12 +653,44 @@ def _assemble_coxeter(c: MetricComplex, types, link_certs) -> CoxeterMatrix | Di
     return CoxeterMatrix(gens, tuple(tuple(r) for r in rows))
 
 
+def _chamber_coxeter(c: MetricComplex, types) -> CoxeterMatrix | None:
+    """The spherical Coxeter matrix read off the first chamber, or None when
+    its dihedral angles are not all pi/m, m >= 2.
+
+    In a building every chamber is a typed copy of the model's fundamental
+    chamber, whose dihedral angle at the face of cotype {i, j} is pi/m_ij.
+    With the vertices in type order, the inverse G^-1 of the chamber's Gram
+    matrix normalized to a unit diagonal is -cos(theta_ij) off the diagonal,
+    where cos theta_ij = -G^-1_ij / sqrt(G^-1_ii G^-1_jj); it must equal
+    ``cosine_form(M)`` to within ``EPS_CHAMBER``.  A wrong guess only fails
+    (B0), whose walk compares every model edge length."""
+    import numpy as np
+    cell = c.top_cells[0]
+    order = np.argsort([types[v] for v in cell])
+    inv = np.linalg.inv(c.shape_of(cell).gram()[np.ix_(order, order)])
+    scale = np.sqrt(np.diag(inv))
+    form = inv / np.outer(scale, scale)
+    n = len(cell)
+    rows = [[1] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        m = round(math.pi / math.acos(min(max(-form[i, j], -1.0), 1.0)))
+        if m < 2:
+            return None
+        rows[i][j] = rows[j][i] = m
+    M = CoxeterMatrix(tuple(f"s{t}" for t in range(n)), rows)
+    if np.abs(form - cosine_form(M)).max() > EPS_CHAMBER:
+        return None
+    # a nearly degenerate chamber may give a form that is not definite
+    return M if cosine_verdicts(M)[2] == "spherical" else None
+
+
 def _hull_apartments(c: MetricComplex, model: CoxeterComplexModel, budget: int
-                     ) -> tuple[tuple[Apartment, ...], bool]:
+                     ) -> tuple[tuple[Apartment, ...], bool, tuple | None]:
     """The apartments of c as convex hulls of opposite chambers
     (``_opposite_hulls``) in the chamber graph, which joins the cofaces of
-    each panel.  l(w0) and |W| are read off the model: its elements come in
-    length order, the longest last."""
+    each panel, whether the search was exhaustive, and the first chamber
+    found with no opposite chamber, or None.  l(w0) and |W| are read off
+    the model: its elements come in length order, the longest last."""
     chambers = c.top_cells
     index = {t: k for k, t in enumerate(chambers)}
     nbrs = []
@@ -616,20 +700,22 @@ def _hull_apartments(c: MetricComplex, model: CoxeterComplexModel, budget: int
             for u in c.cofaces[panel]:
                 mask |= 1 << index[u]
         nbrs.append(mask & ~(1 << index[t]))
-    hulls, exhaustive = _opposite_hulls(nbrs, len(model.elements[-1].word),
-                                        len(model.elements), budget)
+    hulls, exhaustive, lonely = _opposite_hulls(nbrs, len(model.elements[-1].word),
+                                                len(model.elements), budget)
     found = []
     for hull in hulls:
         cells = tuple(sorted(chambers[k] for k in _bits(hull)))
         found.append(Apartment("sphere", cells=cells,
                                vertices=tuple(sorted({v for t in cells for v in t}))))
-    return tuple(sorted(found, key=Apartment.key)), exhaustive
+    return (tuple(sorted(found, key=Apartment.key)), exhaustive,
+            None if lonely is None else chambers[lonely])
 
 
 def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int
-                    ) -> tuple[list[int], bool]:
+                    ) -> tuple[list[int], bool, int | None]:
     """The convex hulls of opposite chambers that are apartments, as chamber
-    bitmasks, and whether the search was exhaustive.
+    bitmasks, whether the search was exhaustive, and the first chamber whose
+    distance layer at depth ``top`` is empty, or None.
 
     In a spherical building two chambers at gallery distance l(w0) = top
     lie in exactly one apartment, the chambers on their minimal galleries
@@ -637,8 +723,10 @@ def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int
     chamber opposite C (Abramenko-Brown, Buildings, ch. 4), so the hulls of
     opposite pairs are the whole apartment system.  Chamber k has neighbour
     bitmask nbrs[k]; its distance layers (a breadth-first search cut at
-    depth top) are computed once, i's while a pair (i, j > i) is in no kept
-    hull and j's when (i, j) is evaluated, so a thin sphere costs two.  A
+    depth top) are computed once, i's while i or a pair (i, j > i) is in no
+    kept hull and j's when (i, j) is evaluated, so a thin sphere costs two;
+    so every chamber in no kept hull is searched from, and one with no
+    chamber at distance top is named (it has no opposite).  A
     hull of other than ``order`` = |W| chambers is no apartment and is not
     kept; a pair already inside a kept hull is not evaluated again, so a
     building costs one hull per apartment.  The budget counts hulls
@@ -646,17 +734,20 @@ def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int
     layers = [None] * len(nbrs)
     cover = [0] * len(nbrs)
     hulls = []
+    lonely = None
     evaluated = 0
     for i in range(len(nbrs)):
-        if (cover[i] >> (i + 1)).bit_count() == len(nbrs) - i - 1:
-            continue                    # every pair (i, j > i) is in a kept hull
+        if cover[i] and (cover[i] >> (i + 1)).bit_count() == len(nbrs) - i - 1:
+            continue                    # i and every pair (i, j > i) are in a kept hull
         li = layers[i] = layers[i] or _distance_layers(nbrs, i, top)
+        if not li[top] and lonely is None:
+            lonely = i
         todo = li[top] >> (i + 1) << (i + 1)
         while todo := todo & ~cover[i]:
             j = (todo & -todo).bit_length() - 1
             todo ^= 1 << j
             if evaluated == budget:
-                return hulls, False
+                return hulls, False, lonely
             evaluated += 1
             lj = layers[j] = layers[j] or _distance_layers(nbrs, j, top)
             hull = 0
@@ -666,7 +757,7 @@ def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int
                 hulls.append(hull)
                 for k in _bits(hull):
                     cover[k] |= hull
-    return hulls, True
+    return hulls, True, lonely
 
 
 def _distance_layers(nbrs: Sequence[int], start: int, depth: int) -> list[int]:
@@ -693,9 +784,10 @@ def _bits(mask: int):
 
 
 def _model_walk(c: MetricComplex, types: Sequence[int], cells: Sequence[tuple],
-                model: CoxeterComplexModel) -> tuple | None:
-    """The hull chamber where the hull ``cells`` fails to be a typed copy of
-    the model Coxeter complex, or None.
+                model: CoxeterComplexModel) -> tuple[tuple | None, dict, dict]:
+    """(bad, image, back): the hull chamber where the hull ``cells`` fails to
+    be a typed copy of the model Coxeter complex, or None; the hull chamber
+    of each group word; and the model vertex of each hull vertex.
 
     The walk maps the model's chambers by group word: () to cells[0], and
     w*s to the other hull chamber on the panel of image[w] that omits its
@@ -716,20 +808,65 @@ def _model_walk(c: MetricComplex, types: Sequence[int], cells: Sequence[tuple],
             panel = tuple(v for v in at if types[v] != s)
             nxt = [t for t in c.cofaces[panel] if t != at and t in hull]
             if len(nxt) != 1:
-                return at
+                return at, image, back
             image[w] = nxt[0]
         at = image[w]
         of_type = {types[v]: v for v in at}
         for mv in model.chamber_of[w]:
             v = of_type[model.vertex_types[mv]]
             if vmap.setdefault(mv, v) != v or back.setdefault(v, mv) != mv:
-                return at
+                return at, image, back
     missed = hull.difference(image.values())
     if missed:
-        return min(missed)
+        return min(missed), image, back
     for (a, b), ln in model.complex.lengths.items():
         if not ln.equals(c.edge_length(vmap[a], vmap[b])):
-            return next(t for t in cells if vmap[a] in t and vmap[b] in t)
+            return next(t for t in cells if vmap[a] in t and vmap[b] in t), image, back
+    return None, image, back
+
+
+def _left_action(model: CoxeterComplexModel) -> dict[tuple, list[int]]:
+    """For each group word w of the model, the permutation v -> w^-1 v of
+    the model's vertices.  A generator s acts as the typed walk of the model
+    onto itself from chamber s (an involution), and (w s)^-1 = s w^-1."""
+    cx = model.complex
+    gens = [_model_walk(cx, model.vertex_types, [model.chamber_of[(s,)], *cx.top_cells],
+                        model)[2] for s in range(model.system.rank)]
+    act = {(): list(range(len(cx.vertices)))}
+    for g in model.elements[1:]:
+        w = g.word
+        act[w] = [gens[w[-1]][v] for v in act[w[:-1]]]
+    return act
+
+
+def _incompatible_hulls(walks: Sequence[tuple[dict, dict]], model: CoxeterComplexModel
+                        ) -> tuple | None:
+    """(B2) on walked hulls: the first (chamber C, hull j, hull k, vertex x)
+    such that hulls j < k both hold C and x but place x differently relative
+    to C, or None.
+
+    ``walks`` holds each hull A's ``_model_walk`` maps: the group word
+    w_A(D) of each chamber D and the model vertex f_A^-1(x) of each vertex.
+    Relative to C, x is the model vertex w_A(C)^-1 f_A^-1(x); the typed
+    isomorphism between two hulls that fixes C fixes every vertex they
+    share exactly when they give those vertices the same label
+    (Abramenko-Brown, Buildings, Def. 4.1).  Only chambers in two or more
+    hulls are labelled, each against one dict that the first hull through
+    it fills, which checks every pair of hulls through it."""
+    through = Counter(C for image, _ in walks for C in image.values())
+    labels: dict[tuple, dict] = {}
+    act = None
+    for k, (image, back) in enumerate(walks):
+        for w, C in image.items():
+            if through[C] < 2:
+                continue
+            act = act or _left_action(model)
+            perm = act[w]
+            seen = labels.setdefault(C, {})
+            for x, mv in back.items():
+                first = seen.setdefault(x, (perm[mv], k))
+                if first[0] != perm[mv]:
+                    return C, first[1], k, x
     return None
 
 
@@ -801,6 +938,12 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict"
     strict: all codimension-1 counts and all vertex links are checked and
     simple connectivity must be decided.  window: cells touching the free
     boundary are exempt and the verdict is the local one.
+
+    A vertex link of dimension 1 is a graph, which the dimension-1 gates
+    decide.  A link of dimension >= 2 gets the whole ``check_spherical``
+    answer, apartments included: its diagnosis is a ``link_failure``, and
+    a link certificate that leaves the link undecided (global CAT(1) or the
+    apartment axioms unverified) makes the verdict ``global_cat1_unverified``.
     """
     if c.geometry != EUCLIDEAN:
         raise ComplexError("check_euclidean needs a Euclidean complex")
@@ -820,10 +963,13 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict"
                                   "top_cells": len(c.cofaces[p])})
     boundary_vertices = {v for p in boundary_panels for v in p}
     interior = [vi for vi in range(len(c.vertices)) if vi not in boundary_vertices]
-    link_certs = _certify_links(c, [(vi,) for vi in interior])
+    link_certs = _certify_links(c, [(vi,) for vi in interior], _vertex_link_answer)
     if isinstance(link_certs, Diagnosis):
         return link_certs
     flags = []
+    if any(sub.dimension >= 2 and f.startswith(LINK_UNDECIDED)
+           for _, sub in link_certs.values() for f in sub.flags):
+        flags.append(FLAG_GLOBAL_UNVERIFIED)
     if boundary_policy == "window":
         verdict = MEB_LOCAL
         if not interior:
@@ -846,6 +992,12 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict"
         EUCLIDEAN, n, verdict, thickness=thickness,
         apartments=(), apartments_exhaustive=False,
         factors=factors, link_certificates=link_certs, flags=tuple(sorted(flags)))
+
+
+def _vertex_link_answer(L: MetricComplex) -> BuildingCertificate | Diagnosis:
+    """The whole spherical answer for a link of dimension >= 2; the local
+    certificate for a graph, which the dimension-1 gates decide."""
+    return check_spherical(L) if L.dimension >= 2 else _certify(L)
 
 
 # -- Kleiner-Leeb axioms on generated atlases ------------------------------------------

@@ -4,7 +4,8 @@ Diameter: scipy Dijkstra vertex distances, dense numpy grids over edge-pair
 squares with zoom refinement (the envelope is concave on each zoom region).
 Systole: direct DFS enumeration of all injective cycles.  Cycle counts:
 networkx simple_cycles.  Apartment axioms: an unsampled scan over every pair
-of cells, faces included, and a graph search of each apartment intersection.
+of cells, faces included, a graph search of each apartment intersection,
+and the dimension-1 axiom (3) by the intersection identity of two cycles.
 Apartment searches: the earlier copying, Fraction-summing surface growth,
 whose closed spheres the hull family of opposite chambers must equal, and
 the dim-1 cycle DFS, which the kernel-unit search must match node for node.
@@ -253,6 +254,32 @@ def shared_part_connected(edges, verts: set, eids: set) -> bool:
                 seen.add(w)
                 stack.append(w)
     return seen == verts
+
+
+def disconnected_apartment_pair(apartments):
+    """Apartment axiom (3) for cycle apartments: the first index pair of
+    apartments that share an edge and meet disconnectedly, or None.  Once
+    the dimension-1 gates pass the graph is a generalized m-gon, where two
+    apartments always meet connectedly, so this is a check on the hull
+    search, not a gate.
+
+    Two distinct cycles meet in a linear forest, so their intersection is
+    connected exactly when |V_a & V_b| - |E_a & E_b| = 1.  Only the pairs
+    that share an edge are tested: for each i, the j > i found through the
+    apartments of i's edges, in increasing order.
+    """
+    vmask = [sum(1 << v for v in a.vertices) for a in apartments]
+    emask = [sum(1 << e for e in a.edges) for a in apartments]
+    through: dict[int, list[int]] = {}      # edge -> the apartments on it
+    for k, a in enumerate(apartments):
+        for e in a.edges:
+            through.setdefault(e, []).append(k)
+    for i, a in enumerate(apartments):
+        vi, ei = vmask[i], emask[i]
+        for j in sorted({j for e in a.edges for j in through[e] if j > i}):
+            if (vi & vmask[j]).bit_count() - (ei & emask[j]).bit_count() != 1:
+                return i, j
+    return None
 
 
 def grow_surface_fractions(c, fan, budget: int):

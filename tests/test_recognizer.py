@@ -1,6 +1,9 @@
 import itertools
+import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +23,7 @@ from buildctl.recognizer import (Apartment, Chart, Diagnosis, check_euclidean,
                                  check_spherical, discrete_extension_check,
                                  enumerate_apartments_dim1, recognize_dim1,
                                  verify_def52)
-from buildctl.recognizer import _disconnected_apartment_pair, _uncovered_chamber_pair
+from buildctl.recognizer import _uncovered_chamber_pair
 
 THIRD = Fraction(1, 3)
 
@@ -252,6 +255,29 @@ def test_subdivision_and_relabelling_keep_dim1_certificate(dim1_corpus, data, na
     assert (other.verdict, other.m, other.thickness, len(other.apartments),
             other.apartments_exhaustive) == \
         (cert.verdict, cert.m, cert.thickness, len(cert.apartments), True)
+    assert oracles.disconnected_apartment_pair(other.apartments) is None
+
+
+def test_dim1_axiom3_holds_on_every_corpus_graph():
+    """Axiom (3) is no gate: once the dimension-1 gates pass, the graph is a
+    generalized m-gon and any two apartments meet connectedly.  The oracle
+    confirms it on every certified dimension-1 corpus graph, exact and
+    float."""
+    from buildctl.corpus import GENERATORS
+    certified = 0
+    for kind, make in sorted(GENERATORS.items()):
+        c = make()
+        if c.geometry != "spherical" or c.dimension != 1:
+            continue
+        g = MetricGraph.from_complex(c)
+        for h in (g, _floated(g)):
+            res = recognize_dim1(h)
+            if isinstance(res, Diagnosis):
+                continue
+            certified += 1
+            assert res.apartments_exhaustive and res.apartments, kind
+            assert oracles.disconnected_apartment_pair(res.apartments) is None, kind
+    assert certified == 6
 
 
 def test_enumeration_matches_independent_oracle(heawood, k33, tutte_coxeter):
@@ -405,18 +431,18 @@ def test_apartments_isometric_to_model(s0_heawood, s0_heawood_cert):
     cert = s0_heawood_cert
     model = coxeter_complex(cert.coxeter_matrix)
     for a in cert.apartments:
-        assert _model_walk(s0_heawood, cert.vertex_types, a.cells, model) is None
+        assert _model_walk(s0_heawood, cert.vertex_types, a.cells, model)[0] is None
     # a different-shape sphere is rejected, at a chamber of the hull
     a = cert.apartments[0]
     other = coxeter_complex(named_matrix("A1xA1xA1"))
-    assert _model_walk(s0_heawood, cert.vertex_types, a.cells, other) in a.cells
+    assert _model_walk(s0_heawood, cert.vertex_types, a.cells, other)[0] in a.cells
     # so is a typed copy of the octahedron whose edges are pi/3, not pi/2
     octa = gen_octahedron()
     short = MetricComplex(octa.geometry, octa.vertices, octa.top_cells,
                           [(i, j, Angle(frac=THIRD)) for i, j in octa.edges])
     types = recognizer._vertex_types(short)
-    assert _model_walk(short, types, short.top_cells, other) in short.top_cells
-    assert _model_walk(octa, types, octa.top_cells, other) is None
+    assert _model_walk(short, types, short.top_cells, other)[0] in short.top_cells
+    assert _model_walk(octa, types, octa.top_cells, other)[0] is None
     assert not oracles.thin_isomorphic(short, other.complex)
 
 
@@ -432,12 +458,12 @@ def test_hull_that_does_not_walk_is_a_diagnosis(s0_heawood, tmp_path, monkeypatc
     mutants = []
 
     def swapped(nbrs, *args):
-        hulls, exhaustive = original(nbrs, *args)
+        hulls, exhaustive, lonely = original(nbrs, *args)
         h = hulls[0]
         outside = ~h & ((1 << len(nbrs)) - 1)
         hulls[0] = (h ^ 1 << (h.bit_length() - 1)) | (outside & -outside)
         mutants.append(hulls[0])
-        return hulls, exhaustive
+        return hulls, exhaustive, lonely
 
     monkeypatch.setattr(recognizer, "_opposite_hulls", swapped)
     res = check_spherical(s0_heawood)
@@ -451,6 +477,42 @@ def test_hull_that_does_not_walk_is_a_diagnosis(s0_heawood, tmp_path, monkeypatc
     assert main(["check", str(f)]) == 1
     out, err = capsys.readouterr()
     assert err == "" and '"hull_not_isometric_to_model"' in out
+
+
+def _laid_walk(model, f):
+    """The walk maps of a hull laid onto the model by the bijection ``f``
+    from model vertices to hull vertices: each group word's chamber and each
+    hull vertex's model vertex."""
+    image = {g.word: tuple(sorted(f[v] for v in model.chamber_of[g.word]))
+             for g in model.elements}
+    return image, {x: v for v, x in f.items()}
+
+
+def test_b2_refuses_hulls_that_disagree_off_the_shared_chamber():
+    """(B2) on hand-made walk outputs over the A1 x I2(3) model (the
+    suspension of a hexagon).  The model walked from each of its chambers is
+    one hull seen from two base chambers, and is compatible with itself.  A
+    copy with two type-1 hexagon vertices outside the fundamental chamber
+    swapped agrees with it on that chamber but places a shared vertex
+    elsewhere, and is refused with that chamber and vertex."""
+    from buildctl.recognizer import _incompatible_hulls, _model_walk
+    model = coxeter_complex(named_matrix("A1xI2(3)"))
+    cx, types = model.complex, model.vertex_types
+    base = _laid_walk(model, {v: v for v in range(len(cx.vertices))})
+    for g in model.elements:
+        bad, image, back = _model_walk(cx, types, [model.chamber_of[g.word], *cx.top_cells],
+                                       model)
+        assert bad is None
+        assert _incompatible_hulls([base, (image, back)], model) is None, g.word
+    c0 = model.chamber_of[()]
+    u, w = (v for v in range(len(cx.vertices)) if types[v] == 1 and v not in c0)
+    swap = {v: {u: w, w: u}.get(v, v) for v in range(len(cx.vertices))}
+    twisted = _laid_walk(model, swap)
+    assert twisted[0][()] == c0
+    chamber, j, k, x = _incompatible_hulls([base, twisted], model)
+    assert (j, k) == (0, 1) and x in (u, w) and x not in chamber
+    assert chamber in base[0].values() and chamber in twisted[0].values()
+    assert _incompatible_hulls([twisted, twisted], model) is None
 
 
 def test_disconnected_complex_diagnosed():
@@ -561,6 +623,59 @@ def test_window_strict_rejected_at_boundary(a2_window):
 def test_euclidean_factor_hint_reported(a2_window):
     cert = check_euclidean(a2_window.complex, "window")
     assert cert.factors == [{"kind": "irreducible", "rank": 2, "m": 3, "thick": False}]
+
+
+def _euclidean_cone(k):
+    """The Euclidean cone over the spherical complex ``k``: an apex joined
+    to every cell, apex edges 1 and base edges 2 sin(l/2), so that the apex
+    link is ``k``."""
+    return MetricComplex("euclidean", ["o", *k.vertices],
+                         [(0, *(v + 1 for v in t)) for t in k.top_cells],
+                         [(0, v + 1, Angle(rad=1.0)) for v in range(len(k.vertices))] +
+                         [(i + 1, j + 1, Angle(rad=2 * math.sin(a.radians / 2)))
+                          for (i, j), a in k.lengths.items()])
+
+
+def _check_window(tmp_path, c):
+    """``buildctl check FILE --boundary window`` in a fresh process."""
+    f = tmp_path / "cone.json"
+    f.write_text(c.dumps())
+    return subprocess.run([sys.executable, "-m", "buildctl.cli", "check", str(f),
+                           "--boundary", "window"], capture_output=True, text=True)
+
+
+def test_euclidean_cone_over_b3_quotient_is_a_link_failure(tmp_path):
+    """A vertex link of dimension >= 2 gets the whole spherical answer: the
+    apex link of the cone over the antipodal quotient of B3 is that RP^2,
+    whose chambers have no opposite, so the cone is a ``link_failure`` at
+    the apex, in process and through the CLI (exit 1, no traceback)."""
+    cone = _euclidean_cone(_antipodal_quotient(coxeter_complex(named_matrix("B3")).complex))
+    assert cone.validation.ok
+    res = check_euclidean(cone, "window")
+    assert isinstance(res, Diagnosis) and res.condition == "link_failure"
+    assert res.witness == {"cell": ["o"]}
+    assert res.inner.condition == "no_opposite_chamber"
+    r = _check_window(tmp_path, cone)
+    assert r.returncode == 1 and r.stderr == ""
+    rep = json.loads(r.stdout)["diagnosis"]
+    assert (rep["condition"], rep["inner"]["condition"]) == ("link_failure",
+                                                             "no_opposite_chamber")
+
+
+def test_euclidean_cone_over_b3_is_undecided(tmp_path):
+    """The cone over the B3 Coxeter complex is locally a Euclidean building,
+    but its apex link, read from the cone, carries no provenance, so its
+    global CAT(1) is unverified and so is the cone's: exit 2."""
+    cone = _euclidean_cone(coxeter_complex(named_matrix("B3")).complex)
+    cert = check_euclidean(cone, "window")
+    assert cert.verdict == "metric_euclidean_building_local"
+    assert cert.flags == ("global_cat1_unverified",)
+    (L, link), = cert.link_certificates.values()
+    assert link.verdict == "thin_building" and link.apartments_exhaustive
+    assert link.flags == ("global_cat1_unverified",)
+    r = _check_window(tmp_path, cone)
+    assert r.returncode == 2 and r.stderr == ""
+    assert json.loads(r.stdout)["flags"] == ["global_cat1_unverified"]
 
 
 # -- Definition 5.2 on generated atlases ----------------------------------------------------
@@ -696,12 +811,19 @@ def _a4_complex():
 
 
 def test_dim3_link_certificates_carry_no_apartments(k33):
+    """A positive certificate holds no link certificate.  The local
+    certificate, which diagnoses, certifies every link without apartments:
+    the vertex links of a dimension-3 complex are flagged
+    ``apartments_sampled``, and the (n-2)-cell links run no cycle search."""
+    import buildctl.recognizer as recognizer
     cases = [(suspension(suspension(k33)), S0S0K33_REPORT),
              (_a4_complex(), A4_REPORT)]
     for c, report in cases:
         cert = check_spherical(c)
         assert cert.to_report() == report
-        links = [sub for _, sub in cert.link_certificates.values()
+        assert cert.link_certificates == {}
+        local = recognizer._certify(c)
+        links = [sub for _, sub in local.link_certificates.values()
                  if sub.dimension == 2]
         assert len(links) == len(c.vertices)
         for sub in links:
@@ -709,7 +831,7 @@ def test_dim3_link_certificates_carry_no_apartments(k33):
             assert sub.apartments_exhaustive is False
             assert "apartments_sampled" in sub.flags
         # (n-2)-cell links run no cycle search either; a circuit carries itself
-        for _, sub in cert.link_certificates.values():
+        for _, sub in local.link_certificates.values():
             assert sub.apartments == () or sub.verdict == "thin_building"
 
 
@@ -729,25 +851,27 @@ def _counting_local_certificates(monkeypatch):
 
 
 def test_local_certificate_computed_once_per_complex(k33, monkeypatch):
-    """A second check of the same object recomputes no local certificate and
-    gives the same report; within one check every link object is certified
-    once, and the memoized certificate is never changed by the apartment
-    layer."""
+    """A positive check computes no local certificate.  The local
+    certificate is computed once per object, and within it every link object
+    is certified once; a second call returns the memo, and the apartment
+    layer on it gives the checked report without changing it."""
+    import buildctl.recognizer as recognizer
     seen = _counting_local_certificates(monkeypatch)
     for c, report in ((suspension(suspension(k33)), S0S0K33_REPORT),
                       (_a4_complex(), A4_REPORT)):
         seen.clear()
-        first = check_spherical(c)
-        assert first.to_report() == report
+        assert check_spherical(c).to_report() == report
+        assert seen == []
+        memo = recognizer._certify(c)
         assert seen[0] is c
         assert len({id(x) for x in seen}) == len(seen) > len(c.vertices)
-        memo = c._certificate
-        assert first is not memo
+        assert c._certificate is memo
         assert memo.apartments == () and "apartments_sampled" in memo.flags
         seen.clear()
-        second = check_spherical(c)
+        assert recognizer._certify(c) is memo
         assert seen == []
-        assert second.to_report() == first.to_report()
+        full = recognizer._with_apartments(c, memo, recognizer.B_APT_DEFAULT)
+        assert full is not memo and full.to_report() == report
         assert c._certificate is memo
         assert memo.apartments == () and "apartments_sampled" in memo.flags
 
@@ -793,10 +917,11 @@ def test_one_group_per_check(heawood, monkeypatch):
 
 
 def test_link_certificates_hold_their_link(k33):
-    """Every link certificate entry is (link object, certificate), the vertex
-    links of a dimension >= 3 complex included."""
+    """Every link certificate entry of a local certificate is (link object,
+    certificate), the vertex links of a dimension >= 3 complex included."""
+    import buildctl.recognizer as recognizer
     c = suspension(suspension(k33))
-    cert = check_spherical(c)
+    cert = recognizer._certify(c)
     for cell, (L, sub) in cert.link_certificates.items():
         assert L is cell_link(c, [c.vertices[i] for i in cell])
         assert L._certificate is sub
@@ -860,15 +985,15 @@ def test_no_surface_growth_in_thin_complexes(heawood, monkeypatch):
         assert len(searches) == 2, c.vertices
     # the antipodal quotient of B3 (an RP^2, thin, Euler characteristic 1)
     # is no sphere: no chamber of it has an opposite, so its hull family is
-    # empty and axiom (2) fails
+    # empty and the first chamber is named
     res = check_spherical(_antipodal_quotient(coxeter_complex(named_matrix("B3")).complex))
-    assert isinstance(res, Diagnosis) and res.condition == "no_common_apartment"
+    assert isinstance(res, Diagnosis) and res.condition == "no_opposite_chamber"
     assert calls == []
     c = suspension(suspension(heawood))
     model = coxeter_complex(check_spherical(c).coxeter_matrix)
     searches.clear()
-    hulls, exhaustive = recognizer._hull_apartments(c, model, 10 ** 5)
-    assert exhaustive and len(hulls) == 28
+    hulls, exhaustive, lonely = recognizer._hull_apartments(c, model, 10 ** 5)
+    assert exhaustive and len(hulls) == 28 and lonely is None
     assert len(searches) == len(set(searches)) < len(c.top_cells)
 
 
@@ -888,23 +1013,40 @@ def _antipodal_quotient(c):
     return q
 
 
+def _gallery_eccentricity(c, chamber):
+    """The largest gallery distance from ``chamber``, by a breadth-first
+    search over shared panels."""
+    dist = {chamber: 0}
+    frontier = [chamber]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for u in c.top_cells:
+                if u not in dist and len(set(t) & set(u)) == c.dimension:
+                    dist[u] = dist[t] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return max(dist.values())
+
+
 def test_b3_quotient_has_no_common_apartment(tmp_path):
-    """The antipodal quotient of B3 is a thin RP^2: no chamber of it has an
-    opposite, so its exhaustive hull search finds no apartment, axiom (2)
-    fails and the result is a diagnosis whose witness chambers no sphere
-    that the surface-growth oracle grows holds together.  Its suspension
-    S0*RP^2 (thin, dimension 3) takes the same hull search and gets the same
-    diagnosis, from ``check`` and ``decompose`` alike."""
+    """The antipodal quotient of B3 is a thin RP^2: its chambers lie at
+    gallery distance at most 4, below l(w0) = 9, so no chamber has an
+    opposite and the result is a ``no_opposite_chamber`` diagnosis naming
+    the first chamber, which no sphere that the surface-growth oracle grows
+    holds.  Its suspension S0*RP^2 (thin, dimension 3, l(w0) = 10) gets the
+    same diagnosis, from ``check`` and ``decompose`` alike."""
     from buildctl.cli import main
     q = _antipodal_quotient(coxeter_complex(named_matrix("B3")).complex)
-    pairs = {}
-    for c in (q, suspension(q)):
+    chambers = {}
+    for c, top in ((q, 9), (suspension(q), 10)):
         res = check_spherical(c)
-        assert isinstance(res, Diagnosis) and res.condition == "no_common_apartment"
-        names = res.witness["chambers"]
-        assert len(names) == 2
-        pairs[c.dimension] = [tuple(sorted(c.vertex_index(v) for v in ch)) for ch in names]
-        assert all(ch in c.top_cells for ch in pairs[c.dimension]), c.dimension
+        assert isinstance(res, Diagnosis) and res.condition == "no_opposite_chamber"
+        assert res.witness["gallery_distance"] == top
+        chamber = tuple(sorted(c.vertex_index(v) for v in res.witness["chamber"]))
+        assert chamber == c.top_cells[0], c.dimension
+        assert _gallery_eccentricity(c, chamber) < top, c.dimension
+        chambers[c.dimension] = chamber
         f = tmp_path / f"b3-quotient-{c.dimension}.json"
         f.write_text(c.dumps())
         assert main(["check", str(f)]) == main(["decompose", str(f)]) == 1
@@ -914,7 +1056,7 @@ def test_b3_quotient_has_no_common_apartment(tmp_path):
         for apt in recognize_dim1(L).apartments:
             ring = [q.vertex_index(L.vertices[w]) for w in apt.vertices]
             surfaces |= _grown_spheres(q, _fan(vi, ring))
-    assert not any(set(pairs[2]) <= set(cells) for cells in surfaces)
+    assert not any(chambers[2] in cells for cells in surfaces)
 
 
 # -- exact apartment axioms against the unsampled oracles ----------------------------
@@ -988,7 +1130,7 @@ def test_dim1_chamber_cover_matches_cell_pair_oracle(dim1_apartment_lists):
 
 def test_dim1_intersection_identity_matches_search(dim1_apartment_lists):
     for label, g, apartments in dim1_apartment_lists:
-        assert _disconnected_apartment_pair(apartments) is None, label
+        assert oracles.disconnected_apartment_pair(apartments) is None, label
         for a, b in itertools.combinations(apartments, 2):
             shared = set(a.edges) & set(b.edges)
             if shared:
@@ -1011,11 +1153,11 @@ def test_intersection_identity_finds_first_disconnected_pair():
             shared = set(a.edges) & set(b.edges)
             connected = not shared or oracles.shared_part_connected(
                 g.edges, set(a.vertices) & set(b.vertices), shared)
-            assert (_disconnected_apartment_pair([a, b]) is None) == connected
+            assert (oracles.disconnected_apartment_pair([a, b]) is None) == connected
             if not connected:
                 bad.append((i, j))
         assert bad
-        assert _disconnected_apartment_pair(cycles) == bad[0]
+        assert oracles.disconnected_apartment_pair(cycles) == bad[0]
 
 
 def test_dim2_chamber_cover_matches_cell_pair_oracle(k33, heawood, octahedron):
@@ -1184,17 +1326,17 @@ def test_hull_family_matches_surface_growth(label):
     copies = _dim2_copies(label)
     c = copies[0]
     model = coxeter_complex(named_matrix(_DIM2_MODELS[label]))
-    hulls, exhaustive = _hull_apartments(c, model, 10 ** 5)
+    hulls, exhaustive, _ = _hull_apartments(c, model, 10 ** 5)
     assert exhaustive and len(hulls) == _DIM2_HULLS[label]
     expected = _named_chambers(c, [a.cells for a in hulls])
     assert len(expected) == len(hulls)
     for k in copies:
-        found, exhaustive = _hull_apartments(k, model, 10 ** 5)
+        found, exhaustive, _ = _hull_apartments(k, model, 10 ** 5)
         assert exhaustive
         assert _named_chambers(k, [a.cells for a in found]) == expected, label
         assert _grown_apartments(k) == expected, label
     for b in range(1, len(hulls)):
-        found, exhaustive = _hull_apartments(c, model, b)
+        found, exhaustive, _ = _hull_apartments(c, model, b)
         assert not exhaustive and len(found) == b
         assert _named_chambers(c, [a.cells for a in found]) < expected
 
@@ -1284,18 +1426,68 @@ def test_model_walk_matches_isomorphism_oracle(label, monkeypatch):
         else:
             types, M = local.vertex_types, local.coxeter_matrix
         model = coxeter_complex(M)
-        hulls, exhaustive = recognizer._hull_apartments(c, model, 10 ** 5)
+        hulls, exhaustive, _ = recognizer._hull_apartments(c, model, 10 ** 5)
         assert exhaustive
         for a in hulls:
-            assert recognizer._model_walk(c, types, a.cells, model) is None
+            assert recognizer._model_walk(c, types, a.cells, model)[0] is None
             assert oracles.thin_isomorphic(sub(c, a.cells), model.complex)
         mutants = [cells for a in hulls for cells in _mutants(c, a.cells)]
         assert bool(mutants) == (len(hulls) > 1), label
         for cells in mutants:
-            assert recognizer._model_walk(c, types, cells, model) in cells
+            assert recognizer._model_walk(c, types, cells, model)[0] in cells
             assert not oracles.thin_isomorphic(sub(c, cells), model.complex)
-        whole = recognizer._model_walk(c, types, c.top_cells, model) is None
+        whole = recognizer._model_walk(c, types, c.top_cells, model)[0] is None
         assert whole == oracles.thin_isomorphic(c, model.complex), label
+
+
+def _links_inputs():
+    """The spherical inputs of the benchmark's links workload, built here:
+    joins, Coxeter complexes, their JSON copies (no provenance) and the two
+    negatives."""
+    from buildctl.complexes import loads
+    from buildctl.coxeter import CoxeterMatrix
+    k33 = gen_rank2_building("complete_bipartite", s=3, t=3)
+    hea = gen_rank2_building("projective_plane")
+    h3 = CoxeterMatrix(("s0", "s1", "s2"), ((1, 5, 2), (5, 1, 3), (2, 3, 1)))
+    coxeter = [coxeter_complex(M).complex for M in (named_matrix("A3"), named_matrix("B3"), h3)]
+    coxeter.append(_a4_complex())
+    return [gen_octahedron(), suspension(k33), suspension(hea), *coxeter,
+            loads(coxeter[0].dumps()), loads(coxeter[3].dumps()),
+            suspension(suspension(k33)), suspension(suspension(hea)),
+            gen_short_lune(), gen_punctured_octahedron()]
+
+
+_ROUTED = {**{f"dim2:{label}": lambda label=label: _dim2_copies(label) for label in _DIM2},
+           "corpus": lambda: [make() for make in (gen_octahedron, gen_short_lune,
+                                                   gen_punctured_octahedron)],
+           "links": _links_inputs}
+
+
+@pytest.mark.parametrize("label", sorted(_ROUTED))
+def test_axiom_route_certifies_exactly_when_the_local_route_does(label):
+    """On every spherical corpus input, every ``_dim2_copies`` copy and every
+    links-workload input, the axiom route certifies exactly when the local
+    certificate passes and its apartments pass (B0)-(B2), with the same
+    report, and builds no link; otherwise ``check_spherical`` answers as the
+    local route does."""
+    import buildctl.recognizer as recognizer
+    budget = recognizer.B_APT_DEFAULT
+    for c in _ROUTED[label]():
+        axiom = recognizer._axiom_certificate(c, budget)
+        local = recognizer._with_apartments(c, recognizer._certify(c), budget)
+        passes = isinstance(local, recognizer.BuildingCertificate) and \
+            local.apartments_exhaustive
+        assert isinstance(axiom, recognizer.BuildingCertificate) == passes, c.vertices
+        if passes:
+            assert axiom.to_report() == local.to_report(), c.vertices
+            fresh = MetricComplex(c.geometry, c.vertices, c.top_cells,
+                                  [(*e, a) for e, a in c.lengths.items()],
+                                  provenance=c.provenance)
+            assert check_spherical(fresh).to_report() == local.to_report()
+            assert fresh._vertex_links == {} and fresh._certificate is None
+        else:
+            assert axiom is None or axiom == local, c.vertices
+            assert check_spherical(c) == local, c.vertices
 
 
 def test_propagation_failure_keeps_exact_length():
@@ -1413,6 +1605,63 @@ def _same_up_to_generator_order(m1, m2):
 def _apartment_names(c, cert):
     return sorted(sorted(tuple(sorted(c.vertices[v] for v in t)) for t in a.cells)
                   for a in cert.apartments)
+
+
+_RELABELLED_REPORTS = {
+    "s0*k33": lambda: suspension(gen_rank2_building("complete_bipartite", s=3, t=3)),
+    "s0*s0*k33": lambda: suspension(suspension(
+        gen_rank2_building("complete_bipartite", s=3, t=3))),
+    "octahedron-json": lambda: _loaded(gen_octahedron()),
+    "A3-json": lambda: _loaded(coxeter_complex(named_matrix("A3")).complex),
+    "short-lune": gen_short_lune,
+    "b3-quotient": _DIM2["b3-quotient"],
+}
+
+
+def _loaded(c):
+    from buildctl.complexes import loads
+    return loads(c.dumps())
+
+
+def _order_free(rep):
+    """A report with its Coxeter matrix and suspension poles dropped and a
+    diagnosis reduced to its conditions: what a relabelling must keep.  The
+    poles are the first pole pair in vertex order, and S0*S0*K3,3 has two."""
+    rep = dict(rep)
+    rep.pop("coxeter", None)
+    if "suspension" in rep:
+        rep["suspension"] = dict(rep["suspension"], poles=None)
+    d = rep.pop("diagnosis", None)
+    while d is not None:
+        rep.setdefault("conditions", []).append(d["condition"])
+        d = d.get("inner")
+    return rep
+
+
+@pytest.fixture(scope="module")
+def relabel_reports():
+    out = {}
+    for name, make in _RELABELLED_REPORTS.items():
+        c = make()
+        out[name] = c, check_spherical(c)
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(sorted(_RELABELLED_REPORTS)))
+def test_relabelling_keeps_report(relabel_reports, data, name):
+    """The ``check_spherical`` report is invariant under a vertex relabelling
+    that keeps the provenance (absent for JSON copies): the same verdict,
+    thickness, apartment count, flags and suspension base, the Coxeter
+    matrix up to generator order, and for a diagnosis the same conditions."""
+    from buildctl.cli import report_of
+    c, res = relabel_reports[name]
+    r = _relabelled(c, data.draw(st.permutations(range(len(c.vertices)))))
+    assert r.provenance == c.provenance
+    other = check_spherical(r)
+    assert _order_free(report_of(other)) == _order_free(report_of(res)), name
+    if not isinstance(res, Diagnosis):
+        assert _same_up_to_generator_order(res.coxeter_matrix, other.coxeter_matrix)
 
 
 @pytest.fixture(scope="module")
