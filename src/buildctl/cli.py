@@ -176,7 +176,7 @@ def cmd_check(args) -> int:
     from .recognizer import B_APT_DEFAULT, check_euclidean, check_spherical
     geometry = cx.geometry if args.geometry == "auto" else args.geometry
     if geometry == "euclidean":
-        result = check_euclidean(cx, args.boundary)
+        result = check_euclidean(cx, args.boundary, budget=b.get("B_apt", B_APT_DEFAULT))
     else:
         result = check_spherical(cx, budget=b.get("B_apt", B_APT_DEFAULT))
     emit(report_of(result), args.report)

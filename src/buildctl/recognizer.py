@@ -39,7 +39,7 @@ from typing import Sequence
 from .angles import PiUnits, cmp_units, units_close
 from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, MetricComplex,
                         cell_link, vertex_link)
-from .coxeter import (CoxeterComplexModel, CoxeterMatrix, cosine_form,
+from .coxeter import (BudgetExceeded, CoxeterComplexModel, CoxeterMatrix, cosine_form,
                       cosine_verdicts, coxeter_complex, dihedral)
 from .decompose import (euclidean_factor_hint, find_suspension_poles,
                         most_singular_vertex)
@@ -340,9 +340,10 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     Dimension 1 runs the gates of recognize_dim1.  Dimension >= 2 decides a
     positive from the building axioms (``_axiom_certificate``): after the
     connectivity and codimension-1 gates, the vertex types and the Coxeter
-    matrix of one chamber give the model Coxeter complex; the apartments
-    are the convex hulls of opposite chambers in the chamber graph, with
-    l(w0) and |W| read off the model (a thin sphere is its single hull,
+    matrix of one chamber give the model Coxeter complex, built only when
+    it has no more chambers than the complex; the apartments are the
+    convex hulls of opposite chambers in the chamber graph, with l(w0) and
+    |W| read off the model (a thin sphere is its single hull,
     found by evaluating one pair); and (B0) every hull walks onto the model
     by panel cotype (``_model_walk``), (B1) every chamber pair lies in a
     hull and (B2) hulls through a common chamber agree on their shared
@@ -351,47 +352,59 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     When any of that fails, or the search is cut off by the budget, the
     link recursion runs (``_certify``): its first failing local gate is the
     diagnosis.  When every local gate passes, the apartment layer on the
-    local certificate names the failed axiom: a hull that does not walk is
-    ``hull_not_isometric_to_model`` (its first chamber and the chamber where
-    the walk failed), a chamber with no chamber at gallery distance l(w0) is
-    ``no_opposite_chamber``, two chambers in no common hull after an
-    exhaustive search are ``no_common_apartment`` and two hulls that label a
-    shared vertex differently are ``apartments_incompatible``.  A search cut
-    off by the budget flags ``apartments_sampled``, and
-    ``apartment_axiom2_unverified`` if a chamber pair is still uncovered.
+    local certificate (reusing the axiom route's hulls and walks when the
+    two Coxeter matrices agree) names the failed axiom: a hull that does
+    not walk is ``hull_not_isometric_to_model`` (its first chamber and the
+    chamber where the walk failed), a chamber with no chamber at gallery
+    distance l(w0) is ``no_opposite_chamber``, two chambers in no common
+    hull after an exhaustive search are ``no_common_apartment`` and two
+    hulls that label a shared vertex differently are
+    ``apartments_incompatible``.  A search cut off by the budget flags
+    ``apartments_sampled``, and ``apartment_axiom2_unverified`` if a
+    chamber pair is still uncovered.
 
     Global CAT(1) is decided only for by-construction inputs (provenance);
     otherwise the certificate carries ``global_cat1_unverified``.
     """
     if c.geometry != SPHERICAL:
         raise ComplexError("check_spherical needs a spherical complex")
+    hulls = None
     if c.dimension >= 2:
-        res = _axiom_certificate(c, budget)
+        res, hulls = _axiom_certificate(c, budget)
         if res is not None:
             return res
-    return _with_apartments(c, _certify(c), budget)
+    return _with_apartments(c, _certify(c), budget, hulls)
 
 
 def _axiom_certificate(c: MetricComplex, budget: int
-                       ) -> BuildingCertificate | Diagnosis | None:
+                       ) -> tuple[BuildingCertificate | Diagnosis | None, tuple | None]:
     """The certificate of a complex of dimension >= 2 from (B0)-(B2) on an
     exhaustive hull search, the diagnosis of a failed first gate
     (connectivity, codimension-1 counts), or None when anything else fails
-    or the search is cut off.  A building of dimension >= 2 is simply
+    or the search is cut off; with the ``_walked_hulls`` it ran, if any.
+    Each apartment of a building has |W| chambers, so a model larger than
+    the complex is not built.  A building of dimension >= 2 is simply
     connected (Solomon-Tits), so no fundamental group is computed."""
     c.require_valid()
     panel_counts = _panel_counts(c)
     if isinstance(panel_counts, Diagnosis):
-        return panel_counts
+        return panel_counts, None
     types = _vertex_types(c)
     M = None if types is None else _chamber_coxeter(c, types)
     if M is None:
-        return None
+        return None, None
+    try:
+        model = coxeter_complex(M, budget=len(c.top_cells))
+    except BudgetExceeded:
+        return None, None
+    hulls = _walked_hulls(c, types, model, budget)
     cert = _spherical_certificate(c, M, types, panel_counts)
     if c.provenance is None:
         cert.flags = tuple(sorted({*cert.flags, FLAG_GLOBAL_UNVERIFIED}))
-    res = _with_apartments(c, cert, budget)
-    return res if isinstance(res, BuildingCertificate) and res.apartments_exhaustive else None
+    res = _with_apartments(c, cert, budget, hulls)
+    if isinstance(res, BuildingCertificate) and res.apartments_exhaustive:
+        return res, hulls
+    return None, hulls
 
 
 def _certify(c: MetricComplex) -> BuildingCertificate | Diagnosis:
@@ -515,13 +528,16 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
     return out
 
 
-def _with_apartments(c, cert, budget: int) -> BuildingCertificate | Diagnosis:
+def _with_apartments(c, cert, budget: int, hulls: tuple | None = None
+                     ) -> BuildingCertificate | Diagnosis:
     """A copy of the certificate with its apartment system, the convex
     hulls of opposite chambers: cycles in dimension 1, spheres walked onto
     the model above (B0), in ``Apartment.key`` order and before (B1), so a
     hull that is no apartment covers no pair.  (B1) runs alike on edge ids
     or top cells, and (B2) on the walks of an exhaustive search (see
-    ``check_spherical``).  The memoized certificate is never changed."""
+    ``check_spherical``).  ``hulls`` are ``_walked_hulls`` already run for
+    the same complex and budget; they are reused when their model is the
+    certificate's.  The memoized certificate is never changed."""
     if isinstance(cert, Diagnosis):
         return cert
     if cert.apartments_exhaustive:      # complete by construction
@@ -533,15 +549,13 @@ def _with_apartments(c, cert, budget: int) -> BuildingCertificate | Diagnosis:
         chambers, names = range(len(g.edges)), g.vertices
         cells, members = [e[:2] for e in g.edges], [a.edges for a in found]
     else:
-        model = coxeter_complex(cert.coxeter_matrix)
-        found, exhaustive, lonely = _hull_apartments(c, model, budget)
-        walks = []
-        for a in found:
-            bad, image, back = _model_walk(c, cert.vertex_types, a.cells, model)
-            if bad is not None:
-                return Diagnosis(HULL_NOT_ISOMETRIC, {"chambers": [
-                    [c.vertices[v] for v in t] for t in (a.cells[0], bad)]})
-            walks.append((image, back))
+        if hulls is None or hulls[0].system != cert.coxeter_matrix:
+            hulls = _walked_hulls(c, cert.vertex_types,
+                                  coxeter_complex(cert.coxeter_matrix), budget)
+        model, found, exhaustive, lonely, walks, bad = hulls
+        if bad is not None:
+            return Diagnosis(HULL_NOT_ISOMETRIC, {"chambers": [
+                [c.vertices[v] for v in t] for t in bad]})
         if lonely is not None:
             return Diagnosis(NO_OPPOSITE_CHAMBER, {
                 "chamber": [c.vertices[v] for v in lonely],
@@ -682,6 +696,23 @@ def _chamber_coxeter(c: MetricComplex, types) -> CoxeterMatrix | None:
         return None
     # a nearly degenerate chamber may give a form that is not definite
     return M if cosine_verdicts(M)[2] == "spherical" else None
+
+
+def _walked_hulls(c: MetricComplex, types: Sequence[int], model: CoxeterComplexModel,
+                  budget: int) -> tuple:
+    """(model, apartments, exhaustive, lonely, walks, bad): the
+    ``_hull_apartments`` search, then each hull walked onto the model
+    (``_model_walk``) in order, until the first that fails: ``walks`` holds
+    the (image, back) maps of the hulls before it and ``bad`` its first
+    chamber and the chamber where its walk failed, or None."""
+    found, exhaustive, lonely = _hull_apartments(c, model, budget)
+    walks = []
+    for a in found:
+        at, image, back = _model_walk(c, types, a.cells, model)
+        if at is not None:
+            return model, found, exhaustive, lonely, walks, (a.cells[0], at)
+        walks.append((image, back))
+    return model, found, exhaustive, lonely, walks, None
 
 
 def _hull_apartments(c: MetricComplex, model: CoxeterComplexModel, budget: int
@@ -931,8 +962,8 @@ def discrete_extension_check(c: MetricComplex) -> tuple[bool, dict | None]:
 # -- Euclidean recognition ----------------------------------------------------------
 
 
-def check_euclidean(c: MetricComplex, boundary_policy: str = "strict"
-                    ) -> BuildingCertificate | Diagnosis:
+def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
+                    budget: int = B_APT_DEFAULT) -> BuildingCertificate | Diagnosis:
     """Metric Euclidean building verdict via certified vertex links.
 
     strict: all codimension-1 counts and all vertex links are checked and
@@ -941,9 +972,10 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict"
 
     A vertex link of dimension 1 is a graph, which the dimension-1 gates
     decide.  A link of dimension >= 2 gets the whole ``check_spherical``
-    answer, apartments included: its diagnosis is a ``link_failure``, and
-    a link certificate that leaves the link undecided (global CAT(1) or the
-    apartment axioms unverified) makes the verdict ``global_cat1_unverified``.
+    answer, apartments included, with ``budget`` bounding each link's hull
+    search: its diagnosis is a ``link_failure``, and a link certificate
+    that leaves the link undecided (global CAT(1) or the apartment axioms
+    unverified) makes the verdict ``global_cat1_unverified``.
     """
     if c.geometry != EUCLIDEAN:
         raise ComplexError("check_euclidean needs a Euclidean complex")
@@ -963,7 +995,8 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict"
                                   "top_cells": len(c.cofaces[p])})
     boundary_vertices = {v for p in boundary_panels for v in p}
     interior = [vi for vi in range(len(c.vertices)) if vi not in boundary_vertices]
-    link_certs = _certify_links(c, [(vi,) for vi in interior], _vertex_link_answer)
+    link_certs = _certify_links(c, [(vi,) for vi in interior],
+                                lambda L: _vertex_link_answer(L, budget))
     if isinstance(link_certs, Diagnosis):
         return link_certs
     flags = []
@@ -994,10 +1027,10 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict"
         factors=factors, link_certificates=link_certs, flags=tuple(sorted(flags)))
 
 
-def _vertex_link_answer(L: MetricComplex) -> BuildingCertificate | Diagnosis:
+def _vertex_link_answer(L: MetricComplex, budget: int) -> BuildingCertificate | Diagnosis:
     """The whole spherical answer for a link of dimension >= 2; the local
     certificate for a graph, which the dimension-1 gates decide."""
-    return check_spherical(L) if L.dimension >= 2 else _certify(L)
+    return check_spherical(L, budget) if L.dimension >= 2 else _certify(L)
 
 
 # -- Kleiner-Leeb axioms on generated atlases ------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from buildctl.angles import Angle
 from buildctl.complexes import (MetricComplex, _vertex_angle, cell_link, discrete_complex,
-                                suspension, vertex_link)
+                                orthogonal_join, suspension, vertex_link)
 from buildctl.coxeter import coxeter_complex, named_matrix
 from buildctl.corpus import (RANK2_M, gen_a2_window, gen_k4, gen_octahedron, gen_petersen,
                              gen_punctured_octahedron, gen_rank2_building,
@@ -409,6 +409,74 @@ def test_short_lune_link_failure():
     assert res.inner.condition == "systole"
 
 
+def _cycle4(m, prefix):
+    """A 4-cycle of pi/m edges."""
+    return MetricComplex("spherical", [f"{prefix}{i}" for i in range(4)],
+                         [(i, (i + 1) % 4) for i in range(4)],
+                         [(i, (i + 1) % 4, Angle.exact(1, m)) for i in range(4)], dimension=1)
+
+
+def _group_budgets(monkeypatch):
+    """Patch ``coxeter.generate_reflection_group``; the returned list
+    receives the budget of every enumeration."""
+    import buildctl.coxeter as coxeter
+    budgets = []
+    original = coxeter.generate_reflection_group
+
+    def recording(M, budget=coxeter.B_GROUP_DEFAULT):
+        budgets.append(budget)
+        return original(M, budget=budget)
+
+    monkeypatch.setattr(coxeter, "generate_reflection_group", recording)
+    return budgets
+
+
+@pytest.mark.parametrize("m1, m2", [(None, 50000), (1000, 1000)])
+def test_chamber_angles_build_no_model_larger_than_the_complex(m1, m2, tmp_path,
+                                                                monkeypatch, capsys):
+    """Tiny chambers read as a huge Coxeter group: the suspension of a
+    4-cycle of pi/50000 edges (8 triangles) as A1 x I2(50000), the join of
+    two 4-cycles of pi/1000 edges (16 tetrahedra) as I2(1000) x I2(1000).
+    An apartment of a building has |W| of its chambers, so no enumeration
+    goes past the complex's chamber count and both are the ``link_failure``
+    of their pi-circumference links, in process and through ``buildctl
+    check`` (exit 1)."""
+    from buildctl.cli import main
+    base = _cycle4(m2, "y")
+    c = suspension(base) if m1 is None else orthogonal_join(_cycle4(m1, "x"), base)
+    c = MetricComplex(c.geometry, c.vertices, c.top_cells,
+                      [(*e, a) for e, a in c.lengths.items()])
+    budgets = _group_budgets(monkeypatch)
+    res = check_spherical(c)
+    assert isinstance(res, Diagnosis) and res.condition == "link_failure"
+    assert res.inner.condition == "systole"
+    assert budgets and max(budgets) <= len(c.top_cells)
+    f = tmp_path / "tiny.json"
+    f.write_text(c.dumps())
+    capsys.readouterr()
+    assert main(["check", str(f)]) == 1
+    assert '"link_failure"' in capsys.readouterr().out
+
+
+def test_budgeted_check_searches_hulls_once(k33, monkeypatch):
+    """A search cut off by the budget sends the axiom route's check to the
+    local route, whose apartment layer reuses the axiom route's model, hull
+    search and walks: one group enumeration and one search per check."""
+    import buildctl.recognizer as recognizer
+    budgets = _group_budgets(monkeypatch)
+    searches = []
+    original = recognizer._hull_apartments
+
+    def counting(*args):
+        searches.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(recognizer, "_hull_apartments", counting)
+    cert = check_spherical(suspension(k33), budget=5)
+    assert len(cert.apartments) == 5 and "apartments_sampled" in cert.flags
+    assert len(budgets) == 1 and searches == [5]
+
+
 def test_coxeter_complexes_certify_thin():
     for name in ("A3", "A1xI2(3)", "B3"):
         cx = coxeter_complex(named_matrix(name)).complex
@@ -676,6 +744,39 @@ def test_euclidean_cone_over_b3_is_undecided(tmp_path):
     r = _check_window(tmp_path, cone)
     assert r.returncode == 2 and r.stderr == ""
     assert json.loads(r.stdout)["flags"] == ["global_cat1_unverified"]
+
+
+def test_euclidean_link_search_reads_the_apartment_budget(k33, tmp_path, monkeypatch,
+                                                         capsys):
+    """``check_euclidean``'s budget bounds the hull search of each vertex
+    link of dimension >= 2: the apex link of the cone over S0*K3,3 finds 9
+    apartments by default and 1 at budget 1, flagged sampled.  ``buildctl
+    check`` passes B_apt from BUILDCTL_BUDGETS to that search."""
+    import buildctl.recognizer as recognizer
+    from buildctl.cli import main
+    cone = _euclidean_cone(suspension(k33))
+    for budget, count, flags in ((recognizer.B_APT_DEFAULT, 9, ["global_cat1_unverified"]),
+                                 (1, 1, ["apartment_axiom2_unverified", "apartments_sampled",
+                                         "global_cat1_unverified"])):
+        cert = check_euclidean(cone, "window", budget=budget)
+        (L, link), = cert.link_certificates.values()
+        assert len(link.apartments) == count and sorted(link.flags) == flags
+        assert cert.flags == ("global_cat1_unverified",)
+    searches = []
+    original = recognizer._hull_apartments
+
+    def counting(*args):
+        searches.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(recognizer, "_hull_apartments", counting)
+    f = tmp_path / "cone.json"
+    f.write_text(cone.dumps())
+    monkeypatch.setenv("BUILDCTL_BUDGETS", '{"B_apt": 3}')
+    capsys.readouterr()
+    assert main(["check", str(f), "--boundary", "window"]) == 2
+    assert json.loads(capsys.readouterr().out)["flags"] == ["global_cat1_unverified"]
+    assert searches and set(searches) == {3}
 
 
 # -- Definition 5.2 on generated atlases ----------------------------------------------------
@@ -1473,7 +1574,7 @@ def test_axiom_route_certifies_exactly_when_the_local_route_does(label):
     import buildctl.recognizer as recognizer
     budget = recognizer.B_APT_DEFAULT
     for c in _ROUTED[label]():
-        axiom = recognizer._axiom_certificate(c, budget)
+        axiom, _ = recognizer._axiom_certificate(c, budget)
         local = recognizer._with_apartments(c, recognizer._certify(c), budget)
         passes = isinstance(local, recognizer.BuildingCertificate) and \
             local.apartments_exhaustive
