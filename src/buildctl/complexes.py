@@ -83,41 +83,60 @@ class SimplexShape:
                 G[i, j] = G[j, i] = math.cos(self.length(i, j).radians)
         return G
 
-    def euclidean_gram(self) -> np.ndarray:
-        """Gram matrix of edge vectors from vertex 0 (PD iff nondegenerate)."""
-        import numpy as np
-        n = self.dimension
-        d2 = lambda i, j: self.length(i, j).radians ** 2 if i != j else 0.0
-        G = np.empty((n, n))
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                G[i - 1, j - 1] = 0.5 * (d2(0, i) + d2(0, j) - d2(i, j))
-        return G
 
-    def min_gram_eigenvalue(self) -> float:
-        """Least eigenvalue of the Gram matrix (spherical) or of the edge-vector
-        Gram matrix (Euclidean).  A 1-simplex of length l has the closed forms
-        1 - |cos l| (eigenvalues 1 +- cos l) and l**2 (a 1x1 matrix)."""
-        if self.dimension == 1:
-            (a,) = self.lengths.values()
-            r = a.radians
-            return 1.0 - abs(math.cos(r)) if self.geometry == SPHERICAL else r ** 2
-        import numpy as np
-        m = self.gram() if self.geometry == SPHERICAL else self.euclidean_gram()
-        return float(np.linalg.eigvalsh(m)[0])
+def least_gram_eigenvalues(geometry: str, simplices: Sequence[Sequence[Angle]]
+                           ) -> list[float]:
+    """The least eigenvalue of each simplex's Gram matrix (spherical) or
+    edge-vector Gram matrix from vertex 0 (Euclidean).  ``simplices`` hold
+    the edge lengths of simplices of one dimension d >= 1, in
+    ``itertools.combinations(range(d + 1), 2)`` order.  An edge of length l
+    has the closed forms 1 - |cos l| (eigenvalues 1 +- cos l) and l**2 (a
+    1x1 matrix); higher simplices go to one stacked ``eigvalsh`` call."""
+    if not simplices:
+        return []
+    if len(simplices[0]) == 1:
+        if geometry == SPHERICAL:
+            return [1.0 - abs(math.cos(a.radians)) for (a,) in simplices]
+        return [a.radians ** 2 for (a,) in simplices]
+    import numpy as np
+    n = round((1 + math.sqrt(1 + 8 * len(simplices[0]))) / 2)    # d + 1 vertices
+    pairs = list(itertools.combinations(range(n), 2))
+    mats = []
+    for lengths in simplices:
+        if geometry == SPHERICAL:
+            G = [[1.0] * n for _ in range(n)]
+            for (i, j), a in zip(pairs, lengths):
+                G[i][j] = G[j][i] = math.cos(a.radians)
+        else:
+            d2 = [[0.0] * n for _ in range(n)]
+            for (i, j), a in zip(pairs, lengths):
+                d2[i][j] = d2[j][i] = a.radians ** 2
+            G = [[0.5 * (d2[0][i] + d2[0][j] - d2[i][j]) for j in range(1, n)]
+                 for i in range(1, n)]
+        mats.append(G)
+    return np.linalg.eigvalsh(np.array(mats))[:, 0].tolist()
 
-    def realizable(self, eps: float = EPS_GRAM) -> tuple[bool, str]:
-        if self.dimension == 0:
-            return True, ""
-        if self.geometry == SPHERICAL:
-            for e, a in self.lengths.items():
-                if cmp_units(a.pi_units, Fraction(1)) > 0:
-                    return False, f"spherical edge length {a} exceeds pi"
-        w0 = self.min_gram_eigenvalue()
+
+def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
+                  eps: float = EPS_GRAM) -> list[tuple[bool, str]]:
+    """(ok, why) for each simplex of one dimension, its edge lengths given as
+    in ``least_gram_eigenvalues``: a spherical edge longer than pi fails
+    first, then a least Gram eigenvalue at most ``eps``.  The eigenvalues of
+    all simplices that reach that test are computed together."""
+    out: list[tuple[bool, str] | None] = [None] * len(simplices)
+    if geometry == SPHERICAL:
+        pi = Fraction(1)
+        for k, lengths in enumerate(simplices):
+            for a in lengths:
+                if cmp_units(a.pi_units, pi) > 0:
+                    out[k] = (False, f"spherical edge length {a} exceeds pi")
+                    break
+    todo = [k for k, r in enumerate(out) if r is None and simplices[k]]
+    kind = "Gram" if geometry == SPHERICAL else "Cayley-Menger"
+    for k, w0 in zip(todo, least_gram_eigenvalues(geometry, [simplices[k] for k in todo])):
         if w0 <= eps:
-            kind = "Gram" if self.geometry == SPHERICAL else "Cayley-Menger"
-            return False, f"{kind} matrix not positive definite (min eigenvalue {w0:.3e})"
-        return True, ""
+            out[k] = (False, f"{kind} matrix not positive definite (min eigenvalue {w0:.3e})")
+    return [(True, "") if r is None else r for r in out]
 
 
 class MetricComplex:
@@ -248,10 +267,10 @@ class MetricComplex:
             issues.append(ValidationIssue(
                 "length_missing", tuple(name(i) for i in e), "edge has no declared length"))
         if not missing and not self.length_conflicts:
-            for c in self.top_cells:
-                if len(c) - 1 != self.dimension:
-                    continue
-                ok, why = self.shape_of(c).realizable()
+            cells = [c for c in self.top_cells if len(c) - 1 == self.dimension]
+            simplices = [[self.lengths[Edge(e)] for e in itertools.combinations(c, 2)]
+                         for c in cells]
+            for c, (ok, why) in zip(cells, realizability(self.geometry, simplices)):
                 if not ok:
                     issues.append(ValidationIssue("shape", tuple(name(i) for i in c), why))
         if self.dimension >= 1 and not self.allow_disconnected and not self._skeleton_connected():

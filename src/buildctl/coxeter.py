@@ -3,8 +3,11 @@
 The cosine form B(s,t) = -cos(pi/m(s,t)) drives everything: positive definite
 means a finite (spherical) group, positive semidefinite with 1-dimensional
 kernel per irreducible component means a Euclidean group.  For spherical
-systems the group is enumerated as orthogonal matrices and the unit sphere is
-cellulated by the translates of the fundamental chamber.
+systems the group is enumerated exactly, each element a tuple of root indices
+and each generator a permutation of the root system, with one orthogonal
+matrix per element.  The unit sphere is cellulated by the translates of the
+fundamental chamber: the vertices are the standard cosets g W_J, read off the
+right-multiplication table, and the edges of one type pair share one length.
 """
 
 from __future__ import annotations
@@ -219,45 +222,71 @@ def _sqrt_form(B: np.ndarray) -> np.ndarray:
 class GroupElement:
     word: tuple[int, ...]      # reduced-by-construction generator word
     matrix: np.ndarray = field(repr=False, compare=False)
+    right: tuple[int, ...] = field(repr=False, compare=False)  # s -> index of g*s
+
+
+def _root_permutations(C: np.ndarray, budget: int) -> list[list[int]]:
+    """The generators as permutations of the root system Phi, the orbit of
+    the simple roots (the rows of C, indices 0..n-1) under the reflections,
+    keyed by rounded vectors.  |Phi| <= |W|, so an orbit past the budget
+    is a group past it."""
+    import numpy as np
+    n = len(C)
+    index = {tuple(k): s for s, k in enumerate(np.round(C, 9).tolist())}
+    perms: list[list[int]] = [[] for _ in range(n)]
+    vecs = C
+    while len(vecs):
+        grown = []
+        for s in range(n):
+            images = vecs - 2.0 * np.outer(vecs @ C[s], C[s])
+            for k, x in zip(map(tuple, np.round(images, 9).tolist()), images):
+                i = index.get(k)
+                if i is None:
+                    i = index[k] = len(index)
+                    grown.append(x)
+                perms[s].append(i)
+        if len(index) > budget:
+            raise BudgetExceeded(f"group enumeration exceeded budget {budget}")
+        vecs = np.array(grown).reshape(-1, n)
+    return perms
 
 
 def generate_reflection_group(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT
                               ) -> list[GroupElement]:
-    """All elements of a finite reflection group as orthogonal matrices.
+    """All elements of a finite reflection group, with their orthogonal
+    matrices and right-multiplication table.
 
     Breadth-first closure over right multiplication by the generating
-    reflections; deterministic order (word length, then lexicographic word).
+    reflections, a queue in which each level's words come out in
+    lexicographic order: the order is word length, then word, and each word
+    is the least one of its element.  An element g is the exact tuple of the
+    roots g^-1(alpha_s): (g s)^-1 = s g^-1, so g*s indexes the generator's
+    root permutation by g's tuple.  Its matrix is its first parent's times
+    the reflection.
     """
     import numpy as np
-    B = cosine_form(M)
-    C = _sqrt_form(B)
+    C = _sqrt_form(cosine_form(M))
     n = M.rank
+    perms = _root_permutations(C, budget)
     refl = [np.eye(n) - 2.0 * np.outer(C[s], C[s]) for s in range(n)]
-    ident = GroupElement((), np.eye(n))
-    elems = [ident]
-    keys = {_matrix_key(ident.matrix)}
-    frontier = [ident]
-    while frontier:
-        new: list[GroupElement] = []
-        for g in frontier:
-            for s in range(n):
-                h = g.matrix @ refl[s]
-                k = _matrix_key(h)
-                if k in keys:
-                    continue
-                keys.add(k)
-                new.append(GroupElement(g.word + (s,), h))
+    keys = [tuple(range(n))]
+    index = {keys[0]: 0}
+    words, matrices, right = [()], [np.eye(n)], []
+    for key, word, g in zip(keys, words, matrices):    # the lists grow as it runs
+        row = []
+        for s, p in enumerate(perms):
+            k = tuple([p[r] for r in key])
+            b = index.get(k)
+            if b is None:
+                b = index[k] = len(keys)
+                keys.append(k)
+                words.append(word + (s,))
+                matrices.append(g @ refl[s])
                 if len(keys) > budget:
                     raise BudgetExceeded(f"group enumeration exceeded budget {budget}")
-        new.sort(key=lambda e: e.word)
-        elems.extend(new)
-        frontier = new
-    return elems
-
-
-def _matrix_key(m: np.ndarray) -> tuple:
-    import numpy as np
-    return tuple(np.round(m, 9).flatten().tolist())
+            row.append(b)
+        right.append(tuple(row))
+    return [GroupElement(*e) for e in zip(words, matrices, right)]
 
 
 @dataclass
@@ -273,51 +302,53 @@ class CoxeterComplexModel:
 def coxeter_complex(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterComplexModel:
     """The unit sphere cellulated by the translates of the fundamental chamber.
 
-    Fundamental chamber vertices are the dual basis of the wall normals,
-    normalized; the W-orbit gives the vertex set and each group element
-    contributes one top cell.
+    The fundamental chamber's vertices p_i are the dual basis of the wall
+    normals, normalized.  The type-i vertex of chamber g is the standard
+    coset g W_{S-i}: chambers g and g*s share every vertex but the one of
+    type s, so each vertex is a flood fill over the right-multiplication
+    table, numbered by first appearance over (g, i), at g p_i.  W acts by
+    isometries, so every edge of one type pair {a, b} has the length of
+    p_a p_b.
     """
     import numpy as np
     verdict = cosine_verdicts(M)[2]
     if verdict != "spherical":
         raise CoxeterError(f"coxeter_complex needs a spherical system, got {verdict}")
-    B = cosine_form(M)
-    C = _sqrt_form(B)
+    C = _sqrt_form(cosine_form(M))
     n = M.rank
     P = np.linalg.inv(C)     # column i: direction positive on wall i, on others zero
     ps = [P[:, i] / np.linalg.norm(P[:, i]) for i in range(n)]
     elems = generate_reflection_group(M, budget=budget)
     coords: list[np.ndarray] = []
-    vkeys: dict[tuple, int] = {}
     vtypes: list[int] = []
-
-    def vid(x: np.ndarray, typ: int) -> int:
-        k = tuple(np.round(x, 9).tolist())
-        i = vkeys.get(k)
-        if i is None:
-            i = len(coords)
-            vkeys[k] = i
-            coords.append(x)
-            vtypes.append(typ)
-        return i
-
-    chamber_of = {}
-    cells = []
-    for g in elems:
-        cell = tuple(sorted(vid(g.matrix @ ps[i], i) for i in range(n)))
-        chamber_of[g.word] = cell
-        cells.append(cell)
+    label = [[-1] * n for _ in elems]     # element -> its vertex of each type
+    for a, g in enumerate(elems):
+        for i in range(n):
+            if label[a][i] >= 0:
+                continue
+            v = len(coords)
+            coords.append(g.matrix @ ps[i])
+            vtypes.append(i)
+            label[a][i] = v
+            stack = [a]
+            while stack:
+                for s, b in enumerate(elems[stack.pop()].right):
+                    if s != i and label[b][i] < 0:
+                        label[b][i] = v
+                        stack.append(b)
+    cells = [tuple(sorted(row)) for row in label]
+    chamber_of = {g.word: cell for g, cell in zip(elems, cells)}
     names = [f"w{vtypes[i]}.{i}" for i in range(len(coords))]
-    lengths = []
-    seen = set()
+    pair_length = {}
+    for a, b in itertools.combinations(range(n), 2):
+        cosv = float(np.clip(np.dot(ps[a], ps[b]), -1.0, 1.0))
+        pair_length[a, b] = pair_length[b, a] = Angle.from_radians(math.acos(cosv))
+    lengths = {}
     for cell in cells:
         for i, j in itertools.combinations(cell, 2):
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
-            cosv = float(np.clip(np.dot(coords[i], coords[j]), -1.0, 1.0))
-            lengths.append((i, j, Angle.from_radians(math.acos(cosv))))
-    cx = MetricComplex(SPHERICAL, names, cells, lengths,
+            if (i, j) not in lengths:
+                lengths[i, j] = (i, j, pair_length[vtypes[i], vtypes[j]])
+    cx = MetricComplex(SPHERICAL, names, cells, lengths.values(),
                        allow_disconnected=(n == 1),
                        provenance=f"coxeter_complex({M.describe() or 'A1^' + str(n)})")
     return CoxeterComplexModel(M, elems, cx, chamber_of, tuple(vtypes),

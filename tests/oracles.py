@@ -11,6 +11,9 @@ whose closed spheres the hull family of opposite chambers must equal, and
 the dim-1 cycle DFS, which the kernel-unit search must match node for node.
 Hull isometry: an untyped search over every seed chamber and vertex
 bijection, propagated across panels, which the typed model walk must match.
+Coxeter complexes: the earlier construction with rounded matrix and vertex
+keys and one ``acos`` per edge.  Realizability: one ``eigvalsh`` call per
+simplex.
 """
 
 from __future__ import annotations
@@ -464,3 +467,110 @@ def _try_propagate_iso(a, b, ca0, perm) -> bool:
             queue.append(nxt)
     return len(mapped) == len(a.top_cells) and \
         len(set(mapped.values())) == len(b.top_cells)
+
+
+def reference_reflection_group(M, budget: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(word, matrix) of every element: breadth-first over right
+    multiplication, each product keyed by its matrix rounded to 9 digits."""
+    from buildctl.coxeter import BudgetExceeded, _sqrt_form, cosine_form
+    C = _sqrt_form(cosine_form(M))
+    n = M.rank
+    refl = [np.eye(n) - 2.0 * np.outer(C[s], C[s]) for s in range(n)]
+    key = lambda m: tuple(np.round(m, 9).flatten().tolist())
+    elems = [((), np.eye(n))]
+    keys = {key(elems[0][1])}
+    frontier = list(elems)
+    while frontier:
+        new = []
+        for word, g in frontier:
+            for s in range(n):
+                h = g @ refl[s]
+                k = key(h)
+                if k in keys:
+                    continue
+                keys.add(k)
+                new.append((word + (s,), h))
+                if len(keys) > budget:
+                    raise BudgetExceeded(f"group enumeration exceeded budget {budget}")
+        new.sort(key=lambda e: e[0])
+        elems.extend(new)
+        frontier = new
+    return elems
+
+
+def reference_coxeter_complex(M, budget: int) -> dict:
+    """The model as rounded vertex keys give it: each (element, type) in
+    order names the vertex at g p_i unless its rounded coordinates were seen,
+    and each edge is measured by the ``acos`` of its own dot product."""
+    from buildctl.angles import Angle
+    from buildctl.coxeter import _sqrt_form, cosine_form
+    C = _sqrt_form(cosine_form(M))
+    n = M.rank
+    P = np.linalg.inv(C)
+    ps = [P[:, i] / np.linalg.norm(P[:, i]) for i in range(n)]
+    elems = reference_reflection_group(M, budget)
+    coords, vkeys, vtypes = [], {}, []
+
+    def vid(x, typ):
+        k = tuple(np.round(x, 9).tolist())
+        if k not in vkeys:
+            vkeys[k] = len(coords)
+            coords.append(x)
+            vtypes.append(typ)
+        return vkeys[k]
+
+    chamber_of = {}
+    for word, g in elems:
+        chamber_of[word] = tuple(sorted(vid(g @ ps[i], i) for i in range(n)))
+    lengths = {}
+    for cell in chamber_of.values():
+        for i, j in itertools.combinations(cell, 2):
+            if (i, j) not in lengths:
+                cosv = float(np.clip(np.dot(coords[i], coords[j]), -1.0, 1.0))
+                lengths[i, j] = Angle.from_radians(math.acos(cosv))
+    return {"elements": elems, "chamber_of": chamber_of,
+            "names": [f"w{vtypes[i]}.{i}" for i in range(len(coords))],
+            "vertex_types": tuple(vtypes), "vertex_coords": np.array(coords),
+            "lengths": lengths}
+
+
+def gram_matrix(geometry: str, lengths) -> np.ndarray:
+    """The Gram matrix cos d(i, j) of a spherical simplex, or the Gram
+    matrix of the edge vectors from vertex 0 of a Euclidean one; ``lengths``
+    in ``itertools.combinations(range(d + 1), 2)`` order."""
+    n = next(k for k in itertools.count(1) if k * (k - 1) // 2 == len(lengths))
+    d = dict(zip(itertools.combinations(range(n), 2), lengths))
+    r = lambda i, j: d[min(i, j), max(i, j)].radians
+    if geometry == "spherical":
+        G = np.eye(n)
+        for i, j in d:
+            G[i, j] = G[j, i] = math.cos(r(i, j))
+        return G
+    d2 = lambda i, j: r(i, j) ** 2 if i != j else 0.0
+    G = np.empty((n - 1, n - 1))
+    for i in range(1, n):
+        for j in range(1, n):
+            G[i - 1, j - 1] = 0.5 * (d2(0, i) + d2(0, j) - d2(i, j))
+    return G
+
+
+def per_cell_realizable(geometry: str, lengths, eps: float) -> tuple[bool, str]:
+    """One simplex's (ok, why): a spherical edge past pi, then the least Gram
+    eigenvalue, in closed form for an edge and from its own ``eigvalsh``
+    call above."""
+    from buildctl.angles import cmp_units
+    if not lengths:
+        return True, ""
+    if geometry == "spherical":
+        for a in lengths:
+            if cmp_units(a.pi_units, Fraction(1)) > 0:
+                return False, f"spherical edge length {a} exceeds pi"
+    if len(lengths) == 1:
+        r = lengths[0].radians
+        w0 = 1.0 - abs(math.cos(r)) if geometry == "spherical" else r ** 2
+    else:
+        w0 = float(np.linalg.eigvalsh(gram_matrix(geometry, lengths))[0])
+    if w0 <= eps:
+        kind = "Gram" if geometry == "spherical" else "Cayley-Menger"
+        return False, f"{kind} matrix not positive definite (min eigenvalue {w0:.3e})"
+    return True, ""

@@ -4,6 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from buildctl.angles import Angle
 from buildctl.complexes import (ComplexError, InvalidComplexError,
@@ -240,13 +244,12 @@ def test_edge_gram_closed_form_matches_eigvalsh():
     import numpy as np
 
     from buildctl.angles import EPS_GRAM
-    from buildctl.complexes import SimplexShape
+    from buildctl.complexes import least_gram_eigenvalues, realizability
 
-    def eigvalsh_realizable(shape, eps):
-        w0 = np.linalg.eigvalsh(
-            shape.gram() if shape.geometry == "spherical" else shape.euclidean_gram())[0]
+    def eigvalsh_realizable(geometry, a, eps):
+        w0 = np.linalg.eigvalsh(oracles.gram_matrix(geometry, [a]))[0]
         if w0 <= eps:
-            kind = "Gram" if shape.geometry == "spherical" else "Cayley-Menger"
+            kind = "Gram" if geometry == "spherical" else "Cayley-Menger"
             return w0, (False, f"{kind} matrix not positive definite (min eigenvalue {w0:.3e})")
         return w0, (True, "")
 
@@ -257,13 +260,12 @@ def test_edge_gram_closed_form_matches_eigvalsh():
     angles += [Angle(rad=x) for x in (1e-12, 1e-5, 3.16e-5, math.pi - 1e-5, math.pi)]
     for geometry in ("spherical", "euclidean"):
         for a in angles:
-            shape = SimplexShape(1, geometry, {frozenset((0, 1)): a})
             # default threshold: the verdict; infinite threshold: every shape
             # fails, so the message carries the eigenvalue's .3e text
             for eps in (EPS_GRAM, math.inf):
-                w0, want = eigvalsh_realizable(shape, eps)
-                assert shape.realizable(eps) == want, (geometry, a)
-            assert abs(shape.min_gram_eigenvalue() - w0) <= 1e-14, (geometry, a)
+                w0, want = eigvalsh_realizable(geometry, a, eps)
+                assert realizability(geometry, [[a]], eps) == [want], (geometry, a)
+            assert abs(least_gram_eigenvalues(geometry, [[a]])[0] - w0) <= 1e-14, (geometry, a)
 
 
 def _law_of_cosines(c, v, u, w):
@@ -333,3 +335,108 @@ def test_vertex_link_is_built_once_per_vertex(octahedron, s0_heawood):
         for a, b in c.edges[:20]:
             pair = [c.vertices[a], c.vertices[b]]
             assert cell_link(c, pair) is vertex_link(vertex_link(c, a), pair[1])
+
+
+def _top_simplices(c):
+    """The edge lengths of each top cell, in the order validation reads them."""
+    return [[c.edge_length(i, j) for i, j in itertools.combinations(t, 2)]
+            for t in c.top_cells if len(t) - 1 == c.dimension]
+
+
+def _assert_batched_as_per_cell(geometry, simplices, label=None):
+    """The batched verdicts equal one ``eigvalsh`` call per simplex, at the
+    validation threshold and at an infinite one (every simplex that reaches
+    the eigenvalue test fails, so its message carries the .3e text)."""
+    from buildctl.angles import EPS_GRAM
+    from buildctl.complexes import realizability
+    for eps in (EPS_GRAM, math.inf):
+        want = [oracles.per_cell_realizable(geometry, s, eps) for s in simplices]
+        assert realizability(geometry, simplices, eps) == want, (label, eps)
+    return [oracles.per_cell_realizable(geometry, s, EPS_GRAM)[0] for s in simplices]
+
+
+def _validation_corpus():
+    from buildctl.corpus import gen_a2_window
+    from test_coxeter import _MODELS, _model_matrix
+    out = {f"corpus:{name}": make() for name, make in GENERATORS.items()}
+    for r in (1, 2, 3):
+        out[f"a2w{r}"] = gen_a2_window(r).complex
+        out[f"a2w{r}-perturbed"] = gen_a2_window(r, perturb=1.01).complex
+    for name in _MODELS:
+        cx = coxeter_complex(_model_matrix(name)).complex
+        out[f"model:{name}"] = cx
+        out[f"json:{name}"] = loads(cx.dumps())
+    return out
+
+
+def test_batched_realizability_equals_per_cell_eigvalsh_on_the_corpus():
+    """Every top cell of the corpus, the A2 windows, the Coxeter models and
+    their JSON copies; validation reports a shape issue exactly where the
+    per-cell verdict fails."""
+    for label, c in _validation_corpus().items():
+        simplices = _top_simplices(c)
+        oks = _assert_batched_as_per_cell(c.geometry, simplices, label)
+        shaped = {i.where for i in validate(c).issues if i.kind == "shape"}
+        cells = [t for t in c.top_cells if len(t) - 1 == c.dimension]
+        assert shaped == {tuple(c.vertices[v] for v in t)
+                          for t, ok in zip(cells, oks) if not ok}, label
+
+
+def _near_degenerate(rng_uniform, geometry, dim, scale):
+    """Edge lengths of a simplex whose last vertex lies ``scale`` off the
+    span (spherical) or affine span (Euclidean) of the others, so its least
+    Gram eigenvalue is of order scale**2."""
+    import numpy as np
+    amb = dim + 1 if geometry == "spherical" else dim
+    pts = [np.array([rng_uniform(-1, 1) for _ in range(amb)]) for _ in range(dim)]
+    mix = [rng_uniform(0.1, 1) for _ in range(dim)]
+    if geometry == "euclidean":
+        mix = [m / sum(mix) for m in mix]
+    last = sum(m * p for m, p in zip(mix, pts))
+    last = last + scale * np.array([rng_uniform(-1, 1) for _ in range(amb)])
+    pts.append(last)
+    if geometry == "spherical":
+        pts = [p / np.linalg.norm(p) for p in pts]
+    out = []
+    for i, j in itertools.combinations(range(dim + 1), 2):
+        if geometry == "spherical":
+            r = math.acos(max(-1.0, min(1.0, float(pts[i] @ pts[j]))))
+        else:
+            r = float(np.linalg.norm(pts[i] - pts[j]))
+        out.append(Angle(rad=r) if r > 0 else Angle.exact(1, 360))
+    return out
+
+
+def test_batched_realizability_straddles_the_gram_threshold():
+    """Seeded simplices of dimension 1-3 near degeneracy, batched per
+    geometry and dimension: the verdicts fall on both sides of EPS_GRAM and
+    equal the per-cell ones."""
+    rng = random.Random(17)
+    for geometry in ("spherical", "euclidean"):
+        for dim in (1, 2, 3):
+            simplices = [_near_degenerate(rng.uniform, geometry, dim, 10 ** rng.uniform(-7, -2))
+                         for _ in range(150)]
+            oks = _assert_batched_as_per_cell(geometry, simplices, (geometry, dim))
+            assert any(oks) and not all(oks), (geometry, dim)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_batched_realizability_matches_per_cell_on_drawn_simplices(data):
+    """Hypothesis simplices of one dimension and geometry: near-degenerate
+    ones, and ones with arbitrary exact or float lengths (spherical edges
+    past pi included)."""
+    geometry = data.draw(st.sampled_from(["spherical", "euclidean"]))
+    dim = data.draw(st.integers(1, 3))
+    length = st.one_of(st.builds(Angle.exact, st.integers(1, 24), st.integers(1, 12)),
+                       st.floats(1e-6, 4.0).map(lambda r: Angle(rad=r)))
+    simplices = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        if data.draw(st.booleans()):
+            rand = random.Random(data.draw(st.integers(0, 2 ** 32)))
+            scale = 10 ** data.draw(st.floats(-7, -2))
+            simplices.append(_near_degenerate(rand.uniform, geometry, dim, scale))
+        else:
+            simplices.append(data.draw(st.lists(length, min_size=dim * (dim + 1) // 2,
+                                                max_size=dim * (dim + 1) // 2)))
+    _assert_batched_as_per_cell(geometry, simplices)

@@ -1,9 +1,12 @@
 import itertools
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+
+import oracles
 
 from buildctl.complexes import validate, vertex_link
 from buildctl.coxeter import (BudgetExceeded, CoxeterError, CoxeterMatrix,
@@ -202,3 +205,96 @@ def test_cosine_verdicts_is_the_classify_sign_test(monkeypatch):
     for M, cls in zip(matrices, expected):
         assert cosine_verdicts(M) == (cls.components, cls.component_verdicts, cls.verdict)
     assert [cls.verdict for cls in expected[-4:]] == ["spherical", "euclidean", "other", "other"]
+
+
+_MODEL_ROWS = {
+    "H3": ((1, 5, 2), (5, 1, 3), (2, 3, 1)),
+    "A4": ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)),
+    "B4": ((1, 4, 2, 2), (4, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)),
+    "D4": ((1, 3, 2, 2), (3, 1, 3, 3), (2, 3, 1, 2), (2, 3, 2, 1)),
+    "F4": ((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1)),
+}
+_MODELS = ("A1", "A2", "B2", "G2", "A3", "B3", "H3", "A4", "B4", "D4", "F4",
+           "A1xA1xA1", "A1xI2(3)")
+_SMALL = ("A1", "A2", "B2", "G2", "A3", "B3", "A1xA1xA1", "A1xI2(3)")
+
+
+def _model_matrix(name):
+    rows = _MODEL_ROWS.get(name)
+    if rows is None:
+        return named_matrix(name)
+    return CoxeterMatrix(tuple(f"s{i}" for i in range(len(rows))), rows)
+
+
+@pytest.mark.parametrize("name", _MODELS)
+def test_coset_model_equals_the_rounded_key_model(name):
+    """Root permutations and standard cosets rebuild the rounding-based
+    model: the same words, chambers, vertex names and types, bitwise the same
+    matrices and coordinates, and every edge the oracle's length (the same
+    Fraction when exact)."""
+    from buildctl.angles import cmp_units
+    M = _model_matrix(name)
+    ref = oracles.reference_coxeter_complex(M, 10 ** 6)
+    model = coxeter_complex(M)
+    assert [g.word for g in model.elements] == [w for w, _ in ref["elements"]]
+    assert all(np.array_equal(g.matrix, h) for g, (_, h) in zip(model.elements, ref["elements"]))
+    assert model.chamber_of == ref["chamber_of"]
+    assert model.complex.top_cells == tuple(sorted(ref["chamber_of"].values()))
+    assert list(model.complex.vertices) == ref["names"]
+    assert model.vertex_types == ref["vertex_types"]
+    assert np.array_equal(model.vertex_coords, ref["vertex_coords"])
+    lengths = model.complex.lengths
+    assert set(lengths) == {frozenset(e) for e in ref["lengths"]}
+    for (i, j), want in ref["lengths"].items():
+        got = lengths[frozenset((i, j))]
+        assert cmp_units(got.pi_units, want.pi_units) == 0, (name, i, j)
+        assert got.is_exact == want.is_exact and (not got.is_exact or got.frac == want.frac)
+    # the right-multiplication table is the one of the matrices
+    gens = [model.elements[k] for k in model.elements[0].right]
+    assert [g.word for g in gens] == [(s,) for s in range(M.rank)]
+    for g in model.elements:
+        for s, k in enumerate(g.right):
+            assert np.allclose(g.matrix @ gens[s].matrix, model.elements[k].matrix)
+
+
+@pytest.mark.parametrize("name", _MODELS)
+def test_model_edges_of_one_type_pair_share_one_length(name):
+    """W acts by isometries, so every edge of a type pair has one length;
+    the model's JSON has exactly one length record value per type pair."""
+    from buildctl.complexes import loads
+    model = coxeter_complex(_model_matrix(name))
+    cx, types = model.complex, model.vertex_types
+    by_pair, records = {}, {}
+    for e, a in cx.lengths.items():
+        by_pair.setdefault(frozenset(types[v] for v in e), set()).add(a)
+    assert all(len(v) == 1 for v in by_pair.values()), name
+    copy = json.loads(loads(cx.dumps()).dumps())
+    for rec in copy["edge_lengths"]:
+        pair = frozenset(types[v] for v in rec.pop("edge"))
+        records.setdefault(pair, set()).add(json.dumps(rec, sort_keys=True))
+    assert records.keys() == by_pair.keys()
+    assert all(len(v) == 1 for v in records.values()), name
+    n = model.system.rank
+    assert len(records) == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("name", _SMALL)
+def test_group_and_model_budgets_match_the_rounded_key_oracle(name):
+    """Every budget from 1 to |W| + 1 ends the enumeration exactly when the
+    rounding-based oracle does, with the same message."""
+    M = _model_matrix(name)
+    order = len(oracles.reference_reflection_group(M, 10 ** 6))
+
+    def outcome(fn, budget):
+        try:
+            out = fn(M, budget=budget)
+        except BudgetExceeded as exc:
+            return str(exc)
+        return len(out.elements if fn is coxeter_complex else out)
+
+    for budget in range(1, order + 2):
+        want = outcome(oracles.reference_reflection_group, budget)
+        assert want == (order if budget >= order
+                        else f"group enumeration exceeded budget {budget}")
+        assert outcome(generate_reflection_group, budget) == want, (name, budget)
+        assert outcome(coxeter_complex, budget) == want, (name, budget)
