@@ -178,6 +178,7 @@ class MetricComplex:
         self.lengths: dict[Edge, Angle] = {}
         self.length_conflicts: list[tuple[Edge, Angle, Angle]] = []
         self._corner_angles: dict[tuple[int, int, int], Angle] = {}   # _vertex_angle
+        self._shape_angles: dict[tuple[float, float, float], Angle] = {}
         self._vertex_links: dict[int, MetricComplex] = {}              # vertex_link
         self._certificate = None                                       # recognizer._certify
         for i, j, a in lengths:
@@ -225,11 +226,15 @@ class MetricComplex:
     def edge_length(self, i: int, j: int) -> Angle:
         return self.lengths[Edge((i, j))]
 
+    @cached_property
+    def _name_index(self) -> dict[str, int]:
+        return {nm: i for i, nm in enumerate(self.vertices)}
+
     def vertex_index(self, v) -> int:
         if isinstance(v, str):
             try:
-                return self.vertices.index(v)
-            except ValueError:
+                return self._name_index[v]
+            except KeyError:
                 raise ComplexError(f"no vertex named {v!r}") from None
         i = int(v)
         if not (0 <= i < len(self.vertices)):
@@ -397,8 +402,10 @@ def load_path(path) -> MetricComplex:
 def _vertex_angle(c: MetricComplex, v: int, u: int, w: int) -> Angle:
     """Angle at v in the triangle (v,u,w), by the law of cosines.
 
-    Cached on ``c`` under (v, min(u, w), max(u, w)): the formula is symmetric
-    in u and w (bit for bit) and lengths never change after construction.
+    Cached on ``c`` under (v, min(u, w), max(u, w)), and on a miss looked up
+    by the triangle's shape (min(a, b), max(a, b), opp) in radians: the
+    formula reads nothing else, it is symmetric in a and b (bit for bit), and
+    lengths never change after construction.
     """
     key = (v, u, w) if u < w else (v, w, u)
     ang = c._corner_angles.get(key)
@@ -406,12 +413,16 @@ def _vertex_angle(c: MetricComplex, v: int, u: int, w: int) -> Angle:
         return ang
     a = c.edge_length(v, u).radians
     b = c.edge_length(v, w).radians
-    opp = c.edge_length(u, w).radians
-    if c.geometry == SPHERICAL:
-        cosang = (math.cos(opp) - math.cos(a) * math.cos(b)) / (math.sin(a) * math.sin(b))
-    else:
-        cosang = (a * a + b * b - opp * opp) / (2.0 * a * b)
-    ang = Angle.from_radians(math.acos(max(-1.0, min(1.0, cosang))))
+    shape = (min(a, b), max(a, b), c.edge_length(u, w).radians)
+    ang = c._shape_angles.get(shape)
+    if ang is None:
+        a, b, opp = shape
+        if c.geometry == SPHERICAL:
+            cosang = (math.cos(opp) - math.cos(a) * math.cos(b)) / (math.sin(a) * math.sin(b))
+        else:
+            cosang = (a * a + b * b - opp * opp) / (2.0 * a * b)
+        ang = Angle.from_radians(math.acos(max(-1.0, min(1.0, cosang))))
+        c._shape_angles[shape] = ang
     c._corner_angles[key] = ang
     return ang
 

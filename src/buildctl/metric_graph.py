@@ -135,6 +135,11 @@ class MetricGraph:
         return len(self.adjacency[v])
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
+        """One search per graph: ``suppress_degree2`` asks again."""
         if not self.vertices:
             return True
         seen = {0}

@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
 from .angles import PiUnits, cmp_units, units_close
-from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, MetricComplex,
+from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, Edge, MetricComplex,
                         cell_link, vertex_link)
 from .coxeter import (BudgetExceeded, CoxeterComplexModel, CoxeterMatrix, cosine_form,
                       cosine_verdicts, coxeter_complex, dihedral)
@@ -516,16 +515,40 @@ def _spherical_certificate(c: MetricComplex, M: CoxeterMatrix, types, panel_coun
 def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
     """Every cell's link with ``certify``'s answer for it: {cell: (link,
     certificate)}, or a link_failure diagnosis at the first cell whose link
-    fails."""
+    fails.
+
+    Graph links equal up to vertex names (``_link_class``) share one
+    validation and one run of the dimension-1 gates: a later link of a class
+    gets the passing report and the first link's certificate on its own
+    graph.  Only certificates that name no vertex (no suspension poles) are
+    shared; diagnoses are computed per link."""
     out = {}
+    classes: dict[tuple, MetricComplex] = {}     # class -> its first certified link
     for cell in cells:
         names = [c.vertices[i] for i in cell]
         L = cell_link(c, names)
+        key = _link_class(L)
+        first = classes.get(key)
+        if first is not None and L._certificate is None:
+            cert = first._certificate
+            L.validation = first.validation
+            L._certificate = replace(cert, graph=MetricGraph(L.vertices, cert.graph.edges))
         res = certify(L)
         if isinstance(res, Diagnosis):
             return Diagnosis(LINK_FAILURE, {"cell": names}, inner=res)
+        if key is not None and res.poles is None:
+            classes.setdefault(key, L)
         out[cell] = (L, res)
     return out
+
+
+def _link_class(L: MetricComplex) -> tuple | None:
+    """A graph link up to vertex names: its vertex count, its local top
+    cells and the Angle on each local edge; None above dimension 1."""
+    if L.dimension != 1:
+        return None
+    return (len(L.vertices), L.top_cells,
+            tuple(L.lengths.get(Edge(e)) for e in L.edges))
 
 
 def _with_apartments(c, cert, budget: int, hulls: tuple | None = None
@@ -971,7 +994,9 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
     boundary are exempt and the verdict is the local one.
 
     A vertex link of dimension 1 is a graph, which the dimension-1 gates
-    decide.  A link of dimension >= 2 gets the whole ``check_spherical``
+    decide, once per class of links equal up to vertex names (every
+    interior link of an A2 window is one hexagon; ``_certify_links``).  A
+    link of dimension >= 2 gets the whole ``check_spherical``
     answer, apartments included, with ``budget`` bounding each link's hull
     search: its diagnosis is a ``link_failure``, and a link certificate
     that leaves the link undecided (global CAT(1) or the apartment axioms
@@ -1031,124 +1056,6 @@ def _vertex_link_answer(L: MetricComplex, budget: int) -> BuildingCertificate | 
     """The whole spherical answer for a link of dimension >= 2; the local
     certificate for a graph, which the dimension-1 gates decide."""
     return check_spherical(L, budget) if L.dimension >= 2 else _certify(L)
-
-
-# -- Kleiner-Leeb axioms on generated atlases ------------------------------------------
-
-
-@dataclass(frozen=True)
-class Chart:
-    """An isometric planar chart: a cell subset with vertex coordinates."""
-
-    name: str
-    cells: tuple[tuple, ...]
-    coords: dict     # vertex index -> (x, y)
-
-
-def verify_def52(c: MetricComplex, atlas: Sequence[Chart], *, frame: dict,
-                 n_samples: int = 60, seed: int = 0) -> dict:
-    """Sampled verification of the metric-building axioms on a chart atlas.
-
-    Geodesic segments are straight lines in the window's global flat frame;
-    each sampled segment must lie in some chart, and overlapping charts must
-    differ by a rigid motion on their overlap.
-    """
-    import numpy as np
-    c.require_valid()
-    rng = random.Random(seed)
-    cells = list(c.top_cells)
-    frame_np = {v: np.array(xy, dtype=float) for v, xy in frame.items()}
-    failures = []
-    chart_cells = [set(ch.cells) for ch in atlas]
-    min_edge = min(c.edge_length(i, j).radians for i, j in c.edges)
-    step = min_edge / 8.0
-    for _ in range(n_samples):
-        ca = cells[rng.randrange(len(cells))]
-        cb = cells[rng.randrange(len(cells))]
-        wa = [rng.random() for _ in ca]
-        wb = [rng.random() for _ in cb]
-        pa = sum(w * frame_np[v] for w, v in zip(wa, ca)) / sum(wa)
-        pb = sum(w * frame_np[v] for w, v in zip(wb, cb)) / sum(wb)
-        seg_cells = _cells_along_segment(c, frame_np, pa, pb, step)
-        if seg_cells is None:
-            continue
-        if not any(seg_cells <= cc for cc in chart_cells):
-            failures.append({
-                "segment": [[float(x) for x in pa], [float(x) for x in pb]],
-                "cells": [[c.vertices[v] for v in t] for t in sorted(seg_cells)]})
-    compat = []
-    for i, j in itertools.combinations(range(len(atlas)), 2):
-        shared = sorted({v for t in (chart_cells[i] & chart_cells[j]) for v in t})
-        if len(shared) < 3:
-            continue
-        A = np.array([atlas[i].coords[v] for v in shared], dtype=float)
-        B = np.array([atlas[j].coords[v] for v in shared], dtype=float)
-        motion = _rigid_fit(A, B)
-        compat.append({"charts": [atlas[i].name, atlas[j].name],
-                       "rigid": motion is not None,
-                       "matrix": None if motion is None else motion[0].tolist(),
-                       "translation": None if motion is None else motion[1].tolist()})
-    ok = not failures and all(x["rigid"] for x in compat)
-    return {"ok": ok, "uncovered_segments": failures, "compatibility": compat,
-            "samples": n_samples}
-
-
-def _cells_along_segment(c, frame_np, pa, pb, step):
-    import numpy as np
-    d = pb - pa
-    ln = float(np.linalg.norm(d))
-    if ln < 1e-12:
-        return None
-    k = max(2, int(ln / step) + 1)
-    out = set()
-    for i in range(k + 1):
-        p = pa + d * (i / k)
-        holders = _containing_cells(c, frame_np, p)
-        if not holders:
-            return None     # left the window; skip this sample
-        out.add(min(holders))
-    return out
-
-
-def _containing_cells(c, frame_np, p):
-    import numpy as np
-    eps = 1e-9
-    out = []
-    for t in c.top_cells:
-        a, b, d3 = (frame_np[v] for v in t)
-        M = np.array([b - a, d3 - a]).T
-        try:
-            lam = np.linalg.solve(M, p - a)
-        except np.linalg.LinAlgError:
-            continue
-        l1, l2 = float(lam[0]), float(lam[1])
-        if l1 >= -eps and l2 >= -eps and l1 + l2 <= 1 + eps:
-            out.append(t)
-    return out
-
-
-def _rigid_fit(A, B):
-    """Least-squares rigid motion g with g(A) = B, or None if not isometric."""
-    import numpy as np
-    ca = A.mean(axis=0)
-    cb = B.mean(axis=0)
-    H = (A - ca).T @ (B - cb)
-    U, s, Vt = np.linalg.svd(H)
-    R = (U @ Vt).T
-    if np.linalg.det(R) < 0 and min(s) < 1e-12:
-        R = (U @ np.diag([1, -1]) @ Vt).T
-    t = cb - R @ ca
-    resid = float(np.abs((A @ R.T + t) - B).max())
-    if resid > 1e-6:
-        # allow the reflection branch
-        R2 = (U @ np.diag([1, -1]) @ Vt).T
-        t2 = cb - R2 @ ca
-        resid2 = float(np.abs((A @ R2.T + t2) - B).max())
-        if resid2 < resid:
-            R, t, resid = R2, t2, resid2
-    if resid > 1e-6:
-        return None
-    return R, t
 
 
 # loaded with the recognizer: perfbench/tracing.py patches it through

@@ -13,14 +13,19 @@ Hull isometry: an untyped search over every seed chamber and vertex
 bijection, propagated across panels, which the typed model walk must match.
 Coxeter complexes: the earlier construction with rounded matrix and vertex
 keys and one ``acos`` per edge.  Realizability: one ``eigvalsh`` call per
-simplex.
+simplex.  Kleiner-Leeb charts: random straight segments in a window's flat
+frame must each lie in one chart, and overlapping charts must differ by a
+rigid motion (``verify_def52``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -574,3 +579,114 @@ def per_cell_realizable(geometry: str, lengths, eps: float) -> tuple[bool, str]:
         kind = "Gram" if geometry == "spherical" else "Cayley-Menger"
         return False, f"{kind} matrix not positive definite (min eigenvalue {w0:.3e})"
     return True, ""
+
+
+@dataclass(frozen=True)
+class Chart:
+    """An isometric planar chart: a cell subset with vertex coordinates."""
+
+    name: str
+    cells: tuple[tuple, ...]
+    coords: dict     # vertex index -> (x, y)
+
+
+def verify_def52(c, atlas: Sequence[Chart], *, frame: dict,
+                 n_samples: int = 60, seed: int = 0) -> dict:
+    """Sampled verification of the metric-building axioms on a chart atlas.
+
+    Geodesic segments are straight lines in the window's global flat frame;
+    each sampled segment must lie in some chart, and overlapping charts must
+    differ by a rigid motion on their overlap.
+    """
+    c.require_valid()
+    rng = random.Random(seed)
+    cells = list(c.top_cells)
+    frame_np = {v: np.array(xy, dtype=float) for v, xy in frame.items()}
+    failures = []
+    chart_cells = [set(ch.cells) for ch in atlas]
+    min_edge = min(c.edge_length(i, j).radians for i, j in c.edges)
+    step = min_edge / 8.0
+    for _ in range(n_samples):
+        ca = cells[rng.randrange(len(cells))]
+        cb = cells[rng.randrange(len(cells))]
+        wa = [rng.random() for _ in ca]
+        wb = [rng.random() for _ in cb]
+        pa = sum(w * frame_np[v] for w, v in zip(wa, ca)) / sum(wa)
+        pb = sum(w * frame_np[v] for w, v in zip(wb, cb)) / sum(wb)
+        seg_cells = _cells_along_segment(c, frame_np, pa, pb, step)
+        if seg_cells is None:
+            continue
+        if not any(seg_cells <= cc for cc in chart_cells):
+            failures.append({
+                "segment": [[float(x) for x in pa], [float(x) for x in pb]],
+                "cells": [[c.vertices[v] for v in t] for t in sorted(seg_cells)]})
+    compat = []
+    for i, j in itertools.combinations(range(len(atlas)), 2):
+        shared = sorted({v for t in (chart_cells[i] & chart_cells[j]) for v in t})
+        if len(shared) < 3:
+            continue
+        A = np.array([atlas[i].coords[v] for v in shared], dtype=float)
+        B = np.array([atlas[j].coords[v] for v in shared], dtype=float)
+        motion = _rigid_fit(A, B)
+        compat.append({"charts": [atlas[i].name, atlas[j].name],
+                       "rigid": motion is not None,
+                       "matrix": None if motion is None else motion[0].tolist(),
+                       "translation": None if motion is None else motion[1].tolist()})
+    ok = not failures and all(x["rigid"] for x in compat)
+    return {"ok": ok, "uncovered_segments": failures, "compatibility": compat,
+            "samples": n_samples}
+
+
+def _cells_along_segment(c, frame_np, pa, pb, step):
+    d = pb - pa
+    ln = float(np.linalg.norm(d))
+    if ln < 1e-12:
+        return None
+    k = max(2, int(ln / step) + 1)
+    out = set()
+    for i in range(k + 1):
+        p = pa + d * (i / k)
+        holders = _containing_cells(c, frame_np, p)
+        if not holders:
+            return None     # left the window; skip this sample
+        out.add(min(holders))
+    return out
+
+
+def _containing_cells(c, frame_np, p):
+    eps = 1e-9
+    out = []
+    for t in c.top_cells:
+        a, b, d3 = (frame_np[v] for v in t)
+        M = np.array([b - a, d3 - a]).T
+        try:
+            lam = np.linalg.solve(M, p - a)
+        except np.linalg.LinAlgError:
+            continue
+        l1, l2 = float(lam[0]), float(lam[1])
+        if l1 >= -eps and l2 >= -eps and l1 + l2 <= 1 + eps:
+            out.append(t)
+    return out
+
+
+def _rigid_fit(A, B):
+    """Least-squares rigid motion g with g(A) = B, or None if not isometric."""
+    ca = A.mean(axis=0)
+    cb = B.mean(axis=0)
+    H = (A - ca).T @ (B - cb)
+    U, s, Vt = np.linalg.svd(H)
+    R = (U @ Vt).T
+    if np.linalg.det(R) < 0 and min(s) < 1e-12:
+        R = (U @ np.diag([1, -1]) @ Vt).T
+    t = cb - R @ ca
+    resid = float(np.abs((A @ R.T + t) - B).max())
+    if resid > 1e-6:
+        # allow the reflection branch
+        R2 = (U @ np.diag([1, -1]) @ Vt).T
+        t2 = cb - R2 @ ca
+        resid2 = float(np.abs((A @ R2.T + t2) - B).max())
+        if resid2 < resid:
+            R, t, resid = R2, t2, resid2
+    if resid > 1e-6:
+        return None
+    return R, t

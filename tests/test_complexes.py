@@ -127,6 +127,15 @@ def test_cell_link_errors(octahedron):
         cell_link(octahedron, ["a0", "b0", "c0"])  # top-dimensional
 
 
+def test_vertex_index_reads_names_and_indices(octahedron):
+    for i, name in enumerate(octahedron.vertices):
+        assert octahedron.vertex_index(name) == octahedron.vertex_index(i) == i
+    with pytest.raises(ComplexError, match="no vertex named 'zz'"):
+        octahedron.vertex_index("zz")
+    with pytest.raises(ComplexError, match="out of range"):
+        octahedron.vertex_index(len(octahedron.vertices))
+
+
 def test_join_of_discrete_sets_is_complete_bipartite():
     a = discrete_complex(["x0", "x1", "x2"])
     b = discrete_complex(["y0", "y1", "y2"])
@@ -273,7 +282,10 @@ def _law_of_cosines(c, v, u, w):
     a = c.edge_length(v, u).radians
     b = c.edge_length(v, w).radians
     opp = c.edge_length(u, w).radians
-    cosang = (math.cos(opp) - math.cos(a) * math.cos(b)) / (math.sin(a) * math.sin(b))
+    if c.geometry == "spherical":
+        cosang = (math.cos(opp) - math.cos(a) * math.cos(b)) / (math.sin(a) * math.sin(b))
+    else:
+        cosang = (a * a + b * b - opp * opp) / (2.0 * a * b)
     return Angle.from_radians(math.acos(max(-1.0, min(1.0, cosang))))
 
 
@@ -293,6 +305,28 @@ def test_cached_vertex_angle_equals_law_of_cosines(heawood):
                 assert first == _law_of_cosines(c, v, u, w)
                 assert second == _law_of_cosines(c, v, w, u)
                 assert second is first          # served from the cache
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["euclidean", "spherical"]),
+       st.lists(st.floats(0.5, 1.0), min_size=3, max_size=3))
+def test_shape_cached_vertex_angle_is_the_law_of_cosines_bit_for_bit(geometry, sides):
+    """Two congruent triangles, (0, 1, 2) and (3, 4, 5) with 3, 4, 5 in the
+    roles of 2, 0, 1: every corner, read with its sides in either order, is
+    bitwise the uncached law of cosines in that order, and the second
+    triangle's corners are the first one's Angles (a missed corner is looked
+    up by the triangle's shape)."""
+    from buildctl.complexes import _vertex_angle
+    x, y, z = (Angle(rad=r) for r in sides)
+    c = MetricComplex(geometry, [str(v) for v in range(6)], [(0, 1, 2), (3, 4, 5)],
+                      [(0, 1, x), (0, 2, y), (1, 2, z), (3, 4, y), (3, 5, z), (4, 5, x)],
+                      allow_disconnected=True)
+    for v, u, w in itertools.permutations(range(3)):
+        assert _vertex_angle(c, v, u, w) == _law_of_cosines(c, v, u, w)
+    role = {3: 2, 4: 0, 5: 1}
+    for v, u, w in itertools.permutations(range(3, 6)):
+        assert _vertex_angle(c, v, u, w) == _law_of_cosines(c, v, u, w)
+        assert _vertex_angle(c, v, u, w) is _vertex_angle(c, role[v], role[u], role[w])
 
 
 def _incidence_corpus():

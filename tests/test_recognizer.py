@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,9 @@ from buildctl.corpus import (RANK2_M, gen_a2_window, gen_k4, gen_octahedron, gen
                              gen_punctured_octahedron, gen_rank2_building,
                              gen_short_lune)
 from buildctl.metric_graph import GraphPoint, MetricGraph
-from buildctl.recognizer import (Apartment, Chart, Diagnosis, check_euclidean,
+from buildctl.recognizer import (Apartment, Diagnosis, check_euclidean,
                                  check_spherical, discrete_extension_check,
-                                 enumerate_apartments_dim1, recognize_dim1,
-                                 verify_def52)
+                                 enumerate_apartments_dim1, recognize_dim1)
 from buildctl.recognizer import _uncovered_chamber_pair
 
 THIRD = Fraction(1, 3)
@@ -55,6 +55,30 @@ def test_triple_pi_edge_suspension():
     assert cert.base_size == 3
     assert set(cert.poles) == {"N", "S"}
     assert len(cert.apartments) == 3
+
+
+def test_dim1_gates_search_connectivity_once(k33, monkeypatch):
+    """``_certify_graph`` asks ``is_connected`` and ``suppress_degree2``
+    asks again; the graph keeps the answer, so one search runs per graph:
+    a hexagon (a circle), K3,3 and two disjoint edges."""
+    from buildctl.recognizer import _certify_graph
+    prop = MetricGraph.__dict__["_connected"]
+    search, searches = prop.func, []
+
+    def counting(g):
+        searches.append(g)
+        return search(g)
+
+    monkeypatch.setattr(prop, "func", counting)
+    hexagon = MetricGraph([f"v{i}" for i in range(6)],
+                          [(i, (i + 1) % 6, THIRD) for i in range(6)])
+    pair = MetricGraph(["a", "b", "c", "d"], [(0, 1, Fraction(1)), (2, 3, Fraction(1))])
+    verdicts = []
+    for g in (hexagon, MetricGraph.from_complex(k33), pair):
+        res = _certify_graph(g)
+        verdicts.append(getattr(res, "verdict", None) or res.condition)
+        assert searches.count(g) == 1
+    assert verdicts == ["thin_building", "thick_building", "not_connected"]
 
 
 def test_subdivided_suspension_recognized():
@@ -779,17 +803,137 @@ def test_euclidean_link_search_reads_the_apartment_budget(k33, tmp_path, monkeyp
     assert searches and set(searches) == {3}
 
 
+def _same_answer(a, b):
+    """Two recognizer answers agree: equal diagnoses, or certificates equal
+    field by field (graphs by vertices and edges), whose link entries are
+    equal links with equal answers, each graph link's answer its memo."""
+    if isinstance(a, Diagnosis) or isinstance(b, Diagnosis):
+        assert a == b
+        return
+    assert replace(a, graph=None, link_certificates={}) == \
+        replace(b, graph=None, link_certificates={})
+    assert (a.graph is None) == (b.graph is None)
+    if a.graph is not None:
+        assert (a.graph.vertices, a.graph.edges) == (b.graph.vertices, b.graph.edges)
+    assert a.link_certificates.keys() == b.link_certificates.keys()
+    for cell, (L, sub) in a.link_certificates.items():
+        L2, sub2 = b.link_certificates[cell]
+        assert (L.vertices, L.top_cells, L.lengths) == (L2.vertices, L2.top_cells, L2.lengths)
+        assert L.validation == L2.validation
+        if L.dimension == 1:
+            assert L._certificate is sub and L2._certificate is sub2
+        _same_answer(sub, sub2)
+
+
+def _memoized_links(c, path=()):
+    """(path, link) for every vertex link memoized under c, depth first."""
+    for vi, L in sorted(c._vertex_links.items()):
+        yield path + (vi,), L
+        yield from _memoized_links(L, path + (vi,))
+
+
+def _shuffled_window():
+    c = gen_a2_window(4).complex
+    order = list(range(len(c.vertices)))
+    random.Random(18).shuffle(order)
+    return _relabelled(c, order)
+
+
+def _three_page_book(length=4):
+    """Three unit-wide flat strips glued along a common spine s0 .. s{length}
+    (a tripod times a segment), in unit squares cut on a diagonal.  The
+    inner spine vertices are interior; their links are suspensions of three
+    points, equal up to vertex names, and their certificates name poles."""
+    names = [f"s{i}" for i in range(length + 1)]
+    names += [f"p{k}_{i}" for k in range(3) for i in range(length + 1)]
+    page = lambda k, i: (length + 1) * (k + 1) + i
+    one, diagonal = Angle(rad=1.0), Angle(rad=math.sqrt(2))
+    cells, lengths = [], {}
+    for k in range(3):
+        for i in range(length):
+            p, q = page(k, i), page(k, i + 1)
+            cells += [(i, i + 1, q), (i, p, q)]
+            lengths.update({(i, i + 1): one, (p, q): one, (i, p): one, (i + 1, q): one,
+                            (i, q): diagonal})
+    return MetricComplex("euclidean", names, cells, [(*e, a) for e, a in lengths.items()])
+
+
+_SHARING_INPUTS = {
+    **{f"a2w{r}": (lambda r=r: gen_a2_window(r).complex) for r in (2, 3, 4, 5)},
+    "a2w3-x1.01": lambda: gen_a2_window(3, perturb=1.01).complex,
+    "a2w3-x0.99": lambda: gen_a2_window(3, perturb=0.99).complex,
+    "cone-s0*k33": lambda: _euclidean_cone(
+        suspension(gen_rank2_building("complete_bipartite", s=3, t=3))),
+    "cone-b3-quotient": lambda: _euclidean_cone(
+        _antipodal_quotient(coxeter_complex(named_matrix("B3")).complex)),
+    "a2w4-shuffled": _shuffled_window,
+    "three-page-book": _three_page_book,
+}
+
+
+@pytest.mark.parametrize("label", sorted(_SHARING_INPUTS))
+def test_link_class_sharing_changes_no_answer(label, monkeypatch):
+    """Graph links equal up to vertex names share one validation and one run
+    of the dimension-1 gates.  With that sharing patched out, the same fresh
+    complex gets the same ``check_euclidean`` answer and flags, and every
+    link memoized under it the same validation and local certificate."""
+    import buildctl.recognizer as recognizer
+    shared = _SHARING_INPUTS[label]()
+    with monkeypatch.context() as m:
+        m.setattr(recognizer, "_link_class", lambda L: None)
+        alone = _SHARING_INPUTS[label]()
+        want = check_euclidean(alone, "window")
+    got = check_euclidean(shared, "window")
+    _same_answer(got, want)
+    if isinstance(got, Diagnosis):
+        assert got.to_json() == want.to_json()
+    else:
+        assert got.to_report() == want.to_report() and got.flags == want.flags
+    links = list(_memoized_links(shared))
+    assert [p for p, _ in links] == [p for p, _ in _memoized_links(alone)]
+    for (path, L), (_, L2) in zip(links, _memoized_links(alone)):
+        assert L.validation == L2.validation
+        if L._certificate is not None or L2._certificate is not None:
+            _same_answer(L._certificate, L2._certificate)
+
+
+@pytest.mark.parametrize("radius, interior", [(4, 37), (5, 61)])
+def test_window_links_pay_once_per_shape(radius, interior, monkeypatch):
+    """Every interior vertex link of an A2 window is the hexagon up to
+    vertex names, and every triangle is the unit equilateral one: the
+    dimension-1 gates run once for all interior links, and one corner angle
+    is computed (``Angle.from_radians``) for the whole window."""
+    import buildctl.recognizer as recognizer
+    gates, angles = [], []
+    certify_graph, from_radians = recognizer._certify_graph, Angle.from_radians
+
+    def counting_gates(g):
+        gates.append(g)
+        return certify_graph(g)
+
+    def counting_angles(x):
+        angles.append(x)
+        return from_radians(x)
+
+    monkeypatch.setattr(recognizer, "_certify_graph", counting_gates)
+    monkeypatch.setattr(Angle, "from_radians", staticmethod(counting_angles))
+    cert = check_euclidean(gen_a2_window(radius).complex, "window")
+    assert len(cert.link_certificates) == interior
+    assert len(gates) == 1 and len(angles) == 1
+    assert {sub.verdict for _, sub in cert.link_certificates.values()} == {"thin_building"}
+
+
 # -- Definition 5.2 on generated atlases ----------------------------------------------------
 
 
 def _window_chart(w, name="full", cells=None):
-    return Chart(name, tuple(sorted(cells if cells is not None else w.complex.top_cells)),
-                 dict(w.coords))
+    return oracles.Chart(name, tuple(sorted(cells if cells is not None
+                                            else w.complex.top_cells)), dict(w.coords))
 
 
 def test_def52_standard_apartment_passes(a2_window):
     chart = _window_chart(a2_window)
-    rep = verify_def52(a2_window.complex, [chart], frame=a2_window.coords)
+    rep = oracles.verify_def52(a2_window.complex, [chart], frame=a2_window.coords)
     assert rep["ok"]
 
 
@@ -800,9 +944,9 @@ def test_def52_reflected_half_charts_compatible(a2_window):
     upper = tuple(t for t in w.complex.top_cells
                   if all(w.coords[v][1] >= -1e-9 for v in t))
     reflected = {v: (x, -y) for v, (x, y) in w.coords.items()}
-    c1 = Chart("upper", upper, dict(w.coords))
-    c2 = Chart("reflected_full", tuple(sorted(w.complex.top_cells)), reflected)
-    rep = verify_def52(w.complex, [_window_chart(w), c1, c2], frame=w.coords)
+    c1 = oracles.Chart("upper", upper, dict(w.coords))
+    c2 = oracles.Chart("reflected_full", tuple(sorted(w.complex.top_cells)), reflected)
+    rep = oracles.verify_def52(w.complex, [_window_chart(w), c1, c2], frame=w.coords)
     assert rep["ok"]
     pair = next(x for x in rep["compatibility"]
                 if x["charts"] == ["upper", "reflected_full"])
@@ -815,7 +959,7 @@ def test_def52_missing_chart_fails(a2_window):
     w = a2_window
     upper = tuple(t for t in w.complex.top_cells
                   if all(w.coords[v][1] >= -1e-9 for v in t))
-    rep = verify_def52(w.complex, [Chart("upper", upper, dict(w.coords))],
+    rep = oracles.verify_def52(w.complex, [oracles.Chart("upper", upper, dict(w.coords))],
                        frame=w.coords)
     assert not rep["ok"]
     assert rep["uncovered_segments"]
