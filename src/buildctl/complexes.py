@@ -62,28 +62,6 @@ class ValidationReport:
         return {"ok": self.ok, "issues": [i.to_json() for i in self.issues]}
 
 
-class SimplexShape:
-    """Metric data of one simplex: symmetric edge lengths over local vertices."""
-
-    def __init__(self, dimension: int, geometry: str, lengths: Mapping[Edge, Angle]):
-        self.dimension = dimension
-        self.geometry = geometry
-        self.lengths = dict(lengths)
-
-    def length(self, i: int, j: int) -> Angle:
-        return self.lengths[Edge((i, j))]
-
-    def gram(self) -> np.ndarray:
-        """Spherical Gram matrix G(i,j) = cos d(i,j), G(i,i) = 1."""
-        import numpy as np
-        n = self.dimension + 1
-        G = np.eye(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                G[i, j] = G[j, i] = math.cos(self.length(i, j).radians)
-        return G
-
-
 def least_gram_eigenvalues(geometry: str, simplices: Sequence[Sequence[Angle]]
                            ) -> list[float]:
     """The least eigenvalue of each simplex's Gram matrix (spherical) or
@@ -121,8 +99,10 @@ def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
                   eps: float = EPS_GRAM) -> list[tuple[bool, str]]:
     """(ok, why) for each simplex of one dimension, its edge lengths given as
     in ``least_gram_eigenvalues``: a spherical edge longer than pi fails
-    first, then a least Gram eigenvalue at most ``eps``.  The eigenvalues of
-    all simplices that reach that test are computed together."""
+    first, then a least Gram eigenvalue at most ``eps``.  Above dimension 1
+    the simplices that reach that test are grouped by their tuple of edge
+    radians, the only input to the Gram matrix, and one eigenvalue per
+    shape comes from one stacked call; an edge keeps its closed form."""
     out: list[tuple[bool, str] | None] = [None] * len(simplices)
     if geometry == SPHERICAL:
         pi = Fraction(1)
@@ -132,8 +112,15 @@ def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
                     out[k] = (False, f"spherical edge length {a} exceeds pi")
                     break
     todo = [k for k, r in enumerate(out) if r is None and simplices[k]]
+    if todo and len(simplices[todo[0]]) > 1:
+        shapes = [tuple(a.radians for a in simplices[k]) for k in todo]
+        one = {shape: simplices[k] for k, shape in zip(todo, shapes)}
+        least = dict(zip(one, least_gram_eigenvalues(geometry, list(one.values()))))
+        w0s = [least[shape] for shape in shapes]
+    else:
+        w0s = least_gram_eigenvalues(geometry, [simplices[k] for k in todo])
     kind = "Gram" if geometry == SPHERICAL else "Cayley-Menger"
-    for k, w0 in zip(todo, least_gram_eigenvalues(geometry, [simplices[k] for k in todo])):
+    for k, w0 in zip(todo, w0s):
         if w0 <= eps:
             out[k] = (False, f"{kind} matrix not positive definite (min eigenvalue {w0:.3e})")
     return [(True, "") if r is None else r for r in out]
@@ -167,31 +154,42 @@ class MetricComplex:
             if not t:
                 raise ComplexError("empty cell")
             cells.append(t)
-        self.geometry = geometry
-        self.vertices = names
-        self.top_cells = tuple(sorted(set(cells)))
+        cells = tuple(sorted(set(cells)))
         if dimension is None:
-            dimension = max((len(c) - 1 for c in self.top_cells), default=-1)
-        self.dimension = dimension
-        self.allow_disconnected = allow_disconnected
-        self.provenance = provenance
-        self.lengths: dict[Edge, Angle] = {}
-        self.length_conflicts: list[tuple[Edge, Angle, Angle]] = []
-        self._corner_angles: dict[tuple[int, int, int], Angle] = {}   # _vertex_angle
-        self._shape_angles: dict[tuple[float, float, float], Angle] = {}
-        self._vertex_links: dict[int, MetricComplex] = {}              # vertex_link
-        self._certificate = None                                       # recognizer._certify
+            dimension = max((len(c) - 1 for c in cells), default=-1)
+        table: dict[Edge, Angle] = {}
+        conflicts: list[tuple[Edge, Angle, Angle]] = []
         for i, j, a in lengths:
             if i == j:
                 raise ComplexError(f"self-edge length ({i},{i})")
             if not (0 <= i < len(names) and 0 <= j < len(names)):
                 raise ComplexError(f"edge ({i},{j}) out of range")
             e = Edge((int(i), int(j)))
-            old = self.lengths.get(e)
+            old = table.get(e)
             if old is None:
-                self.lengths[e] = a
+                table[e] = a
             elif not old.equals(a):
-                self.length_conflicts.append((e, old, a))
+                conflicts.append((e, old, a))
+        self._set(geometry, names, cells, dimension, table, conflicts,
+                  allow_disconnected, provenance)
+
+    def _set(self, geometry, vertices, top_cells, dimension, lengths, length_conflicts,
+             allow_disconnected, provenance) -> MetricComplex:
+        """Store normalised data (``__init__`` checks and normalises its
+        input first; ``vertex_link`` builds such data itself)."""
+        self.geometry = geometry
+        self.vertices = vertices
+        self.top_cells = top_cells
+        self.dimension = dimension
+        self.allow_disconnected = allow_disconnected
+        self.provenance = provenance
+        self.lengths = lengths
+        self.length_conflicts = length_conflicts
+        self._corner_angles: dict[tuple[int, int, int], Angle] = {}   # _vertex_angle
+        self._shape_angles: dict[tuple[float, float, float], Angle] = {}
+        self._vertex_links: dict[int, MetricComplex] = {}              # vertex_link
+        self._certificate = None                                       # recognizer._certify
+        return self
 
     # -- derived structure -------------------------------------------------
 
@@ -241,12 +239,13 @@ class MetricComplex:
             raise ComplexError(f"vertex index {i} out of range")
         return i
 
-    def shape_of(self, cell: Sequence[int]) -> SimplexShape:
-        t = tuple(sorted(cell))
-        lengths = {}
-        for i, j in itertools.combinations(range(len(t)), 2):
-            lengths[Edge((i, j))] = self.edge_length(t[i], t[j])
-        return SimplexShape(len(t) - 1, self.geometry, lengths)
+    def gram(self, cell: Sequence[int]) -> np.ndarray:
+        """Spherical Gram matrix of a cell, its vertices sorted:
+        G(i,j) = cos d(i,j), G(i,i) = 1."""
+        import numpy as np
+        t = sorted(cell)
+        return np.array([[1.0 if i == j else math.cos(self.edge_length(i, j).radians)
+                          for j in t] for i in t])
 
     # -- validation ---------------------------------------------------------
 
@@ -278,11 +277,14 @@ class MetricComplex:
             for c, (ok, why) in zip(cells, realizability(self.geometry, simplices)):
                 if not ok:
                     issues.append(ValidationIssue("shape", tuple(name(i) for i in c), why))
-        if self.dimension >= 1 and not self.allow_disconnected and not self._skeleton_connected():
+        if self.dimension >= 1 and not self.allow_disconnected and not self._skeleton_connected:
             issues.append(ValidationIssue("connectivity", (), "complex is not connected"))
         return ValidationReport(not issues, tuple(issues))
 
+    @cached_property
     def _skeleton_connected(self) -> bool:
+        """One search per complex: validation, ``check_euclidean``, the
+        panel-count gate and ``simple_connectivity`` all ask."""
         if not self.vertices:
             return True
         adj: dict[int, set[int]] = {i: set() for i in range(len(self.vertices))}
@@ -400,20 +402,25 @@ def load_path(path) -> MetricComplex:
 
 
 def _vertex_angle(c: MetricComplex, v: int, u: int, w: int) -> Angle:
-    """Angle at v in the triangle (v,u,w), by the law of cosines.
+    """Angle at v in the triangle (v,u,w), by the law of cosines (``_corner``).
 
-    Cached on ``c`` under (v, min(u, w), max(u, w)), and on a miss looked up
-    by the triangle's shape (min(a, b), max(a, b), opp) in radians: the
-    formula reads nothing else, it is symmetric in a and b (bit for bit), and
-    lengths never change after construction.
+    Cached on ``c`` under (v, min(u, w), max(u, w)); lengths never change
+    after construction.
     """
     key = (v, u, w) if u < w else (v, w, u)
     ang = c._corner_angles.get(key)
-    if ang is not None:
-        return ang
-    a = c.edge_length(v, u).radians
-    b = c.edge_length(v, w).radians
-    shape = (min(a, b), max(a, b), c.edge_length(u, w).radians)
+    if ang is None:
+        ang = c._corner_angles[key] = _corner(
+            c, c.edge_length(v, u).radians, c.edge_length(v, w).radians,
+            c.edge_length(u, w).radians)
+    return ang
+
+
+def _corner(c: MetricComplex, a: float, b: float, opp: float) -> Angle:
+    """The angle between sides a and b opposite the side opp (radians), by
+    the law of cosines, cached on ``c`` by the shape (min(a, b), max(a, b),
+    opp): the formula reads nothing else and is symmetric in a and b."""
+    shape = (a, b, opp) if a <= b else (b, a, opp)
     ang = c._shape_angles.get(shape)
     if ang is None:
         a, b, opp = shape
@@ -421,10 +428,21 @@ def _vertex_angle(c: MetricComplex, v: int, u: int, w: int) -> Angle:
             cosang = (math.cos(opp) - math.cos(a) * math.cos(b)) / (math.sin(a) * math.sin(b))
         else:
             cosang = (a * a + b * b - opp * opp) / (2.0 * a * b)
-        ang = Angle.from_radians(math.acos(max(-1.0, min(1.0, cosang))))
-        c._shape_angles[shape] = ang
-    c._corner_angles[key] = ang
+        ang = c._shape_angles[shape] = Angle.from_radians(math.acos(max(-1.0, min(1.0, cosang))))
     return ang
+
+
+def _sweep_corners(c: MetricComplex) -> None:
+    """Cache every corner of every 2-face of ``c``, reading each face's
+    three lengths once; a corner already cached is kept."""
+    rad = {e: c.lengths[Edge(e)].radians for e in c.edges}
+    corners = c._corner_angles
+    for x, y, z in c.cells_by_dim.get(2, ()):
+        xy, xz, yz = rad[x, y], rad[x, z], rad[y, z]
+        for key, a, b, opp in (((x, y, z), xy, xz, yz), ((y, x, z), xy, yz, xz),
+                               ((z, x, y), xz, yz, xy)):
+            if key not in corners:
+                corners[key] = _corner(c, a, b, opp)
 
 
 def vertex_link(c: MetricComplex, v) -> MetricComplex:
@@ -433,23 +451,31 @@ def vertex_link(c: MetricComplex, v) -> MetricComplex:
 
     Memoized on ``c`` by vertex index: a later call returns the same object,
     so the link's own caches (validation, faces, its vertex links) are shared.
+    The first call caches every corner angle of ``c`` (``_sweep_corners``).
+    As ``c`` is valid, the link's cells come out sorted, distinct and in
+    range; it is stored as ``__init__`` would store it, without the checks.
     """
     c.require_valid()
     vi = c.vertex_index(v)
     link = c._vertex_links.get(vi)
     if link is not None:
         return link
-    stars = c.cofaces.get((vi,), ())
+    if c.dimension < 1:
+        raise ComplexError("a vertex of a 0-dimensional complex has an empty link")
+    if not c._vertex_links:
+        _sweep_corners(c)
+    stars = c.cofaces[(vi,)]
     neighbors = sorted({u for cell in stars for u in cell if u != vi})
     index = {u: k for k, u in enumerate(neighbors)}
-    names = [c.vertices[u] for u in neighbors]
-    cells = [tuple(sorted(index[u] for u in cell if u != vi)) for cell in stars]
-    lengths = {}
+    cells, lengths = [], {}
     for cell in stars:
-        for u, w in itertools.combinations([u for u in cell if u != vi], 2):
-            if (u, w) not in lengths:
-                lengths[u, w] = (index[u], index[w], _vertex_angle(c, vi, u, w))
-    link = MetricComplex(SPHERICAL, names, cells, lengths.values(), allow_disconnected=True)
+        rest = [u for u in cell if u != vi]
+        cells.append(tuple(index[u] for u in rest))
+        for u, w in itertools.combinations(rest, 2):
+            lengths[Edge((index[u], index[w]))] = c._corner_angles[vi, u, w]
+    link = MetricComplex.__new__(MetricComplex)._set(
+        SPHERICAL, tuple(c.vertices[u] for u in neighbors), tuple(cells),
+        c.dimension - 1, lengths, [], True, None)
     c._vertex_links[vi] = link
     return link
 

@@ -49,7 +49,7 @@ def cell_frame(c: MetricComplex, cell) -> dict[int, np.ndarray]:
     """Unit-vector positions of a spherical cell's vertices (own model copy)."""
     import numpy as np
     t = tuple(sorted(cell))
-    G = c.shape_of(t).gram()
+    G = c.gram(t)
     L = np.linalg.cholesky(G)      # rows are the vertex vectors
     return {v: L[i] for i, v in enumerate(t)}
 

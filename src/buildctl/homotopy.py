@@ -251,7 +251,7 @@ def _nontrivial_quotient(gens, relators, budget: int = 100_000) -> bool:
 def simple_connectivity(c: MetricComplex) -> Pi1Result:
     """Decide pi_1 triviality of the 2-skeleton when cheaply possible."""
     c.require_valid()
-    if not c._skeleton_connected():
+    if not c._skeleton_connected:
         return Pi1Result(UNKNOWN, None, "complex is not connected")
     ngens, relators, loops = _presentation(c)
     if ngens == 0:

@@ -115,8 +115,14 @@ class MetricGraph:
             if not ln > 0:
                 raise ValueError(f"nonpositive edge length {ln}")
             es.append((min(u, v), max(u, v), ln))
-        self.vertices = names
-        self.edges = tuple(es)
+        self._set(names, tuple(es))
+
+    def _set(self, vertices: tuple[str, ...], edges: tuple) -> "MetricGraph":
+        """Store checked data; ``__init__`` checks its input first, and a
+        copy on other vertex names reuses a checked graph's edges."""
+        self.vertices = vertices
+        self.edges = edges
+        return self
 
     @staticmethod
     def from_complex(c: MetricComplex) -> "MetricGraph":

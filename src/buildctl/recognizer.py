@@ -473,7 +473,7 @@ def _panel_counts(c: MetricComplex) -> set[int] | Diagnosis:
     """The first gates above dimension 1: the complex is connected and every
     codimension-1 cell lies in two or more top cells.  The set of those
     counts, or the diagnosis."""
-    if not c._skeleton_connected():
+    if not c._skeleton_connected:
         return Diagnosis(NOT_CONNECTED, {"detail": "complex is not connected"})
     counts = set()
     for panel in c.cells_by_dim.get(c.dimension - 1, ()):
@@ -520,8 +520,10 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
     Graph links equal up to vertex names (``_link_class``) share one
     validation and one run of the dimension-1 gates: a later link of a class
     gets the passing report and the first link's certificate on its own
-    graph.  Only certificates that name no vertex (no suspension poles) are
-    shared; diagnoses are computed per link."""
+    graph, which reuses the first graph's checked edges.  Only certificates
+    that name no vertex (no suspension poles) are shared; diagnoses are
+    computed per link.  ``vertex_link`` builds each link from the corner
+    angles cached on its complex, without re-checking its data."""
     out = {}
     classes: dict[tuple, MetricComplex] = {}     # class -> its first certified link
     for cell in cells:
@@ -532,7 +534,8 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
         if first is not None and L._certificate is None:
             cert = first._certificate
             L.validation = first.validation
-            L._certificate = replace(cert, graph=MetricGraph(L.vertices, cert.graph.edges))
+            L._certificate = replace(cert, graph=MetricGraph.__new__(MetricGraph)._set(
+                L.vertices, cert.graph.edges))
         res = certify(L)
         if isinstance(res, Diagnosis):
             return Diagnosis(LINK_FAILURE, {"cell": names}, inner=res)
@@ -544,11 +547,13 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
 
 def _link_class(L: MetricComplex) -> tuple | None:
     """A graph link up to vertex names: its vertex count, its local top
-    cells and the Angle on each local edge; None above dimension 1."""
+    cells (its edges) and the Angle on each, as (p, q) of an exact pi*p/q or
+    a float's radians, which hash without a Fraction; None above dimension 1."""
     if L.dimension != 1:
         return None
-    return (len(L.vertices), L.top_cells,
-            tuple(L.lengths.get(Edge(e)) for e in L.edges))
+    return (len(L.vertices), L.top_cells, tuple(
+        a.rad if a.frac is None else a.frac.as_integer_ratio()
+        for a in (L.lengths[Edge(e)] for e in L.top_cells)))
 
 
 def _with_apartments(c, cert, budget: int, hulls: tuple | None = None
@@ -704,7 +709,7 @@ def _chamber_coxeter(c: MetricComplex, types) -> CoxeterMatrix | None:
     import numpy as np
     cell = c.top_cells[0]
     order = np.argsort([types[v] for v in cell])
-    inv = np.linalg.inv(c.shape_of(cell).gram()[np.ix_(order, order)])
+    inv = np.linalg.inv(c.gram(cell)[np.ix_(order, order)])
     scale = np.sqrt(np.diag(inv))
     form = inv / np.outer(scale, scale)
     n = len(cell)
@@ -1010,7 +1015,7 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
     n = c.dimension
     if n < 2:
         raise ComplexError("check_euclidean needs dimension >= 2")
-    if not c._skeleton_connected():
+    if not c._skeleton_connected:
         return Diagnosis(NOT_CONNECTED, {"detail": "complex is not connected"})
     boundary_panels = [p for p in c.cells_by_dim.get(n - 1, ())
                        if len(c.cofaces[p]) < 2]

@@ -474,3 +474,29 @@ def test_batched_realizability_matches_per_cell_on_drawn_simplices(data):
             simplices.append(data.draw(st.lists(length, min_size=dim * (dim + 1) // 2,
                                                 max_size=dim * (dim + 1) // 2)))
     _assert_batched_as_per_cell(geometry, simplices)
+
+
+def test_batched_realizability_groups_simplices_by_shape():
+    """Stacks whose simplices repeat a few shapes, the validation of a
+    window or a Coxeter model in miniature: one shape many times, passing
+    and failing; exact and float lengths of equal radians, which share a
+    shape; and a spherical edge past pi, decided before any eigenvalue,
+    next to a repeated shape.  Both thresholds give the per-cell verdicts,
+    so every message that carries an eigenvalue has its .3e text."""
+    third, half = Angle.exact(1, 3), Angle.exact(1, 2)
+    float_third = Angle(rad=third.radians)
+    one, two = Angle(rad=1.0), Angle(rad=2.0)
+    flat = [one, one, two]                       # degenerate Euclidean triangle
+    stacks = {
+        "euclidean": [[one, one, one], flat] * 40 + [[one, one, Angle(rad=1.5)]] * 3,
+        "spherical": [[third] * 3, [half] * 3, [third, third, Angle.exact(2, 3)]] * 30,
+        "spherical-3": [[half] * 6, [third] * 6] * 20 + [[Angle.exact(2, 3)] * 6] * 5,
+    }
+    mixed = [[third, third, third], [float_third, third, float_third],
+             [float_third] * 3, [half, float_third, half]] * 10
+    over_pi = [[Angle.exact(4, 3), third, third]] + [[third] * 3] * 20 \
+        + [[third, Angle.exact(5, 4), half]] + [[half] * 3] * 20
+    for label, simplices in {**stacks, "mixed": mixed, "over-pi": over_pi}.items():
+        geometry = "euclidean" if label == "euclidean" else "spherical"
+        oks = _assert_batched_as_per_cell(geometry, simplices, label)
+        assert len(set(oks)) == (1 if label == "mixed" else 2), label

@@ -898,11 +898,18 @@ def test_link_class_sharing_changes_no_answer(label, monkeypatch):
 def test_window_links_pay_once_per_shape(radius, interior, monkeypatch):
     """Every interior vertex link of an A2 window is the hexagon up to
     vertex names, and every triangle is the unit equilateral one: the
-    dimension-1 gates run once for all interior links, and one corner angle
-    is computed (``Angle.from_radians``) for the whole window."""
+    dimension-1 gates run once for all interior links, one corner angle is
+    computed (``Angle.from_radians``) for the whole window, and validation
+    hands ``least_gram_eigenvalues`` one triangle.  No link goes through
+    ``MetricComplex.__init__``, and the one graph built through
+    ``MetricGraph.__init__`` is the first hexagon's: every shared copy
+    reuses its checked edges."""
+    import buildctl.complexes as complexes
     import buildctl.recognizer as recognizer
-    gates, angles = [], []
+    gates, angles, stacks, inits = [], [], [], []
     certify_graph, from_radians = recognizer._certify_graph, Angle.from_radians
+    least, complex_init, graph_init = (complexes.least_gram_eigenvalues,
+                                       MetricComplex.__init__, MetricGraph.__init__)
 
     def counting_gates(g):
         gates.append(g)
@@ -912,12 +919,114 @@ def test_window_links_pay_once_per_shape(radius, interior, monkeypatch):
         angles.append(x)
         return from_radians(x)
 
+    def counting_stacks(geometry, simplices):
+        stacks.append((geometry, len(simplices), len(simplices[0])))
+        return least(geometry, simplices)
+
+    def counting_init(init, kind):
+        def wrapped(self, *args, **kwargs):
+            inits.append(kind)
+            init(self, *args, **kwargs)
+        return wrapped
+
     monkeypatch.setattr(recognizer, "_certify_graph", counting_gates)
     monkeypatch.setattr(Angle, "from_radians", staticmethod(counting_angles))
-    cert = check_euclidean(gen_a2_window(radius).complex, "window")
+    monkeypatch.setattr(complexes, "least_gram_eigenvalues", counting_stacks)
+    window = gen_a2_window(radius).complex
+    monkeypatch.setattr(MetricComplex, "__init__", counting_init(complex_init, "complex"))
+    monkeypatch.setattr(MetricGraph, "__init__", counting_init(graph_init, "graph"))
+    cert = check_euclidean(window, "window")
     assert len(cert.link_certificates) == interior
     assert len(gates) == 1 and len(angles) == 1
     assert {sub.verdict for _, sub in cert.link_certificates.values()} == {"thin_building"}
+    assert stacks == [("euclidean", 1, 3), ("spherical", 6, 1)]
+    assert inits == ["graph"]
+
+
+def _fresh_copy(c):
+    """``c`` rebuilt through the public constructor, with empty caches."""
+    return MetricComplex(c.geometry, c.vertices, c.top_cells,
+                         [(*sorted(e), a) for e, a in c.lengths.items()],
+                         allow_disconnected=c.allow_disconnected)
+
+
+def _public_link(c, fresh, vi):
+    """The link of vertex vi of ``c`` built through the public constructor,
+    its lengths the per-corner ``_vertex_angle`` values of ``fresh``."""
+    stars = [t for t in c.top_cells if vi in t]
+    rests = [[u for u in t if u != vi] for t in stars]
+    nbrs = sorted({u for rest in rests for u in rest})
+    index = {u: k for k, u in enumerate(nbrs)}
+    lengths = [(index[u], index[w], _vertex_angle(fresh, vi, u, w))
+               for rest in rests for u, w in itertools.combinations(rest, 2)]
+    return MetricComplex("spherical", [c.vertices[u] for u in nbrs],
+                         [[index[u] for u in rest] for rest in rests], lengths,
+                         allow_disconnected=True)
+
+
+def _assert_links_as_public(c):
+    """Every link memoized under ``c``, at every depth, equals the public
+    constructor's link from the same data, and the corner angles the sweep
+    cached on its complex equal the per-corner values of a fresh copy."""
+    if not c._vertex_links:
+        return
+    fresh = _fresh_copy(c)
+    corners = {(v, *(u for u in t if u != v)) for t in fresh.cofaces if len(t) == 3 for v in t}
+    assert c._corner_angles == {key: _vertex_angle(fresh, *key) for key in corners}
+    for vi, L in sorted(c._vertex_links.items()):
+        ref = _public_link(c, fresh, vi)
+        assert (L.vertices, L.top_cells, L.lengths, L.dimension, L.provenance) == \
+            (ref.vertices, ref.top_cells, ref.lengths, ref.dimension, ref.provenance)
+        assert L.dumps() == ref.dumps() and L.validation == ref.validation
+        _assert_links_as_public(L)
+
+
+def _all_links(c):
+    """Build every vertex link of ``c`` and of its links, down to graphs."""
+    for v in range(len(c.vertices)):
+        L = vertex_link(c, v)
+        if L.dimension >= 1:
+            _all_links(L)
+    return c
+
+
+_SPHERICAL_LINK_INPUTS = {
+    "octahedron": gen_octahedron,
+    "s0*heawood": lambda: suspension(gen_rank2_building("projective_plane")),
+    "a3": lambda: coxeter_complex(named_matrix("A3")).complex,
+    "s0*s0*k33": lambda: suspension(suspension(gen_rank2_building("complete_bipartite"))),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_SHARING_INPUTS) + sorted(_SPHERICAL_LINK_INPUTS))
+def test_links_equal_the_public_constructors(label):
+    """``vertex_link`` stores its link without ``MetricComplex.__init__``'s
+    checks and reads corner angles one sweep cached: each link it memoizes
+    (after a window check, or every link down to graphs) equals the link
+    the public constructor builds from the same data, field by field, in
+    its JSON and in its validation."""
+    if label in _SHARING_INPUTS:
+        c = _SHARING_INPUTS[label]()
+        check_euclidean(c, "window")
+    else:
+        c = _all_links(_SPHERICAL_LINK_INPUTS[label]())
+    assert c._vertex_links
+    _assert_links_as_public(c)
+
+
+def test_corner_sweep_keeps_injected_corners():
+    """Corners cached before the first ``vertex_link`` call survive the
+    sweep, and the links read them: a float corner stays a float length."""
+    c = _float_corners(gen_octahedron(), lambda key: sum(key) % 2 == 0)
+    injected = dict(c._corner_angles)
+    assert any(not a.is_exact for a in injected.values())
+    for v in range(len(c.vertices)):
+        L = vertex_link(c, v)
+        for e, a in L.lengths.items():
+            u, w = sorted(c.vertex_index(L.vertices[i]) for i in e)
+            assert a is injected[v, u, w]
+    assert c._corner_angles.keys() == injected.keys()
+    assert all(c._corner_angles[key] is a for key, a in injected.items())
 
 
 # -- Definition 5.2 on generated atlases ----------------------------------------------------
