@@ -125,6 +125,8 @@ def test_cell_link_errors(octahedron):
         cell_link(octahedron, ["a0", "a1"])      # not a cell (antipodal pair)
     with pytest.raises(ComplexError):
         cell_link(octahedron, ["a0", "b0", "c0"])  # top-dimensional
+    with pytest.raises(ComplexError):
+        vertex_link(s0(), "N")                     # a 0-dimensional complex
 
 
 def test_vertex_index_reads_names_and_indices(octahedron):
