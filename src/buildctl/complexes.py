@@ -419,7 +419,11 @@ def _vertex_angle(c: MetricComplex, v: int, u: int, w: int) -> Angle:
 def _corner(c: MetricComplex, a: float, b: float, opp: float) -> Angle:
     """The angle between sides a and b opposite the side opp (radians), by
     the law of cosines, cached on ``c`` by the shape (min(a, b), max(a, b),
-    opp): the formula reads nothing else and is symmetric in a and b."""
+    opp): the formula reads nothing else and is symmetric in a and b.
+
+    A zero angle (a degenerate triangle, which validation rejects) raises
+    ComplexError: an Angle is positive.
+    """
     shape = (a, b, opp) if a <= b else (b, a, opp)
     ang = c._shape_angles.get(shape)
     if ang is None:
@@ -428,7 +432,11 @@ def _corner(c: MetricComplex, a: float, b: float, opp: float) -> Angle:
             cosang = (math.cos(opp) - math.cos(a) * math.cos(b)) / (math.sin(a) * math.sin(b))
         else:
             cosang = (a * a + b * b - opp * opp) / (2.0 * a * b)
-        ang = c._shape_angles[shape] = Angle.from_radians(math.acos(max(-1.0, min(1.0, cosang))))
+        rad = math.acos(max(-1.0, min(1.0, cosang)))
+        if not rad > 0:
+            raise ComplexError(f"degenerate triangle: sides {a!r} and {b!r} meet at a "
+                               f"zero angle opposite {opp!r}")
+        ang = c._shape_angles[shape] = Angle.from_radians(rad)
     return ang
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -309,26 +309,41 @@ def test_cached_vertex_angle_equals_law_of_cosines(heawood):
                 assert second is first          # served from the cache
 
 
+def _checked_corner(c, v, u, w):
+    """The cached corner at v in (v, u, w), asserted bitwise equal to the
+    uncached law of cosines; None for a zero corner, which both refuse."""
+    from buildctl.complexes import _vertex_angle
+    try:
+        expected = _law_of_cosines(c, v, u, w)
+    except ValueError:                  # Angle is positive: a degenerate triangle
+        with pytest.raises(ComplexError, match="degenerate triangle"):
+            _vertex_angle(c, v, u, w)
+        return None
+    got = _vertex_angle(c, v, u, w)
+    assert got == expected
+    return got
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["euclidean", "spherical"]),
        st.lists(st.floats(0.5, 1.0), min_size=3, max_size=3))
+@example("euclidean", [1.0, 0.5, 0.5])           # flat: corners 0, 0 and pi
 def test_shape_cached_vertex_angle_is_the_law_of_cosines_bit_for_bit(geometry, sides):
     """Two congruent triangles, (0, 1, 2) and (3, 4, 5) with 3, 4, 5 in the
     roles of 2, 0, 1: every corner, read with its sides in either order, is
     bitwise the uncached law of cosines in that order, and the second
     triangle's corners are the first one's Angles (a missed corner is looked
-    up by the triangle's shape)."""
-    from buildctl.complexes import _vertex_angle
+    up by the triangle's shape).  A flat triangle's zero corners raise
+    ComplexError, in both triangles."""
     x, y, z = (Angle(rad=r) for r in sides)
     c = MetricComplex(geometry, [str(v) for v in range(6)], [(0, 1, 2), (3, 4, 5)],
                       [(0, 1, x), (0, 2, y), (1, 2, z), (3, 4, y), (3, 5, z), (4, 5, x)],
                       allow_disconnected=True)
     for v, u, w in itertools.permutations(range(3)):
-        assert _vertex_angle(c, v, u, w) == _law_of_cosines(c, v, u, w)
+        _checked_corner(c, v, u, w)
     role = {3: 2, 4: 0, 5: 1}
     for v, u, w in itertools.permutations(range(3, 6)):
-        assert _vertex_angle(c, v, u, w) == _law_of_cosines(c, v, u, w)
-        assert _vertex_angle(c, v, u, w) is _vertex_angle(c, role[v], role[u], role[w])
+        assert _checked_corner(c, v, u, w) is _checked_corner(c, role[v], role[u], role[w])
 
 
 def _incidence_corpus():
