@@ -6,8 +6,10 @@ ran out), 3 input or usage error.
 Budgets can be overridden through the BUILDCTL_BUDGETS environment variable,
 a JSON object of positive integers such as {"B_group": 100000, "B_apt": 10000}.
 Each command imports the modules it runs inside its function, after reading
-its input; numpy is loaded only by commands that do linear algebra (cells of
-dimension >= 2, geodesics, Coxeter groups).
+its input.  Only ``geodesic`` and ``apartment`` load numpy, and any command
+whose input has a simplex that fails the Gram test, to print that simplex's
+least eigenvalue; the rest of the linear algebra is the standard-library
+``linalg``.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .angles import Angle, EPS_GRAM, PiUnits, cmp_units
 
@@ -30,9 +30,6 @@ EUCLIDEAN = "euclidean"
 
 Edge = frozenset
 Cell = tuple
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ComplexError(ValueError):
@@ -62,14 +59,31 @@ class ValidationReport:
         return {"ok": self.ok, "issues": [i.to_json() for i in self.issues]}
 
 
+def _gram_matrix(geometry: str, radians: Sequence[float]) -> list[list[float]]:
+    """The Gram matrix of a simplex (spherical) or the Gram matrix of its edge
+    vectors from vertex 0 (Euclidean), from the edge radians in
+    ``itertools.combinations(range(d + 1), 2)`` order."""
+    n = round((1 + math.sqrt(1 + 8 * len(radians))) / 2)    # d + 1 vertices
+    pairs = itertools.combinations(range(n), 2)
+    if geometry == SPHERICAL:
+        G = [[1.0] * n for _ in range(n)]
+        for (i, j), r in zip(pairs, radians):
+            G[i][j] = G[j][i] = math.cos(r)
+        return G
+    d2 = [[0.0] * n for _ in range(n)]
+    for (i, j), r in zip(pairs, radians):
+        d2[i][j] = d2[j][i] = r ** 2
+    return [[0.5 * (d2[0][i] + d2[0][j] - d2[i][j]) for j in range(1, n)]
+            for i in range(1, n)]
+
+
 def least_gram_eigenvalues(geometry: str, simplices: Sequence[Sequence[Angle]]
                            ) -> list[float]:
-    """The least eigenvalue of each simplex's Gram matrix (spherical) or
-    edge-vector Gram matrix from vertex 0 (Euclidean).  ``simplices`` hold
-    the edge lengths of simplices of one dimension d >= 1, in
-    ``itertools.combinations(range(d + 1), 2)`` order.  An edge of length l
-    has the closed forms 1 - |cos l| (eigenvalues 1 +- cos l) and l**2 (a
-    1x1 matrix); higher simplices go to one stacked ``eigvalsh`` call."""
+    """The least eigenvalue of each simplex's Gram matrix (``_gram_matrix``).
+    ``simplices`` hold the edge lengths of simplices of one dimension d >= 1,
+    in ``itertools.combinations(range(d + 1), 2)`` order.  An edge of length
+    l has the closed forms 1 - |cos l| (eigenvalues 1 +- cos l) and l**2 (a
+    1x1 matrix); higher simplices go to one stacked numpy ``eigvalsh`` call."""
     if not simplices:
         return []
     if len(simplices[0]) == 1:
@@ -77,21 +91,7 @@ def least_gram_eigenvalues(geometry: str, simplices: Sequence[Sequence[Angle]]
             return [1.0 - abs(math.cos(a.radians)) for (a,) in simplices]
         return [a.radians ** 2 for (a,) in simplices]
     import numpy as np
-    n = round((1 + math.sqrt(1 + 8 * len(simplices[0]))) / 2)    # d + 1 vertices
-    pairs = list(itertools.combinations(range(n), 2))
-    mats = []
-    for lengths in simplices:
-        if geometry == SPHERICAL:
-            G = [[1.0] * n for _ in range(n)]
-            for (i, j), a in zip(pairs, lengths):
-                G[i][j] = G[j][i] = math.cos(a.radians)
-        else:
-            d2 = [[0.0] * n for _ in range(n)]
-            for (i, j), a in zip(pairs, lengths):
-                d2[i][j] = d2[j][i] = a.radians ** 2
-            G = [[0.5 * (d2[0][i] + d2[0][j] - d2[i][j]) for j in range(1, n)]
-                 for i in range(1, n)]
-        mats.append(G)
+    mats = [_gram_matrix(geometry, [a.radians for a in lengths]) for lengths in simplices]
     return np.linalg.eigvalsh(np.array(mats))[:, 0].tolist()
 
 
@@ -99,10 +99,15 @@ def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
                   eps: float = EPS_GRAM) -> list[tuple[bool, str]]:
     """(ok, why) for each simplex of one dimension, its edge lengths given as
     in ``least_gram_eigenvalues``: a spherical edge longer than pi fails
-    first, then a least Gram eigenvalue at most ``eps``.  Above dimension 1
-    the simplices that reach that test are grouped by their tuple of edge
-    radians, the only input to the Gram matrix, and one eigenvalue per
-    shape comes from one stacked call; an edge keeps its closed form."""
+    first, then a least Gram eigenvalue at most ``eps``.  An edge keeps its
+    closed form.  Above dimension 1 the simplices that reach that test are
+    grouped by their tuple of edge radians, the only input to the Gram
+    matrix, and each shape passes when G - (eps + margin) I has a Cholesky
+    factor: lambda_min > eps exactly when G - eps I is positive definite,
+    and the margin of 1e-12 times the largest diagonal entry exceeds the
+    rounding of either factorization, so a pass is one for ``eigvalsh`` too.
+    Only the shapes that fail it get their least eigenvalue from
+    ``least_gram_eigenvalues``, which decides them and names it."""
     out: list[tuple[bool, str] | None] = [None] * len(simplices)
     if geometry == SPHERICAL:
         pi = Fraction(1)
@@ -113,15 +118,23 @@ def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
                     break
     todo = [k for k, r in enumerate(out) if r is None and simplices[k]]
     if todo and len(simplices[todo[0]]) > 1:
+        from . import linalg
         shapes = [tuple(a.radians for a in simplices[k]) for k in todo]
-        one = {shape: simplices[k] for k, shape in zip(todo, shapes)}
-        least = dict(zip(one, least_gram_eigenvalues(geometry, list(one.values()))))
-        w0s = [least[shape] for shape in shapes]
+        one = dict(zip(shapes, (simplices[k] for k in todo)))
+
+        def fails(shape):
+            G = _gram_matrix(geometry, shape)
+            margin = 1e-12 * max(G[i][i] for i in range(len(G)))
+            return not linalg.positive_definite(G, eps + margin)
+
+        failing = [shape for shape in one if fails(shape)]
+        least = dict(zip(failing, least_gram_eigenvalues(geometry, [one[s] for s in failing])))
+        w0s = [least.get(shape) for shape in shapes]
     else:
         w0s = least_gram_eigenvalues(geometry, [simplices[k] for k in todo])
     kind = "Gram" if geometry == SPHERICAL else "Cayley-Menger"
     for k, w0 in zip(todo, w0s):
-        if w0 <= eps:
+        if w0 is not None and w0 <= eps:
             out[k] = (False, f"{kind} matrix not positive definite (min eigenvalue {w0:.3e})")
     return [(True, "") if r is None else r for r in out]
 
@@ -239,13 +252,11 @@ class MetricComplex:
             raise ComplexError(f"vertex index {i} out of range")
         return i
 
-    def gram(self, cell: Sequence[int]) -> np.ndarray:
-        """Spherical Gram matrix of a cell, its vertices sorted:
+    def gram(self, cell: Sequence[int]) -> list[list[float]]:
+        """Spherical Gram matrix of a cell's vertices in the given order:
         G(i,j) = cos d(i,j), G(i,i) = 1."""
-        import numpy as np
-        t = sorted(cell)
-        return np.array([[1.0 if i == j else math.cos(self.edge_length(i, j).radians)
-                          for j in t] for i in t])
+        return [[1.0 if i == j else math.cos(self.edge_length(i, j).radians)
+                 for j in cell] for i in cell]
 
     # -- validation ---------------------------------------------------------
 

@@ -4,10 +4,12 @@ The cosine form B(s,t) = -cos(pi/m(s,t)) drives everything: positive definite
 means a finite (spherical) group, positive semidefinite with 1-dimensional
 kernel per irreducible component means a Euclidean group.  For spherical
 systems the group is enumerated exactly, each element a tuple of root indices
-and each generator a permutation of the root system, with one orthogonal
-matrix per element.  The unit sphere is cellulated by the translates of the
-fundamental chamber: the vertices are the standard cosets g W_J, read off the
-right-multiplication table, and the edges of one type pair share one length.
+and each generator a permutation of the root system, whose roots are kept in
+simple-root coordinates.  The unit sphere is cellulated by the translates of
+the fundamental chamber: the vertices are the standard cosets g W_J, read off
+the right-multiplication table, and the edges of one type pair share one
+length, read off the inverse cosine form.  The linear algebra is the
+standard-library kernels of ``linalg``; nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -16,13 +18,10 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .angles import Angle, EPS_GRAM
 from .complexes import MetricComplex, SPHERICAL
-
-if TYPE_CHECKING:
-    import numpy as np
 
 INFINITE = 0          # JSON and internal encoding of m(s,t) = infinity
 B_GROUP_DEFAULT = 10 ** 6
@@ -116,16 +115,10 @@ def named_matrix(name: str) -> CoxeterMatrix:
     return CoxeterMatrix(gens, rows)
 
 
-def cosine_form(M: CoxeterMatrix) -> np.ndarray:
-    """B(s,t) = -cos(pi/m(s,t)); pi/infinity is 0."""
-    import numpy as np
-    n = M.rank
-    B = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            mij = M.m[i][j]
-            B[i, j] = -1.0 if mij == INFINITE else -math.cos(math.pi / mij)
-    return B
+def cosine_form(M: CoxeterMatrix) -> list[list[float]]:
+    """B(s,t) = -cos(pi/m(s,t)); pi/infinity is 0.  Rows of floats."""
+    return [[-1.0 if mij == INFINITE else -math.cos(math.pi / mij) for mij in row]
+            for row in M.m]
 
 
 def irreducible_components(M: CoxeterMatrix) -> tuple[tuple[int, ...], ...]:
@@ -172,11 +165,11 @@ def cosine_verdicts(M: CoxeterMatrix) -> tuple[tuple[tuple[int, ...], ...],
     """The eigenvalue-sign test of the cosine form: (components, verdict per
     component, verdict), each verdict spherical | euclidean | other.  It
     enumerates no group."""
-    import numpy as np
+    from .linalg import symmetric_eigenvalues
     comps = irreducible_components(M)
     verdicts = []
     for comp in comps:
-        w = np.linalg.eigvalsh(cosine_form(M.submatrix(comp)))
+        w = symmetric_eigenvalues(cosine_form(M.submatrix(comp)))
         if w[0] > EPS_GRAM:
             verdicts.append("spherical")
         elif abs(w[0]) <= EPS_GRAM and (len(w) == 1 or w[1] > EPS_GRAM):
@@ -210,69 +203,64 @@ def classify(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterClassifi
     return CoxeterClassification(verdict, comps, verdicts, order, known)
 
 
-def _sqrt_form(B: np.ndarray) -> np.ndarray:
-    import numpy as np
-    w, Q = np.linalg.eigh(B)
-    if w[0] <= EPS_GRAM:
-        raise CoxeterError("cosine form is not positive definite")
-    return Q @ np.diag(np.sqrt(w)) @ Q.T
-
-
 @dataclass(frozen=True)
 class GroupElement:
     word: tuple[int, ...]      # reduced-by-construction generator word
-    matrix: np.ndarray = field(repr=False, compare=False)
     right: tuple[int, ...] = field(repr=False, compare=False)  # s -> index of g*s
 
 
-def _root_permutations(C: np.ndarray, budget: int) -> list[list[int]]:
+def _root_permutations(B: list[list[float]], budget: int) -> list[list[int]]:
     """The generators as permutations of the root system Phi, the orbit of
-    the simple roots (the rows of C, indices 0..n-1) under the reflections,
-    keyed by rounded vectors.  |Phi| <= |W|, so an orbit past the budget
-    is a group past it."""
-    import numpy as np
-    n = len(C)
-    index = {tuple(k): s for s, k in enumerate(np.round(C, 9).tolist())}
+    the simple roots (indices 0..n-1) under the reflections.  A root is
+    kept in simple-root coordinates x, alpha = sum_j x_j alpha_j: s_t
+    changes only x_t, by -2 B(alpha, alpha_t) = -2 sum_j x_j B_jt, and roots
+    are keyed by their coordinates rounded to 9 digits.  |Phi| <= |W|, so
+    an orbit past the budget is a group past it."""
+    n = len(B)
+    vecs = [[float(i == j) for j in range(n)] for i in range(n)]
+    index = {tuple(x): s for s, x in enumerate(vecs)}
     perms: list[list[int]] = [[] for _ in range(n)]
-    vecs = C
-    while len(vecs):
+    while vecs:
         grown = []
-        for s in range(n):
-            images = vecs - 2.0 * np.outer(vecs @ C[s], C[s])
-            for k, x in zip(map(tuple, np.round(images, 9).tolist()), images):
+        for t, (Bt, perm) in enumerate(zip(B, perms)):
+            for x in vecs:
+                y = list(x)
+                y[t] -= 2.0 * sum([a * b for a, b in zip(x, Bt)])
+                k = tuple([round(v, 9) for v in y])
                 i = index.get(k)
                 if i is None:
                     i = index[k] = len(index)
-                    grown.append(x)
-                perms[s].append(i)
+                    grown.append(y)
+                perm.append(i)
         if len(index) > budget:
             raise BudgetExceeded(f"group enumeration exceeded budget {budget}")
-        vecs = np.array(grown).reshape(-1, n)
+        vecs = grown
     return perms
 
 
 def generate_reflection_group(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT
                               ) -> list[GroupElement]:
-    """All elements of a finite reflection group, with their orthogonal
-    matrices and right-multiplication table.
+    """All elements of a finite reflection group, with their
+    right-multiplication table.
 
     Breadth-first closure over right multiplication by the generating
     reflections, a queue in which each level's words come out in
     lexicographic order: the order is word length, then word, and each word
     is the least one of its element.  An element g is the exact tuple of the
     roots g^-1(alpha_s): (g s)^-1 = s g^-1, so g*s indexes the generator's
-    root permutation by g's tuple.  Its matrix is its first parent's times
-    the reflection.
+    root permutation by g's tuple.  A cosine form whose least eigenvalue
+    is at most EPS_GRAM (a Cholesky test) is refused.
     """
-    import numpy as np
-    C = _sqrt_form(cosine_form(M))
+    from .linalg import positive_definite
+    B = cosine_form(M)
+    if not positive_definite(B, EPS_GRAM):
+        raise CoxeterError("cosine form is not positive definite")
     n = M.rank
-    perms = _root_permutations(C, budget)
-    refl = [np.eye(n) - 2.0 * np.outer(C[s], C[s]) for s in range(n)]
+    perms = _root_permutations(B, budget)
     keys = [tuple(range(n))]
     index = {keys[0]: 0}
-    words, matrices, right = [()], [np.eye(n)], []
-    for key, word, g in zip(keys, words, matrices):    # the lists grow as it runs
+    words, right = [()], []
+    for key, word in zip(keys, words):    # the lists grow as it runs
         row = []
         for s, p in enumerate(perms):
             k = tuple([p[r] for r in key])
@@ -281,12 +269,11 @@ def generate_reflection_group(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT
                 b = index[k] = len(keys)
                 keys.append(k)
                 words.append(word + (s,))
-                matrices.append(g @ refl[s])
                 if len(keys) > budget:
                     raise BudgetExceeded(f"group enumeration exceeded budget {budget}")
             row.append(b)
         right.append(tuple(row))
-    return [GroupElement(*e) for e in zip(words, matrices, right)]
+    return [GroupElement(*e) for e in zip(words, right)]
 
 
 @dataclass
@@ -296,7 +283,6 @@ class CoxeterComplexModel:
     complex: MetricComplex
     chamber_of: dict[tuple[int, ...], tuple]     # word -> top cell
     vertex_types: tuple[int, ...]                # per complex vertex
-    vertex_coords: np.ndarray                    # unit vectors, row per vertex
 
 
 def coxeter_complex(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterComplexModel:
@@ -306,28 +292,25 @@ def coxeter_complex(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterC
     normals, normalized.  The type-i vertex of chamber g is the standard
     coset g W_{S-i}: chambers g and g*s share every vertex but the one of
     type s, so each vertex is a flood fill over the right-multiplication
-    table, numbered by first appearance over (g, i), at g p_i.  W acts by
-    isometries, so every edge of one type pair {a, b} has the length of
-    p_a p_b.
+    table, numbered by first appearance over (g, i).  W acts by isometries,
+    so every edge of one type pair {a, b} has the length of p_a p_b, whose
+    cosine is B^-1_ab / sqrt(B^-1_aa B^-1_bb) for the cosine form B (the
+    p_i are the columns of B^-1 in the basis of the simple roots, up to
+    scale).
     """
-    import numpy as np
+    from .linalg import inverse
     verdict = cosine_verdicts(M)[2]
     if verdict != "spherical":
         raise CoxeterError(f"coxeter_complex needs a spherical system, got {verdict}")
-    C = _sqrt_form(cosine_form(M))
     n = M.rank
-    P = np.linalg.inv(C)     # column i: direction positive on wall i, on others zero
-    ps = [P[:, i] / np.linalg.norm(P[:, i]) for i in range(n)]
     elems = generate_reflection_group(M, budget=budget)
-    coords: list[np.ndarray] = []
     vtypes: list[int] = []
     label = [[-1] * n for _ in elems]     # element -> its vertex of each type
     for a, g in enumerate(elems):
         for i in range(n):
             if label[a][i] >= 0:
                 continue
-            v = len(coords)
-            coords.append(g.matrix @ ps[i])
+            v = len(vtypes)
             vtypes.append(i)
             label[a][i] = v
             stack = [a]
@@ -338,10 +321,11 @@ def coxeter_complex(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterC
                         stack.append(b)
     cells = [tuple(sorted(row)) for row in label]
     chamber_of = {g.word: cell for g, cell in zip(elems, cells)}
-    names = [f"w{vtypes[i]}.{i}" for i in range(len(coords))]
+    names = [f"w{t}.{i}" for i, t in enumerate(vtypes)]
+    inv = inverse(cosine_form(M))
     pair_length = {}
     for a, b in itertools.combinations(range(n), 2):
-        cosv = float(np.clip(np.dot(ps[a], ps[b]), -1.0, 1.0))
+        cosv = min(max(inv[a][b] / math.sqrt(inv[a][a] * inv[b][b]), -1.0), 1.0)
         pair_length[a, b] = pair_length[b, a] = Angle.from_radians(math.acos(cosv))
     lengths = {}
     for cell in cells:
@@ -351,5 +335,4 @@ def coxeter_complex(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterC
     cx = MetricComplex(SPHERICAL, names, cells, lengths.values(),
                        allow_disconnected=(n == 1),
                        provenance=f"coxeter_complex({M.describe() or 'A1^' + str(n)})")
-    return CoxeterComplexModel(M, elems, cx, chamber_of, tuple(vtypes),
-                               np.array(coords) if coords else np.zeros((0, n)))
+    return CoxeterComplexModel(M, elems, cx, chamber_of, tuple(vtypes))

@@ -205,9 +205,10 @@ def euclidean_factor_hint(c: MetricComplex, x, link_cert) -> list[dict]:
     return sorted(hints, key=lambda h: (h["kind"], sorted(h.items())))
 
 
-def most_singular_vertex(c: MetricComplex, link_certs: dict) -> int:
+def most_singular_vertex(c: MetricComplex, link_certs: dict) -> tuple[int, list[dict]]:
     """Lexicographically-first vertex among those with the most non-flat
-    link factors (the proof's 'most complicated point', made deterministic)."""
+    link factors (the proof's 'most complicated point', made deterministic),
+    with its ``euclidean_factor_hint``."""
     from .recognizer import Diagnosis
     best = None
     for (vi,), (L, cert) in sorted(link_certs.items(),
@@ -217,7 +218,7 @@ def most_singular_vertex(c: MetricComplex, link_certs: dict) -> int:
         hints = euclidean_factor_hint(c, c.vertices[vi], cert)
         score = sum(1 for h in hints if h["kind"] != "flat")
         if best is None or score > best[0]:
-            best = (score, vi)
+            best = (score, vi, hints)
     if best is None:
         raise ComplexError("no certified links available")
-    return best[1]
+    return best[1], best[2]

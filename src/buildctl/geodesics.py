@@ -13,7 +13,8 @@ apartment.  The 2*pi test sums the fan's corner angles exactly, or within
 tolerance when one is a float (``cmp_units``).
 
 The recognizer loads this module, so numpy is imported inside the functions
-that use it: a process that only recognizes metric graphs never loads numpy.
+that use it: this module is the only numpy user on a check's path, and a
+process that runs no geodesic or apartment command never loads numpy.
 """
 
 from __future__ import annotations

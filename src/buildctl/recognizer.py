@@ -40,8 +40,7 @@ from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, Edge, MetricComplex,
                         cell_link, vertex_link)
 from .coxeter import (BudgetExceeded, CoxeterComplexModel, CoxeterMatrix, cosine_form,
                       cosine_verdicts, coxeter_complex, dihedral)
-from .decompose import (euclidean_factor_hint, find_suspension_poles,
-                        most_singular_vertex)
+from .decompose import find_suspension_poles, most_singular_vertex
 from .homotopy import NONTRIVIAL, UNKNOWN, simple_connectivity
 from .metric_graph import Circle, GraphPoint, MetricGraph
 
@@ -519,7 +518,8 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
 
     Graph links equal up to vertex names (``_link_class``) share one
     validation and one run of the dimension-1 gates: a later link of a class
-    gets the passing report and the first link's certificate on its own
+    gets the passing report and a shallow copy of the first link's
+    certificate (``dataclasses.replace`` would rerun ``__init__``) on its own
     graph, which reuses the first graph's checked edges.  Only certificates
     that name no vertex (no suspension poles) are shared; diagnoses are
     computed per link.  ``vertex_link`` builds each link from the corner
@@ -534,8 +534,9 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
         if first is not None and L._certificate is None:
             cert = first._certificate
             L.validation = first.validation
-            L._certificate = replace(cert, graph=MetricGraph.__new__(MetricGraph)._set(
-                L.vertices, cert.graph.edges))
+            graph = MetricGraph.__new__(MetricGraph)._set(L.vertices, cert.graph.edges)
+            L._certificate = shared = BuildingCertificate.__new__(BuildingCertificate)
+            shared.__dict__.update(cert.__dict__, graph=graph)
         res = certify(L)
         if isinstance(res, Diagnosis):
             return Diagnosis(LINK_FAILURE, {"cell": names}, inner=res)
@@ -706,21 +707,21 @@ def _chamber_coxeter(c: MetricComplex, types) -> CoxeterMatrix | None:
     where cos theta_ij = -G^-1_ij / sqrt(G^-1_ii G^-1_jj); it must equal
     ``cosine_form(M)`` to within ``EPS_CHAMBER``.  A wrong guess only fails
     (B0), whose walk compares every model edge length."""
-    import numpy as np
-    cell = c.top_cells[0]
-    order = np.argsort([types[v] for v in cell])
-    inv = np.linalg.inv(c.gram(cell)[np.ix_(order, order)])
-    scale = np.sqrt(np.diag(inv))
-    form = inv / np.outer(scale, scale)
+    from .linalg import inverse
+    cell = sorted(c.top_cells[0], key=types.__getitem__)
+    inv = inverse(c.gram(cell))
+    scale = [math.sqrt(inv[i][i]) for i in range(len(cell))]
+    form = [[x / (si * sj) for x, sj in zip(row, scale)] for row, si in zip(inv, scale)]
     n = len(cell)
     rows = [[1] * n for _ in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        m = round(math.pi / math.acos(min(max(-form[i, j], -1.0), 1.0)))
+        m = round(math.pi / math.acos(min(max(-form[i][j], -1.0), 1.0)))
         if m < 2:
             return None
         rows[i][j] = rows[j][i] = m
     M = CoxeterMatrix(tuple(f"s{t}" for t in range(n)), rows)
-    if np.abs(form - cosine_form(M)).max() > EPS_CHAMBER:
+    if max(abs(x - y) for fr, br in zip(form, cosine_form(M))
+           for x, y in zip(fr, br)) > EPS_CHAMBER:
         return None
     # a nearly degenerate chamber may give a form that is not definite
     return M if cosine_verdicts(M)[2] == "spherical" else None
@@ -1046,11 +1047,7 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
         verdict = MEB
     counts = [len(c.cofaces[p]) for p in c.cells_by_dim.get(n - 1, ())]
     thickness = min((k for k in counts if k >= 2), default=None)
-    factors = None
-    if interior:
-        vstar = most_singular_vertex(c, link_certs)
-        factors = euclidean_factor_hint(c, c.vertices[vstar],
-                                        link_certs[(vstar,)][1])
+    factors = most_singular_vertex(c, link_certs)[1] if interior else None
     return BuildingCertificate(
         EUCLIDEAN, n, verdict, thickness=thickness,
         apartments=(), apartments_exhaustive=False,

@@ -11,8 +11,9 @@ whose closed spheres the hull family of opposite chambers must equal, and
 the dim-1 cycle DFS, which the kernel-unit search must match node for node.
 Hull isometry: an untyped search over every seed chamber and vertex
 bijection, propagated across panels, which the typed model walk must match.
-Coxeter complexes: the earlier construction with rounded matrix and vertex
-keys and one ``acos`` per edge.  Realizability: one ``eigvalsh`` call per
+Coxeter complexes: the earlier construction with orthogonal matrices from
+the square root of the cosine form, rounded matrix and vertex keys and one
+``acos`` per edge.  Realizability: one ``eigvalsh`` call per
 simplex.  Kleiner-Leeb charts: random straight segments in a window's flat
 frame must each lie in one chart, and overlapping charts must differ by a
 rigid motion (``verify_def52``).
@@ -474,11 +475,42 @@ def _try_propagate_iso(a, b, ca0, perm) -> bool:
         len(set(mapped.values())) == len(b.top_cells)
 
 
+def sqrt_form(B) -> np.ndarray:
+    """The symmetric square root C of a positive definite cosine form, so
+    that the rows of C are simple roots with C[s] . C[t] = B(s, t)."""
+    from buildctl.angles import EPS_GRAM
+    from buildctl.coxeter import CoxeterError
+    w, Q = np.linalg.eigh(np.asarray(B))
+    if w[0] <= EPS_GRAM:
+        raise CoxeterError("cosine form is not positive definite")
+    return Q @ np.diag(np.sqrt(w)) @ Q.T
+
+
+def eigvalsh_cosine_verdicts(M) -> tuple:
+    """``cosine_verdicts`` by numpy: the sign test on the eigvalsh spectrum of
+    each irreducible component's cosine form."""
+    from buildctl.angles import EPS_GRAM
+    from buildctl.coxeter import cosine_form, irreducible_components
+    comps = irreducible_components(M)
+    verdicts = []
+    for comp in comps:
+        w = np.linalg.eigvalsh(np.asarray(cosine_form(M.submatrix(comp))))
+        if w[0] > EPS_GRAM:
+            verdicts.append("spherical")
+        elif abs(w[0]) <= EPS_GRAM and (len(w) == 1 or w[1] > EPS_GRAM):
+            verdicts.append("euclidean")
+        else:
+            verdicts.append("other")
+    verdict = next((v for v in ("spherical", "euclidean")
+                    if all(x == v for x in verdicts)), "other")
+    return comps, tuple(verdicts), verdict
+
+
 def reference_reflection_group(M, budget: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """(word, matrix) of every element: breadth-first over right
     multiplication, each product keyed by its matrix rounded to 9 digits."""
-    from buildctl.coxeter import BudgetExceeded, _sqrt_form, cosine_form
-    C = _sqrt_form(cosine_form(M))
+    from buildctl.coxeter import BudgetExceeded, cosine_form
+    C = sqrt_form(cosine_form(M))
     n = M.rank
     refl = [np.eye(n) - 2.0 * np.outer(C[s], C[s]) for s in range(n)]
     key = lambda m: tuple(np.round(m, 9).flatten().tolist())
@@ -508,8 +540,8 @@ def reference_coxeter_complex(M, budget: int) -> dict:
     order names the vertex at g p_i unless its rounded coordinates were seen,
     and each edge is measured by the ``acos`` of its own dot product."""
     from buildctl.angles import Angle
-    from buildctl.coxeter import _sqrt_form, cosine_form
-    C = _sqrt_form(cosine_form(M))
+    from buildctl.coxeter import cosine_form
+    C = sqrt_form(cosine_form(M))
     n = M.rank
     P = np.linalg.inv(C)
     ps = [P[:, i] / np.linalg.norm(P[:, i]) for i in range(n)]

@@ -236,6 +236,32 @@ def test_cli_metric_graph_commands_do_not_load_numpy(tmp_path):
     assert json.loads(proc.stdout) == [[0, 0, 0, 3], False]
 
 
+def test_cli_model_and_dim2_commands_do_not_load_numpy(tmp_path):
+    """The checks of cells of dimension 2 (a Coxeter complex's JSON, the
+    octahedron, an A2 window) and the Coxeter commands run on the
+    standard-library kernels: after each, in one fresh interpreter, numpy is
+    still not imported."""
+    a3, octa, win, out = (tmp_path / f for f in ("a3.json", "oct.json", "w3.json", "o.json"))
+    assert main(["gen", "coxeter-complex", "--type", "A3", "-o", str(a3)]) == 0
+    assert main(["gen", "octahedron", "-o", str(octa)]) == 0
+    assert main(["gen", "a2-window", "--radius", "3", "-o", str(win)]) == 0
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from buildctl.cli import main\n"
+        "out = []\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        out.append([main(argv.split('|')), 'numpy' in sys.modules])\n"
+        "print(json.dumps(out))\n")
+    argvs = [f"check|{a3}", f"check|{octa}", f"check|{win}|--boundary|window",
+             "coxeter|classify|--type|A3", "coxeter|complex|--type|B3",
+             f"gen|coxeter-complex|--type|A3|-o|{out}"]
+    proc = subprocess.run([sys.executable, "-c", code, *argvs], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[2, False], [2, False], [0, False],
+                                       [0, False], [0, False], [0, False]]
+
+
 def test_cli_dim0_check_and_decompose_agree(tmp_path, capsys):
     """Three points form a thick 0-dimensional building for both commands."""
     f = tmp_path / "three-points.json"

@@ -9,7 +9,7 @@ import pytest
 import oracles
 
 from buildctl.complexes import validate, vertex_link
-from buildctl.coxeter import (BudgetExceeded, CoxeterError, CoxeterMatrix,
+from buildctl.coxeter import (INFINITE, BudgetExceeded, CoxeterError, CoxeterMatrix,
                               classify, cosine_form, cosine_verdicts, coxeter_complex,
                               dihedral, generate_reflection_group,
                               irreducible_components, named_matrix)
@@ -34,7 +34,7 @@ def test_cosine_form_rank1():
 
 def test_cosine_form_offdiag_range():
     for name in ("A2", "A3", "B3", "A1xA1xA1", "~A2"):
-        B = cosine_form(named_matrix(name))
+        B = np.asarray(cosine_form(named_matrix(name)))
         n = len(B)
         for i in range(n):
             for j in range(n):
@@ -108,13 +108,22 @@ def test_group_orders():
 
 
 def test_group_elements_orthogonal():
-    for g in generate_reflection_group(named_matrix("A3")):
-        assert np.allclose(g.matrix @ g.matrix.T, np.eye(3), atol=1e-9)
+    for _, g in oracles.reference_reflection_group(named_matrix("A3"), 10 ** 6):
+        assert np.allclose(g @ g.T, np.eye(3), atol=1e-9)
 
 
 def test_group_budget():
     with pytest.raises(BudgetExceeded):
         generate_reflection_group(named_matrix("B3"), budget=10)
+
+
+def test_group_of_an_infinite_system_is_refused():
+    """A cosine form that is not positive definite is refused at once, not
+    enumerated until the budget runs out."""
+    for M in (named_matrix("~A2"), dihedral(INFINITE),
+              CoxeterMatrix(("a", "b", "c"), ((1, 2, 3), (2, 1, 7), (3, 7, 1)))):
+        with pytest.raises(CoxeterError, match="not positive definite"):
+            generate_reflection_group(M)
 
 
 def test_matrix_validation():
@@ -207,6 +216,53 @@ def test_cosine_verdicts_is_the_classify_sign_test(monkeypatch):
     assert [cls.verdict for cls in expected[-4:]] == ["spherical", "euclidean", "other", "other"]
 
 
+_AFFINE_ROWS = {
+    "~A1": ((1, 0), (0, 1)),
+    "~A3": ((1, 3, 2, 3), (3, 1, 3, 2), (2, 3, 1, 3), (3, 2, 3, 1)),
+    "~B2": ((1, 4, 2), (4, 1, 4), (2, 4, 1)),
+    "~G2": ((1, 6, 2), (6, 1, 3), (2, 3, 1)),
+    "~C3": ((1, 4, 2, 2), (4, 1, 3, 2), (2, 3, 1, 4), (2, 2, 4, 1)),
+    "~B3": ((1, 2, 3, 2), (2, 1, 3, 2), (3, 3, 1, 4), (2, 2, 4, 1)),
+    "~D4": ((1, 2, 3, 2, 2), (2, 1, 3, 2, 2), (3, 3, 1, 3, 3), (2, 2, 3, 1, 2),
+            (2, 2, 3, 2, 1)),
+    "~F4": ((1, 3, 2, 2, 2), (3, 1, 3, 2, 2), (2, 3, 1, 4, 2), (2, 2, 4, 1, 3),
+            (2, 2, 2, 3, 1)),
+}
+_HYPERBOLIC_ROWS = {
+    "(2,3,7)": ((1, 2, 3), (2, 1, 7), (3, 7, 1)),
+    "(3,3,4)": ((1, 3, 3), (3, 1, 4), (3, 4, 1)),
+    "(4,4,4)": ((1, 4, 4), (4, 1, 4), (4, 4, 1)),
+    "(inf,inf,inf)": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    "5-3-5": ((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 5), (2, 2, 5, 1)),
+    "~A2 x A1, 7": ((1, 3, 3, 7), (3, 1, 3, 2), (3, 3, 1, 2), (7, 2, 2, 1)),
+}
+
+
+def test_cosine_verdicts_equal_the_eigvalsh_sign_test():
+    """The Jacobi sign test equals numpy's eigvalsh one on every named,
+    affine and hyperbolic matrix and on 300 seeded random ones of rank 1-6
+    (m from 2-7 or infinite)."""
+    of_rows = lambda rows: CoxeterMatrix(tuple(f"s{i}" for i in range(len(rows))), rows)
+    affine = [of_rows(r) for r in _AFFINE_ROWS.values()]
+    hyperbolic = [of_rows(r) for r in _HYPERBOLIC_ROWS.values()]
+    matrices = [_model_matrix(n) for n in _MODELS]
+    matrices += [named_matrix(n) for n in ("~A2", "A1xA1")] + affine + hyperbolic
+    rng = random.Random(2020)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[1] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            rows[i][j] = rows[j][i] = rng.choice((2, 2, 2, 3, 3, 4, 5, 6, 7, 0))
+        matrices.append(of_rows(rows))
+    verdicts = {}
+    for M in matrices:
+        got = verdicts[M] = cosine_verdicts(M)
+        assert got == oracles.eigvalsh_cosine_verdicts(M), M
+    assert {verdicts[M][2] for M in affine} == {"euclidean"}
+    assert {verdicts[M][2] for M in hyperbolic} == {"other"}
+    assert {v[2] for v in verdicts.values()} == {"spherical", "euclidean", "other"}
+
+
 _MODEL_ROWS = {
     "H3": ((1, 5, 2), (5, 1, 3), (2, 3, 1)),
     "A4": ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)),
@@ -229,32 +285,32 @@ def _model_matrix(name):
 @pytest.mark.parametrize("name", _MODELS)
 def test_coset_model_equals_the_rounded_key_model(name):
     """Root permutations and standard cosets rebuild the rounding-based
-    model: the same words, chambers, vertex names and types, bitwise the same
-    matrices and coordinates, and every edge the oracle's length (the same
-    Fraction when exact)."""
+    model: the same words, chambers, vertex names and types, the
+    right-multiplication table of the oracle's matrices, and every edge the
+    oracle's length (the same Fraction when exact)."""
     from buildctl.angles import cmp_units
     M = _model_matrix(name)
     ref = oracles.reference_coxeter_complex(M, 10 ** 6)
     model = coxeter_complex(M)
     assert [g.word for g in model.elements] == [w for w, _ in ref["elements"]]
-    assert all(np.array_equal(g.matrix, h) for g, (_, h) in zip(model.elements, ref["elements"]))
     assert model.chamber_of == ref["chamber_of"]
     assert model.complex.top_cells == tuple(sorted(ref["chamber_of"].values()))
     assert list(model.complex.vertices) == ref["names"]
     assert model.vertex_types == ref["vertex_types"]
-    assert np.array_equal(model.vertex_coords, ref["vertex_coords"])
     lengths = model.complex.lengths
     assert set(lengths) == {frozenset(e) for e in ref["lengths"]}
     for (i, j), want in ref["lengths"].items():
         got = lengths[frozenset((i, j))]
         assert cmp_units(got.pi_units, want.pi_units) == 0, (name, i, j)
         assert got.is_exact == want.is_exact and (not got.is_exact or got.frac == want.frac)
-    # the right-multiplication table is the one of the matrices
-    gens = [model.elements[k] for k in model.elements[0].right]
-    assert [g.word for g in gens] == [(s,) for s in range(M.rank)]
-    for g in model.elements:
+    # the right-multiplication table is the one of the oracle's matrices
+    mats = [h for _, h in ref["elements"]]
+    gens = [mats[k] for k in model.elements[0].right]
+    assert [model.elements[k].word for k in model.elements[0].right] == \
+        [(s,) for s in range(M.rank)]
+    for g, h in zip(model.elements, mats):
         for s, k in enumerate(g.right):
-            assert np.allclose(g.matrix @ gens[s].matrix, model.elements[k].matrix)
+            assert np.allclose(h @ gens[s], mats[k])
 
 
 @pytest.mark.parametrize("name", _MODELS)

@@ -141,12 +141,16 @@ def test_hint_tree_and_flat_at_suspension_link():
 def test_most_singular_vertex_deterministic(a2_window):
     from buildctl.recognizer import check_euclidean
     cert = check_euclidean(a2_window.complex, "window")
-    v = most_singular_vertex(a2_window.complex, cert.link_certificates)
+    v, hints = most_singular_vertex(a2_window.complex, cert.link_certificates)
     # all interior links are the same irreducible hexagon: lexicographically
     # first interior vertex name wins
     interiors = sorted(a2_window.complex.vertices[vi]
                        for (vi,) in cert.link_certificates)
     assert a2_window.complex.vertices[v] == interiors[0]
+    # with the winner's factor hint, which is the certificate's factors
+    assert hints == euclidean_factor_hint(a2_window.complex, interiors[0],
+                                          cert.link_certificates[(v,)][1])
+    assert hints == cert.factors
 
 
 def test_join_decompose_suspended_heawood(s0_heawood, s0_heawood_cert):

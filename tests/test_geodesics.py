@@ -290,7 +290,10 @@ def test_shooting_grid_with_refinement_on_a3():
     import numpy as np
     model = coxeter_complex(named_matrix("A3"))
     cx = model.complex
-    coords = model.vertex_coords
+    # the rounded-key model numbers its vertices as the coset model does
+    ref = oracles.reference_coxeter_complex(named_matrix("A3"), 10 ** 6)
+    assert ref["names"] == list(cx.vertices)
+    coords = ref["vertex_coords"]
     hits = 0
     for i in range(len(cx.vertices)):
         for j in range(i + 1, len(cx.vertices)):

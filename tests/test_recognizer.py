@@ -900,16 +900,20 @@ def test_window_links_pay_once_per_shape(radius, interior, monkeypatch):
     vertex names, and every triangle is the unit equilateral one: the
     dimension-1 gates run once for all interior links, one corner angle is
     computed (``Angle.from_radians``) for the whole window, and validation
-    hands ``least_gram_eigenvalues`` one triangle.  No link goes through
+    runs one Cholesky test, on the one triangle shape (its 2x2 edge-vector
+    Gram matrix), and hands ``least_gram_eigenvalues`` only the first
+    link's six edges, which have a closed form.  No link goes through
     ``MetricComplex.__init__``, and the one graph built through
     ``MetricGraph.__init__`` is the first hexagon's: every shared copy
     reuses its checked edges."""
     import buildctl.complexes as complexes
+    import buildctl.linalg as linalg
     import buildctl.recognizer as recognizer
-    gates, angles, stacks, inits = [], [], [], []
+    gates, angles, stacks, inits, choleskys = [], [], [], [], []
     certify_graph, from_radians = recognizer._certify_graph, Angle.from_radians
     least, complex_init, graph_init = (complexes.least_gram_eigenvalues,
                                        MetricComplex.__init__, MetricGraph.__init__)
+    positive_definite = linalg.positive_definite
 
     def counting_gates(g):
         gates.append(g)
@@ -920,8 +924,13 @@ def test_window_links_pay_once_per_shape(radius, interior, monkeypatch):
         return from_radians(x)
 
     def counting_stacks(geometry, simplices):
-        stacks.append((geometry, len(simplices), len(simplices[0])))
+        if simplices:       # an empty stack solves nothing
+            stacks.append((geometry, len(simplices), len(simplices[0])))
         return least(geometry, simplices)
+
+    def counting_choleskys(A, shift=0.0):
+        choleskys.append(len(A))
+        return positive_definite(A, shift)
 
     def counting_init(init, kind):
         def wrapped(self, *args, **kwargs):
@@ -932,6 +941,7 @@ def test_window_links_pay_once_per_shape(radius, interior, monkeypatch):
     monkeypatch.setattr(recognizer, "_certify_graph", counting_gates)
     monkeypatch.setattr(Angle, "from_radians", staticmethod(counting_angles))
     monkeypatch.setattr(complexes, "least_gram_eigenvalues", counting_stacks)
+    monkeypatch.setattr(linalg, "positive_definite", counting_choleskys)
     window = gen_a2_window(radius).complex
     monkeypatch.setattr(MetricComplex, "__init__", counting_init(complex_init, "complex"))
     monkeypatch.setattr(MetricGraph, "__init__", counting_init(graph_init, "graph"))
@@ -939,7 +949,8 @@ def test_window_links_pay_once_per_shape(radius, interior, monkeypatch):
     assert len(cert.link_certificates) == interior
     assert len(gates) == 1 and len(angles) == 1
     assert {sub.verdict for _, sub in cert.link_certificates.values()} == {"thin_building"}
-    assert stacks == [("euclidean", 1, 3), ("spherical", 6, 1)]
+    assert choleskys == [2]
+    assert stacks == [("spherical", 6, 1)]
     assert inits == ["graph"]
 
 
