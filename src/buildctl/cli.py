@@ -6,10 +6,10 @@ ran out), 3 input or usage error.
 Budgets can be overridden through the BUILDCTL_BUDGETS environment variable,
 a JSON object of positive integers such as {"B_group": 100000, "B_apt": 10000}.
 Each command imports the modules it runs inside its function, after reading
-its input.  Only ``geodesic`` and ``apartment`` load numpy, and any command
-whose input has a simplex that fails the Gram test, to print that simplex's
-least eigenvalue; the rest of the linear algebra is the standard-library
-``linalg``.
+its input: ``check`` of a spherical graph or discrete set loads ``dim1``, not
+``recognizer``, and ``gen`` loads ``coxeter`` for ``coxeter-complex`` only.
+Only ``geodesic`` and ``apartment`` load numpy, and any command whose input
+has a simplex that fails the Gram test, to print its least eigenvalue.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _parse_point(g: MetricGraph, spec: str) -> GraphPoint:
 
 
 def report_of(result, extra: dict | None = None) -> dict:
-    from .recognizer import Diagnosis
+    from .dim1 import Diagnosis
     if isinstance(result, Diagnosis):
         rep = {"schema": 1, "verdict": None, "diagnosis": result.to_json()}
     else:
@@ -121,7 +121,7 @@ def report_of(result, extra: dict | None = None) -> dict:
 
 
 def exit_code_of(result) -> int:
-    from .recognizer import Diagnosis
+    from .dim1 import Diagnosis
     if isinstance(result, Diagnosis):
         # an undecided fundamental group is not a diagnosed failure
         if result.condition == "unknown_pi1":
@@ -134,7 +134,6 @@ def exit_code_of(result) -> int:
 
 def cmd_gen(args) -> int:
     from . import corpus
-    from .coxeter import B_GROUP_DEFAULT, CoxeterMatrix, coxeter_complex, named_matrix
     kind = args.kind
     make = corpus.GENERATORS.get(kind)
     if make is None and kind not in ("coxeter-complex", "suspension"):
@@ -145,6 +144,7 @@ def cmd_gen(args) -> int:
         if k not in takes:
             raise ComplexError(f"gen {kind} takes no --{k}")
     if kind == "coxeter-complex":
+        from .coxeter import B_GROUP_DEFAULT, CoxeterMatrix, coxeter_complex, named_matrix
         if args.matrix:
             with open(args.matrix, encoding="utf-8") as fh:
                 M = CoxeterMatrix.from_json_dict(json.load(fh))
@@ -175,11 +175,15 @@ def cmd_check(args) -> int:
     cx = load_path(args.file)
     cx.require_valid()
     b = budgets()
-    from .recognizer import B_APT_DEFAULT, check_euclidean, check_spherical
+    from .dim1 import B_APT_DEFAULT, check_dim1
     geometry = cx.geometry if args.geometry == "auto" else args.geometry
     if geometry == "euclidean":
+        from .recognizer import check_euclidean
         result = check_euclidean(cx, args.boundary, budget=b.get("B_apt", B_APT_DEFAULT))
+    elif cx.dimension <= 1:
+        result = check_dim1(cx, budget=b.get("B_apt", B_APT_DEFAULT))
     else:
+        from .recognizer import check_spherical
         result = check_spherical(cx, budget=b.get("B_apt", B_APT_DEFAULT))
     emit(report_of(result), args.report)
     return exit_code_of(result)

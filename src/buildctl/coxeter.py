@@ -188,15 +188,17 @@ def cosine_verdicts(M: CoxeterMatrix) -> tuple[tuple[tuple[int, ...], ...],
 
 def classify(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterClassification:
     """The sign test of ``cosine_verdicts``, with the group order of a
-    spherical system (unknown when enumeration exceeds the budget)."""
+    spherical system: A1 has order 2 and I2(m) order 2m, whatever the
+    budget, and a larger component is enumerated (unknown past the budget)."""
     comps, verdicts, verdict = cosine_verdicts(M)
     order: int | None = None
     known = True
     if verdict == "spherical":
         order = 1
         try:
-            for comp in comps:
-                order *= len(generate_reflection_group(M.submatrix(comp), budget=budget))
+            for comp in comps:          # m(s,s) = 1 for A1, m(s,t) = m for I2(m)
+                order *= (2 * M.m[comp[0]][comp[-1]] if len(comp) <= 2 else
+                          len(generate_reflection_group(M.submatrix(comp), budget=budget)))
         except BudgetExceeded:
             order = None
             known = False

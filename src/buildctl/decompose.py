@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .angles import Angle
 from .complexes import (ComplexError, MetricComplex, orthogonal_join,
                         vertex_link)
 from .coxeter import irreducible_components
-
-if TYPE_CHECKING:
-    from .recognizer import BuildingCertificate, Diagnosis
+from .dim1 import SUSPENSION, THICK, BuildingCertificate, Diagnosis, IntegrityError
 
 RIGHT = Angle.exact(1, 2)
 
@@ -108,8 +105,7 @@ def join_decompose(c: MetricComplex, cert: BuildingCertificate) -> list[JoinFact
     cell-for-cell (checked; violation raises IntegrityError).
     """
     # the recognizer imports this module, so its names are imported at use
-    from .recognizer import (IntegrityError, _subcomplex, _vertex_types,
-                             check_spherical)
+    from .recognizer import _subcomplex, _vertex_types, check_spherical
     c.require_valid()
     if cert.coxeter_matrix is None:
         return [JoinFactor(c, cert, tuple(range(c.dimension + 1)))]
@@ -131,7 +127,6 @@ def join_decompose(c: MetricComplex, cert: BuildingCertificate) -> list[JoinFact
 
 def _verify_reassembly(c: MetricComplex, parts: list[MetricComplex]):
     """The orthogonal join of the factors must equal the input isometrically."""
-    from .recognizer import IntegrityError
     joined = parts[0]
     for nxt in parts[1:]:
         joined = orthogonal_join(joined, nxt)
@@ -159,7 +154,7 @@ def euclidean_factor_hint(c: MetricComplex, x, link_cert) -> list[dict]:
     component is a flat direction (aggregated into a single R^l hint), and a
     rank >= 2 component is an irreducible building or cone factor.
     """
-    from .recognizer import SUSPENSION, THICK, Diagnosis, _vertex_types
+    from .recognizer import _vertex_types
     if isinstance(link_cert, Diagnosis):
         raise ComplexError("link is not certified; run the recognizer first")
     xi = c.vertex_index(x)
@@ -209,7 +204,6 @@ def most_singular_vertex(c: MetricComplex, link_certs: dict) -> tuple[int, list[
     """Lexicographically-first vertex among those with the most non-flat
     link factors (the proof's 'most complicated point', made deterministic),
     with its ``euclidean_factor_hint``."""
-    from .recognizer import Diagnosis
     best = None
     for (vi,), (L, cert) in sorted(link_certs.items(),
                                    key=lambda kv: c.vertices[kv[0][0]]):

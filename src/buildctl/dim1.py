@@ -1,0 +1,422 @@
+"""Recognition in dimension <= 1, the decidable base: the gates that decide
+whether a graph is a rank-2 building (or a discrete set a 0-dimensional
+one), the result types and names, and the hull search that ``recognizer``
+shares.  ``coxeter`` is loaded only for a certificate that carries it.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from typing import TYPE_CHECKING, Sequence
+
+from .angles import PiUnits, cmp_units, units_close
+from .complexes import SPHERICAL, ComplexError, MetricComplex
+from .metric_graph import Circle, MetricGraph
+
+if TYPE_CHECKING:
+    from .coxeter import CoxeterMatrix
+
+B_APT_DEFAULT = 10 ** 5
+ONE, TWO = Fraction(1), Fraction(2)     # pi and 2*pi in pi units
+
+# diagnosis conditions
+NOT_CONNECTED = "not_connected"
+VALENCE = "valence"
+SYSTOLE = "systole"
+DIAMETER = "diameter"
+EDGE_LENGTH_NONUNIFORM = "edge_length_nonuniform"
+LINK_FAILURE = "link_failure"
+CODIM1 = "codim1_cell_count"
+DEP_EMPTY = "dep_empty"
+DEP_NOT_DISCRETE = "dep_not_discrete"
+NOT_SIMPLY_CONNECTED = "not_simply_connected"
+UNKNOWN_PI1 = "unknown_pi1"
+NO_COMMON_APARTMENT = "no_common_apartment"
+HULL_NOT_ISOMETRIC = "hull_not_isometric_to_model"
+NO_OPPOSITE_CHAMBER = "no_opposite_chamber"
+APARTMENTS_INCOMPATIBLE = "apartments_incompatible"
+
+# verdicts
+THICK = "thick_building"
+THIN = "thin_building"
+SUSPENSION = "suspension"
+BUILDING = "building"          # mixed thickness: a join with thin factors
+MEB = "metric_euclidean_building"
+MEB_LOCAL = "metric_euclidean_building_local"
+
+FLAG_GLOBAL_UNVERIFIED = "global_cat1_unverified"
+FLAG_SAMPLED = "apartments_sampled"
+FLAG_AXIOM2_UNVERIFIED = "apartment_axiom2_unverified"
+FLAG_MIXED = "mixed_thickness"
+# a link certificate flagged with one of these leaves a Euclidean verdict undecided
+LINK_UNDECIDED = (FLAG_GLOBAL_UNVERIFIED, FLAG_SAMPLED, FLAG_AXIOM2_UNVERIFIED)
+
+
+@dataclass(frozen=True)
+class Diagnosis:
+    condition: str
+    witness: dict
+    inner: "Diagnosis | None" = None
+
+    def to_json(self) -> dict:
+        out = {"condition": self.condition, "witness": self.witness}
+        if self.inner is not None:
+            out["inner"] = self.inner.to_json()
+        return out
+
+
+@dataclass(frozen=True)
+class Apartment:
+    """A recognized apartment: a 2*pi cycle (dim 1) or a sphere subcomplex."""
+
+    kind: str                           # cycle | sphere
+    edges: tuple[int, ...] = ()         # dim 1: edge ids of the graph
+    vertices: tuple[int, ...] = ()      # dim 1: vertex cycle / dim >= 2: vertex set
+    cells: tuple[tuple, ...] = ()       # dim >= 2: top cells
+
+    def key(self):
+        return (self.kind, self.edges, self.cells)
+
+
+@dataclass
+class BuildingCertificate:
+    geometry: str
+    dimension: int
+    verdict: str
+    coxeter_matrix: CoxeterMatrix | None = None
+    m: int | None = None                        # dihedral parameter, dimension 1
+    apartments: tuple[Apartment, ...] = ()
+    apartments_exhaustive: bool = True
+    thickness: int | None = None
+    poles: tuple[str, str] | None = None        # suspension verdicts
+    base_size: int | None = None                # suspension: |Y|
+    vertex_types: tuple[int, ...] | None = None
+    factors: list | None = None
+    flags: tuple[str, ...] = ()
+    link_certificates: dict = field(default_factory=dict)
+    graph: MetricGraph | None = None            # dimension-1 carrier
+
+    def to_report(self) -> dict:
+        cox = None
+        if self.coxeter_matrix is not None:
+            cox = self.coxeter_matrix.to_json_dict()
+        out = {
+            "schema": 1,
+            "verdict": self.verdict,
+            "geometry": self.geometry,
+            "dimension": self.dimension,
+            "coxeter": cox,
+            "m": self.m,
+            "thickness": self.thickness,
+            "apartments": {"count": len(self.apartments),
+                           "exhaustive": self.apartments_exhaustive},
+            "flags": sorted(self.flags),
+        }
+        if self.poles is not None:
+            out["suspension"] = {"poles": list(self.poles), "base_size": self.base_size}
+        if self.factors is not None:
+            out["factors"] = self.factors
+        return out
+
+
+class IntegrityError(RuntimeError):
+    """A certified conclusion failed re-verification: internal inconsistency."""
+
+
+def check_dim1(c: MetricComplex, budget: int = B_APT_DEFAULT
+               ) -> BuildingCertificate | Diagnosis:
+    """``check_spherical`` for a complex of dimension <= 1: a graph, or a
+    discrete set, which is a building when it has two or more points."""
+    if c.geometry != SPHERICAL:
+        raise ComplexError("check_spherical needs a spherical complex")
+    c.require_valid()
+    return _with_cycles(_check_dim0(c) if c.dimension <= 0 else _certify_graph(c), budget)
+
+
+def recognize_dim1(g, budget: int = B_APT_DEFAULT) -> BuildingCertificate | Diagnosis:
+    """The 1-dimensional dichotomy: thick rank-2 building or suspension.
+
+    Gates, in order: connectivity; valence >= 3 after valence-2 suppression;
+    systole >= 2*pi; diameter = pi; uniform edge length pi/m.  m = 1 yields
+    the suspension verdict, m >= 2 the thick verdict with its apartment
+    system.  A single 2*pi circuit is the thin (Coxeter complex) case.
+    """
+    if isinstance(g, MetricComplex) and g.dimension == 1:
+        g.require_valid()
+    return _with_cycles(_certify_graph(g), budget)
+
+
+def _certify_graph(g) -> BuildingCertificate | Diagnosis:
+    """The gates of recognize_dim1, without the apartment system."""
+    graph = MetricGraph.from_complex(g) if isinstance(g, MetricComplex) else g
+    if not graph.is_connected():
+        return Diagnosis(NOT_CONNECTED, {"detail": "graph is not connected"})
+    sup = graph.suppress_degree2()
+    if isinstance(sup, Circle):
+        return _recognize_circle(graph, sup)
+    for v in range(len(sup.vertices)):
+        if sup.valence(v) < 3:
+            return Diagnosis(VALENCE, {"vertex": sup.vertices[v],
+                                       "valence": sup.valence(v)})
+    ok, cyc = sup.cat1()
+    if not ok:
+        names = [sup.vertices[v] for v in sup.cycle_vertices(cyc)]
+        length = sum(sup.edges[e][2] for e in cyc)
+        return Diagnosis(SYSTOLE, {"cycle": names,
+                                   "length_pi_units": float(length)})
+    if sup.diameter_cmp(ONE) != 0:
+        diam, wit = sup.diameter()
+        return Diagnosis(DIAMETER, {
+            "diameter_pi_units": float(diam),
+            "witness": [sup.point_name(wit[0]), sup.point_name(wit[1])] if wit else None})
+    m = _uniform_m(sup)
+    if isinstance(m, Diagnosis):
+        return m
+    if m == 1:
+        poles = tuple(sup.vertices)
+        return BuildingCertificate(
+            SPHERICAL, 1, SUSPENSION, coxeter_matrix=None, m=1,
+            apartments_exhaustive=False, thickness=2, poles=poles,
+            base_size=len(sup.edges), flags=(FLAG_SAMPLED,), graph=graph)
+    from .coxeter import dihedral       # loaded for a certificate that carries it
+    return BuildingCertificate(
+        SPHERICAL, 1, THICK, coxeter_matrix=dihedral(m), m=m,
+        apartments_exhaustive=False,
+        thickness=min(sup.valence(v) for v in range(len(sup.vertices))),
+        flags=(FLAG_SAMPLED,), graph=graph)
+
+
+def _recognize_circle(graph: MetricGraph, circ: Circle) -> BuildingCertificate | Diagnosis:
+    c = circ.circumference
+    side = cmp_units(c, TWO)
+    if side < 0:
+        return Diagnosis(SYSTOLE, {"cycle": list(circ.vertex_names),
+                                   "length_pi_units": float(c)})
+    if side > 0:
+        return Diagnosis(DIAMETER, {"diameter_pi_units": float(c) / 2.0})
+    l0 = graph.edges[0][2]
+    uniform = all(cmp_units(l0, ln) == 0 for _, _, ln in graph.edges)
+    m = _length_to_m(l0) if uniform else None
+    from .coxeter import dihedral
+    return BuildingCertificate(
+        SPHERICAL, 1, THIN, coxeter_matrix=None if m is None else dihedral(max(m, 2)),
+        m=m, apartments=(_walk_cycle(graph, set(range(len(graph.edges)))),),
+        apartments_exhaustive=True, thickness=2, graph=graph)
+
+
+def _length_to_m(ln: PiUnits) -> int | None:
+    if isinstance(ln, Fraction):
+        return ln.denominator if ln.numerator == 1 else None
+    m = round(1 / ln)
+    return m if m >= 1 and cmp_units(ln, 1 / m) == 0 else None
+
+
+def _uniform_m(sup: MetricGraph) -> int | Diagnosis:
+    def ends(eid):
+        return [sup.vertices[v] for v in sup.edges[eid][:2]]
+
+    l0 = sup.edges[0][2]
+    for eid, (_, _, ln) in enumerate(sup.edges):
+        if not units_close(l0, ln):
+            return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
+                "edges": [ends(0), ends(eid)],
+                "lengths_pi_units": [float(l0), float(ln)]})
+    m = _length_to_m(l0)
+    if m is None:
+        return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
+            "edges": [ends(0)],
+            "detail": f"uniform length {float(l0)}*pi is not pi/m for integer m"})
+    return m
+
+
+def _check_dim0(c: MetricComplex) -> BuildingCertificate | Diagnosis:
+    k = len(c.vertices)
+    if k < 2:
+        return Diagnosis(VALENCE, {"detail": f"discrete set of {k} < 2 points"})
+    apartments = tuple(Apartment("cycle", vertices=pair)
+                       for pair in itertools.combinations(range(k), 2))
+    return BuildingCertificate(SPHERICAL, 0, THICK if k >= 3 else THIN,
+                               thickness=k, apartments=apartments)
+
+
+def enumerate_apartments_dim1(g: MetricGraph, m: int, budget: int = B_APT_DEFAULT
+                              ) -> tuple[tuple[Apartment, ...], bool]:
+    """The apartments of g, a generalized m-gon, as convex hulls of opposite
+    chambers (``_opposite_hulls``), with l(w0) = m and |W| = 2m.
+
+    A chamber is a chain of g: a maximal edge path whose inner vertices have
+    valence 2, one edge of the suppressed graph; two chains are adjacent when
+    they share a vertex of valence >= 3.  No length is read, so subdivided
+    and float graphs give the apartments of their suppressed graph.  Each
+    kept hull is walked as a cycle from its least edge id e0 = (u0, v0),
+    from u0 to v0.  The budget counts hulls evaluated."""
+    adj = g.adjacency
+    chain = [-1] * len(g.edges)             # edge -> its chain, by least edge id
+    chains: list[list[int]] = []
+    for e0 in range(len(g.edges)):
+        if chain[e0] < 0:
+            stack = [e0]
+            for e in stack:                 # the list grows as it is walked
+                chain[e] = len(chains)
+                stack += [f for x in g.edges[e][:2] if len(adj[x]) == 2
+                          for _, f, _ in adj[x] if chain[f] < 0 and f not in stack]
+            chains.append(stack)
+    nbrs = [0] * len(chains)
+    for around in adj.values():
+        if len(around) != 2:
+            mask = sum({1 << chain[e] for _, e, _ in around})
+            for k in _bits(mask):
+                nbrs[k] |= mask & ~(1 << k)
+    hulls, exhaustive, _ = _opposite_hulls(nbrs, m, 2 * m, budget)
+    return tuple(sorted((_walk_cycle(g, {e for k in _bits(h) for e in chains[k]})
+                         for h in hulls), key=Apartment.key)), exhaustive
+
+
+def _walk_cycle(g: MetricGraph, edges: set[int]) -> Apartment:
+    """The edge set as one closed cycle from its least edge id e0 = (u0, v0),
+    from u0 to v0; IntegrityError when it is no single cycle."""
+    e0 = min(edges)
+    u0, x, _ = g.edges[e0]
+    eids, verts = [e0], [u0]
+    while x != u0:
+        out = [f for _, f, _ in g.adjacency[x] if f in edges and f != eids[-1]]
+        if len(out) != 1:
+            break
+        verts.append(x)
+        eids.append(out[0])
+        x = sum(g.edges[out[0]][:2]) - x        # the far end of that edge
+    if x != u0 or len(eids) != len(edges):
+        raise IntegrityError(f"apartment edges {sorted(edges)} are no cycle")
+    return Apartment("cycle", edges=tuple(eids), vertices=tuple(verts))
+
+
+def _with_cycles(cert, budget: int) -> BuildingCertificate | Diagnosis:
+    """A copy of a certificate of dimension <= 1 with its apartment system,
+    the cycles of ``enumerate_apartments_dim1``."""
+    if isinstance(cert, Diagnosis):
+        return cert
+    if cert.apartments_exhaustive:      # complete by construction
+        return replace(cert)
+    g = cert.graph
+    found, exhaustive = enumerate_apartments_dim1(g, cert.m, budget=budget)
+    return _with_axiom1(cert, found, exhaustive, range(len(g.edges)),
+                        [e[:2] for e in g.edges], g.vertices, [a.edges for a in found])
+
+
+def _with_axiom1(cert, found, exhaustive: bool, chambers, cells, names, members
+                 ) -> BuildingCertificate | Diagnosis:
+    """(B1) on the apartments ``found`` (``members`` lists the chambers of
+    each, ``cells`` each chamber's vertices), alike on edge ids or top
+    cells, and the copy of the certificate with them and their flags."""
+    flags = set(cert.flags) - {FLAG_SAMPLED}
+    pair = _uncovered_chamber_pair(chambers, members)
+    if pair is not None and exhaustive:
+        return Diagnosis(NO_COMMON_APARTMENT, {"chambers": [
+            [names[v] for v in cells[k]] for k in pair]})
+    if pair is not None:
+        flags.add(FLAG_AXIOM2_UNVERIFIED)
+    if not exhaustive:
+        flags.add(FLAG_SAMPLED)
+    return replace(cert, apartments=found, apartments_exhaustive=exhaustive,
+                   flags=tuple(sorted(flags)))
+
+
+def _uncovered_chamber_pair(chambers: Sequence, apartments: Sequence[Sequence]
+                            ) -> tuple[int, int] | None:
+    """Axiom (2), exactly, on chambers: the first index pair (i, j), i <= j,
+    of chambers that no apartment contains both of, or None.
+
+    ``apartments`` lists the chambers of each apartment.  Any two cells lie
+    in chambers, and an apartment containing both chambers contains both
+    cells, so chamber pairs decide the axiom.  Each apartment is an int
+    bitmask of its chambers; a chamber's cover is the OR of the masks of the
+    apartments through it, and a bit missing from it names the witness.
+    """
+    index = {ch: k for k, ch in enumerate(chambers)}
+    cover = [0] * len(chambers)
+    for apt in apartments:
+        mask = 0
+        for ch in apt:
+            mask |= 1 << index[ch]
+        for ch in apt:
+            cover[index[ch]] |= mask
+    full = (1 << len(chambers)) - 1
+    for i, got in enumerate(cover):
+        if got != full:
+            missing = full & ~got
+            return i, (missing & -missing).bit_length() - 1
+    return None
+
+
+def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int
+                    ) -> tuple[list[int], bool, int | None]:
+    """The convex hulls of opposite chambers that are apartments, as chamber
+    bitmasks, whether the search was exhaustive, and the first chamber whose
+    distance layer at depth ``top`` is empty, or None.
+
+    In a spherical building two chambers at gallery distance l(w0) = top
+    lie in exactly one apartment, the chambers on their minimal galleries
+    {E : d(C,E) + d(E,D) = top}, and every apartment through C holds a
+    chamber opposite C (Abramenko-Brown, Buildings, ch. 4), so the hulls of
+    opposite pairs are the whole apartment system.  Chamber k has neighbour
+    bitmask nbrs[k]; its distance layers (a breadth-first search cut at
+    depth top) are computed once, i's while i or a pair (i, j > i) is in no
+    kept hull and j's when (i, j) is evaluated, so a thin sphere costs two;
+    so every chamber in no kept hull is searched from, and one with no
+    chamber at distance top is named (it has no opposite).  A
+    hull of other than ``order`` = |W| chambers is no apartment and is not
+    kept; a pair already inside a kept hull is not evaluated again, so a
+    building costs one hull per apartment.  The budget counts hulls
+    evaluated, and the search is exhaustive when none was cut off."""
+    layers = [None] * len(nbrs)
+    cover = [0] * len(nbrs)
+    hulls = []
+    lonely = None
+    evaluated = 0
+    for i in range(len(nbrs)):
+        if cover[i] and (cover[i] >> (i + 1)).bit_count() == len(nbrs) - i - 1:
+            continue                    # i and every pair (i, j > i) are in a kept hull
+        li = layers[i] = layers[i] or _distance_layers(nbrs, i, top)
+        if not li[top] and lonely is None:
+            lonely = i
+        todo = li[top] >> (i + 1) << (i + 1)
+        while todo := todo & ~cover[i]:
+            j = (todo & -todo).bit_length() - 1
+            todo ^= 1 << j
+            if evaluated == budget:
+                return hulls, False, lonely
+            evaluated += 1
+            lj = layers[j] = layers[j] or _distance_layers(nbrs, j, top)
+            hull = 0
+            for d in range(top + 1):
+                hull |= li[d] & lj[top - d]
+            if hull.bit_count() == order:
+                hulls.append(hull)
+                for k in _bits(hull):
+                    cover[k] |= hull
+    return hulls, True, lonely
+
+
+def _distance_layers(nbrs: Sequence[int], start: int, depth: int) -> list[int]:
+    """Bitmasks of the vertices at distance 0..depth from start, in the graph
+    whose vertex k has neighbour bitmask nbrs[k]."""
+    seen = frontier = 1 << start
+    layers = [frontier]
+    for _ in range(depth):
+        reach = 0
+        for k in _bits(frontier):
+            reach |= nbrs[k]
+        frontier = reach & ~seen
+        seen |= frontier
+        layers.append(frontier)
+    return layers
+
+
+def _bits(mask: int):
+    """The set bit positions of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

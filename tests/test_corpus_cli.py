@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -212,6 +213,120 @@ def test_cli_budgets_checked_before_library_imports(tmp_path):
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, False, 3, False]
+
+
+def test_cli_dim1_check_loads_no_recognizer(tmp_path):
+    """``check`` of a spherical graph or discrete set runs ``dim1`` alone: a
+    positive, a diagnosis (K3,3 with one edge lengthened), a text report and
+    a dimension-0 check load no recognizer, geodesics, homotopy or
+    decompose; the diagnosis and the discrete set load no coxeter either,
+    and neither does ``gen complete-bipartite``.  A dimension-2 check loads
+    all of them.  Each command runs in a fresh interpreter."""
+    from buildctl.complexes import MetricComplex
+    k33 = gen_rank2_building("complete_bipartite")
+    f = tmp_path / "k33.json"
+    f.write_text(k33.dumps())
+    obj = json.loads(k33.dumps())
+    obj["edge_lengths"][0]["pi"] = [7, 12]
+    neg = tmp_path / "k33-long.json"
+    neg.write_text(json.dumps(obj))
+    pts = tmp_path / "points.json"
+    pts.write_text(MetricComplex("spherical", ["a", "b", "c"], [(0,), (1,), (2,)], []).dumps())
+    octa = tmp_path / "oct.json"
+    octa.write_text(gen_octahedron().dumps())
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from buildctl.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n")
+    heavy = {"buildctl." + m for m in ("recognizer", "geodesics", "homotopy", "decompose")}
+    cox = {"buildctl.coxeter"}
+    cases = [(["check", str(f)], 0, heavy),
+             (["check", str(neg)], 1, heavy | cox),
+             (["check", str(f), "--report", "text"], 0, heavy),
+             (["check", str(pts)], 0, heavy | cox),
+             (["gen", "complete-bipartite", "-o", str(tmp_path / "out.json")], 0, heavy | cox)]
+    for argv, want, absent in cases:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        got, loaded = json.loads(proc.stdout)
+        assert got == want and "buildctl.cli" in loaded, argv
+        assert not absent & set(loaded), (argv, sorted(absent & set(loaded)))
+    proc = subprocess.run([sys.executable, "-c", code, "check", str(octa)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert heavy | cox <= set(json.loads(proc.stdout)[1])
+
+
+def _dim1_inputs() -> dict:
+    """JSON texts of spherical complexes of dimension <= 1: every corpus
+    graph, K4,4, a float copy of Heawood, a 2*pi hexagon, each with one
+    seeded edge lengthened and one shortened by pi/12, and discrete sets of
+    one, two and three points."""
+    import random
+    from fractions import Fraction
+    from buildctl.complexes import MetricComplex
+    from buildctl.corpus import GENERATORS
+    out = {kind: make() for kind, make in GENERATORS.items()}
+    out = {kind: c for kind, c in out.items() if c.dimension <= 1}
+    out["k44"] = gen_rank2_building("complete_bipartite", s=4, t=4)
+    third = Angle.exact(1, 3)
+    out["hexagon"] = MetricComplex("spherical", [f"v{i}" for i in range(6)],
+                                   [(i, (i + 1) % 6) for i in range(6)],
+                                   [(i, (i + 1) % 6, third) for i in range(6)])
+    texts = {name: c.dumps() for name, c in out.items()}
+    obj = json.loads(texts["projective-plane"])
+    for rec in obj["edge_lengths"]:
+        rec.pop("pi")
+        rec["rad"] = math.pi / 3
+    texts["heawood-float"] = json.dumps(obj)
+    for name in sorted(texts):
+        obj = json.loads(texts[name])
+        k = random.Random(name).randrange(len(obj["edge_lengths"]))
+        for sign, tag in ((1, "long"), (-1, "short")):
+            rec = dict(obj["edge_lengths"][k])
+            ln = Fraction(*rec.pop("pi")) if "pi" in rec else Fraction(rec.pop("rad") / math.pi)
+            ln += sign * Fraction(1, 12)
+            rec["pi"] = [ln.numerator, ln.denominator]
+            edges = list(obj["edge_lengths"])
+            edges[k] = rec
+            texts[f"{name}-{tag}"] = json.dumps({**obj, "edge_lengths": edges})
+    for k in (1, 2, 3):
+        texts[f"points{k}"] = MetricComplex(
+            "spherical", [f"p{i}" for i in range(k)], [(i,) for i in range(k)], []).dumps()
+    return texts
+
+
+def test_cli_dim1_route_matches_check_spherical(tmp_path, capsys):
+    """``buildctl check`` on a complex of dimension <= 1 (``dim1.check_dim1``)
+    prints the same report bytes and exits with the same code as
+    ``recognizer.check_spherical`` in process and as the recognizer's
+    memoized local certificate with its apartment layer, which certifies
+    the links of higher-dimensional complexes."""
+    import buildctl.recognizer as recognizer
+    from buildctl.cli import emit, exit_code_of, report_of
+    from buildctl.complexes import loads
+    inputs = _dim1_inputs()
+    assert len(inputs) == 27
+    codes = set()
+    for name, text in sorted(inputs.items()):
+        f = tmp_path / "in.json"
+        f.write_text(text)
+        capsys.readouterr()
+        code = main(["check", str(f)])
+        printed = capsys.readouterr().out
+        c = loads(text)
+        local = recognizer._with_apartments(c, recognizer._certify(c),
+                                            recognizer.B_APT_DEFAULT)
+        for res in (check_spherical(loads(text)), local):
+            out = io.StringIO()
+            emit(report_of(res), "json", out)
+            assert out.getvalue() == printed, name
+            assert exit_code_of(res) == code, name
+        codes.add(code)
+    assert codes == {0, 1}
 
 
 def test_cli_metric_graph_commands_do_not_load_numpy(tmp_path):
@@ -509,17 +624,23 @@ def test_cli_group_budget_exhausted_exit2(monkeypatch, capsys):
 
 def test_cli_integrity_error_is_not_an_exit_code(tmp_path, monkeypatch):
     """Only an exhausted budget maps to exit 2: an internal inconsistency
-    still surfaces as an exception."""
+    still surfaces as an exception, from the dimension-1 route (K3,3) and
+    from the recognizer (the octahedron)."""
+    import buildctl.dim1 as dim1
     import buildctl.recognizer as recognizer
     f = tmp_path / "k33.json"
     f.write_text(gen_rank2_building("complete_bipartite").dumps())
+    g = tmp_path / "oct.json"
+    g.write_text(gen_octahedron().dumps())
 
     def broken(*args, **kwargs):
         raise recognizer.IntegrityError("inconsistent")
 
+    monkeypatch.setattr(dim1, "check_dim1", broken)
     monkeypatch.setattr(recognizer, "check_spherical", broken)
-    with pytest.raises(recognizer.IntegrityError):
-        main(["check", str(f)])
+    for path in (f, g):
+        with pytest.raises(recognizer.IntegrityError):
+            main(["check", str(path)])
 
 
 def test_cli_geodesic_budget_exhausted_exit2(tmp_path, capsys):

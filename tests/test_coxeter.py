@@ -59,6 +59,23 @@ def test_classify_rank2_finite_always_spherical():
         assert cls.verdict == "spherical" and cls.group_order == 2 * m
 
 
+def test_classify_reads_dihedral_orders_off_the_matrix():
+    """A rank-1 component has order 2 and I2(m) order 2m (Humphreys, 1.1),
+    which enumeration confirms for m <= 30; classify reads them off the
+    matrix, so they are known under a budget of one element, up to m = 10^4
+    and in a product, while a rank-3 component is still enumerated."""
+    assert len(generate_reflection_group(named_matrix("A1"))) == 2
+    for m in range(2, 31):
+        assert len(generate_reflection_group(dihedral(m))) == 2 * m
+    for m in range(2, 10 ** 4 + 1):
+        cls = classify(dihedral(m), budget=1)
+        assert cls.group_order == 2 * m and cls.order_known, m
+    product = CoxeterMatrix(("x", "s", "t"), ((1, 2, 2), (2, 1, 5000), (2, 5000, 1)))
+    assert classify(product, budget=1).group_order == 20000
+    assert classify(named_matrix("A1xI2(3)"), budget=1).group_order == 12
+    assert classify(named_matrix("A3"), budget=1).group_order is None
+
+
 def test_classify_infinite_dihedral():
     cls = classify(CoxeterMatrix(("s", "t"), ((1, 0), (0, 1))))
     assert cls.verdict == "euclidean"

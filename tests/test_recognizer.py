@@ -328,8 +328,8 @@ def test_dim1_uncovered_edge_pair_is_a_diagnosis(heawood, monkeypatch):
     exhaustive that leaves an edge pair in no apartment is the
     ``no_common_apartment`` diagnosis naming both edges by their ends (the
     edges of the apartment dropped here, and of no other), not an error."""
-    import buildctl.recognizer as recognizer
-    original = recognizer.enumerate_apartments_dim1
+    import buildctl.dim1 as dim1
+    original = dim1.enumerate_apartments_dim1
     g = MetricGraph.from_complex(heawood)
     full, _ = original(g, 3)
 
@@ -338,7 +338,7 @@ def test_dim1_uncovered_edge_pair_is_a_diagnosis(heawood, monkeypatch):
         assert exhaustive and found == full
         return found[1:], exhaustive
 
-    monkeypatch.setattr(recognizer, "enumerate_apartments_dim1", one_short)
+    monkeypatch.setattr(dim1, "enumerate_apartments_dim1", one_short)
     res = recognize_dim1(heawood)
     assert isinstance(res, Diagnosis) and res.condition == "no_common_apartment"
     ends = {frozenset(g.vertices[v] for v in g.edges[e][:2]): e for e in range(len(g.edges))}
@@ -1327,13 +1327,14 @@ def test_no_surface_growth_in_thin_complexes(heawood, monkeypatch):
     quotient RP^2 of B3 has no opposite chambers and no hull.  No sector
     propagation runs for any of them, and S0*S0*Heawood searches from fewer
     chambers than it has."""
+    import buildctl.dim1 as dim1
     import buildctl.recognizer as recognizer
     from buildctl.complexes import loads
     from buildctl.coxeter import CoxeterMatrix
     calls = _counting_propagation(monkeypatch)
     searches = []
-    layers = recognizer._distance_layers
-    monkeypatch.setattr(recognizer, "_distance_layers",
+    layers = dim1._distance_layers
+    monkeypatch.setattr(dim1, "_distance_layers",
                         lambda nbrs, k, top: searches.append(k) or layers(nbrs, k, top))
     h3 = CoxeterMatrix(("s0", "s1", "s2"), ((1, 5, 2), (5, 1, 3), (2, 3, 1)))
     thin = [gen_octahedron(), _a4_complex(), loads(_a4_complex().dumps())] + \
