@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Union
@@ -134,20 +133,49 @@ def kernel_units(values, factor: int = 1) -> tuple[int | None, tuple]:
     return None, tuple(float(v) for v in values)
 
 
-@dataclass(frozen=True)
-class Angle:
+class Frozen:
+    """An immutable record.  Its fields are its ``__slots__``, set once in
+    ``__init__`` through ``object.__setattr__``; records of one class with
+    equal fields compare and hash equal, and assignment raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Angle(Frozen):
     """An edge length / angle, exact (Fraction of pi) or approximate (radians)."""
 
-    frac: Fraction | None = None
-    rad: float | None = None
+    __slots__ = ("frac", "rad")
 
-    def __post_init__(self):
-        if (self.frac is None) == (self.rad is None):
+    def __init__(self, frac: Fraction | None = None, rad: float | None = None):
+        if (frac is None) == (rad is None):
             raise ValueError("Angle needs exactly one of frac, rad")
-        if self.frac is not None and self.frac <= 0:
-            raise ValueError(f"nonpositive exact angle {self.frac}")
-        if self.rad is not None and not (self.rad > 0):
-            raise ValueError(f"nonpositive angle {self.rad}")
+        if frac is not None and frac <= 0:
+            raise ValueError(f"nonpositive exact angle {frac}")
+        if rad is not None and not (rad > 0):
+            raise ValueError(f"nonpositive angle {rad}")
+        object.__setattr__(self, "frac", frac)
+        object.__setattr__(self, "rad", rad)
+
+    def __repr__(self):
+        return f"Angle(frac={self.frac!r}, rad={self.rad!r})"
 
     @staticmethod
     def exact(p: int, q: int = 1) -> "Angle":

@@ -6,16 +6,18 @@ ran out), 3 input or usage error.
 Budgets can be overridden through the BUILDCTL_BUDGETS environment variable,
 a JSON object of positive integers such as {"B_group": 100000, "B_apt": 10000}.
 Each command imports the modules it runs inside its function, after reading
-its input: ``check`` of a spherical graph or discrete set loads ``dim1``, not
-``recognizer``, and ``gen`` loads ``coxeter`` for ``coxeter-complex`` only.
-Only ``geodesic`` and ``apartment`` load numpy, and any command whose input
-has a simplex that fails the Gram test, to print its least eigenvalue.
+its input: ``check`` and ``decompose`` of a spherical graph or discrete set
+load ``dim1``, not ``recognizer`` (with its ``geodesics`` and ``homotopy``),
+and ``gen`` loads ``coxeter`` for ``coxeter-complex`` only.  No command
+loads ``dataclasses`` or ``inspect``: buildctl's records are plain classes,
+and every process would otherwise pay for compiling them.  Only ``geodesic``
+and ``apartment`` load numpy, and any command whose input has a simplex that
+fails the Gram test, to print its least eigenvalue.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -96,16 +98,23 @@ def _parse_point(g: MetricGraph, spec: str) -> GraphPoint:
     from .metric_graph import GraphPoint
     if ":" in spec:
         e, t = spec.split(":", 1)
-        eid = int(e)
+        try:
+            eid = int(e)
+        except ValueError:
+            raise ComplexError(f"bad point {spec!r}: edge id {e!r} is not an integer") from None
         if not 0 <= eid < len(g.edges):
             raise ComplexError(f"bad point {spec!r}: no edge {eid}")
         try:
             tv = Fraction(t) if "/" in t or t.isdigit() else float(t)
         except ZeroDivisionError:
             raise ComplexError(f"bad point {spec!r}: zero denominator") from None
+        except ValueError:
+            raise ComplexError(f"bad point {spec!r}: offset {t!r} is not a number") from None
         if isinstance(tv, float) and not math.isfinite(tv):
             raise ComplexError(f"bad point {spec!r}: offset is not finite")
         return g.point(eid, tv)
+    if spec not in g.vertices:
+        raise ComplexError(f"bad point {spec!r}: no vertex named {spec!r}")
     return GraphPoint(vertex=g.vertices.index(spec))
 
 
@@ -139,7 +148,7 @@ def cmd_gen(args) -> int:
     if make is None and kind not in ("coxeter-complex", "suspension"):
         raise ComplexError(f"unknown generator {kind!r}")
     options = {k: getattr(args, k) for k in GEN_OPTIONS if getattr(args, k) is not None}
-    takes = inspect.signature(make).parameters if make else {}
+    takes = make.__code__.co_varnames[:make.__code__.co_argcount] if make else ()
     for k in options:
         if k not in takes:
             raise ComplexError(f"gen {kind} takes no --{k}")
@@ -249,7 +258,11 @@ def cmd_geodesic(args) -> int:
     lk = vertex_link(cx, vi)
     g = MetricGraph.from_complex(lk)
     if args.dir.startswith("v:"):
-        dp = GraphPoint(vertex=lk.vertices.index(args.dir[2:]))
+        name = args.dir[2:]
+        if name not in lk.vertices:
+            raise ComplexError(f"bad direction {args.dir!r}: the link of {args.from_!r} "
+                               f"has no vertex named {name!r}")
+        dp = GraphPoint(vertex=lk.vertices.index(name))
     else:
         dp = _parse_point(g, args.dir)
     length = parse_length(args.len).radians
@@ -281,12 +294,12 @@ def cmd_apartment(args) -> int:
 
 def cmd_decompose(args) -> int:
     cx = load_path(args.file)
-    from .decompose import join_decompose, suspension_factor
-    from .recognizer import BuildingCertificate, Diagnosis, check_spherical
+    from .decompose import join_decompose, spherical_answer, suspension_factor
+    from .dim1 import BuildingCertificate, Diagnosis
     if cx.geometry == "euclidean":
         raise ComplexError("decompose handles spherical complexes; "
                            "Euclidean factor hints are part of `check`")
-    result = check_spherical(cx)
+    result = spherical_answer(cx)
     if isinstance(result, Diagnosis):
         emit(report_of(result), args.report)
         return EXIT_DIAGNOSED

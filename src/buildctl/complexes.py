@@ -18,12 +18,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .angles import Angle, EPS_GRAM, PiUnits, cmp_units
+from .angles import Angle, EPS_GRAM, Frozen, PiUnits, cmp_units
 
 SPHERICAL = "spherical"
 EUCLIDEAN = "euclidean"
@@ -40,20 +39,27 @@ class InvalidComplexError(ValueError):
     """A complex that failed validation was passed to a downstream operation."""
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    kind: str          # purity | gluing | shape | length_missing | length_range | connectivity
-    where: tuple       # cell / edge / vertex names involved
-    detail: str
+class ValidationIssue(Frozen):
+    """``kind`` is purity | gluing | shape | length_missing | length_range |
+    connectivity; ``where`` the cell / edge / vertex names involved."""
+
+    __slots__ = ("kind", "where", "detail")
+
+    def __init__(self, kind: str, where: tuple, detail: str):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "where", where)
+        object.__setattr__(self, "detail", detail)
 
     def to_json(self):
         return {"kind": self.kind, "where": list(self.where), "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    issues: tuple[ValidationIssue, ...]
+class ValidationReport(Frozen):
+    __slots__ = ("ok", "issues")
+
+    def __init__(self, ok: bool, issues: tuple[ValidationIssue, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "issues", issues)
 
     def to_json(self):
         return {"ok": self.ok, "issues": [i.to_json() for i in self.issues]}

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .angles import Angle
 from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, MetricComplex,
@@ -110,13 +109,14 @@ def gen_punctured_octahedron() -> MetricComplex:
                          [(i, j, oct_.edge_length(i, j)) for i, j in oct_.edges])
 
 
-@dataclass
 class WindowModel:
     """A finite flat window with its canonical plane coordinates."""
 
-    complex: MetricComplex
-    coords: dict[int, tuple[float, float]]
-    name: str
+    def __init__(self, complex: MetricComplex, coords: dict[int, tuple[float, float]],
+                 name: str):
+        self.complex = complex
+        self.coords = coords
+        self.name = name
 
 
 SQRT3_2 = 3 ** 0.5 / 2

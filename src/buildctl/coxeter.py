@@ -17,10 +17,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from .angles import Angle, EPS_GRAM
+from .angles import Angle, EPS_GRAM, Frozen
 from .complexes import MetricComplex, SPHERICAL
 
 INFINITE = 0          # JSON and internal encoding of m(s,t) = infinity
@@ -35,26 +34,25 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
-    generators: tuple[str, ...]
-    m: tuple[tuple[int, ...], ...]
+class CoxeterMatrix(Frozen):
+    __slots__ = ("generators", "m")
 
-    def __post_init__(self):
-        n = len(self.generators)
-        if len(set(self.generators)) != n:
+    def __init__(self, generators: tuple[str, ...], m: Sequence[Sequence[int]]):
+        n = len(generators)
+        if len(set(generators)) != n:
             raise CoxeterError("duplicate generator names")
-        if len(self.m) != n or any(len(r) != n for r in self.m):
+        if len(m) != n or any(len(r) != n for r in m):
             raise CoxeterError("matrix shape does not match generators")
         for i in range(n):
-            if self.m[i][i] != 1:
+            if m[i][i] != 1:
                 raise CoxeterError(f"m({i},{i}) must be 1")
             for j in range(n):
-                if self.m[i][j] != self.m[j][i]:
+                if m[i][j] != m[j][i]:
                     raise CoxeterError("matrix not symmetric")
-                if i != j and self.m[i][j] != INFINITE and self.m[i][j] < 2:
+                if i != j and m[i][j] != INFINITE and m[i][j] < 2:
                     raise CoxeterError(f"m({i},{j}) must be >= 2 or infinite")
-        object.__setattr__(self, "m", tuple(tuple(r) for r in self.m))
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "m", tuple(tuple(r) for r in m))
 
     @property
     def rank(self) -> int:
@@ -94,7 +92,11 @@ def named_matrix(name: str) -> CoxeterMatrix:
     """A small table of named systems used by the corpus and tests."""
     key = name.upper().replace(" ", "")
     if key.startswith("I2(") and key.endswith(")"):
-        return dihedral(int(key[3:-1]))
+        m = key[3:-1]
+        # m = 0 would be INFINITE, the infinite dihedral group: no I2 type
+        if not (m.isdecimal() and int(m) >= 2):
+            raise CoxeterError(f"bad Coxeter type {name!r}: I2(m) needs an integer m >= 2")
+        return dihedral(int(m))
     table = {
         "A1": ((1,),),
         "A2": ((1, 3), (3, 1)),
@@ -142,13 +144,15 @@ def irreducible_components(M: CoxeterMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(comps))
 
 
-@dataclass(frozen=True)
 class CoxeterClassification:
-    verdict: str                       # spherical | euclidean | other
-    components: tuple[tuple[int, ...], ...]
-    component_verdicts: tuple[str, ...]
-    group_order: int | None            # None means infinite or unknown
-    order_known: bool
+    def __init__(self, verdict: str, components: tuple[tuple[int, ...], ...],
+                 component_verdicts: tuple[str, ...], group_order: int | None,
+                 order_known: bool):
+        self.verdict = verdict              # spherical | euclidean | other
+        self.components = components
+        self.component_verdicts = component_verdicts
+        self.group_order = group_order      # None means infinite or unknown
+        self.order_known = order_known
 
     def to_json(self):
         return {
@@ -205,10 +209,17 @@ def classify(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterClassifi
     return CoxeterClassification(verdict, comps, verdicts, order, known)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    word: tuple[int, ...]      # reduced-by-construction generator word
-    right: tuple[int, ...] = field(repr=False, compare=False)  # s -> index of g*s
+class GroupElement(Frozen):
+    """A group element, compared and hashed by its word alone."""
+
+    __slots__ = ("word", "right")
+
+    def __init__(self, word: tuple[int, ...], right: tuple[int, ...]):
+        object.__setattr__(self, "word", word)      # reduced-by-construction generator word
+        object.__setattr__(self, "right", right)    # s -> index of g*s
+
+    def _fields(self) -> tuple:
+        return (self.word,)
 
 
 def _root_permutations(B: list[list[float]], budget: int) -> list[list[int]]:
@@ -278,13 +289,15 @@ def generate_reflection_group(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT
     return [GroupElement(*e) for e in zip(words, right)]
 
 
-@dataclass
 class CoxeterComplexModel:
-    system: CoxeterMatrix
-    elements: list[GroupElement]
-    complex: MetricComplex
-    chamber_of: dict[tuple[int, ...], tuple]     # word -> top cell
-    vertex_types: tuple[int, ...]                # per complex vertex
+    def __init__(self, system: CoxeterMatrix, elements: list[GroupElement],
+                 complex: MetricComplex, chamber_of: dict[tuple[int, ...], tuple],
+                 vertex_types: tuple[int, ...]):
+        self.system = system
+        self.elements = elements
+        self.complex = complex
+        self.chamber_of = chamber_of        # word -> top cell
+        self.vertex_types = vertex_types    # per complex vertex
 
 
 def coxeter_complex(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterComplexModel:

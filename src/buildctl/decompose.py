@@ -3,20 +3,21 @@
 Suspension factors are found by the pole test (a non-adjacent vertex pair
 with all cross edges pi/2 whose join with the complement reconstructs the
 complex); join decomposition splits along the irreducible components of the
-certified Coxeter matrix and re-verifies by reassembly.  Euclidean factor
-structure is reported as link-level hints only.
+certified Coxeter matrix and re-verifies by reassembly; a factor of
+dimension <= 1 is decided by ``dim1``, so a graph is decomposed without the
+recognizer.  Euclidean factor structure is reported as link-level hints only.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .angles import Angle
 from .complexes import (ComplexError, MetricComplex, orthogonal_join,
                         vertex_link)
 from .coxeter import irreducible_components
-from .dim1 import SUSPENSION, THICK, BuildingCertificate, Diagnosis, IntegrityError
+from .dim1 import (SUSPENSION, THICK, BuildingCertificate, Diagnosis, IntegrityError,
+                   _subcomplex, _vertex_types, check_dim1)
 
 RIGHT = Angle.exact(1, 2)
 
@@ -62,10 +63,10 @@ def _reconstructs_as_suspension(c: MetricComplex, p: int, q: int) -> bool:
     return expected == set(c.top_cells)
 
 
-@dataclass
 class SuspensionFactorization:
-    pole_pairs: list[tuple[str, str]]
-    base: MetricComplex | None         # None when the final base is empty
+    def __init__(self, pole_pairs: list[tuple[str, str]], base: MetricComplex | None):
+        self.pole_pairs = pole_pairs
+        self.base = base                # None when the final base is empty
 
 
 def suspension_factor(c: MetricComplex, cert: BuildingCertificate | None = None
@@ -90,11 +91,21 @@ def suspension_factor(c: MetricComplex, cert: BuildingCertificate | None = None
     return SuspensionFactorization(pairs, cur)
 
 
-@dataclass
 class JoinFactor:
-    complex: MetricComplex
-    certificate: BuildingCertificate | Diagnosis
-    generator_component: tuple[int, ...]
+    def __init__(self, complex: MetricComplex, certificate: BuildingCertificate | Diagnosis,
+                 generator_component: tuple[int, ...]):
+        self.complex = complex
+        self.certificate = certificate
+        self.generator_component = generator_component
+
+
+def spherical_answer(c: MetricComplex) -> BuildingCertificate | Diagnosis:
+    """``check_spherical``'s answer: the dimension-1 gates decide a graph or a
+    discrete set, and only a complex of dimension >= 2 loads the recognizer."""
+    if c.dimension <= 1:
+        return check_dim1(c)
+    from .recognizer import check_spherical
+    return check_spherical(c)
 
 
 def join_decompose(c: MetricComplex, cert: BuildingCertificate) -> list[JoinFactor]:
@@ -104,8 +115,6 @@ def join_decompose(c: MetricComplex, cert: BuildingCertificate) -> list[JoinFact
     pi/2 and the orthogonal join of the factors must reassemble the input
     cell-for-cell (checked; violation raises IntegrityError).
     """
-    # the recognizer imports this module, so its names are imported at use
-    from .recognizer import _subcomplex, _vertex_types, check_spherical
     c.require_valid()
     if cert.coxeter_matrix is None:
         return [JoinFactor(c, cert, tuple(range(c.dimension + 1)))]
@@ -120,7 +129,7 @@ def join_decompose(c: MetricComplex, cert: BuildingCertificate) -> list[JoinFact
         vset = {v for v in range(len(c.vertices)) if types[v] in comp}
         tops = sorted({tuple(v for v in cell if v in vset) for cell in c.top_cells})
         sub = _subcomplex(c, tops)
-        factors.append(JoinFactor(sub, check_spherical(sub), comp))
+        factors.append(JoinFactor(sub, spherical_answer(sub), comp))
     _verify_reassembly(c, [f.complex for f in factors])
     return factors
 
@@ -154,7 +163,6 @@ def euclidean_factor_hint(c: MetricComplex, x, link_cert) -> list[dict]:
     component is a flat direction (aggregated into a single R^l hint), and a
     rank >= 2 component is an irreducible building or cone factor.
     """
-    from .recognizer import _vertex_types
     if isinstance(link_cert, Diagnosis):
         raise ComplexError("link is not certified; run the recognizer first")
     xi = c.vertex_index(x)

@@ -1,17 +1,18 @@
 """Recognition in dimension <= 1, the decidable base: the gates that decide
 whether a graph is a rank-2 building (or a discrete set a 0-dimensional
-one), the result types and names, and the hull search that ``recognizer``
-shares.  ``coxeter`` is loaded only for a certificate that carries it.
+one), the result types and names, the hull search that ``recognizer``
+shares, and the vertex typing and subcomplex builder that ``recognizer``
+and ``decompose`` share.  ``coxeter`` is loaded only for a certificate that
+carries it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .angles import PiUnits, cmp_units, units_close
+from .angles import Frozen, PiUnits, cmp_units, units_close
 from .complexes import SPHERICAL, ComplexError, MetricComplex
 from .metric_graph import Circle, MetricGraph
 
@@ -54,11 +55,13 @@ FLAG_MIXED = "mixed_thickness"
 LINK_UNDECIDED = (FLAG_GLOBAL_UNVERIFIED, FLAG_SAMPLED, FLAG_AXIOM2_UNVERIFIED)
 
 
-@dataclass(frozen=True)
-class Diagnosis:
-    condition: str
-    witness: dict
-    inner: "Diagnosis | None" = None
+class Diagnosis(Frozen):
+    __slots__ = ("condition", "witness", "inner")
+
+    def __init__(self, condition: str, witness: dict, inner: Diagnosis | None = None):
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "inner", inner)
 
     def to_json(self) -> dict:
         out = {"condition": self.condition, "witness": self.witness}
@@ -67,36 +70,66 @@ class Diagnosis:
         return out
 
 
-@dataclass(frozen=True)
-class Apartment:
-    """A recognized apartment: a 2*pi cycle (dim 1) or a sphere subcomplex."""
+class Apartment(Frozen):
+    """A recognized apartment: a 2*pi cycle (dim 1) or a sphere subcomplex.
+    ``kind`` is cycle | sphere.  In dimension 1 ``edges`` are edge ids of the
+    graph and ``vertices`` the vertex cycle; in dimension >= 2 ``vertices``
+    is the vertex set and ``cells`` the top cells."""
 
-    kind: str                           # cycle | sphere
-    edges: tuple[int, ...] = ()         # dim 1: edge ids of the graph
-    vertices: tuple[int, ...] = ()      # dim 1: vertex cycle / dim >= 2: vertex set
-    cells: tuple[tuple, ...] = ()       # dim >= 2: top cells
+    __slots__ = ("kind", "edges", "vertices", "cells")
+
+    def __init__(self, kind: str, edges: tuple[int, ...] = (),
+                 vertices: tuple[int, ...] = (), cells: tuple[tuple, ...] = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "cells", cells)
 
     def key(self):
         return (self.kind, self.edges, self.cells)
 
 
-@dataclass
 class BuildingCertificate:
-    geometry: str
-    dimension: int
-    verdict: str
-    coxeter_matrix: CoxeterMatrix | None = None
-    m: int | None = None                        # dihedral parameter, dimension 1
-    apartments: tuple[Apartment, ...] = ()
-    apartments_exhaustive: bool = True
-    thickness: int | None = None
-    poles: tuple[str, str] | None = None        # suspension verdicts
-    base_size: int | None = None                # suspension: |Y|
-    vertex_types: tuple[int, ...] | None = None
-    factors: list | None = None
-    flags: tuple[str, ...] = ()
-    link_certificates: dict = field(default_factory=dict)
-    graph: MetricGraph | None = None            # dimension-1 carrier
+    """A certificate, compared field by field.  ``m`` is the dihedral
+    parameter in dimension 1, ``poles`` and ``base_size`` (|Y|) are set by a
+    suspension verdict, and ``graph`` is the dimension-1 carrier.  ``copy``
+    derives a certificate from another."""
+
+    def __init__(self, geometry: str, dimension: int, verdict: str,
+                 coxeter_matrix: CoxeterMatrix | None = None, m: int | None = None,
+                 apartments: tuple[Apartment, ...] = (), apartments_exhaustive: bool = True,
+                 thickness: int | None = None, poles: tuple[str, str] | None = None,
+                 base_size: int | None = None, vertex_types: tuple[int, ...] | None = None,
+                 factors: list | None = None, flags: tuple[str, ...] = (),
+                 link_certificates: dict | None = None, graph: MetricGraph | None = None):
+        self.geometry = geometry
+        self.dimension = dimension
+        self.verdict = verdict
+        self.coxeter_matrix = coxeter_matrix
+        self.m = m
+        self.apartments = apartments
+        self.apartments_exhaustive = apartments_exhaustive
+        self.thickness = thickness
+        self.poles = poles
+        self.base_size = base_size
+        self.vertex_types = vertex_types
+        self.factors = factors
+        self.flags = flags
+        self.link_certificates = {} if link_certificates is None else link_certificates
+        self.graph = graph
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None
+
+    def copy(self, **changes) -> BuildingCertificate:
+        """A shallow copy with ``changes`` to some fields; runs no ``__init__``."""
+        new = object.__new__(BuildingCertificate)
+        new.__dict__.update(self.__dict__, **changes)
+        return new
 
     def to_report(self) -> dict:
         cox = None
@@ -241,6 +274,66 @@ def _check_dim0(c: MetricComplex) -> BuildingCertificate | Diagnosis:
                                thickness=k, apartments=apartments)
 
 
+# -- vertex types and subcomplexes, shared with recognizer and decompose -------------
+
+
+def _vertex_types(c: MetricComplex) -> tuple[int, ...] | None:
+    """Proper (n+1)-coloring of vertices, one color per chamber vertex."""
+    n = c.dimension
+    types: dict[int, int] = {}
+    assigned: set[tuple] = set()
+    for seed in c.top_cells:
+        if seed in assigned:
+            continue
+        free = [v for v in seed if v not in types]
+        used = {types[v] for v in seed if v in types}
+        if len(used) != len(seed) - len(free):
+            return None
+        nxt = [t for t in range(n + 1) if t not in used]
+        for v, t in zip(sorted(free), nxt):
+            types[v] = t
+        queue = [seed]
+        assigned.add(seed)
+        while queue:
+            cur = queue.pop()
+            for panel in itertools.combinations(cur, n):
+                for nb in c.cofaces[panel]:
+                    if nb in assigned:
+                        continue
+                    w = next(v for v in nb if v not in panel)
+                    missing = [t for t in range(n + 1)
+                               if t not in {types[v] for v in panel}]
+                    if len(missing) != 1:
+                        return None
+                    if w in types:
+                        if types[w] != missing[0]:
+                            return None
+                    else:
+                        types[w] = missing[0]
+                    assigned.add(nb)
+                    queue.append(nb)
+    if len(types) != len(c.vertices):
+        return None
+    return tuple(types[v] for v in range(len(c.vertices)))
+
+
+def _subcomplex(c: MetricComplex, cells) -> MetricComplex:
+    verts = sorted({v for cell in cells for v in cell})
+    remap = {v: i for i, v in enumerate(verts)}
+    names = [c.vertices[v] for v in verts]
+    top = [tuple(sorted(remap[v] for v in cell)) for cell in cells]
+    lengths = []
+    seen = set()
+    for cell in cells:
+        for i, j in itertools.combinations(sorted(cell), 2):
+            if (i, j) in seen:
+                continue
+            seen.add((i, j))
+            lengths.append((remap[i], remap[j], c.edge_length(i, j)))
+    return MetricComplex(c.geometry, names, top, lengths,
+                         allow_disconnected=True, provenance=c.provenance)
+
+
 def enumerate_apartments_dim1(g: MetricGraph, m: int, budget: int = B_APT_DEFAULT
                               ) -> tuple[tuple[Apartment, ...], bool]:
     """The apartments of g, a generalized m-gon, as convex hulls of opposite
@@ -298,7 +391,7 @@ def _with_cycles(cert, budget: int) -> BuildingCertificate | Diagnosis:
     if isinstance(cert, Diagnosis):
         return cert
     if cert.apartments_exhaustive:      # complete by construction
-        return replace(cert)
+        return cert.copy()
     g = cert.graph
     found, exhaustive = enumerate_apartments_dim1(g, cert.m, budget=budget)
     return _with_axiom1(cert, found, exhaustive, range(len(g.edges)),
@@ -319,8 +412,8 @@ def _with_axiom1(cert, found, exhaustive: bool, chambers, cells, names, members
         flags.add(FLAG_AXIOM2_UNVERIFIED)
     if not exhaustive:
         flags.add(FLAG_SAMPLED)
-    return replace(cert, apartments=found, apartments_exhaustive=exhaustive,
-                   flags=tuple(sorted(flags)))
+    return cert.copy(apartments=found, apartments_exhaustive=exhaustive,
+                     flags=tuple(sorted(flags)))
 
 
 def _uncovered_chamber_pair(chambers: Sequence, apartments: Sequence[Sequence]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .angles import Angle, cmp_units
@@ -68,30 +67,31 @@ def _face_normals(frame: dict[int, np.ndarray], cell) -> dict[int, np.ndarray]:
     return out
 
 
-@dataclass(frozen=True)
 class FaceSegment:
-    cell: tuple
-    start: np.ndarray = field(compare=False)
-    direction: np.ndarray = field(compare=False)
-    length: float
+    def __init__(self, cell: tuple, start: np.ndarray, direction: np.ndarray, length: float):
+        self.cell = cell
+        self.start = start
+        self.direction = direction
+        self.length = length
 
 
-@dataclass(frozen=True)
 class EdgeSegment:
-    u: int
-    v: int
-    length: float
+    def __init__(self, u: int, v: int, length: float):
+        self.u = u
+        self.v = v
+        self.length = length
 
 
-@dataclass
 class LocalGeodesic:
     """A broken-arc geodesic: face arcs and along-edge runs, with endpoints."""
 
-    complex: MetricComplex
-    segments: list
-    start_vertex: int | None
-    end_vertex: int | None = None
-    dead_end: bool = False
+    def __init__(self, complex: MetricComplex, segments: list, start_vertex: int | None,
+                 end_vertex: int | None = None, dead_end: bool = False):
+        self.complex = complex
+        self.segments = segments
+        self.start_vertex = start_vertex
+        self.end_vertex = end_vertex
+        self.dead_end = dead_end
 
     @property
     def length(self) -> float:
@@ -116,16 +116,18 @@ class LocalGeodesic:
         }
 
 
-@dataclass(frozen=True)
 class _State:
     """Marching state: where the geodesic tip is and how it points."""
 
-    kind: str                   # face | vertex | done
-    cell: tuple | None = None
-    point: tuple | None = None         # unit vector as tuple (face kind)
-    direction: tuple | None = None
-    vertex: int | None = None          # vertex kind: arrived here
-    incoming: GraphPoint | None = None  # direction of arrival inside lk(vertex)
+    def __init__(self, kind: str, cell: tuple | None = None, point: tuple | None = None,
+                 direction: tuple | None = None, vertex: int | None = None,
+                 incoming: GraphPoint | None = None):
+        self.kind = kind                # face | vertex | edge_launch | done
+        self.cell = cell
+        self.point = point              # unit vector as tuple (face kind)
+        self.direction = direction
+        self.vertex = vertex            # vertex kind: arrived here
+        self.incoming = incoming        # direction of arrival inside lk(vertex)
 
 
 def _link_graph(c: MetricComplex, v: int) -> tuple[MetricGraph, dict[int, int], dict[int, int]]:
@@ -572,19 +574,20 @@ def _graph_geodesic(c: MetricComplex, pi_: int, qi: int,
 # -- apartments through a sector fan --------------------------------------------
 
 
-@dataclass
 class ApartmentSurface:
-    cells: tuple[tuple, ...]
-    vertices: tuple[int, ...]
-    euler: int
-    antipode_of_base: int | None
+    def __init__(self, cells: tuple[tuple, ...], vertices: tuple[int, ...], euler: int,
+                 antipode_of_base: int | None):
+        self.cells = cells
+        self.vertices = vertices
+        self.euler = euler
+        self.antipode_of_base = antipode_of_base
 
 
-@dataclass
 class PropagationFailure:
-    reason: str
-    witness: dict
-    exhausted: bool = False     # the hull search was cut off: undecided
+    def __init__(self, reason: str, witness: dict, exhausted: bool = False):
+        self.reason = reason
+        self.witness = witness
+        self.exhausted = exhausted      # the hull search was cut off: undecided
 
 
 def _sector_fan(c: MetricComplex, x, link_cycle: Sequence) -> tuple[int, list, list]:

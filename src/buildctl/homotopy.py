@@ -11,7 +11,6 @@ answer is ``unknown``, which callers must treat as a first-class outcome.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import MetricComplex
@@ -21,11 +20,12 @@ NONTRIVIAL = "nontrivial"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
 class Pi1Result:
-    status: str                    # trivial | nontrivial | unknown
-    witness_loop: tuple[str, ...] | None = None    # vertex names of a loop
-    detail: str = ""
+    def __init__(self, status: str, witness_loop: tuple[str, ...] | None = None,
+                 detail: str = ""):
+        self.status = status                # trivial | nontrivial | unknown
+        self.witness_loop = witness_loop    # vertex names of a loop
+        self.detail = detail
 
 
 def _presentation(c: MetricComplex):

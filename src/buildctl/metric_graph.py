@@ -48,12 +48,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .angles import EPS_ANGLE, PiUnits, cmp_units, kernel_band, kernel_units
+from .angles import EPS_ANGLE, Frozen, PiUnits, cmp_units, kernel_band, kernel_units
 from .complexes import MetricComplex, as_graph_data
 
 INF = math.inf
@@ -62,13 +61,16 @@ INF = math.inf
 EPS_UNITS = EPS_ANGLE / math.pi
 
 
-@dataclass(frozen=True)
-class GraphPoint:
+class GraphPoint(Frozen):
     """A point of the graph: a vertex, or an interior point of an edge."""
 
-    vertex: int | None = None
-    edge: int | None = None
-    t: PiUnits | None = None
+    __slots__ = ("vertex", "edge", "t")
+
+    def __init__(self, vertex: int | None = None, edge: int | None = None,
+                 t: PiUnits | None = None):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "t", t)
 
     @property
     def is_vertex(self) -> bool:
@@ -80,22 +82,25 @@ class GraphPoint:
         return f"e{self.edge}:{self.t}"
 
 
-@dataclass(frozen=True)
 class Circle:
     """A circle component produced by suppressing valence-2 vertices."""
 
-    circumference: PiUnits
-    vertex_names: tuple[str, ...]
+    def __init__(self, circumference: PiUnits, vertex_names: tuple[str, ...]):
+        self.circumference = circumference
+        self.vertex_names = vertex_names
 
 
-@dataclass(frozen=True)
 class AntipodeSet:
-    """Superlevel set {d(p, .) >= pi}: isolated points plus fat intervals."""
+    """Superlevel set {d(p, .) >= pi}: isolated points plus fat intervals,
+    each (edge, lo, hi) with lo < hi."""
 
-    points: tuple[GraphPoint, ...]
-    intervals: tuple[tuple[int, PiUnits, PiUnits], ...]   # (edge, lo, hi), lo < hi
-    nonempty: bool
-    discrete: bool
+    def __init__(self, points: tuple[GraphPoint, ...],
+                 intervals: tuple[tuple[int, PiUnits, PiUnits], ...],
+                 nonempty: bool, discrete: bool):
+        self.points = points
+        self.intervals = intervals
+        self.nonempty = nonempty
+        self.discrete = discrete
 
 
 class MetricGraph:

@@ -38,8 +38,9 @@ from .dim1 import (  # noqa: F401  (some only for the callers that import them f
     HULL_NOT_ISOMETRIC, LINK_FAILURE, LINK_UNDECIDED, MEB, MEB_LOCAL, NO_OPPOSITE_CHAMBER,
     NOT_CONNECTED, NOT_SIMPLY_CONNECTED, SUSPENSION, THICK, THIN, UNKNOWN_PI1, Apartment,
     BuildingCertificate, Diagnosis, IntegrityError, _bits, _certify_graph, _check_dim0,
-    _length_to_m, _opposite_hulls, _uncovered_chamber_pair, _uniform_m, _walk_cycle,
-    _with_axiom1, _with_cycles, check_dim1, enumerate_apartments_dim1, recognize_dim1)
+    _length_to_m, _opposite_hulls, _subcomplex, _uncovered_chamber_pair, _uniform_m,
+    _vertex_types, _walk_cycle, _with_axiom1, _with_cycles, check_dim1,
+    enumerate_apartments_dim1, recognize_dim1)
 from .homotopy import NONTRIVIAL, UNKNOWN, simple_connectivity
 from .metric_graph import GraphPoint, MetricGraph
 
@@ -236,8 +237,8 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
     Graph links equal up to vertex names (``_link_class``) share one
     validation and one run of the dimension-1 gates: a later link of a class
     gets the passing report and a shallow copy of the first link's
-    certificate (``dataclasses.replace`` would rerun ``__init__``) on its own
-    graph, which reuses the first graph's checked edges.  Only certificates
+    certificate (``BuildingCertificate.copy``) on its own graph, which
+    reuses the first graph's checked edges.  Only certificates
     that name no vertex (no suspension poles) are shared; diagnoses are
     computed per link.  ``vertex_link`` builds each link from the corner
     angles cached on its complex, without re-checking its data."""
@@ -252,8 +253,7 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
             cert = first._certificate
             L.validation = first.validation
             graph = MetricGraph.__new__(MetricGraph)._set(L.vertices, cert.graph.edges)
-            L._certificate = shared = BuildingCertificate.__new__(BuildingCertificate)
-            shared.__dict__.update(cert.__dict__, graph=graph)
+            L._certificate = cert.copy(graph=graph)
         res = certify(L)
         if isinstance(res, Diagnosis):
             return Diagnosis(LINK_FAILURE, {"cell": names}, inner=res)
@@ -307,46 +307,6 @@ def _with_apartments(c, cert, budget: int, hulls: tuple | None = None
                 "apartments": [[c.vertices[v] for v in found[i].cells[0]] for i in (j, k)],
                 "vertex": c.vertices[x]})
     return res
-
-
-def _vertex_types(c: MetricComplex) -> tuple[int, ...] | None:
-    """Proper (n+1)-coloring of vertices, one color per chamber vertex."""
-    n = c.dimension
-    types: dict[int, int] = {}
-    assigned: set[tuple] = set()
-    for seed in c.top_cells:
-        if seed in assigned:
-            continue
-        free = [v for v in seed if v not in types]
-        used = {types[v] for v in seed if v in types}
-        if len(used) != len(seed) - len(free):
-            return None
-        nxt = [t for t in range(n + 1) if t not in used]
-        for v, t in zip(sorted(free), nxt):
-            types[v] = t
-        queue = [seed]
-        assigned.add(seed)
-        while queue:
-            cur = queue.pop()
-            for panel in itertools.combinations(cur, n):
-                for nb in c.cofaces[panel]:
-                    if nb in assigned:
-                        continue
-                    w = next(v for v in nb if v not in panel)
-                    missing = [t for t in range(n + 1)
-                               if t not in {types[v] for v in panel}]
-                    if len(missing) != 1:
-                        return None
-                    if w in types:
-                        if types[w] != missing[0]:
-                            return None
-                    else:
-                        types[w] = missing[0]
-                    assigned.add(nb)
-                    queue.append(nb)
-    if len(types) != len(c.vertices):
-        return None
-    return tuple(types[v] for v in range(len(c.vertices)))
 
 
 def _assemble_coxeter(c: MetricComplex, types, link_certs) -> CoxeterMatrix | Diagnosis:
@@ -545,23 +505,6 @@ def _incompatible_hulls(walks: Sequence[tuple[dict, dict]], model: CoxeterComple
                 if first[0] != perm[mv]:
                     return C, first[1], k, x
     return None
-
-
-def _subcomplex(c: MetricComplex, cells) -> MetricComplex:
-    verts = sorted({v for cell in cells for v in cell})
-    remap = {v: i for i, v in enumerate(verts)}
-    names = [c.vertices[v] for v in verts]
-    top = [tuple(sorted(remap[v] for v in cell)) for cell in cells]
-    lengths = []
-    seen = set()
-    for cell in cells:
-        for i, j in itertools.combinations(sorted(cell), 2):
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
-            lengths.append((remap[i], remap[j], c.edge_length(i, j)))
-    return MetricComplex(c.geometry, names, top, lengths,
-                         allow_disconnected=True, provenance=c.provenance)
 
 
 # -- discrete extension property ---------------------------------------------------

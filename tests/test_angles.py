@@ -89,6 +89,58 @@ def test_angle_validation():
         Angle(frac=Fraction(1, 2), rad=1.0)
 
 
+def _record_pairs():
+    """(a, b, different) per immutable record type: a and b built apart
+    with equal fields, and a record of that type with other fields."""
+    from buildctl.coxeter import CoxeterMatrix, GroupElement, dihedral
+    from buildctl.dim1 import Apartment, Diagnosis
+    from buildctl.metric_graph import GraphPoint
+    return {
+        "Angle": (Angle.exact(1, 3), Angle(frac=Fraction(2, 6)), Angle(rad=math.pi / 3)),
+        "GraphPoint": (GraphPoint(edge=2, t=Fraction(1, 4)),
+                       GraphPoint(None, 2, Fraction(2, 8)), GraphPoint(vertex=2)),
+        "CoxeterMatrix": (dihedral(3), CoxeterMatrix(("s", "t"), [[1, 3], [3, 1]]),
+                          dihedral(4)),
+        "Diagnosis": (Diagnosis("valence", {"vertex": "a"}),
+                      Diagnosis("valence", {"vertex": "a"}, inner=None),
+                      Diagnosis("valence", {"vertex": "b"})),
+        "Apartment": (Apartment("cycle", edges=(0, 1), vertices=(0, 1)),
+                      Apartment("cycle", (0, 1), (0, 1), ()), Apartment("sphere", cells=((0,),))),
+        # compared by word alone, whatever the multiplication table
+        "GroupElement": (GroupElement((0, 1), (2, 3)), GroupElement((0, 1), ()),
+                         GroupElement((1, 0), (2, 3))),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_record_pairs()))
+def test_frozen_records_are_values(kind):
+    """Records built apart from equal fields compare equal and hash equal (a
+    Diagnosis, whose witness is a dict, is unhashable), differ from other
+    values and from other types, and refuse assignment and deletion."""
+    a, b, other = _record_pairs()[kind]
+    assert a is not b and a == b and not a != b
+    assert a != other and a != tuple(getattr(a, f) for f in type(a).__slots__)
+    if kind == "Diagnosis":
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) and len({a, b, other}) == 2
+    field = type(a).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+
+
+def test_angle_repr_names_its_fields():
+    assert repr(Angle.exact(1, 3)) == "Angle(frac=Fraction(1, 3), rad=None)"
+    assert repr(Angle(rad=1.5)) == "Angle(frac=None, rad=1.5)"
+    assert repr([Angle.exact(2)]) == "[Angle(frac=Fraction(2, 1), rad=None)]"
+
+
 @pytest.mark.parametrize("record", [{"pi": [1.5, 2]}, {"pi": [True, 3]}, {"pi": [1, 2.0]},
                                     {"pi": [1, 2, 3]}, {"pi": "1/2"}, {"rad": float("inf")},
                                     {"rad": float("nan")}, {"rad": True}, {"rad": "1.0"},

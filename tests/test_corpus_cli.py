@@ -220,8 +220,13 @@ def test_cli_dim1_check_loads_no_recognizer(tmp_path):
     positive, a diagnosis (K3,3 with one edge lengthened), a text report and
     a dimension-0 check load no recognizer, geodesics, homotopy or
     decompose; the diagnosis and the discrete set load no coxeter either,
-    and neither does ``gen complete-bipartite``.  A dimension-2 check loads
-    all of them.  Each command runs in a fresh interpreter."""
+    and neither does ``gen complete-bipartite``.  ``decompose`` of K3,3
+    loads no recognizer, geodesics or homotopy.  No command of the cli
+    ladder (``check`` in dimensions 0, 1 and 2, Euclidean included, ``graph``,
+    ``coxeter``, ``gen``, ``validate``, ``decompose`` and malformed inputs)
+    loads ``dataclasses`` or ``inspect``, unless a bare interpreter running
+    the same harness already has it.  A dimension-2 check loads all of
+    buildctl's modules.  Each command runs in a fresh interpreter."""
     from buildctl.complexes import MetricComplex
     k33 = gen_rank2_building("complete_bipartite")
     f = tmp_path / "k33.json"
@@ -234,30 +239,55 @@ def test_cli_dim1_check_loads_no_recognizer(tmp_path):
     pts.write_text(MetricComplex("spherical", ["a", "b", "c"], [(0,), (1,), (2,)], []).dumps())
     octa = tmp_path / "oct.json"
     octa.write_text(gen_octahedron().dumps())
-    code = (
-        "import contextlib, io, json, sys\n"
-        "from buildctl.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(sys.modules)]))\n")
+    win = tmp_path / "a2w2.json"
+    win.write_text(gen_a2_window(2).complex.dumps())
+    obj["edge_lengths"][0]["pi"] = [1, 0]
+    badpi = tmp_path / "bad-pi.json"
+    badpi.write_text(json.dumps(obj))
+    trunc = tmp_path / "truncated.json"
+    trunc.write_text(k33.dumps()[:40])
+    out = str(tmp_path / "out.json")
+    harness = ("import contextlib, io, json, sys\n"
+               "from buildctl.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()), "
+               "contextlib.redirect_stderr(io.StringIO()):\n"
+               "    code = main(sys.argv[1:])\n")
+    report = "print(json.dumps([code, sorted(sys.modules)]))\n"
+
+    def loaded_by(code, argv=()):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    bare = loaded_by("import contextlib, io, json, sys\ncode = None\n" + report)[1]
+    lean = {"dataclasses", "inspect"} - set(bare)
     heavy = {"buildctl." + m for m in ("recognizer", "geodesics", "homotopy", "decompose")}
     cox = {"buildctl.coxeter"}
     cases = [(["check", str(f)], 0, heavy),
              (["check", str(neg)], 1, heavy | cox),
              (["check", str(f), "--report", "text"], 0, heavy),
              (["check", str(pts)], 0, heavy | cox),
-             (["gen", "complete-bipartite", "-o", str(tmp_path / "out.json")], 0, heavy | cox)]
+             (["gen", "complete-bipartite", "-o", out], 0, heavy | cox),
+             (["decompose", str(f)], 0, heavy - {"buildctl.decompose"}),
+             (["check", str(octa)], 2, set()),
+             (["check", str(win), "--boundary", "window"], 0, set()),
+             (["graph", "diameter", str(f)], 0, heavy | cox),
+             (["graph", "antipodes", str(f), "--point", "a0"], 0, heavy | cox),
+             (["coxeter", "classify", "--type", "A3"], 0, heavy),
+             (["coxeter", "complex", "--type", "B3"], 0, heavy),
+             (["gen", "coxeter-complex", "--type", "A3", "-o", out], 0, heavy),
+             (["gen", "suspension", "--base", str(f), "-o", out], 0, heavy | cox),
+             (["validate", str(f)], 0, heavy | cox),
+             (["check", str(badpi)], 3, heavy),
+             (["check", str(trunc)], 3, heavy),
+             (["gen", "frobnicator", "-o", out], 3, heavy)]
     for argv, want, absent in cases:
-        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                              text=True)
-        assert proc.returncode == 0, proc.stderr
-        got, loaded = json.loads(proc.stdout)
+        got, loaded = loaded_by(harness + report, argv)
         assert got == want and "buildctl.cli" in loaded, argv
-        assert not absent & set(loaded), (argv, sorted(absent & set(loaded)))
-    proc = subprocess.run([sys.executable, "-c", code, "check", str(octa)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert heavy | cox <= set(json.loads(proc.stdout)[1])
+        assert not (absent | lean) & set(loaded), (argv, sorted((absent | lean) & set(loaded)))
+    loaded = loaded_by(harness + report, ["check", str(octa)])[1]
+    assert heavy | cox <= set(loaded)
 
 
 def _dim1_inputs() -> dict:
@@ -579,6 +609,41 @@ def test_cli_bad_arguments_exit3(tmp_path, capsys, argv):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("buildctl: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["coxeter", "classify", "--type", "I2(0)"],
+     "bad Coxeter type 'I2(0)': I2(m) needs an integer m >= 2"),
+    (["coxeter", "complex", "--type", "I2(0)"],
+     "bad Coxeter type 'I2(0)': I2(m) needs an integer m >= 2"),
+    (["coxeter", "classify", "--type", "I2(1)"],
+     "bad Coxeter type 'I2(1)': I2(m) needs an integer m >= 2"),
+    (["coxeter", "classify", "--type", "i2(x)"],
+     "bad Coxeter type 'i2(x)': I2(m) needs an integer m >= 2"),
+    (["gen", "coxeter-complex", "--type", "I2()"],
+     "bad Coxeter type 'I2()': I2(m) needs an integer m >= 2"),
+    (["graph", "antipodes", "K33", "--point", "zz"], "bad point 'zz': no vertex named 'zz'"),
+    (["graph", "antipodes", "K33", "--point", "e0:1/2"],
+     "bad point 'e0:1/2': edge id 'e0' is not an integer"),
+    (["graph", "antipodes", "K33", "--point", "0:x/2"],
+     "bad point '0:x/2': offset 'x/2' is not a number"),
+    (["geodesic", "OCT", "--from", "a0", "--dir", "v:zz"],
+     "bad direction 'v:zz': the link of 'a0' has no vertex named 'zz'"),
+    (["geodesic", "OCT", "--from", "a0", "--dir", "e0:1/4"],
+     "bad point 'e0:1/4': edge id 'e0' is not an integer"),
+])
+def test_cli_bad_names_are_named(tmp_path, capsys, argv, message):
+    """A Coxeter type I2(m) with m < 2 or no integer m (0 encodes the
+    infinite dihedral group, which has no I2 name), a vertex name that the
+    graph or link lacks and a non-integer edge id exit 3 with one line that
+    names the bad input."""
+    files = {"K33": gen_rank2_building("complete_bipartite"), "OCT": gen_octahedron()}
+    for name, cx in files.items():
+        (tmp_path / name).write_text(cx.dumps())
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"buildctl: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
