@@ -1775,10 +1775,13 @@ def test_model_walk_matches_isomorphism_oracle(label, monkeypatch):
     swapped or added (none walks) and on the whole complex, for every ``_dim2_copies`` copy,
     S0*S0*Heawood and the A3 and B3 complexes, each also with its vertex
     order reversed.  ``check_spherical`` builds no subcomplex."""
+    import buildctl.decompose as decompose
+    import buildctl.dim1 as dim1
     import buildctl.recognizer as recognizer
     sub = recognizer._subcomplex
     built = []
-    monkeypatch.setattr(recognizer, "_subcomplex", lambda *a: built.append(a) or sub(*a))
+    for module in (dim1, recognizer, decompose):     # every binding of the builder
+        monkeypatch.setattr(module, "_subcomplex", lambda *a: built.append(a) or sub(*a))
     for c in _WALKED[label]():
         check_spherical(c)
         assert built == []
