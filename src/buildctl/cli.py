@@ -8,11 +8,11 @@ a JSON object of positive integers such as {"B_group": 100000, "B_apt": 10000}.
 Each command imports the modules it runs inside its function, after reading
 its input: ``check`` and ``decompose`` of a spherical graph or discrete set
 load ``dim1``, not ``recognizer`` (with its ``geodesics`` and ``homotopy``),
-and ``gen`` loads ``coxeter`` for ``coxeter-complex`` only.  No command
-loads ``dataclasses`` or ``inspect``: buildctl's records are plain classes,
-and every process would otherwise pay for compiling them.  Only ``geodesic``
-and ``apartment`` load numpy, and any command whose input has a simplex that
-fails the Gram test, to print its least eigenvalue.
+and ``gen`` loads ``coxeter`` for ``coxeter-complex`` only.  buildctl's
+records are plain classes and no command loads ``inspect``, so a process
+compiles no generated code at start-up.  Only ``geodesic`` and ``apartment``
+load numpy, and any command whose input has a simplex that fails the Gram
+test, to print its least eigenvalue.
 """
 
 from __future__ import annotations
