@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import struct
 from fractions import Fraction
 from numbers import Rational
@@ -251,19 +252,24 @@ def units_close(a: PiUnits, b: PiUnits) -> bool:
     return cmp_units(a, b) == 0
 
 
+_LENGTH = r"(\d*)pi(?:/(\d+))?|(\d+)/(\d+)|([+-]?(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?)"
+
+
 def parse_length(text: str) -> Angle:
-    """Parse CLI length syntax: 'pi', 'pi/3', '2pi/3', 'p/q' (pi units), or
-    finite radians."""
-    s = text.strip().lower().replace(" ", "")
-    if "pi" in s:
-        num, _, den = s.partition("pi")
-        p = int(num) if num else 1
-        q = int(den[1:]) if den.startswith("/") else 1
-        return Angle.exact(p, q)
-    if "/" in s:
-        p, q = s.split("/")
-        return Angle.exact(int(p), int(q))
-    rad = float(s)
-    if not math.isfinite(rad):
-        raise ValueError(f"length {text!r} is not finite")
-    return Angle(rad=rad)
+    """Parse CLI length syntax, spaces ignored: 'pi', 'p pi', 'pi/q',
+    'p pi/q', 'p/q' (pi units), or finite radians; anything else raises
+    ValueError naming the text."""
+    match = re.fullmatch(_LENGTH, text.strip().lower().replace(" ", ""))
+    try:
+        if match is None:
+            raise ValueError("expected pi, p pi, pi/q, p pi/q, p/q or radians")
+        p, q, num, den, rad = match.groups()
+        if rad is not None:
+            if not math.isfinite(float(rad)):
+                raise ValueError("not finite")
+            return Angle(rad=float(rad))
+        if num is not None:
+            return Angle.exact(int(num), int(den))
+        return Angle.exact(int(p or 1), int(q or 1))
+    except ValueError as exc:
+        raise ValueError(f"bad length {text!r}: {exc}") from None

@@ -10,9 +10,10 @@ its input: ``check`` and ``decompose`` of a spherical graph or discrete set
 load ``dim1``, not ``recognizer`` (with its ``geodesics`` and ``homotopy``),
 and ``gen`` loads ``coxeter`` for ``coxeter-complex`` only.  buildctl's
 records are plain classes and no command loads ``inspect``, so a process
-compiles no generated code at start-up.  Only ``geodesic`` and ``apartment``
-load numpy, and any command whose input has a simplex that fails the Gram
-test, to print its least eigenvalue.
+compiles no generated code at start-up.  Only ``geodesic`` loads numpy, to
+shoot, and any command whose input has a simplex that fails the Gram test,
+to print its least eigenvalue; ``apartment`` reads antipodes off the model
+Coxeter complex.
 """
 
 from __future__ import annotations
@@ -284,8 +285,7 @@ def cmd_apartment(args) -> int:
         emit({"schema": 1, "ok": True, "cells":
               [[cx.vertices[v] for v in cell] for cell in res.cells],
               "euler_characteristic": res.euler,
-              "antipode": None if res.antipode_of_base is None
-              else cx.vertices[res.antipode_of_base]}, args.report)
+              "antipode": cx.vertices[res.antipode_of_base]}, args.report)
         return EXIT_OK
     emit({"schema": 1, "ok": False, "reason": res.reason, "witness": res.witness},
          args.report)

@@ -226,12 +226,13 @@ def _root_permutations(B: list[list[float]], budget: int) -> list[list[int]]:
     """The generators as permutations of the root system Phi, the orbit of
     the simple roots (indices 0..n-1) under the reflections.  A root is
     kept in simple-root coordinates x, alpha = sum_j x_j alpha_j: s_t
-    changes only x_t, by -2 B(alpha, alpha_t) = -2 sum_j x_j B_jt, and roots
-    are keyed by their coordinates rounded to 9 digits.  |Phi| <= |W|, so
-    an orbit past the budget is a group past it."""
+    changes only x_t, by -2 B(alpha, alpha_t) = -2 sum_j x_j B_jt.  Roots
+    are keyed by the nearest point of a grid of step 1e-6
+    (``_nearby_root``).  |Phi| <= |W|, so an orbit past the budget is a
+    group past it."""
     n = len(B)
     vecs = [[float(i == j) for j in range(n)] for i in range(n)]
-    index = {tuple(x): s for s, x in enumerate(vecs)}
+    index = {tuple([round(v * 1e6) for v in x]): s for s, x in enumerate(vecs)}
     perms: list[list[int]] = [[] for _ in range(n)]
     while vecs:
         grown = []
@@ -239,8 +240,11 @@ def _root_permutations(B: list[list[float]], budget: int) -> list[list[int]]:
             for x in vecs:
                 y = list(x)
                 y[t] -= 2.0 * sum([a * b for a, b in zip(x, Bt)])
-                k = tuple([round(v, 9) for v in y])
+                z = [v * 1e6 for v in y]
+                k = tuple([round(v) for v in z])
                 i = index.get(k)
+                if i is None:
+                    i = _nearby_root(index, z, k)
                 if i is None:
                     i = index[k] = len(index)
                     grown.append(y)
@@ -249,6 +253,18 @@ def _root_permutations(B: list[list[float]], budget: int) -> list[list[int]]:
             raise BudgetExceeded(f"group enumeration exceeded budget {budget}")
         vecs = grown
     return perms
+
+
+def _nearby_root(index: dict, z: list[float], k: tuple) -> int | None:
+    """The root keyed in a cell next to k, or None.  Two float copies of one
+    root differ by far less than a grid step, yet may round to neighbouring
+    points when they straddle the midpoint between them; a copy that does is
+    then more than a quarter step off its own point, so the other copy is
+    looked up across each such coordinate.  Distinct roots differ by far
+    more than a step."""
+    near = [(kv, kv + 1 if zv > kv else kv - 1) if abs(zv - kv) > 0.25 else (kv,)
+            for zv, kv in zip(z, k)]
+    return next((index[c] for c in itertools.product(*near) if c in index), None)
 
 
 def generate_reflection_group(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT

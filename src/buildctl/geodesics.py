@@ -8,33 +8,33 @@ therefore exactly computable.  The apartments through the sector fan of a
 2*pi link cycle at x are those of the recognizer's apartment system, the
 convex hulls of opposite chambers (every apartment of a spherical building
 is one), that contain every wedge of the fan; they come in
-``Apartment.key`` order, and an antipode is read off the developed
-apartment.  The 2*pi test sums the fan's corner angles exactly, or within
-tolerance when one is a float (``cmp_units``).
+``Apartment.key`` order.  The 2*pi test sums the fan's corner angles
+exactly, or within tolerance when one is a float (``cmp_units``).  Each
+candidate apartment is walked onto the model Coxeter complex
+(``_model_walk``), which labels its chambers by group words: x's antipode
+and the distance in a "not antipodal" witness are read off the model, with
+no coordinates.
 
 The recognizer loads this module, so numpy is imported inside the functions
-that use it: this module is the only numpy user on a check's path, and a
-process that runs no geodesic or apartment command never loads numpy.
+that use it: geodesic shooting is the only numpy user here, and a process
+that runs no ``geodesic`` command never loads numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import TYPE_CHECKING, Sequence
 
 from .angles import Angle, cmp_units
 from .complexes import MetricComplex, _vertex_angle, vertex_link
+from .coxeter import CoxeterComplexModel, cosine_form, coxeter_complex
 from .metric_graph import GraphPoint, MetricGraph
 from .recognizer import (B_APT_DEFAULT, Apartment, BuildingCertificate, Diagnosis,
-                         check_spherical)
+                         _model_walk, check_spherical)
 
 if TYPE_CHECKING:
     import numpy as np
 
-EPS_HIT = 1e-6
-SHOOT_GRID = 720
-SHOOT_DEPTH = 40
 BRANCH_BUDGET = 64
 
 
@@ -400,183 +400,12 @@ def shoot(c: MetricComplex, v, link_point: GraphPoint, length: float,
     return extend_geodesic(c, LocalGeodesic(c, [seg], vi), length, branch_budget)
 
 
-def geodesic_between(c: MetricComplex, p, q, initial_direction: GraphPoint | None = None,
-                     grid: int = SHOOT_GRID, branch_budget: int = BRANCH_BUDGET):
-    """A geodesic between two vertices of a spherical complex, n <= 2.
-
-    Dimension 1 is exact (shortest path, or prescribed-direction continuation
-    between antipodal endpoints).  Dimension 2 shoots over a direction grid
-    and reports failure with best-miss data when nothing lands within EPS_HIT,
-    flagged ``branch_budget_exceeded`` when a shot ran out of branches.
-    """
-    c.require_valid()
-    pi_ = c.vertex_index(p)
-    qi = c.vertex_index(q)
-    if c.dimension <= 1:
-        return _graph_geodesic(c, pi_, qi, initial_direction)
-    g, amb, _ = _link_graph(c, pi_)
-    dirs: list[GraphPoint] = [GraphPoint(vertex=k) for k in amb]
-    if initial_direction is not None:
-        dirs = [initial_direction]
-    else:
-        total = sum(float(ln) for _, _, ln in g.edges)
-        for eid, (_, _, ln) in enumerate(g.edges):
-            k = max(1, int(grid * float(ln) / max(total, 1e-9)))
-            for i in range(1, k + 1):
-                dirs.append(GraphPoint(edge=eid, t=float(ln) * i / (k + 1)))
-
-    exhausted = False
-
-    def try_direction(dp):
-        nonlocal exhausted
-        miss_best = None
-        geos, ran_out = shoot(c, pi_, dp, math.pi, branch_budget)
-        exhausted = exhausted or ran_out
-        for geo in geos:
-            hit = _extract_hit(c, geo, qi)
-            if hit is not None:
-                return hit, 0.0
-            miss = _miss_distance(c, geo, qi)
-            if miss is not None and (miss_best is None or miss < miss_best):
-                miss_best = miss
-        return None, miss_best
-
-    best = None
-    for dp in dirs:
-        hit, miss = try_direction(dp)
-        if hit is not None:
-            return hit
-        if miss is not None and (best is None or miss < best[0]):
-            best = (miss, dp)
-    if best is not None and not best[1].is_vertex and initial_direction is None:
-        # bisection refinement around the best grid direction
-        eid = best[1].edge
-        ln = float(g.edges[eid][2])
-        step = ln / max(1, int(grid * ln / max(sum(float(l) for _, _, l in g.edges),
-                                               1e-9)) + 1)
-        lo = max(0.0, float(best[1].t) - step)
-        hi = min(ln, float(best[1].t) + step)
-        for _ in range(SHOOT_DEPTH):
-            improved = False
-            for t in ((lo + float(best[1].t)) / 2, (hi + float(best[1].t)) / 2):
-                dp = GraphPoint(edge=eid, t=t)
-                hit, miss = try_direction(dp)
-                if hit is not None:
-                    return hit
-                if miss is not None and miss < best[0]:
-                    best = (miss, dp)
-                    improved = True
-            mid = float(best[1].t)
-            lo = (lo + mid) / 2
-            hi = (hi + mid) / 2
-            if not improved and hi - lo < 1e-15:
-                break
-    failure = {"failure": "no geodesic found",
-               "best_miss": None if best is None else best[0]}
-    if exhausted:
-        failure["branch_budget_exceeded"] = True
-    return failure
-
-
-def _extract_hit(c: MetricComplex, geo: LocalGeodesic, qi: int) -> LocalGeodesic | None:
-    """The prefix of geo ending at the vertex qi, if the path passes it."""
-    import numpy as np
-    if geo.start_vertex == qi:
-        return None
-    prefix: list = []
-    for s in geo.segments:
-        if isinstance(s, EdgeSegment):
-            prefix.append(s)
-            if s.v == qi:
-                return LocalGeodesic(c, prefix, geo.start_vertex, end_vertex=qi)
-            continue
-        if qi in s.cell:
-            frame = cell_frame(c, s.cell)
-            qpos = frame[qi]
-            f0 = float(np.dot(s.start, qpos))
-            f1 = float(np.dot(s.direction, qpos))
-            t = math.atan2(f1, f0)
-            if 0.0 <= t <= s.length + 1e-12:
-                val = math.acos(max(-1.0, min(1.0, f0 * math.cos(t) + f1 * math.sin(t))))
-                if val <= EPS_HIT:
-                    prefix.append(FaceSegment(s.cell, s.start, s.direction, t))
-                    return LocalGeodesic(c, prefix, geo.start_vertex, end_vertex=qi)
-        prefix.append(s)
-    if geo.end_vertex == qi:
-        return geo
-    return None
-
-
-def _miss_distance(c, geo: LocalGeodesic, qi: int):
-    import numpy as np
-    best = None
-    for s in geo.segments:
-        if isinstance(s, EdgeSegment):
-            continue
-        if qi in s.cell:
-            frame = cell_frame(c, s.cell)
-            qpos = frame[qi]
-            # closest approach of the arc to qpos
-            f0 = float(np.dot(s.start, qpos))
-            f1 = float(np.dot(s.direction, qpos))
-            t = max(0.0, min(s.length, math.atan2(f1, f0)))
-            val = math.acos(max(-1.0, min(1.0,
-                  f0 * math.cos(t) + f1 * math.sin(t))))
-            if best is None or val < best:
-                best = val
-    return best
-
-
-def _graph_geodesic(c: MetricComplex, pi_: int, qi: int,
-                    initial_direction: GraphPoint | None):
-    g = MetricGraph.from_complex(c)
-    if initial_direction is None:
-        dist, prev = g.vertex_distances(pi_, with_paths=True)
-        if qi not in dist:
-            return {"failure": "disconnected"}
-        path = []
-        w = qi
-        while w != pi_:
-            u, eid = prev[w]
-            path.append(EdgeSegment(u, w, float(g.edges[eid][2]) * math.pi))
-            w = u
-        return LocalGeodesic(c, list(reversed(path)), pi_, end_vertex=qi)
-    # prescribed initial direction: first edge, then shortest continuation
-    if not initial_direction.is_vertex:
-        return {"failure": "dimension-1 directions are link vertices (edges at p)"}
-    first = None
-    for eid, (u, v, ln) in enumerate(g.edges):
-        w = v if u == pi_ else (u if v == pi_ else None)
-        if w is not None and w == initial_direction.vertex:
-            first = (eid, w, ln)
-            break
-    if first is None:
-        return {"failure": "initial direction is not an edge at p"}
-    eid, w, ln = first
-    dist = g.vertex_distances(pi_)
-    dw, prev = g.vertex_distances(w, with_paths=True)
-    if qi not in dw:
-        return {"failure": "disconnected"}
-    total = ln + dw[qi]
-    if cmp_units(total, dist[qi]) != 0:
-        return {"failure": "no geodesic from p through that direction reaches q",
-                "length_through_direction": float(total) * math.pi}
-    path = [EdgeSegment(pi_, w, float(ln) * math.pi)]
-    z = qi
-    rev = []
-    while z != w:
-        u, k = prev[z]
-        rev.append(EdgeSegment(u, z, float(g.edges[k][2]) * math.pi))
-        z = u
-    return LocalGeodesic(c, path + list(reversed(rev)), pi_, end_vertex=qi)
-
-
 # -- apartments through a sector fan --------------------------------------------
 
 
 class ApartmentSurface:
     def __init__(self, cells: tuple[tuple, ...], vertices: tuple[int, ...], euler: int,
-                 antipode_of_base: int | None):
+                 antipode_of_base: int):
         self.cells = cells
         self.vertices = vertices
         self.euler = euler
@@ -637,8 +466,11 @@ def propagate_apartment(c: MetricComplex, x, link_cycle: Sequence, y=None,
     through = _through_fan(cert, fan)
     yi = None if y is None else c.vertex_index(y)
     holding_y = [a for a in through if yi is None or yi in a.vertices]
+    model = coxeter_complex(cert.coxeter_matrix) if holding_y else None
+    walks = []
     for apt in holding_y:
-        anti = _apartment_antipode(c, apt.cells, xi)
+        walks.append(_model_walk(c, cert.vertex_types, apt.cells, model)[1:])
+        anti = _model_antipode(model, walks[-1][0], xi)
         if yi is None or anti == yi:
             return ApartmentSurface(apt.cells, apt.vertices, 2, anti)
     if not cert.apartments_exhaustive:
@@ -647,7 +479,7 @@ def propagate_apartment(c: MetricComplex, x, link_cycle: Sequence, y=None,
     if holding_y:
         return PropagationFailure("prescribed endpoint is not antipodal to the base", {
             "y": c.vertices[yi],
-            "distance": _developed_distance(c, holding_y[0].cells, xi, yi)})
+            "distance": _model_distance(model, *walks[0], xi, yi)})
     if through:
         return PropagationFailure("prescribed endpoint is in no apartment through the fan",
                                   {"y": c.vertices[yi]})
@@ -667,82 +499,37 @@ def propagate_all(c: MetricComplex, x, link_cycle: Sequence,
     return _through_fan(cert, fan), not cert.apartments_exhaustive
 
 
-def develop_apartment(c: MetricComplex, cells, base: int) -> dict[int, np.ndarray]:
-    """Spherical coordinates of a thin closed surface, base at the north pole."""
-    import numpy as np
-    cells = list(cells)
-    by_edge: dict[tuple, list] = {}
-    for cell in cells:
-        for e in itertools.combinations(cell, 2):
-            by_edge.setdefault(e, []).append(cell)
-    pos: dict[int, np.ndarray] = {}
-    start = next(cl for cl in sorted(cells) if base in cl)
-    frame = cell_frame(c, start)
-    others = [v for v in sorted(start) if v != base]
-    a, b = others
-    la = c.edge_length(base, a).radians
-    pos[base] = np.array([0.0, 0.0, 1.0])
-    pos[a] = np.array([math.sin(la), 0.0, math.cos(la)])
-    pos[b] = _third_position(pos[base], pos[a],
-                             c.edge_length(base, b).radians,
-                             c.edge_length(a, b).radians, +1)
-    placed = {start}
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        for e in itertools.combinations(cur, 2):
-            for nxt in by_edge[e]:
-                if nxt in placed:
-                    continue
-                w = next(v for v in nxt if v not in e)
-                u, v = e
-                if u not in pos or v not in pos:
-                    continue
-                opp = next(z for z in cur if z not in e)
-                side = _side_sign(pos[u], pos[v], pos[opp])
-                p = _third_position(pos[u], pos[v],
-                                    c.edge_length(u, w).radians,
-                                    c.edge_length(v, w).radians, -side)
-                if w not in pos:
-                    pos[w] = p
-                placed.add(nxt)
-                queue.append(nxt)
-    return pos
+def _model_antipode(model: CoxeterComplexModel, image: dict, x: int) -> int:
+    """The antipode of x in a hull walked onto the model (``_model_walk``).
+    Chamber w is opposite chamber w*w0, the word reached from w along the
+    right-multiplication table by w0's letters, so the chambers opposite
+    those through x are the star of x's antipode, their one common vertex."""
+    elems = model.elements
+    common = None
+    for k, g in enumerate(elems):
+        if x in image[g.word]:
+            for s in elems[-1].word:
+                k = elems[k].right[s]
+            opposite = set(image[elems[k].word])
+            common = opposite if common is None else common & opposite
+    (antipode,) = common
+    return antipode
 
 
-def _side_sign(p, q, r) -> int:
-    import numpy as np
-    n = np.cross(p, q)
-    return 1 if float(np.dot(n, r)) >= 0 else -1
-
-
-def _third_position(p, q, dp, dq, sign: int) -> np.ndarray:
-    """Unit vector at angular distances dp, dq from p, q, on the given side."""
-    import numpy as np
-    n = np.cross(p, q)
-    nn = float(np.dot(n, n))
-    cpq = float(np.dot(p, q))
-    A = np.array([[1.0, cpq], [cpq, 1.0]])
-    rhs = np.array([math.cos(dp), math.cos(dq)])
-    ab = np.linalg.solve(A, rhs)
-    base_v = ab[0] * p + ab[1] * q
-    rem = 1.0 - float(np.dot(base_v, base_v))
-    g = math.sqrt(max(0.0, rem) / nn)
-    return base_v + sign * g * n
-
-
-def _apartment_antipode(c: MetricComplex, cells, base: int) -> int | None:
-    import numpy as np
-    pos = develop_apartment(c, cells, base)
-    for v, p in pos.items():
-        if v != base and np.linalg.norm(p + pos[base]) <= 1e-6:
-            return v
-    return None
-
-
-def _developed_distance(c: MetricComplex, cells, base: int, v: int) -> float:
-    import numpy as np
-    pos = develop_apartment(c, cells, base)
-    if v not in pos:
-        return float("nan")
-    return math.acos(max(-1.0, min(1.0, float(np.dot(pos[base], pos[v])))))
+def _model_distance(model: CoxeterComplexModel, image: dict, back: dict, x: int, y: int
+                    ) -> float:
+    """d(x, y) in a hull walked onto the model, in radians.  The type-i
+    vertex of model chamber g is g p_i, where p_i is column i of B^-1 for the
+    cosine form B, in simple-root coordinates, and B(p_i, alpha_k) is 1 when
+    k = i and 0 otherwise.  With x = g p_i and y = h p_j, u = g^-1 h p_j
+    (each letter t a reflection, which changes only u_t, by -2 B(u, alpha_t))
+    gives cos d = B(p_i, u) / (|p_i| |p_j|) = u_i / sqrt(B^-1_ii B^-1_jj)."""
+    from .linalg import inverse
+    B = cosine_form(model.system)
+    inv = inverse(B)
+    g, h = (next(w for w, cell in image.items() if v in cell) for v in (x, y))
+    i, j = (model.vertex_types[back[v]] for v in (x, y))
+    u = [row[j] for row in inv]
+    for t in (*reversed(h), *g):
+        u[t] -= 2.0 * sum([a * b for a, b in zip(u, B[t])])
+    return math.acos(min(max(u[i] / math.sqrt(inv[i][i] * inv[j][j]), -1.0), 1.0))

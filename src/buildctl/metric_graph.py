@@ -220,15 +220,10 @@ class MetricGraph:
                     heapq.heappush(heap, (nd, w))
         return dist, prev
 
-    def vertex_distances(self, source: int, skip_edge: int | None = None,
-                         with_paths: bool = False):
+    def vertex_distances(self, source: int, skip_edge: int | None = None):
         """Dijkstra distances from one vertex, Fractions on exact graphs;
         optionally excludes one edge id."""
-        dist, prev = self._dijkstra(source, skip_edge)
-        dist = {w: self._restore(x) for w, x in dist.items()}
-        if with_paths:
-            return dist, prev
-        return dist
+        return {w: self._restore(x) for w, x in self._dijkstra(source, skip_edge)[0].items()}
 
     @cached_property
     def _all_pairs(self) -> list[dict[int, int | float]]:

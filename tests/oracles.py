@@ -11,6 +11,8 @@ whose closed spheres the hull family of opposite chambers must equal, and
 the dim-1 cycle DFS, which the kernel-unit search must match node for node.
 Hull isometry: an untyped search over every seed chamber and vertex
 bijection, propagated across panels, which the typed model walk must match.
+Apartment antipodes and distances: the apartment developed onto the unit
+sphere in float coordinates, one cell at a time across shared edges.
 Coxeter complexes: the earlier construction with orthogonal matrices from
 the square root of the cosine form, rounded matrix and vertex keys and one
 ``acos`` per edge.  Realizability: one ``eigvalsh`` call per
@@ -473,6 +475,60 @@ def _try_propagate_iso(a, b, ca0, perm) -> bool:
             queue.append(nxt)
     return len(mapped) == len(a.top_cells) and \
         len(set(mapped.values())) == len(b.top_cells)
+
+
+def develop_apartment(c, cells, base: int) -> dict[int, np.ndarray]:
+    """Unit-vector coordinates of a thin closed spherical surface, base at
+    the north pole: cells placed across shared edges in breadth-first order,
+    each new vertex at its two edge lengths from the shared edge's ends, on
+    the side away from the cell already placed."""
+    cells = list(cells)
+    by_edge: dict[tuple, list] = {}
+    for cell in cells:
+        for e in itertools.combinations(cell, 2):
+            by_edge.setdefault(e, []).append(cell)
+    pos: dict[int, np.ndarray] = {}
+    start = next(cl for cl in sorted(cells) if base in cl)
+    a, b = (v for v in sorted(start) if v != base)
+    la = c.edge_length(base, a).radians
+    pos[base] = np.array([0.0, 0.0, 1.0])
+    pos[a] = np.array([math.sin(la), 0.0, math.cos(la)])
+    pos[b] = _third_position(pos[base], pos[a], c.edge_length(base, b).radians,
+                             c.edge_length(a, b).radians, +1)
+    placed = {start}
+    queue = [start]
+    while queue:
+        cur = queue.pop(0)
+        for e in itertools.combinations(cur, 2):
+            for nxt in by_edge[e]:
+                if nxt in placed:
+                    continue
+                w = next(v for v in nxt if v not in e)
+                u, v = e
+                opp = next(z for z in cur if z not in e)
+                side = _side_sign(pos[u], pos[v], pos[opp])
+                p = _third_position(pos[u], pos[v], c.edge_length(u, w).radians,
+                                    c.edge_length(v, w).radians, -side)
+                pos.setdefault(w, p)
+                placed.add(nxt)
+                queue.append(nxt)
+    return pos
+
+
+def _side_sign(p, q, r) -> int:
+    return 1 if float(np.dot(np.cross(p, q), r)) >= 0 else -1
+
+
+def _third_position(p, q, dp, dq, sign: int) -> np.ndarray:
+    """The unit vector at angular distances dp, dq from p, q, on the given
+    side of the plane through p and q."""
+    n = np.cross(p, q)
+    cpq = float(np.dot(p, q))
+    ab = np.linalg.solve(np.array([[1.0, cpq], [cpq, 1.0]]),
+                         np.array([math.cos(dp), math.cos(dq)]))
+    base_v = ab[0] * p + ab[1] * q
+    rem = 1.0 - float(np.dot(base_v, base_v))
+    return base_v + sign * math.sqrt(max(0.0, rem) / float(np.dot(n, n))) * n
 
 
 def sqrt_form(B) -> np.ndarray:

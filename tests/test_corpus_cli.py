@@ -383,9 +383,10 @@ def test_cli_metric_graph_commands_do_not_load_numpy(tmp_path):
 
 def test_cli_model_and_dim2_commands_do_not_load_numpy(tmp_path):
     """The checks of cells of dimension 2 (a Coxeter complex's JSON, the
-    octahedron, an A2 window) and the Coxeter commands run on the
-    standard-library kernels: after each, in one fresh interpreter, numpy is
-    still not imported."""
+    octahedron, an A2 window), the Coxeter commands and ``apartment``, whose
+    antipode and witness distance come from the model Coxeter complex, run
+    on the standard-library kernels: after each, in one fresh interpreter,
+    numpy is still not imported."""
     a3, octa, win, out = (tmp_path / f for f in ("a3.json", "oct.json", "w3.json", "o.json"))
     assert main(["gen", "coxeter-complex", "--type", "A3", "-o", str(a3)]) == 0
     assert main(["gen", "octahedron", "-o", str(octa)]) == 0
@@ -400,11 +401,13 @@ def test_cli_model_and_dim2_commands_do_not_load_numpy(tmp_path):
         "print(json.dumps(out))\n")
     argvs = [f"check|{a3}", f"check|{octa}", f"check|{win}|--boundary|window",
              "coxeter|classify|--type|A3", "coxeter|complex|--type|B3",
-             f"gen|coxeter-complex|--type|A3|-o|{out}"]
+             f"gen|coxeter-complex|--type|A3|-o|{out}",
+             f"apartment|{octa}|--from|a0|--cycle|b0|c0|b1|c1|--to|a1",
+             f"apartment|{octa}|--from|a0|--cycle|b0|c0|b1|c1|--to|b0"]
     proc = subprocess.run([sys.executable, "-c", code, *argvs], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[2, False], [2, False], [0, False],
-                                       [0, False], [0, False], [0, False]]
+    assert json.loads(proc.stdout) == [[2, False], [2, False], [0, False], [0, False],
+                                       [0, False], [0, False], [0, False], [1, False]]
 
 
 def test_cli_dim0_check_and_decompose_agree(tmp_path, capsys):
@@ -611,6 +614,9 @@ def test_cli_bad_arguments_exit3(tmp_path, capsys, argv):
     assert err.startswith("buildctl: ") and err.count("\n") == 1, err
 
 
+LENGTH_SYNTAX = "expected pi, p pi, pi/q, p pi/q, p/q or radians"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["coxeter", "classify", "--type", "I2(0)"],
      "bad Coxeter type 'I2(0)': I2(m) needs an integer m >= 2"),
@@ -631,12 +637,25 @@ def test_cli_bad_arguments_exit3(tmp_path, capsys, argv):
      "bad direction 'v:zz': the link of 'a0' has no vertex named 'zz'"),
     (["geodesic", "OCT", "--from", "a0", "--dir", "e0:1/4"],
      "bad point 'e0:1/4': edge id 'e0' is not an integer"),
+    (["geodesic", "OCT", "--from", "a0", "--dir", "0:1/4", "--len", "2pix"],
+     f"bad length '2pix': {LENGTH_SYNTAX}"),
+    (["geodesic", "OCT", "--from", "a0", "--dir", "0:1/4", "--len", "pix/2"],
+     f"bad length 'pix/2': {LENGTH_SYNTAX}"),
+    (["gen", "complete-bipartite", "--length", "pi/2junk"],
+     f"bad length 'pi/2junk': {LENGTH_SYNTAX}"),
+    (["gen", "complete-bipartite", "--length", "pi/x"], f"bad length 'pi/x': {LENGTH_SYNTAX}"),
+    (["gen", "complete-bipartite", "--length=-pi/3"], f"bad length '-pi/3': {LENGTH_SYNTAX}"),
+    (["gen", "complete-bipartite", "--length", "1/2/3"], f"bad length '1/2/3': {LENGTH_SYNTAX}"),
+    (["gen", "complete-bipartite", "--length", "pi/0"],
+     "bad length 'pi/0': angle pi*1/0 has a zero denominator"),
+    (["gen", "complete-bipartite", "--length", "1e400"], "bad length '1e400': not finite"),
 ])
 def test_cli_bad_names_are_named(tmp_path, capsys, argv, message):
     """A Coxeter type I2(m) with m < 2 or no integer m (0 encodes the
     infinite dihedral group, which has no I2 name), a vertex name that the
-    graph or link lacks and a non-integer edge id exit 3 with one line that
-    names the bad input."""
+    graph or link lacks, a non-integer edge id and a length with any text
+    beyond the length grammar exit 3 with one line that names the bad
+    input."""
     files = {"K33": gen_rank2_building("complete_bipartite"), "OCT": gen_octahedron()}
     for name, cx in files.items():
         (tmp_path / name).write_text(cx.dumps())

@@ -61,12 +61,15 @@ def test_classify_rank2_finite_always_spherical():
 
 def test_classify_reads_dihedral_orders_off_the_matrix():
     """A rank-1 component has order 2 and I2(m) order 2m (Humphreys, 1.1),
-    which enumeration confirms for m <= 30; classify reads them off the
-    matrix, so they are known under a budget of one element, up to m = 10^4
-    and in a product, while a rank-3 component is still enumerated."""
+    which enumeration confirms for m <= 30 and at m = 5000, where roots
+    rounded to 9 digits fell on both sides of a rounding boundary and gave
+    49568 elements; classify reads them off the matrix, so they are known
+    under a budget of one element, up to m = 10^4 and in a product, while a
+    rank-3 component is still enumerated."""
     assert len(generate_reflection_group(named_matrix("A1"))) == 2
     for m in range(2, 31):
         assert len(generate_reflection_group(dihedral(m))) == 2 * m
+    assert len(generate_reflection_group(dihedral(5000), budget=10 ** 5)) == 10000
     for m in range(2, 10 ** 4 + 1):
         cls = classify(dihedral(m), budget=1)
         assert cls.group_order == 2 * m and cls.order_known, m

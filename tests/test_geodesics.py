@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 import oracles
+from buildctl import geodesics
 from buildctl.angles import Angle
 from buildctl.complexes import MetricComplex, suspension, vertex_link
 from buildctl.corpus import gen_short_lune
-from buildctl.geodesics import (ApartmentSurface, EdgeSegment, FaceSegment,
-                                GeodesicError, LocalGeodesic,
-                                PropagationFailure, cell_frame,
-                                develop_apartment, extend_geodesic,
-                                geodesic_between, propagate_all,
-                                propagate_apartment, shoot)
+from buildctl.geodesics import (ApartmentSurface, EdgeSegment, FaceSegment, GeodesicError,
+                                PropagationFailure, cell_frame, extend_geodesic,
+                                propagate_all, propagate_apartment, shoot)
 from buildctl.metric_graph import GraphPoint, MetricGraph
 
 
@@ -46,6 +44,8 @@ def test_octahedron_interior_shot_reaches_antipode(octahedron):
     assert not geo.dead_end
     assert geo.end_vertex == octahedron.vertices.index("a1")
     assert abs(geo.length - math.pi) <= 1e-9
+    cells = [s.cell for s in geo.segments if isinstance(s, FaceSegment) and s.length > 1e-12]
+    assert len(cells) == 2                     # through two face interiors
 
 
 def test_octahedron_edge_direction_runs_along_edges(octahedron):
@@ -56,46 +56,6 @@ def test_octahedron_edge_direction_runs_along_edges(octahedron):
     geo = geos[0]
     assert all(isinstance(s, EdgeSegment) for s in geo.segments)
     assert geo.end_vertex == octahedron.vertices.index("a1")
-
-
-def test_geodesic_between_adjacent(octahedron):
-    geo = geodesic_between(octahedron, "a0", "b0")
-    assert isinstance(geo, LocalGeodesic)
-    assert abs(geo.length - math.pi / 2) <= 1e-9
-
-
-def test_geodesic_between_antipodal_with_direction(octahedron):
-    lk, g = link_graph_of(octahedron, "a0")
-    eid = link_edge(lk, g, "b0", "c1")
-    geo = geodesic_between(octahedron, "a0", "a1",
-                           initial_direction=GraphPoint(edge=eid, t=Fraction(1, 3)))
-    assert isinstance(geo, LocalGeodesic)
-    assert abs(geo.length - math.pi) <= 1e-9
-    cells = [s.cell for s in geo.segments if isinstance(s, FaceSegment) and s.length > 1e-12]
-    assert len(cells) == 2                     # through two face interiors
-
-
-def test_geodesic_between_reports_exhausted_branches(octahedron):
-    """A search whose shots ran out of branches says so in its failure; a
-    search with enough branches finds the geodesic."""
-    res = geodesic_between(octahedron, "a0", "a1", branch_budget=0)
-    assert res == {"failure": "no geodesic found", "best_miss": None,
-                   "branch_budget_exceeded": True}
-    assert isinstance(geodesic_between(octahedron, "a0", "a1"), LocalGeodesic)
-
-
-def test_heawood_prescribed_direction_unique(heawood):
-    # antipodal pair at combinatorial distance 3; the geodesic through a fixed
-    # first edge is unique
-    g = MetricGraph.from_complex(heawood)
-    p = heawood.vertices.index("p0")
-    q = heawood.vertices.index("l1")
-    nbr = next(w for w, eid, _ in g.adjacency[p])
-    geo = geodesic_between(heawood, "p0", heawood.vertices[q],
-                           initial_direction=GraphPoint(vertex=nbr))
-    assert isinstance(geo, LocalGeodesic)
-    assert abs(geo.length - math.pi) <= 1e-9
-    assert geo.segments[0].u == p and geo.segments[0].v == nbr
 
 
 def test_dead_end_arriving_at_cone_point():
@@ -209,7 +169,7 @@ def test_every_apartment_through_a_fan_takes_its_antipode(s0_heawood, s0_heawood
             for apt in s0_heawood_cert.apartments:
                 if not fan <= set(apt.cells):
                     continue
-                pos = develop_apartment(c, apt.cells, xi)
+                pos = oracles.develop_apartment(c, apt.cells, xi)
                 y = next(v for v, p in pos.items() if np.linalg.norm(p + pos[xi]) <= 1e-6)
                 res = propagate_apartment(c, x, ring, y=c.vertices[y])
                 assert isinstance(res, ApartmentSurface), (x, ring, c.vertices[y])
@@ -219,8 +179,9 @@ def test_every_apartment_through_a_fan_takes_its_antipode(s0_heawood, s0_heawood
 
 
 def test_develop_apartment_isometry(octahedron):
-    pos = develop_apartment(octahedron, octahedron.top_cells,
-                            octahedron.vertices.index("a0"))
+    """The oracle development keeps every edge length."""
+    pos = oracles.develop_apartment(octahedron, octahedron.top_cells,
+                                    octahedron.vertices.index("a0"))
     assert len(pos) == 6
     for i, j in octahedron.edges:
         want = octahedron.edge_length(i, j).radians
@@ -284,28 +245,83 @@ def test_no_dead_ends_in_certified_building(s0_heawood):
 
 
 def test_shooting_grid_with_refinement_on_a3():
-    # same-type vertices are never adjacent; the geodesic between them crosses
-    # cell interiors and is found by the direction grid plus bisection
+    """A length-pi shot from an A3 vertex through the interior of a link
+    edge crosses cell interiors and ends at the vertex's antipode, the
+    vertex at the opposite point in the model's reference coordinates."""
     from buildctl.coxeter import coxeter_complex, named_matrix
-    import numpy as np
     model = coxeter_complex(named_matrix("A3"))
     cx = model.complex
     # the rounded-key model numbers its vertices as the coset model does
     ref = oracles.reference_coxeter_complex(named_matrix("A3"), 10 ** 6)
     assert ref["names"] == list(cx.vertices)
     coords = ref["vertex_coords"]
-    hits = 0
-    for i in range(len(cx.vertices)):
-        for j in range(i + 1, len(cx.vertices)):
-            if model.vertex_types[i] != model.vertex_types[j]:
-                continue
-            ang = math.acos(float(np.clip(coords[i] @ coords[j], -1, 1)))
-            if not (0.1 < ang < math.pi - 0.2):
-                continue
-            geo = geodesic_between(cx, cx.vertices[i], cx.vertices[j])
-            assert isinstance(geo, LocalGeodesic)
-            assert abs(geo.length - ang) <= 1e-6
-            hits += 1
-            if hits == 2:
-                return
-    assert hits >= 1
+    for v in range(len(cx.vertices)):
+        antipode = next(u for u in range(len(cx.vertices))
+                        if np.linalg.norm(coords[u] + coords[v]) <= 1e-9)
+        lk, g = link_graph_of(cx, cx.vertices[v])
+        for eid in (0, len(g.edges) - 1):
+            t = g.edges[eid][2] / 3
+            geos, exhausted = shoot(cx, cx.vertices[v], GraphPoint(edge=eid, t=t), math.pi)
+            assert len(geos) == 1 and not exhausted, (v, eid)
+            assert geos[0].end_vertex == antipode and not geos[0].dead_end, (v, eid)
+            assert abs(geos[0].length - math.pi) <= 1e-9
+            assert sum(isinstance(s, FaceSegment) and s.length > 1e-12
+                       for s in geos[0].segments) >= 2
+
+
+def _ring(cells, x) -> list:
+    """The link cycle of x in a thin surface, in order around x."""
+    sides = [tuple(v for v in t if v != x) for t in cells if x in t]
+    ring = list(sides[0])
+    while len(ring) < len(sides):
+        ring.append(next(b if a == ring[-1] else a for a, b in sides
+                         if ring[-1] in (a, b) and ring[-2] not in (a, b)))
+    return ring
+
+
+def test_model_antipodes_and_distances_match_the_developed_apartment(
+        monkeypatch, s0_heawood, s0_heawood_cert, k33, tutte_coxeter):
+    """In every apartment of S0*Heawood, S0*K3,3 and S0*GQ(2,2), and in the
+    A3, B3 and H3 Coxeter complexes, the antipode and the distances that
+    ``propagate_apartment`` reads off the model Coxeter complex are those of
+    the apartment developed onto the sphere (``oracles.develop_apartment``):
+    y at the developed antipode of the base is accepted, and every other
+    vertex y of the apartment is refused as not antipodal, with the
+    developed angle to within 1e-12 rad away from 0 and pi, where acos is
+    ill-conditioned.  The base is a vertex of each type in a thin complex
+    and of one type per apartment, in turn, otherwise; each complex's
+    certificate is computed once."""
+    from buildctl.coxeter import CoxeterMatrix, coxeter_complex, named_matrix
+    from buildctl.recognizer import check_spherical
+    h3 = CoxeterMatrix(("a", "b", "c"), ((1, 5, 2), (5, 1, 3), (2, 3, 1)))
+    certs = {id(s0_heawood): s0_heawood_cert}
+    complexes = [s0_heawood, suspension(k33), suspension(tutte_coxeter),
+                 *(coxeter_complex(M).complex for M in (named_matrix("A3"),
+                                                        named_matrix("B3"), h3))]
+    for c in complexes:
+        certs.setdefault(id(c), check_spherical(c))
+    monkeypatch.setattr(geodesics, "check_spherical", lambda c, budget: certs[id(c)])
+    counts = []
+    for c in complexes:
+        cert = certs[id(c)]
+        types = cert.vertex_types
+        pairs = 0
+        for k, apt in enumerate(cert.apartments):
+            thin = len(cert.apartments) == 1
+            for typ in (range(3) if thin else (k % 3,)):
+                x = next(v for v in apt.vertices if types[v] == typ)
+                ring = _ring(apt.cells, x)
+                pos = oracles.develop_apartment(c, apt.cells, x)
+                anti = next(v for v, p in pos.items() if np.linalg.norm(p + pos[x]) <= 1e-6)
+                res = propagate_apartment(c, x, ring, y=anti)
+                assert isinstance(res, ApartmentSurface) and res.antipode_of_base == anti
+                for y in apt.vertices:
+                    d = math.acos(float(np.clip(pos[x] @ pos[y], -1.0, 1.0)))
+                    if y == anti or not 1e-6 < d < math.pi - 1e-6:
+                        continue
+                    res = propagate_apartment(c, x, ring, y=y)
+                    assert res.reason == "prescribed endpoint is not antipodal to the base"
+                    assert abs(res.witness["distance"] - d) <= 1e-12, (c.vertices[x], y)
+                    pairs += 1
+        counts.append((len(cert.apartments), pairs))
+    assert counts == [(28, 168), (9, 36), (90, 720), (1, 36), (1, 72), (1, 180)]

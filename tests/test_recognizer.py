@@ -1360,8 +1360,7 @@ def test_no_surface_growth_in_thin_complexes(heawood, monkeypatch):
 
 
 def _antipodal_quotient(c):
-    from buildctl.geodesics import develop_apartment
-    pos = develop_apartment(c, c.top_cells, 0)
+    pos = oracles.develop_apartment(c, c.top_cells, 0)
     rep = {v: min(u for u in pos if abs(pos[u] + pos[v]).max() < 1e-6 or u == v)
            for v in pos}
     keep = sorted(set(rep.values()))
