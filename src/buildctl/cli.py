@@ -10,9 +10,9 @@ its input: ``check`` and ``decompose`` of a spherical graph or discrete set
 load ``dim1``, not ``recognizer`` (with its ``geodesics`` and ``homotopy``),
 and ``gen`` loads ``coxeter`` for ``coxeter-complex`` only.  buildctl's
 records are plain classes and no command loads ``inspect``, so a process
-compiles no generated code at start-up.  Only ``geodesic`` loads numpy, to
-shoot, and any command whose input has a simplex that fails the Gram test,
-to print its least eigenvalue; ``apartment`` reads antipodes off the model
+compiles no generated code at start-up.  Every command runs on the
+standard library: ``geodesic`` shoots in 3-vectors of ``math`` floats,
+matrices go to ``linalg``, and ``apartment`` reads antipodes off the model
 Coxeter complex.
 """
 

@@ -89,16 +89,17 @@ def least_gram_eigenvalues(geometry: str, simplices: Sequence[Sequence[Angle]]
     ``simplices`` hold the edge lengths of simplices of one dimension d >= 1,
     in ``itertools.combinations(range(d + 1), 2)`` order.  An edge of length
     l has the closed forms 1 - |cos l| (eigenvalues 1 +- cos l) and l**2 (a
-    1x1 matrix); higher simplices go to one stacked numpy ``eigvalsh`` call."""
+    1x1 matrix); a higher simplex gets one ``linalg.symmetric_eigenvalues``
+    call."""
     if not simplices:
         return []
     if len(simplices[0]) == 1:
         if geometry == SPHERICAL:
             return [1.0 - abs(math.cos(a.radians)) for (a,) in simplices]
         return [a.radians ** 2 for (a,) in simplices]
-    import numpy as np
-    mats = [_gram_matrix(geometry, [a.radians for a in lengths]) for lengths in simplices]
-    return np.linalg.eigvalsh(np.array(mats))[:, 0].tolist()
+    from .linalg import symmetric_eigenvalues
+    return [symmetric_eigenvalues(_gram_matrix(geometry, [a.radians for a in lengths]))[0]
+            for lengths in simplices]
 
 
 def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
@@ -111,7 +112,8 @@ def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
     matrix, and each shape passes when G - (eps + margin) I has a Cholesky
     factor: lambda_min > eps exactly when G - eps I is positive definite,
     and the margin of 1e-12 times the largest diagonal entry exceeds the
-    rounding of either factorization, so a pass is one for ``eigvalsh`` too.
+    rounding of either algorithm, so a pass is one for the Jacobi
+    eigenvalues too.
     Only the shapes that fail it get their least eigenvalue from
     ``least_gram_eigenvalues``, which decides them and names it."""
     out: list[tuple[bool, str] | None] = [None] * len(simplices)

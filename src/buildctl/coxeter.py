@@ -9,7 +9,7 @@ simple-root coordinates.  The unit sphere is cellulated by the translates of
 the fundamental chamber: the vertices are the standard cosets g W_J, read off
 the right-multiplication table, and the edges of one type pair share one
 length, read off the inverse cosine form.  The linear algebra is the
-standard-library kernels of ``linalg``; nothing here imports numpy.
+standard-library kernels of ``linalg``.
 """
 
 from __future__ import annotations

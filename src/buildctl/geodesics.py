@@ -1,39 +1,35 @@
 """Local geodesics and apartments through sector fans in spherical complexes, n <= 2.
 
 Within a 2-cell a geodesic is a great-circle arc of the cell's isometric
-model on the round sphere; crossing an edge interior develops the two
-incident cells flat; at a vertex the continuations are exactly the antipodes
-of the incoming direction in the vertex link, which is a metric graph and
-therefore exactly computable.  The apartments through the sector fan of a
-2*pi link cycle at x are those of the recognizer's apartment system, the
-convex hulls of opposite chambers (every apartment of a spherical building
-is one), that contain every wedge of the fan; they come in
-``Apartment.key`` order.  The 2*pi test sums the fan's corner angles
+model on the round sphere (the rows of the Cholesky factor of its Gram
+matrix, 3-tuples of floats); crossing an edge interior develops the two
+incident cells flat; at a vertex the continuations are exactly the
+antipodes of the incoming direction in the vertex link, which is a metric
+graph and therefore exactly computable.  A geodesic is cut at the length
+asked for, inside a face or along an edge.  The apartments through the
+sector fan of a 2*pi link cycle at x are those of the recognizer's
+apartment system, the convex hulls of opposite chambers (every apartment
+of a spherical building is one), that contain every wedge of the fan; they
+come in ``Apartment.key`` order.  The 2*pi test sums the fan's corner angles
 exactly, or within tolerance when one is a float (``cmp_units``).  Each
 candidate apartment is walked onto the model Coxeter complex
 (``_model_walk``), which labels its chambers by group words: x's antipode
 and the distance in a "not antipodal" witness are read off the model, with
 no coordinates.
-
-The recognizer loads this module, so numpy is imported inside the functions
-that use it: geodesic shooting is the only numpy user here, and a process
-that runs no ``geodesic`` command never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .angles import Angle, cmp_units
 from .complexes import MetricComplex, _vertex_angle, vertex_link
 from .coxeter import CoxeterComplexModel, cosine_form, coxeter_complex
+from .linalg import cholesky
 from .metric_graph import GraphPoint, MetricGraph
 from .recognizer import (B_APT_DEFAULT, Apartment, BuildingCertificate, Diagnosis,
                          _model_walk, check_spherical)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 BRANCH_BUDGET = 64
 
@@ -42,33 +38,43 @@ class GeodesicError(ValueError):
     pass
 
 
-# -- cell frames --------------------------------------------------------------
+# -- vectors of R^3 and cell frames ------------------------------------------
+
+Vec = tuple[float, float, float]
 
 
-def cell_frame(c: MetricComplex, cell) -> dict[int, np.ndarray]:
-    """Unit-vector positions of a spherical cell's vertices (own model copy)."""
-    import numpy as np
+def _dot(u: Vec, v: Vec) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _comb(a: float, u: Vec, b: float, v: Vec) -> Vec:
+    """a*u + b*v."""
+    return (a * u[0] + b * v[0], a * u[1] + b * v[1], a * u[2] + b * v[2])
+
+
+def _unit(u: Vec) -> Vec:
+    n = math.sqrt(_dot(u, u))
+    return (u[0] / n, u[1] / n, u[2] / n)
+
+
+def _unit_normal(u: Vec, v: Vec, side: Vec) -> Vec:
+    """The unit normal to u and v on the side of ``side``."""
+    n = _unit((u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+               u[0] * v[1] - u[1] * v[0]))
+    return n if _dot(n, side) >= 0 else (-n[0], -n[1], -n[2])
+
+
+def cell_frame(c: MetricComplex, cell) -> dict[int, Vec]:
+    """Unit-vector positions of a spherical 2-cell's vertices (own model
+    copy): the rows of the Cholesky factor of its Gram matrix, which is
+    positive definite in a valid complex."""
     t = tuple(sorted(cell))
-    G = c.gram(t)
-    L = np.linalg.cholesky(G)      # rows are the vertex vectors
-    return {v: L[i] for i, v in enumerate(t)}
-
-
-def _face_normals(frame: dict[int, np.ndarray], cell) -> dict[int, np.ndarray]:
-    """Inward normal of the wall opposite each vertex of a 2-cell."""
-    import numpy as np
-    a, b, c3 = sorted(cell)
-    out = {}
-    for opp, (p, q) in ((a, (b, c3)), (b, (a, c3)), (c3, (a, b))):
-        n = np.cross(frame[p], frame[q])
-        if np.dot(n, frame[opp]) < 0:
-            n = -n
-        out[opp] = n / np.linalg.norm(n)
-    return out
+    L = cholesky(c.gram(t))
+    return {v: tuple(L[i]) for i, v in enumerate(t)}
 
 
 class FaceSegment:
-    def __init__(self, cell: tuple, start: np.ndarray, direction: np.ndarray, length: float):
+    def __init__(self, cell: tuple, start: Vec, direction: Vec, length: float):
         self.cell = cell
         self.start = start
         self.direction = direction
@@ -119,14 +125,14 @@ class LocalGeodesic:
 class _State:
     """Marching state: where the geodesic tip is and how it points."""
 
-    def __init__(self, kind: str, cell: tuple | None = None, point: tuple | None = None,
-                 direction: tuple | None = None, vertex: int | None = None,
+    def __init__(self, kind: str, cell: tuple | None = None, point: Vec | None = None,
+                 direction: Vec | None = None, vertex: int | None = None,
                  incoming: GraphPoint | None = None):
-        self.kind = kind                # face | vertex | edge_launch | done
+        self.kind = kind                # face | vertex | done
         self.cell = cell
-        self.point = point              # unit vector as tuple (face kind)
+        self.point = point              # unit vector (face kind)
         self.direction = direction
-        self.vertex = vertex            # vertex kind: arrived here
+        self.vertex = vertex            # vertex kind: arrived here; done: the end or None
         self.incoming = incoming        # direction of arrival inside lk(vertex)
 
 
@@ -147,11 +153,8 @@ def _link_edge_id(g: MetricGraph, a_local: int, b_local: int) -> int:
 
 def _start_from_vertex(c: MetricComplex, v: int, link_point: GraphPoint,
                        g: MetricGraph, amb: dict[int, int]) -> _State:
-    """Launch state for a geodesic leaving vertex v in a link direction."""
-    import numpy as np
-    if link_point.is_vertex:
-        return _State(kind="edge_launch", vertex=v,
-                      incoming=None, cell=(v, amb[link_point.vertex]))
+    """Launch state for a geodesic leaving vertex v into a 2-cell, in the
+    direction of a point inside a link edge."""
     u_loc, w_loc, _ = g.edges[link_point.edge]
     a, b = amb[u_loc], amb[w_loc]
     cell = tuple(sorted((v, a, b)))
@@ -160,83 +163,75 @@ def _start_from_vertex(c: MetricComplex, v: int, link_point: GraphPoint,
     tb = _unit_tangent(frame[v], frame[b])
     alpha = _angle_between(ta, tb)
     s = float(link_point.t) * math.pi
-    d = (math.sin(alpha - s) * ta + math.sin(s) * tb) / math.sin(alpha)
-    return _State(kind="face", cell=cell, point=tuple(frame[v]),
-                  direction=tuple(d / np.linalg.norm(d)))
+    return _State(kind="face", cell=cell, point=frame[v],
+                  direction=_unit(_comb(math.sin(alpha - s), ta, math.sin(s), tb)))
 
 
-def _unit_tangent(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    import numpy as np
-    t = q - np.dot(q, p) * p
-    return t / np.linalg.norm(t)
+def _unit_tangent(p: Vec, q: Vec) -> Vec:
+    """The unit tangent at p of the great circle from p to q."""
+    return _unit(_comb(1.0, q, -_dot(q, p), p))
 
 
-def _angle_between(u, v) -> float:
-    import numpy as np
-    return math.acos(max(-1.0, min(1.0, float(np.dot(u, v)))))
+def _angle_between(u: Vec, v: Vec) -> float:
+    return math.acos(max(-1.0, min(1.0, _dot(u, v))))
 
 
-def _march_face(c: MetricComplex, cell, p: np.ndarray, d: np.ndarray):
+def _march_face(c: MetricComplex, cell, p: Vec, d: Vec):
     """Great-circle march inside one cell to the boundary.
 
     Returns (arc_length, exit_point, exit_edge_or_vertex) where the exit is
     ('vertex', v) or ('edge', (a, b)).
     """
-    import numpy as np
     frame = cell_frame(c, cell)
-    normals = _face_normals(frame, cell)
+    verts = sorted(cell)
     best_t = None
-    for opp, n in normals.items():
-        fn = float(np.dot(p, n))
-        gn = float(np.dot(d, n))
-        # wall coordinate along the arc: f(t) = fn*cos t + gn*sin t;
+    for opp in verts:
+        # the wall opposite opp, with inward unit normal n: its coordinate
+        # along the arc is f(t) = fn*cos t + gn*sin t, and
         # t = atan2(fn, -gn) is its first outward zero crossing
-        t = math.atan2(fn, -gn)
+        a, b = (v for v in verts if v != opp)
+        n = _unit_normal(frame[a], frame[b], frame[opp])
+        t = math.atan2(_dot(p, n), -_dot(d, n))
         while t <= 1e-12:
             t += math.pi
         if best_t is None or t < best_t[0]:
             best_t = (t, opp)
     t, opp = best_t
-    exitp = p * math.cos(t) + d * math.sin(t)
-    verts = sorted(cell)
+    exitp = _comb(math.cos(t), p, math.sin(t), d)
     for v in verts:
-        if np.linalg.norm(exitp - frame[v]) < 1e-7:
+        if math.dist(exitp, frame[v]) < 1e-7:
             return t, exitp, ("vertex", v)
-    a, b = [v for v in verts if v != opp]
-    return t, exitp, ("edge", (a, b))
+    return t, exitp, ("edge", tuple(v for v in verts if v != opp))
 
 
 def _transfer(c: MetricComplex, cell_from, cell_to, shared: tuple[int, int],
-              p: np.ndarray, d: np.ndarray):
-    """Re-express point/direction across a shared edge in the next cell's frame."""
-    import numpy as np
-    fa = cell_frame(c, cell_from)
-    fb = cell_frame(c, cell_to)
+              p: Vec, d: Vec) -> tuple[Vec, Vec]:
+    """Re-express point/direction across a shared edge in the next cell's
+    frame.  Each side has the orthonormal basis (a, the tangent at a toward
+    b, the normal toward the cell's third vertex); the two cells lie on
+    opposite sides of the edge, so the coordinates carry over with the
+    normal one negated."""
     a, b = shared
-    # orthonormal basis adapted to the shared edge, on each side
-    def basis(frame, other):
-        e0 = frame[a]
+
+    def basis(cell):
+        frame = cell_frame(c, cell)
         e1 = _unit_tangent(frame[a], frame[b])
-        n = np.cross(e0, e1)
-        if np.dot(n, frame[other] - np.dot(frame[other], e0) * e0) < 0:
-            n = -n
-        return np.stack([e0, e1, n])
-    oa = next(v for v in cell_from if v not in shared)
-    ob = next(v for v in cell_to if v not in shared)
-    Ba = basis(fa, oa)
-    Bb = basis(fb, ob)
-    # map side of cell_from to the OPPOSITE side in cell_to: flip the normal
-    F = np.diag([1.0, 1.0, -1.0])
-    M = Bb.T @ F @ Ba
-    return M @ p, M @ d
+        other = next(v for v in cell if v not in shared)
+        return frame[a], e1, _unit_normal(frame[a], e1, frame[other])
+
+    (a0, a1, a2), (b0, b1, b2) = basis(cell_from), basis(cell_to)
+
+    def move(x: Vec) -> Vec:
+        return _comb(1.0, _comb(_dot(a0, x), b0, _dot(a1, x), b1), -_dot(a2, x), b2)
+
+    return move(p), move(d)
 
 
-def _incoming_link_point(c: MetricComplex, v: int, cell, back_dir: np.ndarray,
+def _incoming_link_point(c: MetricComplex, v: int, cell, back_dir: Vec,
                          g: MetricGraph, loc: dict[int, int]) -> GraphPoint:
     """Locate the direction back_dir (a tangent at v inside cell) in lk(v)."""
     frame = cell_frame(c, cell)
-    others = [w for w in cell if w != v]
-    a, b = others
+    a, b = (w for w in cell if w != v)
     ta = _unit_tangent(frame[v], frame[a])
     tb = _unit_tangent(frame[v], frame[b])
     th_a = _angle_between(back_dir, ta)
@@ -246,42 +241,59 @@ def _incoming_link_point(c: MetricComplex, v: int, cell, back_dir: np.ndarray,
     if th_b < 1e-9:
         return GraphPoint(vertex=loc[b])
     eid = _link_edge_id(g, loc[a], loc[b])
-    u_loc = g.edges[eid][0]
-    off = th_a if u_loc == loc[a] else th_b
+    off = th_a if g.edges[eid][0] == loc[a] else th_b
     exact = Angle.from_radians(off)
     return GraphPoint(edge=eid, t=exact.pi_units if exact.is_exact else off / math.pi)
 
 
+def _require_shootable(c: MetricComplex) -> None:
+    if c.geometry != "spherical" or c.dimension > 2:
+        raise GeodesicError("geodesic extension implemented for spherical n <= 2")
+    c.require_valid()
+
+
 def extend_geodesic(c: MetricComplex, geo: LocalGeodesic, target_length: float,
                     branch_budget: int = BRANCH_BUDGET) -> tuple[list[LocalGeodesic], bool]:
-    """All continuations of a geodesic to target_length (<= pi), and whether
-    the branch budget ran out before every branch was followed.
+    """All continuations of a geodesic to target_length, and whether the
+    branch budget ran out before every branch was followed.
 
     Branches at vertices over the antipode set of the incoming direction in
     the vertex link; crossing an edge interior branches over the other cells
     on that edge (unique when the edge is thin).  Dead ends (empty antipode
-    set) are returned marked.
+    set) are returned marked.  Each continuation is cut at target_length and
+    ends at a vertex (``end_vertex``) only when its last face arc or edge
+    run reaches one within 1e-9 rad of the cut.
     """
-    import numpy as np
-    if c.geometry != "spherical" or c.dimension > 2:
-        raise GeodesicError("geodesic extension implemented for spherical n <= 2")
-    c.require_valid()
+    _require_shootable(c)
+    if not geo.segments:
+        raise GeodesicError("cannot resume an empty geodesic; use shoot()")
+    *segs, last = geo.segments
+    if isinstance(last, EdgeSegment):
+        # run the edge again, so that a run cut short of its far vertex goes on
+        (last,), st = _edge_run(c, last.u, last.v, max(
+            target_length - sum(s.length for s in segs), last.length))
+    else:
+        p, d, t = last.start, last.direction, last.length
+        st = _State(kind="face", cell=last.cell, point=_comb(math.cos(t), p, math.sin(t), d),
+                    direction=_comb(-math.sin(t), p, math.cos(t), d))
+    return _extend(c, geo.start_vertex, [*segs, last], st, target_length, branch_budget)
+
+
+def _extend(c: MetricComplex, start: int, segments: list, state: _State,
+            target_length: float, budget: int) -> tuple[list[LocalGeodesic], bool]:
+    """``extend_geodesic`` from a geodesic's segments and tip state."""
     done: list[LocalGeodesic] = []
-    state = _resume_state(c, geo)
-    stack = [(list(geo.segments), geo.length, state)]
-    budget = branch_budget
+    stack = [(segments, sum(s.length for s in segments), state)]
     truncated = False
     while stack:
         segs, ln, st = stack.pop()
         if ln >= target_length - 1e-12 or st.kind == "done":
-            done.append(LocalGeodesic(c, segs, geo.start_vertex,
-                                      end_vertex=st.vertex, dead_end=False))
+            done.append(LocalGeodesic(c, segs, start, end_vertex=st.vertex, dead_end=False))
             continue
-        if st.kind in ("vertex", "edge_launch"):
+        if st.kind == "vertex":
             nxt = _vertex_continuations(c, st, target_length - ln)
             if not nxt:
-                done.append(LocalGeodesic(c, segs, geo.start_vertex,
-                                          end_vertex=st.vertex, dead_end=True))
+                done.append(LocalGeodesic(c, segs, start, end_vertex=st.vertex, dead_end=True))
                 continue
             for addseg, nst in reversed(nxt):
                 if budget <= 0:
@@ -291,27 +303,25 @@ def extend_geodesic(c: MetricComplex, geo: LocalGeodesic, target_length: float,
                 stack.append((segs + addseg, ln + sum(s.length for s in addseg), nst))
             continue
         # face marching
-        p = np.array(st.point)
-        d = np.array(st.direction)
-        t, exitp, exit_kind = _march_face(c, st.cell, p, d)
-        t = min(t, target_length - ln)
+        p, d = st.point, st.direction
+        t_exit, exitp, exit_kind = _march_face(c, st.cell, p, d)
+        t = min(t_exit, target_length - ln)
         seg = FaceSegment(st.cell, p, d, t)
         if ln + t >= target_length - 1e-12:
-            endv = None
-            if exit_kind[0] == "vertex" and abs(ln + t - target_length) <= 1e-9:
-                endv = exit_kind[1]
-            done.append(LocalGeodesic(c, segs + [seg], geo.start_vertex, end_vertex=endv))
+            at_exit = exit_kind[0] == "vertex" and t_exit - t <= 1e-9
+            done.append(LocalGeodesic(c, segs + [seg], start,
+                                      end_vertex=exit_kind[1] if at_exit else None))
             continue
         if exit_kind[0] == "vertex":
             v = exit_kind[1]
             g, _, loc = _link_graph(c, v)
-            back = -(p * (-math.sin(t)) + d * math.cos(t))
+            back = _comb(math.sin(t), p, -math.cos(t), d)
             inc = _incoming_link_point(c, v, st.cell, back, g, loc)
             stack.append((segs + [seg], ln + t,
                           _State(kind="vertex", vertex=v, incoming=inc)))
         else:
             a, b = exit_kind[1]
-            newd = p * (-math.sin(t)) + d * math.cos(t)
+            newd = _comb(-math.sin(t), p, math.cos(t), d)
             others = [cl for cl in c.cofaces[(min(a, b), max(a, b))]
                       if cl != st.cell]
             for cl in others:
@@ -321,30 +331,26 @@ def extend_geodesic(c: MetricComplex, geo: LocalGeodesic, target_length: float,
                 budget -= 1
                 np_, nd = _transfer(c, st.cell, cl, (a, b), exitp, newd)
                 stack.append((segs + [seg], ln + t,
-                              _State(kind="face", cell=cl, point=tuple(np_),
-                                     direction=tuple(nd))))
+                              _State(kind="face", cell=cl, point=np_, direction=nd)))
     return done, truncated
 
 
-def _resume_state(c, geo: LocalGeodesic) -> _State:
-    import numpy as np
-    if not geo.segments:
-        raise GeodesicError("cannot resume an empty geodesic; use shoot()")
-    last = geo.segments[-1]
-    if isinstance(last, EdgeSegment):
-        _, _, loc = _link_graph(c, last.v)
-        return _State(kind="vertex", vertex=last.v,
-                      incoming=GraphPoint(vertex=loc[last.u]))
-    p = np.array(last.start)
-    d = np.array(last.direction)
-    t = last.length
-    return _State(kind="face", cell=last.cell,
-                  point=tuple(p * math.cos(t) + d * math.sin(t)),
-                  direction=tuple(p * (-math.sin(t)) + d * math.cos(t)))
+def _edge_run(c: MetricComplex, v: int, w: int, remaining: float
+              ) -> tuple[list[EdgeSegment], _State]:
+    """([segment], state) of the run from vertex v along the edge vw, cut at
+    ``remaining``: a whole edge arrives at w, and a cut one is done, at w
+    only when the cut is within 1e-9 rad of it."""
+    ln = c.edge_length(v, w).radians
+    if ln <= remaining:
+        return [EdgeSegment(v, w, ln)], _State(
+            kind="vertex", vertex=w, incoming=GraphPoint(vertex=_link_graph(c, w)[2][v]))
+    return [EdgeSegment(v, w, remaining)], _State(
+        kind="done", vertex=w if ln - remaining <= 1e-9 else None)
 
 
 def _vertex_continuations(c, st: _State, remaining: float):
-    """Continuations out of a vertex: antipodes of the incoming direction.
+    """Continuations out of a vertex: antipodes of the incoming direction,
+    edge runs cut at ``remaining``.
 
     In a 1-complex the vertex link is a discrete set with pairwise distances
     pi, so every direction other than the incoming one continues the local
@@ -352,52 +358,30 @@ def _vertex_continuations(c, st: _State, remaining: float):
     """
     v = st.vertex
     g, amb, loc = _link_graph(c, v)
-    if st.kind == "edge_launch":
-        targets = [GraphPoint(vertex=loc[st.cell[1]])]
-    elif c.dimension == 1:
-        inc = st.incoming.vertex if st.incoming is not None else None
-        targets = [GraphPoint(vertex=k) for k in amb if k != inc]
-        if not targets:
-            return []
+    if c.dimension == 1:
+        targets = [GraphPoint(vertex=k) for k in amb if k != st.incoming.vertex]
     else:
         ants = g.antipode_set(st.incoming)
         if not ants.nonempty or not ants.discrete:
             return []
         targets = list(ants.points)
-    out = []
-    for tp in targets:
-        if tp.is_vertex:
-            w = amb[tp.vertex]
-            e = (min(v, w), max(v, w))
-            ln = c.edge_length(*e).radians
-            seg = EdgeSegment(v, w, ln)
-            locq = _link_graph(c, w)[2]
-            nst = _State(kind="vertex", vertex=w,
-                         incoming=GraphPoint(vertex=locq[v]))
-            out.append(([seg], nst))
-        else:
-            nst = _start_from_vertex(c, v, tp, g, amb)
-            out.append(([], nst))
-    return out
+    return [_edge_run(c, v, amb[tp.vertex], remaining) if tp.is_vertex
+            else ([], _start_from_vertex(c, v, tp, g, amb)) for tp in targets]
 
 
 def shoot(c: MetricComplex, v, link_point: GraphPoint, length: float,
           branch_budget: int = BRANCH_BUDGET) -> tuple[list[LocalGeodesic], bool]:
     """All geodesics of the given length leaving vertex v in one direction,
     and whether the branch budget ran out (see extend_geodesic)."""
-    import numpy as np
+    _require_shootable(c)
     vi = c.vertex_index(v)
     g, amb, _ = _link_graph(c, vi)
+    if link_point.is_vertex:
+        return _extend(c, vi, *_edge_run(c, vi, amb[link_point.vertex], length), length,
+                       branch_budget)
     st = _start_from_vertex(c, vi, link_point, g, amb)
-    if st.kind == "face":
-        stack_geo = LocalGeodesic(c, [FaceSegment(st.cell, np.array(st.point),
-                                                  np.array(st.direction), 0.0)], vi)
-        return extend_geodesic(c, stack_geo, length, branch_budget)
-    # launch along an edge
-    w = st.cell[1]
-    e = (min(vi, w), max(vi, w))
-    seg = EdgeSegment(vi, w, c.edge_length(*e).radians)
-    return extend_geodesic(c, LocalGeodesic(c, [seg], vi), length, branch_budget)
+    return _extend(c, vi, [FaceSegment(st.cell, st.point, st.direction, 0.0)], st, length,
+                   branch_budget)
 
 
 # -- apartments through a sector fan --------------------------------------------

@@ -1,10 +1,10 @@
 """Small dense symmetric linear algebra on nested lists, standard library only.
 
-The recognizer's matrices are at most (n+1) x (n+1), Gram matrices of one
-simplex and cosine forms of one Coxeter system, so plain Python loops beat
-the import of numpy that a command would otherwise pay for them.  Three
-kernels: a Cholesky test of positive definiteness, cyclic Jacobi
-eigenvalues and a Gauss-Jordan inverse.
+buildctl's only linear algebra.  Its matrices are at most (n+1) x (n+1),
+Gram matrices of one simplex or one geodesic cell frame and cosine forms of
+one Coxeter system, so plain Python loops beat importing an array library.
+Three kernels: a Cholesky factorization, cyclic Jacobi eigenvalues and a
+Gauss-Jordan inverse.
 """
 
 from __future__ import annotations
@@ -17,21 +17,26 @@ Matrix = Sequence[Sequence[float]]
 JACOBI_SWEEPS = 50
 
 
-def positive_definite(A: Matrix, shift: float = 0.0) -> bool:
-    """Whether A - shift*I is positive definite: its Cholesky factorization
-    meets only positive pivots (a nan pivot fails too)."""
+def cholesky(A: Matrix, shift: float = 0.0) -> list[list[float]] | None:
+    """The lower-triangular L with L L^T = A - shift*I, or None when A -
+    shift*I is not positive definite: a pivot is not positive (or nan)."""
     n = len(A)
     L = [[0.0] * n for _ in range(n)]
     for j in range(n):
         Lj = L[j]
         d = A[j][j] - shift - sum(x * x for x in Lj[:j])
         if not d > 0.0:
-            return False
+            return None
         r = Lj[j] = math.sqrt(d)
         for i in range(j + 1, n):
             Li = L[i]
             Li[j] = (A[i][j] - sum(x * y for x, y in zip(Li[:j], Lj[:j]))) / r
-    return True
+    return L
+
+
+def positive_definite(A: Matrix, shift: float = 0.0) -> bool:
+    """Whether A - shift*I is positive definite (``cholesky`` succeeds)."""
+    return cholesky(A, shift) is not None
 
 
 def symmetric_eigenvalues(A: Matrix) -> list[float]:

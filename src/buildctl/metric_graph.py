@@ -442,14 +442,15 @@ class MetricGraph:
             intervals = _cut_lower(intervals, slope=-1, off=dy + ln, level=one)
             if not p.is_vertex and p.edge == eid:
                 direct = []
-                if p.t - one >= 0:
+                if cmp_units(p.t, one) >= 0:
                     direct.append((Fraction(0), p.t - one))
-                if p.t + one <= ln:
+                if cmp_units(p.t + one, ln) <= 0:
                     direct.append((p.t + one, ln))
                 intervals = _intersect_intervals(intervals, direct)
             for lo, hi in intervals:
                 if cmp_units(lo, hi) == 0:
-                    pt = self.point(eid, lo)
+                    # a point closed by rounding may put lo a little past ln
+                    pt = self.point(eid, min(lo, ln))
                     if pt.is_vertex:
                         if pt.vertex in seen_vertices:
                             continue
@@ -540,7 +541,9 @@ class MetricGraph:
 
 
 def _cut_lower(intervals, slope: int, off: PiUnits, level: PiUnits):
-    """Intersect intervals with {s : slope*s + off >= level}."""
+    """Intersect intervals with {s : slope*s + off >= level}.  An interval is
+    empty only when ``cmp_units`` puts lo past hi, so a single point that
+    float rounding closes the wrong way round is kept."""
     out = []
     for lo, hi in intervals:
         if slope > 0:
@@ -551,7 +554,7 @@ def _cut_lower(intervals, slope: int, off: PiUnits, level: PiUnits):
             nhi = off - level
             if nhi < hi:
                 hi = nhi
-        if lo <= hi:
+        if cmp_units(lo, hi) <= 0:
             out.append((lo, hi))
     return out
 
@@ -562,7 +565,7 @@ def _intersect_intervals(xs, ys):
         for blo, bhi in ys:
             lo = max(alo, blo)
             hi = min(ahi, bhi)
-            if lo <= hi:
+            if cmp_units(lo, hi) <= 0:
                 out.append((lo, hi))
     return out
 

@@ -647,10 +647,11 @@ def gram_matrix(geometry: str, lengths) -> np.ndarray:
     return G
 
 
-def per_cell_realizable(geometry: str, lengths, eps: float) -> tuple[bool, str]:
+def per_cell_realizable(geometry: str, lengths, eps: float,
+                        least=lambda G: float(np.linalg.eigvalsh(G)[0])) -> tuple[bool, str]:
     """One simplex's (ok, why): a spherical edge past pi, then the least Gram
-    eigenvalue, in closed form for an edge and from its own ``eigvalsh``
-    call above."""
+    eigenvalue, in closed form for an edge and from its own ``least`` call
+    (``eigvalsh`` by default) above."""
     from buildctl.angles import cmp_units
     if not lengths:
         return True, ""
@@ -662,7 +663,7 @@ def per_cell_realizable(geometry: str, lengths, eps: float) -> tuple[bool, str]:
         r = lengths[0].radians
         w0 = 1.0 - abs(math.cos(r)) if geometry == "spherical" else r ** 2
     else:
-        w0 = float(np.linalg.eigvalsh(gram_matrix(geometry, lengths))[0])
+        w0 = least(gram_matrix(geometry, lengths))
     if w0 <= eps:
         kind = "Gram" if geometry == "spherical" else "Cayley-Menger"
         return False, f"{kind} matrix not positive definite (min eigenvalue {w0:.3e})"

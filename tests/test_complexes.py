@@ -394,16 +394,29 @@ def _top_simplices(c):
             for t in c.top_cells if len(t) - 1 == c.dimension]
 
 
+def _jacobi_least(G):
+    from buildctl.linalg import symmetric_eigenvalues
+    return symmetric_eigenvalues(G.tolist())[0]
+
+
 def _assert_batched_as_per_cell(geometry, simplices, label=None):
-    """The batched verdicts equal one ``eigvalsh`` call per simplex, at the
-    validation threshold and at an infinite one (every simplex that reaches
-    the eigenvalue test fails, so its message carries the .3e text)."""
+    """The batched verdicts equal one ``eigvalsh`` call per simplex, and the
+    batched (ok, why) pairs one ``linalg.symmetric_eigenvalues`` call per
+    simplex, at the validation threshold and at an infinite one (every
+    simplex that reaches the eigenvalue test fails, so its message carries
+    the .3e text).  The two routines can print other last digits of a
+    near-zero eigenvalue, with neither nearer the true value; the mpmath
+    test below bounds the Jacobi error."""
     from buildctl.angles import EPS_GRAM
     from buildctl.complexes import realizability
+    oks = {}
     for eps in (EPS_GRAM, math.inf):
-        want = [oracles.per_cell_realizable(geometry, s, eps) for s in simplices]
-        assert realizability(geometry, simplices, eps) == want, (label, eps)
-    return [oracles.per_cell_realizable(geometry, s, EPS_GRAM)[0] for s in simplices]
+        got = realizability(geometry, simplices, eps)
+        oks[eps] = [oracles.per_cell_realizable(geometry, s, eps)[0] for s in simplices]
+        assert [ok for ok, _ in got] == oks[eps], (label, eps)
+        assert got == [oracles.per_cell_realizable(geometry, s, eps, _jacobi_least)
+                       for s in simplices], (label, eps)
+    return oks[EPS_GRAM]
 
 
 def _validation_corpus():
@@ -458,17 +471,43 @@ def _near_degenerate(rng_uniform, geometry, dim, scale):
     return out
 
 
+def _straddling_corpus():
+    """(geometry, dim, simplices): 150 seeded simplices near degeneracy for
+    each geometry and dimension 1-3."""
+    rng = random.Random(17)
+    for geometry in ("spherical", "euclidean"):
+        for dim in (1, 2, 3):
+            yield geometry, dim, [_near_degenerate(rng.uniform, geometry, dim,
+                                                   10 ** rng.uniform(-7, -2))
+                                  for _ in range(150)]
+
+
 def test_batched_realizability_straddles_the_gram_threshold():
     """Seeded simplices of dimension 1-3 near degeneracy, batched per
     geometry and dimension: the verdicts fall on both sides of EPS_GRAM and
     equal the per-cell ones."""
-    rng = random.Random(17)
-    for geometry in ("spherical", "euclidean"):
-        for dim in (1, 2, 3):
-            simplices = [_near_degenerate(rng.uniform, geometry, dim, 10 ** rng.uniform(-7, -2))
-                         for _ in range(150)]
-            oks = _assert_batched_as_per_cell(geometry, simplices, (geometry, dim))
-            assert any(oks) and not all(oks), (geometry, dim)
+    for geometry, dim, simplices in _straddling_corpus():
+        oks = _assert_batched_as_per_cell(geometry, simplices, (geometry, dim))
+        assert any(oks) and not all(oks), (geometry, dim)
+
+
+def test_jacobi_least_eigenvalue_is_within_1e_14_of_mpmath():
+    """On the 600 near-degenerate Gram matrices of dimension 2 and 3 above,
+    the least eigenvalue that validation prints (Jacobi) is within 1e-14 of
+    the one of the same float matrix at 50 digits."""
+    import mpmath
+    from buildctl.linalg import symmetric_eigenvalues
+    count, worst = 0, 0.0
+    with mpmath.workdps(50):
+        for geometry, dim, simplices in _straddling_corpus():
+            if dim == 1:
+                continue
+            for s in simplices:
+                G = oracles.gram_matrix(geometry, s).tolist()
+                exact = min(mpmath.eigsy(mpmath.matrix(G), eigvals_only=True))
+                worst = max(worst, abs(symmetric_eigenvalues(G)[0] - float(exact)))
+                count += 1
+    assert count == 600 and worst <= 1e-14, worst
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

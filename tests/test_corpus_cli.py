@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -5,12 +6,14 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import buildctl
 import oracles
 from buildctl.angles import Angle
 from buildctl.cli import main
@@ -381,12 +384,29 @@ def test_cli_metric_graph_commands_do_not_load_numpy(tmp_path):
     assert json.loads(proc.stdout) == [[0, 0, 0, 3], False]
 
 
+def test_no_package_module_imports_numpy():
+    """numpy is a test-only dependency: no module of the package imports
+    it, at module level or inside a function."""
+    paths = sorted(Path(buildctl.__file__).parent.glob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert all(m.split(".")[0] != "numpy" for m in modules), (path.name, node.lineno)
+
+
 def test_cli_model_and_dim2_commands_do_not_load_numpy(tmp_path):
     """The checks of cells of dimension 2 (a Coxeter complex's JSON, the
-    octahedron, an A2 window), the Coxeter commands and ``apartment``, whose
-    antipode and witness distance come from the model Coxeter complex, run
-    on the standard-library kernels: after each, in one fresh interpreter,
-    numpy is still not imported."""
+    octahedron, an A2 window), the Coxeter commands, ``apartment``, whose
+    antipode and witness distance come from the model Coxeter complex, and
+    ``geodesic``, along an edge and through faces, run on the standard
+    library: after each, in one fresh interpreter, numpy is still not
+    imported."""
     a3, octa, win, out = (tmp_path / f for f in ("a3.json", "oct.json", "w3.json", "o.json"))
     assert main(["gen", "coxeter-complex", "--type", "A3", "-o", str(a3)]) == 0
     assert main(["gen", "octahedron", "-o", str(octa)]) == 0
@@ -403,11 +423,15 @@ def test_cli_model_and_dim2_commands_do_not_load_numpy(tmp_path):
              "coxeter|classify|--type|A3", "coxeter|complex|--type|B3",
              f"gen|coxeter-complex|--type|A3|-o|{out}",
              f"apartment|{octa}|--from|a0|--cycle|b0|c0|b1|c1|--to|a1",
-             f"apartment|{octa}|--from|a0|--cycle|b0|c0|b1|c1|--to|b0"]
+             f"apartment|{octa}|--from|a0|--cycle|b0|c0|b1|c1|--to|b0",
+             f"geodesic|{octa}|--from|a0|--dir|v:b0|--len|1",
+             f"geodesic|{octa}|--from|a0|--dir|0:1/4|--len|3",
+             f"geodesic|{a3}|--from|w0.0|--dir|1:1/12|--len|2pi"]
     proc = subprocess.run([sys.executable, "-c", code, *argvs], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[2, False], [2, False], [0, False], [0, False],
-                                       [0, False], [0, False], [0, False], [1, False]]
+                                       [0, False], [0, False], [0, False], [1, False],
+                                       [0, False], [0, False], [0, False]]
 
 
 def test_cli_dim0_check_and_decompose_agree(tmp_path, capsys):

@@ -9,7 +9,7 @@ import oracles
 from buildctl import geodesics
 from buildctl.angles import Angle
 from buildctl.complexes import MetricComplex, suspension, vertex_link
-from buildctl.corpus import gen_short_lune
+from buildctl.corpus import gen_octahedron, gen_short_lune
 from buildctl.geodesics import (ApartmentSurface, EdgeSegment, FaceSegment, GeodesicError,
                                 PropagationFailure, cell_frame, extend_geodesic,
                                 propagate_all, propagate_apartment, shoot)
@@ -79,6 +79,60 @@ def test_extension_of_extension_consistent(octahedron):
     assert len(full) == 1 and not exhausted
     assert abs(full[0].length - math.pi) <= 1e-9
     assert full[0].end_vertex == octahedron.vertices.index("a1")
+
+
+def test_shots_are_cut_at_the_length_asked_for(octahedron):
+    """An along-edge run stops at the length asked for, inside the edge, and
+    a face arc cut short of its exit vertex does not end there; a cut run
+    extends on along its edge."""
+    from buildctl.coxeter import coxeter_complex, named_matrix
+    lk, g = link_graph_of(octahedron, "a0")
+    (geo,), exhausted = shoot(octahedron, "a0", GraphPoint(vertex=lk.vertices.index("b0")), 1.0)
+    assert not exhausted and geo.end_vertex is None and geo.length == 1.0
+    assert [(s.u, s.v) for s in geo.segments] == [(0, octahedron.vertex_index("b0"))]
+    (full,), exhausted = extend_geodesic(octahedron, geo, math.pi)
+    assert full.end_vertex == octahedron.vertex_index("a1") and not exhausted
+    assert abs(full.length - math.pi) <= 1e-12 and len(full.segments) == 2
+    start = GraphPoint(edge=link_edge(lk, g, "b0", "c0"), t=Fraction(1, 4))
+    (geo,), _ = shoot(octahedron, "a0", start, 3.0)
+    assert geo.end_vertex is None and abs(geo.length - 3.0) <= 1e-12
+    a3 = coxeter_complex(named_matrix("A3")).complex
+    lk = vertex_link(a3, "w0.0")
+    (geo,), _ = shoot(a3, "w0.0", GraphPoint(vertex=lk.vertices.index("w1.4")), 1.0)
+    first, second = geo.segments
+    assert first.length == a3.edge_length(*(a3.vertex_index(v) for v in ("w0.0", "w1.4"))).radians
+    assert geo.end_vertex is None and abs(geo.length - 1.0) <= 1e-12 and second.length < 0.1
+
+
+def _round_sphere_shots():
+    """(complex, vertex, direction, length) for the octahedron and the A3, B3
+    and H3 Coxeter complexes: from every third vertex, into every second
+    link edge at 1/4, 1/3 and 1/2 of its length, for lengths 1, pi, 2*pi."""
+    from buildctl.coxeter import CoxeterMatrix, coxeter_complex, named_matrix
+    h3 = CoxeterMatrix(("a", "b", "c"), ((1, 5, 2), (5, 1, 3), (2, 3, 1)))
+    for c in (gen_octahedron(), *(coxeter_complex(M).complex for M in
+                                  (named_matrix("A3"), named_matrix("B3"), h3))):
+        for v in c.vertices[::3]:
+            g = link_graph_of(c, v)[1]
+            for eid in range(0, len(g.edges), 2):
+                for k in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
+                    for length in (1.0, math.pi, 2 * math.pi):
+                        yield c, v, GraphPoint(edge=eid, t=k * g.edges[eid][2]), length
+
+
+def test_round_sphere_shots_neither_dead_end_nor_fall_short():
+    """On a round sphere every local geodesic extends (an antipode set of a
+    link point of a 2*pi circle is one point, float offsets included): each
+    of 891 shots returns geodesics, none a dead end, each of the length
+    asked for."""
+    shots = 0
+    for c, v, start, length in _round_sphere_shots():
+        geos, exhausted = shoot(c, v, start, length)
+        assert geos and not exhausted, (v, start, length)
+        for geo in geos:
+            assert not geo.dead_end and abs(geo.length - length) <= 1e-9, (v, start, length)
+        shots += 1
+    assert shots == 891
 
 
 def test_exhausted_branch_search_is_reported(k33):

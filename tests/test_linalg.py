@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buildctl.linalg import inverse, positive_definite, symmetric_eigenvalues
+from buildctl.linalg import cholesky, inverse, positive_definite, symmetric_eigenvalues
 
 
 @st.composite
@@ -53,6 +53,17 @@ def test_cholesky_test_is_the_least_eigenvalue_sign(A, shift):
     band = 1e-9 * max(1.0, np.linalg.norm(np.array(A), 2), abs(shift))
     if abs(w0) > band:
         assert positive_definite(A, shift) == (w0 > 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(A=positive_definite_matrices())
+def test_cholesky_factor_matches_numpy(A):
+    """The factor is lower triangular and numpy's, within 1e-12 of its
+    largest entry."""
+    want = np.linalg.cholesky(np.array(A))
+    got = np.array(cholesky(A))
+    assert np.array_equal(np.tril(got), got)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_cholesky_test_refuses_singular_indefinite_and_nan():

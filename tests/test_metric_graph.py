@@ -204,6 +204,23 @@ def test_circle_antipode_single_point():
     assert ant.points[0] == GraphPoint(vertex=3)
 
 
+def test_circle_antipodes_of_float_offsets_survive_rounding():
+    """Every point of a circle of length 2*pi has exactly one antipode, at
+    distance pi, also when its offset is a float and rounding closes the
+    one-point antipode interval the wrong way round: a hexagon of pi/3
+    edges at offsets 0.001 .. 0.332, and a 4-cycle of pi/2 edges at 5000
+    seeded offsets."""
+    rng = random.Random(5)
+    hexagon, square = cycle_graph(6, Fraction(1, 3)), cycle_graph(4, Fraction(1, 2))
+    cases = [(hexagon, 0, k / 1000) for k in range(1, 333)]
+    cases += [(square, rng.randrange(4), rng.uniform(0, 0.5)) for _ in range(5000)]
+    for g, eid, t in cases:
+        p = GraphPoint(edge=eid, t=t)
+        ant = g.antipode_set(p)
+        assert ant.nonempty and ant.discrete and len(ant.points) == 1, (len(g.edges), eid, t)
+        assert cmp_units(g.distance(p, ant.points[0]), Fraction(1)) == 0
+
+
 def test_heawood_vertex_antipodes_match_sampling(heawood):
     g = graph_of(heawood)
     ant = g.antipode_set(GraphPoint(vertex=0))
