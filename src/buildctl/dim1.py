@@ -235,7 +235,7 @@ def _recognize_circle(graph: MetricGraph, circ: Circle) -> BuildingCertificate |
     from .coxeter import dihedral
     return BuildingCertificate(
         SPHERICAL, 1, THIN, coxeter_matrix=None if m is None else dihedral(max(m, 2)),
-        m=m, apartments=(_walk_cycle(graph, set(range(len(graph.edges)))),),
+        m=m, apartments=(_walk_cycle(graph, (1 << len(graph.edges)) - 1),),
         apartments_exhaustive=True, thickness=2, graph=graph)
 
 
@@ -343,8 +343,10 @@ def enumerate_apartments_dim1(g: MetricGraph, m: int, budget: int = B_APT_DEFAUL
     valence 2, one edge of the suppressed graph; two chains are adjacent when
     they share a vertex of valence >= 3.  No length is read, so subdivided
     and float graphs give the apartments of their suppressed graph.  Each
-    kept hull is walked as a cycle from its least edge id e0 = (u0, v0),
-    from u0 to v0.  The budget counts hulls evaluated."""
+    kept hull, a bitmask of chains, becomes the bitmask of their edges (the
+    OR of its chains' edge masks) and is walked as a cycle from its least
+    edge id e0 = (u0, v0), from u0 to v0.  The budget counts hulls
+    evaluated."""
     adj = g.adjacency
     chain = [-1] * len(g.edges)             # edge -> its chain, by least edge id
     chains: list[list[int]] = []
@@ -363,25 +365,38 @@ def enumerate_apartments_dim1(g: MetricGraph, m: int, budget: int = B_APT_DEFAUL
             for k in _bits(mask):
                 nbrs[k] |= mask & ~(1 << k)
     hulls, exhaustive, _ = _opposite_hulls(nbrs, m, 2 * m, budget)
-    return tuple(sorted((_walk_cycle(g, {e for k in _bits(h) for e in chains[k]})
-                         for h in hulls), key=Apartment.key)), exhaustive
+    chain_masks = [sum(1 << e for e in ch) for ch in chains]
+    walks = []
+    for h in hulls:
+        mask = 0
+        for k in _bits(h):
+            mask |= chain_masks[k]
+        walks.append(_walk_cycle(g, mask))
+    return tuple(sorted(walks, key=Apartment.key)), exhaustive
 
 
-def _walk_cycle(g: MetricGraph, edges: set[int]) -> Apartment:
-    """The edge set as one closed cycle from its least edge id e0 = (u0, v0),
-    from u0 to v0; IntegrityError when it is no single cycle."""
-    e0 = min(edges)
-    u0, x, _ = g.edges[e0]
+def _walk_cycle(g: MetricGraph, mask: int) -> Apartment:
+    """The edges of the bitmask as one closed cycle from its least edge id
+    e0 = (u0, v0), from u0 to v0.  At each vertex x the next edge is
+    ``g.incident[x] & mask`` without the edge just taken, which must be a
+    single bit; IntegrityError when the mask is no single cycle."""
+    incident, edges = g.incident, g.edges
+    last = mask & -mask
+    e0 = last.bit_length() - 1
+    u0, x, _ = edges[e0]
     eids, verts = [e0], [u0]
     while x != u0:
-        out = [f for _, f, _ in g.adjacency[x] if f in edges and f != eids[-1]]
-        if len(out) != 1:
+        out = incident[x] & mask & ~last
+        if not out or out & (out - 1):
             break
+        last = out
+        e = out.bit_length() - 1
         verts.append(x)
-        eids.append(out[0])
-        x = sum(g.edges[out[0]][:2]) - x        # the far end of that edge
-    if x != u0 or len(eids) != len(edges):
-        raise IntegrityError(f"apartment edges {sorted(edges)} are no cycle")
+        eids.append(e)
+        u, v, _ = edges[e]
+        x = v if x == u else u
+    if x != u0 or len(eids) != mask.bit_count():
+        raise IntegrityError(f"apartment edges {list(_bits(mask))} are no cycle")
     return Apartment("cycle", edges=tuple(eids), vertices=tuple(verts))
 
 

@@ -380,8 +380,7 @@ def shoot(c: MetricComplex, v, link_point: GraphPoint, length: float,
         return _extend(c, vi, *_edge_run(c, vi, amb[link_point.vertex], length), length,
                        branch_budget)
     st = _start_from_vertex(c, vi, link_point, g, amb)
-    return _extend(c, vi, [FaceSegment(st.cell, st.point, st.direction, 0.0)], st, length,
-                   branch_budget)
+    return _extend(c, vi, [], st, length, branch_budget)
 
 
 # -- apartments through a sector fan --------------------------------------------

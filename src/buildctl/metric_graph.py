@@ -41,6 +41,35 @@ full scan's.  At the first value above hi the full scan resumes from that
 pair: every pair before it has a value of at most hi, below the diameter,
 so none of them is the witness.  Pair values are memoized per graph, so
 the fallback after a scan without such a value evaluates no pair twice.
+
+Systole.  Each vertex's shortest-path tree is computed once per graph
+(``_trees``).  Its distance rows are the all-pairs distances of the diameter
+scan, and the CAT(1) gate reads the girth off the same trees (Itai-Rodeh,
+SIAM J. Comput. 1978).  For a source s, the branch of a vertex x is the
+child of s on the tree path to x; s is its own branch.  A non-tree edge
+(x, y) whose ends lie in different branches closes the cycle s..x, (x, y),
+y..s, so its candidate dist(x) + len + dist(y) is a cycle length, at least
+the systole.  When the ends lie in one branch, their tree paths meet at a
+vertex z other than s, and the edge closes a cycle through z that is
+shorter than the candidate by 2 d(s, z) > 0.  So every non-tree edge's
+candidate is at least the systole, and ``_girth`` needs no branch test.
+Conversely, take a shortest cycle C, of length g, and s on C.  A tree holds
+no cycle, so some edge (x, y) of C is a non-tree edge, and d(s, x), d(s, y)
+are at most the distances along C: its candidate is at most g (g for the
+edge across C from s, at most twice g/2 for another).  So the least
+candidate over all sources is the systole, the per-edge minimum of
+``systole()``; a tree edge closes no cycle and is skipped.  ``cat1``
+decides from it and runs ``systole()`` only below 2*pi.  On floats the
+threshold is the band of 2*pi raised by the rounding allowance EPS_UNITS/2,
+so that the two summation orders never decide differently.  The witness
+cycle still comes from the per-edge scan: that of the first edge e, in id
+order, whose len(e) + d_{G-e} attains the minimum.  Each skip-edge search
+stops at the pop of e's far end, or at the first pop d with d + len(e) at
+least the best cycle so far.  Any cycle it could still close is no shorter,
+so it cannot replace the witness.  On an exact graph the girth is that
+minimum, exactly: a search also stops once d + len(e) exceeds it, and the
+first edge attaining it ends the scan, since a later one could only tie.
+Either way the witness is that of the unbounded scan.
 """
 
 from __future__ import annotations
@@ -142,6 +171,15 @@ class MetricGraph:
             adj[v].append((u, eid, ln))
         return {i: tuple(sorted(lst, key=lambda x: (x[0], x[1]))) for i, lst in adj.items()}
 
+    @cached_property
+    def incident(self) -> list[int]:
+        """Per vertex, the bitmask of the ids of the edges at it."""
+        masks = [0] * len(self.vertices)
+        for eid, (u, v, _) in enumerate(self.edges):
+            masks[u] |= 1 << eid
+            masks[v] |= 1 << eid
+        return masks
+
     def valence(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -199,10 +237,15 @@ class MetricGraph:
             return x
         return Fraction(x, scale)
 
-    def _dijkstra(self, source: int, skip_edge: int | None = None):
-        """Distances (kernel units) and predecessor (vertex, edge) per vertex."""
-        scale, _, adj = self._kernel
+    def _dijkstra(self, source: int, skip_edge: int | None = None,
+                  target: int | None = None, best=INF):
+        """Distances (kernel units) and predecessor (vertex, edge) per vertex.
+        A systole scan passes a target and a bound ``best``: the search stops
+        when the target is popped (its distance and path are then final) or
+        at the first pop d with d + len(skip_edge) >= best."""
+        scale, lengths, adj = self._kernel
         zero = 0 if scale else 0.0
+        closing = zero if skip_edge is None else lengths[skip_edge]
         dist = {source: zero}
         prev: dict[int, tuple[int, int]] = {}
         heap = [(zero, source)]
@@ -210,6 +253,8 @@ class MetricGraph:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
+            if u == target or d + closing >= best:
+                break
             for w, eid, ln in adj[u]:
                 if eid == skip_edge:
                     continue
@@ -226,9 +271,15 @@ class MetricGraph:
         return {w: self._restore(x) for w, x in self._dijkstra(source, skip_edge)[0].items()}
 
     @cached_property
+    def _trees(self) -> list[tuple[dict, dict]]:
+        """``_dijkstra(s)`` for every vertex s: the shortest-path trees that
+        the girth and the diameter scan share."""
+        return [self._dijkstra(s) for s in range(len(self.vertices))]
+
+    @cached_property
     def _all_pairs(self) -> list[dict[int, int | float]]:
         """Vertex-to-vertex distances in kernel units."""
-        return [self._dijkstra(s)[0] for s in range(len(self.vertices))]
+        return [dist for dist, _ in self._trees]
 
     def d(self, u: int, v: int) -> PiUnits:
         return self._restore(self._all_pairs[u].get(v, INF))
@@ -372,19 +423,22 @@ class MetricGraph:
     # -- systole -----------------------------------------------------------------
 
     def systole(self) -> tuple[PiUnits, list[int] | None]:
-        """Shortest injective cycle: min over edges e of len(e) + d_{G-e}."""
+        """Shortest injective cycle: min over edges e of len(e) + d_{G-e},
+        with the cycle of the first edge attaining it; each search is bounded
+        (module docstring)."""
         cached = getattr(self, "_systole", None)
         if cached is not None:
             return cached
-        lengths = self._kernel[1]
+        scale, lengths, _ = self._kernel
+        girth = self._girth if scale else None
+        bound = INF if girth is None else girth + 1
         best = INF
         cycle = None
         for eid, (u, v, _) in enumerate(self.edges):
-            dist, prev = self._dijkstra(u, skip_edge=eid)
-            if v not in dist:
-                continue
-            cand = dist[v] + lengths[eid]
-            if cand < best:
+            limit = min(best, bound)
+            dist, prev = self._dijkstra(u, skip_edge=eid, target=v, best=limit)
+            cand = dist.get(v, INF) + lengths[eid]
+            if cand < limit:        # so the search popped v: dist[v] and its path are final
                 best = cand
                 path = []
                 w = v
@@ -393,6 +447,8 @@ class MetricGraph:
                     path.append(peid)
                     w = pu
                 cycle = list(reversed(path)) + [eid]
+                if cand == girth:
+                    break
         self._systole = (self._restore(best), cycle)
         return self._systole
 
@@ -409,11 +465,31 @@ class MetricGraph:
             seq.append(cur)
         return seq[:-1]
 
+    @cached_property
+    def _girth(self):
+        """The systole in kernel units, INF on a forest: the least
+        dist(x) + len + dist(y) over the non-tree edges (x, y) of every
+        vertex's shortest-path tree (module docstring)."""
+        lengths = self._kernel[1]
+        best = INF
+        for dist, prev in self._trees:
+            tree = {eid for _, eid in prev.values()}
+            for eid, (x, y, _) in enumerate(self.edges):
+                if eid not in tree and x in dist:
+                    cand = dist[x] + lengths[eid] + dist[y]
+                    if cand < best:
+                        best = cand
+        return best
+
     def cat1(self) -> tuple[bool, list[int] | None]:
-        """CAT(1) for graphs: no closed geodesic shorter than 2*pi."""
-        sys, cyc = self.systole()
-        if sys is INF:
+        """CAT(1) for graphs: no closed geodesic shorter than 2*pi.  The
+        girth decides; below 2*pi the per-edge ``systole`` scan names the
+        witness cycle (module docstring)."""
+        scale = self._kernel[0]
+        lo = kernel_band(Fraction(2), scale)[0]
+        if self._girth >= lo + (0 if scale else EPS_UNITS / 2):
             return True, None
+        sys, cyc = self.systole()
         ok = cmp_units(sys, Fraction(2)) >= 0
         return ok, (None if ok else cyc)
 

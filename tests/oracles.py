@@ -2,7 +2,10 @@
 
 Diameter: scipy Dijkstra vertex distances, dense numpy grids over edge-pair
 squares with zoom refinement (the envelope is concave on each zoom region).
-Systole: direct DFS enumeration of all injective cycles.  Cycle counts:
+Systole: direct DFS enumeration of all injective cycles; the earlier
+per-edge scan, every search run to the end on the graph's kernel-unit
+table, whose value and witness cycle the bounded scan must equal; and the
+girth of the shortest-path trees with the branch rule.  Cycle counts:
 networkx simple_cycles.  Apartment axioms: an unsampled scan over every pair
 of cells, faces included, a graph search of each apartment intersection,
 and the dimension-1 axiom (3) by the intersection identity of two cycles.
@@ -23,6 +26,7 @@ rigid motion (``verify_def52``).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -148,6 +152,66 @@ def exhaustive_systole(n: int, edges):
         ln = sum((edges[e][2] for e in cyc), Fraction(0))
         if best is None or ln < best:
             best = ln
+    return best
+
+
+def _plain_dijkstra(g, source: int, skip_edge=None):
+    """Dijkstra over ``g._kernel``'s adjacency, run until the heap is empty:
+    the (dist, prev) that ``MetricGraph._dijkstra`` computed before its
+    searches could stop early."""
+    _, _, adj = g._kernel
+    zero = 0 if g._kernel[0] else 0.0
+    dist, prev = {source: zero}, {}
+    heap = [(zero, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for w, eid, ln in adj[u]:
+            if eid != skip_edge and d + ln < dist.get(w, math.inf):
+                dist[w] = d + ln
+                prev[w] = (u, eid)
+                heapq.heappush(heap, (d + ln, w))
+    return dist, prev
+
+
+def unbounded_systole(g):
+    """``MetricGraph.systole`` with every skip-edge search run to the end:
+    the minimum over edges e = (u, v) of len(e) + d_{G-e}(u, v) in kernel
+    units, and the cycle of the first edge attaining it."""
+    lengths = g._kernel[1]
+    best, cycle = math.inf, None
+    for eid, (u, v, _) in enumerate(g.edges):
+        dist, prev = _plain_dijkstra(g, u, skip_edge=eid)
+        if v in dist and dist[v] + lengths[eid] < best:
+            best = dist[v] + lengths[eid]
+            path, w = [], v
+            while w != u:
+                w, peid = prev[w]
+                path.append(peid)
+            cycle = path[::-1] + [eid]
+    return g._restore(best), cycle
+
+
+def branch_rule_girth(g):
+    """The shortest-path-tree girth in kernel units with the branch rule:
+    from each source s, the non-tree edges (x, y) whose ends lie in
+    different branches of s's tree (the child of s on the tree path; s is
+    its own branch), each closing the cycle s..x, (x, y), y..s."""
+    lengths = g._kernel[1]
+    best = math.inf
+    for s in range(len(g.vertices)):
+        dist, prev = _plain_dijkstra(g, s)
+
+        def branch(x):
+            while x != s and prev[x][0] != s:
+                x = prev[x][0]
+            return x
+
+        tree = {eid for _, eid in prev.values()}
+        for eid, (x, y, _) in enumerate(g.edges):
+            if eid not in tree and x in dist and branch(x) != branch(y):
+                best = min(best, dist[x] + lengths[eid] + dist[y])
     return best
 
 

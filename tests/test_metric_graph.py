@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -420,6 +420,98 @@ def test_integer_kernel_matches_fraction_dijkstra():
             for j in range(i, len(g.edges)):
                 val, (t, s) = g._edge_pair_max(i, j)
                 assert type(val) is type(t) is type(s) is int
+
+
+@st.composite
+def systole_graphs(draw):
+    """Connected multigraphs for the girth: trees, single cycles (two
+    parallel edges when n = 2) and multigraphs with parallel edges, with
+    exact lengths over mixed denominators, their floats, a mix of both, or
+    floats half drawn from ``BAND_LENGTHS``, whose sums land on or next to
+    the ends of the band of 2*pi."""
+    n = draw(st.integers(2, 8))
+    shape = draw(st.sampled_from(("tree", "cycle", "multigraph")))
+    if shape == "cycle":
+        pairs = [(v, (v + 1) % n) for v in range(n)]
+    else:
+        pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    for _ in range(draw(st.integers(1, 8)) if shape == "multigraph" else 0):
+        if draw(st.booleans()):
+            pairs.append(draw(st.sampled_from(pairs)))
+        else:
+            u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if u != v:
+                pairs.append((u, v))
+    kind = draw(st.sampled_from(("exact", "float", "mixed", "band")))
+
+    def length():
+        if kind == "band" and draw(st.booleans()):
+            return draw(st.sampled_from(BAND_LENGTHS))
+        ln = Fraction(draw(st.integers(1, 3)), draw(st.sampled_from((1, 2, 3, 4, 5, 7, 12))))
+        if kind in ("float", "band") or (kind == "mixed" and draw(st.booleans())):
+            return float(ln)
+        return ln
+
+    return MetricGraph([f"v{i}" for i in range(n)], [(u, v, length()) for u, v in pairs])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(systole_graphs())
+def test_tree_girth_decides_cat1_as_the_systole_does(g):
+    """``cat1`` decides from the girth of the shortest-path trees, which
+    equals the per-edge systole; the bounded per-edge scan gives the value
+    and witness cycle of the unbounded one, and on failure ``cat1`` names
+    that witness.  The girth, which takes every non-tree edge, equals the
+    girth with the branch rule."""
+    sys_, cyc = MetricGraph(g.vertices, g.edges).systole()
+    assert (sys_, cyc) == oracles.unbounded_systole(g)
+    ok, witness = g.cat1()
+    assert ok == (cmp_units(sys_, 2) >= 0)
+    assert witness == (None if ok else cyc)
+    assert g._girth == oracles.branch_rule_girth(g)
+    girth = g._restore(g._girth)
+    if g._kernel[0] or sys_ == math.inf:
+        assert girth == sys_
+    else:
+        assert abs(girth - sys_) <= 1e-12
+
+
+def test_cat1_agrees_with_the_systole_where_summation_orders_straddle_the_band():
+    """On float cycles whose length lies at the low end of the band of 2*pi,
+    the tree girth (dist(x) + len + dist(y)) and the per-edge scan
+    (d_{G-e} + len(e)) add the same lengths in other orders and can round to
+    opposite sides of that end; ``cat1`` still answers as ``cmp_units`` on
+    ``systole()``, by the rounding allowance above the band's end."""
+    lo = units_band(2)[0]
+    rng = random.Random(3)
+    straddling = 0
+    for _ in range(1000):
+        k = rng.randint(3, 8)
+        parts = [rng.random() + 0.5 for _ in range(k)]
+        g = MetricGraph([f"v{i}" for i in range(k)],
+                        [(i, (i + 1) % k, lo * p / sum(parts)) for i, p in enumerate(parts)])
+        sys_ = MetricGraph(g.vertices, g.edges).systole()[0]
+        straddling += (g._girth >= lo) != (sys_ >= lo)
+        assert g.cat1()[0] == (cmp_units(sys_, 2) >= 0)
+    assert straddling >= 10
+
+
+def test_girth_property_catches_tree_edges():
+    """The girth property has teeth: a girth that lets tree edges in (a
+    tree edge (p, c) of s's tree gives 2 d(s, c) and closes no cycle) breaks
+    it on a drawn graph.  Leaving out only the branch test changes nothing
+    (module docstring of ``metric_graph``), which the property checks by
+    comparing the girth with ``oracles.branch_rule_girth``."""
+    def with_tree_edges(g):
+        lengths = g._kernel[1]
+        return g._restore(min((dist[x] + lengths[eid] + dist[y]
+                               for dist, _ in g._trees
+                               for eid, (x, y, _) in enumerate(g.edges) if x in dist),
+                              default=math.inf))
+
+    bad = find(systole_graphs(), lambda g: with_tree_edges(g) != g.systole()[0],
+               settings=settings(derandomize=True, database=None))
+    assert with_tree_edges(bad) < bad.systole()[0]
 
 
 def test_exact_graphs_return_fractions(heawood):

@@ -225,19 +225,40 @@ def test_single_edge_subdivision_keeps_k33(k33):
     assert all(len(a.edges) in (4, 5) for a in cert.apartments)
 
 
+def test_dim1_gates_run_one_search_per_vertex(monkeypatch):
+    """The girth and the diameter scan share one shortest-path tree per
+    vertex: ``recognize_dim1`` on Heawood, GQ(2,2) and K8,8, exact and
+    float, runs exactly |V| Dijkstra searches (14, 30, 16), where the
+    per-edge systole scan as a decider ran |E| + |V| (35, 75, 80)."""
+    calls = []
+    search = MetricGraph._dijkstra
+    monkeypatch.setattr(MetricGraph, "_dijkstra",
+                        lambda self, *a, **kw: calls.append(1) or search(self, *a, **kw))
+    for kw, n in ((dict(kind="projective_plane"), 14), (dict(kind="generalized_quadrangle"), 30),
+                  (dict(kind="complete_bipartite", s=8, t=8), 16)):
+        g = MetricGraph.from_complex(gen_rank2_building(**kw))
+        for h in (g, _floated(g)):
+            calls.clear()
+            assert recognize_dim1(h).verdict == "thick_building"
+            assert len(calls) == len(h.vertices) == n, kw
+
+
 def test_walk_refuses_edge_sets_that_are_no_cycle():
-    """A kept hull is walked from its least edge; an edge set that is no
+    """A kept hull is walked from its least edge; an edge bitmask that is no
     single closed cycle raises instead of becoming an apartment."""
     from buildctl.recognizer import IntegrityError, _walk_cycle
     # two triangles 0-1-2 and 3-4-5, and the bowtie 0-1-2, 0-6-7
     g = MetricGraph([f"v{i}" for i in range(8)],
                     [(u, v, THIRD) for u, v in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                                                 (0, 6), (6, 7), (0, 7))])
-    apt = _walk_cycle(g, {2, 0, 1})
+    def mask(edges):
+        return sum(1 << e for e in edges)
+
+    apt = _walk_cycle(g, mask({2, 0, 1}))
     assert (apt.edges, apt.vertices) == ((0, 1, 2), (0, 1, 2))
     for edges in ({0, 1}, {0, 1, 2, 3, 4, 5}, {0, 1, 2, 6, 7, 8}):
         with pytest.raises(IntegrityError):
-            _walk_cycle(g, edges)
+            _walk_cycle(g, mask(edges))
 
 
 def test_float_drift_inside_tolerance_keeps_k33(drifted_k33):
