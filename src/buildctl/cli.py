@@ -5,6 +5,8 @@ certificate flag starting with one of UNDECIDED_MARKERS, or a budget that
 ran out), 3 input or usage error.
 Budgets can be overridden through the BUILDCTL_BUDGETS environment variable,
 a JSON object of positive integers such as {"B_group": 100000, "B_apt": 10000}.
+``B_apt`` bounds the hull searches of dimension >= 2 only: a graph's
+apartments are counted, never searched, so a budget leaves it decided.
 Each command imports the modules it runs inside its function, after reading
 its input: ``check`` and ``decompose`` of a spherical graph or discrete set
 load ``dim1``, not ``recognizer`` (with its ``geodesics`` and ``homotopy``),
@@ -191,7 +193,7 @@ def cmd_check(args) -> int:
         from .recognizer import check_euclidean
         result = check_euclidean(cx, args.boundary, budget=b.get("B_apt", B_APT_DEFAULT))
     elif cx.dimension <= 1:
-        result = check_dim1(cx, budget=b.get("B_apt", B_APT_DEFAULT))
+        result = check_dim1(cx)
     else:
         from .recognizer import check_spherical
         result = check_spherical(cx, budget=b.get("B_apt", B_APT_DEFAULT))

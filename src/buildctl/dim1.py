@@ -1,8 +1,12 @@
 """Recognition in dimension <= 1, the decidable base: the gates that decide
 whether a graph is a rank-2 building (or a discrete set a 0-dimensional
-one), the result types and names, the hull search that ``recognizer``
-shares, and the vertex typing and subcomplex builder that ``recognizer``
-and ``decompose`` share.  ``coxeter`` is loaded only for a certificate that
+one) and the count of its apartments, the result types and names, the
+hull search that ``recognizer`` shares, and the vertex typing and
+subcomplex builder that ``recognizer`` and ``decompose`` share.  A graph
+that passes the gates is a generalized m-gon, whose apartments are exactly
+its 2m-cycles and any two of whose chambers lie in a common one, so the
+check path counts them and lists none; ``enumerate_apartments_dim1`` lists
+them on demand.  ``coxeter`` is loaded only for a certificate that
 carries it.
 """
 
@@ -92,12 +96,15 @@ class Apartment(Frozen):
 class BuildingCertificate:
     """A certificate, compared field by field.  ``m`` is the dihedral
     parameter in dimension 1, ``poles`` and ``base_size`` (|Y|) are set by a
-    suspension verdict, and ``graph`` is the dimension-1 carrier.  ``copy``
-    derives a certificate from another."""
+    suspension verdict, and ``graph`` is the dimension-1 carrier.
+    ``apartment_count`` is the size of the apartment system in every
+    dimension; only above dimension 1 are the ``apartments`` listed.
+    ``copy`` derives a certificate from another."""
 
     def __init__(self, geometry: str, dimension: int, verdict: str,
                  coxeter_matrix: CoxeterMatrix | None = None, m: int | None = None,
-                 apartments: tuple[Apartment, ...] = (), apartments_exhaustive: bool = True,
+                 apartments: tuple[Apartment, ...] = (), apartment_count: int = 0,
+                 apartments_exhaustive: bool = True,
                  thickness: int | None = None, poles: tuple[str, str] | None = None,
                  base_size: int | None = None, vertex_types: tuple[int, ...] | None = None,
                  factors: list | None = None, flags: tuple[str, ...] = (),
@@ -108,6 +115,7 @@ class BuildingCertificate:
         self.coxeter_matrix = coxeter_matrix
         self.m = m
         self.apartments = apartments
+        self.apartment_count = apartment_count
         self.apartments_exhaustive = apartments_exhaustive
         self.thickness = thickness
         self.poles = poles
@@ -143,7 +151,7 @@ class BuildingCertificate:
             "coxeter": cox,
             "m": self.m,
             "thickness": self.thickness,
-            "apartments": {"count": len(self.apartments),
+            "apartments": {"count": self.apartment_count,
                            "exhaustive": self.apartments_exhaustive},
             "flags": sorted(self.flags),
         }
@@ -158,31 +166,37 @@ class IntegrityError(RuntimeError):
     """A certified conclusion failed re-verification: internal inconsistency."""
 
 
-def check_dim1(c: MetricComplex, budget: int = B_APT_DEFAULT
-               ) -> BuildingCertificate | Diagnosis:
+def check_dim1(c: MetricComplex) -> BuildingCertificate | Diagnosis:
     """``check_spherical`` for a complex of dimension <= 1: a graph, or a
     discrete set, which is a building when it has two or more points."""
     if c.geometry != SPHERICAL:
         raise ComplexError("check_spherical needs a spherical complex")
     c.require_valid()
-    return _with_cycles(_check_dim0(c) if c.dimension <= 0 else _certify_graph(c), budget)
+    return _check_dim0(c) if c.dimension <= 0 else _certify_graph(c)
 
 
-def recognize_dim1(g, budget: int = B_APT_DEFAULT) -> BuildingCertificate | Diagnosis:
+def recognize_dim1(g) -> BuildingCertificate | Diagnosis:
     """The 1-dimensional dichotomy: thick rank-2 building or suspension.
 
     Gates, in order: connectivity; valence >= 3 after valence-2 suppression;
     systole >= 2*pi; diameter = pi; uniform edge length pi/m.  m = 1 yields
-    the suspension verdict, m >= 2 the thick verdict with its apartment
-    system.  A single 2*pi circuit is the thin (Coxeter complex) case.
+    the suspension verdict, m >= 2 the thick verdict, each with the count of
+    its apartments.  A single 2*pi circuit is the thin (Coxeter complex) case.
     """
     if isinstance(g, MetricComplex) and g.dimension == 1:
         g.require_valid()
-    return _with_cycles(_certify_graph(g), budget)
+    return _certify_graph(g)
 
 
 def _certify_graph(g) -> BuildingCertificate | Diagnosis:
-    """The gates of recognize_dim1, without the apartment system."""
+    """The gates of recognize_dim1, then the count of the apartments.
+
+    A graph that passes the gates is a generalized m-gon once suppressed:
+    its girth is 2m hops and its diameter m hops, so its apartments are
+    exactly its 2m-cycles and any two of its chambers lie in one of them
+    (Abramenko-Brown, Buildings, ch. 4); (B1) holds and nothing is searched.
+    A thick one has m in {2, 3, 4, 6, 8} (Feit-Higman), else the gates are
+    at fault."""
     graph = MetricGraph.from_complex(g) if isinstance(g, MetricComplex) else g
     if not graph.is_connected():
         return Diagnosis(NOT_CONNECTED, {"detail": "graph is not connected"})
@@ -208,17 +222,42 @@ def _certify_graph(g) -> BuildingCertificate | Diagnosis:
     if isinstance(m, Diagnosis):
         return m
     if m == 1:
-        poles = tuple(sup.vertices)
         return BuildingCertificate(
             SPHERICAL, 1, SUSPENSION, coxeter_matrix=None, m=1,
-            apartments_exhaustive=False, thickness=2, poles=poles,
-            base_size=len(sup.edges), flags=(FLAG_SAMPLED,), graph=graph)
+            apartment_count=_count_2m_cycles(sup, 1), thickness=2,
+            poles=tuple(sup.vertices), base_size=len(sup.edges), graph=graph)
+    if m not in (2, 3, 4, 6, 8):
+        raise IntegrityError(f"a thick generalized {m}-gon contradicts Feit-Higman")
     from .coxeter import dihedral       # loaded for a certificate that carries it
     return BuildingCertificate(
         SPHERICAL, 1, THICK, coxeter_matrix=dihedral(m), m=m,
-        apartments_exhaustive=False,
-        thickness=min(sup.valence(v) for v in range(len(sup.vertices))),
-        flags=(FLAG_SAMPLED,), graph=graph)
+        apartment_count=_count_2m_cycles(sup, m),
+        thickness=min(sup.valence(v) for v in range(len(sup.vertices))), graph=graph)
+
+
+def _count_2m_cycles(sup: MetricGraph, m: int) -> int:
+    """The number of 2m-cycles of a graph of girth 2m hops (pairs of
+    parallel edges when m = 1): one breadth-first search per vertex v,
+    stopped at depth m, counts the geodesics sigma(v, w) to each w at
+    depth m.  Two distinct m-hop geodesics from v to w are internally
+    disjoint, as they would otherwise close a shorter cycle, so they make
+    one 2m-cycle, and each 2m-cycle arises once from each of its 2m
+    vertices and the vertex opposite it on the cycle:
+    sum_v sum_{d(v,w) = m} C(sigma(v, w), 2) / 2m."""
+    adj = [[w for w, _, _ in sup.adjacency[v]] for v in range(len(sup.vertices))]
+    pairs = 0
+    for v in range(len(adj)):
+        seen, layer = {v}, {v: 1}
+        for _ in range(m):
+            nxt: dict[int, int] = {}
+            for u, paths in layer.items():
+                for w in adj[u]:
+                    if w not in seen:
+                        nxt[w] = nxt.get(w, 0) + paths
+            seen.update(nxt)
+            layer = nxt
+        pairs += sum(k * (k - 1) // 2 for k in layer.values())
+    return pairs // (2 * m)
 
 
 def _recognize_circle(graph: MetricGraph, circ: Circle) -> BuildingCertificate | Diagnosis:
@@ -235,8 +274,7 @@ def _recognize_circle(graph: MetricGraph, circ: Circle) -> BuildingCertificate |
     from .coxeter import dihedral
     return BuildingCertificate(
         SPHERICAL, 1, THIN, coxeter_matrix=None if m is None else dihedral(max(m, 2)),
-        m=m, apartments=(_walk_cycle(graph, (1 << len(graph.edges)) - 1),),
-        apartments_exhaustive=True, thickness=2, graph=graph)
+        m=m, apartment_count=1, thickness=2, graph=graph)
 
 
 def _length_to_m(ln: PiUnits) -> int | None:
@@ -268,10 +306,8 @@ def _check_dim0(c: MetricComplex) -> BuildingCertificate | Diagnosis:
     k = len(c.vertices)
     if k < 2:
         return Diagnosis(VALENCE, {"detail": f"discrete set of {k} < 2 points"})
-    apartments = tuple(Apartment("cycle", vertices=pair)
-                       for pair in itertools.combinations(range(k), 2))
     return BuildingCertificate(SPHERICAL, 0, THICK if k >= 3 else THIN,
-                               thickness=k, apartments=apartments)
+                               thickness=k, apartment_count=k * (k - 1) // 2)
 
 
 # -- vertex types and subcomplexes, shared with recognizer and decompose -------------
@@ -336,8 +372,9 @@ def _subcomplex(c: MetricComplex, cells) -> MetricComplex:
 
 def enumerate_apartments_dim1(g: MetricGraph, m: int, budget: int = B_APT_DEFAULT
                               ) -> tuple[tuple[Apartment, ...], bool]:
-    """The apartments of g, a generalized m-gon, as convex hulls of opposite
-    chambers (``_opposite_hulls``), with l(w0) = m and |W| = 2m.
+    """The apartments of g, a generalized m-gon, listed on demand as convex
+    hulls of opposite chambers (``_opposite_hulls``), with l(w0) = m and
+    |W| = 2m.  The check path only counts them (``_count_2m_cycles``).
 
     A chamber is a chain of g: a maximal edge path whose inner vertices have
     valence 2, one edge of the suppressed graph; two chains are adjacent when
@@ -398,64 +435,6 @@ def _walk_cycle(g: MetricGraph, mask: int) -> Apartment:
     if x != u0 or len(eids) != mask.bit_count():
         raise IntegrityError(f"apartment edges {list(_bits(mask))} are no cycle")
     return Apartment("cycle", edges=tuple(eids), vertices=tuple(verts))
-
-
-def _with_cycles(cert, budget: int) -> BuildingCertificate | Diagnosis:
-    """A copy of a certificate of dimension <= 1 with its apartment system,
-    the cycles of ``enumerate_apartments_dim1``."""
-    if isinstance(cert, Diagnosis):
-        return cert
-    if cert.apartments_exhaustive:      # complete by construction
-        return cert.copy()
-    g = cert.graph
-    found, exhaustive = enumerate_apartments_dim1(g, cert.m, budget=budget)
-    return _with_axiom1(cert, found, exhaustive, range(len(g.edges)),
-                        [e[:2] for e in g.edges], g.vertices, [a.edges for a in found])
-
-
-def _with_axiom1(cert, found, exhaustive: bool, chambers, cells, names, members
-                 ) -> BuildingCertificate | Diagnosis:
-    """(B1) on the apartments ``found`` (``members`` lists the chambers of
-    each, ``cells`` each chamber's vertices), alike on edge ids or top
-    cells, and the copy of the certificate with them and their flags."""
-    flags = set(cert.flags) - {FLAG_SAMPLED}
-    pair = _uncovered_chamber_pair(chambers, members)
-    if pair is not None and exhaustive:
-        return Diagnosis(NO_COMMON_APARTMENT, {"chambers": [
-            [names[v] for v in cells[k]] for k in pair]})
-    if pair is not None:
-        flags.add(FLAG_AXIOM2_UNVERIFIED)
-    if not exhaustive:
-        flags.add(FLAG_SAMPLED)
-    return cert.copy(apartments=found, apartments_exhaustive=exhaustive,
-                     flags=tuple(sorted(flags)))
-
-
-def _uncovered_chamber_pair(chambers: Sequence, apartments: Sequence[Sequence]
-                            ) -> tuple[int, int] | None:
-    """Axiom (2), exactly, on chambers: the first index pair (i, j), i <= j,
-    of chambers that no apartment contains both of, or None.
-
-    ``apartments`` lists the chambers of each apartment.  Any two cells lie
-    in chambers, and an apartment containing both chambers contains both
-    cells, so chamber pairs decide the axiom.  Each apartment is an int
-    bitmask of its chambers; a chamber's cover is the OR of the masks of the
-    apartments through it, and a bit missing from it names the witness.
-    """
-    index = {ch: k for k, ch in enumerate(chambers)}
-    cover = [0] * len(chambers)
-    for apt in apartments:
-        mask = 0
-        for ch in apt:
-            mask |= 1 << index[ch]
-        for ch in apt:
-            cover[index[ch]] |= mask
-    full = (1 << len(chambers)) - 1
-    for i, got in enumerate(cover):
-        if got != full:
-            missing = full & ~got
-            return i, (missing & -missing).bit_length() - 1
-    return None
 
 
 def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int

@@ -265,10 +265,9 @@ class MetricGraph:
                     heapq.heappush(heap, (nd, w))
         return dist, prev
 
-    def vertex_distances(self, source: int, skip_edge: int | None = None):
-        """Dijkstra distances from one vertex, Fractions on exact graphs;
-        optionally excludes one edge id."""
-        return {w: self._restore(x) for w, x in self._dijkstra(source, skip_edge)[0].items()}
+    def vertex_distances(self, source: int):
+        """Dijkstra distances from one vertex, Fractions on exact graphs."""
+        return {w: self._restore(x) for w, x in self._dijkstra(source)[0].items()}
 
     @cached_property
     def _trees(self) -> list[tuple[dict, dict]]:
@@ -538,27 +537,6 @@ class MetricGraph:
         return AntipodeSet(tuple(points), tuple(fat),
                            nonempty=bool(points or fat), discrete=not fat)
 
-    def edge_max_distance(self, p: GraphPoint, eid: int) -> PiUnits:
-        """Max of d(p, .) over one edge (concave on each side of p)."""
-        x, y, ln = self.edges[eid]
-        dx = self.distance(p, GraphPoint(vertex=x))
-        dy = self.distance(p, GraphPoint(vertex=y))
-        base = [(0, 1, dx), (0, -1, dy + ln)]
-        if not p.is_vertex and p.edge == eid:
-            # the direct term |p.t - s| is linear on each side of p
-            pieces = [
-                (Fraction(0), p.t, base + [(0, -1, p.t)]),
-                (p.t, ln, base + [(0, 1, -p.t)]),
-            ]
-            best = None
-            for lo, hi, fns in pieces:
-                val, _ = _envelope_max(fns, [(Fraction(0), lo), (Fraction(0), hi)])
-                if best is None or val > best:
-                    best = val
-            return best
-        val, _ = _envelope_max(base, [(Fraction(0), Fraction(0)), (Fraction(0), ln)])
-        return val
-
     # -- valence-2 suppression ----------------------------------------------------
 
     def suppress_degree2(self) -> "MetricGraph | Circle":
@@ -657,13 +635,8 @@ def _envelope_max(fns, poly):
     two diagonal lines need to be considered inside.  Everything is
     evaluated exactly.
     """
-    if len(poly) == 2:
-        corners = list(poly)
-        sides = [(poly[0], poly[1])]
-    else:
-        corners = list(poly)
-        sides = [(poly[k], poly[(k + 1) % len(poly)]) for k in range(len(poly))]
-    candidates = list(corners)
+    sides = [(poly[k], poly[(k + 1) % len(poly)]) for k in range(len(poly))]
+    candidates = list(poly)
     lines = []
     for (a1, b1, g1), (a2, b2, g2) in itertools.combinations(fns, 2):
         al, be, ga = a1 - a2, b1 - b2, g1 - g2
@@ -728,15 +701,6 @@ def _div(num, den):
 
 
 def _in_polygon(pt, poly) -> bool:
-    if len(poly) == 2:
-        (t0, s0), (t1, s1) = poly
-        t, s = pt
-        cross = (t1 - t0) * (s - s0) - (s1 - s0) * (t - t0)
-        if cross != 0:
-            return False
-        lo_t, hi_t = min(t0, t1), max(t0, t1)
-        lo_s, hi_s = min(s0, s1), max(s0, s1)
-        return lo_t <= t <= hi_t and lo_s <= s <= hi_s
     t, s = pt
     sign = 0
     for k in range(len(poly)):

@@ -34,13 +34,12 @@ from .coxeter import (BudgetExceeded, CoxeterComplexModel, CoxeterMatrix, cosine
 from .decompose import find_suspension_poles, most_singular_vertex
 from .dim1 import (  # noqa: F401  (some only for the callers that import them from here)
     APARTMENTS_INCOMPATIBLE, B_APT_DEFAULT, BUILDING, CODIM1, DEP_EMPTY, DEP_NOT_DISCRETE,
-    EDGE_LENGTH_NONUNIFORM, FLAG_GLOBAL_UNVERIFIED, FLAG_MIXED, FLAG_SAMPLED,
-    HULL_NOT_ISOMETRIC, LINK_FAILURE, LINK_UNDECIDED, MEB, MEB_LOCAL, NO_OPPOSITE_CHAMBER,
-    NOT_CONNECTED, NOT_SIMPLY_CONNECTED, SUSPENSION, THICK, THIN, UNKNOWN_PI1, Apartment,
-    BuildingCertificate, Diagnosis, IntegrityError, _bits, _certify_graph, _check_dim0,
-    _length_to_m, _opposite_hulls, _subcomplex, _uncovered_chamber_pair, _uniform_m,
-    _vertex_types, _walk_cycle, _with_axiom1, _with_cycles, check_dim1,
-    enumerate_apartments_dim1, recognize_dim1)
+    EDGE_LENGTH_NONUNIFORM, FLAG_AXIOM2_UNVERIFIED, FLAG_GLOBAL_UNVERIFIED, FLAG_MIXED,
+    FLAG_SAMPLED, HULL_NOT_ISOMETRIC, LINK_FAILURE, LINK_UNDECIDED, MEB, MEB_LOCAL,
+    NO_COMMON_APARTMENT, NO_OPPOSITE_CHAMBER, NOT_CONNECTED, NOT_SIMPLY_CONNECTED, SUSPENSION,
+    THICK, THIN, UNKNOWN_PI1, Apartment, BuildingCertificate, Diagnosis, IntegrityError, _bits,
+    _certify_graph, _check_dim0, _length_to_m, _opposite_hulls, _subcomplex, _uniform_m,
+    _vertex_types, _walk_cycle, check_dim1, enumerate_apartments_dim1, recognize_dim1)
 from .homotopy import NONTRIVIAL, UNKNOWN, simple_connectivity
 from .metric_graph import GraphPoint, MetricGraph
 
@@ -55,7 +54,8 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
                     ) -> BuildingCertificate | Diagnosis:
     """Certify a spherical complex as a building, or diagnose the failure.
 
-    Dimension <= 1 is ``dim1.check_dim1``'s answer.  Dimension >= 2 decides a
+    Dimension <= 1 is ``dim1.check_dim1``'s answer, which counts the
+    apartments and searches none.  Dimension >= 2 decides a
     positive from the building axioms (``_axiom_certificate``): after the
     connectivity and codimension-1 gates, the vertex types and the Coxeter
     matrix of one chamber give the model Coxeter complex, built only when
@@ -85,7 +85,7 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     otherwise the certificate carries ``global_cat1_unverified``.
     """
     if c.dimension <= 1:
-        return check_dim1(c, budget)
+        return check_dim1(c)
     if c.geometry != SPHERICAL:
         raise ComplexError("check_spherical needs a spherical complex")
     res, hulls = _axiom_certificate(c, budget)
@@ -128,11 +128,11 @@ def _axiom_certificate(c: MetricComplex, budget: int
 def _certify(c: MetricComplex) -> BuildingCertificate | Diagnosis:
     """The local certificate of c, memoized in one slot on c (it reads no
     budget): the gates, the link recursion, the assembled Coxeter matrix and
-    the verdict, with no apartment search, so it is flagged
-    ``apartments_sampled`` unless complete by construction (a discrete set,
-    a single 2*pi circuit).  Above dimension 1 ``check_spherical`` reads it
-    only when the axiom route fails or is cut off, and its links hold local
-    certificates."""
+    the verdict, with no apartment search, so above dimension 1 it is
+    flagged ``apartments_sampled``; in dimension <= 1 it is the answer of
+    the ``dim1`` gates, which count the apartments.  Above dimension 1
+    ``check_spherical`` reads it only when the axiom route fails or is cut
+    off, and its links hold local certificates."""
     if c._certificate is None:
         c._certificate = _local_certificate(c)
     return c._certificate
@@ -276,15 +276,17 @@ def _link_class(L: MetricComplex) -> tuple | None:
 
 def _with_apartments(c, cert, budget: int, hulls: tuple | None = None
                      ) -> BuildingCertificate | Diagnosis:
-    """A copy of the certificate with its apartment system, the convex hulls
-    of opposite chambers: cycles in dimension <= 1, spheres walked onto the
-    model above (B0), in ``Apartment.key`` order and before (B1), so a hull
-    that is no apartment covers no pair, and (B2) on the walks of an
+    """A copy of the certificate of a complex of dimension >= 2 with its
+    apartment system, the convex hulls of opposite chambers, spheres walked
+    onto the model (B0), in ``Apartment.key`` order and before (B1), so a
+    hull that is no apartment covers no pair, and (B2) on the walks of an
     exhaustive search (see ``check_spherical``).  ``hulls`` are
     ``_walked_hulls`` already run for the same complex and budget, reused
-    when their model is the certificate's.  The memo is never changed."""
-    if isinstance(cert, Diagnosis) or cert.apartments_exhaustive or cert.dimension <= 1:
-        return _with_cycles(cert, budget)
+    when their model is the certificate's.  A diagnosis, and a certificate
+    whose apartments are complete (every one of dimension <= 1), come back
+    as they are.  The memo is never changed."""
+    if isinstance(cert, Diagnosis) or cert.apartments_exhaustive:
+        return cert
     if hulls is None or hulls[0].system != cert.coxeter_matrix:
         hulls = _walked_hulls(c, cert.vertex_types,
                               coxeter_complex(cert.coxeter_matrix), budget)
@@ -296,17 +298,51 @@ def _with_apartments(c, cert, budget: int, hulls: tuple | None = None
         return Diagnosis(NO_OPPOSITE_CHAMBER, {
             "chamber": [c.vertices[v] for v in lonely],
             "gallery_distance": len(model.elements[-1].word)})
-    res = _with_axiom1(cert, found, exhaustive, c.top_cells, c.top_cells, c.vertices,
-                       [a.cells for a in found])
-    if isinstance(res, BuildingCertificate) and res.apartments_exhaustive:
-        clash = _incompatible_hulls(walks, model)
-        if clash is not None:
-            C, j, k, x = clash
-            return Diagnosis(APARTMENTS_INCOMPATIBLE, {
-                "chamber": [c.vertices[v] for v in C],
-                "apartments": [[c.vertices[v] for v in found[i].cells[0]] for i in (j, k)],
-                "vertex": c.vertices[x]})
-    return res
+    pair = _uncovered_chamber_pair(c.top_cells, [a.cells for a in found])
+    if pair is not None and exhaustive:
+        return Diagnosis(NO_COMMON_APARTMENT, {"chambers": [
+            [c.vertices[v] for v in c.top_cells[k]] for k in pair]})
+    clash = _incompatible_hulls(walks, model) if exhaustive else None
+    if clash is not None:
+        C, j, k, x = clash
+        return Diagnosis(APARTMENTS_INCOMPATIBLE, {
+            "chamber": [c.vertices[v] for v in C],
+            "apartments": [[c.vertices[v] for v in found[i].cells[0]] for i in (j, k)],
+            "vertex": c.vertices[x]})
+    flags = set(cert.flags) - {FLAG_SAMPLED}
+    if pair is not None:
+        flags.add(FLAG_AXIOM2_UNVERIFIED)
+    if not exhaustive:
+        flags.add(FLAG_SAMPLED)
+    return cert.copy(apartments=found, apartment_count=len(found),
+                     apartments_exhaustive=exhaustive, flags=tuple(sorted(flags)))
+
+
+def _uncovered_chamber_pair(chambers: Sequence, apartments: Sequence[Sequence]
+                            ) -> tuple[int, int] | None:
+    """Axiom (2), exactly, on chambers: the first index pair (i, j), i <= j,
+    of chambers that no apartment contains both of, or None.
+
+    ``apartments`` lists the chambers of each apartment.  Any two cells lie
+    in chambers, and an apartment containing both chambers contains both
+    cells, so chamber pairs decide the axiom.  Each apartment is an int
+    bitmask of its chambers; a chamber's cover is the OR of the masks of the
+    apartments through it, and a bit missing from it names the witness.
+    """
+    index = {ch: k for k, ch in enumerate(chambers)}
+    cover = [0] * len(chambers)
+    for apt in apartments:
+        mask = 0
+        for ch in apt:
+            mask |= 1 << index[ch]
+        for ch in apt:
+            cover[index[ch]] |= mask
+    full = (1 << len(chambers)) - 1
+    for i, got in enumerate(cover):
+        if got != full:
+            missing = full & ~got
+            return i, (missing & -missing).bit_length() - 1
+    return None
 
 
 def _assemble_coxeter(c: MetricComplex, types, link_certs) -> CoxeterMatrix | Diagnosis:

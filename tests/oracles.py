@@ -5,7 +5,8 @@ squares with zoom refinement (the envelope is concave on each zoom region).
 Systole: direct DFS enumeration of all injective cycles; the earlier
 per-edge scan, every search run to the end on the graph's kernel-unit
 table, whose value and witness cycle the bounded scan must equal; and the
-girth of the shortest-path trees with the branch rule.  Cycle counts:
+girth of the shortest-path trees with the branch rule.  Edge maxima: the
+closed form of the two routes into an edge.  Cycle counts:
 networkx simple_cycles.  Apartment axioms: an unsampled scan over every pair
 of cells, faces included, a graph search of each apartment intersection,
 and the dimension-1 axiom (3) by the intersection identity of two cycles.
@@ -16,9 +17,11 @@ Hull isometry: an untyped search over every seed chamber and vertex
 bijection, propagated across panels, which the typed model walk must match.
 Apartment antipodes and distances: the apartment developed onto the unit
 sphere in float coordinates, one cell at a time across shared edges.
-Coxeter complexes: the earlier construction with orthogonal matrices from
-the square root of the cosine form, rounded matrix and vertex keys and one
-``acos`` per edge.  Realizability: one ``eigvalsh`` call per
+Dimension-1 apartments: not an oracle but a listing, with the library's
+hull enumeration, of the apartments that a dimension-1 certificate only
+counts.  Coxeter complexes: the earlier construction with orthogonal
+matrices from the square root of the cosine form, rounded matrix and
+vertex keys and one ``acos`` per edge.  Realizability: one ``eigvalsh`` call per
 simplex.  Kleiner-Leeb charts: random straight segments in a window's flat
 frame must each lie in one chart, and overlapping charts must differ by a
 rigid motion (``verify_def52``).
@@ -223,6 +226,31 @@ def count_cycles_of_length(n: int, edges, k: int) -> int:
     for u, v, _ in edges:
         G.add_edge(u, v)
     return sum(1 for cyc in nx.simple_cycles(G, length_bound=k) if len(cyc) == k)
+
+
+def edge_max_distance(dx, dy, ln):
+    """The largest distance from a vertex p to a point of an edge (x, y) of
+    length ln, given dx = d(p, x) and dy = d(p, y): the maximum over s in
+    [0, ln] of min(dx + s, dy + ln - s), where the two routes cross, at
+    s = (dy + ln - dx) / 2 clamped to the edge."""
+    s = min(max((dy + ln - dx) / 2, 0), ln)
+    return min(dx + s, dy + ln - s)
+
+
+def dim1_apartments(cert):
+    """The apartments of a dimension-1 certificate, which keeps only their
+    count, listed on demand with the library's own search: the hull
+    enumeration on its graph, or the one cycle of a thin circle.  The
+    listing must be complete and as long as the count."""
+    from buildctl.dim1 import _walk_cycle, enumerate_apartments_dim1
+    g = cert.graph
+    if cert.verdict == "thin_building":
+        found = (_walk_cycle(g, (1 << len(g.edges)) - 1),)
+    else:
+        found, exhaustive = enumerate_apartments_dim1(g, cert.m)
+        assert exhaustive
+    assert cert.apartments == () and len(found) == cert.apartment_count
+    return found
 
 
 def point_distance_oracle(n: int, edges, p, q) -> float:

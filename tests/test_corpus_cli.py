@@ -561,15 +561,38 @@ def test_cli_decompose(tmp_path):
     assert sorted(len(x["vertices"]) for x in rep["factors"]) == [3, 3]
 
 
-def test_cli_budget_env(tmp_path):
+def test_cli_budget_env(tmp_path, s0_heawood):
+    """B_apt counts the hulls evaluated above dimension 1 only: a graph's
+    apartments are counted, so Heawood under a budget of 10 is decided with
+    all 28, while S0*Heawood's search stops after one hull and exits 2."""
     f = tmp_path / "heawood.json"
     run_cli("gen", "projective-plane", "-o", str(f))
-    # B_apt counts hulls evaluated: Heawood's search ends after 28
     r = run_cli("check", str(f), env_extra={"BUILDCTL_BUDGETS": '{"B_apt": 10}'})
-    assert r.returncode == 2
+    assert r.returncode == 0, r.stderr
     rep = json.loads(r.stdout)
-    assert not rep["apartments"]["exhaustive"]
-    assert rep["flags"] == ["apartment_axiom2_unverified", "apartments_sampled"]
+    assert rep["apartments"] == {"count": 28, "exhaustive": True} and rep["flags"] == []
+    f = tmp_path / "s0-heawood.json"
+    f.write_text(s0_heawood.dumps())
+    r = run_cli("check", str(f), env_extra={"BUILDCTL_BUDGETS": '{"B_apt": 1}'})
+    assert r.returncode == 2, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["apartments"] == {"count": 1, "exhaustive": False}
+    assert rep["flags"] == ["apartment_axiom2_unverified", "apartments_sampled",
+                            "global_cat1_unverified"]
+
+
+def test_cli_k30_30_is_decided(tmp_path):
+    """K30,30 passes the dimension-1 gates, so ``check`` counts its
+    C(30, 2)^2 = 189225 apartments (4-cycles) and exits 0, where a search
+    budgeted at 10^5 hulls used to leave it undecided."""
+    f = tmp_path / "k30-30.json"
+    run_cli("gen", "complete-bipartite", "--s", "30", "--t", "30", "-o", str(f))
+    r = run_cli("check", str(f))
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert (rep["verdict"], rep["m"], rep["thickness"]) == ("thick_building", 2, 30)
+    assert rep["apartments"] == {"count": 189225, "exhaustive": True}
+    assert rep["flags"] == []
 
 
 def test_cli_float_drift_exit0(tmp_path, drifted_k33):

@@ -177,7 +177,7 @@ def test_propagate_rejects_non_antipodal_y(octahedron):
 def test_propagate_suspended_hexagons(heawood, s0_heawood, heawood_cert):
     g = MetricGraph.from_complex(heawood)
     surfaces = set()
-    for apt in heawood_cert.apartments:
+    for apt in oracles.dim1_apartments(heawood_cert):
         cyc = [heawood.vertices[v] for v in apt.vertices]
         ap = propagate_apartment(s0_heawood, "N", cyc, y="S")
         assert isinstance(ap, ApartmentSurface)

@@ -273,8 +273,9 @@ def test_antipode_discreteness_iff_edge_max_below_pi():
             continue
         p = GraphPoint(vertex=rng.randrange(len(g.vertices)))
         ant = g.antipode_set(p)
-        has_fat = any(g.edge_max_distance(p, e) > Fraction(1)
-                      for e in range(len(g.edges)))
+        dist = fraction_dijkstra(g, p.vertex)
+        has_fat = any(oracles.edge_max_distance(dist[x], dist[y], ln) > Fraction(1)
+                      for x, y, ln in g.edges)
         assert (not ant.discrete) == has_fat
 
 

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -34,17 +34,17 @@ def test_heawood_thick_m3_28_apartments(heawood_cert):
     cert = heawood_cert
     assert cert.verdict == "thick_building"
     assert cert.m == 3
-    assert len(cert.apartments) == 28
+    assert len(oracles.dim1_apartments(cert)) == 28
     assert cert.apartments_exhaustive
     assert cert.thickness == 3
-    for a in cert.apartments:
+    for a in oracles.dim1_apartments(cert):
         assert len(a.edges) == 6
 
 
 def test_k33_thick_m2_9_apartments(k33):
     cert = recognize_dim1(k33)
     assert cert.verdict == "thick_building" and cert.m == 2
-    assert len(cert.apartments) == 9 and cert.thickness == 3
+    assert len(oracles.dim1_apartments(cert)) == 9 and cert.thickness == 3
 
 
 def test_triple_pi_edge_suspension():
@@ -53,7 +53,7 @@ def test_triple_pi_edge_suspension():
     assert cert.verdict == "suspension"
     assert cert.base_size == 3
     assert set(cert.poles) == {"N", "S"}
-    assert len(cert.apartments) == 3
+    assert len(oracles.dim1_apartments(cert)) == 3
 
 
 def test_dim1_gates_search_connectivity_once(k33, monkeypatch):
@@ -103,7 +103,7 @@ def test_circle_thin_single_apartment():
                     [(i, (i + 1) % 8, Fraction(1, 4)) for i in range(8)])
     cert = recognize_dim1(g)
     assert cert.verdict == "thin_building" and cert.m == 4
-    assert len(cert.apartments) == 1
+    assert len(oracles.dim1_apartments(cert)) == 1
 
 
 def test_float_circle_uniform_within_tolerance():
@@ -173,7 +173,7 @@ def test_relabeling_invariance(heawood):
                      [(remap[u], remap[v], ln) for u, v, ln in g.edges])
     c2 = recognize_dim1(g2)
     assert c2.verdict == "thick_building" and c2.m == 3
-    assert len(c2.apartments) == 28
+    assert len(oracles.dim1_apartments(c2)) == 28
 
 
 def test_subdivision_invariance(heawood):
@@ -187,7 +187,7 @@ def test_subdivision_invariance(heawood):
         edges.append((mid, v, ln / 2))
     cert = recognize_dim1(MetricGraph(names, edges))
     assert cert.verdict == "thick_building" and cert.m == 3
-    assert len(cert.apartments) == 28
+    assert len(oracles.dim1_apartments(cert)) == 28
 
 
 def _subdivided(g, cuts):
@@ -221,8 +221,8 @@ def test_single_edge_subdivision_keeps_k33(k33):
              if {g.vertices[u], g.vertices[v]} == {"a0", "b0"})
     cert = recognize_dim1(_subdivided(g, {e: [Fraction(1, 2)]}))
     assert (cert.verdict, cert.m, cert.thickness) == ("thick_building", 2, 3)
-    assert len(cert.apartments) == 9 and cert.apartments_exhaustive
-    assert all(len(a.edges) in (4, 5) for a in cert.apartments)
+    assert len(oracles.dim1_apartments(cert)) == 9 and cert.apartments_exhaustive
+    assert all(len(a.edges) in (4, 5) for a in oracles.dim1_apartments(cert))
 
 
 def test_dim1_gates_run_one_search_per_vertex(monkeypatch):
@@ -267,7 +267,7 @@ def test_float_drift_inside_tolerance_keeps_k33(drifted_k33):
     lost every such cycle and the recognizer raised."""
     cert = recognize_dim1(drifted_k33)
     assert (cert.verdict, cert.m, cert.thickness) == ("thick_building", 2, 3)
-    assert len(cert.apartments) == 9 and cert.apartments_exhaustive
+    assert len(oracles.dim1_apartments(cert)) == 9 and cert.apartments_exhaustive
 
 
 _DIM1_CORPUS = {"k33": dict(kind="complete_bipartite"), "heawood": dict(kind="projective_plane"),
@@ -296,10 +296,11 @@ def test_subdivision_and_relabelling_keep_dim1_certificate(dim1_corpus, data, na
     h = _subdivided(_floated(g) if floated else g, cuts)
     h = _renumbered(h, data.draw(st.permutations(range(len(h.vertices)))))
     other = recognize_dim1(h)
-    assert (other.verdict, other.m, other.thickness, len(other.apartments),
+    listed = oracles.dim1_apartments(other)
+    assert (other.verdict, other.m, other.thickness, len(listed),
             other.apartments_exhaustive) == \
-        (cert.verdict, cert.m, cert.thickness, len(cert.apartments), True)
-    assert oracles.disconnected_apartment_pair(other.apartments) is None
+        (cert.verdict, cert.m, cert.thickness, len(oracles.dim1_apartments(cert)), True)
+    assert oracles.disconnected_apartment_pair(listed) is None
 
 
 def test_dim1_axiom3_holds_on_every_corpus_graph():
@@ -319,8 +320,9 @@ def test_dim1_axiom3_holds_on_every_corpus_graph():
             if isinstance(res, Diagnosis):
                 continue
             certified += 1
-            assert res.apartments_exhaustive and res.apartments, kind
-            assert oracles.disconnected_apartment_pair(res.apartments) is None, kind
+            listed = oracles.dim1_apartments(res)
+            assert res.apartments_exhaustive and listed, kind
+            assert oracles.disconnected_apartment_pair(listed) is None, kind
     assert certified == 6
 
 
@@ -336,41 +338,17 @@ def test_enumeration_matches_independent_oracle(heawood, k33, tutte_coxeter):
 def test_axiom2_all_edge_pairs(heawood_cert, heawood):
     g = MetricGraph.from_complex(heawood)
     by_edge = {e: set() for e in range(len(g.edges))}
-    for ai, a in enumerate(heawood_cert.apartments):
+    for ai, a in enumerate(oracles.dim1_apartments(heawood_cert)):
         for e in a.edges:
             by_edge[e].add(ai)
     for e, f in itertools.combinations(range(len(g.edges)), 2):
         assert by_edge[e] & by_edge[f]
 
 
-def test_dim1_uncovered_edge_pair_is_a_diagnosis(heawood, monkeypatch):
-    """Axiom (2) is one rule in every dimension: a dim-1 search reported
-    exhaustive that leaves an edge pair in no apartment is the
-    ``no_common_apartment`` diagnosis naming both edges by their ends (the
-    edges of the apartment dropped here, and of no other), not an error."""
-    import buildctl.dim1 as dim1
-    original = dim1.enumerate_apartments_dim1
-    g = MetricGraph.from_complex(heawood)
-    full, _ = original(g, 3)
-
-    def one_short(*args, **kwargs):
-        found, exhaustive = original(*args, **kwargs)
-        assert exhaustive and found == full
-        return found[1:], exhaustive
-
-    monkeypatch.setattr(dim1, "enumerate_apartments_dim1", one_short)
-    res = recognize_dim1(heawood)
-    assert isinstance(res, Diagnosis) and res.condition == "no_common_apartment"
-    ends = {frozenset(g.vertices[v] for v in g.edges[e][:2]): e for e in range(len(g.edges))}
-    pair = {ends[frozenset(names)] for names in res.witness["chambers"]}
-    assert len(pair) == 2 and pair <= set(full[0].edges)
-    assert not any(pair <= set(a.edges) for a in full[1:])
-
-
 def test_certificate_soundness_recheck(heawood_cert, heawood):
     g = MetricGraph.from_complex(heawood)
     #each apartment is a 2m-cycle of uniform edges pi/m: the dihedral Coxeter circle
-    for a in heawood_cert.apartments:
+    for a in oracles.dim1_apartments(heawood_cert):
         assert len(a.edges) == 2 * heawood_cert.m
         total = sum((g.edges[e][2] for e in a.edges), Fraction(0))
         assert total == Fraction(2)
@@ -433,7 +411,7 @@ def test_s0_heawood_certificate(s0_heawood_cert, s0_heawood, heawood_cert):
     # the apartments are exactly S0 * (Heawood apartment), compared by names
     g = heawood_cert.graph
     want = set()
-    for a in heawood_cert.apartments:
+    for a in oracles.dim1_apartments(heawood_cert):
         ends = [(g.vertices[g.edges[e][0]], g.vertices[g.edges[e][1]]) for e in a.edges]
         want.add(frozenset(frozenset((p, x, y)) for x, y in ends for p in ("N", "S")))
     got = {frozenset(frozenset(s0_heawood.vertices[v] for v in cell) for cell in a.cells)
@@ -1435,7 +1413,7 @@ def test_b3_quotient_has_no_common_apartment(tmp_path):
     surfaces = set()
     for vi in range(len(q.vertices)):
         L = vertex_link(q, vi)
-        for apt in recognize_dim1(L).apartments:
+        for apt in oracles.dim1_apartments(recognize_dim1(L)):
             ring = [q.vertex_index(L.vertices[w]) for w in apt.vertices]
             surfaces |= _grown_spheres(q, _fan(vi, ring))
     assert not any(chambers[2] in cells for cells in surfaces)
@@ -1461,7 +1439,7 @@ def dim1_apartment_lists():
         for label, h in ((name, g), (name + "-float", _floated(g))):
             cert = recognize_dim1(h)
             assert cert.apartments_exhaustive
-            out.append((label, h, cert.apartments))
+            out.append((label, h, oracles.dim1_apartments(cert)))
     return out
 
 
@@ -1604,6 +1582,118 @@ def test_cycle_dfs_matches_fraction_oracle(name, kw, every):
         found, exhaustive = enumerate_apartments_dim1(g, m, b)
         assert exhaustive == (b == len(full)), (name, b)
         assert len(found) == b and set(found) <= full, (name, b)
+
+
+# -- dimension 1 is decided by its gates: the count --------------------------------
+
+
+@st.composite
+def _dim1_buildings(draw):
+    """(graph, count): K_{s,t} for 2 <= s, t <= 6, PG(2,2), GQ(2,2) or k
+    parallel pi-edges for 3 <= k <= 8, as an exact, float, mixed or
+    subdivided copy, with the closed-form number of its apartments."""
+    kind = draw(st.sampled_from(("bipartite", "projective_plane",
+                                 "generalized_quadrangle", "parallel")))
+    if kind == "bipartite":
+        s, t = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+        g = MetricGraph.from_complex(gen_rank2_building("complete_bipartite", s=s, t=t))
+        count = math.comb(s, 2) * math.comb(t, 2)
+    elif kind == "parallel":
+        k = draw(st.integers(3, 8))
+        g, count = MetricGraph(["N", "S"], [(0, 1, Fraction(1))] * k), math.comb(k, 2)
+    else:
+        g = MetricGraph.from_complex(gen_rank2_building(kind))
+        count = 28 if kind == "projective_plane" else 90
+    copy = draw(st.sampled_from(("exact", "float", "mixed", "subdivided")))
+    if copy == "subdivided":
+        cut = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(
+            lambda t: 0 < t < 1)
+        cuts = draw(st.dictionaries(st.integers(0, len(g.edges) - 1),
+                                    st.lists(cut, min_size=1, max_size=2, unique=True)
+                                    .map(sorted)))
+        return _subdivided(g, cuts), count
+    return {"exact": g, "float": _floated(g), "mixed": _mixed(g)}[copy], count
+
+
+def _count_is_the_enumeration(case) -> bool:
+    """The certificate's apartment count equals the length of the hull
+    enumeration (a thin circle is its one apartment) and the closed form."""
+    g, count = case
+    cert = recognize_dim1(g)
+    listed = 1 if cert.verdict == "thin_building" else \
+        len(enumerate_apartments_dim1(g, cert.m)[0])
+    return cert.apartment_count == listed == count
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_dim1_buildings())
+def test_dim1_count_equals_the_enumeration(case):
+    """The count of 2m-cycles that ``recognize_dim1`` reports is the number
+    of apartments the hull search lists, on every copy of every input."""
+    assert _count_is_the_enumeration(case)
+
+
+def test_dim1_count_property_catches_a_count_over_m(monkeypatch):
+    """The pair sum over m, not 2m, counts every cycle twice; the property
+    finds an input where it differs from the enumeration."""
+    import buildctl.dim1 as dim1
+    count = dim1._count_2m_cycles       # the pair sum is 2m times the count
+    monkeypatch.setattr(dim1, "_count_2m_cycles", lambda sup, m: 2 * m * count(sup, m) // m)
+    g, _ = find(_dim1_buildings(), lambda case: not _count_is_the_enumeration(case),
+                settings=settings(derandomize=True, database=None))
+    assert recognize_dim1(g).verdict != "thin_building"
+
+
+def test_thick_m_outside_feit_higman_is_an_integrity_error(heawood, monkeypatch):
+    """A thick generalized m-gon has m in {2, 3, 4, 6, 8}: gates that let
+    Heawood through as a 5-gon are at fault, and nothing is certified."""
+    import buildctl.dim1 as dim1
+    from buildctl.dim1 import IntegrityError
+    monkeypatch.setattr(dim1, "_uniform_m", lambda sup: 5)
+    with pytest.raises(IntegrityError, match="Feit-Higman"):
+        recognize_dim1(heawood)
+
+
+def _dim1_report(verdict, dimension, m, thickness, count, **extra):
+    """A report of dimension <= 1: exhaustive, unflagged, with the dihedral
+    Coxeter matrix when m >= 2."""
+    cox = {"generators": ["s", "t"], "m": [[1, m], [m, 1]]} if m and m >= 2 else None
+    return {"schema": 1, "verdict": verdict, "geometry": "spherical", "dimension": dimension,
+            "coxeter": cox, "m": m, "thickness": thickness,
+            "apartments": {"count": count, "exhaustive": True}, "flags": [], **extra}
+
+
+def test_dim1_check_path_runs_no_hull_search(monkeypatch):
+    """With the hull search and the cycle walk made to raise, ``check_dim1``
+    and ``recognize_dim1`` still certify, with the reports that the search
+    gave: Heawood, GQ(2,2) and K8,8 (exact, float and subdivided), three
+    parallel pi-edges, a subdivided hexagon and a discrete set of 3 points."""
+    import buildctl.dim1 as dim1
+
+    def refuse(*args):
+        raise AssertionError("the check path searched or walked apartments")
+
+    monkeypatch.setattr(dim1, "_opposite_hulls", refuse)
+    monkeypatch.setattr(dim1, "_walk_cycle", refuse)
+    for kw, m, thickness, count in ((dict(kind="projective_plane"), 3, 3, 28),
+                                    (dict(kind="generalized_quadrangle"), 4, 3, 90),
+                                    (dict(kind="complete_bipartite", s=8, t=8), 2, 8, 784)):
+        c = gen_rank2_building(**kw)
+        want = _dim1_report("thick_building", 1, m, thickness, count)
+        assert dim1.check_dim1(c).to_report() == want, kw
+        g = MetricGraph.from_complex(c)
+        halves = {e: [Fraction(1, 2)] for e in range(len(g.edges))}
+        for h in (g, _floated(g), _subdivided(g, halves)):
+            assert recognize_dim1(h).to_report() == want, kw
+    triple = MetricGraph(["N", "S"], [(0, 1, Fraction(1))] * 3)
+    assert recognize_dim1(triple).to_report() == _dim1_report(
+        "suspension", 1, 1, 2, 3, suspension={"poles": ["N", "S"], "base_size": 3})
+    hexagon = MetricGraph([f"h{i}" for i in range(6)], [(i, (i + 1) % 6, THIRD) for i in range(6)])
+    halves = {e: [Fraction(1, 2)] for e in range(6)}
+    assert recognize_dim1(_subdivided(hexagon, halves)).to_report() == \
+        _dim1_report("thin_building", 1, 6, 2, 1)
+    assert dim1.check_dim1(discrete_complex(["x0", "x1", "x2"])).to_report() == \
+        _dim1_report("thick_building", 0, None, 3, 3)
 
 
 def _float_corners(c, keep_exact=lambda key: False):
