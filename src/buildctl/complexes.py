@@ -106,8 +106,10 @@ def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
                   eps: float = EPS_GRAM) -> list[tuple[bool, str]]:
     """(ok, why) for each simplex of one dimension, its edge lengths given as
     in ``least_gram_eigenvalues``: a spherical edge longer than pi fails
-    first, then a least Gram eigenvalue at most ``eps``.  An edge keeps its
-    closed form.  Above dimension 1 the simplices that reach that test are
+    first, the simplex's first such edge named, then a least Gram eigenvalue
+    at most ``eps``.  An edge keeps its closed form.  Above dimension 1 each
+    distinct ``Angle`` object is compared with pi once, however many
+    simplices share it, and the simplices that reach the eigenvalue test are
     grouped by their tuple of edge radians, the only input to the Gram
     matrix, and each shape passes when G - (eps + margin) I has a Cholesky
     factor: lambda_min > eps exactly when G - eps I is positive definite,
@@ -119,11 +121,23 @@ def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
     out: list[tuple[bool, str] | None] = [None] * len(simplices)
     if geometry == SPHERICAL:
         pi = Fraction(1)
-        for k, lengths in enumerate(simplices):
-            for a in lengths:
-                if cmp_units(a.pi_units, pi) > 0:
-                    out[k] = (False, f"spherical edge length {a} exceeds pi")
-                    break
+        too_long = lambda a: (False, f"spherical edge length {a} exceeds pi")
+        if simplices and len(simplices[0]) > 1:
+            # the simplices on an edge share its Angle: each object is compared
+            # once (by id, as all stay alive in ``simplices``), and the
+            # simplices are scanned only when one is longer than pi
+            objects = {id(a): a for lengths in simplices for a in lengths}
+            over = {i for i, a in objects.items() if cmp_units(a.pi_units, pi) > 0}
+            for k, lengths in enumerate(simplices) if over else ():
+                a = next((a for a in lengths if id(a) in over), None)
+                if a is not None:
+                    out[k] = too_long(a)
+        else:
+            for k, lengths in enumerate(simplices):
+                for a in lengths:
+                    if cmp_units(a.pi_units, pi) > 0:
+                        out[k] = too_long(a)
+                        break
     todo = [k for k, r in enumerate(out) if r is None and simplices[k]]
     if todo and len(simplices[todo[0]]) > 1:
         from . import linalg
@@ -481,6 +495,8 @@ def vertex_link(c: MetricComplex, v) -> MetricComplex:
     The first call caches every corner angle of ``c`` (``_sweep_corners``).
     As ``c`` is valid, the link's cells come out sorted, distinct and in
     range; it is stored as ``__init__`` would store it, without the checks.
+    The link of a 2-complex is a graph: each star triangle is unpacked into
+    its link edge directly, and the lengths are entered in edge order.
     """
     c.require_valid()
     vi = c.vertex_index(v)
@@ -495,11 +511,19 @@ def vertex_link(c: MetricComplex, v) -> MetricComplex:
     neighbors = sorted({u for cell in stars for u in cell if u != vi})
     index = {u: k for k, u in enumerate(neighbors)}
     cells, lengths = [], {}
-    for cell in stars:
-        rest = [u for u in cell if u != vi]
-        cells.append(tuple(index[u] for u in rest))
-        for u, w in itertools.combinations(rest, 2):
-            lengths[Edge((index[u], index[w]))] = c._corner_angles[vi, u, w]
+    corners = c._corner_angles
+    if c.dimension == 2:
+        for x, y, z in stars:
+            u, w = (y, z) if x == vi else (x, z) if y == vi else (x, y)
+            e = (index[u], index[w])
+            cells.append(e)
+            lengths[Edge(e)] = corners[vi, u, w]
+    else:
+        for cell in stars:
+            rest = [u for u in cell if u != vi]
+            cells.append(tuple(index[u] for u in rest))
+            for u, w in itertools.combinations(rest, 2):
+                lengths[Edge((index[u], index[w]))] = corners[vi, u, w]
     link = MetricComplex.__new__(MetricComplex)._set(
         SPHERICAL, tuple(c.vertices[u] for u in neighbors), tuple(cells),
         c.dimension - 1, lengths, [], True, None)

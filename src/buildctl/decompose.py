@@ -27,12 +27,14 @@ def find_suspension_poles(c: MetricComplex) -> tuple[int, int] | None:
 
     Poles are non-adjacent, joined to every other vertex by a pi/2 edge, and
     every top cell contains exactly one of them; the complex must equal the
-    orthogonal join of the pole pair with the base.
+    orthogonal join of the pole pair with the base.  So a pole has valence
+    exactly nv - 2, and only pairs of such vertices are tried, in vertex
+    order.
     """
     if c.dimension < 1 or len(c.vertices) < 3:
         return None
     nv = len(c.vertices)
-    for p, q in itertools.combinations(range(nv), 2):
+    for p, q in itertools.combinations(_pole_candidates(c), 2):
         if (p, q) in c.cofaces:
             continue
         ok = True
@@ -52,6 +54,15 @@ def find_suspension_poles(c: MetricComplex) -> tuple[int, int] | None:
             if _reconstructs_as_suspension(c, p, q):
                 return (p, q)
     return None
+
+
+def _pole_candidates(c: MetricComplex) -> list[int]:
+    """The vertices adjacent to all other vertices but one, in vertex order."""
+    valence = [0] * len(c.vertices)
+    for i, j in c.edges:
+        valence[i] += 1
+        valence[j] += 1
+    return [v for v, k in enumerate(valence) if k == len(valence) - 2]
 
 
 def _reconstructs_as_suspension(c: MetricComplex, p: int, q: int) -> bool:

@@ -63,9 +63,11 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     convex hulls of opposite chambers in the chamber graph, with l(w0) and
     |W| read off the model (a thin sphere is its single hull,
     found by evaluating one pair); and (B0) every hull walks onto the model
-    by panel cotype (``_model_walk``), (B1) every chamber pair lies in a
-    hull and (B2) hulls through a common chamber agree on their shared
-    vertices.  Panel counts and the suspension poles give the verdict.
+    by panel cotype (``_model_walk``), each edge of the complex having the
+    model's length for its type pair, which is checked once for all hulls
+    (``_lengths_fit_model``), (B1) every chamber pair lies in a hull and
+    (B2) hulls through a common chamber agree on their shared vertices.
+    Panel counts and the suspension poles give the verdict.
 
     When any of that fails, or the search is cut off by the budget, the
     link recursion runs (``_certify``): its first failing local gate is the
@@ -266,12 +268,20 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
 def _link_class(L: MetricComplex) -> tuple | None:
     """A graph link up to vertex names: its vertex count, its local top
     cells (its edges) and the Angle on each, as (p, q) of an exact pi*p/q or
-    a float's radians, which hash without a Fraction; None above dimension 1."""
+    a float's radians, which hash without a Fraction; None above dimension 1.
+    A link from ``vertex_link`` enters its lengths in edge order, so they are
+    read in that order once each entry is seen to be its edge's; any other
+    graph is read edge by edge."""
     if L.dimension != 1:
         return None
-    return (len(L.vertices), L.top_cells, tuple(
-        a.rad if a.frac is None else a.frac.as_integer_ratio()
-        for a in (L.lengths[Edge(e)] for e in L.top_cells)))
+    cells = L.top_cells
+    if len(L.lengths) == len(cells) and all(
+            u in e and w in e for (u, w), e in zip(cells, L.lengths)):
+        lengths = L.lengths.values()
+    else:
+        lengths = [L.lengths[Edge(e)] for e in cells]
+    return (len(L.vertices), cells, tuple(
+        a.rad if a.frac is None else a.frac.as_integer_ratio() for a in lengths))
 
 
 def _with_apartments(c, cert, budget: int, hulls: tuple | None = None
@@ -390,7 +400,7 @@ def _chamber_coxeter(c: MetricComplex, types) -> CoxeterMatrix | None:
     matrix normalized to a unit diagonal is -cos(theta_ij) off the diagonal,
     where cos theta_ij = -G^-1_ij / sqrt(G^-1_ii G^-1_jj); it must equal
     ``cosine_form(M)`` to within ``EPS_CHAMBER``.  A wrong guess only fails
-    (B0), whose walk compares every model edge length."""
+    (B0), which compares every edge length with the model's."""
     from .linalg import inverse
     cell = sorted(c.top_cells[0], key=types.__getitem__)
     inv = inverse(c.gram(cell))
@@ -417,11 +427,14 @@ def _walked_hulls(c: MetricComplex, types: Sequence[int], model: CoxeterComplexM
     ``_hull_apartments`` search, then each hull walked onto the model
     (``_model_walk``) in order, until the first that fails: ``walks`` holds
     the (image, back) maps of the hulls before it and ``bad`` its first
-    chamber and the chamber where its walk failed, or None."""
+    chamber and the chamber where its walk failed, or None.  The edge
+    lengths are compared once for all hulls (``_lengths_fit_model``); only
+    when some edge of c disagrees does each walk compare its own."""
     found, exhaustive, lonely = _hull_apartments(c, model, budget)
+    fit = _lengths_fit_model(c, types, model)
     walks = []
     for a in found:
-        at, image, back = _model_walk(c, types, a.cells, model)
+        at, image, back = _model_walk(c, types, a.cells, model, fit)
         if at is not None:
             return model, found, exhaustive, lonely, walks, (a.cells[0], at)
         walks.append((image, back))
@@ -457,7 +470,8 @@ def _hull_apartments(c: MetricComplex, model: CoxeterComplexModel, budget: int
 
 
 def _model_walk(c: MetricComplex, types: Sequence[int], cells: Sequence[tuple],
-                model: CoxeterComplexModel) -> tuple[tuple | None, dict, dict]:
+                model: CoxeterComplexModel, lengths_fit: bool = False
+                ) -> tuple[tuple | None, dict, dict]:
     """(bad, image, back): the hull chamber where the hull ``cells`` fails to
     be a typed copy of the model Coxeter complex, or None; the hull chamber
     of each group word; and the model vertex of each hull vertex.
@@ -469,7 +483,11 @@ def _model_walk(c: MetricComplex, types: Sequence[int], cells: Sequence[tuple],
     hull vertex of its type in the image chamber, and this vertex map must
     be consistent and injective.  The images must be all of the hull (else
     the least chamber never reached is named), and every model edge must
-    keep its length."""
+    keep its length; the first model edge that does not names a chamber of
+    the hull on its image.  The vertex map keeps types, so a model edge
+    goes to an edge of c with its type pair: the caller that has found
+    ``lengths_fit`` (``_lengths_fit_model``) skips that comparison, as it
+    cannot fail."""
     hull = set(cells)
     image = {(): cells[0]}
     vmap: dict[int, int] = {}
@@ -492,10 +510,34 @@ def _model_walk(c: MetricComplex, types: Sequence[int], cells: Sequence[tuple],
     missed = hull.difference(image.values())
     if missed:
         return min(missed), image, back
+    if lengths_fit:
+        return None, image, back
     for (a, b), ln in model.complex.lengths.items():
         if not ln.equals(c.edge_length(vmap[a], vmap[b])):
             return next(t for t in cells if vmap[a] in t and vmap[b] in t), image, back
     return None, image, back
+
+
+def _lengths_fit_model(c: MetricComplex, types: Sequence[int],
+                       model: CoxeterComplexModel) -> bool:
+    """Whether every edge of c has the model's length for its type pair,
+    compared once per edge for all hulls.  W acts on the model by typed
+    isometries (``coxeter_complex``), so all its edges of one type pair
+    carry one length; a model where two of them differ fits nothing, and
+    neither does an edge whose type pair the model lacks."""
+    mtypes = model.vertex_types
+    by_pair = {}
+    for (a, b), ln in model.complex.lengths.items():
+        ta, tb = mtypes[a], mtypes[b]
+        old = by_pair.setdefault((ta, tb) if ta < tb else (tb, ta), ln)
+        if old is not ln and old != ln:
+            return False
+    for (i, j), ln in c.lengths.items():
+        ti, tj = types[i], types[j]
+        want = by_pair.get((ti, tj) if ti < tj else (tj, ti))
+        if want is None or (want is not ln and not want.equals(ln)):
+            return False
+    return True
 
 
 def _left_action(model: CoxeterComplexModel) -> dict[tuple, list[int]]:

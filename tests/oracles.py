@@ -14,7 +14,12 @@ Apartment searches: the earlier copying, Fraction-summing surface growth,
 whose closed spheres the hull family of opposite chambers must equal, and
 the dim-1 cycle DFS, which the kernel-unit search must match node for node.
 Hull isometry: an untyped search over every seed chamber and vertex
-bijection, propagated across panels, which the typed model walk must match.
+bijection, propagated across panels, which the typed model walk must match;
+and the earlier walk that compares every model edge length on every hull,
+which the walk after one length check per complex must equal.  Suspension
+poles: the earlier search over every vertex pair, which the search over
+vertices of valence nv - 2 must equal.  The spherical pi bound: one
+comparison per (simplex, edge), which one comparison per edge must equal.
 Apartment antipodes and distances: the apartment developed onto the unit
 sphere in float coordinates, one cell at a time across shared edges.
 Dimension-1 apartments: not an oracle but a listing, with the library's
@@ -501,6 +506,75 @@ def enumerate_cycles_fractions(g, m=None, budget: int = 10 ** 5):
             if len(a.edges) % 2 != 0:
                 raise IntegrityError(f"odd apartment cycle {a}")
     return apartments, not exhausted
+
+
+def model_walk_per_hull(c, types, cells, model) -> tuple:
+    """(bad, image, back) of the typed walk of the hull ``cells`` onto the
+    model, as ``recognizer._model_walk`` gives them, with the edge lengths
+    compared on every hull: each model edge against its image in c, in the
+    model's edge order, the first that differs naming a hull chamber on its
+    image."""
+    hull = set(cells)
+    image = {(): cells[0]}
+    vmap: dict[int, int] = {}
+    back: dict[int, int] = {}
+    for g in model.elements:
+        w = g.word
+        if w:
+            at, s = image[w[:-1]], w[-1]
+            panel = tuple(v for v in at if types[v] != s)
+            nxt = [t for t in c.cofaces[panel] if t != at and t in hull]
+            if len(nxt) != 1:
+                return at, image, back
+            image[w] = nxt[0]
+        at = image[w]
+        of_type = {types[v]: v for v in at}
+        for mv in model.chamber_of[w]:
+            v = of_type[model.vertex_types[mv]]
+            if vmap.setdefault(mv, v) != v or back.setdefault(v, mv) != mv:
+                return at, image, back
+    missed = hull.difference(image.values())
+    if missed:
+        return min(missed), image, back
+    for (a, b), ln in model.complex.lengths.items():
+        if not ln.equals(c.edge_length(vmap[a], vmap[b])):
+            return next(t for t in cells if vmap[a] in t and vmap[b] in t), image, back
+    return None, image, back
+
+
+def all_pairs_suspension_poles(c):
+    """``decompose.find_suspension_poles`` over every vertex pair in
+    ``itertools.combinations`` order: the first pair that is non-adjacent,
+    has pi/2 edges to every other vertex, splits every top cell and
+    reconstructs c as a suspension, or None."""
+    from buildctl.decompose import RIGHT, _reconstructs_as_suspension
+    if c.dimension < 1 or len(c.vertices) < 3:
+        return None
+    nv = len(c.vertices)
+    for p, q in itertools.combinations(range(nv), 2):
+        if (p, q) in c.cofaces:
+            continue
+        if any((min(pole, v), max(pole, v)) not in c.cofaces
+               or not c.edge_length(pole, v).equals(RIGHT)
+               for v in range(nv) if v not in (p, q) for pole in (p, q)):
+            continue
+        if all((p in cell) != (q in cell) for cell in c.top_cells) \
+                and _reconstructs_as_suspension(c, p, q):
+            return p, q
+    return None
+
+
+def pi_bound_per_simplex(simplices) -> list:
+    """The spherical pi bound of ``complexes.realizability`` with one
+    comparison per (simplex, edge): each simplex's (False, why) naming its
+    first edge longer than pi, or None."""
+    from buildctl.angles import cmp_units
+    out = []
+    for lengths in simplices:
+        over = next((a for a in lengths if cmp_units(a.pi_units, Fraction(1)) > 0), None)
+        out.append(None if over is None else
+                   (False, f"spherical edge length {over} exceeds pi"))
+    return out
 
 
 def thin_isomorphic(a, b) -> bool:

@@ -12,8 +12,8 @@ import oracles
 from buildctl.angles import Angle
 from buildctl.complexes import (ComplexError, InvalidComplexError,
                                 MetricComplex, cell_link, discrete_complex,
-                                loads, orthogonal_join, s0, suspension,
-                                validate, vertex_link)
+                                loads, orthogonal_join, realizability, s0,
+                                suspension, validate, vertex_link)
 from buildctl.corpus import GENERATORS, gen_octahedron, gen_rank2_building
 from buildctl.coxeter import coxeter_complex, named_matrix
 
@@ -556,3 +556,70 @@ def test_batched_realizability_groups_simplices_by_shape():
         geometry = "euclidean" if label == "euclidean" else "spherical"
         oks = _assert_batched_as_per_cell(geometry, simplices, label)
         assert len(set(oks)) == (1 if label == "mixed" else 2), label
+
+
+def _pi_verdicts(results):
+    """The pi-bound part of ``realizability``'s verdicts: each simplex's
+    (False, why) when it failed on an edge past pi, else None."""
+    return [r if r[1].endswith("exceeds pi") else None for r in results]
+
+
+def test_pi_bound_once_per_edge_matches_per_simplex():
+    """On every spherical complex of the validation corpus, and on a copy
+    with one drawn edge set to 5pi/4, the pi bound compared once per edge
+    fails the simplices that the per-(simplex, edge) comparison fails
+    (``oracles.pi_bound_per_simplex``), each naming its first long edge."""
+    failed = 0
+    for label, c in _validation_corpus().items():
+        if c.geometry != "spherical" or not c.edges:
+            continue
+        edge = frozenset(random.Random(label).choice(c.edges))
+        long = [[Angle.exact(5, 4) if frozenset((i, j)) == edge else c.edge_length(i, j)
+                 for i, j in itertools.combinations(t, 2)]
+                for t in c.top_cells if len(t) - 1 == c.dimension]
+        for simplices in (_top_simplices(c), long):
+            want = oracles.pi_bound_per_simplex(simplices)
+            assert _pi_verdicts(realizability("spherical", simplices)) == want, label
+            failed += sum(r is not None for r in want)
+    assert failed > 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pi_bound_on_shared_edges_matches_per_simplex(data):
+    """Hypothesis simplices of one dimension drawn from a small pool of
+    Angle objects, so that simplices share edges as a complex's do, with
+    exact and float lengths past pi among them."""
+    dim = data.draw(st.integers(1, 3))
+    length = st.one_of(st.builds(Angle.exact, st.integers(1, 24), st.integers(1, 12)),
+                       st.floats(1e-6, 4.0).map(lambda r: Angle(rad=r)))
+    pool = data.draw(st.lists(length, min_size=1, max_size=8))
+    edges = dim * (dim + 1) // 2
+    picks = data.draw(st.lists(st.lists(st.integers(0, len(pool) - 1), min_size=edges,
+                                        max_size=edges), min_size=1, max_size=12))
+    simplices = [[pool[k] for k in pick] for pick in picks]
+    assert _pi_verdicts(realizability("spherical", simplices)) == \
+        oracles.pi_bound_per_simplex(simplices)
+
+
+def test_over_pi_edge_shared_by_several_triangles_names_each_triangle():
+    """A spherical book of three triangles on a 5pi/4 spine, and a fourth
+    triangle whose second and third edges are past pi: validation reports a
+    shape issue for each, in cell order, naming the triangle's first long
+    edge."""
+    names = ["a", "b", "c", "d", "e", "f"]
+    half = Angle.exact(1, 2)
+    lengths = {(0, 1): Angle.exact(5, 4), (2, 4): half, (2, 5): Angle.exact(9, 8),
+               (4, 5): Angle.exact(3, 2)}
+    cells = [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 4, 5)]
+    for t in cells:
+        for e in itertools.combinations(t, 2):
+            lengths.setdefault(e, half)
+    c = MetricComplex("spherical", names, cells, [(*e, a) for e, a in lengths.items()])
+    shapes = [(i.where, i.detail) for i in validate(c).issues if i.kind == "shape"]
+    spine = "spherical edge length 5pi/4 exceeds pi"
+    assert shapes == [(("a", "b", "c"), spine), (("a", "b", "d"), spine),
+                      (("a", "b", "e"), spine),
+                      (("c", "e", "f"), "spherical edge length 9pi/8 exceeds pi")]
+    assert _pi_verdicts(realizability("spherical", _top_simplices(c))) == \
+        oracles.pi_bound_per_simplex(_top_simplices(c))

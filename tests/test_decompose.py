@@ -161,3 +161,71 @@ def test_join_decompose_suspended_heawood(s0_heawood, s0_heawood_cert):
     assert by_dim[0].certificate.verdict == "thin_building"      # the S0 factor
     assert by_dim[1].certificate.verdict == "thick_building"     # Heawood
     assert by_dim[1].certificate.m == 3
+
+
+def _pole_inputs():
+    """Every links-workload, ``_DIM2`` and ``_WALKED`` input, the octahedron
+    with pi/3 edges (every vertex of valence nv - 2, no pi/2 edge), an A2
+    window, S0*S0*K3,3 and each with one edge 1 % and 1e-13 off
+    (``_length_edits``), with their vertex order reversed and with every
+    vertex link of theirs."""
+    from buildctl.corpus import gen_a2_window, gen_octahedron, gen_rank2_building
+    from buildctl.complexes import suspension
+    from test_recognizer import _DIM2, _WALKED, _length_edits, _links_inputs, _relabelled
+    octa = gen_octahedron()
+    short = MetricComplex(octa.geometry, octa.vertices, octa.top_cells,
+                          [(i, j, Angle.exact(1, 3)) for i, j in octa.edges])
+    k33 = gen_rank2_building("complete_bipartite", s=3, t=3)
+    bases = [*_links_inputs(), *(make() for make in _DIM2.values()),
+             *(c for make in _WALKED.values() for c in make()), short,
+             gen_a2_window(3).complex, suspension(suspension(k33))]
+    out = []
+    for c in bases:
+        for e in _length_edits(c) if c.geometry == "spherical" else [c]:
+            for k in (e, _relabelled(e, list(range(len(e.vertices)))[::-1])):
+                out.append(k)
+                if k.dimension >= 1:
+                    out += [vertex_link(k, v) for v in range(len(k.vertices))]
+    return out
+
+
+def test_pole_candidates_keep_the_all_pairs_answer():
+    """The pole search over pairs of vertices of valence nv - 2 finds the
+    pair that the search over every vertex pair finds
+    (``oracles.all_pairs_suspension_poles``), on every ``_pole_inputs``
+    complex.  S0*S0*K3,3 has two pole pairs, all four poles candidates, and
+    both searches name the first; the octahedron with pi/3 edges has six
+    candidates and no poles."""
+    import oracles
+    from buildctl.complexes import suspension
+    from buildctl.corpus import gen_octahedron, gen_rank2_building
+    from buildctl.decompose import _pole_candidates
+    found = 0
+    for c in _pole_inputs():
+        poles = find_suspension_poles(c)
+        assert poles == oracles.all_pairs_suspension_poles(c), c.vertices
+        found += poles is not None
+    assert found > 100
+    twice = suspension(suspension(gen_rank2_building("complete_bipartite", s=3, t=3)))
+    assert [twice.vertices[v] for v in _pole_candidates(twice)] == ["N0", "S0", "N", "S"]
+    assert find_suspension_poles(twice) == (0, 1)
+    octa = gen_octahedron()
+    short = MetricComplex(octa.geometry, octa.vertices, octa.top_cells,
+                          [(i, j, Angle.exact(1, 3)) for i, j in octa.edges])
+    assert _pole_candidates(short) == list(range(6))
+    assert find_suspension_poles(short) is None
+
+
+def test_pole_oracle_catches_a_valence_off_by_one(monkeypatch):
+    """With the candidates taken at valence nv - 1 instead of nv - 2, the
+    pole search disagrees with the all-pairs oracle on some input."""
+    import oracles
+    import buildctl.decompose as decompose
+
+    def off_by_one(c):
+        valence = [sum(v in e for e in c.edges) for v in range(len(c.vertices))]
+        return [v for v, k in enumerate(valence) if k == len(c.vertices) - 1]
+
+    monkeypatch.setattr(decompose, "_pole_candidates", off_by_one)
+    assert any(find_suspension_poles(c) != oracles.all_pairs_suspension_poles(c)
+               for c in _pole_inputs())

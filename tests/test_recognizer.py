@@ -952,6 +952,48 @@ def test_window_links_pay_once_per_shape(radius, interior, monkeypatch):
     assert inits == ["graph"]
 
 
+def _edge_by_edge_class(L):
+    """``recognizer._link_class`` read edge by edge: the vertex count, the
+    top cells and the length of each, looked up by its edge."""
+    return (len(L.vertices), L.top_cells, tuple(
+        a.rad if a.frac is None else a.frac.as_integer_ratio()
+        for a in (L.lengths[frozenset(e)] for e in L.top_cells)))
+
+
+def test_link_class_keys_each_length_on_its_edge():
+    """Two 4-cycles with the same top cells and their lengths in the same
+    dict order, but on other edges, get different link classes.  Each of
+    them, an A2 window's hexagon link, a copy of it with its lengths entered
+    in another order and every graph link memoized by ``check_euclidean`` on
+    the sharing inputs gets the class read edge by edge."""
+    from buildctl.recognizer import _link_class
+    half, third = Angle.exact(1, 2), Angle.exact(1, 3)
+    names = ["a", "b", "c", "d"]
+    cells = [(0, 1), (0, 3), (1, 2), (2, 3)]
+    one = MetricComplex("spherical", names, cells,
+                        [(0, 1, half), (0, 3, third), (1, 2, half), (2, 3, third)])
+    two = MetricComplex("spherical", names, cells,
+                        [(0, 3, half), (0, 1, third), (1, 2, half), (2, 3, third)])
+    assert one.top_cells == two.top_cells == tuple(cells)
+    assert list(one.lengths.values()) == list(two.lengths.values())
+    assert _link_class(one) != _link_class(two)
+    hexagon = vertex_link(gen_a2_window(2).complex, "0_0")
+    moved = MetricComplex("spherical", hexagon.vertices, hexagon.top_cells,
+                          [(*sorted(e), a) for e, a in reversed(hexagon.lengths.items())])
+    assert list(moved.lengths) != list(hexagon.lengths)
+    for L in (one, two, hexagon, moved):
+        assert _link_class(L) == _edge_by_edge_class(L)
+    links = 0
+    for label, make in sorted(_SHARING_INPUTS.items()):
+        c = make()
+        check_euclidean(c, "window")
+        for _, L in _memoized_links(c):
+            if L.dimension == 1:
+                assert _link_class(L) == _edge_by_edge_class(L), label
+                links += 1
+    assert links > 100
+
+
 def _fresh_copy(c):
     """``c`` rebuilt through the public constructor, with empty caches."""
     return MetricComplex(c.geometry, c.vertices, c.top_cells,
@@ -1963,6 +2005,143 @@ def test_axiom_route_certifies_exactly_when_the_local_route_does(label):
         else:
             assert axiom is None or axiom == local, c.vertices
             assert check_spherical(c) == local, c.vertices
+
+
+# -- (B0): edge lengths by type pair, once per complex --------------------------------
+
+
+def _with_edge_scaled(c, edge, factor):
+    """A copy of ``c`` whose edge ``edge`` has its length times ``factor``,
+    in radians."""
+    return MetricComplex(c.geometry, c.vertices, c.top_cells,
+                         [(*sorted(e), Angle(rad=a.radians * factor) if e == set(edge) else a)
+                          for e, a in c.lengths.items()], provenance=c.provenance)
+
+
+def _length_edits(c, pick=None):
+    """``c``, a copy with one drawn edge 1 % longer or else 1 % shorter
+    (whichever stays valid) and a copy with that edge moved by 1e-13 of its
+    length, inside EPS_ANGLE."""
+    edge = random.Random(len(c.top_cells)).choice(c.edges) if pick is None \
+        else c.edges[pick % len(c.edges)]
+    changed = next(k for k in (_with_edge_scaled(c, edge, f) for f in (1.01, 0.99))
+                   if k.validation.ok)
+    return [c, changed, _with_edge_scaled(c, edge, 1 + 1e-13)]
+
+
+def _walk_models(c):
+    """(types, model) for the Coxeter matrix read off c's first chamber and
+    for its local certificate's, when they exist."""
+    import buildctl.recognizer as recognizer
+    types = recognizer._vertex_types(c)
+    if types is None:
+        return []
+    matrices = [recognizer._chamber_coxeter(c, types)]
+    local = recognizer._certify(c)
+    if isinstance(local, recognizer.BuildingCertificate):
+        matrices.append(local.coxeter_matrix)
+    return [(types, coxeter_complex(M)) for M in dict.fromkeys(matrices) if M is not None]
+
+
+def _foreign_models():
+    """The foreign-model cases of ``test_apartments_isometric_to_model``:
+    S0*Heawood, the octahedron and its copy with pi/3 edges on the A1 x A1 x
+    A1 model; and the octahedron on a copy of that model with one edge
+    lengthened, whose edges of one type pair then differ."""
+    import buildctl.recognizer as recognizer
+    from buildctl.coxeter import CoxeterComplexModel
+    hea, octa = suspension(gen_rank2_building("projective_plane")), gen_octahedron()
+    short = MetricComplex(octa.geometry, octa.vertices, octa.top_cells,
+                          [(i, j, Angle(frac=THIRD)) for i, j in octa.edges])
+    other = coxeter_complex(named_matrix("A1xA1xA1"))
+    cx = other.complex
+    bent = CoxeterComplexModel(other.system, other.elements,
+                               _with_edge_scaled(cx, cx.edges[-1], 1.01),
+                               other.chamber_of, other.vertex_types)
+    return [(k, [(recognizer._vertex_types(k), m) for m in models])
+            for k, models in ((hea, [other]), (short, [other]), (octa, [other, bent]))]
+
+
+def _walks_as_per_hull(c, types, model) -> bool:
+    """Assert that every hull of c, each ``_mutants`` copy and the whole
+    complex walk onto the model as ``oracles.model_walk_per_hull`` walks
+    them, called directly and after ``_lengths_fit_model``, and that
+    ``_walked_hulls`` gives the oracle's walks and failed hull; return
+    whether c's lengths fit the model."""
+    import buildctl.recognizer as recognizer
+    _, hulls, _, _, walks, bad = recognizer._walked_hulls(c, types, model, 10 ** 5)
+    fit = recognizer._lengths_fit_model(c, types, model)
+    for cells in [a.cells for a in hulls] + [m for a in hulls for m in _mutants(c, a.cells)] \
+            + [c.top_cells]:
+        want = oracles.model_walk_per_hull(c, types, cells, model)
+        assert recognizer._model_walk(c, types, cells, model) == want
+        assert recognizer._model_walk(c, types, cells, model, fit) == want
+    want_walks, want_bad = [], None
+    for a in hulls:
+        at, image, back = oracles.model_walk_per_hull(c, types, a.cells, model)
+        if at is not None:
+            want_bad = (a.cells[0], at)
+            break
+        want_walks.append((image, back))
+    assert (walks, bad) == (want_walks, want_bad)
+    return fit
+
+
+_LENGTH_CHECKED = {**{label: lambda label=label: [(c, _walk_models(c)) for c in _WALKED[label]()]
+                      for label in _WALKED},
+                   "links": lambda: [(c, _walk_models(c)) for c in _links_inputs()],
+                   "foreign": _foreign_models}
+
+
+@pytest.mark.parametrize("label", sorted(_LENGTH_CHECKED))
+def test_lengths_checked_once_walk_as_every_hull_checked(label):
+    """The model walk after one length check per complex (``_lengths_fit_model``)
+    equals the walk that compares the lengths on every hull
+    (``oracles.model_walk_per_hull``): (bad, image, back) of every hull, of
+    its one-chamber mutants and of the whole complex, and ``_walked_hulls``,
+    on every ``_WALKED`` and links-workload input and the foreign-model
+    cases.  Each comes also with one edge 1 % off, which never fits, and
+    with that edge 1e-13 off, which fits exactly when the input does."""
+    fits = []
+    for c, setups in _LENGTH_CHECKED[label]():
+        assert setups, c.vertices
+        for types, model in setups:
+            fit, changed, nudged = (_walks_as_per_hull(k, types, model) for k in _length_edits(c))
+            assert not changed and nudged == fit
+            fits.append(fit)
+    assert any(fits) and (label == "foreign") == (not all(fits))
+
+
+def _small_join(k, base):
+    """The join of k points with a K_{s,t} (pi/2 edges) or a 2m-gon (pi/m
+    edges)."""
+    if base[0] == "K":
+        g = gen_rank2_building("complete_bipartite", s=int(base[1]), t=int(base[2]))
+    else:
+        n = int(base[1:])
+        g = MetricComplex("spherical", [f"x{i}" for i in range(n)],
+                          [(i, (i + 1) % n) for i in range(n)],
+                          [(i, (i + 1) % n, Angle.exact(2, n)) for i in range(n)])
+    return orthogonal_join(discrete_complex([f"p{i}" for i in range(k)]), g)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(k=st.integers(2, 3), base=st.sampled_from(["K22", "K23", "K33", "C4", "C6", "C8"]),
+       pick=st.integers(0, 10 ** 6))
+def test_small_joins_walk_as_every_hull_checked(k, base, pick):
+    """Joins of two or three points with a small building graph, each with a
+    drawn edge 1 % and 1e-13 off: the walk after one length check per
+    complex equals the per-hull one (``_walks_as_per_hull``), and the
+    suspension poles the all-pairs search's."""
+    from buildctl.decompose import find_suspension_poles
+    import buildctl.recognizer as recognizer
+    c = _small_join(k, base)
+    types = recognizer._vertex_types(c)
+    model = coxeter_complex(recognizer._chamber_coxeter(c, types))
+    fit, changed, nudged = (_walks_as_per_hull(e, types, model) for e in _length_edits(c, pick))
+    assert fit and nudged and not changed
+    for e in _length_edits(c, pick):
+        assert find_suspension_poles(e) == oracles.all_pairs_suspension_poles(e)
 
 
 def test_propagation_failure_keeps_exact_length():
