@@ -34,8 +34,6 @@ DIAMETER = "diameter"
 EDGE_LENGTH_NONUNIFORM = "edge_length_nonuniform"
 LINK_FAILURE = "link_failure"
 CODIM1 = "codim1_cell_count"
-DEP_EMPTY = "dep_empty"
-DEP_NOT_DISCRETE = "dep_not_discrete"
 NOT_SIMPLY_CONNECTED = "not_simply_connected"
 UNKNOWN_PI1 = "unknown_pi1"
 NO_COMMON_APARTMENT = "no_common_apartment"
@@ -191,6 +189,10 @@ def recognize_dim1(g) -> BuildingCertificate | Diagnosis:
 def _certify_graph(g) -> BuildingCertificate | Diagnosis:
     """The gates of recognize_dim1, then the count of the apartments.
 
+    The diameter gate compares ``MetricGraph.diameter``, one closed form per
+    edge pair, with pi; a graph that fails it is reported with that
+    diameter and its witness pair.
+
     A graph that passes the gates is a generalized m-gon once suppressed:
     its girth is 2m hops and its diameter m hops, so its apartments are
     exactly its 2m-cycles and any two of its chambers lie in one of them
@@ -213,8 +215,8 @@ def _certify_graph(g) -> BuildingCertificate | Diagnosis:
         length = sum(sup.edges[e][2] for e in cyc)
         return Diagnosis(SYSTOLE, {"cycle": names,
                                    "length_pi_units": float(length)})
-    if sup.diameter_cmp(ONE) != 0:
-        diam, wit = sup.diameter()
+    diam, wit = sup.diameter()
+    if cmp_units(diam, ONE) != 0:
         return Diagnosis(DIAMETER, {
             "diameter_pi_units": float(diam),
             "witness": [sup.point_name(wit[0]), sup.point_name(wit[1])] if wit else None})

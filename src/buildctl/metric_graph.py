@@ -3,48 +3,32 @@
 Lengths live in units of pi (Fraction when exact, float otherwise), so the
 decisions that matter downstream -- diameter == pi, systole >= 2*pi -- are
 exact equalities on the target corpus.  Point-to-point distances reduce to
-vertex Dijkstra plus the four endpoint routes; diameter is the maximum of the
-concave lower envelope of those route functions over each edge-pair square,
-evaluated exactly at corners and envelope-line crossings.
+vertex Dijkstra plus the four endpoint routes; the diameter is a closed form
+in the vertex distances, one per pair of edges.
 
 Kernel units.  Each graph keeps one length table.  When every length is
 rational the table holds the lengths times 4L, L the lcm of their
-denominators, as ints.  Route constants are then multiples of 4, and every
-envelope candidate (a corner, or a crossing of envelope lines with a side or
-with each other) is an int, so the kernel is exact without Fraction.  Float
-and mixed graphs keep floats.  Dijkstra, all-pairs distances, systole and the
-diameter scan run on the table; Fraction values are restored only where they
-are returned.
+denominators, as ints.  Vertex distances are then multiples of 4, and every
+pair value and witness offset below is an int, so the kernel is exact
+without Fraction.  Float and mixed graphs keep floats.  Dijkstra, all-pairs
+distances, systole and diameter run on the table; Fraction values are
+restored only where they are returned.
 
-Pruned diameter scan.  LB is the largest vertex-to-vertex distance.  On edges
-(u,v) of length a and (x,y) of length b, the route via u..x plus the route via
-v..y sum to a + b + d(u,x) + d(v,y) at every point, so their minimum is at
-most half of that; likewise for the other opposing pair, and |t - s| <= a
-bounds a pair of an edge with itself.  A pair is evaluated only when this
-bound ub is at least LB and above the best value so far.  The first pair in
-scan order that attains the maximum has ub >= maximum >= LB and a best value
-below the maximum, so it is evaluated, and no later pair can exceed it: the
-value and the witness are those of the full scan.  Float bounds carry a slack
-of EPS_UNITS so that rounding never skips that pair.  The scan has no tie
-rule: on a float graph a pair tied with the best value can compute one ulp
-above it and become the witness, so every tied pair is evaluated.
-
-The diameter = pi gate needs no witness.  ``diameter_cmp(target)`` answers
-``cmp_units(diameter, target)`` from the band [lo, hi] of the target
-(``kernel_band``: target*scale on both sides on exact graphs) and a rounding
-allowance r, the most a computed envelope value may exceed its computed
-bound: 0 on ints, EPS_UNITS/2 on floats (observed errors are about 1e-15).
-A pair is evaluated only when ub > hi - r, so no pair left out can reach
-above hi.  The answer is 0 when no evaluated value lies above hi and either
-LB >= lo + r or some evaluated value lies in [lo, hi]; otherwise it is the
-full scan's.  At the first value above hi the full scan resumes from that
-pair: every pair before it has a value of at most hi, below the diameter,
-so none of them is the witness.  Pair values are memoized per graph, so
-the fallback after a scan without such a value evaluates no pair twice.
+Diameter.  Take p at offset t on an edge (u,v) of length a and q at offset s
+on another edge (x,y) of length b.  With g_u(s) = min(s + d(u,x), b - s +
+d(u,y)), the distance from u to q, d(p,q) = min(t + g_u, a - t + g_v).  As
+|g_u - g_v| <= d(u,v) <= a, its maximum over t is (a + g_u + g_v)/2, at
+t = (a + g_v - g_u)/2.  g_u + g_v is concave with slope 0 between the peaks
+of g_u and g_v, so the peak s = (b + d(u,y) - d(u,x))/2 of g_u attains its
+maximum, b + min(d(u,x) + d(v,y), d(u,y) + d(v,x)); half of a plus that is
+the pair's maximum.  An edge with itself gives (a + d(u,v))/2, at t = 0 and
+s = (a + d(u,v))/2, as q's direct route from p is s - t.  The
+witness is the first pair i <= j attaining the maximum; float offsets are
+clamped to their edges.
 
 Systole.  Each vertex's shortest-path tree is computed once per graph
-(``_trees``).  Its distance rows are the all-pairs distances of the diameter
-scan, and the CAT(1) gate reads the girth off the same trees (Itai-Rodeh,
+(``_trees``).  Its distance rows are the all-pairs distances of the
+diameter, and the CAT(1) gate reads the girth off the same trees (Itai-Rodeh,
 SIAM J. Comput. 1978).  For a source s, the branch of a vertex x is the
 child of s on the tree path to x; s is its own branch.  A non-tree edge
 (x, y) whose ends lie in different branches closes the cycle s..x, (x, y),
@@ -75,7 +59,6 @@ Either way the witness is that of the unbounded scan.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -304,12 +287,12 @@ class MetricGraph:
                         best = cand
         return best
 
-    # -- diameter via envelope analysis ----------------------------------------
+    # -- diameter in closed form ------------------------------------------------
 
-    def diameter(self, resume=None) -> tuple[PiUnits, tuple[GraphPoint, GraphPoint] | None]:
-        """Exact sup of distance over all point pairs, with a witness pair.
-        ``resume`` continues a scan from ``diameter_cmp``: the rest of its
-        ``_pair_bounds`` and the best value and (i, j, (t, s)) witness so far."""
+    def diameter(self) -> tuple[PiUnits, tuple[GraphPoint, GraphPoint] | None]:
+        """Exact sup of distance over all point pairs, with a witness pair: the
+        first edge pair i <= j whose closed-form maximum is the largest
+        (module docstring)."""
         cached = getattr(self, "_diameter", None)
         if cached is not None:
             return cached
@@ -319,67 +302,40 @@ class MetricGraph:
         if not self.edges:
             self._diameter = (Fraction(0), None)
             return self._diameter
-        bounds, best, witness = resume or (self._pair_bounds(), -1, None)
-        # bounds are compared doubled, which keeps them ints on exact graphs
-        slack = 0 if self._kernel[0] else 2 * EPS_UNITS
-        lb2 = self._lb2
-        for i, j, ub2 in bounds:
-            if ub2 + slack < lb2 or ub2 + slack <= 2 * best:
-                continue
-            val, ts = self._pair_max(i, j)
-            if val > best:
-                best = val
-                witness = (i, j, ts)
-        i, j, (t, s) = witness
-        self._diameter = (self._restore(best), (self._kernel_point(i, t), self._kernel_point(j, s)))
-        return self._diameter
-
-    def diameter_cmp(self, target: Fraction) -> int:
-        """``cmp_units(self.diameter()[0], target)`` for an exact target,
-        evaluating an edge pair only while its bound leaves the answer open
-        (module docstring)."""
-        if self.edges and self.is_connected():
-            scale = self._kernel[0]
-            lo, hi = kernel_band(target, scale)
-            r = 0 if scale else EPS_UNITS / 2
-            cut2 = 2 * (hi - r)
-            settled = self._lb2 >= 2 * (lo + r)
-            bounds = self._pair_bounds()
-            for i, j, ub2 in bounds:
-                if ub2 <= cut2:
-                    continue
-                val, ts = self._pair_max(i, j)
-                if val > hi:
-                    return cmp_units(self.diameter((bounds, val, (i, j, ts)))[0], target)
-                settled = settled or val >= lo
-            if settled:
-                return 0
-        return cmp_units(self.diameter()[0], target)
-
-    @cached_property
-    def _lb2(self):
-        """Twice the largest vertex-to-vertex distance, in kernel units."""
-        return 2 * max(max(row.values()) for row in self._all_pairs)
-
-    def _pair_bounds(self):
-        """(i, j, ub2) for every edge pair i <= j in scan order, ub2 twice the
-        pair's bound on the distance envelope, in kernel units."""
-        w = self._kernel[1]
+        scale, w, _ = self._kernel
         ap = self._all_pairs
-        for i, (u, v, _) in enumerate(self.edges):
-            a, du, dv = w[i], ap[u], ap[v]
-            yield i, i, 2 * a
-            for j in range(i + 1, len(self.edges)):
-                x, y, _ = self.edges[j]
-                yield i, j, a + w[j] + min(du[x] + dv[y], du[y] + dv[x])
+        ends = [(x, y, w[j]) for j, (x, y, _) in enumerate(self.edges)]
+        # pair values are kept doubled, which keeps them ints on exact graphs;
+        # a row of pairs (i, j > i) is one comprehension, without min() calls
+        best, arg = -1, None
+        for i, (u, v, a) in enumerate(ends):
+            du, dv = ap[u], ap[v]
+            if a + du[v] > best:
+                best, arg = a + du[v], (i, i)
+            row = [b + (p if p < q else q)
+                   for x, y, b in ends[i + 1:]
+                   for p, q in ((du[x] + dv[y], du[y] + dv[x]),)]
+            top = max(row, default=None)
+            if top is not None and a + top > best:
+                best, arg = a + top, (i, i + 1 + row.index(top))
 
-    def _pair_max(self, i: int, j: int):
-        """``_edge_pair_max``, memoized per graph."""
-        memo = self.__dict__.setdefault("_pair_memo", {})
-        got = memo.get((i, j))
-        if got is None:
-            got = memo[i, j] = self._edge_pair_max(i, j)
-        return got
+        def half(z):
+            return z // 2 if scale else z / 2
+
+        i, j = arg
+        u, v, a = ends[i]
+        x, y, b = ends[j]
+        du, dv = ap[u], ap[v]
+        if i == j:
+            t, s = 0, half(best)
+        else:
+            s = half(b + du[y] - du[x])
+            t = half(a + min(s + dv[x], b - s + dv[y]) - half(b + du[x] + du[y]))
+        # rounding may put a float offset a little outside its edge
+        t, s = min(max(t, 0), a), min(max(s, 0), b)
+        self._diameter = (self._restore(half(best)),
+                          (self._kernel_point(i, t), self._kernel_point(j, s)))
+        return self._diameter
 
     def _kernel_point(self, eid: int, t) -> GraphPoint:
         """The point at kernel-unit offset t on edge eid.  On a mixed graph the
@@ -387,37 +343,6 @@ class MetricGraph:
         if t == self._kernel[1][eid]:
             return self.point(eid, self.edges[eid][2])
         return self.point(eid, self._restore(t))
-
-    def _route_functions(self, i: int, j: int):
-        """Linear route functions f(t,s) = al*t + be*s + ga for edges i, j,
-        in kernel units."""
-        _, w, _ = self._kernel
-        ap = self._all_pairs
-        u, v, _ = self.edges[i]
-        x, y, _ = self.edges[j]
-        fns = []
-        for (ep, al, t0) in ((u, 1, 0), (v, -1, w[i])):
-            for (eq, be, s0) in ((x, 1, 0), (y, -1, w[j])):
-                dd = ap[ep].get(eq, INF)
-                if dd is not INF:
-                    fns.append((al, be, t0 + s0 + dd))
-        return fns
-
-    def _edge_pair_max(self, i: int, j: int):
-        """Max of the distance envelope over edges i, j and its (t, s)
-        offsets, in kernel units."""
-        _, w, _ = self._kernel
-        a, b = w[i], w[j]
-        zero = 0 * a
-        fns = self._route_functions(i, j)
-        if i == j:
-            # direct |t-s| breaks concavity; restrict to the triangle t >= s
-            # (the envelope is symmetric under swapping t and s).
-            poly = [(zero, zero), (a, zero), (a, a)]
-            fns = fns + [(1, -1, zero)]
-        else:
-            poly = [(zero, zero), (a, zero), (a, b), (zero, b)]
-        return _envelope_max(fns, poly)
 
     # -- systole -----------------------------------------------------------------
 
@@ -591,7 +516,7 @@ class MetricGraph:
         return MetricGraph(names, out_edges)
 
 
-# -- interval and envelope helpers ------------------------------------------------
+# -- interval helpers ------------------------------------------------
 
 
 def _cut_lower(intervals, slope: int, off: PiUnits, level: PiUnits):
@@ -622,95 +547,3 @@ def _intersect_intervals(xs, ys):
             if cmp_units(lo, hi) <= 0:
                 out.append((lo, hi))
     return out
-
-
-def _envelope_max(fns, poly):
-    """Maximize min_i(al_i*t + be_i*s + ga_i) over a convex polygon.
-
-    The lower envelope of linear functions is concave, so the maximum is
-    attained at a polygon vertex, where a crossing line of two terms meets
-    the boundary, or at an interior crossing of two crossing lines.  With
-    all gradients in {-1,0,1}^2 an interior maximum requires an opposing
-    gradient pair, whose crossing line is diagonal; only intersections of
-    two diagonal lines need to be considered inside.  Everything is
-    evaluated exactly.
-    """
-    sides = [(poly[k], poly[(k + 1) % len(poly)]) for k in range(len(poly))]
-    candidates = list(poly)
-    lines = []
-    for (a1, b1, g1), (a2, b2, g2) in itertools.combinations(fns, 2):
-        al, be, ga = a1 - a2, b1 - b2, g1 - g2
-        if al == 0 and be == 0:
-            continue
-        lines.append((al, be, ga))
-    for al, be, ga in lines:
-        for (p0, p1) in sides:
-            pt = _line_segment_intersection(al, be, ga, p0, p1)
-            if pt is not None:
-                candidates.append(pt)
-    diagonals = [ln for ln in lines if abs(ln[0]) == abs(ln[1]) != 0]
-    for (l1, l2) in itertools.combinations(diagonals, 2):
-        pt = _line_line_intersection(l1, l2)
-        if pt is not None and _in_polygon(pt, poly):
-            candidates.append(pt)
-    best = None
-    argbest = None
-    for (t, s) in candidates:
-        val = min(al * t + be * s + ga for al, be, ga in fns)
-        if best is None or val > best:
-            best = val
-            argbest = (t, s)
-    return best, argbest
-
-
-def _line_segment_intersection(al, be, ga, p0, p1):
-    """Intersection of {al*t + be*s + ga = 0} with segment p0-p1, or None."""
-    (t0, s0), (t1, s1) = p0, p1
-    f0 = al * t0 + be * s0 + ga
-    f1 = al * t1 + be * s1 + ga
-    if f0 == f1:
-        return None
-    if type(f0) is int and type(f1) is int:
-        # kernel units: 0 <= lam <= 1 tested without dividing
-        den = f0 - f1
-        if not 0 <= f0 * den <= den * den:
-            return None
-        return (_div(f0 * t1 - f1 * t0, den), _div(f0 * s1 - f1 * s0, den))
-    lam = f0 / (f0 - f1)
-    if lam < 0 or lam > 1:
-        return None
-    return (t0 + lam * (t1 - t0), s0 + lam * (s1 - s0))
-
-
-def _line_line_intersection(l1, l2):
-    a1, b1, g1 = l1
-    a2, b2, g2 = l2
-    det = a1 * b2 - a2 * b1
-    if det == 0:
-        return None
-    return (_div(-g1 * b2 + g2 * b1, det), _div(-a1 * g2 + a2 * g1, det))
-
-
-def _div(num, den):
-    """num / den, kept exact on ints: an int when it divides (always, in
-    kernel units), else a Fraction."""
-    if type(num) is int:
-        q, r = divmod(num, den)
-        return q if r == 0 else Fraction(num, den)
-    return num / den
-
-
-def _in_polygon(pt, poly) -> bool:
-    t, s = pt
-    sign = 0
-    for k in range(len(poly)):
-        (t0, s0), (t1, s1) = poly[k], poly[(k + 1) % len(poly)]
-        cross = (t1 - t0) * (s - s0) - (s1 - s0) * (t - t0)
-        if cross == 0:
-            continue
-        cur = 1 if cross > 0 else -1
-        if sign == 0:
-            sign = cur
-        elif sign != cur:
-            return False
-    return True

@@ -28,12 +28,12 @@ from collections import Counter
 from typing import Sequence
 
 from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, Edge, MetricComplex,
-                        cell_link, vertex_link)
+                        cell_link)
 from .coxeter import (BudgetExceeded, CoxeterComplexModel, CoxeterMatrix, cosine_form,
                       cosine_verdicts, coxeter_complex)
 from .decompose import find_suspension_poles, most_singular_vertex
 from .dim1 import (  # noqa: F401  (some only for the callers that import them from here)
-    APARTMENTS_INCOMPATIBLE, B_APT_DEFAULT, BUILDING, CODIM1, DEP_EMPTY, DEP_NOT_DISCRETE,
+    APARTMENTS_INCOMPATIBLE, B_APT_DEFAULT, BUILDING, CODIM1,
     EDGE_LENGTH_NONUNIFORM, FLAG_AXIOM2_UNVERIFIED, FLAG_GLOBAL_UNVERIFIED, FLAG_MIXED,
     FLAG_SAMPLED, HULL_NOT_ISOMETRIC, LINK_FAILURE, LINK_UNDECIDED, MEB, MEB_LOCAL,
     NO_COMMON_APARTMENT, NO_OPPOSITE_CHAMBER, NOT_CONNECTED, NOT_SIMPLY_CONNECTED, SUSPENSION,
@@ -41,7 +41,7 @@ from .dim1 import (  # noqa: F401  (some only for the callers that import them f
     _certify_graph, _check_dim0, _length_to_m, _opposite_hulls, _subcomplex, _uniform_m,
     _vertex_types, _walk_cycle, check_dim1, enumerate_apartments_dim1, recognize_dim1)
 from .homotopy import NONTRIVIAL, UNKNOWN, simple_connectivity
-from .metric_graph import GraphPoint, MetricGraph
+from .metric_graph import MetricGraph
 
 # Separates -cos(pi/m) from -cos(pi/(m+1)) up to m ~ 1000; the guess it
 # admits is checked edge by edge by the model walk.
@@ -583,47 +583,6 @@ def _incompatible_hulls(walks: Sequence[tuple[dict, dict]], model: CoxeterComple
                 if first[0] != perm[mv]:
                     return C, first[1], k, x
     return None
-
-
-# -- discrete extension property ---------------------------------------------------
-
-
-def discrete_extension_check(c: MetricComplex) -> tuple[bool, dict | None]:
-    """Nonempty discrete antipode sets for all link directions (n = 1 or 2).
-
-    For n = 1 the graph is its own space of directions at each vertex; for
-    n = 2 each vertex link is, and it must be connected.  The edge-interior
-    directions of n = 2 have suspension links, where the antipode condition
-    reduces to the incident-cell count being >= 2.
-    """
-    c.require_valid()
-    if c.dimension == 1:
-        spaces = [({}, "vertex", MetricGraph.from_complex(c))]
-    elif c.dimension == 2:
-        spaces = (({"vertex": c.vertices[vi]}, "direction",
-                   MetricGraph.from_complex(vertex_link(c, vi)))
-                  for vi in range(len(c.vertices)))
-    else:
-        raise ComplexError("discrete_extension_check handles dimensions 1 and 2")
-    for at, key, g in spaces:
-        if at and not g.is_connected():
-            return False, {"condition": DEP_EMPTY, **at,
-                           "detail": "link disconnected: whole components are antipodal"}
-        for ui, name in enumerate(g.vertices):
-            ant = g.antipode_set(GraphPoint(vertex=ui))
-            if not ant.nonempty:
-                return False, {"condition": DEP_EMPTY, **at, key: name}
-            if not ant.discrete:
-                eid, lo, hi = ant.intervals[0]
-                return False, {"condition": DEP_NOT_DISCRETE, **at, key: name,
-                               "interval": [float(lo), float(hi)]}
-    if c.dimension == 2:
-        for edge in c.cells_by_dim[1]:
-            if len(c.cofaces[edge]) < 2:
-                return False, {"condition": DEP_EMPTY,
-                               "edge": [c.vertices[i] for i in edge],
-                               "detail": "edge-interior directions have empty antipode sets"}
-    return True, None
 
 
 # -- Euclidean recognition ----------------------------------------------------------

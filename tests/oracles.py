@@ -21,7 +21,9 @@ poles: the earlier search over every vertex pair, which the search over
 vertices of valence nv - 2 must equal.  The spherical pi bound: one
 comparison per (simplex, edge), which one comparison per edge must equal.
 Apartment antipodes and distances: the apartment developed onto the unit
-sphere in float coordinates, one cell at a time across shared edges.
+sphere in float coordinates, one cell at a time across shared edges.  The
+discrete extension property: nonempty discrete antipode sets in every
+space of directions, read off ``antipode_set``; no command or gate runs it.
 Dimension-1 apartments: not an oracle but a listing, with the library's
 hull enumeration, of the apartments that a dimension-1 certificate only
 counts.  Coxeter complexes: the earlier construction with orthogonal
@@ -93,7 +95,7 @@ def _zoom_max(fn, t_lo, t_hi, s_lo, s_hi, constraint=None, coarse=33, fine=9,
 
 def sampling_diameter(n: int, edges) -> float:
     """Dense-sampling diameter with zoom refinement, independent of the
-    library's envelope candidate analysis."""
+    library's closed form."""
     D = vertex_distance_matrix(n, edges)
     if np.isinf(D).any():
         return math.inf
@@ -945,3 +947,47 @@ def _rigid_fit(A, B):
     if resid > 1e-6:
         return None
     return R, t
+
+
+# -- discrete extension property ---------------------------------------------------
+
+
+def discrete_extension_check(c) -> tuple[bool, dict | None]:
+    """Nonempty discrete antipode sets for all link directions (n = 1 or 2).
+
+    For n = 1 the graph is its own space of directions at each vertex; for
+    n = 2 each vertex link is, and it must be connected.  The edge-interior
+    directions of n = 2 have suspension links, where the antipode condition
+    reduces to the incident-cell count being >= 2.
+    """
+    from buildctl.complexes import ComplexError, vertex_link
+    from buildctl.metric_graph import GraphPoint, MetricGraph
+
+    c.require_valid()
+    if c.dimension == 1:
+        spaces = [({}, "vertex", MetricGraph.from_complex(c))]
+    elif c.dimension == 2:
+        spaces = (({"vertex": c.vertices[vi]}, "direction",
+                   MetricGraph.from_complex(vertex_link(c, vi)))
+                  for vi in range(len(c.vertices)))
+    else:
+        raise ComplexError("discrete_extension_check handles dimensions 1 and 2")
+    for at, key, g in spaces:
+        if at and not g.is_connected():
+            return False, {"condition": "dep_empty", **at,
+                           "detail": "link disconnected: whole components are antipodal"}
+        for ui, name in enumerate(g.vertices):
+            ant = g.antipode_set(GraphPoint(vertex=ui))
+            if not ant.nonempty:
+                return False, {"condition": "dep_empty", **at, key: name}
+            if not ant.discrete:
+                _, lo, hi = ant.intervals[0]
+                return False, {"condition": "dep_not_discrete", **at, key: name,
+                               "interval": [float(lo), float(hi)]}
+    if c.dimension == 2:
+        for edge in c.cells_by_dim[1]:
+            if len(c.cofaces[edge]) < 2:
+                return False, {"condition": "dep_empty",
+                               "edge": [c.vertices[i] for i in edge],
+                               "detail": "edge-interior directions have empty antipode sets"}
+    return True, None

@@ -28,7 +28,6 @@ from buildctl.geodesics import ApartmentSurface, propagate_apartment
 from buildctl.metric_graph import GraphPoint, MetricGraph
 from buildctl.recognizer import (BuildingCertificate, Diagnosis,
                                  check_euclidean, check_spherical,
-                                 discrete_extension_check,
                                  enumerate_apartments_dim1, recognize_dim1)
 
 import numpy as np
@@ -148,7 +147,7 @@ def test_criterion_6_octahedron():
         factors = join_decompose(oct_, cert)
         assert len(factors) == 3
         assert all(len(f.complex.vertices) == 2 for f in factors)
-        ok, _ = discrete_extension_check(oct_)
+        ok, _ = oracles.discrete_extension_check(oct_)
         assert ok
 
 

@@ -184,7 +184,8 @@ def test_units_close_exact_vs_float():
 
 def test_tolerance_rule_lives_in_angles():
     """Only angles.py compares lengths with EPS_ANGLE; elsewhere it may only
-    be imported, and metric_graph derives its diameter-scan slack from it."""
+    be imported, and metric_graph derives the girth gate's rounding allowance
+    from it."""
     used = []
     for path in sorted(Path(angles.__file__).parent.glob("*.py")):
         if path.name == "angles.py":

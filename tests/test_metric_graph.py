@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
@@ -38,12 +39,12 @@ BAND_LENGTHS = _band_lengths()
 ONE = Fraction(1)
 
 
-def random_graph(rng: random.Random, max_v=10, max_e=14, kind="exact") -> MetricGraph:
-    """Random multigraph; kind "float" or "mixed" turns all or about half of
-    the lengths into floats of the same value, and kind "band" draws about
-    half of them from ``BAND_LENGTHS`` and the rest as floats."""
-    n = rng.randint(2, max_v)
-    lengths = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]
+def random_graph(rng: random.Random, max_v=10, max_e=14, kind="exact", min_v=2,
+                 lengths=(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))) -> MetricGraph:
+    """Random connected multigraph; kind "float" or "mixed" turns all or about
+    half of the lengths into floats of the same value, and kind "band" draws
+    about half of them from ``BAND_LENGTHS`` and the rest as floats."""
+    n = rng.randint(min_v, max_v)
 
     def length():
         if kind == "band" and rng.random() < 0.5:
@@ -74,16 +75,54 @@ def lengthened(g: MetricGraph, eid: int, by=Fraction(1, 12)) -> MetricGraph:
     return MetricGraph(g.vertices, edges)
 
 
-def full_scan_diameter(g: MetricGraph):
-    """Unpruned reference: every edge pair through the exact evaluator."""
-    best, arg = -1, None
-    for i in range(len(g.edges)):
+def floated(g: MetricGraph) -> MetricGraph:
+    return MetricGraph(g.vertices, [(u, v, float(ln)) for u, v, ln in g.edges])
+
+
+def full_scan_diameter(g: MetricGraph) -> Fraction:
+    """Brute force over the grid of an exact graph: the largest distance
+    between points at offsets k / (4L) on any two edges, L the lcm of the
+    length denominators, where the diameter and its witness lie (module
+    docstring of ``metric_graph``).  Vertex distances come from
+    ``fraction_dijkstra``; a point pair's distance is the least of the four
+    endpoint routes and, on one edge, the direct one, taken over int numpy
+    grids in blocks of rows."""
+    scale = 4 * math.lcm(*(ln.denominator for _, _, ln in g.edges))
+    n = len(g.vertices)
+    rows = [fraction_dijkstra(g, u) for u in range(n)]
+    if any(len(row) < n for row in rows):
+        return math.inf
+    D = [[int(row[v] * scale) for v in range(n)] for row in rows]
+    steps = [int(ln * scale) for _, _, ln in g.edges]
+    best = 0
+    for i, (u, v, _) in enumerate(g.edges):
+        a = steps[i]
         for j in range(i, len(g.edges)):
-            val, ts = g._edge_pair_max(i, j)
-            if val > best:
-                best, arg = val, (i, j, ts)
-    i, j, (t, s) = arg
-    return g._restore(best), (g._kernel_point(i, t), g._kernel_point(j, s))
+            x, y, _ = g.edges[j]
+            b = steps[j]
+            S = np.arange(b + 1)
+            block = max(1, (1 << 16) // (b + 1))
+            for t0 in range(0, a + 1, block):
+                T = np.arange(t0, min(a + 1, t0 + block))[:, None]
+                r = np.minimum(np.minimum(T + D[u][x] + S, T + D[u][y] + b - S),
+                               np.minimum(a - T + D[v][x] + S, a - T + D[v][y] + b - S))
+                if i == j:
+                    r = np.minimum(r, np.abs(T - S))
+                best = max(best, int(r.max()))
+    return Fraction(best, scale)
+
+
+def assert_witness(g: MetricGraph):
+    """The witness pair of ``diameter()`` lies inside its edges, at the
+    diameter's distance: exactly on exact graphs, within 1e-12 otherwise."""
+    d, wit = g.diameter()
+    for p in wit:
+        assert p.is_vertex or 0 < p.t < g.edges[p.edge][2], p
+    got = g.distance(*wit)
+    if isinstance(d, Fraction):
+        assert type(got) is Fraction and got == d
+    else:
+        assert abs(got - d) <= 1e-12, (got, d)
 
 
 def fraction_dijkstra(g: MetricGraph, source: int, skip_edge=None):
@@ -364,18 +403,32 @@ def test_metric_properties_random_sweep():
 
 
 def test_pruned_diameter_matches_full_scan_random():
-    """The witness scan, and the diameter = pi gate run first on the same
-    graph, against the unpruned scan."""
+    """The closed-form diameter against the grid oracle on random exact
+    graphs, small ones (4 to 6 vertices, lengths pi/4 and pi/2) and the usual
+    draw, with a float and a mixed copy of each within 1e-12; band graphs
+    against the sampling oracle.  Every witness is at the diameter."""
     rng = random.Random(29)
-    for kind in ("exact", "float", "mixed", "band"):
-        for _ in range(40):
-            g = random_graph(rng, kind=kind)
-            full = full_scan_diameter(g)
-            assert g.diameter_cmp(ONE) == cmp_units(full[0], ONE), kind
-            assert g.diameter() == full, kind
+    small = (Fraction(1, 4), Fraction(1, 2))
+    exact = [random_graph(rng, min_v=4, max_v=6, max_e=10, lengths=small) for _ in range(40)]
+    exact += [random_graph(rng) for _ in range(40)]
+    for g in exact:
+        d = g.diameter()[0]
+        assert type(d) is Fraction and d == full_scan_diameter(g)
+        assert_witness(g)
+        mixed = MetricGraph(g.vertices, [(u, v, float(ln) if k % 2 else ln)
+                                         for k, (u, v, ln) in enumerate(g.edges)])
+        for h in (floated(g), mixed):
+            assert abs(h.diameter()[0] - d) <= 1e-12
+            assert_witness(h)
+    for _ in range(20):
+        g = random_graph(rng, kind="band")
+        assert abs(g.diameter()[0] - oracles.sampling_diameter(len(g.vertices), g.edges)) <= 1e-6
+        assert_witness(g)
 
 
 def test_pruned_diameter_matches_full_scan_buildings(heawood, tutte_coxeter, k33):
+    """Rank-2 buildings with one edge lengthened or shortened by pi/12:
+    the grid oracle's value, and float copies within 1e-12."""
     from buildctl.corpus import gen_rank2_building
     k44 = gen_rank2_building("complete_bipartite", s=4, t=4)
     for c in (heawood, tutte_coxeter, k33, k44):
@@ -383,15 +436,38 @@ def test_pruned_diameter_matches_full_scan_buildings(heawood, tutte_coxeter, k33
         long = lengthened(g, len(g.edges) // 2)
         short = lengthened(g, 1, -Fraction(1, 12))
         for h in (g, long, short):
-            for k in (h, MetricGraph(h.vertices, [(u, v, float(ln)) for u, v, ln in h.edges])):
-                full = full_scan_diameter(k)
-                assert k.diameter_cmp(ONE) == cmp_units(full[0], ONE)
-                assert k.diameter() == full
-        long_float = MetricGraph(long.vertices, [(u, v, float(ln)) for u, v, ln in long.edges])
-        d, wit = long.diameter()
-        assert 1 < d <= Fraction(13, 12) and long.distance(*wit) == d
+            d = h.diameter()[0]
+            assert d == full_scan_diameter(h)
+            assert abs(floated(h).diameter()[0] - d) <= 1e-12
+            assert_witness(h)
+            assert_witness(floated(h))
+        assert 1 < long.diameter()[0] <= Fraction(13, 12)
         assert g.diameter()[0] == 1
-        assert abs(long_float.diameter()[0] - float(d)) <= 1e-12
+
+
+def test_diameter_witness_is_at_the_diameter():
+    """Every witness pair lies inside its edges at the diameter's distance:
+    on random exact, float, mixed and band graphs, and on the seeded
+    negatives of rank-2 buildings, one edge lengthened or shortened by pi/12,
+    exact, float and in radians read back."""
+    from buildctl.corpus import gen_rank2_building
+    rng = random.Random(41)
+    graphs = [random_graph(rng, kind=kind)
+              for kind in ("exact", "float", "mixed", "band") for _ in range(50)]
+    for name, kw in (("heawood", dict(kind="projective_plane")),
+                     ("gq22", dict(kind="generalized_quadrangle")),
+                     ("k44", dict(kind="complete_bipartite", s=4, t=4)),
+                     ("k66", dict(kind="complete_bipartite", s=6, t=6)),
+                     ("k88", dict(kind="complete_bipartite", s=8, t=8))):
+        g = graph_of(gen_rank2_building(**kw))
+        for eid in random.Random(name).sample(range(len(g.edges)), 3):
+            for by in (Fraction(1, 12), -Fraction(1, 12)):
+                neg = lengthened(g, eid, by)
+                graphs += [neg, floated(neg),
+                           MetricGraph(neg.vertices, [(u, v, Angle(rad=float(ln) * math.pi).pi_units)
+                                                      for u, v, ln in neg.edges])]
+    for g in graphs:
+        assert_witness(g)
 
 
 def test_integer_kernel_matches_fraction_dijkstra():
@@ -416,11 +492,10 @@ def test_integer_kernel_matches_fraction_dijkstra():
         assert s == want
         if cyc is not None:
             assert sum(g.edges[e][2] for e in cyc) == s
-        # lengths scaled by 4L make every envelope candidate an int
-        for i in range(len(g.edges)):
-            for j in range(i, len(g.edges)):
-                val, (t, s) = g._edge_pair_max(i, j)
-                assert type(val) is type(t) is type(s) is int
+        # lengths scaled by 4L keep the diameter and its witness exact
+        d = g.diameter()[0]
+        assert type(d) is Fraction and d == full_scan_diameter(g)
+        assert_witness(g)
 
 
 @st.composite
@@ -526,7 +601,7 @@ def test_exact_graphs_return_fractions(heawood):
     assert isinstance(f.diameter()[0], float) and isinstance(f.d(0, 5), float)
 
 
-# -- the diameter = pi gate from bounds ----------------------------------------------
+# -- the diameter against its oracles, and the diameter = pi gate -------------------
 
 
 GATE_LENGTHS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), ONE]
@@ -541,7 +616,10 @@ def gate_graphs(draw):
     """Connected multigraphs, half of them scaled to diameter exactly pi, with
     exact, float (pi units, or radians read back as Angle does), mixed or
     band-edge lengths: the latter scale by an end of the band of pi or a
-    neighbour of one, or draw lengths from ``BAND_LENGTHS``."""
+    neighbour of one, or draw lengths from ``BAND_LENGTHS``.  Drawn as
+    (graph, exact, factor): the graph's lengths are about factor times those
+    of the exact graph, which is None when a length came from
+    ``BAND_LENGTHS``."""
     n = draw(st.integers(2, 7))
     pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     for _ in range(draw(st.integers(0, 8))):
@@ -555,11 +633,14 @@ def gate_graphs(draw):
         lengths = [ln / diam for ln in lengths]
     kind = draw(st.sampled_from(("exact", "float", "radians", "mixed", "band")))
     factor = draw(st.sampled_from(BAND_ENDS))
+    exact = MetricGraph(names, [(u, v, ln) for (u, v), ln in zip(pairs, lengths)])
 
     def length(ln):
+        nonlocal exact
         if kind == "radians":
             return Angle(rad=float(ln) * math.pi).pi_units
         if kind == "band" and draw(st.booleans()):
+            exact = None
             return draw(st.sampled_from(BAND_LENGTHS))
         if kind == "band":
             return float(ln) * factor
@@ -567,80 +648,50 @@ def gate_graphs(draw):
             return float(ln)
         return ln
 
-    return MetricGraph(names, [(u, v, length(ln)) for (u, v), ln in zip(pairs, lengths)])
+    g = MetricGraph(names, [(u, v, length(ln)) for (u, v), ln in zip(pairs, lengths)])
+    return g, exact, (factor if kind == "band" else 1)
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(gate_graphs())
-def test_diameter_cmp_matches_full_scan(g):
-    fresh = MetricGraph(g.vertices, g.edges)
-    want = cmp_units(fresh.diameter()[0], ONE)
-    assert g.diameter_cmp(ONE) == want
-    # the pair values it memoized leave the diameter and its witness as they were
-    assert g.diameter() == fresh.diameter()
-    assert g.diameter_cmp(ONE) == want
+def test_diameter_matches_the_oracles(drawn):
+    """An exact graph's diameter is the grid oracle's; a float graph's is
+    within 1e-12 of its exact graph's times the band factor, or, when its
+    lengths came from ``BAND_LENGTHS``, within 1e-6 of the sampling oracle.
+    Every witness is at the diameter."""
+    g, exact, factor = drawn
+    d = g.diameter()[0]
+    if exact is None:
+        assert abs(d - oracles.sampling_diameter(len(g.vertices), g.edges)) <= 1e-6
+    elif isinstance(d, Fraction):
+        assert d == full_scan_diameter(exact)
+    else:
+        assert abs(d - factor * full_scan_diameter(exact)) <= 1e-12
+    assert_witness(g)
 
 
-def test_diameter_cmp_on_graphs_at_the_band_ends():
-    """Single edges, paths and circles whose diameter is an end of the band of
-    pi or its neighbour outside, in floats and in radians read back."""
-    for end, step in zip(units_band(1), (-math.inf, math.inf)):
-        for x in (end, math.nextafter(end, step)):
-            want = cmp_units(x, ONE)
-            for g in (MetricGraph(["a", "b"], [(0, 1, x)]),
-                      MetricGraph(["a", "b", "c"], [(0, 1, x / 2), (1, 2, x / 2)]),
-                      cycle_graph(4, x / 2), cycle_graph(6, x / 3)):
-                assert g.diameter_cmp(ONE) == cmp_units(g.diameter()[0], ONE)
-                if len(g.edges) == 1:
-                    assert g.diameter_cmp(ONE) == want
-
-
-def test_failing_gate_resumes_the_diameter_scan():
-    """A gate that meets a pair value above the band resumes the diameter
-    scan from that pair, in one pass over the pair bounds, and leaves the
-    value and witness of a fresh graph's diameter(): on every edge of K4,4,
-    Heawood, GQ(2,2) and K6,6 lengthened by pi/12, exact and float, and on
-    Petersen and K4 (Petersen's diameter is pi, so its target lies below)."""
+def test_diameter_gate_at_the_band_ends():
+    """recognize_dim1 on buildings whose diameter x is an end of the band of
+    pi or a float next to one: theta graphs of three edges x, and K3,3 and
+    K4,4 with edges x/2, whose float sums are exact.  Above the band the
+    diameter gate fails with x; in it the graph is certified.  Below it the
+    girth 2x is already below the band of 2*pi, and the systole gate fails
+    first: girth >= 2*pi less the band's half-width puts the diameter, at
+    least half the girth, inside the band of pi, so no graph that reaches the
+    diameter gate has a diameter below the band."""
     from buildctl.corpus import gen_rank2_building
-    graphs = [(graph_of(gen_petersen()), Fraction(5, 6)), (graph_of(gen_k4()), ONE)]
-    for kw in (dict(kind="complete_bipartite", s=4, t=4), dict(kind="projective_plane"),
-               dict(kind="generalized_quadrangle"), dict(kind="complete_bipartite", s=6, t=6)):
-        g = graph_of(gen_rank2_building(**kw))
-        graphs += [(lengthened(g, eid), ONE) for eid in range(len(g.edges))]
-    graphs += [(MetricGraph(g.vertices, [(u, v, float(ln)) for u, v, ln in g.edges]), target)
-               for g, target in graphs]
-    for g, target in graphs:
-        passes = []
-        scan = g._pair_bounds
-        g._pair_bounds = lambda: passes.append(1) or scan()
-        assert g.diameter_cmp(target) == 1
-        assert len(passes) == 1
-        assert g.diameter() == MetricGraph(g.vertices, g.edges).diameter()
-    assert len(graphs) == 2 * (2 + 16 + 21 + 45 + 36)
-
-
-def test_pair_values_within_their_bounds():
-    """Every computed pair value is at most its bound ub (ub2 / 2) plus 1e-12:
-    the rounding allowance EPS_UNITS / 2 of diameter_cmp is far above that.
-    Exact graphs meet the bound exactly."""
-    from buildctl.corpus import gen_rank2_building
-    rng = random.Random(53)
-    graphs = [random_graph(rng, kind=kind)
-              for kind in ("exact", "float", "mixed", "band") for _ in range(40)]
-    for kw in (dict(kind="projective_plane"), dict(kind="generalized_quadrangle"),
-               dict(kind="complete_bipartite", s=4, t=4)):
-        g = graph_of(gen_rank2_building(**kw))
-        for h in (g, lengthened(g, 5)):
-            graphs += [h, MetricGraph(h.vertices, [(u, v, float(ln)) for u, v, ln in h.edges]),
-                       MetricGraph(h.vertices, [(u, v, Angle(rad=float(ln) * math.pi).pi_units)
-                                                for u, v, ln in h.edges])]
-    checked = 0
-    for g in graphs:
-        if not g.is_connected():
-            continue
-        exact = g._kernel[0] is not None
-        for i, j, ub2 in g._pair_bounds():
-            val = g._edge_pair_max(i, j)[0]
-            assert 2 * val <= ub2 if exact else val <= ub2 / 2 + 1e-12, (i, j)
-            checked += 1
-    assert checked > 10000
+    from buildctl.dim1 import recognize_dim1
+    k33, k44 = (graph_of(gen_rank2_building("complete_bipartite", s=s, t=s)) for s in (3, 4))
+    for x in BAND_ENDS:
+        for g in (MetricGraph(["a", "b"], [(0, 1, x)] * 3),
+                  MetricGraph(k33.vertices, [(u, v, x / 2) for u, v, _ in k33.edges]),
+                  MetricGraph(k44.vertices, [(u, v, x / 2) for u, v, _ in k44.edges])):
+            assert g.diameter()[0] == x
+            res = recognize_dim1(g)
+            assert cmp_units(x, ONE) >= 0 or cmp_units(2 * x, 2) < 0
+            if cmp_units(2 * x, 2) < 0:
+                assert res.condition == "systole"
+            elif cmp_units(x, ONE) > 0:
+                assert res.condition == "diameter" and res.witness["diameter_pi_units"] == x
+            else:
+                assert res.verdict in ("suspension", "thick_building"), x
