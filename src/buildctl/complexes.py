@@ -7,10 +7,11 @@ declarations are recorded and reported by validation.
 
 All operations treat complexes as immutable after construction, and the
 caches depend on it: ``cofaces`` (each face -> the top cells containing it),
-the corner-angle memo and kernel, the vertex-link memo and the local
-certificate are filled once and never invalidated, so ``vertex_link(c, v)``
-returns the same link object on every call and each distinct link is built,
-validated and certified once.
+``chamber_graph`` (each top cell's neighbours across each of its panels,
+built without the face poset), the corner-angle memo and kernel, the
+vertex-link memo and the local certificate are filled once and never
+invalidated, so ``vertex_link(c, v)`` returns the same link object on every
+call and each distinct link is built, validated and certified once.
 """
 
 from __future__ import annotations
@@ -247,6 +248,22 @@ class MetricComplex:
         return {f: tuple(v) for f, v in out.items()}
 
     @cached_property
+    def chamber_graph(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The panel adjacency of the top cells (the chambers), read off
+        ``top_cells`` alone: entry [k][p] holds the other chambers, by index
+        in ``top_cells`` order, on the panel of chamber k that omits its p-th
+        vertex."""
+        on: dict[Cell, list[int]] = {}
+        panels = []
+        for k, c in enumerate(self.top_cells):
+            row = [c[:p] + c[p + 1:] for p in range(len(c))]
+            for panel in row:
+                on.setdefault(panel, []).append(k)
+            panels.append(row)
+        return tuple(tuple(tuple(j for j in on[panel] if j != k) for panel in row)
+                     for k, row in enumerate(panels))
+
+    @cached_property
     def cells_by_dim(self) -> dict[int, tuple[Cell, ...]]:
         out: dict[int, list] = {}
         for f in self.cofaces:
@@ -291,6 +308,9 @@ class MetricComplex:
                 issues.append(ValidationIssue(
                     "purity", tuple(name(i) for i in c),
                     f"top cell has dimension {len(c)-1}, complex has dimension {self.dimension}"))
+        if self.dimension >= 0 and not self.top_cells:
+            issues.append(ValidationIssue(
+                "purity", (), f"complex has dimension {self.dimension} and no top cell"))
         covered = {v for c in self.top_cells for v in c}
         for i in range(len(self.vertices)):
             if i not in covered:

@@ -8,8 +8,10 @@ and each generator a permutation of the root system, whose roots are kept in
 simple-root coordinates.  The unit sphere is cellulated by the translates of
 the fundamental chamber: the vertices are the standard cosets g W_J, read off
 the right-multiplication table, and the edges of one type pair share one
-length, read off the inverse cosine form.  The linear algebra is the
-standard-library kernels of ``linalg``.
+length, read off the inverse cosine form.  ``coxeter_group`` stops there,
+which is all the recognizer reads; ``coxeter_complex`` adds the
+``MetricComplex``.  The linear algebra is the standard-library kernels of
+``linalg``.
 """
 
 from __future__ import annotations
@@ -305,19 +307,63 @@ def generate_reflection_group(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT
     return [GroupElement(*e) for e in zip(words, right)]
 
 
-class CoxeterComplexModel:
+class CoxeterGroupModel:
+    """W with its right-multiplication table, the vertex of each type of
+    each element's chamber and the length of each type pair: all the
+    axiom route reads of the model.  ``labels[a][i]`` is the type-i vertex
+    of element a, ``vertex_types`` the type of each vertex, ``pair_length``
+    the length of an edge of each type pair (both orders) and ``steps[b]``
+    the (a, s) with elements[b] = elements[a] * s that names b's word
+    (``steps[0]`` is None)."""
+
     def __init__(self, system: CoxeterMatrix, elements: list[GroupElement],
-                 complex: MetricComplex, chamber_of: dict[tuple[int, ...], tuple],
-                 vertex_types: tuple[int, ...]):
+                 labels: list[tuple[int, ...]], vertex_types: tuple[int, ...],
+                 pair_length: dict[tuple[int, int], Angle]):
         self.system = system
         self.elements = elements
-        self.complex = complex
-        self.chamber_of = chamber_of        # word -> top cell
-        self.vertex_types = vertex_types    # per complex vertex
+        self.labels = labels
+        self.vertex_types = vertex_types
+        self.pair_length = pair_length
+        steps: list[tuple[int, int] | None] = [None] * len(elements)
+        for a, g in enumerate(elements):     # the first (a, s) to reach b named it
+            for s, b in enumerate(g.right):
+                if b and steps[b] is None:
+                    steps[b] = (a, s)
+        self.steps = steps
+
+    def edge_lengths(self) -> list[tuple[int, int, Angle]]:
+        """Every edge (i, j, length) of the model complex, i < j, in order of
+        first appearance over the elements' chambers, each vertex tuple
+        sorted."""
+        seen, out = set(), []
+        for row in self.labels:
+            for i, j in itertools.combinations(sorted(row), 2):
+                if (i, j) not in seen:
+                    seen.add((i, j))
+                    out.append((i, j, self.pair_length[self.vertex_types[i],
+                                                       self.vertex_types[j]]))
+        return out
 
 
-def coxeter_complex(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterComplexModel:
-    """The unit sphere cellulated by the translates of the fundamental chamber.
+class CoxeterComplexModel(CoxeterGroupModel):
+    """A ``CoxeterGroupModel`` with its ``MetricComplex``, built eagerly:
+    ``complex`` and ``chamber_of``, each element's word -> its top cell."""
+
+    def __init__(self, group: CoxeterGroupModel):
+        super().__init__(group.system, group.elements, group.labels, group.vertex_types,
+                         group.pair_length)
+        M, n = group.system, group.system.rank
+        cells = [tuple(sorted(row)) for row in group.labels]
+        self.chamber_of = {g.word: cell for g, cell in zip(group.elements, cells)}
+        names = [f"w{t}.{i}" for i, t in enumerate(group.vertex_types)]
+        self.complex = MetricComplex(
+            SPHERICAL, names, cells, group.edge_lengths(), allow_disconnected=(n == 1),
+            provenance=f"coxeter_complex({M.describe() or 'A1^' + str(n)})")
+
+
+def coxeter_group(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterGroupModel:
+    """The group of a spherical system with its chambers' vertices and the
+    length of each type pair, without the complex (``coxeter_complex``).
 
     The fundamental chamber's vertices p_i are the dual basis of the wall
     normals, normalized.  The type-i vertex of chamber g is the standard
@@ -350,20 +396,17 @@ def coxeter_complex(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterC
                     if s != i and label[b][i] < 0:
                         label[b][i] = v
                         stack.append(b)
-    cells = [tuple(sorted(row)) for row in label]
-    chamber_of = {g.word: cell for g, cell in zip(elems, cells)}
-    names = [f"w{t}.{i}" for i, t in enumerate(vtypes)]
     inv = inverse(cosine_form(M))
     pair_length = {}
     for a, b in itertools.combinations(range(n), 2):
         cosv = min(max(inv[a][b] / math.sqrt(inv[a][a] * inv[b][b]), -1.0), 1.0)
         pair_length[a, b] = pair_length[b, a] = Angle.from_radians(math.acos(cosv))
-    lengths = {}
-    for cell in cells:
-        for i, j in itertools.combinations(cell, 2):
-            if (i, j) not in lengths:
-                lengths[i, j] = (i, j, pair_length[vtypes[i], vtypes[j]])
-    cx = MetricComplex(SPHERICAL, names, cells, lengths.values(),
-                       allow_disconnected=(n == 1),
-                       provenance=f"coxeter_complex({M.describe() or 'A1^' + str(n)})")
-    return CoxeterComplexModel(M, elems, cx, chamber_of, tuple(vtypes))
+    return CoxeterGroupModel(M, elems, [tuple(row) for row in label], tuple(vtypes),
+                             pair_length)
+
+
+def coxeter_complex(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterComplexModel:
+    """The unit sphere cellulated by the translates of the fundamental
+    chamber: ``coxeter_group``, then its ``MetricComplex``, each vertex
+    named ``w<type>.<number>``."""
+    return CoxeterComplexModel(coxeter_group(M, budget))

@@ -316,43 +316,45 @@ def _check_dim0(c: MetricComplex) -> BuildingCertificate | Diagnosis:
 
 
 def _vertex_types(c: MetricComplex) -> tuple[int, ...] | None:
-    """Proper (n+1)-coloring of vertices, one color per chamber vertex."""
+    """Proper (n+1)-coloring of the vertices of a pure complex, one color
+    per chamber vertex, or None.  The first chamber of each gallery-connected
+    class, in ``top_cells`` order, gives its untyped vertices the colors its
+    typed ones leave, in vertex order; then the coloring is forced across
+    each panel of ``chamber_graph``: a chamber's p-th vertex has the color
+    that the panel omitting it lacks, and so must the vertex a neighbour on
+    that panel adds.  Being forced, it does not depend on the search order."""
     n = c.dimension
-    types: dict[int, int] = {}
-    assigned: set[tuple] = set()
-    for seed in c.top_cells:
-        if seed in assigned:
+    chambers, graph = c.top_cells, c.chamber_graph
+    types = [-1] * len(c.vertices)
+    assigned = [False] * len(chambers)
+    for seed, cell in enumerate(chambers):
+        if assigned[seed]:
             continue
-        free = [v for v in seed if v not in types]
-        used = {types[v] for v in seed if v in types}
-        if len(used) != len(seed) - len(free):
+        free = [v for v in cell if types[v] < 0]
+        used = {types[v] for v in cell if types[v] >= 0}
+        if len(used) != len(cell) - len(free):
             return None
-        nxt = [t for t in range(n + 1) if t not in used]
-        for v, t in zip(sorted(free), nxt):
+        for v, t in zip(free, [t for t in range(n + 1) if t not in used]):
             types[v] = t
-        queue = [seed]
-        assigned.add(seed)
-        while queue:
-            cur = queue.pop()
-            for panel in itertools.combinations(cur, n):
-                for nb in c.cofaces[panel]:
-                    if nb in assigned:
+        assigned[seed] = True
+        stack = [seed]
+        while stack:
+            k = stack.pop()
+            cur = chambers[k]
+            for v, others in zip(cur, graph[k]):
+                for j in others:
+                    if assigned[j]:
                         continue
-                    w = next(v for v in nb if v not in panel)
-                    missing = [t for t in range(n + 1)
-                               if t not in {types[v] for v in panel}]
-                    if len(missing) != 1:
+                    w = next(u for u in chambers[j] if u not in cur)
+                    if types[w] < 0:
+                        types[w] = types[v]
+                    elif types[w] != types[v]:
                         return None
-                    if w in types:
-                        if types[w] != missing[0]:
-                            return None
-                    else:
-                        types[w] = missing[0]
-                    assigned.add(nb)
-                    queue.append(nb)
-    if len(types) != len(c.vertices):
+                    assigned[j] = True
+                    stack.append(j)
+    if -1 in types:
         return None
-    return tuple(types[v] for v in range(len(c.vertices)))
+    return tuple(types)
 
 
 def _subcomplex(c: MetricComplex, cells) -> MetricComplex:

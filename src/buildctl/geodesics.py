@@ -12,8 +12,8 @@ apartment system, the convex hulls of opposite chambers (every apartment
 of a spherical building is one), that contain every wedge of the fan; they
 come in ``Apartment.key`` order.  The 2*pi test sums the fan's corner angles
 exactly, or within tolerance when one is a float (``cmp_units``).  Each
-candidate apartment is walked onto the model Coxeter complex
-(``_model_walk``), which labels its chambers by group words: x's antipode
+candidate apartment is walked onto the model Coxeter group
+(``_model_walk``), which labels its chambers by group elements: x's antipode
 and the distance in a "not antipodal" witness are read off the model, with
 no coordinates.
 """
@@ -25,11 +25,11 @@ from typing import Sequence
 
 from .angles import Angle, cmp_units
 from .complexes import MetricComplex, _vertex_angle, vertex_link
-from .coxeter import CoxeterComplexModel, cosine_form, coxeter_complex
+from .coxeter import CoxeterGroupModel, cosine_form, coxeter_group
 from .linalg import cholesky
 from .metric_graph import GraphPoint, MetricGraph
 from .recognizer import (B_APT_DEFAULT, Apartment, BuildingCertificate, Diagnosis,
-                         _model_walk, check_spherical)
+                         _model_walk, _typed_chambers, check_spherical)
 
 BRANCH_BUDGET = 64
 
@@ -449,11 +449,16 @@ def propagate_apartment(c: MetricComplex, x, link_cycle: Sequence, y=None,
     through = _through_fan(cert, fan)
     yi = None if y is None else c.vertex_index(y)
     holding_y = [a for a in through if yi is None or yi in a.vertices]
-    model = coxeter_complex(cert.coxeter_matrix) if holding_y else None
+    if holding_y:
+        model = coxeter_group(cert.coxeter_matrix)
+        typed = _typed_chambers(c, cert.vertex_types)
+        index = {t: k for k, t in enumerate(c.top_cells)}
     walks = []
     for apt in holding_y:
-        walks.append(_model_walk(c, cert.vertex_types, apt.cells, model)[1:])
-        anti = _model_antipode(model, walks[-1][0], xi)
+        hull = sum(1 << index[t] for t in apt.cells)
+        # a certified complex's edges have its model's lengths (B0)
+        walks.append(_model_walk(c, typed, hull, model, True)[1:])
+        anti = _model_antipode(c, model, walks[-1][0], xi)
         if yi is None or anti == yi:
             return ApartmentSurface(apt.cells, apt.vertices, 2, anti)
     if not cert.apartments_exhaustive:
@@ -462,7 +467,7 @@ def propagate_apartment(c: MetricComplex, x, link_cycle: Sequence, y=None,
     if holding_y:
         return PropagationFailure("prescribed endpoint is not antipodal to the base", {
             "y": c.vertices[yi],
-            "distance": _model_distance(model, *walks[0], xi, yi)})
+            "distance": _model_distance(c, model, *walks[0], xi, yi)})
     if through:
         return PropagationFailure("prescribed endpoint is in no apartment through the fan",
                                   {"y": c.vertices[yi]})
@@ -482,26 +487,27 @@ def propagate_all(c: MetricComplex, x, link_cycle: Sequence,
     return _through_fan(cert, fan), not cert.apartments_exhaustive
 
 
-def _model_antipode(model: CoxeterComplexModel, image: dict, x: int) -> int:
-    """The antipode of x in a hull walked onto the model (``_model_walk``).
-    Chamber w is opposite chamber w*w0, the word reached from w along the
-    right-multiplication table by w0's letters, so the chambers opposite
-    those through x are the star of x's antipode, their one common vertex."""
-    elems = model.elements
+def _model_antipode(c: MetricComplex, model: CoxeterGroupModel, image: list, x: int) -> int:
+    """The antipode of x in a hull of c walked onto the model
+    (``_model_walk``).  Chamber w is opposite chamber w*w0, the element
+    reached from w along the right-multiplication table by w0's letters, so
+    the chambers opposite those through x are the star of x's antipode,
+    their one common vertex."""
+    elems, chambers = model.elements, c.top_cells
     common = None
-    for k, g in enumerate(elems):
-        if x in image[g.word]:
+    for k, C in enumerate(image):
+        if x in chambers[C]:
             for s in elems[-1].word:
                 k = elems[k].right[s]
-            opposite = set(image[elems[k].word])
+            opposite = set(chambers[image[k]])
             common = opposite if common is None else common & opposite
     (antipode,) = common
     return antipode
 
 
-def _model_distance(model: CoxeterComplexModel, image: dict, back: dict, x: int, y: int
-                    ) -> float:
-    """d(x, y) in a hull walked onto the model, in radians.  The type-i
+def _model_distance(c: MetricComplex, model: CoxeterGroupModel, image: list, back: dict,
+                    x: int, y: int) -> float:
+    """d(x, y) in a hull of c walked onto the model, in radians.  The type-i
     vertex of model chamber g is g p_i, where p_i is column i of B^-1 for the
     cosine form B, in simple-root coordinates, and B(p_i, alpha_k) is 1 when
     k = i and 0 otherwise.  With x = g p_i and y = h p_j, u = g^-1 h p_j
@@ -510,7 +516,8 @@ def _model_distance(model: CoxeterComplexModel, image: dict, back: dict, x: int,
     from .linalg import inverse
     B = cosine_form(model.system)
     inv = inverse(B)
-    g, h = (next(w for w, cell in image.items() if v in cell) for v in (x, y))
+    g, h = (next(model.elements[e].word for e, C in enumerate(image) if v in c.top_cells[C])
+            for v in (x, y))
     i, j = (model.vertex_types[back[v]] for v in (x, y))
     u = [row[j] for row in inv]
     for t in (*reversed(h), *g):

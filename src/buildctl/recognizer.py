@@ -2,14 +2,18 @@
 
 Dimension <= 1, the decidable base, is ``dim1``, whose names are imported
 here.  Above dimension 1 the building axioms decide first (Abramenko-Brown,
-Buildings, Def. 4.1).  After the connectivity and panel-count gates, the
-Coxeter matrix is read off one chamber, and the apartments are the convex
-hulls of opposite chambers (two chambers at gallery distance l(w0) lie in
-exactly one apartment, the chambers on their minimal galleries; a thin
-sphere is one hull).  (B0) each hull is walked onto the model Coxeter
-complex by panel cotype, typed by the vertex colouring; (B1) every pair of
-chambers lies in a hull, with each hull an int bitmask of its chambers;
-(B2) two hulls through a chamber agree on every vertex they share.  When
+Buildings, Def. 4.1).  Every gate runs on one chamber graph per complex
+(``MetricComplex.chamber_graph``, the chambers across each panel), never on
+the face poset.  After the connectivity and panel-count gates and the
+vertex typing, the Coxeter matrix is read off one chamber, and the
+apartments are the convex hulls of opposite chambers (two chambers at
+gallery distance l(w0) lie in exactly one apartment, the chambers on their
+minimal galleries; a thin sphere is one hull), each an int bitmask of its
+chambers.  (B0) each hull is walked against the bare Coxeter group
+(``coxeter_group``: its right-multiplication table, the vertex of each type
+of each element's chamber and the length of each type pair; no model
+complex is built), by panel type; (B1) every pair of chambers lies in a
+hull; (B2) two hulls through a chamber agree on every vertex they share.  When
 all three hold on an exhaustive search the complex is a building, so its
 links are buildings and no link is certified.  The link recursion, the
 local certificate ``_certify``, runs only when something fails: it names
@@ -29,8 +33,8 @@ from typing import Sequence
 
 from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, Edge, MetricComplex,
                         cell_link)
-from .coxeter import (BudgetExceeded, CoxeterComplexModel, CoxeterMatrix, cosine_form,
-                      cosine_verdicts, coxeter_complex)
+from .coxeter import (BudgetExceeded, CoxeterGroupModel, CoxeterMatrix, cosine_form,
+                      cosine_verdicts, coxeter_group)
 from .decompose import find_suspension_poles, most_singular_vertex
 from .dim1 import (  # noqa: F401  (some only for the callers that import them from here)
     APARTMENTS_INCOMPATIBLE, B_APT_DEFAULT, BUILDING, CODIM1,
@@ -58,16 +62,17 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     apartments and searches none.  Dimension >= 2 decides a
     positive from the building axioms (``_axiom_certificate``): after the
     connectivity and codimension-1 gates, the vertex types and the Coxeter
-    matrix of one chamber give the model Coxeter complex, built only when
-    it has no more chambers than the complex; the apartments are the
-    convex hulls of opposite chambers in the chamber graph, with l(w0) and
-    |W| read off the model (a thin sphere is its single hull,
-    found by evaluating one pair); and (B0) every hull walks onto the model
-    by panel cotype (``_model_walk``), each edge of the complex having the
-    model's length for its type pair, which is checked once for all hulls
-    (``_lengths_fit_model``), (B1) every chamber pair lies in a hull and
-    (B2) hulls through a common chamber agree on their shared vertices.
-    Panel counts and the suspension poles give the verdict.
+    matrix of one chamber give the model Coxeter group, enumerated only
+    when it has no more elements than the complex has chambers; the
+    apartments are the convex hulls of opposite chambers in the chamber
+    graph, with l(w0) and |W| read off the model (a thin sphere is its
+    single hull, found by evaluating one pair); and (B0) every hull walks
+    onto the model by panel type (``_model_walk``), each edge of the
+    complex having the model's length for its type pair, which is checked
+    once for all hulls (``_lengths_fit_model``), (B1) every chamber pair
+    lies in a hull and (B2) hulls through a common chamber agree on their
+    shared vertices.  Panel counts and the suspension poles give the
+    verdict.
 
     When any of that fails, or the search is cut off by the budget, the
     link recursion runs (``_certify``): its first failing local gate is the
@@ -102,8 +107,8 @@ def _axiom_certificate(c: MetricComplex, budget: int
     exhaustive hull search, the diagnosis of a failed first gate
     (connectivity, codimension-1 counts), or None when anything else fails
     or the search is cut off; with the ``_walked_hulls`` it ran, if any.
-    Each apartment of a building has |W| chambers, so a model larger than
-    the complex is not built.  A building of dimension >= 2 is simply
+    Each apartment of a building has |W| chambers, so a group larger than
+    the complex is not enumerated.  A building of dimension >= 2 is simply
     connected (Solomon-Tits), so no fundamental group is computed."""
     c.require_valid()
     panel_counts = _panel_counts(c)
@@ -114,7 +119,7 @@ def _axiom_certificate(c: MetricComplex, budget: int
     if M is None:
         return None, None
     try:
-        model = coxeter_complex(M, budget=len(c.top_cells))
+        model = coxeter_group(M, budget=len(c.top_cells))
     except BudgetExceeded:
         return None, None
     hulls = _walked_hulls(c, types, model, budget)
@@ -191,16 +196,20 @@ def _local_certificate(c: MetricComplex) -> BuildingCertificate | Diagnosis:
 def _panel_counts(c: MetricComplex) -> set[int] | Diagnosis:
     """The first gates above dimension 1: the complex is connected and every
     codimension-1 cell lies in two or more top cells.  The set of those
-    counts, or the diagnosis."""
+    counts, read off ``chamber_graph``, or the diagnosis at the least panel
+    in one top cell."""
     if not c._skeleton_connected:
         return Diagnosis(NOT_CONNECTED, {"detail": "complex is not connected"})
     counts = set()
-    for panel in c.cells_by_dim.get(c.dimension - 1, ()):
-        k = len(c.cofaces[panel])
-        if k < 2:
-            return Diagnosis(CODIM1, {
-                "cell": [c.vertices[i] for i in panel], "top_cells": k})
-        counts.add(k)
+    free = []
+    for cell, around in zip(c.top_cells, c.chamber_graph):
+        for p, others in enumerate(around):
+            if others:
+                counts.add(len(others) + 1)
+            else:
+                free.append(cell[:p] + cell[p + 1:])
+    if free:
+        return Diagnosis(CODIM1, {"cell": [c.vertices[i] for i in min(free)], "top_cells": 1})
     return counts
 
 
@@ -299,7 +308,7 @@ def _with_apartments(c, cert, budget: int, hulls: tuple | None = None
         return cert
     if hulls is None or hulls[0].system != cert.coxeter_matrix:
         hulls = _walked_hulls(c, cert.vertex_types,
-                              coxeter_complex(cert.coxeter_matrix), budget)
+                              coxeter_group(cert.coxeter_matrix), budget)
     model, found, exhaustive, lonely, walks, bad = hulls
     if bad is not None:
         return Diagnosis(HULL_NOT_ISOMETRIC, {"chambers": [
@@ -316,7 +325,7 @@ def _with_apartments(c, cert, budget: int, hulls: tuple | None = None
     if clash is not None:
         C, j, k, x = clash
         return Diagnosis(APARTMENTS_INCOMPATIBLE, {
-            "chamber": [c.vertices[v] for v in C],
+            "chamber": [c.vertices[v] for v in c.top_cells[C]],
             "apartments": [[c.vertices[v] for v in found[i].cells[0]] for i in (j, k)],
             "vertex": c.vertices[x]})
     flags = set(cert.flags) - {FLAG_SAMPLED}
@@ -421,7 +430,7 @@ def _chamber_coxeter(c: MetricComplex, types) -> CoxeterMatrix | None:
     return M if cosine_verdicts(M)[2] == "spherical" else None
 
 
-def _walked_hulls(c: MetricComplex, types: Sequence[int], model: CoxeterComplexModel,
+def _walked_hulls(c: MetricComplex, types: Sequence[int], model: CoxeterGroupModel,
                   budget: int) -> tuple:
     """(model, apartments, exhaustive, lonely, walks, bad): the
     ``_hull_apartments`` search, then each hull walked onto the model
@@ -430,153 +439,179 @@ def _walked_hulls(c: MetricComplex, types: Sequence[int], model: CoxeterComplexM
     chamber and the chamber where its walk failed, or None.  The edge
     lengths are compared once for all hulls (``_lengths_fit_model``); only
     when some edge of c disagrees does each walk compare its own."""
-    found, exhaustive, lonely = _hull_apartments(c, model, budget)
+    found, exhaustive, lonely, masks = _hull_apartments(c, model, budget)
     fit = _lengths_fit_model(c, types, model)
+    typed = _typed_chambers(c, types)
     walks = []
-    for a in found:
-        at, image, back = _model_walk(c, types, a.cells, model, fit)
+    for a, hull in zip(found, masks):
+        at, image, back = _model_walk(c, typed, hull, model, fit)
         if at is not None:
-            return model, found, exhaustive, lonely, walks, (a.cells[0], at)
+            return model, found, exhaustive, lonely, walks, (a.cells[0], c.top_cells[at])
         walks.append((image, back))
     return model, found, exhaustive, lonely, walks, None
 
 
-def _hull_apartments(c: MetricComplex, model: CoxeterComplexModel, budget: int
-                     ) -> tuple[tuple[Apartment, ...], bool, tuple | None]:
+def _hull_apartments(c: MetricComplex, model: CoxeterGroupModel, budget: int
+                     ) -> tuple[tuple[Apartment, ...], bool, tuple | None, list[int]]:
     """The apartments of c as convex hulls of opposite chambers
-    (``_opposite_hulls``) in the chamber graph, which joins the cofaces of
-    each panel, whether the search was exhaustive, and the first chamber
-    found with no opposite chamber, or None.  l(w0) and |W| are read off
-    the model: its elements come in length order, the longest last."""
+    (``_opposite_hulls``) in the chamber graph (``chamber_graph``), whether
+    the search was exhaustive, the first chamber found with no opposite
+    chamber, or None, and each apartment's bitmask of chamber indices.  l(w0)
+    and |W| are read off the model: its elements come in length order, the
+    longest last."""
     chambers = c.top_cells
-    index = {t: k for k, t in enumerate(chambers)}
     nbrs = []
-    for t in chambers:
+    for around in c.chamber_graph:
         mask = 0
-        for panel in itertools.combinations(t, c.dimension):
-            for u in c.cofaces[panel]:
-                mask |= 1 << index[u]
-        nbrs.append(mask & ~(1 << index[t]))
+        for others in around:
+            for j in others:
+                mask |= 1 << j
+        nbrs.append(mask)
     hulls, exhaustive, lonely = _opposite_hulls(nbrs, len(model.elements[-1].word),
                                                 len(model.elements), budget)
+    # chambers are sorted, so index lists sort as the apartments' cells do
+    ordered = sorted((list(_bits(hull)), hull) for hull in hulls)
     found = []
-    for hull in hulls:
-        cells = tuple(sorted(chambers[k] for k in _bits(hull)))
+    for ks, _ in ordered:
+        cells = tuple(chambers[k] for k in ks)
         found.append(Apartment("sphere", cells=cells,
                                vertices=tuple(sorted({v for t in cells for v in t}))))
-    return (tuple(sorted(found, key=Apartment.key)), exhaustive,
-            None if lonely is None else chambers[lonely])
+    return (tuple(found), exhaustive, None if lonely is None else chambers[lonely],
+            [hull for _, hull in ordered])
 
 
+def _typed_chambers(c: MetricComplex, types: Sequence[int]
+                    ) -> tuple[list[list[int]], list[list[tuple[int, ...]]]]:
+    """(vertex, across) for c typed by ``types``: vertex[k][s] is chamber
+    k's vertex of type s, and across[k][s] the other chambers on its panel
+    without that vertex (``chamber_graph`` by type)."""
+    vertex, across = [], []
+    for cell, around in zip(c.top_cells, c.chamber_graph):
+        by_vertex, by_panel = list(cell), list(around)
+        for v, others in zip(cell, around):
+            by_vertex[types[v]], by_panel[types[v]] = v, others
+        vertex.append(by_vertex)
+        across.append(by_panel)
+    return vertex, across
 
-def _model_walk(c: MetricComplex, types: Sequence[int], cells: Sequence[tuple],
-                model: CoxeterComplexModel, lengths_fit: bool = False
-                ) -> tuple[tuple | None, dict, dict]:
-    """(bad, image, back): the hull chamber where the hull ``cells`` fails to
-    be a typed copy of the model Coxeter complex, or None; the hull chamber
-    of each group word; and the model vertex of each hull vertex.
 
-    The walk maps the model's chambers by group word: () to cells[0], and
-    w*s to the other hull chamber on the panel of image[w] that omits its
-    type-s vertex; there must be exactly one.  The model's elements come in
-    length order, so w is mapped before w*s.  Each model vertex goes to the
-    hull vertex of its type in the image chamber, and this vertex map must
-    be consistent and injective.  The images must be all of the hull (else
-    the least chamber never reached is named), and every model edge must
-    keep its length; the first model edge that does not names a chamber of
-    the hull on its image.  The vertex map keeps types, so a model edge
-    goes to an edge of c with its type pair: the caller that has found
-    ``lengths_fit`` (``_lengths_fit_model``) skips that comparison, as it
-    cannot fail."""
-    hull = set(cells)
-    image = {(): cells[0]}
-    vmap: dict[int, int] = {}
-    back: dict[int, int] = {}
-    for g in model.elements:
-        w = g.word
-        if w:
-            at, s = image[w[:-1]], w[-1]
-            panel = tuple(v for v in at if types[v] != s)
-            nxt = [t for t in c.cofaces[panel] if t != at and t in hull]
-            if len(nxt) != 1:
-                return at, image, back
-            image[w] = nxt[0]
-        at = image[w]
-        of_type = {types[v]: v for v in at}
-        for mv in model.chamber_of[w]:
-            v = of_type[model.vertex_types[mv]]
-            if vmap.setdefault(mv, v) != v or back.setdefault(v, mv) != mv:
-                return at, image, back
-    missed = hull.difference(image.values())
-    if missed:
-        return min(missed), image, back
+def _model_walk(c: MetricComplex, typed: tuple, hull: int, model: CoxeterGroupModel,
+                lengths_fit: bool = False) -> tuple[int | None, list[int], dict]:
+    """(bad, image, back): the chamber of the hull (a bitmask of chamber
+    indices) where it fails to be a typed copy of the model Coxeter complex,
+    or None; the hull chamber of each group element, by element index; and
+    the model vertex of each hull vertex.  ``typed`` is
+    ``_typed_chambers(c, types)``.
+
+    The walk maps the model's chambers: the identity to the hull's least
+    chamber, and g*s (``model.steps``) to the other hull chamber on the
+    panel of g's image that omits its type-s vertex; there must be exactly
+    one.  The model's elements come in length order, so g is mapped before
+    g*s.  Each model vertex goes to the hull vertex of its type in the image
+    chamber, and this vertex map must be consistent and injective.  Chambers
+    g and g*s share the cosets g W_{S-i} for i != s, so only the type-s
+    vertex of g*s is new to check.  The images must be all of the hull (else
+    the least chamber never reached is named), and every model edge
+    (``CoxeterGroupModel.edge_lengths``) must keep its length; the first
+    model edge that does not names a chamber of the hull on its image.  The
+    vertex map keeps types, so a model edge goes to an edge of c with its
+    type pair: the caller that has found ``lengths_fit``
+    (``_lengths_fit_model``) skips that comparison, as it cannot fail."""
+    vertex, across = typed
+    labels = model.labels
+    at = (hull & -hull).bit_length() - 1
+    image = [at]
+    vmap = dict(zip(labels[0], vertex[at]))
+    back = dict(zip(vertex[at], labels[0]))
+    for b, (a, s) in enumerate(model.steps[1:], 1):
+        at = image[a]
+        nxt = [j for j in across[at][s] if hull >> j & 1]
+        if len(nxt) != 1:
+            return at, image, back
+        at = nxt[0]
+        image.append(at)
+        mv, v = labels[b][s], vertex[at][s]
+        if vmap.setdefault(mv, v) != v or back.setdefault(v, mv) != mv:
+            return at, image, back
+    if hull.bit_count() > len(image):
+        # the images are distinct: the injective vertex map sends distinct
+        # model chambers to distinct vertex sets
+        seen = 0
+        for k in image:
+            seen |= 1 << k
+        missed = hull & ~seen
+        return (missed & -missed).bit_length() - 1, image, back
     if lengths_fit:
         return None, image, back
-    for (a, b), ln in model.complex.lengths.items():
-        if not ln.equals(c.edge_length(vmap[a], vmap[b])):
-            return next(t for t in cells if vmap[a] in t and vmap[b] in t), image, back
+    chambers = c.top_cells
+    for a, b, ln in model.edge_lengths():
+        x, y = vmap[a], vmap[b]
+        if not ln.equals(c.edge_length(x, y)):
+            return next(k for k in _bits(hull) if x in chambers[k] and y in chambers[k]), \
+                image, back
     return None, image, back
 
 
 def _lengths_fit_model(c: MetricComplex, types: Sequence[int],
-                       model: CoxeterComplexModel) -> bool:
-    """Whether every edge of c has the model's length for its type pair,
-    compared once per edge for all hulls.  W acts on the model by typed
-    isometries (``coxeter_complex``), so all its edges of one type pair
-    carry one length; a model where two of them differ fits nothing, and
-    neither does an edge whose type pair the model lacks."""
-    mtypes = model.vertex_types
-    by_pair = {}
-    for (a, b), ln in model.complex.lengths.items():
-        ta, tb = mtypes[a], mtypes[b]
-        old = by_pair.setdefault((ta, tb) if ta < tb else (tb, ta), ln)
-        if old is not ln and old != ln:
-            return False
+                       model: CoxeterGroupModel) -> bool:
+    """Whether every edge of c has the model's length for its type pair
+    (``pair_length``), compared once per edge for all hulls; an edge whose
+    type pair the model lacks fits nothing."""
+    pair = model.pair_length
     for (i, j), ln in c.lengths.items():
-        ti, tj = types[i], types[j]
-        want = by_pair.get((ti, tj) if ti < tj else (tj, ti))
+        want = pair.get((types[i], types[j]))
         if want is None or (want is not ln and not want.equals(ln)):
             return False
     return True
 
 
-def _left_action(model: CoxeterComplexModel) -> dict[tuple, list[int]]:
-    """For each group word w of the model, the permutation v -> w^-1 v of
-    the model's vertices.  A generator s acts as the typed walk of the model
-    onto itself from chamber s (an involution), and (w s)^-1 = s w^-1."""
-    cx = model.complex
-    gens = [_model_walk(cx, model.vertex_types, [model.chamber_of[(s,)], *cx.top_cells],
-                        model)[2] for s in range(model.system.rank)]
-    act = {(): list(range(len(cx.vertices)))}
-    for g in model.elements[1:]:
-        w = g.word
-        act[w] = [gens[w[-1]][v] for v in act[w[:-1]]]
+def _left_action(model: CoxeterGroupModel) -> list[list[int]]:
+    """For each element w of the model, by index, the permutation
+    v -> w^-1 v of the model's vertices.  Left multiplication by s is folded
+    along each element's word in the right-multiplication table,
+    s (g t) = (s g) t, and takes the coset g W_{S-i} to s g W_{S-i}; a
+    generator is an involution, and (w s)^-1 = s w^-1."""
+    elems, labels, steps = model.elements, model.labels, model.steps
+    nv = len(model.vertex_types)
+    gens = []
+    for s in range(model.system.rank):
+        left = [elems[0].right[s]]
+        for a, t in steps[1:]:
+            left.append(elems[left[a]].right[t])
+        perm = [0] * nv
+        for row, h in zip(labels, left):
+            for v, u in zip(row, labels[h]):
+                perm[v] = u
+        gens.append(perm)
+    act = [list(range(nv))]
+    for a, s in steps[1:]:
+        act.append([gens[s][v] for v in act[a]])
     return act
 
 
-def _incompatible_hulls(walks: Sequence[tuple[dict, dict]], model: CoxeterComplexModel
+def _incompatible_hulls(walks: Sequence[tuple[list, dict]], model: CoxeterGroupModel
                         ) -> tuple | None:
-    """(B2) on walked hulls: the first (chamber C, hull j, hull k, vertex x)
-    such that hulls j < k both hold C and x but place x differently relative
-    to C, or None.
+    """(B2) on walked hulls: the first (chamber index C, hull j, hull k,
+    vertex x) such that hulls j < k both hold C and x but place x
+    differently relative to C, or None.
 
-    ``walks`` holds each hull A's ``_model_walk`` maps: the group word
-    w_A(D) of each chamber D and the model vertex f_A^-1(x) of each vertex.
-    Relative to C, x is the model vertex w_A(C)^-1 f_A^-1(x); the typed
-    isomorphism between two hulls that fixes C fixes every vertex they
-    share exactly when they give those vertices the same label
+    ``walks`` holds each hull A's ``_model_walk`` maps: the chamber of each
+    element w, D = w_A(D)'s image, and the model vertex f_A^-1(x) of each
+    vertex.  Relative to C, x is the model vertex w_A(C)^-1 f_A^-1(x); the
+    typed isomorphism between two hulls that fixes C fixes every vertex
+    they share exactly when they give those vertices the same label
     (Abramenko-Brown, Buildings, Def. 4.1).  Only chambers in two or more
     hulls are labelled, each against one dict that the first hull through
     it fills, which checks every pair of hulls through it."""
-    through = Counter(C for image, _ in walks for C in image.values())
-    labels: dict[tuple, dict] = {}
+    through = Counter(C for image, _ in walks for C in image)
+    labels: dict[int, dict] = {}
     act = None
     for k, (image, back) in enumerate(walks):
-        for w, C in image.items():
+        for e, C in enumerate(image):
             if through[C] < 2:
                 continue
             act = act or _left_action(model)
-            perm = act[w]
+            perm = act[e]
             seen = labels.setdefault(C, {})
             for x, mv in back.items():
                 first = seen.setdefault(x, (perm[mv], k))

@@ -15,8 +15,13 @@ whose closed spheres the hull family of opposite chambers must equal, and
 the dim-1 cycle DFS, which the kernel-unit search must match node for node.
 Hull isometry: an untyped search over every seed chamber and vertex
 bijection, propagated across panels, which the typed model walk must match;
-and the earlier walk that compares every model edge length on every hull,
-which the walk after one length check per complex must equal.  Suspension
+and the earlier walk on chamber tuples and word dicts over ``cofaces``,
+which compares every model edge length on every hull unless told the
+lengths fit, with the left action read off its walks of the model complex
+and the (B2) check on its maps, which the walk on chamber indices and the
+bare group must equal.  Vertex types and panel counts: the earlier
+propagation over ``cofaces`` and the scan of the sorted panels, which the
+chamber graph must equal.  Suspension
 poles: the earlier search over every vertex pair, which the search over
 vertices of valence nv - 2 must equal.  The spherical pi bound: one
 comparison per (simplex, edge), which one comparison per edge must equal.
@@ -510,12 +515,15 @@ def enumerate_cycles_fractions(g, m=None, budget: int = 10 ** 5):
     return apartments, not exhausted
 
 
-def model_walk_per_hull(c, types, cells, model) -> tuple:
-    """(bad, image, back) of the typed walk of the hull ``cells`` onto the
-    model, as ``recognizer._model_walk`` gives them, with the edge lengths
-    compared on every hull: each model edge against its image in c, in the
-    model's edge order, the first that differs naming a hull chamber on its
-    image."""
+def tuple_model_walk(c, types, cells, model, lengths_fit: bool = False) -> tuple:
+    """(bad, image, back) of the typed walk of the hull ``cells`` (chamber
+    tuples, walked from cells[0]) onto a ``coxeter_complex`` model, as the
+    walk on chamber tuples and word dicts gave them: each word's image
+    chamber, found by filtering ``c.cofaces`` of the panel by hull
+    membership, every vertex of every image chamber checked, and, unless
+    ``lengths_fit``, each model edge of ``model.complex`` compared with its
+    image in c, in the model's edge order, the first that differs naming a
+    hull chamber on its image."""
     hull = set(cells)
     image = {(): cells[0]}
     vmap: dict[int, int] = {}
@@ -538,10 +546,107 @@ def model_walk_per_hull(c, types, cells, model) -> tuple:
     missed = hull.difference(image.values())
     if missed:
         return min(missed), image, back
+    if lengths_fit:
+        return None, image, back
     for (a, b), ln in model.complex.lengths.items():
         if not ln.equals(c.edge_length(vmap[a], vmap[b])):
             return next(t for t in cells if vmap[a] in t and vmap[b] in t), image, back
     return None, image, back
+
+
+def walked_left_action(model) -> dict[tuple, list[int]]:
+    """For each group word w of a ``coxeter_complex`` model, the permutation
+    v -> w^-1 v of its vertices, with each generator s read off the typed
+    walk of the model complex onto itself from chamber s."""
+    cx = model.complex
+    gens = [tuple_model_walk(cx, model.vertex_types, [model.chamber_of[(s,)], *cx.top_cells],
+                             model)[2] for s in range(model.system.rank)]
+    act = {(): list(range(len(cx.vertices)))}
+    for g in model.elements[1:]:
+        w = g.word
+        act[w] = [gens[w[-1]][v] for v in act[w[:-1]]]
+    return act
+
+
+def dict_incompatible_hulls(walks, model) -> tuple | None:
+    """(B2) on ``tuple_model_walk`` maps (word -> chamber tuple dicts): the
+    first (chamber, hull j, hull k, vertex x) where hulls j < k place x
+    differently relative to the chamber, or None."""
+    from collections import Counter
+    through = Counter(C for image, _ in walks for C in image.values())
+    labels: dict[tuple, dict] = {}
+    act = None
+    for k, (image, back) in enumerate(walks):
+        for w, C in image.items():
+            if through[C] < 2:
+                continue
+            act = act or walked_left_action(model)
+            seen = labels.setdefault(C, {})
+            for x, mv in back.items():
+                first = seen.setdefault(x, (act[w][mv], k))
+                if first[0] != act[w][mv]:
+                    return C, first[1], k, x
+    return None
+
+
+def cofaces_vertex_types(c):
+    """The proper (n+1)-coloring of c's vertices, or None, propagated
+    panel by panel over ``c.cofaces`` from the first chamber of each
+    gallery class."""
+    n = c.dimension
+    types: dict[int, int] = {}
+    assigned: set[tuple] = set()
+    for seed in c.top_cells:
+        if seed in assigned:
+            continue
+        free = [v for v in seed if v not in types]
+        used = {types[v] for v in seed if v in types}
+        if len(used) != len(seed) - len(free):
+            return None
+        nxt = [t for t in range(n + 1) if t not in used]
+        for v, t in zip(sorted(free), nxt):
+            types[v] = t
+        queue = [seed]
+        assigned.add(seed)
+        while queue:
+            cur = queue.pop()
+            for panel in itertools.combinations(cur, n):
+                for nb in c.cofaces[panel]:
+                    if nb in assigned:
+                        continue
+                    w = next(v for v in nb if v not in panel)
+                    missing = [t for t in range(n + 1)
+                               if t not in {types[v] for v in panel}]
+                    if len(missing) != 1:
+                        return None
+                    if w in types:
+                        if types[w] != missing[0]:
+                            return None
+                    else:
+                        types[w] = missing[0]
+                    assigned.add(nb)
+                    queue.append(nb)
+    if len(types) != len(c.vertices):
+        return None
+    return tuple(types[v] for v in range(len(c.vertices)))
+
+
+def sorted_scan_panel_counts(c):
+    """The connectivity and codimension-1 gates above dimension 1 by a scan
+    of the sorted panels (``cells_by_dim``) and their ``cofaces``: the set
+    of panel counts, or the diagnosis at the first panel in fewer than two
+    top cells."""
+    from buildctl.dim1 import CODIM1, NOT_CONNECTED, Diagnosis
+    if not c._skeleton_connected:
+        return Diagnosis(NOT_CONNECTED, {"detail": "complex is not connected"})
+    counts = set()
+    for panel in c.cells_by_dim.get(c.dimension - 1, ()):
+        k = len(c.cofaces[panel])
+        if k < 2:
+            return Diagnosis(CODIM1, {
+                "cell": [c.vertices[i] for i in panel], "top_cells": k})
+        counts.add(k)
+    return counts
 
 
 def all_pairs_suspension_poles(c):

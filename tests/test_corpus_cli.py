@@ -463,6 +463,29 @@ def test_cli_spherical_check_of_euclidean_complex_exit3(tmp_path, capsys):
         assert captured.err.startswith("buildctl: "), kind
 
 
+@pytest.mark.parametrize("geometry, dimension",
+                         [("spherical", 2), ("euclidean", 2), ("spherical", 0), ("spherical", 1)])
+def test_cli_empty_complex_of_declared_dimension_exit3(tmp_path, capsys, geometry, dimension):
+    """A complex that declares a dimension >= 0 and has no top cell fails
+    validation with a purity issue: ``check`` and ``decompose`` exit 3 with
+    one ``buildctl: `` line and ``validate`` exits 1.  The empty complex of
+    dimension -1 stays valid."""
+    f = tmp_path / "empty.json"
+    record = {"geometry": geometry, "dimension": dimension, "vertices": [], "top_cells": []}
+    f.write_text(json.dumps(record))
+    capsys.readouterr()
+    for argv in (["check", str(f)], ["decompose", str(f)]):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("buildctl: "), argv
+        assert captured.err.count("\n") == 1, argv
+    assert main(["validate", str(f)]) == 1
+    issues = json.loads(capsys.readouterr().out)["issues"]
+    assert [(i["kind"], i["where"]) for i in issues] == [("purity", [])]
+    f.write_text(json.dumps({**record, "dimension": -1}))
+    assert main(["validate", str(f)]) == 0
+
+
 def test_cli_validate(tmp_path):
     f = tmp_path / "k33.json"
     run_cli("gen", "complete-bipartite", "--s", "3", "--t", "3",

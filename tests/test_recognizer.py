@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -515,24 +516,37 @@ def test_file_loaded_complex_flags_unverified_global(octahedron):
     assert any(f.startswith("global_cat1_unverified") for f in cert.flags)
 
 
+def _walk(c, types, cells, model, lengths_fit=False):
+    """``recognizer._model_walk`` of the hull of sorted chamber tuples
+    ``cells``, in the form ``oracles.tuple_model_walk`` gives: the failing
+    chamber as a tuple, a dict from each group word to its image chamber,
+    and the vertex map."""
+    import buildctl.recognizer as recognizer
+    index = {t: k for k, t in enumerate(c.top_cells)}
+    hull = sum(1 << index[t] for t in set(cells))
+    bad, image, back = recognizer._model_walk(
+        c, recognizer._typed_chambers(c, types), hull, model, lengths_fit)
+    return (None if bad is None else c.top_cells[bad],
+            {g.word: c.top_cells[k] for g, k in zip(model.elements, image)}, back)
+
+
 def test_apartments_isometric_to_model(s0_heawood, s0_heawood_cert):
     import buildctl.recognizer as recognizer
-    from buildctl.recognizer import _model_walk
     cert = s0_heawood_cert
     model = coxeter_complex(cert.coxeter_matrix)
     for a in cert.apartments:
-        assert _model_walk(s0_heawood, cert.vertex_types, a.cells, model)[0] is None
+        assert _walk(s0_heawood, cert.vertex_types, a.cells, model)[0] is None
     # a different-shape sphere is rejected, at a chamber of the hull
     a = cert.apartments[0]
     other = coxeter_complex(named_matrix("A1xA1xA1"))
-    assert _model_walk(s0_heawood, cert.vertex_types, a.cells, other)[0] in a.cells
+    assert _walk(s0_heawood, cert.vertex_types, a.cells, other)[0] in a.cells
     # so is a typed copy of the octahedron whose edges are pi/3, not pi/2
     octa = gen_octahedron()
     short = MetricComplex(octa.geometry, octa.vertices, octa.top_cells,
                           [(i, j, Angle(frac=THIRD)) for i, j in octa.edges])
     types = recognizer._vertex_types(short)
-    assert _model_walk(short, types, short.top_cells, other)[0] in short.top_cells
-    assert _model_walk(octa, types, octa.top_cells, other)[0] is None
+    assert _walk(short, types, short.top_cells, other)[0] in short.top_cells
+    assert _walk(octa, types, octa.top_cells, other)[0] is None
     assert not oracles.thin_isomorphic(short, other.complex)
 
 
@@ -569,12 +583,13 @@ def test_hull_that_does_not_walk_is_a_diagnosis(s0_heawood, tmp_path, monkeypatc
     assert err == "" and '"hull_not_isometric_to_model"' in out
 
 
-def _laid_walk(model, f):
+def _laid_walk(model, f, index):
     """The walk maps of a hull laid onto the model by the bijection ``f``
-    from model vertices to hull vertices: each group word's chamber and each
-    hull vertex's model vertex."""
-    image = {g.word: tuple(sorted(f[v] for v in model.chamber_of[g.word]))
-             for g in model.elements}
+    from model vertices to hull vertices: each element's chamber, numbered
+    by ``index`` (a chamber not in it yet is added), and each hull vertex's
+    model vertex."""
+    image = [index.setdefault(tuple(sorted(f[v] for v in model.chamber_of[g.word])),
+                              len(index)) for g in model.elements]
     return image, {x: v for v, x in f.items()}
 
 
@@ -584,25 +599,36 @@ def test_b2_refuses_hulls_that_disagree_off_the_shared_chamber():
     one hull seen from two base chambers, and is compatible with itself.  A
     copy with two type-1 hexagon vertices outside the fundamental chamber
     swapped agrees with it on that chamber but places a shared vertex
-    elsewhere, and is refused with that chamber and vertex."""
-    from buildctl.recognizer import _incompatible_hulls, _model_walk
+    elsewhere, and is refused with that chamber and vertex, as the check on
+    word dicts (``oracles.dict_incompatible_hulls``) refuses it."""
+    from buildctl.recognizer import _incompatible_hulls
     model = coxeter_complex(named_matrix("A1xI2(3)"))
     cx, types = model.complex, model.vertex_types
-    base = _laid_walk(model, {v: v for v in range(len(cx.vertices))})
+    index = {t: k for k, t in enumerate(cx.top_cells)}
+    base = _laid_walk(model, {v: v for v in range(len(cx.vertices))}, index)
     for g in model.elements:
-        bad, image, back = _model_walk(cx, types, [model.chamber_of[g.word], *cx.top_cells],
-                                       model)
+        bad, image, back = oracles.tuple_model_walk(
+            cx, types, [model.chamber_of[g.word], *cx.top_cells], model)
         assert bad is None
+        image = [index[image[h.word]] for h in model.elements]
         assert _incompatible_hulls([base, (image, back)], model) is None, g.word
     c0 = model.chamber_of[()]
     u, w = (v for v in range(len(cx.vertices)) if types[v] == 1 and v not in c0)
     swap = {v: {u: w, w: u}.get(v, v) for v in range(len(cx.vertices))}
-    twisted = _laid_walk(model, swap)
-    assert twisted[0][()] == c0
+    twisted = _laid_walk(model, swap, index)
+    assert twisted[0][0] == index[c0]
     chamber, j, k, x = _incompatible_hulls([base, twisted], model)
-    assert (j, k) == (0, 1) and x in (u, w) and x not in chamber
-    assert chamber in base[0].values() and chamber in twisted[0].values()
+    assert (j, k) == (0, 1) and x in (u, w) and x not in list(index)[chamber]
+    assert chamber in base[0] and chamber in twisted[0]
     assert _incompatible_hulls([twisted, twisted], model) is None
+    # the (B2) check on word dicts and chamber tuples gives the same answers
+    chambers = list(index)
+    for walks in ([base, twisted], [twisted, base], [twisted, twisted]):
+        got = _incompatible_hulls(walks, model)
+        want = oracles.dict_incompatible_hulls(
+            [({g.word: chambers[k] for g, k in zip(model.elements, image)}, back)
+             for image, back in walks], model)
+        assert (got and (chambers[got[0]], *got[1:])) == want
 
 
 def test_disconnected_complex_diagnosed():
@@ -1395,7 +1421,7 @@ def test_no_surface_growth_in_thin_complexes(heawood, monkeypatch):
     c = suspension(suspension(heawood))
     model = coxeter_complex(check_spherical(c).coxeter_matrix)
     searches.clear()
-    hulls, exhaustive, lonely = recognizer._hull_apartments(c, model, 10 ** 5)
+    hulls, exhaustive, lonely, _ = recognizer._hull_apartments(c, model, 10 ** 5)
     assert exhaustive and len(hulls) == 28 and lonely is None
     assert len(searches) == len(set(searches)) < len(c.top_cells)
 
@@ -1840,17 +1866,17 @@ def test_hull_family_matches_surface_growth(label):
     copies = _dim2_copies(label)
     c = copies[0]
     model = coxeter_complex(named_matrix(_DIM2_MODELS[label]))
-    hulls, exhaustive, _ = _hull_apartments(c, model, 10 ** 5)
+    hulls, exhaustive, _, _ = _hull_apartments(c, model, 10 ** 5)
     assert exhaustive and len(hulls) == _DIM2_HULLS[label]
     expected = _named_chambers(c, [a.cells for a in hulls])
     assert len(expected) == len(hulls)
     for k in copies:
-        found, exhaustive, _ = _hull_apartments(k, model, 10 ** 5)
+        found, exhaustive, _, _ = _hull_apartments(k, model, 10 ** 5)
         assert exhaustive
         assert _named_chambers(k, [a.cells for a in found]) == expected, label
         assert _grown_apartments(k) == expected, label
     for b in range(1, len(hulls)):
-        found, exhaustive, _ = _hull_apartments(c, model, b)
+        found, exhaustive, _, _ = _hull_apartments(c, model, b)
         assert not exhaustive and len(found) == b
         assert _named_chambers(c, [a.cells for a in found]) < expected
 
@@ -1943,17 +1969,17 @@ def test_model_walk_matches_isomorphism_oracle(label, monkeypatch):
         else:
             types, M = local.vertex_types, local.coxeter_matrix
         model = coxeter_complex(M)
-        hulls, exhaustive, _ = recognizer._hull_apartments(c, model, 10 ** 5)
+        hulls, exhaustive, _, _ = recognizer._hull_apartments(c, model, 10 ** 5)
         assert exhaustive
         for a in hulls:
-            assert recognizer._model_walk(c, types, a.cells, model)[0] is None
+            assert _walk(c, types, a.cells, model)[0] is None
             assert oracles.thin_isomorphic(sub(c, a.cells), model.complex)
         mutants = [cells for a in hulls for cells in _mutants(c, a.cells)]
         assert bool(mutants) == (len(hulls) > 1), label
         for cells in mutants:
-            assert recognizer._model_walk(c, types, cells, model)[0] in cells
+            assert _walk(c, types, cells, model)[0] in cells
             assert not oracles.thin_isomorphic(sub(c, cells), model.complex)
-        whole = recognizer._model_walk(c, types, c.top_cells, model)[0] is None
+        whole = _walk(c, types, c.top_cells, model)[0] is None
         assert whole == oracles.thin_isomorphic(c, model.complex), label
 
 
@@ -2046,44 +2072,48 @@ def _walk_models(c):
 def _foreign_models():
     """The foreign-model cases of ``test_apartments_isometric_to_model``:
     S0*Heawood, the octahedron and its copy with pi/3 edges on the A1 x A1 x
-    A1 model; and the octahedron on a copy of that model with one edge
-    lengthened, whose edges of one type pair then differ."""
+    A1 model; and the octahedron on a copy of that model whose type pair
+    {0, 1} is 1 % longer, so that its type-pair lengths differ from the
+    octahedron's."""
     import buildctl.recognizer as recognizer
-    from buildctl.coxeter import CoxeterComplexModel
+    from buildctl.coxeter import CoxeterComplexModel, CoxeterGroupModel
     hea, octa = suspension(gen_rank2_building("projective_plane")), gen_octahedron()
     short = MetricComplex(octa.geometry, octa.vertices, octa.top_cells,
                           [(i, j, Angle(frac=THIRD)) for i, j in octa.edges])
     other = coxeter_complex(named_matrix("A1xA1xA1"))
-    cx = other.complex
-    bent = CoxeterComplexModel(other.system, other.elements,
-                               _with_edge_scaled(cx, cx.edges[-1], 1.01),
-                               other.chamber_of, other.vertex_types)
+    longer = Angle(rad=other.pair_length[0, 1].radians * 1.01)
+    bent = CoxeterComplexModel(CoxeterGroupModel(
+        other.system, other.elements, other.labels, other.vertex_types,
+        {**other.pair_length, (0, 1): longer, (1, 0): longer}))
     return [(k, [(recognizer._vertex_types(k), m) for m in models])
             for k, models in ((hea, [other]), (short, [other]), (octa, [other, bent]))]
 
 
 def _walks_as_per_hull(c, types, model) -> bool:
     """Assert that every hull of c, each ``_mutants`` copy and the whole
-    complex walk onto the model as ``oracles.model_walk_per_hull`` walks
-    them, called directly and after ``_lengths_fit_model``, and that
-    ``_walked_hulls`` gives the oracle's walks and failed hull; return
-    whether c's lengths fit the model."""
+    complex walk onto the model as ``oracles.tuple_model_walk`` walks them
+    comparing the lengths on every hull, called directly and after
+    ``_lengths_fit_model``, and that ``_walked_hulls`` gives the oracle's
+    walks and failed hull; return whether c's lengths fit the model."""
     import buildctl.recognizer as recognizer
     _, hulls, _, _, walks, bad = recognizer._walked_hulls(c, types, model, 10 ** 5)
     fit = recognizer._lengths_fit_model(c, types, model)
     for cells in [a.cells for a in hulls] + [m for a in hulls for m in _mutants(c, a.cells)] \
             + [c.top_cells]:
-        want = oracles.model_walk_per_hull(c, types, cells, model)
-        assert recognizer._model_walk(c, types, cells, model) == want
-        assert recognizer._model_walk(c, types, cells, model, fit) == want
+        want = oracles.tuple_model_walk(c, types, cells, model)
+        assert _walk(c, types, cells, model) == want
+        assert _walk(c, types, cells, model, fit) == want
     want_walks, want_bad = [], None
     for a in hulls:
-        at, image, back = oracles.model_walk_per_hull(c, types, a.cells, model)
+        at, image, back = oracles.tuple_model_walk(c, types, a.cells, model)
         if at is not None:
             want_bad = (a.cells[0], at)
             break
         want_walks.append((image, back))
-    assert (walks, bad) == (want_walks, want_bad)
+    words = [g.word for g in model.elements]
+    assert [({w: c.top_cells[k] for w, k in zip(words, image)}, back)
+            for image, back in walks] == want_walks
+    assert bad == want_bad
     return fit
 
 
@@ -2097,7 +2127,7 @@ _LENGTH_CHECKED = {**{label: lambda label=label: [(c, _walk_models(c)) for c in 
 def test_lengths_checked_once_walk_as_every_hull_checked(label):
     """The model walk after one length check per complex (``_lengths_fit_model``)
     equals the walk that compares the lengths on every hull
-    (``oracles.model_walk_per_hull``): (bad, image, back) of every hull, of
+    (``oracles.tuple_model_walk``): (bad, image, back) of every hull, of
     its one-chamber mutants and of the whole complex, and ``_walked_hulls``,
     on every ``_WALKED`` and links-workload input and the foreign-model
     cases.  Each comes also with one edge 1 % off, which never fits, and
@@ -2142,6 +2172,142 @@ def test_small_joins_walk_as_every_hull_checked(k, base, pick):
     assert fit and nudged and not changed
     for e in _length_edits(c, pick):
         assert find_suspension_poles(e) == oracles.all_pairs_suspension_poles(e)
+
+
+# -- one chamber graph, the bare Coxeter group ---------------------------------------
+
+
+@functools.cache
+def _links_inputs_once():
+    return tuple(_links_inputs())
+
+
+def _without_chamber(c, k):
+    """``c`` without its top cell k (the lengths are kept)."""
+    return MetricComplex(c.geometry, c.vertices, c.top_cells[:k] + c.top_cells[k + 1:],
+                         [(*e, a) for e, a in c.lengths.items()], provenance=c.provenance)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(k=st.integers(0, 10 ** 6), seed=st.integers(0, 10 ** 6))
+def test_chamber_graph_route_equals_the_cofaces_route(k, seed):
+    """On a links-workload input under a drawn relabelling, and on that copy
+    with one drawn edge 1 % off or one drawn chamber removed: the vertex
+    types and the panel counts or diagnosis from ``chamber_graph`` are the
+    ``cofaces`` oracles' (``oracles.cofaces_vertex_types``,
+    ``oracles.sorted_scan_panel_counts``); and where a chamber gives a
+    Coxeter matrix, each hull walked on chamber indices against the bare
+    group gives the (bad, image, back) of the tuple/dict walk
+    (``oracles.tuple_model_walk``, lengths compared per hull), and (B2) on
+    the walks gives ``oracles.dict_incompatible_hulls``'s answer."""
+    import buildctl.recognizer as recognizer
+    rng = random.Random(seed)
+    inputs = _links_inputs_once()
+    c = inputs[k % len(inputs)]
+    order = list(range(len(c.vertices)))
+    rng.shuffle(order)
+    c = _relabelled(c, order)
+    copies = [c, _length_edits(c, rng.randrange(10 ** 6))[1],
+              _without_chamber(c, rng.randrange(len(c.top_cells)))]
+    for e in copies:
+        types = recognizer._vertex_types(e)
+        assert types == oracles.cofaces_vertex_types(e)
+        assert recognizer._panel_counts(e) == oracles.sorted_scan_panel_counts(e)
+        M = None if types is None or e.dimension < 2 else recognizer._chamber_coxeter(e, types)
+        if M is None:
+            continue
+        model = coxeter_complex(M)
+        _, found, _, _, walks, bad = recognizer._walked_hulls(e, types, model, 10 ** 5)
+        fit = recognizer._lengths_fit_model(e, types, model)
+        old = []
+        for a in found:
+            want = oracles.tuple_model_walk(e, types, a.cells, model)
+            assert _walk(e, types, a.cells, model, fit) == want
+            if want[0] is not None:
+                assert bad == (a.cells[0], want[0])
+                break
+            old.append(want[1:])
+        assert len(walks) == len(old)
+        got = recognizer._incompatible_hulls(walks, model)
+        assert (got and (e.top_cells[got[0]], *got[1:])) == \
+            oracles.dict_incompatible_hulls(old, model)
+
+
+def test_left_action_folds_left_multiplication_as_the_model_walk_gave_it():
+    """``_left_action``, folded along each element's word in the
+    right-multiplication table, is the permutation that the walks of the
+    model complex onto itself gave (``oracles.walked_left_action``), on
+    every named spherical type of rank >= 2 (rank 1 has no panel to walk
+    across) and on I2(m) for m <= 12."""
+    import buildctl.recognizer as recognizer
+    for name in ("A2", "B2", "G2", "A3", "B3", "A1xA1", "A1xA1xA1", "A1xI2(3)",
+                 *(f"I2({m})" for m in range(2, 13))):
+        model = coxeter_complex(named_matrix(name))
+        want = oracles.walked_left_action(model)
+        assert recognizer._left_action(model) == [want[g.word] for g in model.elements], name
+
+
+def test_axiom_route_reads_no_face_poset_and_builds_no_model_complex(monkeypatch):
+    """``check_spherical`` on the A4 Coxeter complex loaded from JSON decides
+    on the chamber graph against the bare Coxeter group: no gate reads
+    ``cofaces`` or ``cells_by_dim`` (each spied on as a ``cached_property``)
+    and no ``MetricComplex`` is built, while ``coxeter_complex`` still
+    builds its complex when called."""
+    from functools import cached_property
+    from buildctl.complexes import loads
+    c = loads(_a4_complex().dumps())
+    reads, inits = [], []
+    for name in ("cofaces", "cells_by_dim"):
+        def spy(self, fill=getattr(MetricComplex, name).func, name=name):
+            reads.append(name)
+            return fill(self)
+        prop = cached_property(spy)
+        prop.__set_name__(MetricComplex, name)
+        monkeypatch.setattr(MetricComplex, name, prop)
+    init = MetricComplex.__init__
+    monkeypatch.setattr(MetricComplex, "__init__",
+                        lambda self, *a, **kw: inits.append(a) or init(self, *a, **kw))
+    cert = check_spherical(c)
+    assert cert.verdict == "thin_building" and cert.apartments_exhaustive
+    assert reads == [] and inits == []
+    assert c.cofaces and reads == ["cofaces"]       # the spy does see a read
+    model = coxeter_complex(named_matrix("A3"))
+    assert len(inits) == 1 and "complex" in vars(model)
+
+
+def _pg32_flag_complex():
+    """The flag complex of PG(3,2) in GF(2) integer arithmetic, with the A3
+    model's length for each type pair: the points are the nonzero vectors
+    of GF(2)^4 as 4-bit integers, the lines the 2-dimensional subspaces
+    {a, b, a ^ b}, the planes the kernels {x : x . f even} of the nonzero
+    functionals f, and a chamber is a flag point < line < plane."""
+    from buildctl.coxeter import coxeter_group
+    points = range(1, 16)
+    lines = sorted({tuple(sorted((a, b, a ^ b))) for a in points for b in points if a < b})
+    planes = [{x for x in points if (x & f).bit_count() % 2 == 0} for f in points]
+    names = ([f"p{x}" for x in points] + ["l" + ".".join(map(str, ln)) for ln in lines]
+             + [f"h{f}" for f in points])
+    cells = [(x - 1, 15 + i, 15 + len(lines) + j) for i, ln in enumerate(lines) for x in ln
+             for j, h in enumerate(planes) if h.issuperset(ln)]
+    pair = coxeter_group(named_matrix("A3")).pair_length
+    lengths = {(u, v): pair[s, t] for cell in cells
+               for (s, u), (t, v) in itertools.combinations(enumerate(cell), 2)}
+    return MetricComplex("spherical", names, cells, [(*e, a) for e, a in lengths.items()])
+
+
+def test_pg32_flag_complex_is_a_thick_a3_building():
+    """The flag complex of PG(3,2), 65 vertices and 315 chambers, is a thick
+    A3 building of thickness 3 whose 840 apartments are all found:
+    |PGL_4(2)| / |W(A3)| = 20160 / 24."""
+    c = _pg32_flag_complex()
+    assert (len(c.vertices), len(c.top_cells)) == (65, 315)
+    cert = check_spherical(c)
+    assert cert.verdict == "thick_building" and cert.thickness == 3
+    assert cert.coxeter_matrix == named_matrix("A3")
+    order = math.prod(2 ** 4 - 2 ** i for i in range(4))
+    assert cert.apartment_count == order // 24 == 840 and cert.apartments_exhaustive
+    assert "apartments_sampled" not in cert.flags
+    assert "apartment_axiom2_unverified" not in cert.flags
 
 
 def test_propagation_failure_keeps_exact_length():
