@@ -6,15 +6,13 @@ value is an exact rational multiple of pi we keep the rational (a
 "diameter equals pi" or "systole equals 2*pi" are decidable equalities.
 Values that do not rationalize are carried as floats (radians) and compared
 with tolerance ``EPS_ANGLE``; ``cmp_units`` is the one place that rule is
-written, and ``units_band`` reads it off as an interval of floats.
+written.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
-import struct
 from fractions import Fraction
 from numbers import Rational
 from typing import Union
@@ -73,61 +71,10 @@ def cmp_units(a: PiUnits, b: PiUnits) -> int:
     return (d > 0) - (d < 0)
 
 
-def _float_key(x: float) -> int:
-    """An int that orders like the float: its bit pattern, negated for
-    negative floats (-0.0 and 0.0 share the key 0)."""
-    bits = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
-    return -bits if x < 0 else bits
-
-
-def _key_float(k: int) -> float:
-    x = struct.unpack("<d", struct.pack("<q", abs(k)))[0]
-    return -x if k < 0 else x
-
-
-@functools.cache
-def units_band(b: PiUnits) -> tuple[float, float]:
-    """(lo, hi): the closed interval of floats x with ``cmp_units(x, b) == 0``.
-
-    Found by bisection over float bit patterns with ``cmp_units`` as the
-    predicate, so the rule stays written only there.  The predicate is
-    monotone on each side of b (a rounded difference grows with x), hence
-    ``(x > hi) - (x < lo) == cmp_units(x, b)`` for every float x but nan.
-    """
-    def end(inside: int, outside: int) -> float:
-        # the last float from ``inside`` (equal to b) towards ``outside`` (not)
-        while abs(outside - inside) > 1:
-            mid = (inside + outside) // 2
-            if cmp_units(_key_float(mid), b) == 0:
-                inside = mid
-            else:
-                outside = mid
-        return _key_float(inside)
-
-    k = _float_key(float(b))
-    return end(k, _float_key(-math.inf)), end(k, _float_key(math.inf))
-
-
-# the bands of pi and 2*pi, which the diameter and apartment gates read
-units_band(1)
-units_band(2)
-
-
-def kernel_band(b: PiUnits, scale: int | None) -> tuple:
-    """The band of an exact b in kernel units (see ``kernel_units``): b * scale
-    on both sides when scale is set, else ``units_band(b)``."""
-    if scale is None:
-        return units_band(b)
-    t = Fraction(b) * scale
-    t = t.numerator if t.denominator == 1 else t
-    return t, t
-
-
 def kernel_units(values, factor: int = 1) -> tuple[int | None, tuple]:
     """(scale, units): pi-unit values as ints in units of pi/scale, scale
     ``factor`` times the lcm of their denominators, when all are rational;
-    else floats, to be compared with ``cmp_units`` or a band of it
-    (``kernel_band``), and scale None."""
+    else floats, to be compared with ``cmp_units``, and scale None."""
     if all(isinstance(v, Rational) for v in values):
         scale = factor * math.lcm(*(v.denominator for v in values))
         return scale, tuple(v.numerator * (scale // v.denominator) for v in values)

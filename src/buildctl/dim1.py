@@ -405,7 +405,7 @@ def enumerate_apartments_dim1(g: MetricGraph, m: int, budget: int = B_APT_DEFAUL
             mask = sum({1 << chain[e] for _, e, _ in around})
             for k in _bits(mask):
                 nbrs[k] |= mask & ~(1 << k)
-    hulls, exhaustive, _ = _opposite_hulls(nbrs, m, 2 * m, budget)
+    hulls, exhaustive, _, _ = _opposite_hulls(nbrs, m, 2 * m, budget)
     chain_masks = [sum(1 << e for e in ch) for ch in chains]
     walks = []
     for h in hulls:
@@ -442,10 +442,11 @@ def _walk_cycle(g: MetricGraph, mask: int) -> Apartment:
 
 
 def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int
-                    ) -> tuple[list[int], bool, int | None]:
+                    ) -> tuple[list[int], bool, int | None, tuple[int, int] | None]:
     """The convex hulls of opposite chambers that are apartments, as chamber
-    bitmasks, whether the search was exhaustive, and the first chamber whose
-    distance layer at depth ``top`` is empty, or None.
+    bitmasks, whether the search was exhaustive, the first chamber whose
+    distance layer at depth ``top`` is empty, or None, and the first pair
+    (i, j), i <= j, of chambers in no kept hull together, or None.
 
     In a spherical building two chambers at gallery distance l(w0) = top
     lie in exactly one apartment, the chambers on their minimal galleries
@@ -460,7 +461,10 @@ def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int
     hull of other than ``order`` = |W| chambers is no apartment and is not
     kept; a pair already inside a kept hull is not evaluated again, so a
     building costs one hull per apartment.  The budget counts hulls
-    evaluated, and the search is exhaustive when none was cut off."""
+    evaluated, and the search is exhaustive when none was cut off.  Each
+    chamber's cover is the OR of the kept hulls through it, so a bit
+    missing from it names the uncovered pair: axiom (B1) on chambers, which
+    decides it on every pair of cells, as cells lie in chambers."""
     layers = [None] * len(nbrs)
     cover = [0] * len(nbrs)
     hulls = []
@@ -477,7 +481,7 @@ def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int
             j = (todo & -todo).bit_length() - 1
             todo ^= 1 << j
             if evaluated == budget:
-                return hulls, False, lonely
+                return hulls, False, lonely, _uncovered(cover)
             evaluated += 1
             lj = layers[j] = layers[j] or _distance_layers(nbrs, j, top)
             hull = 0
@@ -487,7 +491,18 @@ def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int
                 hulls.append(hull)
                 for k in _bits(hull):
                     cover[k] |= hull
-    return hulls, True, lonely
+    return hulls, True, lonely, _uncovered(cover)
+
+
+def _uncovered(cover: Sequence[int]) -> tuple[int, int] | None:
+    """The first pair (i, j), i <= j, with bit j missing from cover[i], or
+    None.  Covers are symmetric, so j < i would have named (j, i) first."""
+    full = (1 << len(cover)) - 1
+    for i, got in enumerate(cover):
+        if got != full:
+            missing = full & ~got
+            return i, (missing & -missing).bit_length() - 1
+    return None
 
 
 def _distance_layers(nbrs: Sequence[int], start: int, depth: int) -> list[int]:

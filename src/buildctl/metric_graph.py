@@ -28,7 +28,7 @@ clamped to their edges.
 
 Systole.  Each vertex's shortest-path tree is computed once per graph
 (``_trees``).  Its distance rows are the all-pairs distances of the
-diameter, and the CAT(1) gate reads the girth off the same trees (Itai-Rodeh,
+diameter, and the systole is the girth read off the same trees (Itai-Rodeh,
 SIAM J. Comput. 1978).  For a source s, the branch of a vertex x is the
 child of s on the tree path to x; s is its own branch.  A non-tree edge
 (x, y) whose ends lie in different branches closes the cycle s..x, (x, y),
@@ -41,19 +41,13 @@ Conversely, take a shortest cycle C, of length g, and s on C.  A tree holds
 no cycle, so some edge (x, y) of C is a non-tree edge, and d(s, x), d(s, y)
 are at most the distances along C: its candidate is at most g (g for the
 edge across C from s, at most twice g/2 for another).  So the least
-candidate over all sources is the systole, the per-edge minimum of
-``systole()``; a tree edge closes no cycle and is skipped.  ``cat1``
-decides from it and runs ``systole()`` only below 2*pi.  On floats the
-threshold is the band of 2*pi raised by the rounding allowance EPS_UNITS/2,
-so that the two summation orders never decide differently.  The witness
-cycle still comes from the per-edge scan: that of the first edge e, in id
-order, whose len(e) + d_{G-e} attains the minimum.  Each skip-edge search
-stops at the pop of e's far end, or at the first pop d with d + len(e) at
-least the best cycle so far.  Any cycle it could still close is no shorter,
-so it cannot replace the witness.  On an exact graph the girth is that
-minimum, exactly: a search also stops once d + len(e) exceeds it, and the
-first edge attaining it ends the scan, since a later one could only tie.
-Either way the witness is that of the unbounded scan.
+candidate over all sources is the systole; a tree edge closes no cycle and
+is skipped.  The witness is the cycle of the first (source s, edge (x, y)),
+in that order, that attains the least candidate: the tree path x..s, then
+s..y, then the edge back to x.  It is a simple cycle, as a minimizer's ends
+lie in different branches: one branch would make it longer than the cycle
+through z (on floats, while rounding loses less than 2 d(s, z)).  ``cat1``
+compares the systole with 2*pi by ``cmp_units``.
 """
 
 from __future__ import annotations
@@ -64,13 +58,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .angles import EPS_ANGLE, Frozen, PiUnits, cmp_units, kernel_band, kernel_units
+from .angles import Frozen, PiUnits, cmp_units, kernel_units
 from .complexes import MetricComplex, as_graph_data
 
 INF = math.inf
-
-# pi-unit slack equivalent to EPS_ANGLE radians
-EPS_UNITS = EPS_ANGLE / math.pi
 
 
 class GraphPoint(Frozen):
@@ -220,15 +211,10 @@ class MetricGraph:
             return x
         return Fraction(x, scale)
 
-    def _dijkstra(self, source: int, skip_edge: int | None = None,
-                  target: int | None = None, best=INF):
-        """Distances (kernel units) and predecessor (vertex, edge) per vertex.
-        A systole scan passes a target and a bound ``best``: the search stops
-        when the target is popped (its distance and path are then final) or
-        at the first pop d with d + len(skip_edge) >= best."""
-        scale, lengths, adj = self._kernel
+    def _dijkstra(self, source: int):
+        """Distances (kernel units) and predecessor (vertex, edge) per vertex."""
+        scale, _, adj = self._kernel
         zero = 0 if scale else 0.0
-        closing = zero if skip_edge is None else lengths[skip_edge]
         dist = {source: zero}
         prev: dict[int, tuple[int, int]] = {}
         heap = [(zero, source)]
@@ -236,11 +222,7 @@ class MetricGraph:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
-            if u == target or d + closing >= best:
-                break
             for w, eid, ln in adj[u]:
-                if eid == skip_edge:
-                    continue
                 nd = d + ln
                 if nd < dist.get(w, INF):
                     dist[w] = nd
@@ -347,34 +329,26 @@ class MetricGraph:
     # -- systole -----------------------------------------------------------------
 
     def systole(self) -> tuple[PiUnits, list[int] | None]:
-        """Shortest injective cycle: min over edges e of len(e) + d_{G-e},
-        with the cycle of the first edge attaining it; each search is bounded
-        (module docstring)."""
-        cached = getattr(self, "_systole", None)
-        if cached is not None:
-            return cached
-        scale, lengths, _ = self._kernel
-        girth = self._girth if scale else None
-        bound = INF if girth is None else girth + 1
-        best = INF
-        cycle = None
-        for eid, (u, v, _) in enumerate(self.edges):
-            limit = min(best, bound)
-            dist, prev = self._dijkstra(u, skip_edge=eid, target=v, best=limit)
-            cand = dist.get(v, INF) + lengths[eid]
-            if cand < limit:        # so the search popped v: dist[v] and its path are final
-                best = cand
-                path = []
-                w = v
-                while w != u:
-                    pu, peid = prev[w]
-                    path.append(peid)
-                    w = pu
-                cycle = list(reversed(path)) + [eid]
-                if cand == girth:
-                    break
-        self._systole = (self._restore(best), cycle)
-        return self._systole
+        """Shortest injective cycle: the girth of the shortest-path trees, with
+        the cycle its first minimizing non-tree edge closes (module
+        docstring)."""
+        girth, witness = self._girth
+        if witness is None:
+            return self._restore(girth), None
+        s, eid = witness
+        prev = self._trees[s][1]
+        x, y, _ = self.edges[eid]
+        return self._restore(girth), self._tree_path(prev, x, s) + \
+            self._tree_path(prev, y, s)[::-1] + [eid]
+
+    @staticmethod
+    def _tree_path(prev, x: int, s: int) -> list[int]:
+        """The edge ids of the tree path from x up to the root s."""
+        path = []
+        while x != s:
+            x, eid = prev[x]
+            path.append(eid)
+        return path
 
     def cycle_vertices(self, cycle_edges: list[int]) -> list[int]:
         """Vertex sequence of an edge-id cycle, starting at its smallest vertex."""
@@ -390,31 +364,27 @@ class MetricGraph:
         return seq[:-1]
 
     @cached_property
-    def _girth(self):
-        """The systole in kernel units, INF on a forest: the least
-        dist(x) + len + dist(y) over the non-tree edges (x, y) of every
-        vertex's shortest-path tree (module docstring)."""
+    def _girth(self) -> tuple:
+        """(girth, witness): the systole in kernel units, INF on a forest,
+        the least dist(x) + len + dist(y) over the non-tree edges (x, y) of
+        every vertex's shortest-path tree, and the (root, edge id) that first
+        attains it, or None (module docstring)."""
         lengths = self._kernel[1]
-        best = INF
-        for dist, prev in self._trees:
+        best, witness = INF, None
+        for s, (dist, prev) in enumerate(self._trees):
             tree = {eid for _, eid in prev.values()}
             for eid, (x, y, _) in enumerate(self.edges):
                 if eid not in tree and x in dist:
                     cand = dist[x] + lengths[eid] + dist[y]
                     if cand < best:
-                        best = cand
-        return best
+                        best, witness = cand, (s, eid)
+        return best, witness
 
     def cat1(self) -> tuple[bool, list[int] | None]:
-        """CAT(1) for graphs: no closed geodesic shorter than 2*pi.  The
-        girth decides; below 2*pi the per-edge ``systole`` scan names the
-        witness cycle (module docstring)."""
-        scale = self._kernel[0]
-        lo = kernel_band(Fraction(2), scale)[0]
-        if self._girth >= lo + (0 if scale else EPS_UNITS / 2):
-            return True, None
+        """CAT(1) for graphs: no closed geodesic shorter than 2*pi, decided
+        on the systole, with its cycle as the witness of a failure."""
         sys, cyc = self.systole()
-        ok = cmp_units(sys, Fraction(2)) >= 0
+        ok = cmp_units(sys, 2) >= 0
         return ok, (None if ok else cyc)
 
     # -- antipodes ------------------------------------------------------------------

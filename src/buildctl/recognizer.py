@@ -309,7 +309,7 @@ def _with_apartments(c, cert, budget: int, hulls: tuple | None = None
     if hulls is None or hulls[0].system != cert.coxeter_matrix:
         hulls = _walked_hulls(c, cert.vertex_types,
                               coxeter_group(cert.coxeter_matrix), budget)
-    model, found, exhaustive, lonely, walks, bad = hulls
+    model, found, exhaustive, lonely, pair, walks, bad = hulls
     if bad is not None:
         return Diagnosis(HULL_NOT_ISOMETRIC, {"chambers": [
             [c.vertices[v] for v in t] for t in bad]})
@@ -317,7 +317,6 @@ def _with_apartments(c, cert, budget: int, hulls: tuple | None = None
         return Diagnosis(NO_OPPOSITE_CHAMBER, {
             "chamber": [c.vertices[v] for v in lonely],
             "gallery_distance": len(model.elements[-1].word)})
-    pair = _uncovered_chamber_pair(c.top_cells, [a.cells for a in found])
     if pair is not None and exhaustive:
         return Diagnosis(NO_COMMON_APARTMENT, {"chambers": [
             [c.vertices[v] for v in c.top_cells[k]] for k in pair]})
@@ -335,33 +334,6 @@ def _with_apartments(c, cert, budget: int, hulls: tuple | None = None
         flags.add(FLAG_SAMPLED)
     return cert.copy(apartments=found, apartment_count=len(found),
                      apartments_exhaustive=exhaustive, flags=tuple(sorted(flags)))
-
-
-def _uncovered_chamber_pair(chambers: Sequence, apartments: Sequence[Sequence]
-                            ) -> tuple[int, int] | None:
-    """Axiom (2), exactly, on chambers: the first index pair (i, j), i <= j,
-    of chambers that no apartment contains both of, or None.
-
-    ``apartments`` lists the chambers of each apartment.  Any two cells lie
-    in chambers, and an apartment containing both chambers contains both
-    cells, so chamber pairs decide the axiom.  Each apartment is an int
-    bitmask of its chambers; a chamber's cover is the OR of the masks of the
-    apartments through it, and a bit missing from it names the witness.
-    """
-    index = {ch: k for k, ch in enumerate(chambers)}
-    cover = [0] * len(chambers)
-    for apt in apartments:
-        mask = 0
-        for ch in apt:
-            mask |= 1 << index[ch]
-        for ch in apt:
-            cover[index[ch]] |= mask
-    full = (1 << len(chambers)) - 1
-    for i, got in enumerate(cover):
-        if got != full:
-            missing = full & ~got
-            return i, (missing & -missing).bit_length() - 1
-    return None
 
 
 def _assemble_coxeter(c: MetricComplex, types, link_certs) -> CoxeterMatrix | Diagnosis:
@@ -432,33 +404,36 @@ def _chamber_coxeter(c: MetricComplex, types) -> CoxeterMatrix | None:
 
 def _walked_hulls(c: MetricComplex, types: Sequence[int], model: CoxeterGroupModel,
                   budget: int) -> tuple:
-    """(model, apartments, exhaustive, lonely, walks, bad): the
+    """(model, apartments, exhaustive, lonely, pair, walks, bad): the
     ``_hull_apartments`` search, then each hull walked onto the model
     (``_model_walk``) in order, until the first that fails: ``walks`` holds
     the (image, back) maps of the hulls before it and ``bad`` its first
     chamber and the chamber where its walk failed, or None.  The edge
     lengths are compared once for all hulls (``_lengths_fit_model``); only
     when some edge of c disagrees does each walk compare its own."""
-    found, exhaustive, lonely, masks = _hull_apartments(c, model, budget)
+    found, exhaustive, lonely, pair, masks = _hull_apartments(c, model, budget)
     fit = _lengths_fit_model(c, types, model)
     typed = _typed_chambers(c, types)
     walks = []
     for a, hull in zip(found, masks):
         at, image, back = _model_walk(c, typed, hull, model, fit)
         if at is not None:
-            return model, found, exhaustive, lonely, walks, (a.cells[0], c.top_cells[at])
+            return (model, found, exhaustive, lonely, pair, walks,
+                    (a.cells[0], c.top_cells[at]))
         walks.append((image, back))
-    return model, found, exhaustive, lonely, walks, None
+    return model, found, exhaustive, lonely, pair, walks, None
 
 
 def _hull_apartments(c: MetricComplex, model: CoxeterGroupModel, budget: int
-                     ) -> tuple[tuple[Apartment, ...], bool, tuple | None, list[int]]:
+                     ) -> tuple[tuple[Apartment, ...], bool, tuple | None,
+                                tuple[int, int] | None, list[int]]:
     """The apartments of c as convex hulls of opposite chambers
     (``_opposite_hulls``) in the chamber graph (``chamber_graph``), whether
     the search was exhaustive, the first chamber found with no opposite
-    chamber, or None, and each apartment's bitmask of chamber indices.  l(w0)
-    and |W| are read off the model: its elements come in length order, the
-    longest last."""
+    chamber, or None, the first pair of chamber indices in no apartment
+    together, or None, and each apartment's bitmask of chamber indices.
+    l(w0) and |W| are read off the model: its elements come in length
+    order, the longest last."""
     chambers = c.top_cells
     nbrs = []
     for around in c.chamber_graph:
@@ -467,8 +442,8 @@ def _hull_apartments(c: MetricComplex, model: CoxeterGroupModel, budget: int
             for j in others:
                 mask |= 1 << j
         nbrs.append(mask)
-    hulls, exhaustive, lonely = _opposite_hulls(nbrs, len(model.elements[-1].word),
-                                                len(model.elements), budget)
+    hulls, exhaustive, lonely, pair = _opposite_hulls(nbrs, len(model.elements[-1].word),
+                                                      len(model.elements), budget)
     # chambers are sorted, so index lists sort as the apartments' cells do
     ordered = sorted((list(_bits(hull)), hull) for hull in hulls)
     found = []
@@ -476,7 +451,7 @@ def _hull_apartments(c: MetricComplex, model: CoxeterGroupModel, budget: int
         cells = tuple(chambers[k] for k in ks)
         found.append(Apartment("sphere", cells=cells,
                                vertices=tuple(sorted({v for t in cells for v in t}))))
-    return (tuple(found), exhaustive, None if lonely is None else chambers[lonely],
+    return (tuple(found), exhaustive, None if lonely is None else chambers[lonely], pair,
             [hull for _, hull in ordered])
 
 

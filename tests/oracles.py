@@ -3,12 +3,16 @@
 Diameter: scipy Dijkstra vertex distances, dense numpy grids over edge-pair
 squares with zoom refinement (the envelope is concave on each zoom region).
 Systole: direct DFS enumeration of all injective cycles; the earlier
-per-edge scan, every search run to the end on the graph's kernel-unit
-table, whose value and witness cycle the bounded scan must equal; and the
-girth of the shortest-path trees with the branch rule.  Edge maxima: the
+per-edge scan, len(e) + d_{G-e} with every search run to the end on the
+graph's kernel-unit table, whose value the tree girth must equal; and the
+girth of the shortest-path trees with the branch rule.  The band of an
+exact length: the floats that ``cmp_units`` calls equal to it, found by
+bisection over float bit patterns.  Edge maxima: the
 closed form of the two routes into an edge.  Cycle counts:
 networkx simple_cycles.  Apartment axioms: an unsampled scan over every pair
-of cells, faces included, a graph search of each apartment intersection,
+of cells, faces included, each chamber's cover rebuilt from the
+apartments' chamber lists, whose first uncovered pair the hull search's
+own cover must name, a graph search of each apartment intersection,
 and the dimension-1 axiom (3) by the intersection identity of two cycles.
 Apartment searches: the earlier copying, Fraction-summing surface growth,
 whose closed spheres the hull family of opposite chambers must equal, and
@@ -45,6 +49,7 @@ import heapq
 import itertools
 import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -171,9 +176,8 @@ def exhaustive_systole(n: int, edges):
 
 
 def _plain_dijkstra(g, source: int, skip_edge=None):
-    """Dijkstra over ``g._kernel``'s adjacency, run until the heap is empty:
-    the (dist, prev) that ``MetricGraph._dijkstra`` computed before its
-    searches could stop early."""
+    """Dijkstra over ``g._kernel``'s adjacency without the edge
+    ``skip_edge``, run until the heap is empty."""
     _, _, adj = g._kernel
     zero = 0 if g._kernel[0] else 0.0
     dist, prev = {source: zero}, {}
@@ -191,7 +195,7 @@ def _plain_dijkstra(g, source: int, skip_edge=None):
 
 
 def unbounded_systole(g):
-    """``MetricGraph.systole`` with every skip-edge search run to the end:
+    """The per-edge systole scan with every skip-edge search run to the end:
     the minimum over edges e = (u, v) of len(e) + d_{G-e}(u, v) in kernel
     units, and the cycle of the first edge attaining it."""
     lengths = g._kernel[1]
@@ -228,6 +232,42 @@ def branch_rule_girth(g):
             if eid not in tree and x in dist and branch(x) != branch(y):
                 best = min(best, dist[x] + lengths[eid] + dist[y])
     return best
+
+
+def _float_key(x: float) -> int:
+    """An int that orders like the float: its bit pattern, negated for
+    negative floats (-0.0 and 0.0 share the key 0)."""
+    bits = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
+    return -bits if x < 0 else bits
+
+
+def _key_float(k: int) -> float:
+    x = struct.unpack("<d", struct.pack("<q", abs(k)))[0]
+    return -x if k < 0 else x
+
+
+def units_band(b) -> tuple[float, float]:
+    """(lo, hi): the closed interval of floats x with ``cmp_units(x, b) == 0``.
+
+    Found by bisection over float bit patterns with ``cmp_units`` as the
+    predicate, so the rule stays written only there.  The predicate is
+    monotone on each side of b (a rounded difference grows with x), hence
+    ``(x > hi) - (x < lo) == cmp_units(x, b)`` for every float x but nan.
+    """
+    from buildctl.angles import cmp_units
+
+    def end(inside: int, outside: int) -> float:
+        # the last float from ``inside`` (equal to b) towards ``outside`` (not)
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            if cmp_units(_key_float(mid), b) == 0:
+                inside = mid
+            else:
+                outside = mid
+        return _key_float(inside)
+
+    k = _float_key(float(b))
+    return end(k, _float_key(-math.inf)), end(k, _float_key(math.inf))
 
 
 def count_cycles_of_length(n: int, edges, k: int) -> int:
@@ -346,6 +386,33 @@ def uncovered_cell_pair(cells, apartments):
     for a, b in itertools.combinations_with_replacement(cells, 2):
         if not holders[a] & holders[b]:
             return a, b
+    return None
+
+
+def uncovered_chamber_pair(chambers: Sequence, apartments: Sequence[Sequence]
+                           ) -> tuple[int, int] | None:
+    """Axiom (2), exactly, on chambers: the first index pair (i, j), i <= j,
+    of chambers that no apartment contains both of, or None.
+
+    ``apartments`` lists the chambers of each apartment.  Any two cells lie
+    in chambers, and an apartment containing both chambers contains both
+    cells, so chamber pairs decide the axiom.  Each apartment is an int
+    bitmask of its chambers; a chamber's cover is the OR of the masks of the
+    apartments through it, and a bit missing from it names the witness.
+    """
+    index = {ch: k for k, ch in enumerate(chambers)}
+    cover = [0] * len(chambers)
+    for apt in apartments:
+        mask = 0
+        for ch in apt:
+            mask |= 1 << index[ch]
+        for ch in apt:
+            cover[index[ch]] |= mask
+    full = (1 << len(chambers)) - 1
+    for i, got in enumerate(cover):
+        if got != full:
+            missing = full & ~got
+            return i, (missing & -missing).bit_length() - 1
     return None
 
 

@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 from buildctl import angles
-from buildctl.angles import (EPS_ANGLE, Angle, cmp_units, kernel_band, parse_length,
-                             rationalize, units_band, units_close)
+from buildctl.angles import (EPS_ANGLE, Angle, cmp_units, parse_length, rationalize,
+                             units_close)
 
 
 def test_rationalize_recognizes_small_denominators():
@@ -183,9 +183,8 @@ def test_units_close_exact_vs_float():
 
 
 def test_tolerance_rule_lives_in_angles():
-    """Only angles.py compares lengths with EPS_ANGLE; elsewhere it may only
-    be imported, and metric_graph derives the girth gate's rounding allowance
-    from it."""
+    """Only angles.py compares lengths with EPS_ANGLE; no other module of
+    the package names it."""
     used = []
     for path in sorted(Path(angles.__file__).parent.glob("*.py")):
         if path.name == "angles.py":
@@ -194,8 +193,7 @@ def test_tolerance_rule_lives_in_angles():
             for tok in tokenize.tokenize(fh.readline):
                 if tok.type == tokenize.NAME and tok.string == "EPS_ANGLE":
                     used.append((path.name, tok.line.strip()))
-    used = [u for u in used if not u[1].startswith("from .angles import")]
-    assert used == [("metric_graph.py", "EPS_UNITS = EPS_ANGLE / math.pi")]
+    assert used == []
 
 
 def test_parse_length():
@@ -216,7 +214,7 @@ def test_parse_length_rejects_non_finite():
 def test_units_band_agrees_with_cmp_units(b):
     """The band's ends and their neighbours classify as cmp_units does, and
     the ends are the last floats cmp_units calls equal to b."""
-    lo, hi = units_band(b)
+    lo, hi = oracles.units_band(b)
     assert lo < float(b) < hi
     assert (cmp_units(lo, b), cmp_units(hi, b)) == (0, 0)
     assert cmp_units(math.nextafter(lo, -math.inf), b) == -1
@@ -224,11 +222,4 @@ def test_units_band_agrees_with_cmp_units(b):
     for end in (lo, hi):
         for x in (end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf)):
             assert (x > hi) - (x < lo) == cmp_units(x, b), x
-    assert units_band(float(b)) == (lo, hi)
-
-
-def test_kernel_band_is_exact_on_int_kernels():
-    assert kernel_band(Fraction(2), 12) == (24, 24)
-    assert type(kernel_band(Fraction(2), 12)[0]) is int
-    assert kernel_band(Fraction(1, 3), 4) == (Fraction(4, 3),) * 2
-    assert kernel_band(2, None) == units_band(2)
+    assert oracles.units_band(float(b)) == (lo, hi)

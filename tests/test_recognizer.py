@@ -23,7 +23,6 @@ from buildctl.metric_graph import GraphPoint, MetricGraph
 from buildctl.recognizer import (Apartment, Diagnosis, check_euclidean,
                                  check_spherical, enumerate_apartments_dim1,
                                  recognize_dim1)
-from buildctl.recognizer import _uncovered_chamber_pair
 
 THIRD = Fraction(1, 3)
 
@@ -227,21 +226,31 @@ def test_single_edge_subdivision_keeps_k33(k33):
 
 
 def test_dim1_gates_run_one_search_per_vertex(monkeypatch):
-    """The girth and the diameter scan share one shortest-path tree per
-    vertex: ``recognize_dim1`` on Heawood, GQ(2,2) and K8,8, exact and
-    float, runs exactly |V| Dijkstra searches (14, 30, 16), where the
-    per-edge systole scan as a decider ran |E| + |V| (35, 75, 80)."""
+    """The girth, its witness cycle and the diameter scan share one
+    shortest-path tree per vertex: ``recognize_dim1`` on Heawood, GQ(2,2)
+    and K8,8, exact and float, runs exactly |V| Dijkstra searches (14, 30,
+    16), where the per-edge systole scan as a decider ran |E| + |V| (35, 75,
+    80).  So do the graphs that fail the systole gate, which the per-edge
+    scan named the witness of: Petersen, and each building with its first
+    edge shortened by pi/12."""
     calls = []
     search = MetricGraph._dijkstra
     monkeypatch.setattr(MetricGraph, "_dijkstra",
                         lambda self, *a, **kw: calls.append(1) or search(self, *a, **kw))
-    for kw, n in ((dict(kind="projective_plane"), 14), (dict(kind="generalized_quadrangle"), 30),
-                  (dict(kind="complete_bipartite", s=8, t=8), 16)):
+    cases = [(MetricGraph.from_complex(gen_petersen()), "systole")]
+    for kw in (dict(kind="projective_plane"), dict(kind="generalized_quadrangle"),
+               dict(kind="complete_bipartite", s=8, t=8)):
         g = MetricGraph.from_complex(gen_rank2_building(**kw))
+        short = MetricGraph(g.vertices, [(u, v, ln - Fraction(1, 12) if k == 0 else ln)
+                                         for k, (u, v, ln) in enumerate(g.edges)])
+        cases += [(g, "thick_building"), (short, "systole")]
+    for g, want in cases:
         for h in (g, _floated(g)):
             calls.clear()
-            assert recognize_dim1(h).verdict == "thick_building"
-            assert len(calls) == len(h.vertices) == n, kw
+            res = recognize_dim1(h)
+            assert (res.condition if isinstance(res, Diagnosis) else res.verdict) == want
+            assert len(calls) == len(h.vertices), (want, len(h.vertices))
+    assert [len(g.vertices) for g, _ in cases] == [10, 14, 14, 30, 30, 16, 16]
 
 
 def test_walk_refuses_edge_sets_that_are_no_cycle():
@@ -562,12 +571,12 @@ def test_hull_that_does_not_walk_is_a_diagnosis(s0_heawood, tmp_path, monkeypatc
     mutants = []
 
     def swapped(nbrs, *args):
-        hulls, exhaustive, lonely = original(nbrs, *args)
+        hulls, exhaustive, lonely, pair = original(nbrs, *args)
         h = hulls[0]
         outside = ~h & ((1 << len(nbrs)) - 1)
         hulls[0] = (h ^ 1 << (h.bit_length() - 1)) | (outside & -outside)
         mutants.append(hulls[0])
-        return hulls, exhaustive, lonely
+        return hulls, exhaustive, lonely, pair
 
     monkeypatch.setattr(recognizer, "_opposite_hulls", swapped)
     res = check_spherical(s0_heawood)
@@ -1421,7 +1430,7 @@ def test_no_surface_growth_in_thin_complexes(heawood, monkeypatch):
     c = suspension(suspension(heawood))
     model = coxeter_complex(check_spherical(c).coxeter_matrix)
     searches.clear()
-    hulls, exhaustive, lonely, _ = recognizer._hull_apartments(c, model, 10 ** 5)
+    hulls, exhaustive, lonely, _, _ = recognizer._hull_apartments(c, model, 10 ** 5)
     assert exhaustive and len(hulls) == 28 and lonely is None
     assert len(searches) == len(set(searches)) < len(c.top_cells)
 
@@ -1543,12 +1552,12 @@ def _check_witness(pair, chamber_sets, nchambers):
 def test_dim1_chamber_cover_matches_cell_pair_oracle(dim1_apartment_lists):
     for label, g, apartments in dim1_apartment_lists:
         ne = len(g.edges)
-        assert _uncovered_chamber_pair(range(ne), [a.edges for a in apartments]) is None
+        assert oracles.uncovered_chamber_pair(range(ne), [a.edges for a in apartments]) is None
         assert oracles.uncovered_cell_pair(
             _graph_cells(g), _graph_apartment_cells(apartments)) is None, label
         sets = [set(a.edges) for a in apartments]
         for how, kept in _deletions(apartments, sets):
-            pair = _uncovered_chamber_pair(range(ne), [a.edges for a in kept])
+            pair = oracles.uncovered_chamber_pair(range(ne), [a.edges for a in kept])
             oracle = oracles.uncovered_cell_pair(_graph_cells(g),
                                                  _graph_apartment_cells(kept))
             assert (pair is None) == (oracle is None), (label, how)
@@ -1596,17 +1605,42 @@ def test_dim2_chamber_cover_matches_cell_pair_oracle(k33, heawood, octahedron):
         n = len(c.top_cells)
         index = {ch: k for k, ch in enumerate(c.top_cells)}
         sets = [{index[ch] for ch in a.cells} for a in cert.apartments]
-        assert _uncovered_chamber_pair(c.top_cells,
+        assert oracles.uncovered_chamber_pair(c.top_cells,
                                        [a.cells for a in cert.apartments]) is None
         assert oracles.uncovered_cell_pair(
             cells, [oracles.faces_of(a.cells) for a in cert.apartments]) is None
         for how, kept in _deletions(list(cert.apartments), sets):
-            pair = _uncovered_chamber_pair(c.top_cells, [a.cells for a in kept])
+            pair = oracles.uncovered_chamber_pair(c.top_cells, [a.cells for a in kept])
             oracle = oracles.uncovered_cell_pair(
                 cells, [oracles.faces_of(a.cells) for a in kept])
             assert (pair is None) == (oracle is None), how
             if pair is not None:
                 _check_witness(pair, [{index[ch] for ch in a.cells} for a in kept], n)
+
+
+def test_hull_search_cover_names_the_oracle_pair():
+    """The first chamber pair in no kept hull, read off the hull search's
+    own cover, is ``oracles.uncovered_chamber_pair`` of the apartments it
+    returns: on every links-workload input with a Coxeter matrix, on its
+    copy without its first chamber, and under every budget from 1 to one
+    past the number of hulls, where a cut-off search leaves pairs
+    uncovered."""
+    import buildctl.recognizer as recognizer
+    seen = set()
+    for c in _links_inputs_once():
+        types = recognizer._vertex_types(c)
+        M = None if types is None else recognizer._chamber_coxeter(c, types)
+        if M is None:
+            continue
+        model = coxeter_complex(M)
+        full = recognizer._hull_apartments(c, model, 10 ** 5)[0]
+        for e in (c, _without_chamber(c, 0)):
+            for b in (*range(1, len(full) + 2), 10 ** 5):
+                found, _, _, pair, _ = recognizer._hull_apartments(e, model, b)
+                assert pair == oracles.uncovered_chamber_pair(
+                    e.top_cells, [a.cells for a in found]), (c.vertices, b)
+                seen.add(pair is None)
+    assert seen == {True, False}
 
 
 # -- kernel-unit apartment searches against the Fraction oracles ------------------
@@ -1866,17 +1900,17 @@ def test_hull_family_matches_surface_growth(label):
     copies = _dim2_copies(label)
     c = copies[0]
     model = coxeter_complex(named_matrix(_DIM2_MODELS[label]))
-    hulls, exhaustive, _, _ = _hull_apartments(c, model, 10 ** 5)
+    hulls, exhaustive, _, _, _ = _hull_apartments(c, model, 10 ** 5)
     assert exhaustive and len(hulls) == _DIM2_HULLS[label]
     expected = _named_chambers(c, [a.cells for a in hulls])
     assert len(expected) == len(hulls)
     for k in copies:
-        found, exhaustive, _, _ = _hull_apartments(k, model, 10 ** 5)
+        found, exhaustive, _, _, _ = _hull_apartments(k, model, 10 ** 5)
         assert exhaustive
         assert _named_chambers(k, [a.cells for a in found]) == expected, label
         assert _grown_apartments(k) == expected, label
     for b in range(1, len(hulls)):
-        found, exhaustive, _, _ = _hull_apartments(c, model, b)
+        found, exhaustive, _, _, _ = _hull_apartments(c, model, b)
         assert not exhaustive and len(found) == b
         assert _named_chambers(c, [a.cells for a in found]) < expected
 
@@ -1969,7 +2003,7 @@ def test_model_walk_matches_isomorphism_oracle(label, monkeypatch):
         else:
             types, M = local.vertex_types, local.coxeter_matrix
         model = coxeter_complex(M)
-        hulls, exhaustive, _, _ = recognizer._hull_apartments(c, model, 10 ** 5)
+        hulls, exhaustive, _, _, _ = recognizer._hull_apartments(c, model, 10 ** 5)
         assert exhaustive
         for a in hulls:
             assert _walk(c, types, a.cells, model)[0] is None
@@ -2096,7 +2130,7 @@ def _walks_as_per_hull(c, types, model) -> bool:
     ``_lengths_fit_model``, and that ``_walked_hulls`` gives the oracle's
     walks and failed hull; return whether c's lengths fit the model."""
     import buildctl.recognizer as recognizer
-    _, hulls, _, _, walks, bad = recognizer._walked_hulls(c, types, model, 10 ** 5)
+    _, hulls, _, _, _, walks, bad = recognizer._walked_hulls(c, types, model, 10 ** 5)
     fit = recognizer._lengths_fit_model(c, types, model)
     for cells in [a.cells for a in hulls] + [m for a in hulls for m in _mutants(c, a.cells)] \
             + [c.top_cells]:
@@ -2217,7 +2251,7 @@ def test_chamber_graph_route_equals_the_cofaces_route(k, seed):
         if M is None:
             continue
         model = coxeter_complex(M)
-        _, found, _, _, walks, bad = recognizer._walked_hulls(e, types, model, 10 ** 5)
+        _, found, _, _, _, walks, bad = recognizer._walked_hulls(e, types, model, 10 ** 5)
         fit = recognizer._lengths_fit_model(e, types, model)
         old = []
         for a in found:
