@@ -1,17 +1,26 @@
 """Finite piecewise spherical/Euclidean simplicial complexes.
 
 A complex is given by its top-dimensional cells (vertex index tuples) plus a
-single edge -> length map; faces are the subset closure.  Shared faces
-therefore inherit consistent lengths by construction, and conflicting length
-declarations are recorded and reported by validation.
+single edge -> length map, keyed by the sorted index pair (i, j), i < j;
+faces are the subset closure.  Shared faces therefore inherit consistent
+lengths by construction, and conflicting length declarations are recorded
+and reported by validation.
 
 All operations treat complexes as immutable after construction, and the
-caches depend on it: ``cofaces`` (each face -> the top cells containing it),
-``chamber_graph`` (each top cell's neighbours across each of its panels,
-built without the face poset), the corner-angle memo and kernel, the
-vertex-link memo and the local certificate are filled once and never
-invalidated, so ``vertex_link(c, v)`` returns the same link object on every
-call and each distinct link is built, validated and certified once.
+caches depend on it; each is filled once and never invalidated:
+- ``_incidence``, one pass over the top cells: each vertex's star and each
+  panel's top cells.  The check path reads it: ``chamber_graph``,
+  ``_skeleton_connected``, ``vertex_link``, ``cell_link``'s membership
+  test, ``check_euclidean``'s boundary panels and thickness and the
+  suspension pole test.
+- ``chamber_graph``, each top cell's neighbours across each of its panels:
+  every gate of the axiom route and the vertex typing.
+- ``cofaces`` (each face -> the top cells containing it) and
+  ``cells_by_dim``, the face poset: only the local route's (n-2)-cells,
+  the corner sweep above dimension 2, ``geodesics`` and ``homotopy``.
+- the corner-angle memo and kernel, the vertex-link memo and the local
+  certificate, so ``vertex_link(c, v)`` returns the same link object on
+  every call and each distinct link is built, validated and certified once.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ from .angles import Angle, EPS_GRAM, Frozen, PiUnits, cmp_units
 SPHERICAL = "spherical"
 EUCLIDEAN = "euclidean"
 
-Edge = frozenset
 Cell = tuple
 
 
@@ -193,14 +201,14 @@ class MetricComplex:
         cells = tuple(sorted(set(cells)))
         if dimension is None:
             dimension = max((len(c) - 1 for c in cells), default=-1)
-        table: dict[Edge, Angle] = {}
-        conflicts: list[tuple[Edge, Angle, Angle]] = []
+        table: dict[tuple[int, int], Angle] = {}
+        conflicts: list[tuple[tuple[int, int], Angle, Angle]] = []
         for i, j, a in lengths:
             if i == j:
                 raise ComplexError(f"self-edge length ({i},{i})")
             if not (0 <= i < len(names) and 0 <= j < len(names)):
                 raise ComplexError(f"edge ({i},{j}) out of range")
-            e = Edge((int(i), int(j)))
+            e = (int(i), int(j)) if i < j else (int(j), int(i))     # ordered once
             old = table.get(e)
             if old is None:
                 table[e] = a
@@ -248,20 +256,29 @@ class MetricComplex:
         return {f: tuple(v) for f, v in out.items()}
 
     @cached_property
+    def _incidence(self) -> tuple[list[list[Cell]], dict[Cell, list[int]]]:
+        """(stars, panels) from one pass over ``top_cells``: stars[v] holds
+        the top cells containing vertex v and panels[f] the indices of the
+        top cells containing the panel f, each in ``top_cells`` order."""
+        stars: list[list[Cell]] = [[] for _ in self.vertices]
+        panels: dict[Cell, list[int]] = {}
+        for k, c in enumerate(self.top_cells):
+            for v in c:
+                stars[v].append(c)
+            for f in itertools.combinations(c, len(c) - 1):
+                panels.setdefault(f, []).append(k)
+        return stars, panels
+
+    @cached_property
     def chamber_graph(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """The panel adjacency of the top cells (the chambers), read off
-        ``top_cells`` alone: entry [k][p] holds the other chambers, by index
-        in ``top_cells`` order, on the panel of chamber k that omits its p-th
+        ``_incidence``: entry [k][p] holds the other chambers, by index in
+        ``top_cells`` order, on the panel of chamber k that omits its p-th
         vertex."""
-        on: dict[Cell, list[int]] = {}
-        panels = []
-        for k, c in enumerate(self.top_cells):
-            row = [c[:p] + c[p + 1:] for p in range(len(c))]
-            for panel in row:
-                on.setdefault(panel, []).append(k)
-            panels.append(row)
-        return tuple(tuple(tuple(j for j in on[panel] if j != k) for panel in row)
-                     for k, row in enumerate(panels))
+        on = self._incidence[1]
+        return tuple(tuple(tuple(j for j in on[c[:p] + c[p + 1:]] if j != k)
+                           for p in range(len(c)))
+                     for k, c in enumerate(self.top_cells))
 
     @cached_property
     def cells_by_dim(self) -> dict[int, tuple[Cell, ...]]:
@@ -274,7 +291,7 @@ class MetricComplex:
         return [c for k in sorted(self.cells_by_dim) for c in self.cells_by_dim[k]]
 
     def edge_length(self, i: int, j: int) -> Angle:
-        return self.lengths[Edge((i, j))]
+        return self.lengths[(i, j) if i < j else (j, i)]
 
     @cached_property
     def _name_index(self) -> dict[str, int]:
@@ -315,18 +332,17 @@ class MetricComplex:
         for i in range(len(self.vertices)):
             if i not in covered:
                 issues.append(ValidationIssue("purity", (name(i),), "vertex lies in no top cell"))
-        for e, a, b in self.length_conflicts:
-            i, j = sorted(e)
+        for (i, j), a, b in self.length_conflicts:
             issues.append(ValidationIssue(
                 "gluing", (name(i), name(j)), f"edge declared with lengths {a} and {b}"))
-        missing = [e for e in self.edges if Edge(e) not in self.lengths]
+        lengths = self.lengths
+        missing = [e for e in self.edges if e not in lengths]
         for e in missing:
             issues.append(ValidationIssue(
                 "length_missing", tuple(name(i) for i in e), "edge has no declared length"))
         if not missing and not self.length_conflicts:
             cells = [c for c in self.top_cells if len(c) - 1 == self.dimension]
-            simplices = [[self.lengths[Edge(e)] for e in itertools.combinations(c, 2)]
-                         for c in cells]
+            simplices = [[lengths[e] for e in itertools.combinations(c, 2)] for c in cells]
             for c, (ok, why) in zip(cells, realizability(self.geometry, simplices)):
                 if not ok:
                     issues.append(ValidationIssue("shape", tuple(name(i) for i in c), why))
@@ -336,22 +352,20 @@ class MetricComplex:
 
     @cached_property
     def _skeleton_connected(self) -> bool:
-        """One search per complex: validation, ``check_euclidean``, the
-        panel-count gate and ``simple_connectivity`` all ask."""
+        """One search per complex, over the vertex stars (``_incidence``):
+        validation, ``check_euclidean``, the panel-count gate and
+        ``simple_connectivity`` all ask."""
         if not self.vertices:
             return True
-        adj: dict[int, set[int]] = {i: set() for i in range(len(self.vertices))}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
+        stars = self._incidence[0]
         seen = {0}
         stack = [0]
         while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            for cell in stars[stack.pop()]:
+                for w in cell:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
         return len(seen) == len(self.vertices)
 
     def require_valid(self):
@@ -370,8 +384,8 @@ class MetricComplex:
             "vertices": list(self.vertices),
             "top_cells": [list(c) for c in self.top_cells],
             "edge_lengths": [
-                {"edge": [i, j], **self.lengths[Edge((i, j))].to_json()}
-                for i, j in sorted(tuple(sorted(e)) for e in self.lengths)
+                {"edge": [i, j], **self.lengths[i, j].to_json()}
+                for i, j in sorted(self.lengths)
             ],
         }
 
@@ -408,7 +422,7 @@ def parse_json_dict(obj: dict) -> MetricComplex:
         raise ComplexError(f"malformed complex record: edge_lengths must be a list, "
                            f"got {records!r}")
     default = obj.get("default_length")
-    seen: set[Edge] = set()
+    seen: set[tuple[int, int]] = set()
     lengths: list[tuple[int, int, Angle]] = []
     for rec in records:
         try:
@@ -416,13 +430,13 @@ def parse_json_dict(obj: dict) -> MetricComplex:
             a = Angle.from_json(rec)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ComplexError(f"malformed edge length record {rec!r}: {exc}") from exc
-        e = Edge((i, j))
+        e = (i, j) if i < j else (j, i)
         if e in seen:
-            raise ComplexError(f"ambiguous input: edge {sorted(e)} declared twice")
+            raise ComplexError(f"ambiguous input: edge {sorted(set(e))} declared twice")
         seen.add(e)
         lengths.append((i, j, a))
     c = MetricComplex(geometry, vertices, top_cells, lengths, dimension=dimension)
-    missing = [e for e in c.edges if Edge(e) not in c.lengths]
+    missing = [e for e in c.edges if e not in c.lengths]
     if missing:
         if default is None:
             raise ComplexError(
@@ -495,10 +509,13 @@ def _corner(c: MetricComplex, a: float, b: float, opp: float) -> Angle:
 
 def _sweep_corners(c: MetricComplex) -> None:
     """Cache every corner of every 2-face of ``c``, reading each face's
-    three lengths once; a corner already cached is kept."""
-    rad = {e: c.lengths[Edge(e)].radians for e in c.edges}
+    three lengths once; a corner already cached is kept.  In dimension 2
+    the 2-faces are the top cells, and only above it is the face poset
+    (``cells_by_dim``) built."""
+    rad = {e: a.radians for e, a in c.lengths.items()}
     corners = c._corner_angles
-    for x, y, z in c.cells_by_dim.get(2, ()):
+    faces = c.top_cells if c.dimension == 2 else c.cells_by_dim.get(2, ())
+    for x, y, z in faces:
         xy, xz, yz = rad[x, y], rad[x, z], rad[y, z]
         for key, a, b, opp in (((x, y, z), xy, xz, yz), ((y, x, z), xy, yz, xz),
                                ((z, x, y), xz, yz, xy)):
@@ -527,7 +544,7 @@ def vertex_link(c: MetricComplex, v) -> MetricComplex:
         raise ComplexError("a vertex of a 0-dimensional complex has an empty link")
     if not c._vertex_links:
         _sweep_corners(c)
-    stars = c.cofaces[(vi,)]
+    stars = c._incidence[0][vi]
     neighbors = sorted({u for cell in stars for u in cell if u != vi})
     index = {u: k for k, u in enumerate(neighbors)}
     cells, lengths = [], {}
@@ -537,13 +554,13 @@ def vertex_link(c: MetricComplex, v) -> MetricComplex:
             u, w = (y, z) if x == vi else (x, z) if y == vi else (x, y)
             e = (index[u], index[w])
             cells.append(e)
-            lengths[Edge(e)] = corners[vi, u, w]
+            lengths[e] = corners[vi, u, w]
     else:
         for cell in stars:
             rest = [u for u in cell if u != vi]
             cells.append(tuple(index[u] for u in rest))
             for u, w in itertools.combinations(rest, 2):
-                lengths[Edge((index[u], index[w]))] = corners[vi, u, w]
+                lengths[index[u], index[w]] = corners[vi, u, w]
     link = MetricComplex.__new__(MetricComplex)._set(
         SPHERICAL, tuple(c.vertices[u] for u in neighbors), tuple(cells),
         c.dimension - 1, lengths, [], True, None)
@@ -552,15 +569,18 @@ def vertex_link(c: MetricComplex, v) -> MetricComplex:
 
 
 def cell_link(c: MetricComplex, cell) -> MetricComplex:
-    """Link of a cell, by iterated vertex links (directions orthogonal to it)."""
+    """Link of a cell, by iterated vertex links (directions orthogonal to it).
+    A cell is a set of distinct vertices in some top cell of the star of its
+    least vertex (``_incidence``)."""
     c.require_valid()
     idxs = [c.vertex_index(v) for v in cell]
-    t = tuple(sorted(idxs))
-    if t not in c.cofaces:
+    t = set(idxs)
+    star = c._incidence[0][min(t)] if len(t) == len(idxs) > 0 else ()
+    if not any(t.issubset(s) for s in star):
         raise ComplexError(f"{cell!r} is not a cell of the complex")
     if len(t) - 1 >= c.dimension:
         raise ComplexError("cell is top-dimensional; its link is empty")
-    names = [c.vertices[i] for i in t]
+    names = [c.vertices[i] for i in sorted(t)]
     out = c
     for nm in names:
         out = vertex_link(out, nm)
@@ -595,8 +615,8 @@ def orthogonal_join(a: MetricComplex, b: MetricComplex) -> MetricComplex:
     cells = [tuple(ca) + tuple(off + i for i in cb)
              for ca in a.top_cells for cb in b.top_cells]
     right = Angle.exact(1, 2)
-    lengths = [(i, j, a.lengths[Edge((i, j))]) for i, j in a.edges]
-    lengths += [(off + i, off + j, b.lengths[Edge((i, j))]) for i, j in b.edges]
+    lengths = [(i, j, a.lengths[i, j]) for i, j in a.edges]
+    lengths += [(off + i, off + j, b.lengths[i, j]) for i, j in b.edges]
     lengths += [(i, off + j, right)
                 for i in range(len(a.vertices)) for j in range(len(b.vertices))]
     prov = None

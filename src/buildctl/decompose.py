@@ -29,28 +29,18 @@ def find_suspension_poles(c: MetricComplex) -> tuple[int, int] | None:
     every top cell contains exactly one of them; the complex must equal the
     orthogonal join of the pole pair with the base.  So a pole has valence
     exactly nv - 2, and only pairs of such vertices are tried, in vertex
-    order.
+    order.  A non-adjacent pair of them is adjacent to every other vertex
+    and shares no top cell, so what is left to check is the pi/2 lengths
+    and the reconstruction, which leaves no top cell without a pole.
     """
     if c.dimension < 1 or len(c.vertices) < 3:
         return None
-    nv = len(c.vertices)
+    edges = set(c.edges)
     for p, q in itertools.combinations(_pole_candidates(c), 2):
-        if (p, q) in c.cofaces:
+        if (p, q) in edges:
             continue
-        ok = True
-        for v in range(nv):
-            if v in (p, q):
-                continue
-            for pole in (p, q):
-                e = (min(pole, v), max(pole, v))
-                if e not in c.cofaces or not c.edge_length(*e).equals(RIGHT):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if all((p in cell) != (q in cell) for cell in c.top_cells):
+        if all(c.edge_length(pole, v).equals(RIGHT)
+               for v in range(len(c.vertices)) if v != p and v != q for pole in (p, q)):
             if _reconstructs_as_suspension(c, p, q):
                 return (p, q)
     return None
@@ -66,8 +56,9 @@ def _pole_candidates(c: MetricComplex) -> list[int]:
 
 
 def _reconstructs_as_suspension(c: MetricComplex, p: int, q: int) -> bool:
-    base_p = {tuple(v for v in cell if v != p) for cell in c.cofaces.get((p,), ())}
-    base_q = {tuple(v for v in cell if v != q) for cell in c.cofaces.get((q,), ())}
+    stars = c._incidence[0]
+    base_p = {tuple(v for v in cell if v != p) for cell in stars[p]}
+    base_q = {tuple(v for v in cell if v != q) for cell in stars[q]}
     if base_p != base_q:
         return False
     expected = {tuple(sorted(b + (pole,))) for b in base_p for pole in (p, q)}

@@ -408,9 +408,9 @@ def enumerate_apartments_dim1(g: MetricGraph, m: int, budget: int = B_APT_DEFAUL
     hulls, exhaustive, _, _ = _opposite_hulls(nbrs, m, 2 * m, budget)
     chain_masks = [sum(1 << e for e in ch) for ch in chains]
     walks = []
-    for h in hulls:
+    for _, ks in hulls:
         mask = 0
-        for k in _bits(h):
+        for k in ks:
             mask |= chain_masks[k]
         walks.append(_walk_cycle(g, mask))
     return tuple(sorted(walks, key=Apartment.key)), exhaustive
@@ -442,9 +442,11 @@ def _walk_cycle(g: MetricGraph, mask: int) -> Apartment:
 
 
 def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int
-                    ) -> tuple[list[int], bool, int | None, tuple[int, int] | None]:
-    """The convex hulls of opposite chambers that are apartments, as chamber
-    bitmasks, whether the search was exhaustive, the first chamber whose
+                    ) -> tuple[list[tuple[int, list[int]]], bool, int | None,
+                               tuple[int, int] | None]:
+    """The convex hulls of opposite chambers that are apartments, each as
+    its chamber bitmask with the list of its chamber indices in increasing
+    order, whether the search was exhaustive, the first chamber whose
     distance layer at depth ``top`` is empty, or None, and the first pair
     (i, j), i <= j, of chambers in no kept hull together, or None.
 
@@ -488,8 +490,9 @@ def _opposite_hulls(nbrs: Sequence[int], top: int, order: int, budget: int
             for d in range(top + 1):
                 hull |= li[d] & lj[top - d]
             if hull.bit_count() == order:
-                hulls.append(hull)
-                for k in _bits(hull):
+                ks = list(_bits(hull))          # expanded once, kept with the hull
+                hulls.append((hull, ks))
+                for k in ks:
                     cover[k] |= hull
     return hulls, True, lonely, _uncovered(cover)
 

@@ -31,8 +31,8 @@ import math
 from collections import Counter
 from typing import Sequence
 
-from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, Edge, MetricComplex,
-                        cell_link)
+from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, MetricComplex, cell_link,
+                        vertex_link)
 from .coxeter import (BudgetExceeded, CoxeterGroupModel, CoxeterMatrix, cosine_form,
                       cosine_verdicts, coxeter_group)
 from .decompose import find_suspension_poles, most_singular_vertex
@@ -252,12 +252,12 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
     reuses the first graph's checked edges.  Only certificates
     that name no vertex (no suspension poles) are shared; diagnoses are
     computed per link.  ``vertex_link`` builds each link from the corner
-    angles cached on its complex, without re-checking its data."""
+    angles cached on its complex, without re-checking its data; a vertex
+    cell's link is read by its index."""
     out = {}
     classes: dict[tuple, MetricComplex] = {}     # class -> its first certified link
     for cell in cells:
-        names = [c.vertices[i] for i in cell]
-        L = cell_link(c, names)
+        L = vertex_link(c, cell[0]) if len(cell) == 1 else cell_link(c, cell)
         key = _link_class(L)
         first = classes.get(key)
         if first is not None and L._certificate is None:
@@ -267,7 +267,7 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
             L._certificate = cert.copy(graph=graph)
         res = certify(L)
         if isinstance(res, Diagnosis):
-            return Diagnosis(LINK_FAILURE, {"cell": names}, inner=res)
+            return Diagnosis(LINK_FAILURE, {"cell": [c.vertices[i] for i in cell]}, inner=res)
         if key is not None and res.poles is None:
             classes.setdefault(key, L)
         out[cell] = (L, res)
@@ -278,17 +278,16 @@ def _link_class(L: MetricComplex) -> tuple | None:
     """A graph link up to vertex names: its vertex count, its local top
     cells (its edges) and the Angle on each, as (p, q) of an exact pi*p/q or
     a float's radians, which hash without a Fraction; None above dimension 1.
-    A link from ``vertex_link`` enters its lengths in edge order, so they are
-    read in that order once each entry is seen to be its edge's; any other
-    graph is read edge by edge."""
+    A link from ``vertex_link`` enters its lengths in edge order, keyed by
+    its edges, so they are read in that order; any other graph is read edge
+    by edge."""
     if L.dimension != 1:
         return None
     cells = L.top_cells
-    if len(L.lengths) == len(cells) and all(
-            u in e and w in e for (u, w), e in zip(cells, L.lengths)):
+    if tuple(L.lengths) == cells:
         lengths = L.lengths.values()
     else:
-        lengths = [L.lengths[Edge(e)] for e in cells]
+        lengths = [L.lengths[e] for e in cells]
     return (len(L.vertices), cells, tuple(
         a.rad if a.frac is None else a.frac.as_integer_ratio() for a in lengths))
 
@@ -444,15 +443,16 @@ def _hull_apartments(c: MetricComplex, model: CoxeterGroupModel, budget: int
         nbrs.append(mask)
     hulls, exhaustive, lonely, pair = _opposite_hulls(nbrs, len(model.elements[-1].word),
                                                       len(model.elements), budget)
-    # chambers are sorted, so index lists sort as the apartments' cells do
-    ordered = sorted((list(_bits(hull)), hull) for hull in hulls)
+    # chambers are sorted, so the index lists the search kept with the hulls
+    # sort as the apartments' cells do
+    ordered = sorted(hulls, key=lambda h: h[1])
     found = []
-    for ks, _ in ordered:
+    for _, ks in ordered:
         cells = tuple(chambers[k] for k in ks)
         found.append(Apartment("sphere", cells=cells,
                                vertices=tuple(sorted({v for t in cells for v in t}))))
     return (tuple(found), exhaustive, None if lonely is None else chambers[lonely], pair,
-            [hull for _, hull in ordered])
+            [hull for hull, _ in ordered])
 
 
 def _typed_chambers(c: MetricComplex, types: Sequence[int]
@@ -625,12 +625,12 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
         raise ComplexError("check_euclidean needs dimension >= 2")
     if not c._skeleton_connected:
         return Diagnosis(NOT_CONNECTED, {"detail": "complex is not connected"})
-    boundary_panels = [p for p in c.cells_by_dim.get(n - 1, ())
-                       if len(c.cofaces[p]) < 2]
+    panels = c._incidence[1]
+    boundary_panels = [p for p, on in panels.items() if len(on) < 2]
     if boundary_policy == "strict" and boundary_panels:
-        p = boundary_panels[0]
+        p = min(boundary_panels)
         return Diagnosis(CODIM1, {"cell": [c.vertices[i] for i in p],
-                                  "top_cells": len(c.cofaces[p])})
+                                  "top_cells": len(panels[p])})
     boundary_vertices = {v for p in boundary_panels for v in p}
     interior = [vi for vi in range(len(c.vertices)) if vi not in boundary_vertices]
     link_certs = _certify_links(c, [(vi,) for vi in interior],
@@ -652,8 +652,7 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
         if pi1.status == UNKNOWN:
             return Diagnosis(UNKNOWN_PI1, {"detail": pi1.detail})
         verdict = MEB
-    counts = [len(c.cofaces[p]) for p in c.cells_by_dim.get(n - 1, ())]
-    thickness = min((k for k in counts if k >= 2), default=None)
+    thickness = min((len(on) for on in panels.values() if len(on) >= 2), default=None)
     factors = most_singular_vertex(c, link_certs)[1] if interior else None
     return BuildingCertificate(
         EUCLIDEAN, n, verdict, thickness=thickness,

@@ -698,6 +698,21 @@ def cofaces_vertex_types(c):
     return tuple(types[v] for v in range(len(c.vertices)))
 
 
+def cofaces_incidence(c):
+    """(stars, panels, chamber graph) of c read off ``c.cofaces``: the top
+    cells on each vertex, the top cell indices on each face of dimension
+    n - 1 and, for chamber k and position p, the other chambers on the face
+    of chamber k without its p-th vertex, each in ``top_cells`` order."""
+    index = {t: k for k, t in enumerate(c.top_cells)}
+    stars = [list(c.cofaces.get((v,), ())) for v in range(len(c.vertices))]
+    panels = {f: [index[t] for t in on] for f, on in c.cofaces.items()
+              if len(f) == c.dimension}
+    graph = tuple(tuple(tuple(index[s] for s in c.cofaces[t[:p] + t[p + 1:]] if s != t)
+                        for p in range(len(t)))
+                  for t in c.top_cells)
+    return stars, panels, graph
+
+
 def sorted_scan_panel_counts(c):
     """The connectivity and codimension-1 gates above dimension 1 by a scan
     of the sorted panels (``cells_by_dim``) and their ``cofaces``: the set

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 import oracles
 from buildctl.angles import Angle
-from buildctl.complexes import (MetricComplex, _vertex_angle, cell_link, discrete_complex,
-                                orthogonal_join, suspension, vertex_link)
+from buildctl.complexes import (ComplexError, MetricComplex, _vertex_angle, cell_link,
+                                discrete_complex, orthogonal_join, suspension, vertex_link)
 from buildctl.coxeter import coxeter_complex, named_matrix
-from buildctl.corpus import (RANK2_M, gen_a2_window, gen_k4, gen_octahedron, gen_petersen,
-                             gen_punctured_octahedron, gen_rank2_building,
+from buildctl.corpus import (GENERATORS, RANK2_M, gen_a2_window, gen_k4, gen_octahedron,
+                             gen_petersen, gen_punctured_octahedron, gen_rank2_building,
                              gen_short_lune)
 from buildctl.metric_graph import GraphPoint, MetricGraph
 from buildctl.recognizer import (Apartment, Diagnosis, check_euclidean,
@@ -572,10 +572,11 @@ def test_hull_that_does_not_walk_is_a_diagnosis(s0_heawood, tmp_path, monkeypatc
 
     def swapped(nbrs, *args):
         hulls, exhaustive, lonely, pair = original(nbrs, *args)
-        h = hulls[0]
+        h = hulls[0][0]
         outside = ~h & ((1 << len(nbrs)) - 1)
-        hulls[0] = (h ^ 1 << (h.bit_length() - 1)) | (outside & -outside)
-        mutants.append(hulls[0])
+        h = (h ^ 1 << (h.bit_length() - 1)) | (outside & -outside)
+        hulls[0] = (h, list(recognizer._bits(h)))
+        mutants.append(h)
         return hulls, exhaustive, lonely, pair
 
     monkeypatch.setattr(recognizer, "_opposite_hulls", swapped)
@@ -992,7 +993,7 @@ def _edge_by_edge_class(L):
     top cells and the length of each, looked up by its edge."""
     return (len(L.vertices), L.top_cells, tuple(
         a.rad if a.frac is None else a.frac.as_integer_ratio()
-        for a in (L.lengths[frozenset(e)] for e in L.top_cells)))
+        for a in (L.lengths[e] for e in L.top_cells)))
 
 
 def test_link_class_keys_each_length_on_its_edge():
@@ -2074,7 +2075,7 @@ def _with_edge_scaled(c, edge, factor):
     """A copy of ``c`` whose edge ``edge`` has its length times ``factor``,
     in radians."""
     return MetricComplex(c.geometry, c.vertices, c.top_cells,
-                         [(*sorted(e), Angle(rad=a.radians * factor) if e == set(edge) else a)
+                         [(*e, Angle(rad=a.radians * factor) if e == tuple(sorted(edge)) else a)
                           for e, a in c.lengths.items()], provenance=c.provenance)
 
 
@@ -2222,6 +2223,55 @@ def _without_chamber(c, k):
                          [(*e, a) for e, a in c.lengths.items()], provenance=c.provenance)
 
 
+def _incidence_inputs():
+    """The corpus, the A2 windows of radius 1..5 and each with one drawn edge
+    1 % longer, small joins, the links-workload inputs (A3, B3, H3 and A4
+    among them), the B3 quotient and a disconnected pair of triangles."""
+    out = {f"corpus:{name}": make() for name, make in GENERATORS.items()}
+    for r in range(1, 6):
+        w = out[f"a2w{r}"] = gen_a2_window(r).complex
+        out[f"a2w{r}-scaled"] = _with_edge_scaled(w, random.Random(r).choice(w.edges), 1.01)
+    for k, base in itertools.product((2, 3), ("K23", "C6")):
+        out[f"join{k}:{base}"] = _small_join(k, base)
+    out.update((f"links:{i}", c) for i, c in enumerate(_links_inputs_once()))
+    out["b3-quotient"] = _antipodal_quotient(coxeter_complex(named_matrix("B3")).complex)
+    right = Angle.exact(1, 2)
+    out["two-triangles"] = MetricComplex(
+        "spherical", list("abcdef"), [(0, 1, 2), (3, 4, 5)],
+        [(i, j, right) for t in ((0, 1, 2), (3, 4, 5)) for i, j in itertools.combinations(t, 2)],
+        allow_disconnected=True)
+    return out
+
+
+def test_incidence_is_the_cofaces_scan():
+    """On every ``_incidence_inputs`` complex, the stars and panels of the
+    one incidence pass and ``chamber_graph`` equal a scan of ``cofaces``
+    (``oracles.cofaces_incidence``), ``_skeleton_connected`` equals a search
+    over the edges, and ``cell_link`` accepts a drawn face below the top
+    dimension but refuses a vertex pair that is no edge, a repeated vertex
+    and the empty cell."""
+    import networkx as nx
+    for label, c in _incidence_inputs().items():
+        assert c.dimension >= 1, label
+        stars, panels = c._incidence
+        assert (stars, panels, c.chamber_graph) == oracles.cofaces_incidence(c), label
+        g = nx.Graph(c.edges)
+        g.add_nodes_from(range(len(c.vertices)))
+        assert c._skeleton_connected == nx.is_connected(g), label
+        if not c.validation.ok:
+            continue
+        rng = random.Random(label)
+        faces = [f for f in c.cofaces if len(f) <= c.dimension]
+        f = rng.choice(faces)
+        assert cell_link(c, f[::-1]).dimension == c.dimension - len(f), label
+        pairs = [p for p in itertools.combinations(range(len(c.vertices)), 2)
+                 if p not in c.cofaces]
+        for bad in ([rng.choice(pairs)] if pairs else []) + [(f[0], f[0]), ()]:
+            with pytest.raises(ComplexError, match="is not a cell"):
+                cell_link(c, bad)
+    assert label == "two-triangles" and not c._skeleton_connected
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(k=st.integers(0, 10 ** 6), seed=st.integers(0, 10 ** 6))
 def test_chamber_graph_route_equals_the_cofaces_route(k, seed):
@@ -2286,10 +2336,18 @@ def test_axiom_route_reads_no_face_poset_and_builds_no_model_complex(monkeypatch
     on the chamber graph against the bare Coxeter group: no gate reads
     ``cofaces`` or ``cells_by_dim`` (each spied on as a ``cached_property``)
     and no ``MetricComplex`` is built, while ``coxeter_complex`` still
-    builds its complex when called."""
+    builds its complex when called.  The window route reads neither either:
+    ``check_euclidean(..., "window")`` on the A2 windows of radius 3..6 and
+    on radius 3 with its origin edge 1 % longer or shorter (a link
+    failure), and ``check_spherical`` on S0*K3,3 and S0*S0*Heawood, whose
+    suspension poles come from the vertex stars."""
     from functools import cached_property
     from buildctl.complexes import loads
     c = loads(_a4_complex().dumps())
+    k33 = gen_rank2_building("complete_bipartite", s=3, t=3)
+    joins = [suspension(k33), suspension(suspension(gen_rank2_building("projective_plane")))]
+    windows = [gen_a2_window(r).complex for r in range(3, 7)]
+    windows += [gen_a2_window(3, perturb=f).complex for f in (1.01, 0.99)]
     reads, inits = [], []
     for name in ("cofaces", "cells_by_dim"):
         def spy(self, fill=getattr(MetricComplex, name).func, name=name):
@@ -2303,6 +2361,11 @@ def test_axiom_route_reads_no_face_poset_and_builds_no_model_complex(monkeypatch
                         lambda self, *a, **kw: inits.append(a) or init(self, *a, **kw))
     cert = check_spherical(c)
     assert cert.verdict == "thin_building" and cert.apartments_exhaustive
+    assert reads == [] and inits == []
+    for w, verdict in zip(windows, ["metric_euclidean_building_local"] * 4 + ["link_failure"] * 2):
+        res = check_euclidean(w, "window")
+        assert (res.condition if isinstance(res, Diagnosis) else res.verdict) == verdict
+    assert [check_spherical(j).verdict for j in joins] == ["suspension"] * 2
     assert reads == [] and inits == []
     assert c.cofaces and reads == ["cofaces"]       # the spy does see a read
     model = coxeter_complex(named_matrix("A3"))
