@@ -18,6 +18,8 @@ caches depend on it; each is filled once and never invalidated:
 - ``cofaces`` (each face -> the top cells containing it) and
   ``cells_by_dim``, the face poset: only the local route's (n-2)-cells,
   the corner sweep above dimension 2, ``geodesics`` and ``homotopy``.
+- ``graph_class``, a graph's key up to vertex names: the recognizer shares
+  one certificate, and ``most_singular_vertex`` one factor hint, per key.
 - the corner-angle memo and kernel, the vertex-link memo and the local
   certificate, so ``vertex_link(c, v)`` returns the same link object on
   every call and each distinct link is built, validated and certified once.
@@ -279,6 +281,24 @@ class MetricComplex:
         return tuple(tuple(tuple(j for j in on[c[:p] + c[p + 1:]] if j != k)
                            for p in range(len(c)))
                      for k, c in enumerate(self.top_cells))
+
+    @cached_property
+    def graph_class(self) -> tuple | None:
+        """A graph up to vertex names: its vertex count, its top cells (its
+        edges) and the Angle on each, as (p, q) of an exact pi*p/q or a
+        float's radians, which hash without a Fraction; None above
+        dimension 1.  A link from ``vertex_link`` enters its lengths in edge
+        order, keyed by its edges, so they are read in that order; any other
+        graph is read edge by edge."""
+        if self.dimension != 1:
+            return None
+        cells = self.top_cells
+        if tuple(self.lengths) == cells:
+            lengths = self.lengths.values()
+        else:
+            lengths = [self.lengths[e] for e in cells]
+        return (len(self.vertices), cells, tuple(
+            a.rad if a.frac is None else a.frac.as_integer_ratio() for a in lengths))
 
     @cached_property
     def cells_by_dim(self) -> dict[int, tuple[Cell, ...]]:

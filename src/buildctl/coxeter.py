@@ -12,6 +12,12 @@ length, read off the inverse cosine form.  ``coxeter_group`` stops there,
 which is all the recognizer reads; ``coxeter_complex`` adds the
 ``MetricComplex``.  The linear algebra is the standard-library kernels of
 ``linalg``.
+
+Each group is enumerated once per process: ``coxeter_group`` keeps the
+read-only models of the last 32 matrices it enumerated, keyed by the whole
+``CoxeterMatrix``, generator names included.  A budget refuses a kept model
+exactly when it would refuse its enumeration, with the same message, and
+``clear_group_memo`` empties the memo.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from types import MappingProxyType
 from typing import Sequence
 
 from .angles import Angle, EPS_GRAM, Frozen
@@ -314,22 +321,24 @@ class CoxeterGroupModel:
     of element a, ``vertex_types`` the type of each vertex, ``pair_length``
     the length of an edge of each type pair (both orders) and ``steps[b]``
     the (a, s) with elements[b] = elements[a] * s that names b's word
-    (``steps[0]`` is None)."""
+    (``steps[0]`` is None).  One model is shared by every caller of
+    ``coxeter_group``, so its sequences are tuples and ``pair_length`` a
+    read-only mapping."""
 
-    def __init__(self, system: CoxeterMatrix, elements: list[GroupElement],
-                 labels: list[tuple[int, ...]], vertex_types: tuple[int, ...],
+    def __init__(self, system: CoxeterMatrix, elements: Sequence[GroupElement],
+                 labels: Sequence[tuple[int, ...]], vertex_types: tuple[int, ...],
                  pair_length: dict[tuple[int, int], Angle]):
         self.system = system
-        self.elements = elements
-        self.labels = labels
+        self.elements = tuple(elements)
+        self.labels = tuple(labels)
         self.vertex_types = vertex_types
-        self.pair_length = pair_length
+        self.pair_length = MappingProxyType(dict(pair_length))
         steps: list[tuple[int, int] | None] = [None] * len(elements)
         for a, g in enumerate(elements):     # the first (a, s) to reach b named it
             for s, b in enumerate(g.right):
                 if b and steps[b] is None:
                     steps[b] = (a, s)
-        self.steps = steps
+        self.steps = tuple(steps)
 
     def edge_lengths(self) -> list[tuple[int, int, Angle]]:
         """Every edge (i, j, length) of the model complex, i < j, in order of
@@ -350,8 +359,7 @@ class CoxeterComplexModel(CoxeterGroupModel):
     ``complex`` and ``chamber_of``, each element's word -> its top cell."""
 
     def __init__(self, group: CoxeterGroupModel):
-        super().__init__(group.system, group.elements, group.labels, group.vertex_types,
-                         group.pair_length)
+        self.__dict__.update(vars(group))    # the group's read-only fields, shared
         M, n = group.system, group.system.rank
         cells = [tuple(sorted(row)) for row in group.labels]
         self.chamber_of = {g.word: cell for g, cell in zip(group.elements, cells)}
@@ -361,9 +369,40 @@ class CoxeterComplexModel(CoxeterGroupModel):
             provenance=f"coxeter_complex({M.describe() or 'A1^' + str(n)})")
 
 
+_GROUP_MEMO: dict[CoxeterMatrix, CoxeterGroupModel] = {}    # in order of entry
+_GROUP_MEMO_SIZE = 32
+
+
+def clear_group_memo() -> None:
+    """Forget every model ``coxeter_group`` keeps."""
+    _GROUP_MEMO.clear()
+
+
 def coxeter_group(M: CoxeterMatrix, budget: int = B_GROUP_DEFAULT) -> CoxeterGroupModel:
     """The group of a spherical system with its chambers' vertices and the
     length of each type pair, without the complex (``coxeter_complex``).
+
+    A matrix is enumerated once per process: the model of a successful
+    enumeration is kept, keyed by the whole matrix (names included, since
+    callers compare ``model.system`` with their own matrix and describe it),
+    and returned by later calls.  The memo keeps the 32 matrices entered
+    last, dropping the oldest; a refusal is not kept.  A kept model larger
+    than the budget raises the ``BudgetExceeded`` an enumeration would, with
+    its message: an enumeration raises exactly when |W| > budget, as |Phi|
+    <= |W|, except that the identity alone is never refused.
+    """
+    model = _GROUP_MEMO.get(M)
+    if model is None:
+        model = _GROUP_MEMO[M] = _enumerated_model(M, budget)
+        if len(_GROUP_MEMO) > _GROUP_MEMO_SIZE:
+            del _GROUP_MEMO[next(iter(_GROUP_MEMO))]
+    elif len(model.elements) > max(budget, 1):
+        raise BudgetExceeded(f"group enumeration exceeded budget {budget}")
+    return model
+
+
+def _enumerated_model(M: CoxeterMatrix, budget: int) -> CoxeterGroupModel:
+    """The model ``coxeter_group`` keeps, enumerated under the budget.
 
     The fundamental chamber's vertices p_i are the dual basis of the wall
     normals, normalized.  The type-i vertex of chamber g is the standard

@@ -213,12 +213,21 @@ def euclidean_factor_hint(c: MetricComplex, x, link_cert) -> list[dict]:
 def most_singular_vertex(c: MetricComplex, link_certs: dict) -> tuple[int, list[dict]]:
     """Lexicographically-first vertex among those with the most non-flat
     link factors (the proof's 'most complicated point', made deterministic),
-    with its ``euclidean_factor_hint``."""
+    with its ``euclidean_factor_hint``.  Graph links equal up to vertex
+    names (one ``graph_class``, as every interior link of a window) have
+    one hint list, so only the first vertex of each class is read: a later
+    one scores the same and cannot win."""
     best = None
+    classes = set()
     for (vi,), (L, cert) in sorted(link_certs.items(),
                                    key=lambda kv: c.vertices[kv[0][0]]):
         if isinstance(cert, Diagnosis):
             continue
+        key = L.graph_class
+        if key is not None:
+            if key in classes:
+                continue
+            classes.add(key)
         hints = euclidean_factor_hint(c, c.vertices[vi], cert)
         score = sum(1 for h in hints if h["kind"] != "flat")
         if best is None or score > best[0]:

@@ -245,7 +245,7 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
     certificate)}, or a link_failure diagnosis at the first cell whose link
     fails.
 
-    Graph links equal up to vertex names (``_link_class``) share one
+    Graph links equal up to vertex names (``graph_class``) share one
     validation and one run of the dimension-1 gates: a later link of a class
     gets the passing report and a shallow copy of the first link's
     certificate (``BuildingCertificate.copy``) on its own graph, which
@@ -258,7 +258,7 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
     classes: dict[tuple, MetricComplex] = {}     # class -> its first certified link
     for cell in cells:
         L = vertex_link(c, cell[0]) if len(cell) == 1 else cell_link(c, cell)
-        key = _link_class(L)
+        key = L.graph_class
         first = classes.get(key)
         if first is not None and L._certificate is None:
             cert = first._certificate
@@ -272,24 +272,6 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
             classes.setdefault(key, L)
         out[cell] = (L, res)
     return out
-
-
-def _link_class(L: MetricComplex) -> tuple | None:
-    """A graph link up to vertex names: its vertex count, its local top
-    cells (its edges) and the Angle on each, as (p, q) of an exact pi*p/q or
-    a float's radians, which hash without a Fraction; None above dimension 1.
-    A link from ``vertex_link`` enters its lengths in edge order, keyed by
-    its edges, so they are read in that order; any other graph is read edge
-    by edge."""
-    if L.dimension != 1:
-        return None
-    cells = L.top_cells
-    if tuple(L.lengths) == cells:
-        lengths = L.lengths.values()
-    else:
-        lengths = [L.lengths[e] for e in cells]
-    return (len(L.vertices), cells, tuple(
-        a.rad if a.frac is None else a.frac.as_integer_ratio() for a in lengths))
 
 
 def _with_apartments(c, cert, budget: int, hulls: tuple | None = None

@@ -1178,3 +1178,19 @@ def discrete_extension_check(c) -> tuple[bool, dict | None]:
                                "edge": [c.vertices[i] for i in edge],
                                "detail": "edge-interior directions have empty antipode sets"}
     return True, None
+
+
+def per_vertex_most_singular(c, link_certs) -> tuple[int, list[dict]]:
+    """``decompose.most_singular_vertex`` reading the factor hint of every
+    certified vertex link, one vertex at a time."""
+    from buildctl.decompose import euclidean_factor_hint
+    from buildctl.dim1 import Diagnosis
+    best = None
+    for (vi,), (L, cert) in sorted(link_certs.items(), key=lambda kv: c.vertices[kv[0][0]]):
+        if isinstance(cert, Diagnosis):
+            continue
+        hints = euclidean_factor_hint(c, c.vertices[vi], cert)
+        score = sum(1 for h in hints if h["kind"] != "flat")
+        if best is None or score > best[0]:
+            best = (score, vi, hints)
+    return best[1], best[2]

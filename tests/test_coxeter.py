@@ -10,9 +10,10 @@ import oracles
 
 from buildctl.complexes import validate, vertex_link
 from buildctl.coxeter import (INFINITE, BudgetExceeded, CoxeterError, CoxeterMatrix,
-                              classify, cosine_form, cosine_verdicts, coxeter_complex,
-                              dihedral, generate_reflection_group,
-                              irreducible_components, named_matrix)
+                              classify, clear_group_memo, cosine_form, cosine_verdicts,
+                              coxeter_complex, coxeter_group, dihedral,
+                              generate_reflection_group, irreducible_components,
+                              named_matrix)
 from buildctl.metric_graph import MetricGraph
 from buildctl.recognizer import recognize_dim1
 
@@ -354,23 +355,132 @@ def test_model_edges_of_one_type_pair_share_one_length(name):
     assert len(records) == n * (n - 1) // 2
 
 
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Empty the group memo and patch ``generate_reflection_group``; the
+    returned list receives the matrix of every enumeration."""
+    import buildctl.coxeter as coxeter
+    coxeter.clear_group_memo()
+    seen = []
+
+    def counting(M, budget=coxeter.B_GROUP_DEFAULT):
+        seen.append(M)
+        return generate_reflection_group(M, budget=budget)
+
+    monkeypatch.setattr(coxeter, "generate_reflection_group", counting)
+    yield seen
+    coxeter.clear_group_memo()
+
+
 @pytest.mark.parametrize("name", _SMALL)
-def test_group_and_model_budgets_match_the_rounded_key_oracle(name):
+def test_group_and_model_budgets_match_the_rounded_key_oracle(name, enumerations):
     """Every budget from 1 to |W| + 1 ends the enumeration exactly when the
-    rounding-based oracle does, with the same message."""
+    rounding-based oracle does, with the same message, whether each call
+    enumerates the group (cold: the memo emptied before it) or reads the
+    model an earlier call kept (warm)."""
     M = _model_matrix(name)
     order = len(oracles.reference_reflection_group(M, 10 ** 6))
 
-    def outcome(fn, budget):
+    def outcome(fn, budget, warm=False):
+        if not warm:
+            clear_group_memo()
         try:
             out = fn(M, budget=budget)
         except BudgetExceeded as exc:
             return str(exc)
-        return len(out.elements if fn is coxeter_complex else out)
+        return len(out.elements if fn in (coxeter_group, coxeter_complex) else out)
 
     for budget in range(1, order + 2):
         want = outcome(oracles.reference_reflection_group, budget)
         assert want == (order if budget >= order
                         else f"group enumeration exceeded budget {budget}")
         assert outcome(generate_reflection_group, budget) == want, (name, budget)
+        assert outcome(coxeter_group, budget) == want, (name, budget)
         assert outcome(coxeter_complex, budget) == want, (name, budget)
+    assert enumerations == [M] * (2 * order + 2)
+    enumerations.clear()
+    clear_group_memo()
+    coxeter_group(M)
+    for budget in range(1, order + 2):
+        want = outcome(oracles.reference_reflection_group, budget, warm=True)
+        assert outcome(coxeter_group, budget, warm=True) == want, (name, budget)
+        assert outcome(coxeter_complex, budget, warm=True) == want, (name, budget)
+    assert enumerations == [M]
+
+
+@pytest.mark.parametrize("name", _MODELS)
+def test_kept_model_refuses_every_budget_below_its_order(name, enumerations):
+    """A kept model raises the enumeration's message for every budget below
+    |W| (checked against a cold enumeration at 1, |W| / 2 and |W| - 1) and
+    is returned from |W| on, with no enumeration."""
+    M = _model_matrix(name)
+    order = len(coxeter_group(M).elements)
+    cold = {}
+    for budget in {1, order // 2, order - 1} - {0}:
+        with pytest.raises(BudgetExceeded) as exc:
+            generate_reflection_group(M, budget=budget)
+        cold[budget] = str(exc.value)
+    enumerations.clear()
+    for budget in range(order - 1, -2, -1):
+        with pytest.raises(BudgetExceeded) as exc:
+            coxeter_group(M, budget=budget)
+        assert str(exc.value) == cold.get(budget, f"group enumeration exceeded budget {budget}")
+    assert coxeter_group(M, budget=order).elements == coxeter_group(M).elements
+    assert enumerations == []
+
+
+def test_memo_hit_is_the_kept_model(enumerations):
+    """A second call returns the same object and enumerates nothing; the
+    model is read-only, since every caller shares it."""
+    M = named_matrix("B3")
+    model = coxeter_group(M)
+    assert enumerations == [M]
+    assert coxeter_group(M) is model and coxeter_group(M, budget=48) is model
+    assert coxeter_complex(M).elements is model.elements
+    assert enumerations == [M]
+    assert all(isinstance(x, tuple) for x in (model.elements, model.labels, model.steps))
+    with pytest.raises(TypeError):
+        model.pair_length[0, 1] = model.pair_length[1, 2]
+
+
+def test_refusals_are_not_kept(enumerations):
+    """A1 x I2(50000) refused under budget 8 is enumerated again on the
+    next call and refused again."""
+    M = CoxeterMatrix(("a", "s", "t"), ((1, 2, 2), (2, 1, 50000), (2, 50000, 1)))
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded, match="exceeded budget 8"):
+            coxeter_group(M, budget=8)
+    assert enumerations == [M, M]
+
+
+def test_memo_keys_carry_the_generator_names(enumerations):
+    """Matrices equal up to generator names are kept apart, each model
+    naming its own matrix (which provenance and certificates compare)."""
+    M, N = dihedral(5), dihedral(5, names=("x", "y"))
+    assert coxeter_group(M).system == M and coxeter_group(N).system == N
+    assert coxeter_group(M).system == M and coxeter_group(N).system == N
+    assert coxeter_complex(N).complex.provenance == "coxeter_complex(x-y:5)"
+    assert enumerations == [M, N]
+
+
+def test_memo_keeps_at_most_32_models(enumerations):
+    """After 40 dihedral groups the memo holds 32, the oldest dropped: the
+    first is enumerated again, the last is not."""
+    import buildctl.coxeter as coxeter
+    for m in range(3, 43):
+        coxeter_group(dihedral(m))
+    assert len(coxeter._GROUP_MEMO) <= 32
+    enumerations.clear()
+    coxeter_group(dihedral(42))
+    assert enumerations == []
+    coxeter_group(dihedral(3))
+    assert enumerations == [dihedral(3)]
+
+
+def test_rank0_group_is_never_refused(enumerations):
+    """The empty system's group is the identity, which no budget refuses,
+    cold or kept."""
+    M = CoxeterMatrix((), ())
+    for budget in (0, -1, 1, 0):
+        assert len(coxeter_group(M, budget=budget).elements) == 1
+    assert enumerations == [M]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from buildctl.angles import Angle
 from buildctl.complexes import (MetricComplex, discrete_complex,
                                 orthogonal_join, vertex_link)
@@ -151,6 +152,57 @@ def test_most_singular_vertex_deterministic(a2_window):
     assert hints == euclidean_factor_hint(a2_window.complex, interiors[0],
                                           cert.link_certificates[(v,)][1])
     assert hints == cert.factors
+
+
+def _tree_product(edges1, n1, edges2, n2) -> MetricComplex:
+    """The product of two trees on vertices 0..n1-1 and 0..n2-1, unit
+    squares cut on a diagonal; vertex (u, w) is named p<u>_<w>."""
+    at = lambda u, w: u * n2 + w
+    one, diagonal = Angle(rad=1.0), Angle(rad=math.sqrt(2))
+    cells, lengths = [], {}
+    for u, x in edges1:
+        for w, y in edges2:
+            a, b, c, d = at(u, w), at(u, y), at(x, w), at(x, y)
+            cells += [(a, b, d), (a, c, d)]
+            lengths.update({(a, b): one, (c, d): one, (a, c): one, (b, d): one, (a, d): diagonal})
+    return MetricComplex("euclidean", [f"p{u}_{w}" for u in range(n1) for w in range(n2)],
+                         cells, [(*e, a) for e, a in lengths.items()])
+
+
+def _factor_inputs():
+    """The A2 windows of radius 3 to 6, the radius-3 window with one edge
+    1e-13 of its length longer (its two end links are another class), the
+    three-page book, whose spine links name poles, the path 1-0-2-{3, 4}
+    times the star K1,3, whose interior vertex p0_0 (link K2,3 subdivided)
+    scores less than the later p2_0 (link K3,3 subdivided), and the
+    Euclidean cones over K3,3, the octahedron, S0 * (three points), the B3
+    Coxeter complex and S0*K3,3."""
+    from buildctl.complexes import suspension
+    from buildctl.corpus import gen_a2_window, gen_octahedron, gen_rank2_building
+    from buildctl.coxeter import coxeter_complex, named_matrix
+    from test_recognizer import _euclidean_cone, _length_edits, _three_page_book
+    windows = [gen_a2_window(r).complex for r in range(3, 7)]
+    k33 = gen_rank2_building("complete_bipartite", 3)
+    bases = [k33, gen_octahedron(), suspension(discrete_complex(["y0", "y1", "y2"])),
+             coxeter_complex(named_matrix("B3")).complex, suspension(k33)]
+    trees = _tree_product([(0, 1), (0, 2), (2, 3), (2, 4)], 5, [(0, 1), (0, 2), (0, 3)], 4)
+    return (windows + [_length_edits(windows[0])[2], _three_page_book(), trees]
+            + [euclidean_cone(b) for b in bases[:3]] + [_euclidean_cone(b) for b in bases[3:]])
+
+
+def test_factor_hints_read_once_per_link_class_are_the_per_vertex_hints():
+    """``most_singular_vertex`` reads one vertex per link class; its vertex
+    and hints, and the certificate's ``factors``, are those of the oracle
+    that reads every vertex, also where a later class scores higher."""
+    from buildctl.recognizer import check_euclidean
+    for c in _factor_inputs():
+        cert = check_euclidean(c, "window")
+        assert isinstance(cert, BuildingCertificate), c.provenance
+        want = oracles.per_vertex_most_singular(c, cert.link_certificates)
+        assert most_singular_vertex(c, cert.link_certificates) == want
+        assert cert.factors == want[1]
+        if c.vertices[0] == "p0_0":         # the tree product: the later class wins
+            assert c.vertices[want[0]] == "p2_0"
 
 
 def test_join_decompose_suspended_heawood(s0_heawood, s0_heawood_cert):

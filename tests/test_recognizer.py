@@ -449,9 +449,10 @@ def _cycle4(m, prefix):
 
 
 def _group_budgets(monkeypatch):
-    """Patch ``coxeter.generate_reflection_group``; the returned list
-    receives the budget of every enumeration."""
+    """Empty the group memo and patch ``coxeter.generate_reflection_group``;
+    the returned list receives the budget of every enumeration."""
     import buildctl.coxeter as coxeter
+    coxeter.clear_group_memo()
     budgets = []
     original = coxeter.generate_reflection_group
 
@@ -912,10 +913,9 @@ def test_link_class_sharing_changes_no_answer(label, monkeypatch):
     of the dimension-1 gates.  With that sharing patched out, the same fresh
     complex gets the same ``check_euclidean`` answer and flags, and every
     link memoized under it the same validation and local certificate."""
-    import buildctl.recognizer as recognizer
     shared = _SHARING_INPUTS[label]()
     with monkeypatch.context() as m:
-        m.setattr(recognizer, "_link_class", lambda L: None)
+        m.setattr(MetricComplex, "graph_class", property(lambda L: None))
         alone = _SHARING_INPUTS[label]()
         want = check_euclidean(alone, "window")
     _same_answer(check_euclidean(shared, "window"), want)
@@ -989,7 +989,7 @@ def test_window_links_pay_once_per_shape(radius, interior, monkeypatch):
 
 
 def _edge_by_edge_class(L):
-    """``recognizer._link_class`` read edge by edge: the vertex count, the
+    """``MetricComplex.graph_class`` read edge by edge: the vertex count, the
     top cells and the length of each, looked up by its edge."""
     return (len(L.vertices), L.top_cells, tuple(
         a.rad if a.frac is None else a.frac.as_integer_ratio()
@@ -1002,7 +1002,6 @@ def test_link_class_keys_each_length_on_its_edge():
     them, an A2 window's hexagon link, a copy of it with its lengths entered
     in another order and every graph link memoized by ``check_euclidean`` on
     the sharing inputs gets the class read edge by edge."""
-    from buildctl.recognizer import _link_class
     half, third = Angle.exact(1, 2), Angle.exact(1, 3)
     names = ["a", "b", "c", "d"]
     cells = [(0, 1), (0, 3), (1, 2), (2, 3)]
@@ -1012,20 +1011,20 @@ def test_link_class_keys_each_length_on_its_edge():
                         [(0, 3, half), (0, 1, third), (1, 2, half), (2, 3, third)])
     assert one.top_cells == two.top_cells == tuple(cells)
     assert list(one.lengths.values()) == list(two.lengths.values())
-    assert _link_class(one) != _link_class(two)
+    assert one.graph_class != two.graph_class
     hexagon = vertex_link(gen_a2_window(2).complex, "0_0")
     moved = MetricComplex("spherical", hexagon.vertices, hexagon.top_cells,
                           [(*sorted(e), a) for e, a in reversed(hexagon.lengths.items())])
     assert list(moved.lengths) != list(hexagon.lengths)
     for L in (one, two, hexagon, moved):
-        assert _link_class(L) == _edge_by_edge_class(L)
+        assert L.graph_class == _edge_by_edge_class(L)
     links = 0
     for label, make in sorted(_SHARING_INPUTS.items()):
         c = make()
         check_euclidean(c, "window")
         for _, L in _memoized_links(c):
             if L.dimension == 1:
-                assert _link_class(L) == _edge_by_edge_class(L), label
+                assert L.graph_class == _edge_by_edge_class(L), label
                 links += 1
     assert links > 100
 
@@ -1333,7 +1332,9 @@ def test_memo_keeps_no_budget(k33):
 def test_one_group_per_check(heawood, monkeypatch):
     """Local certificates read only the sign test of the cosine form: the
     one group a check enumerates is that of the model its apartments are
-    compared with, and no classification runs."""
+    compared with, and no classification runs.  The group memo starts
+    empty, and the same check repeated on a fresh copy of the complex
+    enumerates no group."""
     import buildctl.coxeter as coxeter
     groups = []
     original = coxeter.generate_reflection_group
@@ -1347,11 +1348,35 @@ def test_one_group_per_check(heawood, monkeypatch):
 
     monkeypatch.setattr(coxeter, "generate_reflection_group", counting)
     monkeypatch.setattr(coxeter, "classify", no_classify)
-    for c in (suspension(heawood), suspension(suspension(heawood)), gen_octahedron()):
+    for make in (lambda: suspension(heawood), lambda: suspension(suspension(heawood)),
+                 gen_octahedron):
+        coxeter.clear_group_memo()
         groups.clear()
-        cert = check_spherical(c)
+        cert = check_spherical(make())
         assert cert.apartments_exhaustive and not cert.flags
         assert groups == [cert.coxeter_matrix]
+        groups.clear()
+        assert check_spherical(make()).to_report() == cert.to_report()
+        assert groups == []
+
+
+def test_repeated_a4_checks_enumerate_no_group(monkeypatch):
+    """A second check of the A4 Coxeter complex, or of its JSON copy,
+    enumerates no group: the first check keeps the model it enumerated
+    (under the chamber count), and every repeat gives the same report."""
+    from buildctl.complexes import loads
+    from buildctl.coxeter import CoxeterMatrix
+    A4 = CoxeterMatrix(("s0", "s1", "s2", "s3"),
+                       ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)))
+    text = coxeter_complex(A4).complex.dumps()
+    budgets = _group_budgets(monkeypatch)
+    copy = check_spherical(loads(text)).to_report()
+    assert budgets == [120]
+    budgets.clear()
+    assert check_spherical(loads(text)).to_report() == copy
+    built = check_spherical(coxeter_complex(A4).complex).to_report()
+    assert check_spherical(coxeter_complex(A4).complex).to_report() == built
+    assert budgets == []
 
 
 def test_link_certificates_hold_their_link(k33):
