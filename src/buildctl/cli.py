@@ -1,15 +1,17 @@
 """buildctl: command-line recognition and generation of building complexes.
 
 Exit codes: 0 certified / success, 1 diagnosed failure, 2 undecided (a
-certificate flag starting with one of UNDECIDED_MARKERS, or a budget that
-ran out), 3 input or usage error.
+certificate flag starting with one of UNDECIDED_MARKERS, the ``unknown_pi1``
+diagnosis of a strict Euclidean check, or a budget that ran out), 3 input
+or usage error.
 Budgets can be overridden through the BUILDCTL_BUDGETS environment variable,
 a JSON object of positive integers such as {"B_group": 100000, "B_apt": 10000}.
 ``B_apt`` bounds the hull searches of dimension >= 2 only: a graph's
 apartments are counted, never searched, so a budget leaves it decided.
 Each command imports the modules it runs inside its function, after reading
 its input: ``check`` and ``decompose`` of a spherical graph or discrete set
-load ``dim1``, not ``recognizer`` (with its ``geodesics`` and ``homotopy``),
+load ``dim1``, not ``recognizer`` (with its ``geodesics``, and ``homotopy``
+for strict Euclidean checks),
 and ``gen`` loads ``coxeter`` for ``coxeter-complex`` only.  buildctl's
 records are plain classes and no command loads ``inspect``, so a process
 compiles no generated code at start-up.  Every command runs on the
@@ -39,8 +41,8 @@ EXIT_DIAGNOSED = 1
 EXIT_UNDECIDED = 2
 EXIT_INPUT = 3
 
-UNDECIDED_MARKERS = ("global_cat1_unverified", "unknown_pi1",
-                     "apartment_axiom2_unverified", "apartments_sampled")
+UNDECIDED_MARKERS = ("global_cat1_unverified", "apartment_axiom2_unverified",
+                     "apartments_sampled")
 
 
 BUDGET_KEYS = ("B_group", "B_apt", "branch_budget")

@@ -16,7 +16,7 @@ from .angles import Angle
 from .complexes import (ComplexError, MetricComplex, orthogonal_join,
                         vertex_link)
 from .coxeter import irreducible_components
-from .dim1 import (SUSPENSION, THICK, BuildingCertificate, Diagnosis, IntegrityError,
+from .dim1 import (SUSPENSION, THICK, THIN, BuildingCertificate, Diagnosis, IntegrityError,
                    _subcomplex, _vertex_types, check_dim1)
 
 RIGHT = Angle.exact(1, 2)
@@ -163,7 +163,10 @@ def euclidean_factor_hint(c: MetricComplex, x, link_cert) -> list[dict]:
     Each irreducible diagram component of the certified link contributes one
     factor hint: a thick rank-1 component is a tree direction, a thin rank-1
     component is a flat direction (aggregated into a single R^l hint), and a
-    rank >= 2 component is an irreducible building or cone factor.
+    rank >= 2 component is an irreducible building or cone factor.  A graph
+    link is read off its certificate: a thick K_{s,t} (m = 2) is two trees
+    with the two sides of its suppressed graph as branching, and a thin
+    circle with m = 2 or no dihedral m is a flat point.
     """
     if isinstance(link_cert, Diagnosis):
         raise ComplexError("link is not certified; run the recognizer first")
@@ -178,14 +181,14 @@ def euclidean_factor_hint(c: MetricComplex, x, link_cert) -> list[dict]:
                 hints.append({"kind": "tree", "branching": size})
             else:
                 flat_dims += 1
+        elif link_cert.verdict == THIN and link_cert.m in (None, 2):
+            flat_dims += 2          # a square, or a circle with no dihedral m
         elif link_cert.m == 2:
-            types = _vertex_types(vertex_link(c, xi))
-            sides = [sum(1 for t in types if t == 0), sum(1 for t in types if t == 1)]
-            for size in sorted(sides):
-                if size >= 3:
-                    hints.append({"kind": "tree", "branching": size})
-                else:
-                    flat_dims += 1
+            # suppressed, the link is K_{s,t}: vertex 0 is joined to the whole other side
+            sup = link_cert.graph.suppress_degree2()
+            side = sup.valence(0)
+            for size in sorted((side, len(sup.vertices) - side)):
+                hints.append({"kind": "tree", "branching": size})
         else:
             hints.append({"kind": "irreducible", "rank": 2, "m": link_cert.m,
                           "thick": link_cert.verdict == THICK})

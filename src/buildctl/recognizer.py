@@ -19,9 +19,12 @@ links are buildings and no link is certified.  The link recursion, the
 local certificate ``_certify``, runs only when something fails: it names
 the first failing local gate, and when every local gate passes the failed
 axiom is the diagnosis.  The axioms are checked exactly, never by sampling.
-Global CAT(1) in dimension 2 is never guessed: certificates carry an
-explicit unverified flag unless the complex was produced by a
-curvature-preserving construction.
+No spherical check computes a fundamental group: a spherical building is
+CAT(1) (Bridson-Haefliger II.10A) and, from dimension 2 on, simply
+connected (Solomon-Tits).  Global CAT(1) is never guessed either: the one
+verdict builder both routes share flags every certificate unverified unless
+the complex was produced by a curvature-preserving construction.  Only
+strict ``check_euclidean`` computes pi_1.
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ import math
 from collections import Counter
 from typing import Sequence
 
+from .angles import Angle
 from .complexes import (EUCLIDEAN, SPHERICAL, ComplexError, MetricComplex, cell_link,
                         vertex_link)
-from .coxeter import (BudgetExceeded, CoxeterGroupModel, CoxeterMatrix, cosine_form,
-                      cosine_verdicts, coxeter_group)
+from .coxeter import (BudgetExceeded, CoxeterGroupModel, CoxeterMatrix, cosine_verdicts,
+                      coxeter_group)
 from .decompose import find_suspension_poles, most_singular_vertex
 from .dim1 import (  # noqa: F401  (some only for the callers that import them from here)
     APARTMENTS_INCOMPATIBLE, B_APT_DEFAULT, BUILDING, CODIM1,
@@ -46,10 +50,6 @@ from .dim1 import (  # noqa: F401  (some only for the callers that import them f
     _vertex_types, _walk_cycle, check_dim1, enumerate_apartments_dim1, recognize_dim1)
 from .homotopy import NONTRIVIAL, UNKNOWN, simple_connectivity
 from .metric_graph import MetricGraph
-
-# Separates -cos(pi/m) from -cos(pi/(m+1)) up to m ~ 1000; the guess it
-# admits is checked edge by edge by the model walk.
-EPS_CHAMBER = 1e-6
 
 # -- spherical recognition, dimension >= 2 --------------------------------------------
 
@@ -88,8 +88,10 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     ``apartments_sampled``, and ``apartment_axiom2_unverified`` if a
     chamber pair is still uncovered.
 
-    Global CAT(1) is decided only for by-construction inputs (provenance);
-    otherwise the certificate carries ``global_cat1_unverified``.
+    Neither route computes a fundamental group.  Global CAT(1) is decided
+    only for by-construction inputs (provenance): otherwise
+    ``_spherical_certificate``, which both routes call, flags the
+    certificate ``global_cat1_unverified``.
     """
     if c.dimension <= 1:
         return check_dim1(c)
@@ -123,10 +125,7 @@ def _axiom_certificate(c: MetricComplex, budget: int
     except BudgetExceeded:
         return None, None
     hulls = _walked_hulls(c, types, model, budget)
-    cert = _spherical_certificate(c, M, types, panel_counts)
-    if c.provenance is None:
-        cert.flags = tuple(sorted({*cert.flags, FLAG_GLOBAL_UNVERIFIED}))
-    res = _with_apartments(c, cert, budget, hulls)
+    res = _with_apartments(c, _spherical_certificate(c, M, types, panel_counts), budget, hulls)
     if isinstance(res, BuildingCertificate) and res.apartments_exhaustive:
         return res, hulls
     return None, hulls
@@ -174,22 +173,6 @@ def _local_certificate(c: MetricComplex) -> BuildingCertificate | Diagnosis:
             "matrix": M.to_json_dict()})
     cert = _spherical_certificate(c, M, types, panel_counts)
     cert.link_certificates = link_certs
-    flags = list(cert.flags)
-    # global curvature
-    if c.provenance is not None:
-        pass   # by-construction CAT(1)
-    elif n >= 3:
-        pi1 = simple_connectivity(c)
-        if pi1.status == NONTRIVIAL:
-            return Diagnosis(NOT_SIMPLY_CONNECTED, {"loop": pi1.witness_loop})
-        if pi1.status == UNKNOWN:
-            flags.append(FLAG_GLOBAL_UNVERIFIED + ":" + UNKNOWN_PI1)
-        elif any(f.startswith(FLAG_GLOBAL_UNVERIFIED)
-                 for _, sub in link_certs.values() for f in sub.flags):
-            flags.append(FLAG_GLOBAL_UNVERIFIED)
-    else:
-        flags.append(FLAG_GLOBAL_UNVERIFIED)
-    cert.flags = tuple(sorted(set(flags)))
     return cert
 
 
@@ -216,9 +199,13 @@ def _panel_counts(c: MetricComplex) -> set[int] | Diagnosis:
 def _spherical_certificate(c: MetricComplex, M: CoxeterMatrix, types, panel_counts
                            ) -> BuildingCertificate:
     """The verdict from the panel counts and the suspension poles, flagged
-    ``apartments_sampled`` until the apartment layer runs."""
+    ``apartments_sampled`` until the apartment layer runs, and
+    ``global_cat1_unverified`` unless a curvature-preserving construction
+    made the complex (provenance)."""
     poles = find_suspension_poles(c)
     flags = [FLAG_SAMPLED]
+    if c.provenance is None:
+        flags.append(FLAG_GLOBAL_UNVERIFIED)
     if panel_counts == {2}:
         verdict = THIN
     elif poles is not None:
@@ -359,26 +346,22 @@ def _chamber_coxeter(c: MetricComplex, types) -> CoxeterMatrix | None:
     In a building every chamber is a typed copy of the model's fundamental
     chamber, whose dihedral angle at the face of cotype {i, j} is pi/m_ij.
     With the vertices in type order, the inverse G^-1 of the chamber's Gram
-    matrix normalized to a unit diagonal is -cos(theta_ij) off the diagonal,
-    where cos theta_ij = -G^-1_ij / sqrt(G^-1_ii G^-1_jj); it must equal
-    ``cosine_form(M)`` to within ``EPS_CHAMBER``.  A wrong guess only fails
-    (B0), which compares every edge length with the model's."""
+    matrix gives cos theta_ij = -G^-1_ij / sqrt(G^-1_ii G^-1_jj), and each
+    theta_ij is read as pi/m by the one rule for link edges
+    (``_length_to_m``).  A wrong guess only fails (B0), which compares every
+    edge length with the model's."""
     from .linalg import inverse
     cell = sorted(c.top_cells[0], key=types.__getitem__)
     inv = inverse(c.gram(cell))
-    scale = [math.sqrt(inv[i][i]) for i in range(len(cell))]
-    form = [[x / (si * sj) for x, sj in zip(row, scale)] for row, si in zip(inv, scale)]
     n = len(cell)
     rows = [[1] * n for _ in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        m = round(math.pi / math.acos(min(max(-form[i][j], -1.0), 1.0)))
-        if m < 2:
+        cos = -inv[i][j] / math.sqrt(inv[i][i] * inv[j][j])
+        m = _length_to_m(Angle.from_radians(math.acos(min(max(cos, -1.0), 1.0))).pi_units)
+        if m is None or m < 2:
             return None
         rows[i][j] = rows[j][i] = m
     M = CoxeterMatrix(tuple(f"s{t}" for t in range(n)), rows)
-    if max(abs(x - y) for fr, br in zip(form, cosine_form(M))
-           for x, y in zip(fr, br)) > EPS_CHAMBER:
-        return None
     # a nearly degenerate chamber may give a form that is not definite
     return M if cosine_verdicts(M)[2] == "spherical" else None
 

@@ -290,6 +290,9 @@ _MODEL_ROWS = {
     "B4": ((1, 4, 2, 2), (4, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)),
     "D4": ((1, 3, 2, 2), (3, 1, 3, 3), (2, 3, 1, 2), (2, 3, 2, 1)),
     "F4": ((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1)),
+    "H4": ((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)),
+    "A5": ((1, 3, 2, 2, 2), (3, 1, 3, 2, 2), (2, 3, 1, 3, 2), (2, 2, 3, 1, 3),
+           (2, 2, 2, 3, 1)),
 }
 _MODELS = ("A1", "A2", "B2", "G2", "A3", "B3", "H3", "A4", "B4", "D4", "F4",
            "A1xA1xA1", "A1xI2(3)")

@@ -169,6 +169,42 @@ def _tree_product(edges1, n1, edges2, n2) -> MetricComplex:
                          cells, [(*e, a) for e, a in lengths.items()])
 
 
+def test_subdivided_k33_link_hints_two_trees_of_three():
+    """In the product of the trees 1-0-2-{3, 4} and K1,3, p2_0's link is
+    K3,3 with each edge split by a diagonal: its hints are the two sides of
+    the suppressed graph, tree 3 and tree 3, not counts that take in the
+    subdivision points (tree 5 and tree 7), and so are the factors."""
+    from buildctl.recognizer import check_euclidean
+    c = _tree_product([(0, 1), (0, 2), (2, 3), (2, 4)], 5, [(0, 1), (0, 2), (0, 3)], 4)
+    cert = check_euclidean(c, "window")
+    link_cert = cert.link_certificates[(c.vertex_index("p2_0"),)][1]
+    assert link_cert.m == 2 and link_cert.verdict == "thick_building"
+    want = [{"kind": "tree", "branching": 3}, {"kind": "tree", "branching": 3}]
+    assert euclidean_factor_hint(c, "p2_0", link_cert) == want
+    assert cert.factors == want
+
+
+def test_flat_point_is_no_irreducible_factor():
+    """In (path 1-0-2-{3, 4, 5}) x (path 0-1-2-3), p0_1's link is a 2 pi
+    circle of six edges, pi/2 and pi/4, whose certificate has no dihedral
+    m: a flat point, hinted flat 2, which scores 0.  So p2_1 (link S0 * four
+    points: tree 4 and flat 1) is the most singular vertex and gives the
+    factors.  The hexagon links (m = 3) of an A2 window stay irreducible."""
+    from buildctl.corpus import gen_a2_window
+    from buildctl.recognizer import check_euclidean
+    c = _tree_product([(1, 0), (0, 2), (2, 3), (2, 4), (2, 5)], 6, [(0, 1), (1, 2), (2, 3)], 4)
+    cert = check_euclidean(c, "window")
+    link_cert = cert.link_certificates[(c.vertex_index("p0_1"),)][1]
+    assert link_cert.verdict == "thin_building" and link_cert.m is None
+    assert euclidean_factor_hint(c, "p0_1", link_cert) == [{"kind": "flat", "dim": 2}]
+    v, hints = most_singular_vertex(c, cert.link_certificates)
+    assert c.vertices[v] == "p2_1"
+    assert hints == cert.factors == [{"kind": "flat", "dim": 1},
+                                     {"kind": "tree", "branching": 4}]
+    window = check_euclidean(gen_a2_window(3).complex, "window")
+    assert window.factors == [{"kind": "irreducible", "m": 3, "rank": 2, "thick": False}]
+
+
 def _factor_inputs():
     """The A2 windows of radius 3 to 6, the radius-3 window with one edge
     1e-13 of its length longer (its two end links are another class), the

@@ -2093,6 +2093,139 @@ def test_axiom_route_certifies_exactly_when_the_local_route_does(label):
             assert check_spherical(c) == local, c.vertices
 
 
+# -- each spherical decision in one place ----------------------------------------------
+
+
+def _json_joins():
+    """S0*S0*K3,3 and S0*S0*Heawood as JSON copies, without provenance."""
+    from buildctl.complexes import loads
+    return [loads(suspension(suspension(gen_rank2_building(kind))).dumps())
+            for kind in ("complete_bipartite", "projective_plane")]
+
+
+def _w0_quotient(M):
+    """The Coxeter complex of M with each vertex identified with its image
+    under the longest element w0, vertices named q<k>.  The chamber of w0 g
+    is reached from w0, the last element, along g's word in the
+    right-multiplication table, and its vertex of each type is the image of
+    g's; when w0 = -1 (B_n) this is the antipodal quotient, an RP^(n-1)."""
+    model = coxeter_complex(M)
+    elems, labels, c = model.elements, model.labels, model.complex
+    image = {}
+    for g, row in zip(elems, labels):
+        h = len(elems) - 1
+        for s in g.word:
+            h = elems[h].right[s]
+        image.update(zip(row, labels[h]))
+    rep = {v: min(v, u) for v, u in image.items()}
+    idx = {v: k for k, v in enumerate(sorted(set(rep.values())))}
+    cells = {tuple(sorted(idx[rep[v]] for v in t)) for t in c.top_cells}
+    lengths = {tuple(sorted((idx[rep[i]], idx[rep[j]]))): c.edge_length(i, j)
+               for i, j in c.edges}
+    return MetricComplex("spherical", [f"q{k}" for k in range(len(idx))], cells,
+                         [(a, b, ln) for (a, b), ln in lengths.items()])
+
+
+def _b4():
+    from buildctl.coxeter import CoxeterMatrix
+    return CoxeterMatrix(("s0", "s1", "s2", "s3"),
+                         ((1, 4, 2, 2), (4, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)))
+
+
+@pytest.mark.parametrize("budget", [10 ** 5, 3, 1])
+def test_spherical_checks_compute_no_fundamental_group(budget, monkeypatch):
+    """A spherical building of dimension >= 2 is simply connected
+    (Solomon-Tits), so no route of ``check_spherical`` computes pi_1: not on
+    the links-workload inputs (the JSON copy of A4 among them), the JSON
+    copies of S0*S0*K3,3 and S0*S0*Heawood, whose local route a small
+    budget reaches, or the B4 quotient, which passes every local gate, under
+    any budget."""
+    import buildctl.recognizer as recognizer
+    calls = []
+    real = recognizer.simple_connectivity
+    monkeypatch.setattr(recognizer, "simple_connectivity",
+                        lambda c, *a, **k: calls.append(c.vertices) or real(c, *a, **k))
+    for c in [*_links_inputs(), *_json_joins(), _w0_quotient(_b4())]:
+        check_spherical(c, budget)
+    assert calls == []
+
+
+def test_b4_quotient_has_no_opposite_chamber():
+    """The antipodal quotient of the B4 Coxeter complex is a thin RP^3, 192
+    chambers against |W| = 384, with no provenance.  It passes every local
+    gate, and since no pi_1 is computed the apartment layer gives the
+    diagnosis, as for the dimension-2 quotients: its first chamber has no
+    chamber at gallery distance l(w0) = 16, under every budget."""
+    import buildctl.recognizer as recognizer
+    q = _w0_quotient(_b4())
+    assert len(q.top_cells) == 192 and q.provenance is None and q.validation.ok
+    assert isinstance(recognizer._certify(q), recognizer.BuildingCertificate)
+    for budget in (recognizer.B_APT_DEFAULT, 3, 1):
+        res = check_spherical(q, budget)
+        assert isinstance(res, Diagnosis) and res.condition == "no_opposite_chamber"
+        assert res.witness == {"chamber": ["q0", "q1", "q2", "q3"], "gallery_distance": 16}
+    assert _gallery_eccentricity(q, q.top_cells[0]) < 16
+
+
+_JSON_JOIN_REPORTS = [
+    '{"apartments": {"count": 1, "exhaustive": false}, "coxeter": {"generators": '
+    '["s0", "s1", "s2", "s3"], "m": [[1, 2, 2, 2], [2, 1, 2, 2], [2, 2, 1, 2], '
+    '[2, 2, 2, 1]]}, "dimension": 3, "flags": ["apartment_axiom2_unverified", '
+    '"apartments_sampled", "global_cat1_unverified"], "geometry": "spherical", '
+    '"m": null, "schema": 1, "suspension": {"base_size": 8, "poles": ["N0", "S0"]}, '
+    '"thickness": 2, "verdict": "suspension"}',
+    '{"apartments": {"count": 1, "exhaustive": false}, "coxeter": {"generators": '
+    '["s0", "s1", "s2", "s3"], "m": [[1, 2, 2, 2], [2, 1, 2, 2], [2, 2, 1, 3], '
+    '[2, 2, 3, 1]]}, "dimension": 3, "flags": ["apartment_axiom2_unverified", '
+    '"apartments_sampled", "global_cat1_unverified"], "geometry": "spherical", '
+    '"m": null, "schema": 1, "suspension": {"base_size": 16, "poles": ["N0", "S0"]}, '
+    '"thickness": 2, "verdict": "suspension"}',
+]
+
+
+def test_sampled_json_joins_keep_their_reports():
+    """Under budget 1 the JSON copies of S0*S0*K3,3 and S0*S0*Heawood leave
+    the axiom route for the local route, which now computes no pi_1: their
+    reports are the ones the pi_1 route gave, byte for byte, with the flags
+    of the sampled search and ``global_cat1_unverified`` from the one
+    provenance rule."""
+    from buildctl.cli import report_of
+    for c, want in zip(_json_joins(), _JSON_JOIN_REPORTS):
+        assert json.dumps(report_of(check_spherical(c, budget=1)), sort_keys=True) == want
+
+
+_CHAMBER_MODELS = ("A3", "B3", "H3", "A4", "B4", "D4", "F4", "H4", "A5")
+_DIHEDRAL_M = (*range(2, 9), 10, 12, 30, 97, 100, 359, 360, 361, 500, 1000, 2000)
+
+
+def _chamber_coxeter_inputs(label):
+    """(complex, its model's matrix): a Coxeter complex and its JSON copy,
+    or S0*I2(m), whose matrix is that of A1 x I2(m), for every m of
+    ``_DIHEDRAL_M``."""
+    from buildctl.complexes import loads
+    from buildctl.coxeter import CoxeterMatrix
+    from test_coxeter import _model_matrix
+    if label != "S0*I2":
+        M = _model_matrix(label)
+        c = coxeter_complex(M).complex
+        return [(c, M), (loads(c.dumps()), M)]
+    return [(suspension(coxeter_complex(named_matrix(f"I2({m})")).complex),
+             CoxeterMatrix(("s0", "s1", "s2"), ((1, 2, 2), (2, 1, m), (2, m, 1))))
+            for m in _DIHEDRAL_M]
+
+
+@pytest.mark.parametrize("label", [*_CHAMBER_MODELS, "S0*I2"])
+def test_chamber_coxeter_reads_the_model_matrix(label):
+    """``_chamber_coxeter`` reads each dihedral angle by the pi/m rule of the
+    link edges and gives the model's own matrix: on the Coxeter complexes up
+    to rank 5, H4 included, on their JSON copies, and on S0*I2(m) on both
+    sides of ``Q_MAX`` = 360, past which pi/m is no exact angle and the
+    float rule decides."""
+    import buildctl.recognizer as recognizer
+    for c, M in _chamber_coxeter_inputs(label):
+        assert recognizer._chamber_coxeter(c, recognizer._vertex_types(c)) == M, M
+
+
 # -- (B0): edge lengths by type pair, once per complex --------------------------------
 
 
