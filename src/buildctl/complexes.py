@@ -8,18 +8,26 @@ and reported by validation.
 
 All operations treat complexes as immutable after construction, and the
 caches depend on it; each is filled once and never invalidated:
+- ``validation``, one pass over the top cells (purity, missing lengths and
+  each simplex's lengths), the coverage read off the vertex stars.
+- ``_radians``, each edge's length in radians: the shapes validation hands
+  ``realizability`` and every corner angle are read off it.
 - ``_incidence``, one pass over the top cells: each vertex's star and each
-  panel's top cells.  The check path reads it: ``chamber_graph``,
-  ``_skeleton_connected``, ``vertex_link``, ``cell_link``'s membership
-  test, ``check_euclidean``'s boundary panels and thickness and the
-  suspension pole test.
+  panel's top cells.  The check path reads it: validation's coverage,
+  ``chamber_graph``, ``_skeleton_connected``, ``vertex_link`` outside
+  dimension 2, ``cell_link``'s membership test, ``check_euclidean``'s boundary
+  panels and thickness and the suspension pole test.
 - ``chamber_graph``, each top cell's neighbours across each of its panels:
   every gate of the axiom route and the vertex typing.
+- ``_star_corners``, the star pass: one pass over the 2-faces that computes
+  every corner angle and, in dimension 2, lists each vertex's link edges,
+  from which ``vertex_link`` assembles a link when it is asked for.
 - ``cofaces`` (each face -> the top cells containing it) and
   ``cells_by_dim``, the face poset: only the local route's (n-2)-cells,
-  the corner sweep above dimension 2, ``geodesics`` and ``homotopy``.
+  ``geodesics`` and ``homotopy``.
 - ``graph_class``, a graph's key up to vertex names: the recognizer shares
   one certificate, and ``most_singular_vertex`` one factor hint, per key.
+  ``vertex_link`` fills it in for the graph links it assembles.
 - the corner-angle memo and kernel, the vertex-link memo and the local
   certificate, so ``vertex_link(c, v)`` returns the same link object on
   every call and each distinct link is built, validated and certified once.
@@ -114,7 +122,9 @@ def least_gram_eigenvalues(geometry: str, simplices: Sequence[Sequence[Angle]]
 
 
 def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
-                  eps: float = EPS_GRAM) -> list[tuple[bool, str]]:
+                  eps: float = EPS_GRAM,
+                  shapes: Sequence[tuple[float, ...]] | None = None
+                  ) -> list[tuple[bool, str]]:
     """(ok, why) for each simplex of one dimension, its edge lengths given as
     in ``least_gram_eigenvalues``: a spherical edge longer than pi fails
     first, the simplex's first such edge named, then a least Gram eigenvalue
@@ -122,12 +132,13 @@ def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
     distinct ``Angle`` object is compared with pi once, however many
     simplices share it, and the simplices that reach the eigenvalue test are
     grouped by their tuple of edge radians, the only input to the Gram
-    matrix, and each shape passes when G - (eps + margin) I has a Cholesky
-    factor: lambda_min > eps exactly when G - eps I is positive definite,
-    and the margin of 1e-12 times the largest diagonal entry exceeds the
-    rounding of either algorithm, so a pass is one for the Jacobi
-    eigenvalues too.
-    Only the shapes that fail it get their least eigenvalue from
+    matrix (``shapes`` when the caller has read them, as validation does off
+    its complex's radians table; else read off the Angles), and each shape
+    passes when G - (eps + margin) I has a Cholesky factor: lambda_min > eps
+    exactly when G - eps I is positive definite, and the margin of 1e-12
+    times the largest diagonal entry exceeds the rounding of either
+    algorithm, so a pass is one for the Jacobi eigenvalues too.  Only the
+    shapes that fail it get their least eigenvalue from
     ``least_gram_eigenvalues``, which decides them and names it."""
     out: list[tuple[bool, str] | None] = [None] * len(simplices)
     if geometry == SPHERICAL:
@@ -152,7 +163,8 @@ def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
     todo = [k for k, r in enumerate(out) if r is None and simplices[k]]
     if todo and len(simplices[todo[0]]) > 1:
         from . import linalg
-        shapes = [tuple(a.radians for a in simplices[k]) for k in todo]
+        shapes = [tuple(a.radians for a in simplices[k]) for k in todo] if shapes is None \
+            else [shapes[k] for k in todo]
         one = dict(zip(shapes, (simplices[k] for k in todo)))
 
         def fails(shape):
@@ -188,14 +200,15 @@ class MetricComplex:
         if geometry not in (SPHERICAL, EUCLIDEAN):
             raise ComplexError(f"unknown geometry {geometry!r}")
         names = tuple(vertices)
-        if len(set(names)) != len(names):
+        n = len(names)
+        if len(set(names)) != n:
             raise ComplexError("duplicate vertex names")
         cells = []
         for c in top_cells:
-            t = tuple(sorted(int(i) for i in c))
+            t = tuple(sorted(map(int, c)))
             if len(set(t)) != len(t):
                 raise ComplexError(f"repeated vertex in cell {c}")
-            if t and (t[0] < 0 or t[-1] >= len(names)):
+            if t and (t[0] < 0 or t[-1] >= n):
                 raise ComplexError(f"vertex index out of range in cell {c}")
             if not t:
                 raise ComplexError("empty cell")
@@ -204,17 +217,16 @@ class MetricComplex:
         if dimension is None:
             dimension = max((len(c) - 1 for c in cells), default=-1)
         table: dict[tuple[int, int], Angle] = {}
+        keep = table.setdefault
         conflicts: list[tuple[tuple[int, int], Angle, Angle]] = []
         for i, j, a in lengths:
             if i == j:
                 raise ComplexError(f"self-edge length ({i},{i})")
-            if not (0 <= i < len(names) and 0 <= j < len(names)):
+            if not (0 <= i < n and 0 <= j < n):
                 raise ComplexError(f"edge ({i},{j}) out of range")
             e = (int(i), int(j)) if i < j else (int(j), int(i))     # ordered once
-            old = table.get(e)
-            if old is None:
-                table[e] = a
-            elif not old.equals(a):
+            old = keep(e, a)
+            if old is not a and not old.equals(a):
                 conflicts.append((e, old, a))
         self._set(geometry, names, cells, dimension, table, conflicts,
                   allow_disconnected, provenance)
@@ -272,6 +284,39 @@ class MetricComplex:
         return stars, panels
 
     @cached_property
+    def _star_corners(self) -> list[list[tuple]] | None:
+        """One pass over the 2-faces, the top cells in dimension 2 and each
+        top cell's triangles above it: every corner angle, read off the
+        radians table by ``_corner``, a corner already in
+        ``_corner_angles`` kept and every other one cached there.  In
+        dimension 2 the pass also lists, for each vertex v, the link edge of
+        each star triangle (v, u, w), u < w, in ``top_cells`` order, as
+        (u, w, corner at v, its ``_class_entry``).  None in other
+        dimensions; the corners of each triangle shape are computed once."""
+        rad, keep = self._radians, self._corner_angles.setdefault
+        injected = bool(self._corner_angles)
+        two = self.dimension == 2
+        stars = [[] for _ in self.vertices] if two else None
+        shapes: dict[tuple[float, float, float], tuple] = {}
+        for cell in self.top_cells:
+            for x, y, z in (cell,) if two else itertools.combinations(cell, 3):
+                xy, xz, yz = rad[x, y], rad[x, z], rad[y, z]
+                corners = shapes.get((xy, xz, yz))
+                if corners is None:
+                    three = (_corner(self, xy, xz, yz), _corner(self, xy, yz, xz),
+                             _corner(self, xz, yz, xy))
+                    corners = shapes[xy, xz, yz] = three + tuple(map(_class_entry, three))
+                X, Y, Z, eX, eY, eZ = corners
+                X, Y, Z = keep((x, y, z), X), keep((y, x, z), Y), keep((z, x, y), Z)
+                if two:
+                    if injected:
+                        eX, eY, eZ = map(_class_entry, (X, Y, Z))
+                    stars[x].append((y, z, X, eX))
+                    stars[y].append((x, z, Y, eY))
+                    stars[z].append((x, y, Z, eZ))
+        return stars
+
+    @cached_property
     def chamber_graph(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """The panel adjacency of the top cells (the chambers), read off
         ``_incidence``: entry [k][p] holds the other chambers, by index in
@@ -286,19 +331,13 @@ class MetricComplex:
     def graph_class(self) -> tuple | None:
         """A graph up to vertex names: its vertex count, its top cells (its
         edges) and the Angle on each, as (p, q) of an exact pi*p/q or a
-        float's radians, which hash without a Fraction; None above
-        dimension 1.  A link from ``vertex_link`` enters its lengths in edge
-        order, keyed by its edges, so they are read in that order; any other
-        graph is read edge by edge."""
+        float's radians (``_class_entry``), which hash without a Fraction;
+        None above dimension 1.  Read edge by edge; ``vertex_link`` fills it
+        in for the graph links it assembles."""
         if self.dimension != 1:
             return None
-        cells = self.top_cells
-        if tuple(self.lengths) == cells:
-            lengths = self.lengths.values()
-        else:
-            lengths = [self.lengths[e] for e in cells]
-        return (len(self.vertices), cells, tuple(
-            a.rad if a.frac is None else a.frac.as_integer_ratio() for a in lengths))
+        return (len(self.vertices), self.top_cells,
+                tuple(map(_class_entry, map(self.lengths.__getitem__, self.top_cells))))
 
     @cached_property
     def cells_by_dim(self) -> dict[int, tuple[Cell, ...]]:
@@ -337,36 +376,63 @@ class MetricComplex:
     # -- validation ---------------------------------------------------------
 
     @cached_property
+    def _radians(self) -> dict[tuple[int, int], float]:
+        """Each edge's length in radians, read once: the shapes validation
+        hands ``realizability`` and the corner angles are read off it."""
+        return {e: a.radians for e, a in self.lengths.items()}
+
+    @cached_property
     def validation(self) -> ValidationReport:
+        """Purity, vertex coverage, gluing, missing lengths, per-cell
+        realizability and connectivity, in that order.  One pass over the
+        top cells finds the impure cells and the missing lengths and
+        collects each simplex's lengths and, above dimension 1, where an
+        edge's Gram eigenvalue has a closed form, its radians; the vertex stars
+        (``_incidence``) give the coverage, and ``edges`` is built only to
+        name missing lengths."""
         issues: list[ValidationIssue] = []
-        name = lambda i: self.vertices[i]
+        name = self.vertices.__getitem__
+        n, lengths = self.dimension, self.lengths
+        length = lengths.__getitem__
+        radians = self._radians.__getitem__ if n > 1 else None
+        missing = False
+        cells, simplices, shapes = [], [], [] if radians else None
         for c in self.top_cells:
-            if len(c) - 1 != self.dimension:
+            pairs = list(itertools.combinations(c, 2))
+            if len(c) - 1 != n:
                 issues.append(ValidationIssue(
-                    "purity", tuple(name(i) for i in c),
-                    f"top cell has dimension {len(c)-1}, complex has dimension {self.dimension}"))
-        if self.dimension >= 0 and not self.top_cells:
+                    "purity", tuple(map(name, c)),
+                    f"top cell has dimension {len(c)-1}, complex has dimension {n}"))
+                missing = missing or any(e not in lengths for e in pairs)
+            elif not missing:
+                try:
+                    simplices.append(list(map(length, pairs)))
+                except KeyError:
+                    missing = True
+                    continue
+                if radians:
+                    shapes.append(tuple(map(radians, pairs)))
+                cells.append(c)
+        if n >= 0 and not self.top_cells:
             issues.append(ValidationIssue(
-                "purity", (), f"complex has dimension {self.dimension} and no top cell"))
-        covered = {v for c in self.top_cells for v in c}
-        for i in range(len(self.vertices)):
-            if i not in covered:
+                "purity", (), f"complex has dimension {n} and no top cell"))
+        for i, star in enumerate(self._incidence[0]):
+            if not star:
                 issues.append(ValidationIssue("purity", (name(i),), "vertex lies in no top cell"))
         for (i, j), a, b in self.length_conflicts:
             issues.append(ValidationIssue(
                 "gluing", (name(i), name(j)), f"edge declared with lengths {a} and {b}"))
-        lengths = self.lengths
-        missing = [e for e in self.edges if e not in lengths]
-        for e in missing:
-            issues.append(ValidationIssue(
-                "length_missing", tuple(name(i) for i in e), "edge has no declared length"))
-        if not missing and not self.length_conflicts:
-            cells = [c for c in self.top_cells if len(c) - 1 == self.dimension]
-            simplices = [[lengths[e] for e in itertools.combinations(c, 2)] for c in cells]
-            for c, (ok, why) in zip(cells, realizability(self.geometry, simplices)):
+        if missing:
+            for e in self.edges:
+                if e not in lengths:
+                    issues.append(ValidationIssue(
+                        "length_missing", tuple(map(name, e)), "edge has no declared length"))
+        elif not self.length_conflicts:
+            for c, (ok, why) in zip(cells, realizability(self.geometry, simplices,
+                                                         shapes=shapes)):
                 if not ok:
-                    issues.append(ValidationIssue("shape", tuple(name(i) for i in c), why))
-        if self.dimension >= 1 and not self.allow_disconnected and not self._skeleton_connected:
+                    issues.append(ValidationIssue("shape", tuple(map(name, c)), why))
+        if n >= 1 and not self.allow_disconnected and not self._skeleton_connected:
             issues.append(ValidationIssue("connectivity", (), "complex is not connected"))
         return ValidationReport(not issues, tuple(issues))
 
@@ -455,18 +521,25 @@ def parse_json_dict(obj: dict) -> MetricComplex:
             raise ComplexError(f"ambiguous input: edge {sorted(set(e))} declared twice")
         seen.add(e)
         lengths.append((i, j, a))
-    c = MetricComplex(geometry, vertices, top_cells, lengths, dimension=dimension)
-    missing = [e for e in c.edges if e not in c.lengths]
-    if missing:
-        if default is None:
-            raise ComplexError(
-                f"ambiguous input: {len(missing)} edges lack lengths and no default_length given")
+    # the edges of the cells without a record, in ``edges`` order, filled
+    # before the one construction; the constructor's errors (bad cells or
+    # records) still come before those about the default
+    missing = sorted({e for t in top_cells for e in itertools.combinations(sorted(t), 2)}
+                     - seen)
+    bad = None
+    if missing and default is not None:
         try:
-            d = Angle.from_json(default)
+            fill = Angle.from_json(default)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ComplexError(f"malformed default_length {default!r}: {exc}") from exc
-        lengths.extend((i, j, d) for i, j in missing)
-        c = MetricComplex(geometry, vertices, top_cells, lengths, dimension=dimension)
+            bad = exc
+        else:
+            lengths.extend((i, j, fill) for i, j in missing)
+    c = MetricComplex(geometry, vertices, top_cells, lengths, dimension=dimension)
+    if missing and default is None:
+        raise ComplexError(
+            f"ambiguous input: {len(missing)} edges lack lengths and no default_length given")
+    if bad is not None:
+        raise ComplexError(f"malformed default_length {default!r}: {bad}") from bad
     return c
 
 
@@ -489,7 +562,8 @@ def load_path(path) -> MetricComplex:
 
 
 def _vertex_angle(c: MetricComplex, v: int, u: int, w: int) -> Angle:
-    """Angle at v in the triangle (v,u,w), by the law of cosines (``_corner``).
+    """Angle at v in the triangle (v,u,w), by the law of cosines (``_corner``)
+    on the complex's radians table.
 
     Cached on ``c`` under (v, min(u, w), max(u, w)); lengths never change
     after construction.
@@ -497,10 +571,15 @@ def _vertex_angle(c: MetricComplex, v: int, u: int, w: int) -> Angle:
     key = (v, u, w) if u < w else (v, w, u)
     ang = c._corner_angles.get(key)
     if ang is None:
-        ang = c._corner_angles[key] = _corner(
-            c, c.edge_length(v, u).radians, c.edge_length(v, w).radians,
-            c.edge_length(u, w).radians)
+        rad = c._radians
+        edge = lambda i, j: rad[(i, j) if i < j else (j, i)]
+        ang = c._corner_angles[key] = _corner(c, edge(v, u), edge(v, w), edge(u, w))
     return ang
+
+
+def _class_entry(a: Angle):
+    """An Angle's entry in ``MetricComplex.graph_class``."""
+    return a.rad if a.frac is None else a.frac.as_integer_ratio()
 
 
 def _corner(c: MetricComplex, a: float, b: float, opp: float) -> Angle:
@@ -527,33 +606,20 @@ def _corner(c: MetricComplex, a: float, b: float, opp: float) -> Angle:
     return ang
 
 
-def _sweep_corners(c: MetricComplex) -> None:
-    """Cache every corner of every 2-face of ``c``, reading each face's
-    three lengths once; a corner already cached is kept.  In dimension 2
-    the 2-faces are the top cells, and only above it is the face poset
-    (``cells_by_dim``) built."""
-    rad = {e: a.radians for e, a in c.lengths.items()}
-    corners = c._corner_angles
-    faces = c.top_cells if c.dimension == 2 else c.cells_by_dim.get(2, ())
-    for x, y, z in faces:
-        xy, xz, yz = rad[x, y], rad[x, z], rad[y, z]
-        for key, a, b, opp in (((x, y, z), xy, xz, yz), ((y, x, z), xy, yz, xz),
-                               ((z, x, y), xz, yz, xy)):
-            if key not in corners:
-                corners[key] = _corner(c, a, b, opp)
-
-
 def vertex_link(c: MetricComplex, v) -> MetricComplex:
     """The link of a vertex: unit tangent directions, a spherical complex of
     dimension n-1 whose edge lengths are the vertex angles of incident cells.
 
     Memoized on ``c`` by vertex index: a later call returns the same object,
     so the link's own caches (validation, faces, its vertex links) are shared.
-    The first call caches every corner angle of ``c`` (``_sweep_corners``).
-    As ``c`` is valid, the link's cells come out sorted, distinct and in
-    range; it is stored as ``__init__`` would store it, without the checks.
-    The link of a 2-complex is a graph: each star triangle is unpacked into
-    its link edge directly, and the lengths are entered in edge order.
+    The first call runs the complex's one pass over its 2-faces
+    (``MetricComplex._star_corners``), which caches every corner angle.  As
+    ``c`` is valid, the link's cells come out sorted, distinct and in range;
+    it is stored as ``__init__`` would store it, without the checks.  The
+    link of a 2-complex is a graph, assembled from the link edges that pass
+    listed for its vertex, with its ``graph_class`` filled in from the same
+    lists; any other link is read off the vertex's star (``_incidence``)
+    and the cached corners.
     """
     c.require_valid()
     vi = c.vertex_index(v)
@@ -562,25 +628,28 @@ def vertex_link(c: MetricComplex, v) -> MetricComplex:
         return link
     if c.dimension < 1:
         raise ComplexError("a vertex of a 0-dimensional complex has an empty link")
-    if not c._vertex_links:
-        _sweep_corners(c)
-    stars = c._incidence[0][vi]
-    neighbors = sorted({u for cell in stars for u in cell if u != vi})
+    stars = c._star_corners
+    if stars is not None:
+        us, ws, angles, entries = zip(*stars[vi])
+        neighbors = sorted({*us, *ws})
+        at = dict(zip(neighbors, range(len(neighbors)))).__getitem__
+        cells = tuple(zip(map(at, us), map(at, ws)))
+        link = MetricComplex.__new__(MetricComplex)._set(
+            SPHERICAL, tuple(map(c.vertices.__getitem__, neighbors)), cells, 1,
+            dict(zip(cells, angles)), [], True, None)
+        link.__dict__["graph_class"] = (len(neighbors), cells, entries)
+        c._vertex_links[vi] = link
+        return link
+    corners = c._corner_angles
+    star = c._incidence[0][vi]
+    neighbors = sorted({u for cell in star for u in cell if u != vi})
     index = {u: k for k, u in enumerate(neighbors)}
     cells, lengths = [], {}
-    corners = c._corner_angles
-    if c.dimension == 2:
-        for x, y, z in stars:
-            u, w = (y, z) if x == vi else (x, z) if y == vi else (x, y)
-            e = (index[u], index[w])
-            cells.append(e)
-            lengths[e] = corners[vi, u, w]
-    else:
-        for cell in stars:
-            rest = [u for u in cell if u != vi]
-            cells.append(tuple(index[u] for u in rest))
-            for u, w in itertools.combinations(rest, 2):
-                lengths[index[u], index[w]] = corners[vi, u, w]
+    for cell in star:
+        rest = [u for u in cell if u != vi]
+        cells.append(tuple(index[u] for u in rest))
+        for u, w in itertools.combinations(rest, 2):
+            lengths[index[u], index[w]] = corners[vi, u, w]
     link = MetricComplex.__new__(MetricComplex)._set(
         SPHERICAL, tuple(c.vertices[u] for u in neighbors), tuple(cells),
         c.dimension - 1, lengths, [], True, None)

@@ -255,8 +255,8 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
         res = certify(L)
         if isinstance(res, Diagnosis):
             return Diagnosis(LINK_FAILURE, {"cell": [c.vertices[i] for i in cell]}, inner=res)
-        if key is not None and res.poles is None:
-            classes.setdefault(key, L)
+        if first is None and key is not None and res.poles is None:
+            classes[key] = L
         out[cell] = (L, res)
     return out
 
@@ -484,7 +484,7 @@ def _model_walk(c: MetricComplex, typed: tuple, hull: int, model: CoxeterGroupMo
     if lengths_fit:
         return None, image, back
     chambers = c.top_cells
-    for a, b, ln in model.edge_lengths():
+    for a, b, ln in model.edge_lengths:
         x, y = vmap[a], vmap[b]
         if not ln.equals(c.edge_length(x, y)):
             return next(k for k in _bits(hull) if x in chambers[k] and y in chambers[k]), \

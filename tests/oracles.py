@@ -38,9 +38,11 @@ hull enumeration, of the apartments that a dimension-1 certificate only
 counts.  Coxeter complexes: the earlier construction with orthogonal
 matrices from the square root of the cosine form, rounded matrix and
 vertex keys and one ``acos`` per edge.  Realizability: one ``eigvalsh`` call per
-simplex.  Kleiner-Leeb charts: random straight segments in a window's flat
-frame must each lie in one chart, and overlapping charts must differ by a
-rigid motion (``verify_def52``).
+simplex.  Validation: the earlier report, with its set of covered vertices,
+its scan of every edge for a missing length and ``realizability`` reading
+the radians off each cell's Angles.  Kleiner-Leeb charts: random straight
+segments in a window's flat frame must each lie in one chart, and
+overlapping charts must differ by a rigid motion (``verify_def52``).
 """
 
 from __future__ import annotations
@@ -1023,6 +1025,44 @@ def per_cell_realizable(geometry: str, lengths, eps: float,
         kind = "Gram" if geometry == "spherical" else "Cayley-Menger"
         return False, f"{kind} matrix not positive definite (min eigenvalue {w0:.3e})"
     return True, ""
+
+
+def scan_validation(c):
+    """The earlier ``MetricComplex.validation``: the impure cells, a set of
+    covered vertices, the conflicts, every edge (``c.edges``) scanned for a
+    missing length, then ``realizability`` on the Angles of the pure cells
+    and the connectivity search, each issue kind in that order."""
+    from buildctl.complexes import ValidationIssue, ValidationReport, realizability
+    issues = []
+    name = lambda i: c.vertices[i]
+    for t in c.top_cells:
+        if len(t) - 1 != c.dimension:
+            issues.append(ValidationIssue(
+                "purity", tuple(name(i) for i in t),
+                f"top cell has dimension {len(t)-1}, complex has dimension {c.dimension}"))
+    if c.dimension >= 0 and not c.top_cells:
+        issues.append(ValidationIssue(
+            "purity", (), f"complex has dimension {c.dimension} and no top cell"))
+    covered = {v for t in c.top_cells for v in t}
+    for i in range(len(c.vertices)):
+        if i not in covered:
+            issues.append(ValidationIssue("purity", (name(i),), "vertex lies in no top cell"))
+    for (i, j), a, b in c.length_conflicts:
+        issues.append(ValidationIssue(
+            "gluing", (name(i), name(j)), f"edge declared with lengths {a} and {b}"))
+    missing = [e for e in c.edges if e not in c.lengths]
+    for e in missing:
+        issues.append(ValidationIssue(
+            "length_missing", tuple(name(i) for i in e), "edge has no declared length"))
+    if not missing and not c.length_conflicts:
+        cells = [t for t in c.top_cells if len(t) - 1 == c.dimension]
+        simplices = [[c.lengths[e] for e in itertools.combinations(t, 2)] for t in cells]
+        for t, (ok, why) in zip(cells, realizability(c.geometry, simplices)):
+            if not ok:
+                issues.append(ValidationIssue("shape", tuple(name(i) for i in t), why))
+    if c.dimension >= 1 and not c.allow_disconnected and not c._skeleton_connected:
+        issues.append(ValidationIssue("connectivity", (), "complex is not connected"))
+    return ValidationReport(not issues, tuple(issues))
 
 
 @dataclass(frozen=True)

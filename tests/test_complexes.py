@@ -229,6 +229,129 @@ def test_parser_applies_default_length():
     assert all(c2.edge_length(i, j) == Angle.exact(1, 2) for i, j in c2.edges)
 
 
+def _defaulted_records(c, seed):
+    """c's JSON record with a seeded third of its edge records dropped and a
+    ``default_length`` of 5pi/12, and the same record with the dropped
+    edges declared explicitly at that length, in edge order."""
+    import json
+    obj = c.to_json_dict()
+    rng = random.Random(seed)
+    kept = [r for r in obj["edge_lengths"] if rng.random() > 1 / 3]
+    dropped = sorted(tuple(r["edge"]) for r in obj["edge_lengths"] if r not in kept)
+    explicit = kept + [{"edge": list(e), "pi": [5, 12]} for e in dropped]
+    return (json.dumps({**obj, "edge_lengths": kept, "default_length": {"pi": [5, 12]}}),
+            json.dumps({**obj, "edge_lengths": explicit}), len(dropped))
+
+
+@pytest.mark.parametrize("label", ["corpus:complete-bipartite", "corpus:octahedron",
+                                   "corpus:a2-window", "model:A3", "json:B3", "model:A4"])
+def test_default_length_parse_builds_the_complex_once(label, monkeypatch):
+    """A record whose default fills a third of its edges is built by one
+    ``MetricComplex.__init__`` and gives the complex, JSON and validation
+    report of the record with those edges declared; without the default, or
+    with a malformed one, the parser names them as before."""
+    import json
+    c = _validation_corpus()[label]
+    text, explicit, count = _defaulted_records(c, label)
+    assert count > 0
+    inits, init = [], MetricComplex.__init__
+
+    def spy(self, *args, **kwargs):
+        inits.append(1)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(MetricComplex, "__init__", spy)
+        got = loads(text)
+    assert len(inits) == 1
+    want = loads(explicit)
+    assert got.dumps() == want.dumps()
+    assert got.lengths == want.lengths and list(got.lengths) == list(want.lengths)
+    assert got.validation.to_json() == want.validation.to_json()
+    obj = json.loads(text)
+    del obj["default_length"]
+    with pytest.raises(ComplexError, match=f"ambiguous input: {count} edges lack lengths "
+                                           "and no default_length given"):
+        loads(json.dumps(obj))
+    with pytest.raises(ComplexError, match="malformed default_length 5"):
+        loads(json.dumps({**obj, "default_length": 5}))
+    # a bad cell is reported before the default, as when the complex came first
+    bad_cell = {**obj, "top_cells": obj["top_cells"] + [[0, 0]], "default_length": 5}
+    with pytest.raises(ComplexError, match="repeated vertex in cell"):
+        loads(json.dumps(bad_cell))
+
+
+def _broken_copy(c, kinds, rng):
+    """A copy of c with the seeded defects ``kinds``: an impure cell (a face
+    of a top cell declared as one), a new vertex on an edge cell without a
+    length (impure above dimension 1), an uncovered vertex, a conflicting
+    second length, a missing length, a degenerate triangle, a spherical
+    edge longer than pi, and a disjoint second copy (disconnected)."""
+    names, cells = list(c.vertices), [tuple(t) for t in c.top_cells]
+    lengths, extra = dict(c.lengths), []
+    edges = sorted(lengths)
+    for kind in kinds:
+        if kind == "impure":
+            cells.append(rng.choice(cells)[:-1])
+        elif kind == "dangling":
+            names.append(f"dangling{len(names)}")
+            cells.append((rng.randrange(len(c.vertices)), len(names) - 1))
+        elif kind == "uncovered":
+            names.append(f"lonely{len(names)}")
+        elif kind == "conflict":
+            e = rng.choice(edges)
+            extra.append((*e, Angle(rad=c.lengths[e].radians * 0.75)))
+        elif kind == "missing":
+            del lengths[rng.choice(sorted(lengths))]
+        elif kind == "degenerate":
+            x, y, z = sorted(rng.sample(rng.choice([t for t in cells if len(t) > 2]), 3))
+            if c.geometry == "spherical":
+                sides = (Angle.exact(1, 3), Angle.exact(2, 3), Angle.exact(1, 3))
+            else:
+                sides = (Angle(rad=1.0), Angle(rad=2.0), Angle(rad=1.0))
+            lengths.update(zip(((x, y), (x, z), (y, z)), sides))
+        elif kind == "over_pi":
+            lengths[rng.choice(edges)] = Angle.exact(5, 4)
+        elif kind == "disconnected":
+            n = len(names)
+            names += [f"{v}'" for v in names]
+            cells += [tuple(v + n for v in t) for t in cells]
+            lengths.update({(i + n, j + n): a for (i, j), a in list(lengths.items())})
+    return MetricComplex(c.geometry, names, cells,
+                         [(*e, a) for e, a in lengths.items()] + extra, dimension=c.dimension)
+
+
+_DEFECTS = ("impure", "dangling", "uncovered", "conflict", "missing", "degenerate", "over_pi",
+            "disconnected")
+
+
+def test_validation_equals_the_scan_oracle():
+    """The one-pass validation gives ``oracles.scan_validation``'s report,
+    issue for issue and in its order, on the validation corpus and on seeded
+    broken copies of its smaller complexes: each defect alone (where the
+    complex can have it) and three random sets of two to four defects."""
+    broken = 0
+    for label, c in _validation_corpus().items():
+        assert c.validation.to_json() == oracles.scan_validation(c).to_json(), label
+        if len(c.top_cells) > 400:
+            continue
+        rng = random.Random(label)
+        fits = [k for k in _DEFECTS
+                if not (k in ("impure", "degenerate") and c.dimension < 2)
+                and not (k == "dangling" and c.dimension < 1)
+                and not (k == "disconnected" and c.dimension < 1)
+                and not (k == "over_pi" and c.geometry != "spherical")
+                and not (k in ("conflict", "missing", "over_pi") and not c.lengths)]
+        for kinds in [(k,) for k in fits] + [tuple(rng.sample(fits, rng.randint(2, 4)))
+                                             for _ in range(3) if len(fits) >= 4]:
+            b = _broken_copy(c, kinds, rng)
+            rep = b.validation
+            assert rep.to_json() == oracles.scan_validation(b).to_json(), (label, kinds)
+            assert len(kinds) > 1 or not rep.ok, (label, kinds)
+            broken += 1
+    assert broken > 150
+
+
 def test_empty_and_dim0_complexes_valid():
     assert validate(MetricComplex("spherical", [], [], [])).ok
     assert validate(discrete_complex(["a", "b", "c"])).ok

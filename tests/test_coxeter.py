@@ -487,3 +487,32 @@ def test_rank0_group_is_never_refused(enumerations):
     for budget in (0, -1, 1, 0):
         assert len(coxeter_group(M, budget=budget).elements) == 1
     assert enumerations == [M]
+
+
+def _edge_list(model):
+    """The model complex's edges as ``CoxeterGroupModel.edge_lengths()``
+    listed them on every call: (i, j, length), i < j, in order of first
+    appearance over the elements' chambers, each vertex tuple sorted."""
+    seen, out = set(), []
+    for row in model.labels:
+        for i, j in itertools.combinations(sorted(row), 2):
+            if (i, j) not in seen:
+                seen.add((i, j))
+                out.append((i, j, model.pair_length[model.vertex_types[i],
+                                                    model.vertex_types[j]]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4"])
+def test_edge_lengths_are_computed_once_per_kept_model(name):
+    """``edge_lengths`` is a tuple on the kept model, equal to the list
+    computed per call before, and two ``coxeter_complex`` calls share it;
+    the complex carries exactly those lengths."""
+    M = _model_matrix(name)
+    clear_group_memo()
+    one, two = coxeter_complex(M), coxeter_complex(M)
+    assert isinstance(one.edge_lengths, tuple)
+    assert list(one.edge_lengths) == _edge_list(one)
+    assert one.edge_lengths is two.edge_lengths is coxeter_group(M).edge_lengths
+    assert one.complex is not two.complex
+    assert one.complex.lengths == {(i, j): a for i, j, a in one.edge_lengths}

@@ -1052,8 +1052,8 @@ def _public_link(c, fresh, vi):
 
 def _assert_links_as_public(c):
     """Every link memoized under ``c``, at every depth, equals the public
-    constructor's link from the same data, and the corner angles the sweep
-    cached on its complex equal the per-corner values of a fresh copy."""
+    constructor's link from the same data, and the corner angles the star
+    pass cached on its complex equal the per-corner values of a fresh copy."""
     if not c._vertex_links:
         return
     fresh = _fresh_copy(c)
@@ -1087,7 +1087,7 @@ _SPHERICAL_LINK_INPUTS = {
 @pytest.mark.parametrize("label", sorted(_SHARING_INPUTS) + sorted(_SPHERICAL_LINK_INPUTS))
 def test_links_equal_the_public_constructors(label):
     """``vertex_link`` stores its link without ``MetricComplex.__init__``'s
-    checks and reads corner angles one sweep cached: each link it memoizes
+    checks and reads corner angles one star pass cached: each link it memoizes
     (after a window check, or every link down to graphs) equals the link
     the public constructor builds from the same data, field by field, in
     its JSON and in its validation."""
@@ -1113,6 +1113,36 @@ def test_corner_sweep_keeps_injected_corners():
             assert a is injected[v, u, w]
     assert c._corner_angles.keys() == injected.keys()
     assert all(c._corner_angles[key] is a for key, a in injected.items())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_pass_links_equal_the_public_constructors(data):
+    """Relabelled A2 windows and three-page books, some with float corners
+    injected first (``_float_corners``), their links asked for in a drawn
+    order: each link assembled from the one pass over the triangles equals
+    ``_public_link`` (corners computed on a fresh copy, or the injected
+    ones), field by field, in its JSON and its validation, and the
+    ``graph_class`` it was assembled with, before anything read it, equals
+    the class read edge by edge."""
+    if data.draw(st.booleans()):
+        base = gen_a2_window(data.draw(st.integers(1, 3))).complex
+    else:
+        base = _three_page_book(data.draw(st.integers(1, 4)))
+    c = _relabelled(base, data.draw(st.permutations(range(len(base.vertices)))))
+    salt = data.draw(st.sampled_from([None, 0, 1, 2]))
+    if salt is None:
+        corners_of = _fresh_copy(c)
+    else:
+        c = corners_of = _float_corners(c, lambda key: sum(key) % 3 == salt)
+    for vi in data.draw(st.permutations(range(len(c.vertices)))):
+        L = vertex_link(c, vi)
+        assert "graph_class" in vars(L)
+        ref = _public_link(c, corners_of, vi)
+        assert (L.vertices, L.top_cells, L.lengths, L.dimension, L.provenance) == \
+            (ref.vertices, ref.top_cells, ref.lengths, ref.dimension, ref.provenance)
+        assert L.dumps() == ref.dumps() and L.validation == ref.validation
+        assert L.graph_class == _edge_by_edge_class(L) == ref.graph_class
 
 
 # -- Definition 5.2 on generated atlases ----------------------------------------------------
