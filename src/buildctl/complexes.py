@@ -10,8 +10,8 @@ All operations treat complexes as immutable after construction, and the
 caches depend on it; each is filled once and never invalidated:
 - ``validation``, one pass over the top cells (purity, missing lengths and
   each simplex's lengths), the coverage read off the vertex stars.
-- ``_radians``, each edge's length in radians: the shapes validation hands
-  ``realizability`` and every corner angle are read off it.
+- ``_radians``, each edge's length in radians: every corner angle is read
+  off it.
 - ``_incidence``, one pass over the top cells: each vertex's star and each
   panel's top cells.  The check path reads it: validation's coverage,
   ``chamber_graph``, ``_skeleton_connected``, ``vertex_link`` outside
@@ -122,9 +122,7 @@ def least_gram_eigenvalues(geometry: str, simplices: Sequence[Sequence[Angle]]
 
 
 def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
-                  eps: float = EPS_GRAM,
-                  shapes: Sequence[tuple[float, ...]] | None = None
-                  ) -> list[tuple[bool, str]]:
+                  eps: float = EPS_GRAM) -> list[tuple[bool, str]]:
     """(ok, why) for each simplex of one dimension, its edge lengths given as
     in ``least_gram_eigenvalues``: a spherical edge longer than pi fails
     first, the simplex's first such edge named, then a least Gram eigenvalue
@@ -132,13 +130,12 @@ def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
     distinct ``Angle`` object is compared with pi once, however many
     simplices share it, and the simplices that reach the eigenvalue test are
     grouped by their tuple of edge radians, the only input to the Gram
-    matrix (``shapes`` when the caller has read them, as validation does off
-    its complex's radians table; else read off the Angles), and each shape
-    passes when G - (eps + margin) I has a Cholesky factor: lambda_min > eps
-    exactly when G - eps I is positive definite, and the margin of 1e-12
-    times the largest diagonal entry exceeds the rounding of either
-    algorithm, so a pass is one for the Jacobi eigenvalues too.  Only the
-    shapes that fail it get their least eigenvalue from
+    matrix, and each shape passes when G - (eps + margin) I has a Cholesky
+    factor: lambda_min > eps exactly when G - eps I is positive definite,
+    and the margin of 1e-12 times the largest diagonal entry exceeds the
+    rounding of either algorithm, so a pass is one for the Jacobi
+    eigenvalues too.
+    Only the shapes that fail it get their least eigenvalue from
     ``least_gram_eigenvalues``, which decides them and names it."""
     out: list[tuple[bool, str] | None] = [None] * len(simplices)
     if geometry == SPHERICAL:
@@ -163,8 +160,8 @@ def realizability(geometry: str, simplices: Sequence[Sequence[Angle]],
     todo = [k for k, r in enumerate(out) if r is None and simplices[k]]
     if todo and len(simplices[todo[0]]) > 1:
         from . import linalg
-        shapes = [tuple(a.radians for a in simplices[k]) for k in todo] if shapes is None \
-            else [shapes[k] for k in todo]
+        radians = Angle.radians.fget
+        shapes = [tuple(map(radians, simplices[k])) for k in todo]
         one = dict(zip(shapes, (simplices[k] for k in todo)))
 
         def fails(shape):
@@ -291,10 +288,11 @@ class MetricComplex:
         ``_corner_angles`` kept and every other one cached there.  In
         dimension 2 the pass also lists, for each vertex v, the link edge of
         each star triangle (v, u, w), u < w, in ``top_cells`` order, as
-        (u, w, corner at v, its ``_class_entry``).  None in other
-        dimensions; the corners of each triangle shape are computed once."""
+        (u, w, corner at v, its ``_class_entry``).  None in other dimensions.
+        The three corners of a triangle shape (xy, xz, yz) and their entries
+        are computed once per pass, as a window repeats a handful of shapes
+        over hundreds of triangles."""
         rad, keep = self._radians, self._corner_angles.setdefault
-        injected = bool(self._corner_angles)
         two = self.dimension == 2
         stars = [[] for _ in self.vertices] if two else None
         shapes: dict[tuple[float, float, float], tuple] = {}
@@ -306,14 +304,12 @@ class MetricComplex:
                     three = (_corner(self, xy, xz, yz), _corner(self, xy, yz, xz),
                              _corner(self, xz, yz, xy))
                     corners = shapes[xy, xz, yz] = three + tuple(map(_class_entry, three))
-                X, Y, Z, eX, eY, eZ = corners
-                X, Y, Z = keep((x, y, z), X), keep((y, x, z), Y), keep((z, x, y), Z)
-                if two:
-                    if injected:
-                        eX, eY, eZ = map(_class_entry, (X, Y, Z))
-                    stars[x].append((y, z, X, eX))
-                    stars[y].append((x, z, Y, eY))
-                    stars[z].append((x, y, Z, eZ))
+                X0, Y0, Z0, eX, eY, eZ = corners
+                X, Y, Z = keep((x, y, z), X0), keep((y, x, z), Y0), keep((z, x, y), Z0)
+                if two:     # a corner cached before the pass keeps its own entry
+                    stars[x].append((y, z, X, eX if X is X0 else _class_entry(X)))
+                    stars[y].append((x, z, Y, eY if Y is Y0 else _class_entry(Y)))
+                    stars[z].append((x, y, Z, eZ if Z is Z0 else _class_entry(Z)))
         return stars
 
     @cached_property
@@ -377,8 +373,8 @@ class MetricComplex:
 
     @cached_property
     def _radians(self) -> dict[tuple[int, int], float]:
-        """Each edge's length in radians, read once: the shapes validation
-        hands ``realizability`` and the corner angles are read off it."""
+        """Each edge's length in radians, read once: the corner angles are
+        read off it."""
         return {e: a.radians for e, a in self.lengths.items()}
 
     @cached_property
@@ -386,17 +382,15 @@ class MetricComplex:
         """Purity, vertex coverage, gluing, missing lengths, per-cell
         realizability and connectivity, in that order.  One pass over the
         top cells finds the impure cells and the missing lengths and
-        collects each simplex's lengths and, above dimension 1, where an
-        edge's Gram eigenvalue has a closed form, its radians; the vertex stars
-        (``_incidence``) give the coverage, and ``edges`` is built only to
-        name missing lengths."""
+        collects each simplex's lengths; the vertex stars (``_incidence``)
+        give the coverage, and ``edges`` is built only to name missing
+        lengths."""
         issues: list[ValidationIssue] = []
         name = self.vertices.__getitem__
         n, lengths = self.dimension, self.lengths
         length = lengths.__getitem__
-        radians = self._radians.__getitem__ if n > 1 else None
         missing = False
-        cells, simplices, shapes = [], [], [] if radians else None
+        cells, simplices = [], []
         for c in self.top_cells:
             pairs = list(itertools.combinations(c, 2))
             if len(c) - 1 != n:
@@ -410,8 +404,6 @@ class MetricComplex:
                 except KeyError:
                     missing = True
                     continue
-                if radians:
-                    shapes.append(tuple(map(radians, pairs)))
                 cells.append(c)
         if n >= 0 and not self.top_cells:
             issues.append(ValidationIssue(
@@ -428,8 +420,7 @@ class MetricComplex:
                     issues.append(ValidationIssue(
                         "length_missing", tuple(map(name, e)), "edge has no declared length"))
         elif not self.length_conflicts:
-            for c, (ok, why) in zip(cells, realizability(self.geometry, simplices,
-                                                         shapes=shapes)):
+            for c, (ok, why) in zip(cells, realizability(self.geometry, simplices)):
                 if not ok:
                     issues.append(ValidationIssue("shape", tuple(map(name, c)), why))
         if n >= 1 and not self.allow_disconnected and not self._skeleton_connected:

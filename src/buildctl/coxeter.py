@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from functools import cached_property
 from types import MappingProxyType
 from typing import Sequence
 
@@ -321,11 +322,9 @@ class CoxeterGroupModel:
     of element a, ``vertex_types`` the type of each vertex, ``pair_length``
     the length of an edge of each type pair (both orders) and ``steps[b]``
     the (a, s) with elements[b] = elements[a] * s that names b's word
-    (``steps[0]`` is None), and ``edge_lengths`` every edge (i, j, length) of
-    the model complex, i < j, in order of first appearance over the
-    elements' chambers, each vertex tuple sorted.  One model is shared by
-    every caller of ``coxeter_group``, so its sequences are tuples, computed
-    once, and ``pair_length`` a read-only mapping."""
+    (``steps[0]`` is None).  One model is shared by every caller of
+    ``coxeter_group``, so its sequences are tuples and ``pair_length`` a
+    read-only mapping."""
 
     def __init__(self, system: CoxeterMatrix, elements: Sequence[GroupElement],
                  labels: Sequence[tuple[int, ...]], vertex_types: tuple[int, ...],
@@ -341,13 +340,20 @@ class CoxeterGroupModel:
                 if b and steps[b] is None:
                     steps[b] = (a, s)
         self.steps = tuple(steps)
-        seen, edges = set(), []
+
+    @cached_property
+    def edge_lengths(self) -> tuple[tuple[int, int, Angle], ...]:
+        """Every edge (i, j, length) of the model complex, i < j, in order of
+        first appearance over the elements' chambers, each vertex tuple
+        sorted: computed on first use, once per model, and shared."""
+        seen, out = set(), []
         for row in self.labels:
             for i, j in itertools.combinations(sorted(row), 2):
                 if (i, j) not in seen:
                     seen.add((i, j))
-                    edges.append((i, j, self.pair_length[vertex_types[i], vertex_types[j]]))
-        self.edge_lengths = tuple(edges)
+                    out.append((i, j, self.pair_length[self.vertex_types[i],
+                                                       self.vertex_types[j]]))
+        return tuple(out)
 
 
 class CoxeterComplexModel(CoxeterGroupModel):
@@ -355,13 +361,14 @@ class CoxeterComplexModel(CoxeterGroupModel):
     ``complex`` and ``chamber_of``, each element's word -> its top cell."""
 
     def __init__(self, group: CoxeterGroupModel):
+        edges = group.edge_lengths           # cached on the group first, so shared
         self.__dict__.update(vars(group))    # the group's read-only fields, shared
         M, n = group.system, group.system.rank
         cells = [tuple(sorted(row)) for row in group.labels]
         self.chamber_of = {g.word: cell for g, cell in zip(group.elements, cells)}
         names = [f"w{t}.{i}" for i, t in enumerate(group.vertex_types)]
         self.complex = MetricComplex(
-            SPHERICAL, names, cells, group.edge_lengths, allow_disconnected=(n == 1),
+            SPHERICAL, names, cells, edges, allow_disconnected=(n == 1),
             provenance=f"coxeter_complex({M.describe() or 'A1^' + str(n)})")
 
 

@@ -490,9 +490,10 @@ def test_rank0_group_is_never_refused(enumerations):
 
 
 def _edge_list(model):
-    """The model complex's edges as ``CoxeterGroupModel.edge_lengths()``
-    listed them on every call: (i, j, length), i < j, in order of first
-    appearance over the elements' chambers, each vertex tuple sorted."""
+    """The model complex's edges as a method listed them on every call
+    before ``CoxeterGroupModel.edge_lengths`` was cached: (i, j, length),
+    i < j, in order of first appearance over the elements' chambers, each
+    vertex tuple sorted."""
     seen, out = set(), []
     for row in model.labels:
         for i, j in itertools.combinations(sorted(row), 2):
@@ -506,10 +507,12 @@ def _edge_list(model):
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4"])
 def test_edge_lengths_are_computed_once_per_kept_model(name):
     """``edge_lengths`` is a tuple on the kept model, equal to the list
-    computed per call before, and two ``coxeter_complex`` calls share it;
-    the complex carries exactly those lengths."""
+    computed per call before, not computed for a group whose complex is
+    never built, and two ``coxeter_complex`` calls share it; the complex
+    carries exactly those lengths."""
     M = _model_matrix(name)
     clear_group_memo()
+    assert "edge_lengths" not in vars(coxeter_group(M))
     one, two = coxeter_complex(M), coxeter_complex(M)
     assert isinstance(one.edge_lengths, tuple)
     assert list(one.edge_lengths) == _edge_list(one)
