@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .angles import parse_length
-from .complexes import ComplexError, load_path, validate, vertex_link
+from .complexes import ComplexError, load_path, suspension, validate, vertex_link
 
 if TYPE_CHECKING:
     from .metric_graph import GraphPoint, MetricGraph
@@ -169,7 +169,7 @@ def cmd_gen(args) -> int:
     elif kind == "suspension":
         if not args.base:
             raise ComplexError("gen suspension needs --base FILE")
-        cx = corpus.gen_suspension(load_path(args.base))
+        cx = suspension(load_path(args.base))
     else:
         if "length" in options:
             options["length"] = parse_length(options["length"])

@@ -13,18 +13,17 @@ caches depend on it; each is filled once and never invalidated:
 - ``_radians``, each edge's length in radians: every corner angle is read
   off it.
 - ``_incidence``, one pass over the top cells: each vertex's star and each
-  panel's top cells.  The check path reads it: validation's coverage,
-  ``chamber_graph``, ``_skeleton_connected``, ``vertex_link`` outside
-  dimension 2, ``cell_link``'s membership test, ``check_euclidean``'s boundary
-  panels and thickness and the suspension pole test.
+  panel's top cells, the only structural index of a complex.  Validation's
+  coverage, ``chamber_graph``, ``_skeleton_connected``, ``vertex_link``
+  outside dimension 2, ``cell_link``'s membership test, the recognizer's
+  panel gate, ``check_euclidean``'s boundary panels and thickness, the
+  suspension pole test and ``geodesics`` read it; a list of faces of one
+  dimension is a sorted scan of the top cells' subsets.
 - ``chamber_graph``, each top cell's neighbours across each of its panels:
   every gate of the axiom route and the vertex typing.
 - ``_star_corners``, the star pass: one pass over the 2-faces that computes
   every corner angle and, in dimension 2, lists each vertex's link edges,
   from which ``vertex_link`` assembles a link when it is asked for.
-- ``cofaces`` (each face -> the top cells containing it) and
-  ``cells_by_dim``, the face poset: only the local route's (n-2)-cells,
-  ``geodesics`` and ``homotopy``.
 - ``graph_class``, a graph's key up to vertex names: the recognizer shares
   one certificate, and ``most_singular_vertex`` one factor hint, per key.
   ``vertex_link`` fills it in for the graph links it assembles.
@@ -256,17 +255,6 @@ class MetricComplex:
         return tuple(sorted(es))
 
     @cached_property
-    def cofaces(self) -> dict[Cell, tuple[Cell, ...]]:
-        """Every face (a sorted vertex tuple) -> the top cells containing it,
-        in ``top_cells`` order."""
-        out: dict[Cell, list] = {}
-        for c in self.top_cells:
-            for k in range(1, len(c) + 1):
-                for f in itertools.combinations(c, k):
-                    out.setdefault(f, []).append(c)
-        return {f: tuple(v) for f, v in out.items()}
-
-    @cached_property
     def _incidence(self) -> tuple[list[list[Cell]], dict[Cell, list[int]]]:
         """(stars, panels) from one pass over ``top_cells``: stars[v] holds
         the top cells containing vertex v and panels[f] the indices of the
@@ -334,16 +322,6 @@ class MetricComplex:
             return None
         return (len(self.vertices), self.top_cells,
                 tuple(map(_class_entry, map(self.lengths.__getitem__, self.top_cells))))
-
-    @cached_property
-    def cells_by_dim(self) -> dict[int, tuple[Cell, ...]]:
-        out: dict[int, list] = {}
-        for f in self.cofaces:
-            out.setdefault(len(f) - 1, []).append(f)
-        return {k: tuple(sorted(v)) for k, v in sorted(out.items())}
-
-    def all_cells(self) -> list[Cell]:
-        return [c for k in sorted(self.cells_by_dim) for c in self.cells_by_dim[k]]
 
     def edge_length(self, i: int, j: int) -> Angle:
         return self.lengths[(i, j) if i < j else (j, i)]
@@ -430,7 +408,7 @@ class MetricComplex:
     @cached_property
     def _skeleton_connected(self) -> bool:
         """One search per complex, over the vertex stars (``_incidence``):
-        validation, ``check_euclidean``, the panel-count gate and
+        validation, the panel-count gate of both geometries and
         ``simple_connectivity`` all ask."""
         if not self.vertices:
             return True
@@ -602,7 +580,7 @@ def vertex_link(c: MetricComplex, v) -> MetricComplex:
     dimension n-1 whose edge lengths are the vertex angles of incident cells.
 
     Memoized on ``c`` by vertex index: a later call returns the same object,
-    so the link's own caches (validation, faces, its vertex links) are shared.
+    so the link's own caches (validation, incidence, its vertex links) are shared.
     The first call runs the complex's one pass over its 2-faces
     (``MetricComplex._star_corners``), which caches every corner angle.  As
     ``c`` is valid, the link's cells come out sorted, distinct and in range;

@@ -166,24 +166,6 @@ def gen_a2_window(radius: int = 3, perturb: float | None = None,
     return WindowModel(cx, coords, tag)
 
 
-def gen_negative(kind: str) -> MetricComplex:
-    kind = kind.replace("-", "_")
-    table = {
-        "petersen": gen_petersen,
-        "k4": gen_k4,
-        "short_lune": gen_short_lune,
-        "punctured_octahedron": gen_punctured_octahedron,
-        "perturbed_a2_window": lambda: gen_a2_window(3, perturb=1.01).complex,
-    }
-    if kind not in table:
-        raise ComplexError(f"unknown negative-control kind {kind!r}")
-    return table[kind]()
-
-
-def gen_suspension(base: MetricComplex) -> MetricComplex:
-    return suspension(base)
-
-
 GENERATORS = {
     "complete-bipartite": lambda s=3, t=3, length=None:
         gen_rank2_building("complete_bipartite", s=s, t=t, length=length),

@@ -15,7 +15,8 @@ exactly, or within tolerance when one is a float (``cmp_units``).  Each
 candidate apartment is walked onto the model Coxeter group
 (``_model_walk``), which labels its chambers by group elements: x's antipode
 and the distance in a "not antipodal" witness are read off the model, with
-no coordinates.
+no coordinates.  The cells across an edge and the test that a wedge is a
+cell read the complex's incidence index (``MetricComplex._incidence``).
 """
 
 from __future__ import annotations
@@ -322,8 +323,9 @@ def _extend(c: MetricComplex, start: int, segments: list, state: _State,
         else:
             a, b = exit_kind[1]
             newd = _comb(-math.sin(t), p, math.cos(t), d)
-            others = [cl for cl in c.cofaces[(min(a, b), max(a, b))]
-                      if cl != st.cell]
+            cells = c.top_cells
+            others = [cells[k] for k in c._incidence[1][(min(a, b), max(a, b))]
+                      if cells[k] != st.cell]
             for cl in others:
                 if budget <= 0:
                     truncated = True
@@ -434,7 +436,7 @@ def propagate_apartment(c: MetricComplex, x, link_cycle: Sequence, y=None,
     if len(cyc) < 3 or len(set(cyc)) != len(cyc):
         raise GeodesicError("link cycle must be a simple cycle of length >= 3")
     for cell in fan:
-        if cell not in c.cofaces:     # pure and valid: a triangle is a top cell
+        if cell not in c._incidence[0][xi]:     # the top cells through x
             a, b = (c.vertices[v] for v in cell if v != xi)
             raise GeodesicError(f"({c.vertices[xi]},{a},{b}) is not a cell")
     total = sum(_vertex_angle(c, xi, *(v for v in cell if v != xi)).pi_units

@@ -2,6 +2,8 @@
 
 The 2-skeleton gives a presentation: spanning-tree edges die, the remaining
 edges generate, and each 2-cell contributes its boundary word as a relator.
+The edges are ``MetricComplex.edges`` and the 2-cells the sorted 3-subsets
+of the top cells.
 Bounded Tietze simplification decides the easy cases; if the presentation
 does not collapse, a nonzero first Betti number or a nontrivial homomorphism
 into a small symmetric group certifies a nontrivial group.  Otherwise the
@@ -31,7 +33,7 @@ class Pi1Result:
 def _presentation(c: MetricComplex):
     """(generators, relators, loops): edge-path group data of the 2-skeleton."""
     nv = len(c.vertices)
-    edges = list(c.cells_by_dim.get(1, ()))
+    edges = list(c.edges)
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(nv)}
     for k, (u, v) in enumerate(edges):
         adj[u].append((v, k))
@@ -57,7 +59,7 @@ def _presentation(c: MetricComplex):
             gen_of_edge[k] = len(gens)
             gens.append(k)
     relators = []
-    for tri in c.cells_by_dim.get(2, ()):
+    for tri in sorted({f for t in c.top_cells for f in itertools.combinations(t, 3)}):
         word = []
         cyc = list(tri) + [tri[0]]
         for a, b in zip(cyc, cyc[1:]):

@@ -2,10 +2,11 @@
 
 Dimension <= 1, the decidable base, is ``dim1``, whose names are imported
 here.  Above dimension 1 the building axioms decide first (Abramenko-Brown,
-Buildings, Def. 4.1).  Every gate runs on one chamber graph per complex
-(``MetricComplex.chamber_graph``, the chambers across each panel), never on
-the face poset.  After the connectivity and panel-count gates and the
-vertex typing, the Coxeter matrix is read off one chamber, and the
+Buildings, Def. 4.1).  Every gate runs on the one incidence index of a
+complex (``MetricComplex._incidence``, each vertex's star and each panel's
+chambers) and the chamber graph read off it.  After the connectivity and
+panel-count gates, which both geometries share, and the vertex typing,
+the Coxeter matrix is read off one chamber, and the
 apartments are the convex hulls of opposite chambers (two chambers at
 gallery distance l(w0) lie in exactly one apartment, the chambers on their
 minimal galleries; a thin sphere is one hull), each an int bitmask of its
@@ -45,9 +46,9 @@ from .dim1 import (  # noqa: F401  (some only for the callers that import them f
     EDGE_LENGTH_NONUNIFORM, FLAG_AXIOM2_UNVERIFIED, FLAG_GLOBAL_UNVERIFIED, FLAG_MIXED,
     FLAG_SAMPLED, HULL_NOT_ISOMETRIC, LINK_FAILURE, LINK_UNDECIDED, MEB, MEB_LOCAL,
     NO_COMMON_APARTMENT, NO_OPPOSITE_CHAMBER, NOT_CONNECTED, NOT_SIMPLY_CONNECTED, SUSPENSION,
-    THICK, THIN, UNKNOWN_PI1, Apartment, BuildingCertificate, Diagnosis, IntegrityError, _bits,
-    _certify_graph, _check_dim0, _length_to_m, _opposite_hulls, _subcomplex, _uniform_m,
-    _vertex_types, _walk_cycle, check_dim1, enumerate_apartments_dim1, recognize_dim1)
+    THICK, THIN, UNKNOWN_PI1, Apartment, BuildingCertificate, Diagnosis, _bits, _certify_graph,
+    _check_dim0, _length_to_m, _opposite_hulls, _subcomplex, _vertex_types, check_dim1,
+    enumerate_apartments_dim1, recognize_dim1)
 from .homotopy import NONTRIVIAL, UNKNOWN, simple_connectivity
 from .metric_graph import MetricGraph
 
@@ -153,9 +154,9 @@ def _local_certificate(c: MetricComplex) -> BuildingCertificate | Diagnosis:
     if isinstance(panel_counts, Diagnosis):
         return panel_counts
     # (n-2)-cell links are graphs; deeper structure recurses through vertices
-    cells = c.cells_by_dim.get(n - 2, ())
+    cells = sorted({f for t in c.top_cells for f in itertools.combinations(t, n - 1)})
     if n >= 3:
-        cells += c.cells_by_dim[0]
+        cells += [(v,) for v in range(len(c.vertices))]
     link_certs = _certify_links(c, cells, _certify)
     if isinstance(link_certs, Diagnosis):
         return link_certs
@@ -177,22 +178,17 @@ def _local_certificate(c: MetricComplex) -> BuildingCertificate | Diagnosis:
 
 
 def _panel_counts(c: MetricComplex) -> set[int] | Diagnosis:
-    """The first gates above dimension 1: the complex is connected and every
-    codimension-1 cell lies in two or more top cells.  The set of those
-    counts, read off ``chamber_graph``, or the diagnosis at the least panel
-    in one top cell."""
+    """The first gates above dimension 1, in both geometries: the complex is
+    connected and every codimension-1 cell lies in two or more top cells.
+    The set of those counts, read off the panels of ``_incidence``, or the
+    diagnosis at the least panel in one top cell."""
     if not c._skeleton_connected:
         return Diagnosis(NOT_CONNECTED, {"detail": "complex is not connected"})
-    counts = set()
-    free = []
-    for cell, around in zip(c.top_cells, c.chamber_graph):
-        for p, others in enumerate(around):
-            if others:
-                counts.add(len(others) + 1)
-            else:
-                free.append(cell[:p] + cell[p + 1:])
-    if free:
-        return Diagnosis(CODIM1, {"cell": [c.vertices[i] for i in min(free)], "top_cells": 1})
+    panels = c._incidence[1]
+    counts = {len(on) for on in panels.values()}
+    if 1 in counts:
+        p = min(f for f, on in panels.items() if len(on) == 1)
+        return Diagnosis(CODIM1, {"cell": [c.vertices[i] for i in p], "top_cells": 1})
     return counts
 
 
@@ -569,7 +565,9 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
 
     strict: all codimension-1 counts and all vertex links are checked and
     simple connectivity must be decided.  window: cells touching the free
-    boundary are exempt and the verdict is the local one.
+    boundary are exempt and the verdict is the local one.  Connectivity and
+    the codimension-1 counts are the spherical gate (``_panel_counts``),
+    whose free-panel diagnosis the window policy waives.
 
     A vertex link of dimension 1 is a graph, which the dimension-1 gates
     decide, once per class of links equal up to vertex names (every
@@ -588,15 +586,12 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
     n = c.dimension
     if n < 2:
         raise ComplexError("check_euclidean needs dimension >= 2")
-    if not c._skeleton_connected:
-        return Diagnosis(NOT_CONNECTED, {"detail": "complex is not connected"})
+    gate = _panel_counts(c)
+    if isinstance(gate, Diagnosis) and (boundary_policy == "strict"
+                                        or gate.condition == NOT_CONNECTED):
+        return gate
     panels = c._incidence[1]
-    boundary_panels = [p for p, on in panels.items() if len(on) < 2]
-    if boundary_policy == "strict" and boundary_panels:
-        p = min(boundary_panels)
-        return Diagnosis(CODIM1, {"cell": [c.vertices[i] for i in p],
-                                  "top_cells": len(panels[p])})
-    boundary_vertices = {v for p in boundary_panels for v in p}
+    boundary_vertices = {v for p, on in panels.items() if len(on) < 2 for v in p}
     interior = [vi for vi in range(len(c.vertices)) if vi not in boundary_vertices]
     link_certs = _certify_links(c, [(vi,) for vi in interior],
                                 lambda L: _vertex_link_answer(L, budget))

@@ -19,13 +19,15 @@ whose closed spheres the hull family of opposite chambers must equal, and
 the dim-1 cycle DFS, which the kernel-unit search must match node for node.
 Hull isometry: an untyped search over every seed chamber and vertex
 bijection, propagated across panels, which the typed model walk must match;
-and the earlier walk on chamber tuples and word dicts over ``cofaces``,
+and the earlier walk on chamber tuples and word dicts over the face poset,
 which compares every model edge length on every hull unless told the
 lengths fit, with the left action read off its walks of the model complex
 and the (B2) check on its maps, which the walk on chamber indices and the
 bare group must equal.  Vertex types and panel counts: the earlier
-propagation over ``cofaces`` and the scan of the sorted panels, which the
-chamber graph must equal.  Suspension
+propagation over the face poset and the scan of the sorted panels, which the
+chamber graph must equal.  The face poset itself (``face_poset``): every face
+of every top cell with the top cells on it, by a plain scan; the library keeps
+no such index, and the faces its readers list must be this scan's.  Suspension
 poles: the earlier search over every vertex pair, which the search over
 vertices of valence nv - 2 must equal.  The spherical pi bound: one
 comparison per (simplex, edge), which one comparison per edge must equal.
@@ -473,6 +475,7 @@ def grow_surface_fractions(c, fan, budget: int):
     from buildctl.angles import cmp_units
     from buildctl.complexes import _vertex_angle
     two = Fraction(2)
+    poset = face_poset(c)
     cells0 = tuple(sorted(set(fan)))
     if len(cells0) != len(fan):
         return [], False
@@ -499,7 +502,7 @@ def grow_surface_fractions(c, fan, budget: int):
             results.append(cells)
             return
         e = open_edges[0]
-        for cand in c.cofaces.get(e, ()):
+        for cand in poset.get(e, ()):
             if cand in cells:
                 continue
             ok = True
@@ -542,7 +545,7 @@ def enumerate_cycles_fractions(g, m=None, budget: int = 10 ** 5):
     floats when inexact), compared with ``cmp_units``.  Returns
     (apartments, exhaustive) like ``recognizer.enumerate_apartments_dim1``."""
     from buildctl.angles import cmp_units
-    from buildctl.recognizer import Apartment, IntegrityError
+    from buildctl.dim1 import Apartment, IntegrityError
     two = Fraction(2)
     found: dict = {}
     nodes = 0
@@ -588,12 +591,13 @@ def tuple_model_walk(c, types, cells, model, lengths_fit: bool = False) -> tuple
     """(bad, image, back) of the typed walk of the hull ``cells`` (chamber
     tuples, walked from cells[0]) onto a ``coxeter_complex`` model, as the
     walk on chamber tuples and word dicts gave them: each word's image
-    chamber, found by filtering ``c.cofaces`` of the panel by hull
+    chamber, found by filtering the panel's ``face_poset`` entry by hull
     membership, every vertex of every image chamber checked, and, unless
     ``lengths_fit``, each model edge of ``model.complex`` compared with its
     image in c, in the model's edge order, the first that differs naming a
     hull chamber on its image."""
     hull = set(cells)
+    poset = face_poset(c)
     image = {(): cells[0]}
     vmap: dict[int, int] = {}
     back: dict[int, int] = {}
@@ -602,7 +606,7 @@ def tuple_model_walk(c, types, cells, model, lengths_fit: bool = False) -> tuple
         if w:
             at, s = image[w[:-1]], w[-1]
             panel = tuple(v for v in at if types[v] != s)
-            nxt = [t for t in c.cofaces[panel] if t != at and t in hull]
+            nxt = [t for t in poset[panel] if t != at and t in hull]
             if len(nxt) != 1:
                 return at, image, back
             image[w] = nxt[0]
@@ -660,9 +664,10 @@ def dict_incompatible_hulls(walks, model) -> tuple | None:
 
 def cofaces_vertex_types(c):
     """The proper (n+1)-coloring of c's vertices, or None, propagated
-    panel by panel over ``c.cofaces`` from the first chamber of each
+    panel by panel over ``face_poset`` from the first chamber of each
     gallery class."""
     n = c.dimension
+    poset = face_poset(c)
     types: dict[int, int] = {}
     assigned: set[tuple] = set()
     for seed in c.top_cells:
@@ -680,7 +685,7 @@ def cofaces_vertex_types(c):
         while queue:
             cur = queue.pop()
             for panel in itertools.combinations(cur, n):
-                for nb in c.cofaces[panel]:
+                for nb in poset[panel]:
                     if nb in assigned:
                         continue
                     w = next(v for v in nb if v not in panel)
@@ -700,16 +705,29 @@ def cofaces_vertex_types(c):
     return tuple(types[v] for v in range(len(c.vertices)))
 
 
+def face_poset(c) -> dict[tuple, tuple]:
+    """Every face of c (a sorted vertex tuple) -> the top cells containing
+    it, in ``top_cells`` order, by a scan of every subset of every top
+    cell."""
+    out: dict[tuple, list] = {}
+    for t in c.top_cells:
+        for k in range(1, len(t) + 1):
+            for f in itertools.combinations(t, k):
+                out.setdefault(f, []).append(t)
+    return {f: tuple(v) for f, v in out.items()}
+
+
 def cofaces_incidence(c):
-    """(stars, panels, chamber graph) of c read off ``c.cofaces``: the top
+    """(stars, panels, chamber graph) of c read off ``face_poset``: the top
     cells on each vertex, the top cell indices on each face of dimension
     n - 1 and, for chamber k and position p, the other chambers on the face
     of chamber k without its p-th vertex, each in ``top_cells`` order."""
     index = {t: k for k, t in enumerate(c.top_cells)}
-    stars = [list(c.cofaces.get((v,), ())) for v in range(len(c.vertices))]
-    panels = {f: [index[t] for t in on] for f, on in c.cofaces.items()
+    poset = face_poset(c)
+    stars = [list(poset.get((v,), ())) for v in range(len(c.vertices))]
+    panels = {f: [index[t] for t in on] for f, on in poset.items()
               if len(f) == c.dimension}
-    graph = tuple(tuple(tuple(index[s] for s in c.cofaces[t[:p] + t[p + 1:]] if s != t)
+    graph = tuple(tuple(tuple(index[s] for s in poset[t[:p] + t[p + 1:]] if s != t)
                         for p in range(len(t)))
                   for t in c.top_cells)
     return stars, panels, graph
@@ -717,15 +735,16 @@ def cofaces_incidence(c):
 
 def sorted_scan_panel_counts(c):
     """The connectivity and codimension-1 gates above dimension 1 by a scan
-    of the sorted panels (``cells_by_dim``) and their ``cofaces``: the set
+    of the sorted panels and their top cells (``face_poset``): the set
     of panel counts, or the diagnosis at the first panel in fewer than two
     top cells."""
     from buildctl.dim1 import CODIM1, NOT_CONNECTED, Diagnosis
     if not c._skeleton_connected:
         return Diagnosis(NOT_CONNECTED, {"detail": "complex is not connected"})
     counts = set()
-    for panel in c.cells_by_dim.get(c.dimension - 1, ()):
-        k = len(c.cofaces[panel])
+    poset = face_poset(c)
+    for panel in sorted(f for f in poset if len(f) == c.dimension):
+        k = len(poset[panel])
         if k < 2:
             return Diagnosis(CODIM1, {
                 "cell": [c.vertices[i] for i in panel], "top_cells": k})
@@ -742,10 +761,11 @@ def all_pairs_suspension_poles(c):
     if c.dimension < 1 or len(c.vertices) < 3:
         return None
     nv = len(c.vertices)
+    poset = face_poset(c)
     for p, q in itertools.combinations(range(nv), 2):
-        if (p, q) in c.cofaces:
+        if (p, q) in poset:
             continue
-        if any((min(pole, v), max(pole, v)) not in c.cofaces
+        if any((min(pole, v), max(pole, v)) not in poset
                or not c.edge_length(pole, v).equals(RIGHT)
                for v in range(nv) if v not in (p, q) for pole in (p, q)):
             continue
@@ -797,13 +817,14 @@ def _try_propagate_iso(a, b, ca0, perm) -> bool:
         if not a.edge_length(i, j).equals(b.edge_length(vmap[i], vmap[j])):
             return False
     b_cells = set(b.top_cells)
+    a_poset, b_poset = face_poset(a), face_poset(b)
     mapped = {ca0: tuple(sorted(perm))}
     queue = [ca0]
     while queue:
         cur = queue.pop()
         img = mapped[cur]
         for panel in itertools.combinations(cur, len(cur) - 1):
-            others = [t for t in a.cofaces[panel] if t != cur]
+            others = [t for t in a_poset[panel] if t != cur]
             if len(others) != 1:
                 continue
             nxt = others[0]
@@ -811,7 +832,7 @@ def _try_propagate_iso(a, b, ca0, perm) -> bool:
                 continue
             v_new = next(v for v in nxt if v not in panel)
             img_panel = tuple(sorted(vmap[v] for v in panel))
-            b_nbrs = [t for t in b.cofaces.get(img_panel, ()) if t != img]
+            b_nbrs = [t for t in b_poset.get(img_panel, ()) if t != img]
             if len(b_nbrs) != 1:
                 return False
             bimg = b_nbrs[0]
@@ -1212,8 +1233,9 @@ def discrete_extension_check(c) -> tuple[bool, dict | None]:
                 return False, {"condition": "dep_not_discrete", **at, key: name,
                                "interval": [float(lo), float(hi)]}
     if c.dimension == 2:
-        for edge in c.cells_by_dim[1]:
-            if len(c.cofaces[edge]) < 2:
+        poset = face_poset(c)
+        for edge in sorted(f for f in poset if len(f) == 2):
+            if len(poset[edge]) < 2:
                 return False, {"condition": "dep_empty",
                                "edge": [c.vertices[i] for i in edge],
                                "detail": "edge-interior directions have empty antipode sets"}

@@ -20,8 +20,8 @@ import pytest
 import oracles
 from buildctl.angles import Angle
 from buildctl.complexes import MetricComplex, suspension, validate, vertex_link
-from buildctl.corpus import (gen_a2_window, gen_k4, gen_negative,
-                             gen_octahedron, gen_petersen, gen_rank2_building)
+from buildctl.corpus import (GENERATORS, gen_a2_window, gen_k4, gen_octahedron,
+                             gen_petersen, gen_rank2_building)
 from buildctl.coxeter import (cosine_form, coxeter_complex, named_matrix)
 from buildctl.decompose import join_decompose, suspension_factor
 from buildctl.geodesics import ApartmentSurface, propagate_apartment
@@ -129,11 +129,11 @@ def test_criterion_5_negative_controls():
             4, [(u, v, float(ln)) for u, v, ln in k4g.edges])
         assert abs(res.witness["diameter_pi_units"] - oracle) * math.pi <= 1e-6
         assert res.witness["diameter_pi_units"] == pytest.approx(4 / 3)
-        res = check_spherical(gen_negative("punctured_octahedron"))
+        res = check_spherical(GENERATORS["punctured-octahedron"]())
         assert isinstance(res, Diagnosis) and res.condition == "codim1_cell_count"
-        res = check_spherical(gen_negative("short_lune"))
+        res = check_spherical(GENERATORS["short-lune"]())
         assert isinstance(res, Diagnosis) and res.condition == "link_failure"
-        res = check_euclidean(gen_negative("perturbed_a2_window"), "window")
+        res = check_euclidean(GENERATORS["perturbed-a2-window"](), "window")
         assert isinstance(res, Diagnosis) and res.condition == "link_failure"
 
 

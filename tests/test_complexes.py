@@ -487,13 +487,69 @@ def _relabelled(c, seed):
                          [(new[i], new[j], c.edge_length(i, j)) for i, j in c.edges])
 
 
-def test_cofaces_equal_a_scan_of_the_top_cells():
-    for k, base in enumerate(_incidence_corpus()):
+class _Stop(Exception):
+    pass
+
+
+def test_face_readers_list_the_face_posets_faces_in_order(monkeypatch):
+    """The faces that each reader lists without a face poset are those of
+    the plain scan (``oracles.face_poset``), in the same order, on
+    ``_incidence_corpus()``, the links-workload inputs and a relabelled copy
+    of each: the local route's cells (the sorted (n-2)-cells, then every
+    vertex when n >= 3) where it passes the panel gate, ``homotopy``'s edges
+    and 2-cells (each relator's triangle, in relator order) on a connected
+    complex, and in dimension 2 the cells across each edge of each top cell
+    in which ``geodesics._extend`` branches."""
+    from test_recognizer import _links_inputs_once
+    from buildctl import geodesics, homotopy, recognizer
+    from buildctl.dim1 import Diagnosis
+
+    def certify_links(c, cells, certify):
+        reached.append(list(cells))
+        raise _Stop
+
+    def edge_letter(edges, tree, gen_of_edge, adj, a, b):
+        letters.append((tuple(edges), a))
+        return letter(edges, tree, gen_of_edge, adj, a, b)
+
+    letter = homotopy._edge_letter
+    monkeypatch.setattr(recognizer, "_certify_links", certify_links)
+    monkeypatch.setattr(homotopy, "_edge_letter", edge_letter)
+    monkeypatch.setattr(geodesics, "_transfer",
+                        lambda c, old, new, shared, p, d: crossed.append(new) or (p, d))
+    inputs = _incidence_corpus() + list(_links_inputs_once())
+    seen = 0
+    for k, base in enumerate(inputs):
         for c in (base, _relabelled(base, k)):
-            faces = c.all_cells()
-            assert sorted(c.cofaces) == sorted(faces)
-            for f in faces:
-                assert c.cofaces[f] == tuple(t for t in c.top_cells if set(f) <= set(t))
+            poset = oracles.face_poset(c)
+            faces = lambda d: sorted(f for f in poset if len(f) == d + 1)
+            n = c.dimension
+            reached = []
+            try:
+                recognizer._local_certificate(c)
+            except _Stop:
+                pass
+            passes = n >= 2 and not isinstance(recognizer._panel_counts(c), Diagnosis)
+            assert reached == ([faces(n - 2) + (faces(0) if n >= 3 else [])] if passes else [])
+            seen += passes
+            if c._skeleton_connected:
+                letters = []
+                homotopy._presentation(c)
+                assert all(e == tuple(faces(1)) for e, _ in letters)
+                assert [tuple(a for _, a in letters[i:i + 3])
+                        for i in range(0, len(letters), 3)] == faces(2)
+            if n != 2:
+                continue
+            for t in c.top_cells:
+                for e in itertools.combinations(t, 2):
+                    crossed = []
+                    march = lambda c, cell, p, d: (0.1, p, ("edge", e))
+                    monkeypatch.setattr(geodesics, "_march_face", march)
+                    state = geodesics._State("face", cell=t, point=(1.0, 0.0, 0.0),
+                                             direction=(0.0, 1.0, 0.0))
+                    geodesics._extend(c, t[0], [], state, 0.15, 10 ** 6)
+                    assert crossed == [s for s in poset[e] if s != t]
+    assert seen > 10
 
 
 def test_vertex_link_is_built_once_per_vertex(octahedron, s0_heawood):

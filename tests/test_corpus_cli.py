@@ -18,8 +18,7 @@ import oracles
 from buildctl.angles import Angle
 from buildctl.cli import main
 from buildctl.complexes import ComplexError, validate
-from buildctl.corpus import (gen_a2_window, gen_negative, gen_octahedron,
-                             gen_rank2_building)
+from buildctl.corpus import GENERATORS, gen_a2_window, gen_octahedron, gen_rank2_building
 from buildctl.metric_graph import MetricGraph
 from buildctl.recognizer import Diagnosis, check_euclidean, check_spherical, recognize_dim1
 
@@ -47,11 +46,11 @@ def test_generator_counts(heawood, k33, tutte_coxeter):
 
 
 def test_generators_validate_and_are_deterministic():
-    kinds = ["petersen", "k4", "short_lune", "punctured_octahedron",
-             "perturbed_a2_window"]
+    kinds = ["petersen", "k4", "short-lune", "punctured-octahedron",
+             "perturbed-a2-window"]
     for kind in kinds:
-        a = gen_negative(kind)
-        b = gen_negative(kind)
+        a = GENERATORS[kind]()
+        b = GENERATORS[kind]()
         assert a.dumps() == b.dumps()
         assert validate(a).ok, kind
     a = gen_rank2_building("projective_plane").dumps()
@@ -68,14 +67,14 @@ def test_negative_controls_trigger_intended_arms():
     expectations = {
         "petersen": ("systole", recognize_dim1),
         "k4": ("diameter", recognize_dim1),
-        "short_lune": ("link_failure", check_spherical),
-        "punctured_octahedron": ("codim1_cell_count", check_spherical),
+        "short-lune": ("link_failure", check_spherical),
+        "punctured-octahedron": ("codim1_cell_count", check_spherical),
     }
     for kind, (arm, checker) in expectations.items():
-        res = checker(gen_negative(kind))
+        res = checker(GENERATORS[kind]())
         assert isinstance(res, Diagnosis), kind
         assert res.condition == arm, kind
-    res = check_euclidean(gen_negative("perturbed_a2_window"), "window")
+    res = check_euclidean(GENERATORS["perturbed-a2-window"](), "window")
     assert isinstance(res, Diagnosis) and res.condition == "link_failure"
 
 
@@ -788,12 +787,12 @@ def test_cli_integrity_error_is_not_an_exit_code(tmp_path, monkeypatch):
     g.write_text(gen_octahedron().dumps())
 
     def broken(*args, **kwargs):
-        raise recognizer.IntegrityError("inconsistent")
+        raise dim1.IntegrityError("inconsistent")
 
     monkeypatch.setattr(dim1, "check_dim1", broken)
     monkeypatch.setattr(recognizer, "check_spherical", broken)
     for path in (f, g):
-        with pytest.raises(recognizer.IntegrityError):
+        with pytest.raises(dim1.IntegrityError):
             main(["check", str(path)])
 
 

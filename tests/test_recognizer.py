@@ -141,7 +141,7 @@ def test_valence_diagnosis():
 def test_nonuniform_gate():
     # non-uniform lengths cannot survive the earlier gates (the uniformity of
     # edge lengths is a consequence of them), so the gate is tested directly
-    from buildctl.recognizer import _uniform_m
+    from buildctl.dim1 import _uniform_m
     g = MetricGraph(["a", "b", "c"],
                     [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 2)),
                      (0, 2, Fraction(1, 3))])
@@ -256,7 +256,7 @@ def test_dim1_gates_run_one_search_per_vertex(monkeypatch):
 def test_walk_refuses_edge_sets_that_are_no_cycle():
     """A kept hull is walked from its least edge; an edge bitmask that is no
     single closed cycle raises instead of becoming an apartment."""
-    from buildctl.recognizer import IntegrityError, _walk_cycle
+    from buildctl.dim1 import IntegrityError, _walk_cycle
     # two triangles 0-1-2 and 3-4-5, and the bowtie 0-1-2, 0-6-7
     g = MetricGraph([f"v{i}" for i in range(8)],
                     [(u, v, THIRD) for u, v in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
@@ -1057,7 +1057,8 @@ def _assert_links_as_public(c):
     if not c._vertex_links:
         return
     fresh = _fresh_copy(c)
-    corners = {(v, *(u for u in t if u != v)) for t in fresh.cofaces if len(t) == 3 for v in t}
+    corners = {(v, *(u for u in t if u != v))
+               for t in oracles.face_poset(fresh) if len(t) == 3 for v in t}
     assert c._corner_angles == {key: _vertex_angle(fresh, *key) for key in corners}
     for vi, L in sorted(c._vertex_links.items()):
         ref = _public_link(c, fresh, vi)
@@ -1657,7 +1658,7 @@ def test_dim2_chamber_cover_matches_cell_pair_oracle(k33, heawood, octahedron):
     for c in (suspension(k33), suspension(heawood), octahedron):
         cert = check_spherical(c)
         assert cert.apartments_exhaustive and cert.apartments
-        cells = c.all_cells()
+        cells = sorted(oracles.face_poset(c), key=lambda f: (len(f), f))
         n = len(c.top_cells)
         index = {ch: k for k, ch in enumerate(c.top_cells)}
         sets = [{index[ch] for ch in a.cells} for a in cert.apartments]
@@ -2016,9 +2017,10 @@ def _mutants(c, cells):
     hull = set(cells)
     outside = [t for t in c.top_cells if t not in hull]
     out = []
+    poset = oracles.face_poset(c)
     for x in rng.sample(cells, min(3, len(cells))) if outside else ():
         near = [t for p in itertools.combinations(x, c.dimension)
-                for t in c.cofaces[p] if t not in hull]
+                for t in poset[p] if t not in hull]
         for y in {min(near, default=outside[0]), rng.choice(outside)}:
             out += [tuple(sorted(hull - {x} | {y})), tuple(sorted(hull | {y}))]
     return out
@@ -2433,7 +2435,7 @@ def _incidence_inputs():
 
 def test_incidence_is_the_cofaces_scan():
     """On every ``_incidence_inputs`` complex, the stars and panels of the
-    one incidence pass and ``chamber_graph`` equal a scan of ``cofaces``
+    one incidence pass and ``chamber_graph`` equal a scan of the face poset
     (``oracles.cofaces_incidence``), ``_skeleton_connected`` equals a search
     over the edges, and ``cell_link`` accepts a drawn face below the top
     dimension but refuses a vertex pair that is no edge, a repeated vertex
@@ -2449,11 +2451,12 @@ def test_incidence_is_the_cofaces_scan():
         if not c.validation.ok:
             continue
         rng = random.Random(label)
-        faces = [f for f in c.cofaces if len(f) <= c.dimension]
+        poset = oracles.face_poset(c)
+        faces = [f for f in poset if len(f) <= c.dimension]
         f = rng.choice(faces)
         assert cell_link(c, f[::-1]).dimension == c.dimension - len(f), label
         pairs = [p for p in itertools.combinations(range(len(c.vertices)), 2)
-                 if p not in c.cofaces]
+                 if p not in poset]
         for bad in ([rng.choice(pairs)] if pairs else []) + [(f[0], f[0]), ()]:
             with pytest.raises(ComplexError, match="is not a cell"):
                 cell_link(c, bad)
@@ -2465,8 +2468,8 @@ def test_incidence_is_the_cofaces_scan():
 def test_chamber_graph_route_equals_the_cofaces_route(k, seed):
     """On a links-workload input under a drawn relabelling, and on that copy
     with one drawn edge 1 % off or one drawn chamber removed: the vertex
-    types and the panel counts or diagnosis from ``chamber_graph`` are the
-    ``cofaces`` oracles' (``oracles.cofaces_vertex_types``,
+    types and the panel counts or diagnosis from ``_incidence`` are the
+    face-poset oracles' (``oracles.cofaces_vertex_types``,
     ``oracles.sorted_scan_panel_counts``); and where a chamber gives a
     Coxeter matrix, each hull walked on chamber indices against the bare
     group gives the (bad, image, back) of the tuple/dict walk
@@ -2520,42 +2523,35 @@ def test_left_action_folds_left_multiplication_as_the_model_walk_gave_it():
 
 
 def test_axiom_route_reads_no_face_poset_and_builds_no_model_complex(monkeypatch):
-    """``check_spherical`` on the A4 Coxeter complex loaded from JSON decides
-    on the chamber graph against the bare Coxeter group: no gate reads
-    ``cofaces`` or ``cells_by_dim`` (each spied on as a ``cached_property``)
-    and no ``MetricComplex`` is built, while ``coxeter_complex`` still
-    builds its complex when called.  The window route reads neither either:
-    ``check_euclidean(..., "window")`` on the A2 windows of radius 3..6 and
-    on radius 3 with its origin edge 1 % longer or shorter (a link
-    failure), and ``check_spherical`` on S0*K3,3 and S0*S0*Heawood, whose
-    suspension poles come from the vertex stars."""
-    from functools import cached_property
+    """``MetricComplex`` keeps no face poset: it has no ``cofaces``,
+    ``cells_by_dim`` or ``all_cells``.  ``check_spherical`` on the A4
+    Coxeter complex loaded from JSON decides on the chamber graph against
+    the bare Coxeter group: no ``MetricComplex`` is built, while
+    ``coxeter_complex`` still builds its complex when called.  Neither does
+    the window route: ``check_euclidean(..., "window")`` on the A2 windows
+    of radius 3..6 and on radius 3 with its origin edge 1 % longer or
+    shorter (a link failure), nor ``check_spherical`` on S0*K3,3 and
+    S0*S0*Heawood, whose suspension poles come from the vertex stars."""
     from buildctl.complexes import loads
     c = loads(_a4_complex().dumps())
     k33 = gen_rank2_building("complete_bipartite", s=3, t=3)
     joins = [suspension(k33), suspension(suspension(gen_rank2_building("projective_plane")))]
     windows = [gen_a2_window(r).complex for r in range(3, 7)]
     windows += [gen_a2_window(3, perturb=f).complex for f in (1.01, 0.99)]
-    reads, inits = [], []
-    for name in ("cofaces", "cells_by_dim"):
-        def spy(self, fill=getattr(MetricComplex, name).func, name=name):
-            reads.append(name)
-            return fill(self)
-        prop = cached_property(spy)
-        prop.__set_name__(MetricComplex, name)
-        monkeypatch.setattr(MetricComplex, name, prop)
+    for name in ("cofaces", "cells_by_dim", "all_cells"):
+        assert not hasattr(MetricComplex, name) and not hasattr(c, name), name
+    inits = []
     init = MetricComplex.__init__
     monkeypatch.setattr(MetricComplex, "__init__",
                         lambda self, *a, **kw: inits.append(a) or init(self, *a, **kw))
     cert = check_spherical(c)
     assert cert.verdict == "thin_building" and cert.apartments_exhaustive
-    assert reads == [] and inits == []
+    assert inits == []
     for w, verdict in zip(windows, ["metric_euclidean_building_local"] * 4 + ["link_failure"] * 2):
         res = check_euclidean(w, "window")
         assert (res.condition if isinstance(res, Diagnosis) else res.verdict) == verdict
     assert [check_spherical(j).verdict for j in joins] == ["suspension"] * 2
-    assert reads == [] and inits == []
-    assert c.cofaces and reads == ["cofaces"]       # the spy does see a read
+    assert inits == []
     model = coxeter_complex(named_matrix("A3"))
     assert len(inits) == 1 and "complex" in vars(model)
 
