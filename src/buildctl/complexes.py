@@ -27,9 +27,10 @@ caches depend on it; each is filled once and never invalidated:
 - ``graph_class``, a graph's key up to vertex names: the recognizer shares
   one certificate, and ``most_singular_vertex`` one factor hint, per key.
   ``vertex_link`` fills it in for the graph links it assembles.
-- the corner-angle memo and kernel, the vertex-link memo and the local
-  certificate, so ``vertex_link(c, v)`` returns the same link object on
-  every call and each distinct link is built, validated and certified once.
+- the corner-angle memo and kernel, the vertex-link memo and, on a graph,
+  the dimension-1 certificate, so ``vertex_link(c, v)`` returns the same
+  link object on every call and each distinct link is built, validated and
+  certified once.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ class MetricComplex:
         self._corner_angles: dict[tuple[int, int, int], Angle] = {}   # _vertex_angle
         self._shape_angles: dict[tuple[float, float, float], Angle] = {}
         self._vertex_links: dict[int, MetricComplex] = {}              # vertex_link
-        self._certificate = None                                       # recognizer._certify
+        self._certificate = None          # recognizer._certify: a graph's dimension-1 answer
         return self
 
     # -- derived structure -------------------------------------------------

@@ -406,11 +406,15 @@ class PropagationFailure:
 
 def _sector_fan(c: MetricComplex, x, link_cycle: Sequence) -> tuple[int, list, list]:
     """(x, cycle, fan): vertex indices and the wedge cells at x spanned by
-    consecutive cycle entries, in cycle order."""
+    consecutive cycle entries, in cycle order.  A cycle through x itself
+    lies in no link of x."""
     if c.dimension != 2 or c.geometry != "spherical":
         raise GeodesicError("apartment propagation implemented for spherical n = 2")
     xi = c.vertex_index(x)
     cyc = [c.vertex_index(v) for v in link_cycle]
+    if xi in cyc:
+        raise GeodesicError(f"link cycle {[c.vertices[v] for v in cyc]} holds the base "
+                            f"vertex {c.vertices[xi]}")
     return xi, cyc, [tuple(sorted((xi, a, b))) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
 
 

@@ -16,16 +16,18 @@ of each element's chamber and the length of each type pair; no model
 complex is built), by panel type; (B1) every pair of chambers lies in a
 hull; (B2) two hulls through a chamber agree on every vertex they share.  When
 all three hold on an exhaustive search the complex is a building, so its
-links are buildings and no link is certified.  The link recursion, the
-local certificate ``_certify``, runs only when something fails: it names
-the first failing local gate, and when every local gate passes the failed
-axiom is the diagnosis.  The axioms are checked exactly, never by sampling.
-No spherical check computes a fundamental group: a spherical building is
-CAT(1) (Bridson-Haefliger II.10A) and, from dimension 2 on, simply
-connected (Solomon-Tits).  Global CAT(1) is never guessed either: the one
-verdict builder both routes share flags every certificate unverified unless
-the complex was produced by a curvature-preserving construction.  Only
-strict ``check_euclidean`` computes pi_1.
+links are buildings and no link is certified.  Only when something fails
+does one residue pass run: the links of the (n-2)-cells, the rank-2
+residues, are certified as graphs (``_certify``) and assemble a Coxeter
+matrix; it names the first failing residue, and when every residue passes
+the failed axiom is the diagnosis.  No spherical check builds a vertex
+link.  The axioms are checked exactly, never by sampling.  No spherical
+check computes a fundamental group: a spherical building is CAT(1)
+(Bridson-Haefliger II.10A) and, from dimension 2 on, simply connected
+(Solomon-Tits).  Global CAT(1) is never guessed either: the one verdict
+builder flags every certificate unverified unless the complex was produced
+by a curvature-preserving construction.  Only strict ``check_euclidean``
+computes pi_1.
 """
 
 from __future__ import annotations
@@ -60,107 +62,71 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     """Certify a spherical complex as a building, or diagnose the failure.
 
     Dimension <= 1 is ``dim1.check_dim1``'s answer, which counts the
-    apartments and searches none.  Dimension >= 2 decides a
-    positive from the building axioms (``_axiom_certificate``): after the
-    connectivity and codimension-1 gates, the vertex types and the Coxeter
-    matrix of one chamber give the model Coxeter group, enumerated only
-    when it has no more elements than the complex has chambers; the
-    apartments are the convex hulls of opposite chambers in the chamber
-    graph, with l(w0) and |W| read off the model (a thin sphere is its
-    single hull, found by evaluating one pair); and (B0) every hull walks
-    onto the model by panel type (``_model_walk``), each edge of the
-    complex having the model's length for its type pair, which is checked
-    once for all hulls (``_lengths_fit_model``), (B1) every chamber pair
-    lies in a hull and (B2) hulls through a common chamber agree on their
-    shared vertices.  Panel counts and the suspension poles give the
-    verdict.
+    apartments and searches none.  Dimension >= 2 runs each gate once, in
+    order.  After the connectivity and codimension-1 gates
+    (``_panel_counts``), the vertex types and the Coxeter matrix of one
+    chamber (``_chamber_coxeter``) give the model Coxeter group, enumerated
+    only when it has no more elements than the complex has chambers (each
+    apartment of a building has |W| chambers); the apartments are the
+    convex hulls of opposite chambers in the chamber graph, with l(w0) and
+    |W| read off the model (a thin sphere is its single hull, found by
+    evaluating one pair); and (B0) every hull walks onto the model by panel
+    type (``_model_walk``), each edge of the complex having the model's
+    length for its type pair, which is checked once for all hulls
+    (``_lengths_fit_model``), (B1) every chamber pair lies in a hull and
+    (B2) hulls through a common chamber agree on their shared vertices.
+    On an exhaustive search that holds, panel counts and the suspension
+    poles give the verdict.
 
-    When any of that fails, or the search is cut off by the budget, the
-    link recursion runs (``_certify``): its first failing local gate is the
-    diagnosis.  When every local gate passes, the apartment layer on the
-    local certificate (reusing the axiom route's hulls and walks when the
-    two Coxeter matrices agree) names the failed axiom: a hull that does
-    not walk is ``hull_not_isometric_to_model`` (its first chamber and the
-    chamber where the walk failed), a chamber with no chamber at gallery
-    distance l(w0) is ``no_opposite_chamber``, two chambers in no common
-    hull after an exhaustive search are ``no_common_apartment`` and two
-    hulls that label a shared vertex differently are
-    ``apartments_incompatible``.  A search cut off by the budget flags
-    ``apartments_sampled``, and ``apartment_axiom2_unverified`` if a
-    chamber pair is still uncovered.
+    Only when that fails, or the search is cut off by the budget, does the
+    residue pass run: the link of every (n-2)-cell, a rank-2 residue, is
+    certified as a graph (``_certify_links``), and their edge lengths
+    assemble the Coxeter matrix (``_assemble_coxeter``).  Its first failing
+    gate is the diagnosis.  When every residue passes, the apartment layer
+    (``_with_apartments``, reusing the hulls and walks when the two Coxeter
+    matrices agree) names the failed axiom: a hull that does not walk is
+    ``hull_not_isometric_to_model`` (its first chamber and the chamber where
+    the walk failed), a chamber with no chamber at gallery distance l(w0) is
+    ``no_opposite_chamber``, two chambers in no common hull after an
+    exhaustive search are ``no_common_apartment`` and two hulls that label a
+    shared vertex differently are ``apartments_incompatible``.  A search cut
+    off by the budget flags ``apartments_sampled``, and
+    ``apartment_axiom2_unverified`` if a chamber pair is still uncovered.
+    No vertex link is built: the rank-2 residues carry the local condition
+    (Tits, A local approach to buildings), and the axioms the rest.
 
-    Neither route computes a fundamental group.  Global CAT(1) is decided
-    only for by-construction inputs (provenance): otherwise
-    ``_spherical_certificate``, which both routes call, flags the
-    certificate ``global_cat1_unverified``.
+    No fundamental group is computed: a building of dimension >= 2 is
+    simply connected (Solomon-Tits).  Global CAT(1) is decided only for
+    by-construction inputs (provenance): otherwise
+    ``_spherical_certificate`` flags the certificate
+    ``global_cat1_unverified``.
     """
     if c.dimension <= 1:
         return check_dim1(c)
     if c.geometry != SPHERICAL:
         raise ComplexError("check_spherical needs a spherical complex")
-    res, hulls = _axiom_certificate(c, budget)
-    if res is not None:
-        return res
-    return _with_apartments(c, _certify(c), budget, hulls)
-
-
-def _axiom_certificate(c: MetricComplex, budget: int
-                       ) -> tuple[BuildingCertificate | Diagnosis | None, tuple | None]:
-    """The certificate of a complex of dimension >= 2 from (B0)-(B2) on an
-    exhaustive hull search, the diagnosis of a failed first gate
-    (connectivity, codimension-1 counts), or None when anything else fails
-    or the search is cut off; with the ``_walked_hulls`` it ran, if any.
-    Each apartment of a building has |W| chambers, so a group larger than
-    the complex is not enumerated.  A building of dimension >= 2 is simply
-    connected (Solomon-Tits), so no fundamental group is computed."""
     c.require_valid()
-    panel_counts = _panel_counts(c)
-    if isinstance(panel_counts, Diagnosis):
-        return panel_counts, None
-    types = _vertex_types(c)
-    M = None if types is None else _chamber_coxeter(c, types)
-    if M is None:
-        return None, None
-    try:
-        model = coxeter_group(M, budget=len(c.top_cells))
-    except BudgetExceeded:
-        return None, None
-    hulls = _walked_hulls(c, types, model, budget)
-    res = _with_apartments(c, _spherical_certificate(c, M, types, panel_counts), budget, hulls)
-    if isinstance(res, BuildingCertificate) and res.apartments_exhaustive:
-        return res, hulls
-    return None, hulls
-
-
-def _certify(c: MetricComplex) -> BuildingCertificate | Diagnosis:
-    """The local certificate of c, memoized in one slot on c (it reads no
-    budget): the gates, the link recursion, the assembled Coxeter matrix and
-    the verdict, with no apartment search, so above dimension 1 it is
-    flagged ``apartments_sampled``; in dimension <= 1 it is the answer of
-    the ``dim1`` gates, which count the apartments.  Above dimension 1
-    ``check_spherical`` reads it only when the axiom route fails or is cut
-    off, and its links hold local certificates."""
-    if c._certificate is None:
-        c._certificate = _local_certificate(c)
-    return c._certificate
-
-
-def _local_certificate(c: MetricComplex) -> BuildingCertificate | Diagnosis:
-    c.require_valid()
-    n = c.dimension
-    if n <= 1:
-        return _check_dim0(c) if n <= 0 else _certify_graph(c)
     panel_counts = _panel_counts(c)
     if isinstance(panel_counts, Diagnosis):
         return panel_counts
-    # (n-2)-cell links are graphs; deeper structure recurses through vertices
+    types = _vertex_types(c)
+    M = None if types is None else _chamber_coxeter(c, types)
+    try:
+        model = None if M is None else coxeter_group(M, budget=len(c.top_cells))
+    except BudgetExceeded:
+        model = None
+    hulls = None if model is None else _walked_hulls(c, types, model, budget)
+    if hulls is not None:
+        res = _with_apartments(c, _spherical_certificate(c, M, types, panel_counts),
+                               budget, hulls)
+        if isinstance(res, BuildingCertificate) and res.apartments_exhaustive:
+            return res
+    # the residue pass: the links of the (n-2)-cells name the failure
+    n = c.dimension
     cells = sorted({f for t in c.top_cells for f in itertools.combinations(t, n - 1)})
-    if n >= 3:
-        cells += [(v,) for v in range(len(c.vertices))]
     link_certs = _certify_links(c, cells, _certify)
     if isinstance(link_certs, Diagnosis):
         return link_certs
-    types = _vertex_types(c)
     if types is None:
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
             "detail": "vertices admit no consistent type coloring"})
@@ -172,9 +138,18 @@ def _local_certificate(c: MetricComplex) -> BuildingCertificate | Diagnosis:
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
             "detail": f"assembled Coxeter matrix is {form}, not spherical",
             "matrix": M.to_json_dict()})
-    cert = _spherical_certificate(c, M, types, panel_counts)
-    cert.link_certificates = link_certs
-    return cert
+    return _with_apartments(c, _spherical_certificate(c, M, types, panel_counts), budget, hulls)
+
+
+def _certify(c: MetricComplex) -> BuildingCertificate | Diagnosis:
+    """The answer of the ``dim1`` gates for a complex of dimension <= 1,
+    memoized in one slot on c: a link of an (n-2)-cell, or a vertex link of
+    a 2-dimensional Euclidean complex.  ``_certify_links`` hands a later
+    link of a class its first link's answer through that slot."""
+    if c._certificate is None:
+        c.require_valid()
+        c._certificate = _check_dim0(c) if c.dimension <= 0 else _certify_graph(c)
+    return c._certificate
 
 
 def _panel_counts(c: MetricComplex) -> set[int] | Diagnosis:
@@ -194,7 +169,8 @@ def _panel_counts(c: MetricComplex) -> set[int] | Diagnosis:
 
 def _spherical_certificate(c: MetricComplex, M: CoxeterMatrix, types, panel_counts
                            ) -> BuildingCertificate:
-    """The verdict from the panel counts and the suspension poles, flagged
+    """The verdict from the panel counts and the suspension poles, for
+    either Coxeter matrix ``check_spherical`` reads, flagged
     ``apartments_sampled`` until the apartment layer runs, and
     ``global_cat1_unverified`` unless a curvature-preserving construction
     made the complex (provenance)."""
@@ -226,7 +202,8 @@ def _spherical_certificate(c: MetricComplex, M: CoxeterMatrix, types, panel_coun
 def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
     """Every cell's link with ``certify``'s answer for it: {cell: (link,
     certificate)}, or a link_failure diagnosis at the first cell whose link
-    fails.
+    fails.  ``check_spherical``'s residue pass lists the (n-2)-cells, whose
+    links are graphs, and ``check_euclidean`` the interior vertices.
 
     Graph links equal up to vertex names (``graph_class``) share one
     validation and one run of the dimension-1 gates: a later link of a class
@@ -257,19 +234,16 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
     return out
 
 
-def _with_apartments(c, cert, budget: int, hulls: tuple | None = None
+def _with_apartments(c, cert: BuildingCertificate, budget: int, hulls: tuple | None
                      ) -> BuildingCertificate | Diagnosis:
     """A copy of the certificate of a complex of dimension >= 2 with its
     apartment system, the convex hulls of opposite chambers, spheres walked
     onto the model (B0), in ``Apartment.key`` order and before (B1), so a
     hull that is no apartment covers no pair, and (B2) on the walks of an
-    exhaustive search (see ``check_spherical``).  ``hulls`` are
-    ``_walked_hulls`` already run for the same complex and budget, reused
-    when their model is the certificate's.  A diagnosis, and a certificate
-    whose apartments are complete (every one of dimension <= 1), come back
-    as they are.  The memo is never changed."""
-    if isinstance(cert, Diagnosis) or cert.apartments_exhaustive:
-        return cert
+    exhaustive search (see ``check_spherical``), or the diagnosis of the
+    failed axiom.  ``hulls`` are ``_walked_hulls`` already run for the same
+    complex and budget, or None, reused when their model is the
+    certificate's."""
     if hulls is None or hulls[0].system != cert.coxeter_matrix:
         hulls = _walked_hulls(c, cert.vertex_types,
                               coxeter_group(cert.coxeter_matrix), budget)
@@ -307,8 +281,6 @@ def _assemble_coxeter(c: MetricComplex, types, link_certs) -> CoxeterMatrix | Di
     all_types = set(range(n + 1))
     mvals: dict[tuple[int, int], int] = {}
     for cell, (L, sub) in sorted(link_certs.items()):
-        if len(cell) != n - 1:
-            continue
         cotype = tuple(sorted(all_types - {types[v] for v in cell}))
         lens = [L.edge_length(i, j) for i, j in L.edges]
         first = lens[0]

@@ -35,7 +35,10 @@ Apartment antipodes and distances: the apartment developed onto the unit
 sphere in float coordinates, one cell at a time across shared edges.  The
 discrete extension property: nonempty discrete antipode sets in every
 space of directions, read off ``antipode_set``; no command or gate runs it.
-Dimension-1 apartments: not an oracle but a listing, with the library's
+The local route (``local_certificate``, ``local_route``): the earlier
+spherical certificate from every (n-2)-cell link and, recursively, every
+vertex link, which ``check_spherical`` must answer as, link certificates
+aside.  Dimension-1 apartments: not an oracle but a listing, with the library's
 hull enumeration, of the apartments that a dimension-1 certificate only
 counts.  Coxeter complexes: the earlier construction with orthogonal
 matrices from the square root of the cosine form, rounded matrix and
@@ -1256,3 +1259,63 @@ def per_vertex_most_singular(c, link_certs) -> tuple[int, list[dict]]:
         if best is None or score > best[0]:
             best = (score, vi, hints)
     return best[1], best[2]
+
+
+def local_certificate(c, memo: dict | None = None):
+    """The earlier local route of ``check_spherical``: the panel gate, the
+    link of every (n-2)-cell and, from dimension 3 on, of every vertex,
+    each certified by this route again (the vertex-link recursion), then
+    the typing and the Coxeter matrix assembled from the (n-2)-cell links,
+    with no apartment search.  A certificate holds its links in
+    ``link_certificates``.  Graphs get ``recognizer._certify``, memoized on
+    the graph; every complex of dimension >= 2 is certified once per call,
+    through ``memo`` (by object)."""
+    from buildctl import recognizer as r
+    if c.dimension <= 1:
+        return r._certify(c)
+    memo = {} if memo is None else memo
+    if id(c) not in memo:
+        memo[id(c)] = (c, _local_certificate(c, memo))
+    return memo[id(c)][1]
+
+
+def _local_certificate(c, memo: dict):
+    from buildctl import recognizer as r
+    from buildctl.dim1 import EDGE_LENGTH_NONUNIFORM, Diagnosis
+    c.require_valid()
+    n = c.dimension
+    panel_counts = r._panel_counts(c)
+    if isinstance(panel_counts, Diagnosis):
+        return panel_counts
+    cells = sorted({f for t in c.top_cells for f in itertools.combinations(t, n - 1)})
+    if n >= 3:
+        cells += [(v,) for v in range(len(c.vertices))]
+    link_certs = r._certify_links(c, cells, lambda L: local_certificate(L, memo))
+    if isinstance(link_certs, Diagnosis):
+        return link_certs
+    types = r._vertex_types(c)
+    if types is None:
+        return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
+            "detail": "vertices admit no consistent type coloring"})
+    M = r._assemble_coxeter(c, types, {f: v for f, v in link_certs.items() if len(f) == n - 1})
+    if isinstance(M, Diagnosis):
+        return M
+    form = r.cosine_verdicts(M)[2]
+    if form != "spherical":
+        return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
+            "detail": f"assembled Coxeter matrix is {form}, not spherical",
+            "matrix": M.to_json_dict()})
+    cert = r._spherical_certificate(c, M, types, panel_counts)
+    cert.link_certificates = link_certs
+    return cert
+
+
+def local_route(c, budget: int):
+    """``check_spherical``'s earlier answer through the local route: the
+    ``local_certificate`` diagnosis, or its certificate with the apartment
+    layer (``recognizer._with_apartments``)."""
+    from buildctl import recognizer as r
+    local = local_certificate(c)
+    if isinstance(local, r.Diagnosis) or local.apartments_exhaustive:
+        return local
+    return r._with_apartments(c, local, budget, None)

@@ -495,8 +495,10 @@ def test_face_readers_list_the_face_posets_faces_in_order(monkeypatch):
     """The faces that each reader lists without a face poset are those of
     the plain scan (``oracles.face_poset``), in the same order, on
     ``_incidence_corpus()``, the links-workload inputs and a relabelled copy
-    of each: the local route's cells (the sorted (n-2)-cells, then every
-    vertex when n >= 3) where it passes the panel gate, ``homotopy``'s edges
+    of each: the cells of ``check_spherical``'s residue pass (the sorted
+    (n-2)-cells, and no vertex from dimension 3 on) where a spherical
+    complex passes the panel gate, the axiom route skipped by reading no
+    Coxeter matrix off a chamber, ``homotopy``'s edges
     and 2-cells (each relator's triangle, in relator order) on a connected
     complex, and in dimension 2 the cells across each edge of each top cell
     in which ``geodesics._extend`` branches."""
@@ -514,6 +516,7 @@ def test_face_readers_list_the_face_posets_faces_in_order(monkeypatch):
 
     letter = homotopy._edge_letter
     monkeypatch.setattr(recognizer, "_certify_links", certify_links)
+    monkeypatch.setattr(recognizer, "_chamber_coxeter", lambda c, types: None)
     monkeypatch.setattr(homotopy, "_edge_letter", edge_letter)
     monkeypatch.setattr(geodesics, "_transfer",
                         lambda c, old, new, shared, p, d: crossed.append(new) or (p, d))
@@ -525,12 +528,14 @@ def test_face_readers_list_the_face_posets_faces_in_order(monkeypatch):
             faces = lambda d: sorted(f for f in poset if len(f) == d + 1)
             n = c.dimension
             reached = []
+            spherical = n >= 2 and c.geometry == "spherical"
             try:
-                recognizer._local_certificate(c)
+                if spherical:
+                    recognizer.check_spherical(c)
             except _Stop:
                 pass
-            passes = n >= 2 and not isinstance(recognizer._panel_counts(c), Diagnosis)
-            assert reached == ([faces(n - 2) + (faces(0) if n >= 3 else [])] if passes else [])
+            passes = spherical and not isinstance(recognizer._panel_counts(c), Diagnosis)
+            assert reached == ([faces(n - 2)] if passes else [])
             seen += passes
             if c._skeleton_connected:
                 letters = []

@@ -335,8 +335,8 @@ def test_cli_dim1_route_matches_check_spherical(tmp_path, capsys):
     """``buildctl check`` on a complex of dimension <= 1 (``dim1.check_dim1``)
     prints the same report bytes and exits with the same code as
     ``recognizer.check_spherical`` in process and as the recognizer's
-    memoized local certificate with its apartment layer, which certifies
-    the links of higher-dimensional complexes."""
+    memoized dimension-1 answer (``_certify``), which certifies the
+    (n-2)-cell links of higher-dimensional complexes."""
     import buildctl.recognizer as recognizer
     from buildctl.cli import emit, exit_code_of, report_of
     from buildctl.complexes import loads
@@ -350,8 +350,7 @@ def test_cli_dim1_route_matches_check_spherical(tmp_path, capsys):
         code = main(["check", str(f)])
         printed = capsys.readouterr().out
         c = loads(text)
-        local = recognizer._with_apartments(c, recognizer._certify(c),
-                                            recognizer.B_APT_DEFAULT)
+        local = recognizer._certify(c)
         for res in (check_spherical(loads(text)), local):
             out = io.StringIO()
             emit(report_of(res), "json", out)

@@ -167,6 +167,25 @@ def test_propagate_rejects_non_cell_cycle(octahedron):
         propagate_apartment(octahedron, "a0", ["b0", "c0", "b1"])
 
 
+def test_propagate_rejects_cycle_through_the_base(octahedron, tmp_path):
+    """A link cycle that holds the base vertex itself is an input error that
+    names the cycle, for ``propagate_apartment`` and ``propagate_all``;
+    ``buildctl apartment`` exits 3 with that one line and no traceback."""
+    import subprocess
+    import sys
+    want = "link cycle ['a0', 'b0', 'c0'] holds the base vertex a0"
+    for propagate in (propagate_apartment, propagate_all):
+        with pytest.raises(GeodesicError) as err:
+            propagate(octahedron, "a0", ["a0", "b0", "c0"])
+        assert str(err.value) == want
+    f = tmp_path / "oct.json"
+    f.write_text(octahedron.dumps())
+    r = subprocess.run([sys.executable, "-m", "buildctl.cli", "apartment", str(f), "--from",
+                        "a0", "--cycle", "a0", "b0", "c0"], capture_output=True, text=True)
+    assert r.returncode == 3 and r.stdout == ""
+    assert r.stderr == f"buildctl: {want}\n"
+
+
 def test_propagate_rejects_non_antipodal_y(octahedron):
     res = propagate_apartment(octahedron, "a0", ["b0", "c0", "b1", "c1"], y="b0")
     assert isinstance(res, PropagationFailure)

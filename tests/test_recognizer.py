@@ -1278,70 +1278,72 @@ def _a4_complex():
     return coxeter_complex(CoxeterMatrix(("s0", "s1", "s2", "s3"), m)).complex
 
 
-def test_dim3_link_certificates_carry_no_apartments(k33):
-    """A positive certificate holds no link certificate.  The local
-    certificate, which diagnoses, certifies every link without apartments:
-    the vertex links of a dimension-3 complex are flagged
-    ``apartments_sampled``, and the (n-2)-cell links run no cycle search."""
+def _forced_residue_pass(c, monkeypatch, budget=None):
+    """``check_spherical(c)`` with no Coxeter matrix read off a chamber, so
+    that the axiom route is skipped and the residue pass runs: (the answer,
+    the {cell: (link, certificate)} that ``_certify_links`` gave it)."""
     import buildctl.recognizer as recognizer
+    passes = []
+    real = recognizer._certify_links
+    with monkeypatch.context() as m:
+        m.setattr(recognizer, "_chamber_coxeter", lambda c, types: None)
+        m.setattr(recognizer, "_certify_links", lambda *a: passes.append(real(*a)) or passes[-1])
+        res = check_spherical(c, recognizer.B_APT_DEFAULT if budget is None else budget)
+    (links,) = passes
+    return res, links
+
+
+def test_dim3_link_certificates_carry_no_apartments(k33, monkeypatch):
+    """A positive certificate holds no link certificate, and neither does
+    the answer of the residue pass, which gives the same report through the
+    apartment layer.  The residue pass certifies the (n-2)-cell links alone,
+    each a graph, and runs no cycle search on them; a circuit carries
+    itself."""
     cases = [(suspension(suspension(k33)), S0S0K33_REPORT),
              (_a4_complex(), A4_REPORT)]
     for c, report in cases:
         cert = check_spherical(c)
         assert cert.to_report() == report
         assert cert.link_certificates == {}
-        local = recognizer._certify(c)
-        links = [sub for _, sub in local.link_certificates.values()
-                 if sub.dimension == 2]
-        assert len(links) == len(c.vertices)
-        for sub in links:
-            assert sub.apartments == ()
-            assert sub.apartments_exhaustive is False
-            assert "apartments_sampled" in sub.flags
-        # (n-2)-cell links run no cycle search either; a circuit carries itself
-        for _, sub in local.link_certificates.values():
+        res, links = _forced_residue_pass(c, monkeypatch)
+        assert res.to_report() == report and res.link_certificates == {}
+        assert {len(cell) for cell in links} == {c.dimension - 1}
+        assert {sub.dimension for _, sub in links.values()} == {1}
+        for _, sub in links.values():
             assert sub.apartments == () or sub.verdict == "thin_building"
 
 
 def _counting_local_certificates(monkeypatch):
-    """Patch the uncached layer of recognition; the returned list receives
-    every complex whose local certificate is computed."""
+    """Patch the dimension-1 gates under ``recognizer._certify``'s memo; the
+    returned list receives every graph whose certificate is computed."""
     import buildctl.recognizer as recognizer
     seen = []
-    original = recognizer._local_certificate
-
-    def counting(c):
-        seen.append(c)
-        return original(c)
-
-    monkeypatch.setattr(recognizer, "_local_certificate", counting)
+    original = recognizer._certify_graph
+    monkeypatch.setattr(recognizer, "_certify_graph", lambda c: seen.append(c) or original(c))
     return seen
 
 
 def test_local_certificate_computed_once_per_complex(k33, monkeypatch):
-    """A positive check computes no local certificate.  The local
-    certificate is computed once per object, and within it every link object
-    is certified once; a second call returns the memo, and the apartment
-    layer on it gives the checked report without changing it."""
-    import buildctl.recognizer as recognizer
+    """A positive check certifies no link.  The residue pass certifies only
+    graphs, each link object at most once (a link equal to an earlier one up
+    to vertex names gets its certificate), and keeps no certificate on the
+    complex itself; a second pass on the same object reads every link's memo
+    and gives the same report."""
     seen = _counting_local_certificates(monkeypatch)
     for c, report in ((suspension(suspension(k33)), S0S0K33_REPORT),
                       (_a4_complex(), A4_REPORT)):
         seen.clear()
         assert check_spherical(c).to_report() == report
         assert seen == []
-        memo = recognizer._certify(c)
-        assert seen[0] is c
-        assert len({id(x) for x in seen}) == len(seen) > len(c.vertices)
-        assert c._certificate is memo
-        assert memo.apartments == () and "apartments_sampled" in memo.flags
+        res, links = _forced_residue_pass(c, monkeypatch)
+        assert res.to_report() == report
+        assert c._certificate is None
+        assert seen and {x.dimension for x in seen} == {1}
+        assert len({id(x) for x in seen}) == len(seen) <= len(links)
+        assert {id(x) for x in seen} <= {id(L) for L, _ in links.values()}
         seen.clear()
-        assert recognizer._certify(c) is memo
-        assert seen == []
-        full = recognizer._with_apartments(c, memo, recognizer.B_APT_DEFAULT)
-        assert full is not memo and full.to_report() == report
-        assert c._certificate is memo
-        assert memo.apartments == () and "apartments_sampled" in memo.flags
+        again, _ = _forced_residue_pass(c, monkeypatch)
+        assert seen == [] and again.to_report() == report
 
 
 def test_memo_keeps_no_budget(k33):
@@ -1410,16 +1412,16 @@ def test_repeated_a4_checks_enumerate_no_group(monkeypatch):
     assert budgets == []
 
 
-def test_link_certificates_hold_their_link(k33):
-    """Every link certificate entry of a local certificate is (link object,
-    certificate), the vertex links of a dimension >= 3 complex included."""
-    import buildctl.recognizer as recognizer
+def test_link_certificates_hold_their_link(k33, monkeypatch):
+    """Every entry of the residue pass's link certificates is (link object,
+    certificate), and its cells are the (n-2)-cells alone: no vertex link of
+    a dimension >= 3 complex is certified."""
     c = suspension(suspension(k33))
-    cert = recognizer._certify(c)
-    for cell, (L, sub) in cert.link_certificates.items():
+    _, links = _forced_residue_pass(c, monkeypatch)
+    for cell, (L, sub) in links.items():
         assert L is cell_link(c, [c.vertices[i] for i in cell])
         assert L._certificate is sub
-    assert {len(cell) for cell in cert.link_certificates} == {1, 2}
+    assert {len(cell) for cell in links} == {2}
 
 
 def _counting_propagation(monkeypatch):
@@ -2055,7 +2057,7 @@ def test_model_walk_matches_isomorphism_oracle(label, monkeypatch):
     for c in _WALKED[label]():
         check_spherical(c)
         assert built == []
-        local = recognizer._certify(c)
+        local = oracles.local_certificate(c)
         if isinstance(local, Diagnosis):        # the punctured octahedron
             types, M = recognizer._vertex_types(c), named_matrix(_DIM2_MODELS[label])
         else:
@@ -2099,30 +2101,35 @@ _ROUTED = {**{f"dim2:{label}": lambda label=label: _dim2_copies(label) for label
 
 
 @pytest.mark.parametrize("label", sorted(_ROUTED))
-def test_axiom_route_certifies_exactly_when_the_local_route_does(label):
+def test_axiom_route_certifies_exactly_when_the_local_route_does(label, monkeypatch):
     """On every spherical corpus input, every ``_dim2_copies`` copy and every
-    links-workload input, the axiom route certifies exactly when the local
-    certificate passes and its apartments pass (B0)-(B2), with the same
-    report, and builds no link; otherwise ``check_spherical`` answers as the
-    local route does."""
+    links-workload input, ``check_spherical`` certifies exhaustively exactly
+    when the earlier local route (``oracles.local_route``, the vertex-link
+    recursion included) passes with its apartments, with the same report,
+    and then runs no residue pass and builds no link; otherwise it answers
+    as that route does, but holds no link certificate."""
     import buildctl.recognizer as recognizer
     budget = recognizer.B_APT_DEFAULT
     for c in _ROUTED[label]():
-        axiom, _ = recognizer._axiom_certificate(c, budget)
-        local = recognizer._with_apartments(c, recognizer._certify(c), budget)
+        local = oracles.local_route(c, budget)
         passes = isinstance(local, recognizer.BuildingCertificate) and \
             local.apartments_exhaustive
-        assert isinstance(axiom, recognizer.BuildingCertificate) == passes, c.vertices
+        fresh = MetricComplex(c.geometry, c.vertices, c.top_cells,
+                              [(*e, a) for e, a in c.lengths.items()],
+                              provenance=c.provenance)
+        residues = []
+        with monkeypatch.context() as m:
+            m.setattr(recognizer, "_certify_links",
+                      lambda *a, f=recognizer._certify_links: residues.append(a) or f(*a))
+            res = check_spherical(fresh)
         if passes:
-            assert axiom.to_report() == local.to_report(), c.vertices
-            fresh = MetricComplex(c.geometry, c.vertices, c.top_cells,
-                                  [(*e, a) for e, a in c.lengths.items()],
-                                  provenance=c.provenance)
-            assert check_spherical(fresh).to_report() == local.to_report()
+            assert residues == [] and res.to_report() == local.to_report(), c.vertices
             assert fresh._vertex_links == {} and fresh._certificate is None
         else:
-            assert axiom is None or axiom == local, c.vertices
-            assert check_spherical(c) == local, c.vertices
+            if isinstance(local, Diagnosis):
+                assert res == local, c.vertices
+            else:
+                assert res == local.copy(link_certificates={}), c.vertices
 
 
 # -- each spherical decision in one place ----------------------------------------------
@@ -2191,12 +2198,84 @@ def test_b4_quotient_has_no_opposite_chamber():
     import buildctl.recognizer as recognizer
     q = _w0_quotient(_b4())
     assert len(q.top_cells) == 192 and q.provenance is None and q.validation.ok
-    assert isinstance(recognizer._certify(q), recognizer.BuildingCertificate)
+    assert isinstance(oracles.local_certificate(q), recognizer.BuildingCertificate)
     for budget in (recognizer.B_APT_DEFAULT, 3, 1):
         res = check_spherical(q, budget)
         assert isinstance(res, Diagnosis) and res.condition == "no_opposite_chamber"
         assert res.witness == {"chamber": ["q0", "q1", "q2", "q3"], "gallery_distance": 16}
     assert _gallery_eccentricity(q, q.top_cells[0]) < 16
+
+
+def _quotients():
+    """The antipodal quotients of the B3 and B4 Coxeter complexes, and
+    their suspensions."""
+    qs = [_w0_quotient(named_matrix("B3")), _w0_quotient(_b4())]
+    return [*qs, *map(suspension, qs)]
+
+
+@pytest.mark.parametrize("budget", [10 ** 5, 3, 1])
+def test_certify_receives_only_graphs(budget, monkeypatch):
+    """``recognizer._certify`` receives only complexes of dimension <= 1:
+    the residue pass certifies the (n-2)-cell links, which are graphs, and
+    no vertex link of a spherical complex.  A check that certifies on an
+    exhaustive search runs no residue pass.  On the links-workload inputs,
+    the JSON joins, and the B3 and B4 quotients and their suspensions,
+    which only the residue pass reaches, under every budget."""
+    import buildctl.recognizer as recognizer
+    dims, passes = [], []
+    certify, certify_links = recognizer._certify, recognizer._certify_links
+    monkeypatch.setattr(recognizer, "_certify",
+                        lambda c: dims.append(c.dimension) or certify(c))
+    monkeypatch.setattr(recognizer, "_certify_links",
+                        lambda c, *a: passes.append(c) or certify_links(c, *a))
+    positives = 0
+    for c in [*_links_inputs(), *_json_joins(), *_quotients()]:
+        passes.clear()
+        res = check_spherical(c, budget)
+        if isinstance(res, recognizer.BuildingCertificate) and res.apartments_exhaustive:
+            assert passes == [], c.vertices
+            positives += 1
+    assert positives >= 5 and dims and set(dims) <= {0, 1}
+
+
+def _a4_wedge():
+    """Two copies of the A4 Coxeter complex glued at the vertex w0.0, the
+    other vertices of the second named x<name>, without provenance."""
+    a = _a4_complex()
+    n = len(a.vertices)
+    moved = [0, *range(n, 2 * n - 1)]       # the second copy's index of each vertex
+    names = [*a.vertices, *("x" + v for v in a.vertices[1:])]
+    cells = [*a.top_cells, *([moved[v] for v in t] for t in a.top_cells)]
+    lengths = [(*e, ln) for e, ln in a.lengths.items()]
+    lengths += [(moved[i], moved[j], ln) for (i, j), ln in a.lengths.items()]
+    return MetricComplex("spherical", names, cells, lengths)
+
+
+@pytest.mark.parametrize("budget", [10 ** 5, 3])
+def test_a4_wedge_has_no_common_apartment(budget):
+    """Two A4 Coxeter complexes wedged at one vertex: every rank-2 residue
+    (each edge link, a circuit in one copy) passes, and only the vertex link
+    at the wedge point, two spheres, fails, which no spherical check builds.
+    The apartment layer names the failed axiom (B1): the first chambers of
+    the two copies lie in no common apartment.  It exits 1."""
+    from buildctl.cli import exit_code_of
+    res = check_spherical(_a4_wedge(), budget)
+    assert isinstance(res, Diagnosis) and res.condition == "no_common_apartment"
+    assert res.witness == {"chambers": [["w0.0", "w1.1", "w2.2", "w3.3"],
+                                        ["w0.0", "xw1.1", "xw2.2", "xw3.3"]]}
+    assert res.inner is None and exit_code_of(res) == 1
+
+
+def test_a4_wedge_under_budget_1_is_undecided():
+    """Under budget 1 the hull search keeps one hull, so the uncovered
+    chamber pair leaves (B1) unverified: the wedge is undecided (exit 2),
+    never certified."""
+    from buildctl.cli import exit_code_of
+    res = check_spherical(_a4_wedge(), 1)
+    assert res.verdict == "thin_building" and not res.apartments_exhaustive
+    assert res.flags == ("apartment_axiom2_unverified", "apartments_sampled",
+                         "global_cat1_unverified")
+    assert exit_code_of(res) == 2
 
 
 _JSON_JOIN_REPORTS = [
@@ -2282,13 +2361,14 @@ def _length_edits(c, pick=None):
 
 def _walk_models(c):
     """(types, model) for the Coxeter matrix read off c's first chamber and
-    for its local certificate's, when they exist."""
+    for its local certificate's (``oracles.local_certificate``), when they
+    exist."""
     import buildctl.recognizer as recognizer
     types = recognizer._vertex_types(c)
     if types is None:
         return []
     matrices = [recognizer._chamber_coxeter(c, types)]
-    local = recognizer._certify(c)
+    local = oracles.local_certificate(c)
     if isinstance(local, recognizer.BuildingCertificate):
         matrices.append(local.coxeter_matrix)
     return [(types, coxeter_complex(M)) for M in dict.fromkeys(matrices) if M is not None]
