@@ -5,25 +5,25 @@ here.  Above dimension 1 the building axioms decide first (Abramenko-Brown,
 Buildings, Def. 4.1).  Every gate runs on the one incidence index of a
 complex (``MetricComplex._incidence``, each vertex's star and each panel's
 chambers) and the chamber graph read off it.  After the connectivity and
-panel-count gates, which both geometries share, and the vertex typing,
-the Coxeter matrix is read off one chamber, and the
-apartments are the convex hulls of opposite chambers (two chambers at
-gallery distance l(w0) lie in exactly one apartment, the chambers on their
-minimal galleries; a thin sphere is one hull), each an int bitmask of its
-chambers.  (B0) each hull is walked against the bare Coxeter group
-(``coxeter_group``: its right-multiplication table, the vertex of each type
-of each element's chamber and the length of each type pair; no model
-complex is built), by panel type; (B1) every pair of chambers lies in a
-hull; (B2) two hulls through a chamber agree on every vertex they share.  When
-all three hold on an exhaustive search the complex is a building, so its
-links are buildings and no link is certified.  Only when something fails
-does one residue pass run: the links of the (n-2)-cells, the rank-2
-residues, are certified as graphs (``_certify``) and assemble a Coxeter
-matrix; it names the first failing residue, and when every residue passes
-the failed axiom is the diagnosis.  No spherical check builds a vertex
-link.  The axioms are checked exactly, never by sampling.  No spherical
-check computes a fundamental group: a spherical building is CAT(1)
-(Bridson-Haefliger II.10A) and, from dimension 2 on, simply connected
+panel-count gates, which both geometries share, and the vertex typing, the
+Coxeter matrix is read off one chamber, and the apartments are the convex
+hulls of opposite chambers (two chambers at gallery distance l(w0) lie in
+exactly one apartment, the chambers on their minimal galleries; a thin
+sphere is one hull), each an int bitmask of its chambers.  (B0) each hull is
+walked against the bare Coxeter group (``coxeter_group``: its
+right-multiplication table, the vertex of each type of each element's
+chamber and the length of each type pair; no model complex is built), by
+panel type; (B1) every pair of chambers lies in a hull; (B2) two hulls
+through a chamber agree on every vertex they share.  When all three hold on
+an exhaustive search the complex is a building, so its links are buildings
+and no link is certified.  Only when something fails does one residue pass
+run: the links of the (n-2)-cells, the rank-2 residues, are certified as
+graphs (``_certify``) and assemble a Coxeter matrix; it names the first
+failing residue, chambers that no gallery joins fail (B1) whatever the
+budget, and otherwise the failed axiom is the diagnosis.  No spherical check
+builds a vertex link.  The axioms are checked exactly, never by sampling.
+No spherical check computes a fundamental group: a spherical building is
+CAT(1) (Bridson-Haefliger II.10A) and, from dimension 2 on, simply connected
 (Solomon-Tits).  Global CAT(1) is never guessed either: the one verdict
 builder flags every certificate unverified unless the complex was produced
 by a curvature-preserving construction.  Only strict ``check_euclidean``
@@ -80,9 +80,11 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
 
     Only when that fails, or the search is cut off by the budget, does the
     residue pass run: the link of every (n-2)-cell, a rank-2 residue, is
-    certified as a graph (``_certify_links``), and their edge lengths
-    assemble the Coxeter matrix (``_assemble_coxeter``).  Its first failing
-    gate is the diagnosis.  When every residue passes, the apartment layer
+    certified as a graph (``_certify_links``); two chambers that no gallery
+    joins lie in no common apartment under any budget
+    (``_gallery_split``); and the residues' edge lengths assemble the
+    Coxeter matrix (``_assemble_coxeter``).  The first failing gate is the
+    diagnosis.  When every residue passes, the apartment layer
     (``_with_apartments``, reusing the hulls and walks when the two Coxeter
     matrices agree) names the failed axiom: a hull that does not walk is
     ``hull_not_isometric_to_model`` (its first chamber and the chamber where
@@ -127,6 +129,10 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     link_certs = _certify_links(c, cells, _certify)
     if isinstance(link_certs, Diagnosis):
         return link_certs
+    split = _gallery_split(c)
+    if split is not None:
+        return Diagnosis(NO_COMMON_APARTMENT, {"chambers": [
+            [c.vertices[v] for v in c.top_cells[k]] for k in split]})
     if types is None:
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
             "detail": "vertices admit no consistent type coloring"})
@@ -272,6 +278,21 @@ def _with_apartments(c, cert: BuildingCertificate, budget: int, hulls: tuple | N
         flags.add(FLAG_SAMPLED)
     return cert.copy(apartments=found, apartment_count=len(found),
                      apartments_exhaustive=exhaustive, flags=tuple(sorted(flags)))
+
+
+def _gallery_split(c: MetricComplex) -> tuple[int, int] | None:
+    """(0, k) for the least chamber k that no gallery joins to the first
+    chamber, or None when the chambers are gallery-connected.  An apartment
+    is gallery-connected, so such a pair lies in no common apartment: (B1)
+    fails, whatever the hull search reached."""
+    reach, todo = {0}, [0]
+    for k in todo:
+        for others in c.chamber_graph[k]:
+            new = set(others) - reach
+            reach |= new
+            todo.extend(new)
+    missed = [k for k in range(len(c.top_cells)) if k not in reach]
+    return (0, missed[0]) if missed else None
 
 
 def _assemble_coxeter(c: MetricComplex, types, link_certs) -> CoxeterMatrix | Diagnosis:
@@ -593,8 +614,8 @@ def check_euclidean(c: MetricComplex, boundary_policy: str = "strict",
 
 
 def _vertex_link_answer(L: MetricComplex, budget: int) -> BuildingCertificate | Diagnosis:
-    """The whole spherical answer for a link of dimension >= 2; the local
-    certificate for a graph, which the dimension-1 gates decide."""
+    """The whole spherical answer for a link of dimension >= 2; for a
+    graph, the dimension-1 answer (``_certify``)."""
     return check_spherical(L, budget) if L.dimension >= 2 else _certify(L)
 
 

@@ -492,9 +492,9 @@ def test_chamber_angles_build_no_model_larger_than_the_complex(m1, m2, tmp_path,
 
 
 def test_budgeted_check_searches_hulls_once(k33, monkeypatch):
-    """A search cut off by the budget sends the axiom route's check to the
-    local route, whose apartment layer reuses the axiom route's model, hull
-    search and walks: one group enumeration and one search per check."""
+    """A search cut off by the budget sends the check to the residue pass,
+    whose apartment layer reuses the first model, hull search and walks:
+    one group enumeration and one search per check."""
     import buildctl.recognizer as recognizer
     budgets = _group_budgets(monkeypatch)
     searches = []
@@ -912,7 +912,7 @@ def test_link_class_sharing_changes_no_answer(label, monkeypatch):
     """Graph links equal up to vertex names share one validation and one run
     of the dimension-1 gates.  With that sharing patched out, the same fresh
     complex gets the same ``check_euclidean`` answer and flags, and every
-    link memoized under it the same validation and local certificate."""
+    link memoized under it the same validation and dimension-1 certificate."""
     shared = _SHARING_INPUTS[label]()
     with monkeypatch.context() as m:
         m.setattr(MetricComplex, "graph_class", property(lambda L: None))
@@ -1313,7 +1313,7 @@ def test_dim3_link_certificates_carry_no_apartments(k33, monkeypatch):
             assert sub.apartments == () or sub.verdict == "thin_building"
 
 
-def _counting_local_certificates(monkeypatch):
+def _counting_graph_certificates(monkeypatch):
     """Patch the dimension-1 gates under ``recognizer._certify``'s memo; the
     returned list receives every graph whose certificate is computed."""
     import buildctl.recognizer as recognizer
@@ -1329,7 +1329,7 @@ def test_local_certificate_computed_once_per_complex(k33, monkeypatch):
     to vertex names gets its certificate), and keeps no certificate on the
     complex itself; a second pass on the same object reads every link's memo
     and gives the same report."""
-    seen = _counting_local_certificates(monkeypatch)
+    seen = _counting_graph_certificates(monkeypatch)
     for c, report in ((suspension(suspension(k33)), S0S0K33_REPORT),
                       (_a4_complex(), A4_REPORT)):
         seen.clear()
@@ -1347,8 +1347,8 @@ def test_local_certificate_computed_once_per_complex(k33, monkeypatch):
 
 
 def test_memo_keeps_no_budget(k33):
-    """The local certificate reads no budget: a small budget on one call
-    leaves the next call on the same object exhaustive."""
+    """Nothing memoized on the complex reads the budget: a small budget on
+    one call leaves the next call on the same object exhaustive."""
     c = suspension(k33)
     small = check_spherical(c, budget=5)
     assert not small.apartments_exhaustive and len(small.apartments) == 5
@@ -1363,7 +1363,7 @@ def test_memo_keeps_no_budget(k33):
 
 
 def test_one_group_per_check(heawood, monkeypatch):
-    """Local certificates read only the sign test of the cosine form: the
+    """The residue pass reads only the sign test of the cosine form: the
     one group a check enumerates is that of the model its apartments are
     compared with, and no classification runs.  The group memo starts
     empty, and the same check repeated on a fresh copy of the complex
@@ -2176,9 +2176,9 @@ def test_spherical_checks_compute_no_fundamental_group(budget, monkeypatch):
     """A spherical building of dimension >= 2 is simply connected
     (Solomon-Tits), so no route of ``check_spherical`` computes pi_1: not on
     the links-workload inputs (the JSON copy of A4 among them), the JSON
-    copies of S0*S0*K3,3 and S0*S0*Heawood, whose local route a small
-    budget reaches, or the B4 quotient, which passes every local gate, under
-    any budget."""
+    copies of S0*S0*K3,3 and S0*S0*Heawood, whose residue pass a small
+    budget reaches, or the B4 quotient, which passes every residue gate,
+    under any budget."""
     import buildctl.recognizer as recognizer
     calls = []
     real = recognizer.simple_connectivity
@@ -2251,31 +2251,27 @@ def _a4_wedge():
     return MetricComplex("spherical", names, cells, lengths)
 
 
-@pytest.mark.parametrize("budget", [10 ** 5, 3])
+@pytest.mark.parametrize("budget", [10 ** 5, 3, 1])
 def test_a4_wedge_has_no_common_apartment(budget):
     """Two A4 Coxeter complexes wedged at one vertex: every rank-2 residue
     (each edge link, a circuit in one copy) passes, and only the vertex link
     at the wedge point, two spheres, fails, which no spherical check builds.
     The apartment layer names the failed axiom (B1): the first chambers of
-    the two copies lie in no common apartment.  It exits 1."""
+    the two copies lie in no common apartment.  No gallery joins them, so a
+    search cut off by the budget (budget 1 keeps one hull) names the same
+    pair, and so does a relabelled copy, whose vertex typing may type the
+    two copies differently, with one chamber of each copy.  It exits 1."""
     from buildctl.cli import exit_code_of
-    res = check_spherical(_a4_wedge(), budget)
+    c = _a4_wedge()
+    res = check_spherical(c, budget)
     assert isinstance(res, Diagnosis) and res.condition == "no_common_apartment"
     assert res.witness == {"chambers": [["w0.0", "w1.1", "w2.2", "w3.3"],
                                         ["w0.0", "xw1.1", "xw2.2", "xw3.3"]]}
     assert res.inner is None and exit_code_of(res) == 1
-
-
-def test_a4_wedge_under_budget_1_is_undecided():
-    """Under budget 1 the hull search keeps one hull, so the uncovered
-    chamber pair leaves (B1) unverified: the wedge is undecided (exit 2),
-    never certified."""
-    from buildctl.cli import exit_code_of
-    res = check_spherical(_a4_wedge(), 1)
-    assert res.verdict == "thin_building" and not res.apartments_exhaustive
-    assert res.flags == ("apartment_axiom2_unverified", "apartments_sampled",
-                         "global_cat1_unverified")
-    assert exit_code_of(res) == 2
+    flipped = check_spherical(_relabelled(c, range(len(c.vertices))[::-1]), budget)
+    assert flipped.condition == "no_common_apartment" and exit_code_of(flipped) == 1
+    assert sorted(any(v[0] == "x" for v in chamber)
+                  for chamber in flipped.witness["chambers"]) == [False, True]
 
 
 _JSON_JOIN_REPORTS = [
@@ -2295,8 +2291,8 @@ _JSON_JOIN_REPORTS = [
 
 
 def test_sampled_json_joins_keep_their_reports():
-    """Under budget 1 the JSON copies of S0*S0*K3,3 and S0*S0*Heawood leave
-    the axiom route for the local route, which now computes no pi_1: their
+    """Under budget 1 the JSON copies of S0*S0*K3,3 and S0*S0*Heawood reach
+    the residue pass, which computes no pi_1: their
     reports are the ones the pi_1 route gave, byte for byte, with the flags
     of the sampled search and ``global_cat1_unverified`` from the one
     provenance rule."""
