@@ -1,9 +1,9 @@
 """buildctl: command-line recognition and generation of building complexes.
 
 Exit codes: 0 certified / success, 1 diagnosed failure, 2 undecided (a
-certificate flag starting with one of UNDECIDED_MARKERS, the ``unknown_pi1``
-diagnosis of a strict Euclidean check, or a budget that ran out), 3 input
-or usage error.
+certificate flag starting with one of ``dim1.LINK_UNDECIDED``, the
+``unknown_pi1`` diagnosis of a strict Euclidean check, or a budget that ran
+out), 3 input or usage error.
 Budgets can be overridden through the BUILDCTL_BUDGETS environment variable,
 a JSON object of positive integers such as {"B_group": 100000, "B_apt": 10000}.
 ``B_apt`` bounds the hull searches of dimension >= 2 only: a graph's
@@ -40,9 +40,6 @@ EXIT_OK = 0
 EXIT_DIAGNOSED = 1
 EXIT_UNDECIDED = 2
 EXIT_INPUT = 3
-
-UNDECIDED_MARKERS = ("global_cat1_unverified", "apartment_axiom2_unverified",
-                     "apartments_sampled")
 
 
 BUDGET_KEYS = ("B_group", "B_apt", "branch_budget")
@@ -135,13 +132,13 @@ def report_of(result, extra: dict | None = None) -> dict:
 
 
 def exit_code_of(result) -> int:
-    from .dim1 import Diagnosis
+    from .dim1 import LINK_UNDECIDED, Diagnosis
     if isinstance(result, Diagnosis):
         # an undecided fundamental group is not a diagnosed failure
         if result.condition == "unknown_pi1":
             return EXIT_UNDECIDED
         return EXIT_DIAGNOSED
-    if any(any(f.startswith(m) for m in UNDECIDED_MARKERS) for f in result.flags):
+    if any(any(f.startswith(m) for m in LINK_UNDECIDED) for f in result.flags):
         return EXIT_UNDECIDED
     return EXIT_OK
 

@@ -53,7 +53,8 @@ FLAG_GLOBAL_UNVERIFIED = "global_cat1_unverified"
 FLAG_SAMPLED = "apartments_sampled"
 FLAG_AXIOM2_UNVERIFIED = "apartment_axiom2_unverified"
 FLAG_MIXED = "mixed_thickness"
-# a link certificate flagged with one of these leaves a Euclidean verdict undecided
+# a certificate flagged with one of these is undecided (the CLI exits 2), and as a
+# link certificate it leaves a Euclidean verdict undecided
 LINK_UNDECIDED = (FLAG_GLOBAL_UNVERIFIED, FLAG_SAMPLED, FLAG_AXIOM2_UNVERIFIED)
 
 

@@ -18,10 +18,11 @@ through a chamber agree on every vertex they share.  When all three hold on
 an exhaustive search the complex is a building, so its links are buildings
 and no link is certified.  Only when something fails does one residue pass
 run: the links of the (n-2)-cells, the rank-2 residues, are certified as
-graphs (``_certify``) and assemble a Coxeter matrix; it names the first
-failing residue, chambers that no gallery joins fail (B1) whatever the
-budget, and otherwise the failed axiom is the diagnosis.  No spherical check
-builds a vertex link.  The axioms are checked exactly, never by sampling.
+graphs (``_certify``); it names the first failing residue, chambers that no
+gallery joins fail (B1) whatever the budget, a chamber or an edge off the
+one Coxeter matrix names the metric fault, and otherwise the failed axiom is
+the diagnosis.  No spherical check builds a vertex link.  The axioms are
+checked exactly, never by sampling.
 No spherical check computes a fundamental group: a spherical building is
 CAT(1) (Bridson-Haefliger II.10A) and, from dimension 2 on, simply connected
 (Solomon-Tits).  Global CAT(1) is never guessed either: the one verdict
@@ -48,9 +49,9 @@ from .dim1 import (  # noqa: F401  (some only for the callers that import them f
     EDGE_LENGTH_NONUNIFORM, FLAG_AXIOM2_UNVERIFIED, FLAG_GLOBAL_UNVERIFIED, FLAG_MIXED,
     FLAG_SAMPLED, HULL_NOT_ISOMETRIC, LINK_FAILURE, LINK_UNDECIDED, MEB, MEB_LOCAL,
     NO_COMMON_APARTMENT, NO_OPPOSITE_CHAMBER, NOT_CONNECTED, NOT_SIMPLY_CONNECTED, SUSPENSION,
-    THICK, THIN, UNKNOWN_PI1, Apartment, BuildingCertificate, Diagnosis, _bits, _certify_graph,
-    _check_dim0, _length_to_m, _opposite_hulls, _subcomplex, _vertex_types, check_dim1,
-    enumerate_apartments_dim1, recognize_dim1)
+    THICK, THIN, UNKNOWN_PI1, Apartment, BuildingCertificate, Diagnosis, _bits, _length_to_m,
+    _opposite_hulls, _subcomplex, _vertex_types, check_dim1, enumerate_apartments_dim1,
+    recognize_dim1)
 from .homotopy import NONTRIVIAL, UNKNOWN, simple_connectivity
 from .metric_graph import MetricGraph
 
@@ -81,12 +82,15 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     Only when that fails, or the search is cut off by the budget, does the
     residue pass run: the link of every (n-2)-cell, a rank-2 residue, is
     certified as a graph (``_certify_links``); two chambers that no gallery
-    joins lie in no common apartment under any budget
-    (``_gallery_split``); and the residues' edge lengths assemble the
-    Coxeter matrix (``_assemble_coxeter``).  The first failing gate is the
-    diagnosis.  When every residue passes, the apartment layer
-    (``_with_apartments``, reusing the hulls and walks when the two Coxeter
-    matrices agree) names the failed axiom: a hull that does not walk is
+    joins lie in no common apartment under any budget (``_gallery_split``);
+    a first chamber with no Coxeter matrix, or the first edge whose length is
+    not the model's for its type pair (``_lengths_fit_model``), is
+    ``edge_length_nonuniform`` (once every residue passes, every chamber is
+    a copy of the model chamber exactly when every edge fits).  The first
+    failing gate is the diagnosis.  When every gate passes, the apartment
+    layer (``_with_apartments``, run once per check: a model refused under
+    the chamber count is enumerated here and its hulls walked) names the
+    failed axiom: a hull that does not walk is
     ``hull_not_isometric_to_model`` (its first chamber and the chamber where
     the walk failed), a chamber with no chamber at gallery distance l(w0) is
     ``no_opposite_chamber``, two chambers in no common hull after an
@@ -117,12 +121,12 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
         model = None if M is None else coxeter_group(M, budget=len(c.top_cells))
     except BudgetExceeded:
         model = None
-    hulls = None if model is None else _walked_hulls(c, types, model, budget)
-    if hulls is not None:
-        res = _with_apartments(c, _spherical_certificate(c, M, types, panel_counts),
-                               budget, hulls)
-        if isinstance(res, BuildingCertificate) and res.apartments_exhaustive:
-            return res
+    answer = None
+    if model is not None:
+        answer = _with_apartments(c, _spherical_certificate(c, M, types, panel_counts),
+                                  _walked_hulls(c, types, model, budget))
+        if isinstance(answer, BuildingCertificate) and answer.apartments_exhaustive:
+            return answer
     # the residue pass: the links of the (n-2)-cells name the failure
     n = c.dimension
     cells = sorted({f for t in c.top_cells for f in itertools.combinations(t, n - 1)})
@@ -136,25 +140,31 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     if types is None:
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
             "detail": "vertices admit no consistent type coloring"})
-    M = _assemble_coxeter(c, types, link_certs)
-    if isinstance(M, Diagnosis):
-        return M
-    form = cosine_verdicts(M)[2]
-    if form != "spherical":
+    if M is None:
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
-            "detail": f"assembled Coxeter matrix is {form}, not spherical",
-            "matrix": M.to_json_dict()})
-    return _with_apartments(c, _spherical_certificate(c, M, types, panel_counts), budget, hulls)
+            "chamber": [c.vertices[v] for v in c.top_cells[0]],
+            "detail": "dihedral angles are not all pi/m, m >= 2"})
+    if model is None:
+        model = coxeter_group(M)
+    edge = _lengths_fit_model(c, types, model)
+    if edge is not None:
+        pair = tuple(types[v] for v in edge)
+        return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
+            "edge": [c.vertices[v] for v in edge], "types": list(pair),
+            "lengths": [str(c.lengths[edge]), str(model.pair_length[pair])]})
+    if answer is None:
+        answer = _with_apartments(c, _spherical_certificate(c, M, types, panel_counts),
+                                  _walked_hulls(c, types, model, budget))
+    return answer
 
 
 def _certify(c: MetricComplex) -> BuildingCertificate | Diagnosis:
-    """The answer of the ``dim1`` gates for a complex of dimension <= 1,
-    memoized in one slot on c: a link of an (n-2)-cell, or a vertex link of
-    a 2-dimensional Euclidean complex.  ``_certify_links`` hands a later
-    link of a class its first link's answer through that slot."""
+    """``check_dim1``'s answer for a complex of dimension <= 1, memoized in
+    one slot on c: a link of an (n-2)-cell, or a vertex link of a
+    2-dimensional Euclidean complex.  ``_certify_links`` hands a later link
+    of a class its first link's answer through that slot."""
     if c._certificate is None:
-        c.require_valid()
-        c._certificate = _check_dim0(c) if c.dimension <= 0 else _certify_graph(c)
+        c._certificate = check_dim1(c)
     return c._certificate
 
 
@@ -175,8 +185,8 @@ def _panel_counts(c: MetricComplex) -> set[int] | Diagnosis:
 
 def _spherical_certificate(c: MetricComplex, M: CoxeterMatrix, types, panel_counts
                            ) -> BuildingCertificate:
-    """The verdict from the panel counts and the suspension poles, for
-    either Coxeter matrix ``check_spherical`` reads, flagged
+    """The verdict from the panel counts and the suspension poles, for the
+    Coxeter matrix read off the first chamber, flagged
     ``apartments_sampled`` until the apartment layer runs, and
     ``global_cat1_unverified`` unless a curvature-preserving construction
     made the complex (provenance)."""
@@ -240,19 +250,15 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
     return out
 
 
-def _with_apartments(c, cert: BuildingCertificate, budget: int, hulls: tuple | None
+def _with_apartments(c, cert: BuildingCertificate, hulls: tuple
                      ) -> BuildingCertificate | Diagnosis:
     """A copy of the certificate of a complex of dimension >= 2 with its
     apartment system, the convex hulls of opposite chambers, spheres walked
     onto the model (B0), in ``Apartment.key`` order and before (B1), so a
     hull that is no apartment covers no pair, and (B2) on the walks of an
     exhaustive search (see ``check_spherical``), or the diagnosis of the
-    failed axiom.  ``hulls`` are ``_walked_hulls`` already run for the same
-    complex and budget, or None, reused when their model is the
-    certificate's."""
-    if hulls is None or hulls[0].system != cert.coxeter_matrix:
-        hulls = _walked_hulls(c, cert.vertex_types,
-                              coxeter_group(cert.coxeter_matrix), budget)
+    failed axiom.  ``hulls`` are ``_walked_hulls`` run on the same complex
+    against the certificate's model."""
     model, found, exhaustive, lonely, pair, walks, bad = hulls
     if bad is not None:
         return Diagnosis(HULL_NOT_ISOMETRIC, {"chambers": [
@@ -295,39 +301,6 @@ def _gallery_split(c: MetricComplex) -> tuple[int, int] | None:
     return (0, missed[0]) if missed else None
 
 
-def _assemble_coxeter(c: MetricComplex, types, link_certs) -> CoxeterMatrix | Diagnosis:
-    """Panel angles label the Coxeter matrix: each (n-2)-cell of cotype {i,j}
-    must have a uniform link edge length pi/m(i,j), consistent across cells."""
-    n = c.dimension
-    all_types = set(range(n + 1))
-    mvals: dict[tuple[int, int], int] = {}
-    for cell, (L, sub) in sorted(link_certs.items()):
-        cotype = tuple(sorted(all_types - {types[v] for v in cell}))
-        lens = [L.edge_length(i, j) for i, j in L.edges]
-        first = lens[0]
-        for a in lens[1:]:
-            if not first.equals(a):
-                return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
-                    "cell": [c.vertices[i] for i in cell],
-                    "detail": "link has non-uniform edge lengths",
-                    "lengths": [str(first), str(a)]})
-        m = _length_to_m(first.pi_units)
-        if m is None or m < 2:
-            return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
-                "cell": [c.vertices[i] for i in cell],
-                "detail": f"link edge length {first} is not pi/m, m >= 2"})
-        old = mvals.get(cotype)
-        if old is not None and old != m:
-            return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
-                "cotype": list(cotype),
-                "detail": f"inconsistent panel parameters {old} and {m}"})
-        mvals[cotype] = m
-    gens = tuple(f"s{t}" for t in range(n + 1))
-    rows = [[1 if i == j else mvals.get((min(i, j), max(i, j)), 2)
-             for j in range(n + 1)] for i in range(n + 1)]
-    return CoxeterMatrix(gens, tuple(tuple(r) for r in rows))
-
-
 def _chamber_coxeter(c: MetricComplex, types) -> CoxeterMatrix | None:
     """The spherical Coxeter matrix read off the first chamber, or None when
     its dihedral angles are not all pi/m, m >= 2.
@@ -365,7 +338,7 @@ def _walked_hulls(c: MetricComplex, types: Sequence[int], model: CoxeterGroupMod
     lengths are compared once for all hulls (``_lengths_fit_model``); only
     when some edge of c disagrees does each walk compare its own."""
     found, exhaustive, lonely, pair, masks = _hull_apartments(c, model, budget)
-    fit = _lengths_fit_model(c, types, model)
+    fit = _lengths_fit_model(c, types, model) is None
     typed = _typed_chambers(c, types)
     walks = []
     for a, hull in zip(found, masks):
@@ -482,16 +455,17 @@ def _model_walk(c: MetricComplex, typed: tuple, hull: int, model: CoxeterGroupMo
 
 
 def _lengths_fit_model(c: MetricComplex, types: Sequence[int],
-                       model: CoxeterGroupModel) -> bool:
-    """Whether every edge of c has the model's length for its type pair
-    (``pair_length``), compared once per edge for all hulls; an edge whose
-    type pair the model lacks fits nothing."""
+                       model: CoxeterGroupModel) -> tuple[int, int] | None:
+    """The first edge of c, in ``c.lengths`` order, whose length is not the
+    model's for its type pair (``pair_length``), or None when every edge
+    fits; compared once per edge for all hulls.  An edge whose type pair the
+    model lacks fits nothing."""
     pair = model.pair_length
     for (i, j), ln in c.lengths.items():
         want = pair.get((types[i], types[j]))
         if want is None or (want is not ln and not want.equals(ln)):
-            return False
-    return True
+            return i, j
+    return None
 
 
 def _left_action(model: CoxeterGroupModel) -> list[list[int]]:

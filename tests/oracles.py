@@ -37,8 +37,9 @@ discrete extension property: nonempty discrete antipode sets in every
 space of directions, read off ``antipode_set``; no command or gate runs it.
 The local route (``local_certificate``, ``local_route``): the earlier
 spherical certificate from every (n-2)-cell link and, recursively, every
-vertex link, which ``check_spherical`` must answer as, link certificates
-aside.  Dimension-1 apartments: not an oracle but a listing, with the library's
+vertex link, with the Coxeter matrix assembled from the (n-2)-cell links
+(``assemble_coxeter``), which ``check_spherical`` must answer as, link
+certificates aside.  Dimension-1 apartments: not an oracle but a listing, with the library's
 hull enumeration, of the apartments that a dimension-1 certificate only
 counts.  Coxeter complexes: the earlier construction with orthogonal
 matrices from the square root of the cosine form, rounded matrix and
@@ -1297,7 +1298,7 @@ def _local_certificate(c, memo: dict):
     if types is None:
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
             "detail": "vertices admit no consistent type coloring"})
-    M = r._assemble_coxeter(c, types, {f: v for f, v in link_certs.items() if len(f) == n - 1})
+    M = assemble_coxeter(c, types, {f: v for f, v in link_certs.items() if len(f) == n - 1})
     if isinstance(M, Diagnosis):
         return M
     form = r.cosine_verdicts(M)[2]
@@ -1310,12 +1311,52 @@ def _local_certificate(c, memo: dict):
     return cert
 
 
+def assemble_coxeter(c, types, link_certs):
+    """The Coxeter matrix the earlier local route assembled from the
+    (n-2)-cell links, {cell: (link, certificate)}, or its diagnosis: each
+    cell of cotype {i, j} must have a uniform link edge length pi/m(i, j),
+    m >= 2, consistent across cells."""
+    from buildctl.coxeter import CoxeterMatrix
+    from buildctl.dim1 import EDGE_LENGTH_NONUNIFORM, Diagnosis, _length_to_m
+    n = c.dimension
+    all_types = set(range(n + 1))
+    mvals = {}
+    for cell, (L, sub) in sorted(link_certs.items()):
+        cotype = tuple(sorted(all_types - {types[v] for v in cell}))
+        lens = [L.edge_length(i, j) for i, j in L.edges]
+        first = lens[0]
+        for a in lens[1:]:
+            if not first.equals(a):
+                return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
+                    "cell": [c.vertices[i] for i in cell],
+                    "detail": "link has non-uniform edge lengths",
+                    "lengths": [str(first), str(a)]})
+        m = _length_to_m(first.pi_units)
+        if m is None or m < 2:
+            return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
+                "cell": [c.vertices[i] for i in cell],
+                "detail": f"link edge length {first} is not pi/m, m >= 2"})
+        old = mvals.get(cotype)
+        if old is not None and old != m:
+            return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
+                "cotype": list(cotype),
+                "detail": f"inconsistent panel parameters {old} and {m}"})
+        mvals[cotype] = m
+    gens = tuple(f"s{t}" for t in range(n + 1))
+    rows = [[1 if i == j else mvals.get((min(i, j), max(i, j)), 2)
+             for j in range(n + 1)] for i in range(n + 1)]
+    return CoxeterMatrix(gens, tuple(tuple(r) for r in rows))
+
+
 def local_route(c, budget: int):
     """``check_spherical``'s earlier answer through the local route: the
     ``local_certificate`` diagnosis, or its certificate with the apartment
-    layer (``recognizer._with_apartments``)."""
+    layer (``recognizer._with_apartments``) on hulls walked against its own
+    matrix's group."""
     from buildctl import recognizer as r
     local = local_certificate(c)
     if isinstance(local, r.Diagnosis) or local.apartments_exhaustive:
         return local
-    return r._with_apartments(c, local, budget, None)
+    hulls = r._walked_hulls(c, local.vertex_types, r.coxeter_group(local.coxeter_matrix),
+                            budget)
+    return r._with_apartments(c, local, hulls)

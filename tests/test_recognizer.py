@@ -60,7 +60,7 @@ def test_dim1_gates_search_connectivity_once(k33, monkeypatch):
     """``_certify_graph`` asks ``is_connected`` and ``suppress_degree2``
     asks again; the graph keeps the answer, so one search runs per graph:
     a hexagon (a circle), K3,3 and two disjoint edges."""
-    from buildctl.recognizer import _certify_graph
+    from buildctl.dim1 import _certify_graph
     prop = MetricGraph.__dict__["_connected"]
     search, searches = prop.func, []
 
@@ -491,23 +491,46 @@ def test_chamber_angles_build_no_model_larger_than_the_complex(m1, m2, tmp_path,
     assert '"link_failure"' in capsys.readouterr().out
 
 
-def test_budgeted_check_searches_hulls_once(k33, monkeypatch):
+def test_budgeted_check_searches_hulls_once(k33, heawood, monkeypatch):
     """A search cut off by the budget sends the check to the residue pass,
-    whose apartment layer reuses the first model, hull search and walks:
-    one group enumeration and one search per check."""
+    which returns the apartment layer's first answer: one group enumeration
+    and one search per check.  On every path the hull walk
+    (``_walked_hulls``), the apartment layer (``_with_apartments``) and the
+    verdict with its pole search (``_spherical_certificate``) each run at
+    most once: on S0*K3,3 under budget 5, S0*Heawood under budget 1, the B3
+    antipodal quotient (its model refused under the chamber count, so
+    enumerated and walked in the residue pass) and the wedge of two A4
+    complexes.  ``short-lune``, whose model is refused under the chamber
+    count and whose residue gate fails, runs none of them."""
     import buildctl.recognizer as recognizer
     budgets = _group_budgets(monkeypatch)
-    searches = []
+    searches, layers = [], []
     original = recognizer._hull_apartments
 
     def counting(*args):
         searches.append(args[2])
         return original(*args)
 
+    def spy(name):
+        real = getattr(recognizer, name)
+        monkeypatch.setattr(recognizer, name, lambda *a: layers.append(name) or real(*a))
+
+    names = ("_walked_hulls", "_with_apartments", "_spherical_certificate",
+             "find_suspension_poles")
     monkeypatch.setattr(recognizer, "_hull_apartments", counting)
+    for name in names:
+        spy(name)
     cert = check_spherical(suspension(k33), budget=5)
     assert len(cert.apartments) == 5 and "apartments_sampled" in cert.flags
     assert len(budgets) == 1 and searches == [5]
+    for c, budget in ((suspension(k33), 5), (suspension(heawood), 1),
+                      (_w0_quotient(named_matrix("B3")), 10 ** 5), (_a4_wedge(), 10 ** 5)):
+        layers.clear()
+        check_spherical(c, budget)
+        assert sorted(layers) == sorted(names), c.vertices[:3]
+    layers.clear()
+    assert check_spherical(gen_short_lune()).condition == "link_failure"
+    assert layers == []
 
 
 def test_coxeter_complexes_certify_thin():
@@ -941,10 +964,10 @@ def test_window_links_pay_once_per_shape(radius, interior, monkeypatch):
     ``MetricGraph.__init__`` is the first hexagon's: every shared copy
     reuses its checked edges."""
     import buildctl.complexes as complexes
+    import buildctl.dim1 as dim1
     import buildctl.linalg as linalg
-    import buildctl.recognizer as recognizer
     gates, angles, stacks, inits, choleskys = [], [], [], [], []
-    certify_graph, from_radians = recognizer._certify_graph, Angle.from_radians
+    certify_graph, from_radians = dim1._certify_graph, Angle.from_radians
     least, complex_init, graph_init = (complexes.least_gram_eigenvalues,
                                        MetricComplex.__init__, MetricGraph.__init__)
     positive_definite = linalg.positive_definite
@@ -972,7 +995,7 @@ def test_window_links_pay_once_per_shape(radius, interior, monkeypatch):
             init(self, *args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(recognizer, "_certify_graph", counting_gates)
+    monkeypatch.setattr(dim1, "_certify_graph", counting_gates)
     monkeypatch.setattr(Angle, "from_radians", staticmethod(counting_angles))
     monkeypatch.setattr(complexes, "least_gram_eigenvalues", counting_stacks)
     monkeypatch.setattr(linalg, "positive_definite", counting_choleskys)
@@ -1279,14 +1302,22 @@ def _a4_complex():
 
 
 def _forced_residue_pass(c, monkeypatch, budget=None):
-    """``check_spherical(c)`` with no Coxeter matrix read off a chamber, so
-    that the axiom route is skipped and the residue pass runs: (the answer,
-    the {cell: (link, certificate)} that ``_certify_links`` gave it)."""
+    """``check_spherical(c)`` with the model group refused under the chamber
+    count, so that the axiom route is skipped and the residue pass runs: (the
+    answer, the {cell: (link, certificate)} that ``_certify_links`` gave
+    it)."""
     import buildctl.recognizer as recognizer
+    from buildctl.coxeter import B_GROUP_DEFAULT, BudgetExceeded
     passes = []
-    real = recognizer._certify_links
+    real, group = recognizer._certify_links, recognizer.coxeter_group
+
+    def refusing(M, budget=B_GROUP_DEFAULT):
+        if budget == len(c.top_cells):
+            raise BudgetExceeded("refused under the chamber count")
+        return group(M, budget)
+
     with monkeypatch.context() as m:
-        m.setattr(recognizer, "_chamber_coxeter", lambda c, types: None)
+        m.setattr(recognizer, "coxeter_group", refusing)
         m.setattr(recognizer, "_certify_links", lambda *a: passes.append(real(*a)) or passes[-1])
         res = check_spherical(c, recognizer.B_APT_DEFAULT if budget is None else budget)
     (links,) = passes
@@ -1316,10 +1347,10 @@ def test_dim3_link_certificates_carry_no_apartments(k33, monkeypatch):
 def _counting_graph_certificates(monkeypatch):
     """Patch the dimension-1 gates under ``recognizer._certify``'s memo; the
     returned list receives every graph whose certificate is computed."""
-    import buildctl.recognizer as recognizer
+    import buildctl.dim1 as dim1
     seen = []
-    original = recognizer._certify_graph
-    monkeypatch.setattr(recognizer, "_certify_graph", lambda c: seen.append(c) or original(c))
+    original = dim1._certify_graph
+    monkeypatch.setattr(dim1, "_certify_graph", lambda c: seen.append(c) or original(c))
     return seen
 
 
@@ -2274,6 +2305,65 @@ def test_a4_wedge_has_no_common_apartment(budget):
                   for chamber in flipped.witness["chambers"]) == [False, True]
 
 
+def _s0_hexagon(lengths):
+    """S0 * the hexagon y0 ... y5 whose edge (y_i, y_i+1) has length
+    ``lengths[i]`` pi: a thin circle of length 2 pi, so every rank-2
+    residue passes."""
+    names = [f"y{i}" for i in range(6)]
+    return suspension(MetricComplex("spherical", names, [(i, (i + 1) % 6) for i in range(6)],
+                                    [(i, (i + 1) % 6, Angle(frac=Fraction(p)))
+                                     for i, p in enumerate(lengths)]))
+
+
+@pytest.mark.parametrize("lengths", [("1/3", "1/3", "1/6", "1/2", "1/3", "1/3"),
+                                     ("2/5", "4/15", "1/3", "1/3", "1/3", "1/3")])
+@pytest.mark.parametrize("budget", [10 ** 5, 3, 1])
+def test_edge_off_the_model_is_named(lengths, budget, tmp_path, monkeypatch, capsys):
+    """S0 * a hexagon of length 2 pi with unequal edges passes every
+    residue gate but is no building: its chambers are no copies of one
+    model chamber.  The answer, under every budget and on a relabelled copy,
+    is ``edge_length_nonuniform`` naming either the first chamber, whose
+    dihedral angles are not all pi/m (``_chamber_coxeter`` reads no matrix
+    off that chamber alone), or the first edge whose length is not the
+    model's for its type pair; ``check`` exits 1 on the JSON copy.  With
+    edges (pi/3, pi/3, pi/6, pi/2, pi/3, pi/3) the edge is (y2, y3), pi/6
+    against pi/3; with (2pi/5, 4pi/15, pi/3, ...) the chamber is
+    (N, y0, y1), whose angle at N is 2pi/5."""
+    import buildctl.recognizer as recognizer
+    from buildctl.cli import main
+    from buildctl.coxeter import coxeter_group
+    c = _s0_hexagon(lengths)
+    monkeypatch.setenv("BUILDCTL_BUDGETS", json.dumps({"B_apt": budget}))
+    for k, e in enumerate((c, _relabelled(c, range(len(c.vertices))[::-1]))):
+        res = check_spherical(e, budget)
+        assert isinstance(res, Diagnosis) and res.condition == "edge_length_nonuniform"
+        w = res.witness
+        types = recognizer._vertex_types(e)
+        if "edge" in w:
+            i, j = map(e.vertex_index, w["edge"])
+            assert w["types"] == [types[i], types[j]]
+            model = coxeter_group(recognizer._chamber_coxeter(e, types))
+            want = model.pair_length[types[i], types[j]]
+            assert not want.equals(e.edge_length(i, j))
+            assert w["lengths"] == [str(e.edge_length(i, j)), str(want)]
+        else:
+            chamber = sorted(map(e.vertex_index, w["chamber"]))
+            assert tuple(chamber) == e.top_cells[0]
+            alone = MetricComplex("spherical", w["chamber"], [range(3)],
+                                  [(a, b, e.edge_length(chamber[a], chamber[b]))
+                                   for a, b in itertools.combinations(range(3), 2)])
+            assert recognizer._chamber_coxeter(alone, recognizer._vertex_types(alone)) is None
+        f = tmp_path / f"hexagon-{k}.json"
+        f.write_text(e.dumps())
+        assert main(["check", str(f)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["diagnosis"]["condition"] == "edge_length_nonuniform"
+    want = ({"edge": ["y2", "y3"], "types": [1, 2], "lengths": ["pi/6", "pi/3"]}
+            if lengths[2] == "1/6" else
+            {"chamber": ["N", "y0", "y1"], "detail": "dihedral angles are not all pi/m, m >= 2"})
+    assert check_spherical(c, budget).witness == want
+
+
 _JSON_JOIN_REPORTS = [
     '{"apartments": {"count": 1, "exhaustive": false}, "coxeter": {"generators": '
     '["s0", "s1", "s2", "s3"], "m": [[1, 2, 2, 2], [2, 1, 2, 2], [2, 2, 1, 2], '
@@ -2398,7 +2488,7 @@ def _walks_as_per_hull(c, types, model) -> bool:
     walks and failed hull; return whether c's lengths fit the model."""
     import buildctl.recognizer as recognizer
     _, hulls, _, _, _, walks, bad = recognizer._walked_hulls(c, types, model, 10 ** 5)
-    fit = recognizer._lengths_fit_model(c, types, model)
+    fit = recognizer._lengths_fit_model(c, types, model) is None
     for cells in [a.cells for a in hulls] + [m for a in hulls for m in _mutants(c, a.cells)] \
             + [c.top_cells]:
         want = oracles.tuple_model_walk(c, types, cells, model)
@@ -2569,7 +2659,7 @@ def test_chamber_graph_route_equals_the_cofaces_route(k, seed):
             continue
         model = coxeter_complex(M)
         _, found, _, _, _, walks, bad = recognizer._walked_hulls(e, types, model, 10 ** 5)
-        fit = recognizer._lengths_fit_model(e, types, model)
+        fit = recognizer._lengths_fit_model(e, types, model) is None
         old = []
         for a in found:
             want = oracles.tuple_model_walk(e, types, a.cells, model)
