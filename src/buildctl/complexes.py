@@ -694,10 +694,12 @@ def suspension(a: MetricComplex) -> MetricComplex:
     return orthogonal_join(s0(poles), a)
 
 
-def as_graph_data(c: MetricComplex) -> tuple[tuple[str, ...], list[tuple[int, int, PiUnits]]]:
-    """Vertices and weighted edges of a 1-dimensional complex, in pi units."""
+def as_graph_data(c: MetricComplex
+                  ) -> tuple[tuple[str, ...], tuple[tuple[int, int, PiUnits], ...]]:
+    """Vertices and weighted edges (i < j) of a valid 1-dimensional complex,
+    in pi units and in ``edges`` order."""
     if c.dimension > 1:
         raise ComplexError(f"complex has dimension {c.dimension}, expected <= 1")
     c.require_valid()
-    edges = [(i, j, c.edge_length(i, j).pi_units) for i, j in c.edges]
-    return c.vertices, edges
+    lengths = c.lengths
+    return c.vertices, tuple((i, j, lengths[i, j].pi_units) for i, j in c.edges)

@@ -27,15 +27,17 @@ witness is the first pair i <= j attaining the maximum; float offsets are
 clamped to their edges.
 
 Systole.  Each vertex's shortest-path tree is computed once per graph
-(``_trees``).  Its distance rows are the all-pairs distances of the
-diameter, and the systole is the girth read off the same trees (Itai-Rodeh,
-SIAM J. Comput. 1978).  For a source s, the branch of a vertex x is the
-child of s on the tree path to x; s is its own branch.  A non-tree edge
-(x, y) whose ends lie in different branches closes the cycle s..x, (x, y),
-y..s, so its candidate dist(x) + len + dist(y) is a cycle length, at least
-the systole.  When the ends lie in one branch, their tree paths meet at a
-vertex z other than s, and the edge closes a cycle through z that is
-shorter than the candidate by 2 d(s, z) > 0.  So every non-tree edge's
+(``_trees``), as two lists indexed by vertex: ``dist``, in kernel units and
+INF where a vertex is unreachable, and ``prev``, the (parent, edge id) of
+each reached vertex but the source, else None.  Its distance rows are the
+all-pairs distances of the diameter, and the systole is the girth read off
+the same trees (Itai-Rodeh, SIAM J. Comput. 1978).  For a source s, the
+branch of a vertex x is the child of s on the tree path to x; s is its own
+branch.  A non-tree edge (x, y) whose ends lie in different branches closes
+the cycle s..x, (x, y), y..s, so its candidate dist(x) + len + dist(y) is a
+cycle length, at least the systole.  When the ends lie in one branch, their
+tree paths meet at a vertex z other than s, and the edge closes a cycle
+through z that is shorter than the candidate by 2 d(s, z) > 0.  So every non-tree edge's
 candidate is at least the systole, and ``_girth`` needs no branch test.
 Conversely, take a shortest cycle C, of length g, and s on C.  A tree holds
 no cycle, so some edge (x, y) of C is a non-tree edge, and d(s, x), d(s, y)
@@ -48,6 +50,20 @@ s..y, then the edge back to x.  It is a simple cycle, as a minimizer's ends
 lie in different branches: one branch would make it longer than the cycle
 through z (on floats, while rounding loses less than 2 d(s, z)).  ``cat1``
 compares the systole with 2*pi by ``cmp_units``.
+
+Layer sweep.  A graph whose kernel lengths are all one value l, as every
+graph that passes the uniform-length gate is, gets its trees from a
+breadth-first sweep (``_kernel`` decides this once per graph): each layer
+is sorted by vertex, and a vertex keeps the first parent that reaches it,
+by the first edge in ``adjacency`` order.  Other graphs keep the heap.  The
+sweep's trees are Dijkstra's exactly.  The heap pops in (distance, vertex)
+order.  With one length, every vertex k hops out gets the same kernel value
+k*l: an exact int, or on floats the same left-to-right sum
+(...(l + l) + ...) + l, which grows strictly with k (adding l to about k*l
+rounds it away only past 2**53 hops).  So the heap pops the layers in
+turn, each in vertex order, and as a relaxation replaces only a strictly
+shorter distance, ``prev[w]`` is the first popped neighbour of w, by its
+first edge to w in ``adjacency`` order.
 """
 
 from __future__ import annotations
@@ -134,8 +150,11 @@ class MetricGraph:
 
     @staticmethod
     def from_complex(c: MetricComplex) -> "MetricGraph":
+        """The graph of a 1-dimensional complex.  Its validation already
+        guarantees distinct names, distinct ends in range, ordered, and
+        positive lengths, so the edges are stored unchecked."""
         names, edges = as_graph_data(c)
-        return MetricGraph(names, edges)
+        return MetricGraph.__new__(MetricGraph)._set(names, edges)
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, int, PiUnits], ...]]:
@@ -197,12 +216,14 @@ class MetricGraph:
 
     @cached_property
     def _kernel(self):
-        """(scale, lengths, adjacency) in kernel units: ints in units of
-        pi/scale when every length is rational, else floats and scale None."""
+        """(scale, lengths, adjacency, step) in kernel units: ints in units of
+        pi/scale when every length is rational, else floats and scale None.
+        step is the one length when all are equal, which selects the layer
+        sweep in ``_dijkstra`` (module docstring), else None."""
         scale, table = kernel_units([ln for _, _, ln in self.edges], 4)
         adj = [tuple((w, eid, table[eid]) for w, eid, _ in self.adjacency[u])
                for u in range(len(self.vertices))]
-        return scale, table, adj
+        return scale, table, adj, (table[0] if len(set(table)) == 1 else None)
 
     def _restore(self, x):
         """A kernel-unit value in pi units: a Fraction on exact graphs."""
@@ -211,42 +232,61 @@ class MetricGraph:
             return x
         return Fraction(x, scale)
 
-    def _dijkstra(self, source: int):
-        """Distances (kernel units) and predecessor (vertex, edge) per vertex."""
-        scale, _, adj = self._kernel
-        zero = 0 if scale else 0.0
-        dist = {source: zero}
-        prev: dict[int, tuple[int, int]] = {}
-        heap = [(zero, source)]
+    def _dijkstra(self, source: int) -> tuple[list, list]:
+        """The shortest-path tree of one vertex as the rows (dist, prev): the
+        distance in kernel units, INF where unreachable, and the (parent,
+        edge id) of each vertex, None at the source and where unreachable.
+        One kernel length: the layer sweep (module docstring), else a heap."""
+        scale, _, adj, step = self._kernel
+        dist, prev = [INF] * len(self.vertices), [None] * len(self.vertices)
+        d = dist[source] = 0 if scale else 0.0
+        if step is not None:
+            layer = [source]
+            while layer:
+                d += step
+                nxt = []
+                for u in layer:
+                    for w, eid, _ in adj[u]:
+                        if dist[w] is INF:      # this row's own mark of an unreached vertex
+                            dist[w] = d
+                            prev[w] = (u, eid)
+                            nxt.append(w)
+                nxt.sort()
+                layer = nxt
+            return dist, prev
+        heap = [(d, source)]
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
             for w, eid, ln in adj[u]:
                 nd = d + ln
-                if nd < dist.get(w, INF):
+                if nd < dist[w]:
                     dist[w] = nd
                     prev[w] = (u, eid)
                     heapq.heappush(heap, (nd, w))
         return dist, prev
 
-    def vertex_distances(self, source: int):
-        """Dijkstra distances from one vertex, Fractions on exact graphs."""
-        return {w: self._restore(x) for w, x in self._dijkstra(source)[0].items()}
+    def vertex_distances(self, source: int) -> dict[int, PiUnits]:
+        """Shortest-path distances from one vertex to the vertices it
+        reaches, in vertex order; Fractions on exact graphs."""
+        return {w: self._restore(x) for w, x in enumerate(self._dijkstra(source)[0])
+                if x != INF}
 
     @cached_property
-    def _trees(self) -> list[tuple[dict, dict]]:
+    def _trees(self) -> list[tuple[list, list]]:
         """``_dijkstra(s)`` for every vertex s: the shortest-path trees that
         the girth and the diameter scan share."""
         return [self._dijkstra(s) for s in range(len(self.vertices))]
 
     @cached_property
-    def _all_pairs(self) -> list[dict[int, int | float]]:
-        """Vertex-to-vertex distances in kernel units."""
+    def _all_pairs(self) -> list[list[int | float]]:
+        """Vertex-to-vertex distance rows in kernel units, INF where
+        unreachable."""
         return [dist for dist, _ in self._trees]
 
     def d(self, u: int, v: int) -> PiUnits:
-        return self._restore(self._all_pairs[u].get(v, INF))
+        return self._restore(self._all_pairs[u][v])
 
     def _point_sides(self, p: GraphPoint):
         """(vertex, offset) pairs describing p's distance to graph vertices."""
@@ -263,7 +303,7 @@ class MetricGraph:
         for a, ta in self._point_sides(p):
             for b, tb in self._point_sides(q):
                 dd = self.d(a, b)
-                if dd is not INF:
+                if dd != INF:
                     cand = ta + dd + tb
                     if cand < best:
                         best = cand
@@ -284,7 +324,7 @@ class MetricGraph:
         if not self.edges:
             self._diameter = (Fraction(0), None)
             return self._diameter
-        scale, w, _ = self._kernel
+        scale, w = self._kernel[:2]
         ap = self._all_pairs
         ends = [(x, y, w[j]) for j, (x, y, _) in enumerate(self.edges)]
         # pair values are kept doubled, which keeps them ints on exact graphs;
@@ -370,12 +410,14 @@ class MetricGraph:
         every vertex's shortest-path tree, and the (root, edge id) that first
         attains it, or None (module docstring)."""
         lengths = self._kernel[1]
+        ends = [(eid, x, y, lengths[eid]) for eid, (x, y, _) in enumerate(self.edges)]
         best, witness = INF, None
         for s, (dist, prev) in enumerate(self._trees):
-            tree = {eid for _, eid in prev.values()}
-            for eid, (x, y, _) in enumerate(self.edges):
-                if eid not in tree and x in dist:
-                    cand = dist[x] + lengths[eid] + dist[y]
+            tree = {p[1] for p in prev if p is not None}
+            for eid, x, y, ln in ends:
+                # an edge s does not reach has the candidate INF, which never wins
+                if eid not in tree:
+                    cand = dist[x] + ln + dist[y]
                     if cand < best:
                         best, witness = cand, (s, eid)
         return best, witness
@@ -391,21 +433,20 @@ class MetricGraph:
 
     def antipode_set(self, p: GraphPoint) -> AntipodeSet:
         """All points at distance >= pi from p, edge by edge."""
-        sides = self._point_sides(p)
-        verts_near: dict[int, PiUnits] = {}
-        for a, ta in sides:
-            for w, dw in self._all_pairs[a].items():
-                cand = ta + self._restore(dw)
-                if cand < verts_near.get(w, INF):
-                    verts_near[w] = cand
+        verts_near: list[PiUnits] = [INF] * len(self.vertices)
+        for a, ta in self._point_sides(p):
+            for w, dw in enumerate(self._all_pairs[a]):
+                if dw != INF:
+                    cand = ta + self._restore(dw)
+                    if cand < verts_near[w]:
+                        verts_near[w] = cand
         points: list[GraphPoint] = []
         fat: list[tuple[int, PiUnits, PiUnits]] = []
         seen_vertices = set()
         one = Fraction(1)
         for eid, (x, y, ln) in enumerate(self.edges):
-            dx = verts_near.get(x, INF)
-            dy = verts_near.get(y, INF)
-            if dx is INF or dy is INF:
+            dx, dy = verts_near[x], verts_near[y]
+            if dx == INF or dy == INF:
                 continue
             intervals = [(Fraction(0), ln)]
             intervals = _cut_lower(intervals, slope=+1, off=dx, level=one)

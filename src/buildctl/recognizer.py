@@ -73,9 +73,10 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     |W| read off the model (a thin sphere is its single hull, found by
     evaluating one pair); and (B0) every hull walks onto the model by panel
     type (``_model_walk``), each edge of the complex having the model's
-    length for its type pair, which is checked once for all hulls
-    (``_lengths_fit_model``), (B1) every chamber pair lies in a hull and
-    (B2) hulls through a common chamber agree on their shared vertices.
+    length for its type pair, which is checked once per check, for all hulls
+    and the edge gate below (``_lengths_fit_model``), (B1) every chamber
+    pair lies in a hull and (B2) hulls through a common chamber agree on
+    their shared vertices.
     On an exhaustive search that holds, panel counts and the suspension
     poles give the verdict.
 
@@ -84,7 +85,8 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     certified as a graph (``_certify_links``); two chambers that no gallery
     joins lie in no common apartment under any budget (``_gallery_split``);
     a first chamber with no Coxeter matrix, or the first edge whose length is
-    not the model's for its type pair (``_lengths_fit_model``), is
+    not the model's for its type pair (the one ``_lengths_fit_model`` answer,
+    found here for a model first enumerated here), is
     ``edge_length_nonuniform`` (once every residue passes, every chamber is
     a copy of the model chamber exactly when every edge fits).  The first
     failing gate is the diagnosis.  When every gate passes, the apartment
@@ -121,10 +123,11 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
         model = None if M is None else coxeter_group(M, budget=len(c.top_cells))
     except BudgetExceeded:
         model = None
-    answer = None
+    answer = misfit = None
     if model is not None:
+        misfit = _lengths_fit_model(c, types, model)
         answer = _with_apartments(c, _spherical_certificate(c, M, types, panel_counts),
-                                  _walked_hulls(c, types, model, budget))
+                                  _walked_hulls(c, types, model, budget, misfit is None))
         if isinstance(answer, BuildingCertificate) and answer.apartments_exhaustive:
             return answer
     # the residue pass: the links of the (n-2)-cells name the failure
@@ -146,15 +149,15 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
             "detail": "dihedral angles are not all pi/m, m >= 2"})
     if model is None:
         model = coxeter_group(M)
-    edge = _lengths_fit_model(c, types, model)
-    if edge is not None:
-        pair = tuple(types[v] for v in edge)
+        misfit = _lengths_fit_model(c, types, model)
+    if misfit is not None:
+        pair = tuple(types[v] for v in misfit)
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
-            "edge": [c.vertices[v] for v in edge], "types": list(pair),
-            "lengths": [str(c.lengths[edge]), str(model.pair_length[pair])]})
+            "edge": [c.vertices[v] for v in misfit], "types": list(pair),
+            "lengths": [str(c.lengths[misfit]), str(model.pair_length[pair])]})
     if answer is None:
         answer = _with_apartments(c, _spherical_certificate(c, M, types, panel_counts),
-                                  _walked_hulls(c, types, model, budget))
+                                  _walked_hulls(c, types, model, budget, True))
     return answer
 
 
@@ -329,16 +332,17 @@ def _chamber_coxeter(c: MetricComplex, types) -> CoxeterMatrix | None:
 
 
 def _walked_hulls(c: MetricComplex, types: Sequence[int], model: CoxeterGroupModel,
-                  budget: int) -> tuple:
+                  budget: int, fit: bool) -> tuple:
     """(model, apartments, exhaustive, lonely, pair, walks, bad): the
     ``_hull_apartments`` search, then each hull walked onto the model
     (``_model_walk``) in order, until the first that fails: ``walks`` holds
     the (image, back) maps of the hulls before it and ``bad`` its first
-    chamber and the chamber where its walk failed, or None.  The edge
-    lengths are compared once for all hulls (``_lengths_fit_model``); only
-    when some edge of c disagrees does each walk compare its own."""
+    chamber and the chamber where its walk failed, or None.  ``fit`` says
+    whether every edge of c has the model's length for its type pair
+    (``_lengths_fit_model``, run once per check by the caller, whose edge
+    gate reads the same answer); only when it is False does each walk
+    compare its own lengths."""
     found, exhaustive, lonely, pair, masks = _hull_apartments(c, model, budget)
-    fit = _lengths_fit_model(c, types, model) is None
     typed = _typed_chambers(c, types)
     walks = []
     for a, hull in zip(found, masks):

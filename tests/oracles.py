@@ -186,7 +186,7 @@ def exhaustive_systole(n: int, edges):
 def _plain_dijkstra(g, source: int, skip_edge=None):
     """Dijkstra over ``g._kernel``'s adjacency without the edge
     ``skip_edge``, run until the heap is empty."""
-    _, _, adj = g._kernel
+    adj = g._kernel[2]
     zero = 0 if g._kernel[0] else 0.0
     dist, prev = {source: zero}, {}
     heap = [(zero, source)]
@@ -1357,6 +1357,7 @@ def local_route(c, budget: int):
     local = local_certificate(c)
     if isinstance(local, r.Diagnosis) or local.apartments_exhaustive:
         return local
-    hulls = r._walked_hulls(c, local.vertex_types, r.coxeter_group(local.coxeter_matrix),
-                            budget)
+    types, model = local.vertex_types, r.coxeter_group(local.coxeter_matrix)
+    hulls = r._walked_hulls(c, types, model, budget,
+                            r._lengths_fit_model(c, types, model) is None)
     return r._with_apartments(c, local, hulls)

@@ -591,12 +591,77 @@ def test_girth_property_catches_tree_edges():
         lengths = g._kernel[1]
         return g._restore(min((dist[x] + lengths[eid] + dist[y]
                                for dist, _ in g._trees
-                               for eid, (x, y, _) in enumerate(g.edges) if x in dist),
+                               for eid, (x, y, _) in enumerate(g.edges)
+                               if dist[x] != math.inf),
                               default=math.inf))
 
     bad = find(systole_graphs(), lambda g: with_tree_edges(g) != g.systole()[0],
                settings=settings(derandomize=True, database=None))
     assert with_tree_edges(bad) < bad.systole()[0]
+
+
+@st.composite
+def sweep_graphs(draw):
+    """(graph, lengths drawn): multigraphs on 1 to 9 vertices with random
+    edges, so parallel edges and disconnected graphs come up, with one
+    length, exact or a float (often a third, whose multiples round), or two
+    lengths, exact or floats, the first edge taking one and the last the
+    other, so the heap runs."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u, v in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16)) if u != v]
+    exact = st.builds(Fraction, st.integers(1, 7), st.sampled_from((1, 2, 3, 4, 5, 12)))
+    kind = draw(st.sampled_from(("exact", "float", "two exact", "two float")))
+    one = draw(exact)
+    if kind == "float":
+        one = draw(st.one_of(st.just(1 / 3), st.floats(0.01, 2.0)))
+    other = draw(exact.filter(lambda x: x != one))
+    if kind == "two float":
+        one, other = float(one), float(other)
+    lengths = [one] * len(pairs)
+    if kind.startswith("two") and len(pairs) > 1:
+        lengths = [one] + [draw(st.sampled_from((one, other))) for _ in pairs[2:]] + [other]
+    return MetricGraph([f"v{i}" for i in range(n)],
+                       [(u, v, ln) for (u, v), ln in zip(pairs, lengths)]), set(lengths)
+
+
+def _rows(g: MetricGraph, tree: tuple[dict, dict]) -> tuple[list, list]:
+    """An ``oracles._plain_dijkstra`` tree as rows indexed by vertex."""
+    dist, prev = tree
+    return ([dist.get(w, math.inf) for w in range(len(g.vertices))],
+            [prev.get(w) for w in range(len(g.vertices))])
+
+
+def _antipode_answer(g: MetricGraph, p: GraphPoint) -> tuple:
+    ant = g.antipode_set(p)
+    return ant.points, ant.intervals, ant.nonempty, ant.discrete
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(sweep_graphs())
+def test_tree_rows_are_the_heap_dijkstra_trees(drawn):
+    """From every source the rows (dist, prev) are the trees of the heap
+    Dijkstra over dicts (``oracles._plain_dijkstra``), value for value and
+    type for type: by the layer sweep on one-length graphs, exact or float,
+    and by the heap on two-length ones.  A copy of the graph handed the
+    oracle's rows answers ``systole``, ``diameter`` and ``antipode_set``
+    (from every vertex and the midpoint of the first edge) exactly as the
+    graph does."""
+    g, lengths = drawn
+    assert (g._kernel[3] is not None) == (len(lengths) == 1)
+    want = [_rows(g, oracles._plain_dijkstra(g, s)) for s in range(len(g.vertices))]
+    for (dist, prev), (want_dist, want_prev) in zip(g._trees, want):
+        assert list(map(repr, dist)) == list(map(repr, want_dist))
+        assert prev == want_prev
+    twin = MetricGraph.__new__(MetricGraph)._set(g.vertices, g.edges)
+    twin.__dict__["_trees"] = want
+    assert repr(g.systole()) == repr(twin.systole())
+    assert g.diameter() == twin.diameter()
+    points = [GraphPoint(vertex=v) for v in range(len(g.vertices))]
+    if g.edges:
+        points.append(g.point(0, g.edges[0][2] / 2))
+    for p in points:
+        assert _antipode_answer(g, p) == _antipode_answer(twin, p)
 
 
 def test_exact_graphs_return_fractions(heawood):

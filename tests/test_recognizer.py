@@ -960,9 +960,9 @@ def test_window_links_pay_once_per_shape(radius, interior, monkeypatch):
     runs one Cholesky test, on the one triangle shape (its 2x2 edge-vector
     Gram matrix), and hands ``least_gram_eigenvalues`` only the first
     link's six edges, which have a closed form.  No link goes through
-    ``MetricComplex.__init__``, and the one graph built through
-    ``MetricGraph.__init__`` is the first hexagon's: every shared copy
-    reuses its checked edges."""
+    ``MetricComplex.__init__``, and no graph through ``MetricGraph.__init__``:
+    the first hexagon's graph stores its validated link's edges
+    (``MetricGraph.from_complex``), and every shared copy reuses them."""
     import buildctl.complexes as complexes
     import buildctl.dim1 as dim1
     import buildctl.linalg as linalg
@@ -1008,7 +1008,7 @@ def test_window_links_pay_once_per_shape(radius, interior, monkeypatch):
     assert {sub.verdict for _, sub in cert.link_certificates.values()} == {"thin_building"}
     assert choleskys == [2]
     assert stacks == [("spherical", 6, 1)]
-    assert inits == ["graph"]
+    assert inits == []
 
 
 def _edge_by_edge_class(L):
@@ -2364,6 +2364,34 @@ def test_edge_off_the_model_is_named(lengths, budget, tmp_path, monkeypatch, cap
     assert check_spherical(c, budget).witness == want
 
 
+@pytest.mark.parametrize("budget", [10 ** 5, 1])
+def test_edges_meet_the_model_once_per_check(heawood, budget, monkeypatch):
+    """``check_spherical`` compares the edges with the model once per check
+    (``_lengths_fit_model``): the hull walks and the residue pass's edge
+    gate read that one answer.  One call on S0*Heawood (under budget 1 a
+    budget-cut positive that reaches the residue pass), on S0 * the hexagon
+    with an edge off the model and on the B3 antipodal quotient (its model
+    enumerated in the residue pass); none on S0 * the hexagon whose first
+    chamber has no Coxeter matrix, as no model exists.
+    ``tests/test_report_digests.py`` pins the reports."""
+    import buildctl.recognizer as recognizer
+    calls = []
+    real = recognizer._lengths_fit_model
+    monkeypatch.setattr(recognizer, "_lengths_fit_model",
+                        lambda *a: calls.append(1) or real(*a))
+    for c, want, calls_wanted in (
+            (suspension(heawood), "suspension", 1),
+            (_s0_hexagon(("1/3", "1/3", "1/6", "1/2", "1/3", "1/3")),
+             "edge_length_nonuniform", 1),
+            (_s0_hexagon(("2/5", "4/15", "1/3", "1/3", "1/3", "1/3")),
+             "edge_length_nonuniform", 0),
+            (_w0_quotient(named_matrix("B3")), "no_opposite_chamber", 1)):
+        calls.clear()
+        res = check_spherical(c, budget)
+        assert (res.condition if isinstance(res, Diagnosis) else res.verdict) == want
+        assert len(calls) == calls_wanted, want
+
+
 _JSON_JOIN_REPORTS = [
     '{"apartments": {"count": 1, "exhaustive": false}, "coxeter": {"generators": '
     '["s0", "s1", "s2", "s3"], "m": [[1, 2, 2, 2], [2, 1, 2, 2], [2, 2, 1, 2], '
@@ -2487,8 +2515,8 @@ def _walks_as_per_hull(c, types, model) -> bool:
     ``_lengths_fit_model``, and that ``_walked_hulls`` gives the oracle's
     walks and failed hull; return whether c's lengths fit the model."""
     import buildctl.recognizer as recognizer
-    _, hulls, _, _, _, walks, bad = recognizer._walked_hulls(c, types, model, 10 ** 5)
     fit = recognizer._lengths_fit_model(c, types, model) is None
+    _, hulls, _, _, _, walks, bad = recognizer._walked_hulls(c, types, model, 10 ** 5, fit)
     for cells in [a.cells for a in hulls] + [m for a in hulls for m in _mutants(c, a.cells)] \
             + [c.top_cells]:
         want = oracles.tuple_model_walk(c, types, cells, model)
@@ -2658,8 +2686,8 @@ def test_chamber_graph_route_equals_the_cofaces_route(k, seed):
         if M is None:
             continue
         model = coxeter_complex(M)
-        _, found, _, _, _, walks, bad = recognizer._walked_hulls(e, types, model, 10 ** 5)
         fit = recognizer._lengths_fit_model(e, types, model) is None
+        _, found, _, _, _, walks, bad = recognizer._walked_hulls(e, types, model, 10 ** 5, fit)
         old = []
         for a in found:
             want = oracles.tuple_model_walk(e, types, a.cells, model)
