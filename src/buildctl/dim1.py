@@ -239,28 +239,20 @@ def _certify_graph(g) -> BuildingCertificate | Diagnosis:
 
 
 def _count_2m_cycles(sup: MetricGraph, m: int) -> int:
-    """The number of 2m-cycles of a graph of girth 2m hops (pairs of
-    parallel edges when m = 1): one breadth-first search per vertex v,
-    stopped at depth m, counts the geodesics sigma(v, w) to each w at
-    depth m.  Two distinct m-hop geodesics from v to w are internally
-    disjoint, as they would otherwise close a shorter cycle, so they make
-    one 2m-cycle, and each 2m-cycle arises once from each of its 2m
-    vertices and the vertex opposite it on the cycle:
-    sum_v sum_{d(v,w) = m} C(sigma(v, w), 2) / 2m."""
-    adj = [[w for w, _, _ in sup.adjacency[v]] for v in range(len(sup.vertices))]
-    pairs = 0
-    for v in range(len(adj)):
-        seen, layer = {v}, {v: 1}
-        for _ in range(m):
-            nxt: dict[int, int] = {}
-            for u, paths in layer.items():
-                for w in adj[u]:
-                    if w not in seen:
-                        nxt[w] = nxt.get(w, 0) + paths
-            seen.update(nxt)
-            layer = nxt
-        pairs += sum(k * (k - 1) // 2 for k in layer.values())
-    return pairs // (2 * m)
+    """The number of 2m-cycles, the apartments, of a generalized m-gon
+    (pairs of parallel edges when m = 1): |E| q_w0 / 2m.  Its edges are the
+    chambers, and the chambers opposite one are q_w0 many, the product of
+    (valence - 1) over the m letters of w0, alternating between the two
+    ends of an edge.  Each opposite pair lies in exactly one apartment, and
+    each apartment holds 2m ordered such pairs (Abramenko-Brown, Buildings,
+    ch. 4).  A generalized m-gon is biregular, the valences equal when m is
+    odd; anything else means the gates are at fault."""
+    val = sup.valence
+    pairs = {tuple(sorted((val(a), val(b)))) for a, b, _ in sup.edges}
+    p, q = min(pairs)
+    if len(pairs) != 1 or (m % 2 and p != q):
+        raise IntegrityError(f"edge valences {sorted(pairs)} fit no generalized {m}-gon")
+    return len(sup.edges) * (p - 1) ** (m // 2) * (q - 1) ** ((m + 1) // 2) // (2 * m)
 
 
 def _recognize_circle(graph: MetricGraph, circ: Circle) -> BuildingCertificate | Diagnosis:
@@ -271,9 +263,9 @@ def _recognize_circle(graph: MetricGraph, circ: Circle) -> BuildingCertificate |
                                    "length_pi_units": float(c)})
     if side > 0:
         return Diagnosis(DIAMETER, {"diameter_pi_units": float(c) / 2.0})
-    l0 = graph.edges[0][2]
-    uniform = all(cmp_units(l0, ln) == 0 for _, _, ln in graph.edges)
-    m = _length_to_m(l0) if uniform else None
+    m = _uniform_m(graph)
+    if isinstance(m, Diagnosis):
+        m = None
     from .coxeter import dihedral
     return BuildingCertificate(
         SPHERICAL, 1, THIN, coxeter_matrix=None if m is None else dihedral(max(m, 2)),

@@ -462,8 +462,9 @@ def propagate_apartment(c: MetricComplex, x, link_cycle: Sequence, y=None,
     walks = []
     for apt in holding_y:
         hull = sum(1 << index[t] for t in apt.cells)
-        # a certified complex's edges have its model's lengths (B0)
-        walks.append(_model_walk(c, typed, hull, model, True)[1:])
+        # a combinatorial walk: the check compared every edge length with
+        # the model's before it searched a hull (B0)
+        walks.append(_model_walk(typed, hull, model)[1:])
         anti = _model_antipode(c, model, walks[-1][0], xi)
         if yi is None or anti == yi:
             return ApartmentSurface(apt.cells, apt.vertices, 2, anti)

@@ -269,8 +269,9 @@ class MetricGraph:
 
     def vertex_distances(self, source: int) -> dict[int, PiUnits]:
         """Shortest-path distances from one vertex to the vertices it
-        reaches, in vertex order; Fractions on exact graphs."""
-        return {w: self._restore(x) for w, x in enumerate(self._dijkstra(source)[0])
+        reaches, in vertex order; Fractions on exact graphs.  Read off the
+        cached ``_all_pairs`` row, as ``d`` reads it."""
+        return {w: self._restore(x) for w, x in enumerate(self._all_pairs[source])
                 if x != INF}
 
     @cached_property

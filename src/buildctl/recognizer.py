@@ -6,19 +6,22 @@ Buildings, Def. 4.1).  Every gate runs on the one incidence index of a
 complex (``MetricComplex._incidence``, each vertex's star and each panel's
 chambers) and the chamber graph read off it.  After the connectivity and
 panel-count gates, which both geometries share, and the vertex typing, the
-Coxeter matrix is read off one chamber, and the apartments are the convex
-hulls of opposite chambers (two chambers at gallery distance l(w0) lie in
-exactly one apartment, the chambers on their minimal galleries; a thin
-sphere is one hull), each an int bitmask of its chambers.  (B0) each hull is
-walked against the bare Coxeter group (``coxeter_group``: its
-right-multiplication table, the vertex of each type of each element's
-chamber and the length of each type pair; no model complex is built), by
-panel type; (B1) every pair of chambers lies in a hull; (B2) two hulls
-through a chamber agree on every vertex they share.  When all three hold on
-an exhaustive search the complex is a building, so its links are buildings
-and no link is certified.  Only when something fails does one residue pass
-run: the links of the (n-2)-cells, the rank-2 residues, are certified as
-graphs (``_certify``); it names the first failing residue, chambers that no
+Coxeter matrix is read off one chamber and every edge is compared once
+with the model's length for its type pair; only when all fit are the
+apartments searched.  They are the convex hulls of opposite chambers (two
+chambers at gallery distance l(w0) lie in exactly one apartment, the
+chambers on their minimal galleries; a thin sphere is one hull), each an
+int bitmask of its chambers.  (B0) each hull is walked against the bare
+Coxeter group (``coxeter_group``: its right-multiplication table and the
+vertex of each type of each element's chamber; no model complex is built),
+by panel type, reading no length; (B1) every pair of chambers lies in a
+hull; (B2) two hulls through a chamber agree on every vertex they share.
+When all three hold on an exhaustive search the complex is a building, so
+its links are buildings and no link is certified; only then, or for a
+search cut off by the budget, are the verdict and the suspension poles
+computed.  Only when something fails does one residue pass run: the links
+of the (n-2)-cells, the rank-2 residues, are certified as graphs
+(``_certify``); it names the first failing residue, chambers that no
 gallery joins fail (B1) whatever the budget, a chamber or an edge off the
 one Coxeter matrix names the metric fault, and otherwise the failed axiom is
 the diagnosis.  No spherical check builds a vertex link.  The axioms are
@@ -49,7 +52,7 @@ from .dim1 import (  # noqa: F401  (some only for the callers that import them f
     EDGE_LENGTH_NONUNIFORM, FLAG_AXIOM2_UNVERIFIED, FLAG_GLOBAL_UNVERIFIED, FLAG_MIXED,
     FLAG_SAMPLED, HULL_NOT_ISOMETRIC, LINK_FAILURE, LINK_UNDECIDED, MEB, MEB_LOCAL,
     NO_COMMON_APARTMENT, NO_OPPOSITE_CHAMBER, NOT_CONNECTED, NOT_SIMPLY_CONNECTED, SUSPENSION,
-    THICK, THIN, UNKNOWN_PI1, Apartment, BuildingCertificate, Diagnosis, _bits, _length_to_m,
+    THICK, THIN, UNKNOWN_PI1, Apartment, BuildingCertificate, Diagnosis, _length_to_m,
     _opposite_hulls, _subcomplex, _vertex_types, check_dim1, enumerate_apartments_dim1,
     recognize_dim1)
 from .homotopy import NONTRIVIAL, UNKNOWN, simple_connectivity
@@ -68,29 +71,31 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     (``_panel_counts``), the vertex types and the Coxeter matrix of one
     chamber (``_chamber_coxeter``) give the model Coxeter group, enumerated
     only when it has no more elements than the complex has chambers (each
-    apartment of a building has |W| chambers); the apartments are the
-    convex hulls of opposite chambers in the chamber graph, with l(w0) and
-    |W| read off the model (a thin sphere is its single hull, found by
-    evaluating one pair); and (B0) every hull walks onto the model by panel
-    type (``_model_walk``), each edge of the complex having the model's
-    length for its type pair, which is checked once per check, for all hulls
-    and the edge gate below (``_lengths_fit_model``), (B1) every chamber
-    pair lies in a hull and (B2) hulls through a common chamber agree on
-    their shared vertices.
-    On an exhaustive search that holds, panel counts and the suspension
-    poles give the verdict.
+    apartment of a building has |W| chambers).  Every edge of the complex
+    is then compared once with the model's length for its type pair
+    (``_lengths_fit_model``).  Only when all fit does the apartment layer
+    run (``_with_apartments``): the apartments are the convex hulls of
+    opposite chambers in the chamber graph, with l(w0) and |W| read off the
+    model (a thin sphere is its single hull, found by evaluating one pair);
+    and (B0) every hull walks onto the model by panel type
+    (``_model_walk``), (B1) every chamber pair lies in a hull and (B2) hulls
+    through a common chamber agree on their shared vertices.  A walk keeps
+    the vertex types, so each edge of a walked hull is the image of a model
+    edge of its type pair and has its length: the one comparison stands for
+    every hull.  On an exhaustive search that holds, panel counts and the
+    suspension poles give the verdict.
 
-    Only when that fails, or the search is cut off by the budget, does the
-    residue pass run: the link of every (n-2)-cell, a rank-2 residue, is
-    certified as a graph (``_certify_links``); two chambers that no gallery
-    joins lie in no common apartment under any budget (``_gallery_split``);
-    a first chamber with no Coxeter matrix, or the first edge whose length is
-    not the model's for its type pair (the one ``_lengths_fit_model`` answer,
-    found here for a model first enumerated here), is
-    ``edge_length_nonuniform`` (once every residue passes, every chamber is
-    a copy of the model chamber exactly when every edge fits).  The first
-    failing gate is the diagnosis.  When every gate passes, the apartment
-    layer (``_with_apartments``, run once per check: a model refused under
+    Only when that fails, the lengths misfit or the search is cut off by the
+    budget does the residue pass run: the link of every (n-2)-cell, a
+    rank-2 residue, is certified as a graph (``_certify_links``); two
+    chambers that no gallery joins lie in no common apartment under any
+    budget (``_gallery_split``); a first chamber with no Coxeter matrix, or
+    the first edge whose length is not the model's for its type pair (the
+    one ``_lengths_fit_model`` answer, found here for a model first
+    enumerated here), is ``edge_length_nonuniform`` (once every residue
+    passes, every chamber is a copy of the model chamber exactly when every
+    edge fits).  The first failing gate is the diagnosis.  When every gate
+    passes, the apartment layer (run once per check: a model refused under
     the chamber count is enumerated here and its hulls walked) names the
     failed axiom: a hull that does not walk is
     ``hull_not_isometric_to_model`` (its first chamber and the chamber where
@@ -126,10 +131,10 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
     answer = misfit = None
     if model is not None:
         misfit = _lengths_fit_model(c, types, model)
-        answer = _with_apartments(c, _spherical_certificate(c, M, types, panel_counts),
-                                  _walked_hulls(c, types, model, budget, misfit is None))
-        if isinstance(answer, BuildingCertificate) and answer.apartments_exhaustive:
-            return answer
+        if misfit is None:
+            answer = _with_apartments(c, types, panel_counts, model, budget)
+            if isinstance(answer, BuildingCertificate) and answer.apartments_exhaustive:
+                return answer
     # the residue pass: the links of the (n-2)-cells name the failure
     n = c.dimension
     cells = sorted({f for t in c.top_cells for f in itertools.combinations(t, n - 1)})
@@ -156,8 +161,7 @@ def check_spherical(c: MetricComplex, budget: int = B_APT_DEFAULT
             "edge": [c.vertices[v] for v in misfit], "types": list(pair),
             "lengths": [str(c.lengths[misfit]), str(model.pair_length[pair])]})
     if answer is None:
-        answer = _with_apartments(c, _spherical_certificate(c, M, types, panel_counts),
-                                  _walked_hulls(c, types, model, budget, True))
+        answer = _with_apartments(c, types, panel_counts, model, budget)
     return answer
 
 
@@ -186,15 +190,22 @@ def _panel_counts(c: MetricComplex) -> set[int] | Diagnosis:
     return counts
 
 
-def _spherical_certificate(c: MetricComplex, M: CoxeterMatrix, types, panel_counts
-                           ) -> BuildingCertificate:
+def _spherical_certificate(c: MetricComplex, M: CoxeterMatrix, types, panel_counts,
+                           apartments: tuple[Apartment, ...], exhaustive: bool,
+                           pair: tuple[int, int] | None) -> BuildingCertificate:
     """The verdict from the panel counts and the suspension poles, for the
-    Coxeter matrix read off the first chamber, flagged
-    ``apartments_sampled`` until the apartment layer runs, and
-    ``global_cat1_unverified`` unless a curvature-preserving construction
-    made the complex (provenance)."""
+    Coxeter matrix read off the first chamber, with the apartment system
+    that the apartment layer found (``_with_apartments``), flagged
+    ``apartments_sampled`` unless the search was exhaustive,
+    ``apartment_axiom2_unverified`` if it left the chamber pair ``pair``
+    uncovered, and ``global_cat1_unverified`` unless a curvature-preserving
+    construction made the complex (provenance)."""
     poles = find_suspension_poles(c)
-    flags = [FLAG_SAMPLED]
+    flags = []
+    if not exhaustive:
+        flags.append(FLAG_SAMPLED)
+    if pair is not None:
+        flags.append(FLAG_AXIOM2_UNVERIFIED)
     if c.provenance is None:
         flags.append(FLAG_GLOBAL_UNVERIFIED)
     if panel_counts == {2}:
@@ -210,7 +221,8 @@ def _spherical_certificate(c: MetricComplex, M: CoxeterMatrix, types, panel_coun
         verdict = BUILDING
         flags.append(FLAG_MIXED)
     cert = BuildingCertificate(
-        SPHERICAL, c.dimension, verdict, coxeter_matrix=M, apartments_exhaustive=False,
+        SPHERICAL, c.dimension, verdict, coxeter_matrix=M, apartments=apartments,
+        apartment_count=len(apartments), apartments_exhaustive=exhaustive,
         thickness=min(panel_counts), vertex_types=types, flags=tuple(sorted(flags)))
     if verdict == SUSPENSION:
         cert.poles = (c.vertices[poles[0]], c.vertices[poles[1]])
@@ -253,16 +265,17 @@ def _certify_links(c: MetricComplex, cells, certify) -> dict | Diagnosis:
     return out
 
 
-def _with_apartments(c, cert: BuildingCertificate, hulls: tuple
-                     ) -> BuildingCertificate | Diagnosis:
-    """A copy of the certificate of a complex of dimension >= 2 with its
-    apartment system, the convex hulls of opposite chambers, spheres walked
-    onto the model (B0), in ``Apartment.key`` order and before (B1), so a
-    hull that is no apartment covers no pair, and (B2) on the walks of an
-    exhaustive search (see ``check_spherical``), or the diagnosis of the
-    failed axiom.  ``hulls`` are ``_walked_hulls`` run on the same complex
-    against the certificate's model."""
-    model, found, exhaustive, lonely, pair, walks, bad = hulls
+def _with_apartments(c: MetricComplex, types: Sequence[int], panel_counts,
+                     model: CoxeterGroupModel, budget: int) -> BuildingCertificate | Diagnosis:
+    """The apartment layer of a complex of dimension >= 2 whose edges fit
+    the model (``_lengths_fit_model``): the diagnosis of the failed axiom,
+    or the certificate (``_spherical_certificate``) with the apartment
+    system, the convex hulls of opposite chambers, spheres walked onto the
+    model (B0) in ``Apartment.key`` order and before (B1), so a hull that
+    is no apartment covers no pair, and (B2) on the walks of an exhaustive
+    search (see ``check_spherical``).  The hulls are ``_walked_hulls`` under
+    ``budget``."""
+    found, exhaustive, lonely, pair, walks, bad = _walked_hulls(c, types, model, budget)
     if bad is not None:
         return Diagnosis(HULL_NOT_ISOMETRIC, {"chambers": [
             [c.vertices[v] for v in t] for t in bad]})
@@ -280,13 +293,8 @@ def _with_apartments(c, cert: BuildingCertificate, hulls: tuple
             "chamber": [c.vertices[v] for v in c.top_cells[C]],
             "apartments": [[c.vertices[v] for v in found[i].cells[0]] for i in (j, k)],
             "vertex": c.vertices[x]})
-    flags = set(cert.flags) - {FLAG_SAMPLED}
-    if pair is not None:
-        flags.add(FLAG_AXIOM2_UNVERIFIED)
-    if not exhaustive:
-        flags.add(FLAG_SAMPLED)
-    return cert.copy(apartments=found, apartment_count=len(found),
-                     apartments_exhaustive=exhaustive, flags=tuple(sorted(flags)))
+    return _spherical_certificate(c, model.system, types, panel_counts, found, exhaustive,
+                                  pair)
 
 
 def _gallery_split(c: MetricComplex) -> tuple[int, int] | None:
@@ -313,8 +321,8 @@ def _chamber_coxeter(c: MetricComplex, types) -> CoxeterMatrix | None:
     With the vertices in type order, the inverse G^-1 of the chamber's Gram
     matrix gives cos theta_ij = -G^-1_ij / sqrt(G^-1_ii G^-1_jj), and each
     theta_ij is read as pi/m by the one rule for link edges
-    (``_length_to_m``).  A wrong guess only fails (B0), which compares every
-    edge length with the model's."""
+    (``_length_to_m``).  A wrong guess only fails the comparison of every
+    edge length with the model's (``_lengths_fit_model``)."""
     from .linalg import inverse
     cell = sorted(c.top_cells[0], key=types.__getitem__)
     inv = inverse(c.gram(cell))
@@ -332,26 +340,23 @@ def _chamber_coxeter(c: MetricComplex, types) -> CoxeterMatrix | None:
 
 
 def _walked_hulls(c: MetricComplex, types: Sequence[int], model: CoxeterGroupModel,
-                  budget: int, fit: bool) -> tuple:
-    """(model, apartments, exhaustive, lonely, pair, walks, bad): the
+                  budget: int) -> tuple:
+    """(apartments, exhaustive, lonely, pair, walks, bad): the
     ``_hull_apartments`` search, then each hull walked onto the model
     (``_model_walk``) in order, until the first that fails: ``walks`` holds
     the (image, back) maps of the hulls before it and ``bad`` its first
-    chamber and the chamber where its walk failed, or None.  ``fit`` says
-    whether every edge of c has the model's length for its type pair
-    (``_lengths_fit_model``, run once per check by the caller, whose edge
-    gate reads the same answer); only when it is False does each walk
-    compare its own lengths."""
+    chamber and the chamber where its walk failed, or None.  The walks are
+    combinatorial: the caller has found every edge of c to have the model's
+    length for its type pair (``_lengths_fit_model``)."""
     found, exhaustive, lonely, pair, masks = _hull_apartments(c, model, budget)
     typed = _typed_chambers(c, types)
     walks = []
     for a, hull in zip(found, masks):
-        at, image, back = _model_walk(c, typed, hull, model, fit)
+        at, image, back = _model_walk(typed, hull, model)
         if at is not None:
-            return (model, found, exhaustive, lonely, pair, walks,
-                    (a.cells[0], c.top_cells[at]))
+            return found, exhaustive, lonely, pair, walks, (a.cells[0], c.top_cells[at])
         walks.append((image, back))
-    return model, found, exhaustive, lonely, pair, walks, None
+    return found, exhaustive, lonely, pair, walks, None
 
 
 def _hull_apartments(c: MetricComplex, model: CoxeterGroupModel, budget: int
@@ -401,12 +406,12 @@ def _typed_chambers(c: MetricComplex, types: Sequence[int]
     return vertex, across
 
 
-def _model_walk(c: MetricComplex, typed: tuple, hull: int, model: CoxeterGroupModel,
-                lengths_fit: bool = False) -> tuple[int | None, list[int], dict]:
+def _model_walk(typed: tuple, hull: int, model: CoxeterGroupModel
+                ) -> tuple[int | None, list[int], dict]:
     """(bad, image, back): the chamber of the hull (a bitmask of chamber
-    indices) where it fails to be a typed copy of the model Coxeter complex,
-    or None; the hull chamber of each group element, by element index; and
-    the model vertex of each hull vertex.  ``typed`` is
+    indices) where it fails to be a typed combinatorial copy of the model
+    Coxeter complex, or None; the hull chamber of each group element, by
+    element index; and the model vertex of each hull vertex.  ``typed`` is
     ``_typed_chambers(c, types)``.
 
     The walk maps the model's chambers: the identity to the hull's least
@@ -417,12 +422,10 @@ def _model_walk(c: MetricComplex, typed: tuple, hull: int, model: CoxeterGroupMo
     chamber, and this vertex map must be consistent and injective.  Chambers
     g and g*s share the cosets g W_{S-i} for i != s, so only the type-s
     vertex of g*s is new to check.  The images must be all of the hull (else
-    the least chamber never reached is named), and every model edge
-    (``CoxeterGroupModel.edge_lengths``) must keep its length; the first
-    model edge that does not names a chamber of the hull on its image.  The
+    the least chamber never reached is named).  No length is read: the
     vertex map keeps types, so a model edge goes to an edge of c with its
-    type pair: the caller that has found ``lengths_fit``
-    (``_lengths_fit_model``) skips that comparison, as it cannot fail."""
+    type pair, whose length the caller has compared with the model's once
+    for all hulls (``_lengths_fit_model``)."""
     vertex, across = typed
     labels = model.labels
     at = (hull & -hull).bit_length() - 1
@@ -447,14 +450,6 @@ def _model_walk(c: MetricComplex, typed: tuple, hull: int, model: CoxeterGroupMo
             seen |= 1 << k
         missed = hull & ~seen
         return (missed & -missed).bit_length() - 1, image, back
-    if lengths_fit:
-        return None, image, back
-    chambers = c.top_cells
-    for a, b, ln in model.edge_lengths:
-        x, y = vmap[a], vmap[b]
-        if not ln.equals(c.edge_length(x, y)):
-            return next(k for k in _bits(hull) if x in chambers[k] and y in chambers[k]), \
-                image, back
     return None, image, back
 
 
@@ -462,8 +457,10 @@ def _lengths_fit_model(c: MetricComplex, types: Sequence[int],
                        model: CoxeterGroupModel) -> tuple[int, int] | None:
     """The first edge of c, in ``c.lengths`` order, whose length is not the
     model's for its type pair (``pair_length``), or None when every edge
-    fits; compared once per edge for all hulls.  An edge whose type pair the
-    model lacks fits nothing."""
+    fits: the length half of (B0), decided once per check before any hull
+    is searched, so the hull walks read no length, and read again by the
+    residue pass's edge gate.  An edge whose type pair the model lacks fits
+    nothing."""
     pair = model.pair_length
     for (i, j), ln in c.lengths.items():
         want = pair.get((types[i], types[j]))

@@ -9,11 +9,14 @@ girth of the shortest-path trees with the branch rule.  The band of an
 exact length: the floats that ``cmp_units`` calls equal to it, found by
 bisection over float bit patterns.  Edge maxima: the
 closed form of the two routes into an edge.  Cycle counts:
-networkx simple_cycles.  Apartment axioms: an unsampled scan over every pair
-of cells, faces included, each chamber's cover rebuilt from the
-apartments' chamber lists, whose first uncovered pair the hull search's
-own cover must name, a graph search of each apartment intersection,
-and the dimension-1 axiom (3) by the intersection identity of two cycles.
+networkx simple_cycles, and the earlier count of a generalized m-gon's
+2m-cycles by a geodesic-counting search from every vertex, which the
+closed form |E| q_w0 / 2m must equal.  Apartment axioms: an unsampled
+scan over every pair of cells, faces included, each chamber's cover
+rebuilt from the apartments' chamber lists, whose first uncovered pair the
+hull search's own cover must name, a graph search of each apartment
+intersection, and the dimension-1 axiom (3) by the intersection identity
+of two cycles.
 Apartment searches: the earlier copying, Fraction-summing surface growth,
 whose closed spheres the hull family of opposite chambers must equal, and
 the dim-1 cycle DFS, which the kernel-unit search must match node for node.
@@ -286,6 +289,31 @@ def count_cycles_of_length(n: int, edges, k: int) -> int:
     for u, v, _ in edges:
         G.add_edge(u, v)
     return sum(1 for cyc in nx.simple_cycles(G, length_bound=k) if len(cyc) == k)
+
+
+def bfs_count_2m_cycles(sup, m: int) -> int:
+    """The number of 2m-cycles of a graph of girth 2m hops (pairs of
+    parallel edges when m = 1): one breadth-first search per vertex v,
+    stopped at depth m, counts the geodesics sigma(v, w) to each w at
+    depth m.  Two distinct m-hop geodesics from v to w are internally
+    disjoint, as they would otherwise close a shorter cycle, so they make
+    one 2m-cycle, and each 2m-cycle arises once from each of its 2m
+    vertices and the vertex opposite it on the cycle:
+    sum_v sum_{d(v,w) = m} C(sigma(v, w), 2) / 2m."""
+    adj = [[w for w, _, _ in sup.adjacency[v]] for v in range(len(sup.vertices))]
+    pairs = 0
+    for v in range(len(adj)):
+        seen, layer = {v}, {v: 1}
+        for _ in range(m):
+            nxt: dict[int, int] = {}
+            for u, paths in layer.items():
+                for w in adj[u]:
+                    if w not in seen:
+                        nxt[w] = nxt.get(w, 0) + paths
+            seen.update(nxt)
+            layer = nxt
+        pairs += sum(k * (k - 1) // 2 for k in layer.values())
+    return pairs // (2 * m)
 
 
 def edge_max_distance(dx, dy, ln):
@@ -1306,7 +1334,7 @@ def _local_certificate(c, memo: dict):
         return Diagnosis(EDGE_LENGTH_NONUNIFORM, {
             "detail": f"assembled Coxeter matrix is {form}, not spherical",
             "matrix": M.to_json_dict()})
-    cert = r._spherical_certificate(c, M, types, panel_counts)
+    cert = r._spherical_certificate(c, M, types, panel_counts, (), False, None)
     cert.link_certificates = link_certs
     return cert
 
@@ -1350,14 +1378,15 @@ def assemble_coxeter(c, types, link_certs):
 
 def local_route(c, budget: int):
     """``check_spherical``'s earlier answer through the local route: the
-    ``local_certificate`` diagnosis, or its certificate with the apartment
-    layer (``recognizer._with_apartments``) on hulls walked against its own
-    matrix's group."""
+    ``local_certificate`` diagnosis, or the apartment layer
+    (``recognizer._with_apartments``) on hulls walked against its own
+    matrix's group, a certificate keeping the local route's links."""
     from buildctl import recognizer as r
     local = local_certificate(c)
     if isinstance(local, r.Diagnosis) or local.apartments_exhaustive:
         return local
-    types, model = local.vertex_types, r.coxeter_group(local.coxeter_matrix)
-    hulls = r._walked_hulls(c, types, model, budget,
-                            r._lengths_fit_model(c, types, model) is None)
-    return r._with_apartments(c, local, hulls)
+    res = r._with_apartments(c, local.vertex_types, r._panel_counts(c),
+                             r.coxeter_group(local.coxeter_matrix), budget)
+    if isinstance(res, r.BuildingCertificate):
+        res.link_certificates = local.link_certificates
+    return res

@@ -498,6 +498,24 @@ def test_integer_kernel_matches_fraction_dijkstra():
         assert_witness(g)
 
 
+def test_vertex_distances_read_the_cached_rows(heawood, monkeypatch):
+    """``vertex_distances`` reads the cached ``_all_pairs`` row, as ``d``
+    does: once the trees exist, no source runs ``_dijkstra`` again, and
+    the answers are the trees' rows, on an exact and a float graph."""
+    calls = []
+    real = MetricGraph._dijkstra
+    monkeypatch.setattr(MetricGraph, "_dijkstra",
+                        lambda self, s: calls.append(s) or real(self, s))
+    exact = graph_of(heawood)
+    for g in (exact, MetricGraph(exact.vertices, [(u, v, float(ln))
+                                                  for u, v, ln in exact.edges])):
+        assert len(g._trees) == len(g.vertices) == len(calls)
+        calls.clear()
+        for s in range(len(g.vertices)):
+            assert g.vertex_distances(s) == {w: g.d(s, w) for w in range(len(g.vertices))}
+        assert calls == []
+
+
 @st.composite
 def systole_graphs(draw):
     """Connected multigraphs for the girth: trees, single cycles (two

@@ -495,13 +495,15 @@ def test_budgeted_check_searches_hulls_once(k33, heawood, monkeypatch):
     """A search cut off by the budget sends the check to the residue pass,
     which returns the apartment layer's first answer: one group enumeration
     and one search per check.  On every path the hull walk
-    (``_walked_hulls``), the apartment layer (``_with_apartments``) and the
-    verdict with its pole search (``_spherical_certificate``) each run at
-    most once: on S0*K3,3 under budget 5, S0*Heawood under budget 1, the B3
-    antipodal quotient (its model refused under the chamber count, so
-    enumerated and walked in the residue pass) and the wedge of two A4
-    complexes.  ``short-lune``, whose model is refused under the chamber
-    count and whose residue gate fails, runs none of them."""
+    (``_walked_hulls``) and the apartment layer (``_with_apartments``) each
+    run at most once, and the verdict with its pole search
+    (``_spherical_certificate``) once for a certificate and never for a
+    diagnosis: on S0*K3,3 under budget 5 and S0*Heawood under budget 1, both
+    certified, and on the B3 antipodal quotient (its model refused under the
+    chamber count, so enumerated and walked in the residue pass) and the
+    wedge of two A4 complexes, both diagnosed.  ``short-lune``, whose model
+    is refused under the chamber count and whose residue gate fails, runs
+    none of them."""
     import buildctl.recognizer as recognizer
     budgets = _group_budgets(monkeypatch)
     searches, layers = [], []
@@ -526,8 +528,9 @@ def test_budgeted_check_searches_hulls_once(k33, heawood, monkeypatch):
     for c, budget in ((suspension(k33), 5), (suspension(heawood), 1),
                       (_w0_quotient(named_matrix("B3")), 10 ** 5), (_a4_wedge(), 10 ** 5)):
         layers.clear()
-        check_spherical(c, budget)
-        assert sorted(layers) == sorted(names), c.vertices[:3]
+        res = check_spherical(c, budget)
+        ran = names if isinstance(res, recognizer.BuildingCertificate) else names[:2]
+        assert sorted(layers) == sorted(ran), c.vertices[:3]
     layers.clear()
     assert check_spherical(gen_short_lune()).condition == "link_failure"
     assert layers == []
@@ -549,7 +552,7 @@ def test_file_loaded_complex_flags_unverified_global(octahedron):
     assert any(f.startswith("global_cat1_unverified") for f in cert.flags)
 
 
-def _walk(c, types, cells, model, lengths_fit=False):
+def _walk(c, types, cells, model):
     """``recognizer._model_walk`` of the hull of sorted chamber tuples
     ``cells``, in the form ``oracles.tuple_model_walk`` gives: the failing
     chamber as a tuple, a dict from each group word to its image chamber,
@@ -558,7 +561,7 @@ def _walk(c, types, cells, model, lengths_fit=False):
     index = {t: k for k, t in enumerate(c.top_cells)}
     hull = sum(1 << index[t] for t in set(cells))
     bad, image, back = recognizer._model_walk(
-        c, recognizer._typed_chambers(c, types), hull, model, lengths_fit)
+        recognizer._typed_chambers(c, types), hull, model)
     return (None if bad is None else c.top_cells[bad],
             {g.word: c.top_cells[k] for g, k in zip(model.elements, image)}, back)
 
@@ -573,12 +576,17 @@ def test_apartments_isometric_to_model(s0_heawood, s0_heawood_cert):
     a = cert.apartments[0]
     other = coxeter_complex(named_matrix("A1xA1xA1"))
     assert _walk(s0_heawood, cert.vertex_types, a.cells, other)[0] in a.cells
-    # so is a typed copy of the octahedron whose edges are pi/3, not pi/2
+    # so is a typed copy of the octahedron whose edges are pi/3, not pi/2:
+    # by the one length comparison, as the walk, which reads no length,
+    # lays it onto the model as it lays the octahedron
     octa = gen_octahedron()
     short = MetricComplex(octa.geometry, octa.vertices, octa.top_cells,
                           [(i, j, Angle(frac=THIRD)) for i, j in octa.edges])
     types = recognizer._vertex_types(short)
-    assert _walk(short, types, short.top_cells, other)[0] in short.top_cells
+    assert recognizer._lengths_fit_model(short, types, other) == short.edges[0]
+    assert recognizer._lengths_fit_model(octa, types, other) is None
+    assert _walk(short, types, short.top_cells, other) == \
+        _walk(octa, types, octa.top_cells, other)
     assert _walk(octa, types, octa.top_cells, other)[0] is None
     assert not oracles.thin_isomorphic(short, other.complex)
 
@@ -591,6 +599,7 @@ def test_hull_that_does_not_walk_is_a_diagnosis(s0_heawood, tmp_path, monkeypatc
     process and through ``buildctl check`` (exit 1, no traceback)."""
     import buildctl.recognizer as recognizer
     from buildctl.cli import main
+    from buildctl.dim1 import _bits
     original = recognizer._opposite_hulls
     mutants = []
 
@@ -599,14 +608,14 @@ def test_hull_that_does_not_walk_is_a_diagnosis(s0_heawood, tmp_path, monkeypatc
         h = hulls[0][0]
         outside = ~h & ((1 << len(nbrs)) - 1)
         h = (h ^ 1 << (h.bit_length() - 1)) | (outside & -outside)
-        hulls[0] = (h, list(recognizer._bits(h)))
+        hulls[0] = (h, list(_bits(h)))
         mutants.append(h)
         return hulls, exhaustive, lonely, pair
 
     monkeypatch.setattr(recognizer, "_opposite_hulls", swapped)
     res = check_spherical(s0_heawood)
     assert isinstance(res, Diagnosis) and res.condition == "hull_not_isometric_to_model"
-    cells = sorted(s0_heawood.top_cells[k] for k in recognizer._bits(mutants[0]))
+    cells = sorted(s0_heawood.top_cells[k] for k in _bits(mutants[0]))
     first, bad = ([s0_heawood.vertex_index(v) for v in ch] for ch in res.witness["chambers"])
     assert tuple(first) == cells[0] and tuple(bad) in cells
     f = tmp_path / "s0-heawood.json"
@@ -1809,12 +1818,17 @@ def _dim1_buildings(draw):
 
 def _count_is_the_enumeration(case) -> bool:
     """The certificate's apartment count equals the length of the hull
-    enumeration (a thin circle is its one apartment) and the closed form."""
+    enumeration and the geodesic count of the suppressed graph
+    (``oracles.bfs_count_2m_cycles``; a thin circle is its one apartment),
+    and the closed form."""
     g, count = case
     cert = recognize_dim1(g)
-    listed = 1 if cert.verdict == "thin_building" else \
-        len(enumerate_apartments_dim1(g, cert.m)[0])
-    return cert.apartment_count == listed == count
+    if cert.verdict == "thin_building":
+        listed = counted = 1
+    else:
+        listed = len(enumerate_apartments_dim1(g, cert.m)[0])
+        counted = oracles.bfs_count_2m_cycles(g.suppress_degree2(), cert.m)
+    return cert.apartment_count == listed == counted == count
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -1834,6 +1848,26 @@ def test_dim1_count_property_catches_a_count_over_m(monkeypatch):
     g, _ = find(_dim1_buildings(), lambda case: not _count_is_the_enumeration(case),
                 settings=settings(derandomize=True, database=None))
     assert recognize_dim1(g).verdict != "thin_building"
+
+
+def test_dim1_count_refuses_a_graph_that_is_not_biregular():
+    """The closed count |E| q_w0 / 2m holds for a generalized m-gon, whose
+    edges all join one valence pair, equal when m is odd; on any other
+    graph the gates are at fault, and the count raises.  A hexagon with a
+    long diagonal has edges of valences (2, 2), (2, 3) and (3, 3); K_{2,3}
+    is biregular, counted as a generalized 2-gon, but its valences differ,
+    so it is no generalized 3-gon."""
+    import buildctl.dim1 as dim1
+    from buildctl.dim1 import IntegrityError
+    third = Fraction(1, 3)
+    theta = MetricGraph([f"y{i}" for i in range(6)],
+                        [*((i, (i + 1) % 6, third) for i in range(6)), (0, 3, third)])
+    with pytest.raises(IntegrityError, match="generalized 3-gon"):
+        dim1._count_2m_cycles(theta, 3)
+    k23 = MetricGraph.from_complex(gen_rank2_building("complete_bipartite", s=2, t=3))
+    assert dim1._count_2m_cycles(k23, 2) == oracles.bfs_count_2m_cycles(k23, 2) == 3
+    with pytest.raises(IntegrityError, match="generalized 3-gon"):
+        dim1._count_2m_cycles(k23, 3)
 
 
 def test_thick_m_outside_feit_higman_is_an_integrity_error(heawood, monkeypatch):
@@ -2367,8 +2401,9 @@ def test_edge_off_the_model_is_named(lengths, budget, tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("budget", [10 ** 5, 1])
 def test_edges_meet_the_model_once_per_check(heawood, budget, monkeypatch):
     """``check_spherical`` compares the edges with the model once per check
-    (``_lengths_fit_model``): the hull walks and the residue pass's edge
-    gate read that one answer.  One call on S0*Heawood (under budget 1 a
+    (``_lengths_fit_model``): the apartment layer runs only when it finds
+    every edge fits, and the residue pass's edge gate reads that one
+    answer.  One call on S0*Heawood (under budget 1 a
     budget-cut positive that reaches the residue pass), on S0 * the hexagon
     with an edge off the model and on the B3 antipodal quotient (its model
     enumerated in the residue pass); none on S0 * the hexagon whose first
@@ -2390,6 +2425,48 @@ def test_edges_meet_the_model_once_per_check(heawood, budget, monkeypatch):
         res = check_spherical(c, budget)
         assert (res.condition if isinstance(res, Diagnosis) else res.verdict) == want
         assert len(calls) == calls_wanted, want
+
+
+def _misfits(heawood):
+    """(complex, diagnosis as JSON): both S0 * hexagon inputs of
+    ``test_edge_off_the_model_is_named``, and S0*Heawood and S0*S0*Heawood
+    with one edge 1 % off (``_length_edits``), whose edit moves the diameter
+    of the link of N and the systole of the link of (N0, N)."""
+    def link(cell, condition, witness):
+        return {"condition": "link_failure", "witness": {"cell": cell},
+                "inner": {"condition": condition, "witness": witness}}
+    return [
+        (_s0_hexagon(("1/3", "1/3", "1/6", "1/2", "1/3", "1/3")),
+         {"condition": "edge_length_nonuniform", "witness": {
+             "edge": ["y2", "y3"], "types": [1, 2], "lengths": ["pi/6", "pi/3"]}}),
+        (_s0_hexagon(("2/5", "4/15", "1/3", "1/3", "1/3", "1/3")),
+         {"condition": "edge_length_nonuniform", "witness": {
+             "chamber": ["N", "y0", "y1"],
+             "detail": "dihedral angles are not all pi/m, m >= 2"}}),
+        (_length_edits(suspension(heawood))[1],
+         link(["N"], "diameter", {"diameter_pi_units": 1.0016666666666667,
+                                  "witness": ["p0", "12:67/200"]})),
+        (_length_edits(suspension(suspension(heawood)))[1],
+         link(["N0", "N"], "systole", {"cycle": ["p1", "l1", "p4", "l4", "p0", "l0"],
+                                       "length_pi_units": 1.9999546494209444}))]
+
+
+@pytest.mark.parametrize("budget", [10 ** 5, 3, 1])
+def test_misfit_lengths_search_no_hull(heawood, budget, monkeypatch):
+    """Edges off the model send the check straight to the residue pass,
+    whose answer a hull search could not change: on every ``_misfits``
+    input the hull search (``_hull_apartments``) and the pole search
+    (``find_suspension_poles``) run 0 times, and the diagnosis is the one
+    the check gave when it walked the hulls first."""
+    import buildctl.recognizer as recognizer
+    calls = []
+    for name in ("_hull_apartments", "find_suspension_poles"):
+        real = getattr(recognizer, name)
+        monkeypatch.setattr(recognizer, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for c, want in _misfits(heawood):
+        assert check_spherical(c, budget).to_json() == want
+    assert calls == []
 
 
 _JSON_JOIN_REPORTS = [
@@ -2511,20 +2588,24 @@ def _foreign_models():
 def _walks_as_per_hull(c, types, model) -> bool:
     """Assert that every hull of c, each ``_mutants`` copy and the whole
     complex walk onto the model as ``oracles.tuple_model_walk`` walks them
-    comparing the lengths on every hull, called directly and after
-    ``_lengths_fit_model``, and that ``_walked_hulls`` gives the oracle's
-    walks and failed hull; return whether c's lengths fit the model."""
+    with the lengths taken to fit, and, where ``_lengths_fit_model`` finds
+    that they fit, as it walks them comparing the lengths on every hull;
+    that ``_walked_hulls`` gives the oracle's walks and failed hull; and
+    that where the lengths misfit, walked hulls that hold every chamber
+    fail the per-hull comparison, so no certificate is lost.  Return
+    whether c's lengths fit the model."""
     import buildctl.recognizer as recognizer
     fit = recognizer._lengths_fit_model(c, types, model) is None
-    _, hulls, _, _, _, walks, bad = recognizer._walked_hulls(c, types, model, 10 ** 5, fit)
+    hulls, _, _, _, walks, bad = recognizer._walked_hulls(c, types, model, 10 ** 5)
     for cells in [a.cells for a in hulls] + [m for a in hulls for m in _mutants(c, a.cells)] \
             + [c.top_cells]:
-        want = oracles.tuple_model_walk(c, types, cells, model)
+        want = oracles.tuple_model_walk(c, types, cells, model, lengths_fit=True)
         assert _walk(c, types, cells, model) == want
-        assert _walk(c, types, cells, model, fit) == want
+        if fit:
+            assert oracles.tuple_model_walk(c, types, cells, model) == want
     want_walks, want_bad = [], None
     for a in hulls:
-        at, image, back = oracles.tuple_model_walk(c, types, a.cells, model)
+        at, image, back = oracles.tuple_model_walk(c, types, a.cells, model, lengths_fit=True)
         if at is not None:
             want_bad = (a.cells[0], at)
             break
@@ -2533,6 +2614,9 @@ def _walks_as_per_hull(c, types, model) -> bool:
     assert [({w: c.top_cells[k] for w, k in zip(words, image)}, back)
             for image, back in walks] == want_walks
     assert bad == want_bad
+    if not fit and bad is None and {t for a in hulls for t in a.cells} == set(c.top_cells):
+        assert any(oracles.tuple_model_walk(c, types, a.cells, model)[0] is not None
+                   for a in hulls)
     return fit
 
 
@@ -2544,13 +2628,15 @@ _LENGTH_CHECKED = {**{label: lambda label=label: [(c, _walk_models(c)) for c in 
 
 @pytest.mark.parametrize("label", sorted(_LENGTH_CHECKED))
 def test_lengths_checked_once_walk_as_every_hull_checked(label):
-    """The model walk after one length check per complex (``_lengths_fit_model``)
-    equals the walk that compares the lengths on every hull
-    (``oracles.tuple_model_walk``): (bad, image, back) of every hull, of
-    its one-chamber mutants and of the whole complex, and ``_walked_hulls``,
-    on every ``_WALKED`` and links-workload input and the foreign-model
-    cases.  Each comes also with one edge 1 % off, which never fits, and
-    with that edge 1e-13 off, which fits exactly when the input does."""
+    """The model walk, which reads no length, equals the walk on chamber
+    tuples with the lengths taken to fit, and, where the one length check
+    per complex (``_lengths_fit_model``) finds they fit, the walk that
+    compares them on every hull (``oracles.tuple_model_walk``): (bad,
+    image, back) of every hull, of its one-chamber mutants and of the whole
+    complex, and ``_walked_hulls``, on every ``_WALKED`` and links-workload
+    input and the foreign-model cases.  Each comes also with one edge 1 %
+    off, which never fits, and with that edge 1e-13 off, which fits exactly
+    when the input does."""
     fits = []
     for c, setups in _LENGTH_CHECKED[label]():
         assert setups, c.vertices
@@ -2579,8 +2665,9 @@ def _small_join(k, base):
        pick=st.integers(0, 10 ** 6))
 def test_small_joins_walk_as_every_hull_checked(k, base, pick):
     """Joins of two or three points with a small building graph, each with a
-    drawn edge 1 % and 1e-13 off: the walk after one length check per
-    complex equals the per-hull one (``_walks_as_per_hull``), and the
+    drawn edge 1 % and 1e-13 off: the walk, which reads no length, equals
+    the oracle's, and the per-hull one where the lengths fit
+    (``_walks_as_per_hull``), and the
     suspension poles the all-pairs search's."""
     from buildctl.decompose import find_suspension_poles
     import buildctl.recognizer as recognizer
@@ -2667,8 +2754,10 @@ def test_chamber_graph_route_equals_the_cofaces_route(k, seed):
     ``oracles.sorted_scan_panel_counts``); and where a chamber gives a
     Coxeter matrix, each hull walked on chamber indices against the bare
     group gives the (bad, image, back) of the tuple/dict walk
-    (``oracles.tuple_model_walk``, lengths compared per hull), and (B2) on
-    the walks gives ``oracles.dict_incompatible_hulls``'s answer."""
+    (``oracles.tuple_model_walk`` with the lengths taken to fit, and with
+    them compared per hull where ``_lengths_fit_model`` finds they fit),
+    and (B2) on the walks gives ``oracles.dict_incompatible_hulls``'s
+    answer."""
     import buildctl.recognizer as recognizer
     rng = random.Random(seed)
     inputs = _links_inputs_once()
@@ -2687,11 +2776,13 @@ def test_chamber_graph_route_equals_the_cofaces_route(k, seed):
             continue
         model = coxeter_complex(M)
         fit = recognizer._lengths_fit_model(e, types, model) is None
-        _, found, _, _, _, walks, bad = recognizer._walked_hulls(e, types, model, 10 ** 5, fit)
+        found, _, _, _, walks, bad = recognizer._walked_hulls(e, types, model, 10 ** 5)
         old = []
         for a in found:
-            want = oracles.tuple_model_walk(e, types, a.cells, model)
-            assert _walk(e, types, a.cells, model, fit) == want
+            want = oracles.tuple_model_walk(e, types, a.cells, model, lengths_fit=True)
+            assert _walk(e, types, a.cells, model) == want
+            if fit:
+                assert oracles.tuple_model_walk(e, types, a.cells, model) == want
             if want[0] is not None:
                 assert bad == (a.cells[0], want[0])
                 break
